@@ -1,6 +1,6 @@
 """Checkpoint journal: per-cell durability cost and resume equivalence.
 
-Runs the smoke chaos batch three ways — plain serial, supervised with
+Runs the smoke chaos batch three ways — plain serial, checkpointed with
 an fsynced journal, and resumed from a half-complete journal — and
 measures what the crash-safety layer costs:
 

@@ -32,9 +32,9 @@ JSON output through ``repro lint`` (see :mod:`repro.analysis.driver`).
 Process-boundary sinks are declarative — :func:`register_sink` adds
 one entry when a future seam (the ROADMAP's remote executor) grows a
 new pickle boundary. :func:`ensure_parallel_safe` is the runtime twin
-of the static REPRO2xx pass, called at construction time by
-``ParallelExecutor`` and ``ChaosWorkload`` the way simulator
-construction calls ``ensure_valid_graph``.
+of the static REPRO2xx pass, called by ``CampaignExecutor`` before
+its first pool round and by ``ChaosWorkload`` at registration, the way
+simulator construction calls ``ensure_valid_graph``.
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ register_sink(ProcessBoundarySink(
     qualname="repro.faults.campaigns.CampaignCellSpec",
     factory_params={"controller_factory": 7},
     description=(
-        "cell specs are pickled whole when ParallelExecutor submits "
-        "them to pool workers"
+        "cell specs are pickled whole inside the CellWork items the "
+        "campaign executor submits to run_cell_attempt on pool workers"
     ),
 ))
 register_sink(ProcessBoundarySink(
@@ -306,8 +306,7 @@ register_sink(ProcessBoundarySink(
 #: extend this set.
 WORKER_ENTRY_POINTS: Set[str] = {
     "repro.faults.campaigns.run_campaign_cell",
-    "repro.faults.campaigns._execute_cell_in_worker",
-    "repro.faults.checkpoint.supervised_cell_attempt",
+    "repro.faults.executor.run_cell_attempt",
 }
 
 
@@ -1326,8 +1325,8 @@ def ensure_parallel_safe(
     """Reject values that cannot cross a process boundary.
 
     The construction-time mirror of ``ensure_valid_graph``: called by
-    :class:`~repro.faults.campaigns.ParallelExecutor` before
-    submitting cells and by ``ChaosWorkload`` registration, so the
+    :class:`~repro.faults.executor.CampaignExecutor` before its
+    first pool round and by ``ChaosWorkload`` registration, so the
     violation is reported where the value was built, not as a pickle
     traceback deep inside a campaign. Raises
     :class:`~repro.analysis.rules.AnalysisError`; returns ``value``

@@ -3,7 +3,7 @@
 Two layers retry with the same arithmetic: the control loop's
 reconfiguration retry (:class:`repro.core.controller.RetryConfig`,
 measured in policy intervals) and the campaign supervisor's cell retry
-(:class:`repro.faults.checkpoint.CellRetryPolicy`, measured in wall
+(:class:`repro.faults.executor.CellRetryPolicy`, measured in wall
 seconds). Extracting the curve here keeps the two semantics from
 drifting: attempt ``n`` always waits ``initial * base ** (n - 1)``,
 capped at ``cap``.

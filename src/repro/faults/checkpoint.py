@@ -1,32 +1,21 @@
-"""Crash-safe chaos campaigns: durable cell journal + supervision.
+"""Crash-safe chaos campaigns: the durable cell journal.
 
 A chaos campaign is hours of seeded simulation reduced to one scorecard
-per ``(seed, campaign, controller)`` cell. Before this module, a
-SIGKILL, a worker OOM, or a single poison cell threw every finished
-cell away and aborted the run. The two layers here hold the harness to
-the standard it grades controllers by:
+per ``(seed, campaign, controller)`` cell. :class:`CheckpointJournal`
+keeps the finished ones across a SIGKILL, a worker OOM, or a poison
+cell: a durable, append-only JSONL journal with one fsynced record per
+completed cell (canonical cell key, the full scorecard payload, the
+cell's telemetry snapshot, and a content hash of the cell's
+configuration). Recovery tolerates a torn final record — the classic
+crash-mid-append artifact — by dropping it with a warning and
+truncating the file back to its valid prefix; anything else (mid-file
+corruption, a schema-version mismatch, a header or cell-hash mismatch)
+is rejected hard with :class:`~repro.errors.CheckpointError`, because
+silently resuming the wrong campaign is worse than not resuming at all.
 
-* :class:`CheckpointJournal` — a durable, append-only JSONL journal.
-  One fsynced record per completed cell (canonical cell key, the full
-  scorecard payload, the cell's per-worker telemetry snapshot, and a
-  content hash of the cell's configuration). Recovery tolerates a torn
-  final record — the classic crash-mid-append artifact — by dropping
-  it with a warning and truncating the file back to its valid prefix;
-  anything else (mid-file corruption, a schema-version mismatch, a
-  header or cell-hash mismatch) is rejected hard with
-  :class:`~repro.errors.CheckpointError`, because silently resuming
-  the wrong campaign is worse than not resuming at all.
-* :class:`SupervisedExecutor` — a campaign executor with per-cell
-  wall-clock timeouts (SIGALRM in the executing process, so a wedged
-  cell cannot stall the run), bounded retry with the same
-  capped-exponential-backoff curve the control loop uses
-  (:mod:`repro.core.backoff`), and quarantine: a cell that exhausts
-  its attempts is set aside and the run *completes*, with the
-  coverage (cells total / completed / quarantined) reported instead
-  of an abort. SIGINT/SIGTERM drain in-flight cells, flush the
-  journal, shut the pool down, and surface
-  :class:`CampaignInterrupted` so the CLI can print the resume
-  command.
+The journal is handed to :class:`~repro.faults.executor.CampaignExecutor`,
+which records cells as they finish, skips the ones already recorded,
+and adds retry, quarantine, timeouts and graceful interrupts.
 
 Determinism contract: a run that is hard-killed and resumed from its
 journal produces scorecards, traces, and merged telemetry
@@ -38,70 +27,38 @@ were resumed and which ran live.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
-import signal
-import threading
-import time
-import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
     TextIO,
     Tuple,
-    Union,
 )
 
-from repro.core.backoff import capped_backoff, invalid_backoff_reason
-from repro.errors import CheckpointError, FaultInjectionError
+from repro.errors import CheckpointError
 from repro.faults.campaigns import (
     CampaignCellSpec,
-    CampaignExecutor,
-    CampaignGenerator,
-    CampaignRunner,
     CellKey,
     SasoScorecard,
     _cell_label,
-    _heartbeat,
-    run_campaign_cell,
 )
 from repro.telemetry.audit import AuditSummary
-from repro.telemetry.progress import (
-    NULL_PROGRESS,
-    CellEvent,
-    ProgressListener,
+from repro.telemetry.spans import active_profiler
+
+# perfbench/layers.py wraps SupervisedExecutor.execute by this name.
+from repro.faults.executor import (  # noqa: F401
+    CampaignExecutor as SupervisedExecutor,
 )
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    active_registry,
-    metering,
-    wall_clock,
-)
-from repro.telemetry.spans import (
-    SpanProfiler,
-    active_profiler,
-    profiling,
-)
-from repro.telemetry.tracer import active_tracer
 
 #: Journal schema version. Bump on any change to the record layout;
 #: resume rejects journals written by a different version.
 CHECKPOINT_VERSION = 1
-
-#: A cell body: spec in, scorecard out. Injectable on the supervisor so
-#: tests can exercise retry/timeout/quarantine with controlled bodies;
-#: must be a module-level callable (it crosses process boundaries).
-CellRunner = Callable[[CampaignCellSpec], SasoScorecard]
-
 
 # ----------------------------------------------------------------------
 # Scorecard (de)serialization — lossless JSON round-trip
@@ -808,797 +765,14 @@ class CheckpointJournal:
         self.close()
 
 
-# ----------------------------------------------------------------------
-# Supervision: retry, quarantine, timeouts, graceful interrupts
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CellRetryPolicy:
-    """Bounded retry for campaign cells (capped exponential backoff).
-
-    Same curve as the control loop's
-    :class:`~repro.core.controller.RetryConfig`, in wall seconds: the
-    first retry waits ``initial_backoff_seconds``, each further retry
-    multiplies by ``backoff_base``, capped at ``max_backoff_seconds``.
-    After ``max_attempts`` total attempts the cell is quarantined.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 2.0
-    initial_backoff_seconds: float = 0.25
-    max_backoff_seconds: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise FaultInjectionError("max_attempts must be >= 1")
-        reason = invalid_backoff_reason(
-            base=self.backoff_base,
-            initial=self.initial_backoff_seconds,
-            cap=self.max_backoff_seconds,
-            base_name="backoff_base",
-            initial_name="initial_backoff_seconds",
-            cap_name="max_backoff_seconds",
-        )
-        if reason is not None:
-            raise FaultInjectionError(reason)
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """Seconds to wait after failed attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise FaultInjectionError("attempt must be >= 1")
-        return capped_backoff(
-            attempt,
-            base=self.backoff_base,
-            initial=self.initial_backoff_seconds,
-            cap=self.max_backoff_seconds,
-        )
-
-
-@dataclass(frozen=True)
-class QuarantinedCell:
-    """A cell that exhausted its retry budget."""
-
-    key: CellKey
-    attempts: int
-    error: str
-    traceback: str = ""
-
-
-@dataclass(frozen=True)
-class CampaignCoverage:
-    """Exactly which cells of a supervised run produced scorecards."""
-
-    cells: int
-    completed: int
-    quarantined: int
-    quarantined_cells: Tuple[QuarantinedCell, ...] = ()
-
-    @property
-    def complete(self) -> bool:
-        return self.quarantined == 0 and self.completed == self.cells
-
-
-@dataclass(frozen=True)
-class SupervisedOutcome:
-    """Everything a supervised batch produced.
-
-    ``scorecards`` holds the completed cells in canonical order
-    (quarantined cells are absent); ``by_index`` maps each completed
-    spec index to its scorecard; ``resumed`` counts cells recovered
-    from the journal rather than run live.
-    """
-
-    scorecards: List[SasoScorecard]
-    by_index: Dict[int, SasoScorecard]
-    coverage: CampaignCoverage
-    resumed: int
-
-
-class CampaignInterrupted(Exception):
-    """A supervised campaign was stopped by SIGINT/SIGTERM.
-
-    In-flight cells were drained and journaled; ``completed``/``cells``
-    say how far the run got, ``path`` names the journal to resume from
-    (``None`` when the run had no checkpoint).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        completed: int,
-        cells: int,
-        path: Optional[str] = None,
-    ) -> None:
-        super().__init__(message)
-        self.completed = completed
-        self.cells = cells
-        self.path = path
-
-
-class _CellTimeout(Exception):
-    """Raised inside a cell when its SIGALRM deadline fires."""
-
-
-def _raise_cell_timeout(signum: int, frame: object) -> None:
-    raise _CellTimeout()
-
-
-@contextmanager
-def _cell_alarm(timeout: Optional[float]) -> Iterator[None]:
-    """Arm a per-cell wall-clock deadline via SIGALRM.
-
-    Works in the executing process's main thread (both the in-process
-    serial path and process-pool workers qualify); elsewhere, or on
-    platforms without SIGALRM, the deadline is simply not enforced.
-    """
-    usable = (
-        timeout is not None
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-    assert timeout is not None
-    previous = signal.signal(signal.SIGALRM, _raise_cell_timeout)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@contextmanager
-def _terminate_as_interrupt() -> Iterator[None]:
-    """Map SIGTERM onto KeyboardInterrupt for the enclosed block.
-
-    A supervisor killed softly (``kill PID``) then drains and flushes
-    exactly like one stopped with Ctrl-C. Signal handlers are a
-    main-thread-only facility; elsewhere the block runs unchanged.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _handler(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt()
-
-    previous = signal.signal(signal.SIGTERM, _handler)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
-@dataclass(frozen=True)
-class _AttemptSuccess:
-    index: int
-    scorecard: SasoScorecard
-    telemetry: Dict[str, object]
-    #: Observability extras riding the result channel (see
-    #: campaigns._CellSuccess): wall seconds, executing pid, spans.
-    duration: float = 0.0
-    worker: int = 0
-    spans: Optional[Dict[str, object]] = None
-
-
-@dataclass(frozen=True)
-class _AttemptFailure:
-    index: int
-    key: CellKey
-    error: str
-    traceback: str
-    timed_out: bool = False
-
-
-_AttemptOutcome = Union[_AttemptSuccess, _AttemptFailure]
-
-
-# repro: worker-entry
-def supervised_cell_attempt(
-    index: int,
-    spec: CampaignCellSpec,
-    runner: CellRunner = run_campaign_cell,
-    timeout: Optional[float] = None,
-) -> _AttemptOutcome:
-    """Run one cell attempt: fresh registry, deadline, structured error.
-
-    Module-level and picklable — this is the body both the in-process
-    serial path and pool workers execute. Failures are *returned*
-    (with the traceback formatted where it still exists), never
-    raised, so an attempt can be retried or quarantined by policy.
-    KeyboardInterrupt is deliberately not caught: interrupts belong to
-    the supervisor, not the retry loop.
-    """
-    registry = MetricsRegistry()
-    profiler: Optional[SpanProfiler] = None
-    if active_profiler().enabled:
-        profiler = SpanProfiler()
-    started = wall_clock()
-    try:
-        with _cell_alarm(timeout), metering(registry):
-            if profiler is not None:
-                with profiling(profiler):
-                    card = runner(spec)
-            else:
-                card = runner(spec)
-    except _CellTimeout:
-        deadline = timeout if timeout is not None else 0.0
-        return _AttemptFailure(
-            index=index,
-            key=spec.key,
-            error=f"cell exceeded its {deadline:g}s timeout",
-            traceback="",
-            timed_out=True,
-        )
-    except Exception as error:  # noqa: BLE001 — judged by the policy
-        return _AttemptFailure(
-            index=index,
-            key=spec.key,
-            error=f"{type(error).__name__}: {error}",
-            traceback=traceback.format_exc(),
-        )
-    return _AttemptSuccess(
-        index=index,
-        scorecard=card,
-        telemetry=registry.snapshot(),
-        duration=wall_clock() - started,
-        worker=os.getpid(),
-        spans=None if profiler is None else profiler.to_dict(),
-    )
-
-
-class SupervisedExecutor(CampaignExecutor):
-    """Retry, quarantine, checkpoint, and drain around campaign cells.
-
-    Runs cells in-process (``jobs=1``) or on a process pool, attempting
-    each cell up to ``retry.max_attempts`` times with capped
-    exponential backoff between rounds, and quarantining cells that
-    exhaust the budget instead of aborting the batch. With a
-    ``journal``, every completed cell is fsynced to disk the moment it
-    finishes and cells already in the journal are not re-run.
-
-    ``cell_timeout`` bounds one attempt's wall clock (enforced by
-    SIGALRM inside the executing process); ``pool_timeout`` is the
-    deadlock guard on waiting for the *next* finished cell.
-    """
-
-    def __init__(
-        self,
-        *,
-        jobs: int = 1,
-        retry: Optional[CellRetryPolicy] = None,
-        cell_timeout: Optional[float] = None,
-        journal: Optional[CheckpointJournal] = None,
-        runner: CellRunner = run_campaign_cell,
-        sleep: Callable[[float], None] = time.sleep,
-        pool_timeout: Optional[float] = None,
-        progress: Optional[ProgressListener] = None,
-    ) -> None:
-        if int(jobs) < 1:
-            raise FaultInjectionError(
-                f"supervised executor needs jobs >= 1, got {jobs}"
-            )
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise FaultInjectionError(
-                f"cell_timeout must be > 0, got {cell_timeout}"
-            )
-        self._jobs = int(jobs)
-        self._retry = retry if retry is not None else CellRetryPolicy()
-        self._cell_timeout = cell_timeout
-        self._journal = journal
-        self._runner = runner
-        self._sleep = sleep
-        self._pool_timeout = pool_timeout
-        self._progress = (
-            progress if progress is not None else NULL_PROGRESS
-        )
-
-    @property
-    def jobs(self) -> int:
-        return self._jobs
-
-    @property
-    def retry(self) -> CellRetryPolicy:
-        return self._retry
-
-    @property
-    def journal(self) -> Optional[CheckpointJournal]:
-        return self._journal
-
-    # -- the CampaignExecutor contract ---------------------------------
-
-    def run_cells(
-        self, specs: Sequence[CampaignCellSpec]
-    ) -> List[SasoScorecard]:
-        """Strict-contract entry point: quarantine becomes an error.
-
-        Callers that want a partial batch plus coverage (the chaos
-        experiment does) should call :meth:`execute` instead.
-        """
-        outcome = self.execute(specs)
-        if outcome.coverage.quarantined:
-            labels = ", ".join(
-                _cell_label(cell.key)
-                for cell in outcome.coverage.quarantined_cells
-            )
-            raise FaultInjectionError(
-                f"{outcome.coverage.quarantined} campaign cell(s) "
-                f"exhausted their retry budget: {labels}"
-            )
-        return outcome.scorecards
-
-    # -- supervised execution ------------------------------------------
-
-    def execute(
-        self, specs: Sequence[CampaignCellSpec]
-    ) -> SupervisedOutcome:
-        """Run the batch to completion, quarantining poison cells."""
-        specs = list(specs)
-        total = len(specs)
-        progress = self._progress
-        cards: Dict[int, SasoScorecard] = {}
-        snapshots: Dict[int, Dict[str, object]] = {}
-        cell_spans: Dict[int, Optional[Dict[str, object]]] = {}
-        resumed = 0
-        if self._journal is not None:
-            for index, cell in self._journal.match(specs).items():
-                cards[index] = cell.scorecard
-                snapshots[index] = cell.telemetry
-                cell_spans[index] = cell.spans
-                resumed += 1
-            for count, index in enumerate(sorted(cards), start=1):
-                _heartbeat(
-                    self._journal,
-                    progress,
-                    CellEvent(
-                        kind="resume",
-                        index=index,
-                        key=specs[index].key,
-                        completed=count,
-                        total=total,
-                    ),
-                )
-        pending: List[int] = [
-            index
-            for index in range(len(specs))
-            if index not in cards
-        ]
-        failures: Dict[int, _AttemptFailure] = {}
-
-        def absorb(outcome: _AttemptOutcome) -> None:
-            if isinstance(outcome, _AttemptSuccess):
-                spec = specs[outcome.index]
-                if self._journal is not None:
-                    self._journal.record_cell(
-                        spec,
-                        outcome.scorecard,
-                        outcome.telemetry,
-                        spans=outcome.spans,
-                        duration=outcome.duration,
-                        worker=outcome.worker,
-                    )
-                cards[outcome.index] = outcome.scorecard
-                snapshots[outcome.index] = outcome.telemetry
-                cell_spans[outcome.index] = outcome.spans
-                failures.pop(outcome.index, None)
-                _heartbeat(
-                    self._journal,
-                    progress,
-                    CellEvent(
-                        kind="done",
-                        index=outcome.index,
-                        key=spec.key,
-                        completed=len(cards),
-                        total=total,
-                        worker=outcome.worker,
-                        duration=outcome.duration,
-                    ),
-                )
-            else:
-                failures[outcome.index] = outcome
-                _heartbeat(
-                    self._journal,
-                    progress,
-                    CellEvent(
-                        kind="retry",
-                        index=outcome.index,
-                        key=outcome.key,
-                        completed=len(cards),
-                        total=total,
-                    ),
-                )
-
-        quarantined: List[QuarantinedCell] = []
-        try:
-            with _terminate_as_interrupt():
-                attempt = 1
-                while pending and attempt <= self._retry.max_attempts:
-                    if self._jobs == 1 or len(pending) == 1:
-                        self._run_round_serial(
-                            specs, pending, absorb, lambda: len(cards)
-                        )
-                    else:
-                        self._run_round_pool(
-                            specs, pending, absorb, lambda: len(cards)
-                        )
-                    pending = sorted(failures)
-                    if (
-                        pending
-                        and attempt < self._retry.max_attempts
-                    ):
-                        self._sleep(
-                            self._retry.backoff_seconds(attempt)
-                        )
-                    attempt += 1
-            for index in sorted(failures):
-                failure = failures[index]
-                spec = specs[index]
-                if self._journal is not None:
-                    self._journal.record_quarantine(
-                        spec,
-                        attempts=self._retry.max_attempts,
-                        error=failure.error,
-                    )
-                quarantined.append(
-                    QuarantinedCell(
-                        key=spec.key,
-                        attempts=self._retry.max_attempts,
-                        error=failure.error,
-                        traceback=failure.traceback,
-                    )
-                )
-                _heartbeat(
-                    self._journal,
-                    progress,
-                    CellEvent(
-                        kind="quarantine",
-                        index=index,
-                        key=spec.key,
-                        completed=len(cards),
-                        total=total,
-                    ),
-                )
-        except KeyboardInterrupt:
-            path = (
-                self._journal.path
-                if self._journal is not None
-                else None
-            )
-            raise CampaignInterrupted(
-                f"campaign interrupted after {len(cards)} of "
-                f"{len(specs)} cells"
-                + (
-                    f"; completed cells are checkpointed in {path!r}"
-                    if path is not None
-                    else " (no checkpoint: completed cells are lost)"
-                ),
-                completed=len(cards),
-                cells=len(specs),
-                path=path,
-            ) from None
-        # Canonical-order fold: resumed and live cells merge their
-        # telemetry identically, so a resumed run's registry is
-        # byte-identical to an uninterrupted one.
-        ambient = active_registry()
-        if ambient.enabled:
-            for index in sorted(snapshots):
-                ambient.merge_snapshot(snapshots[index])
-        profiler = active_profiler()
-        if profiler.enabled:
-            # Same canonical fold for span trees: resumed and live
-            # cells merge identically, so structure matches an
-            # uninterrupted (and a serial) run.
-            for index in sorted(cell_spans):
-                profiler.merge(cell_spans[index])
-        coverage = CampaignCoverage(
-            cells=len(specs),
-            completed=len(cards),
-            quarantined=len(quarantined),
-            quarantined_cells=tuple(quarantined),
-        )
-        return SupervisedOutcome(
-            scorecards=[cards[i] for i in sorted(cards)],
-            by_index=cards,
-            coverage=coverage,
-            resumed=resumed,
-        )
-
-    # -- one retry round ------------------------------------------------
-
-    def _run_round_serial(
-        self,
-        specs: Sequence[CampaignCellSpec],
-        pending: Sequence[int],
-        absorb: Callable[[_AttemptOutcome], None],
-        completed: Callable[[], int],
-    ) -> None:
-        for index in pending:
-            _heartbeat(
-                self._journal,
-                self._progress,
-                CellEvent(
-                    kind="start",
-                    index=index,
-                    key=specs[index].key,
-                    completed=completed(),
-                    total=len(specs),
-                    worker=os.getpid(),
-                ),
-            )
-            absorb(
-                supervised_cell_attempt(
-                    index,
-                    specs[index],
-                    self._runner,
-                    self._cell_timeout,
-                )
-            )
-
-    def _run_round_pool(
-        self,
-        specs: Sequence[CampaignCellSpec],
-        pending: Sequence[int],
-        absorb: Callable[[_AttemptOutcome], None],
-        completed: Callable[[], int],
-    ) -> None:
-        # Construction-time pickle check, mirroring ParallelExecutor:
-        # an unpicklable factory is a configuration error poisoning
-        # every cell, not a flaky cell to retry and quarantine.
-        from repro.analysis.parallel import ensure_parallel_safe
-        from repro.analysis.rules import AnalysisError
-
-        for index in pending:
-            try:
-                ensure_parallel_safe(
-                    specs[index].controller_factory,
-                    context=(
-                        f"campaign cell "
-                        f"{_cell_label(specs[index].key)} "
-                        "controller_factory"
-                    ),
-                )
-            except AnalysisError as error:
-                raise FaultInjectionError(str(error)) from error
-        workers = min(self._jobs, len(pending))
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        )
-        interrupted = False
-        def settle(
-            future: "concurrent.futures.Future[_AttemptOutcome]",
-            index: int,
-        ) -> None:
-            try:
-                absorb(future.result())
-            except Exception as error:
-                # Hard worker deaths (BrokenProcessPool) and
-                # unpicklable runners: a failed attempt, not
-                # an aborted batch.
-                absorb(
-                    _AttemptFailure(
-                        index=index,
-                        key=specs[index].key,
-                        error=(
-                            f"worker died: "
-                            f"{type(error).__name__}: {error}"
-                        ),
-                        traceback="",
-                    )
-                )
-
-        try:
-            futures = {}
-            for index in pending:
-                futures[
-                    pool.submit(
-                        supervised_cell_attempt,
-                        index,
-                        specs[index],
-                        self._runner,
-                        self._cell_timeout,
-                    )
-                ] = index
-                _heartbeat(
-                    self._journal,
-                    self._progress,
-                    CellEvent(
-                        kind="start",
-                        index=index,
-                        key=specs[index].key,
-                        completed=completed(),
-                        total=len(specs),
-                    ),
-                )
-            try:
-                if self._progress.enabled:
-                    # Polling drain so the renderer can refresh and
-                    # report stalls; the pool timeout keeps the same
-                    # total-deadline semantics as as_completed.
-                    deadline = (
-                        None
-                        if self._pool_timeout is None
-                        else wall_clock() + self._pool_timeout
-                    )
-                    remaining = set(futures)
-                    while remaining:
-                        done, _not_done = concurrent.futures.wait(
-                            list(remaining),
-                            timeout=0.2,
-                            return_when=(
-                                concurrent.futures.FIRST_COMPLETED
-                            ),
-                        )
-                        for future in done:
-                            remaining.discard(future)
-                            settle(future, futures[future])
-                        self._progress.tick()
-                        if (
-                            not done
-                            and deadline is not None
-                            and wall_clock() > deadline
-                        ):
-                            raise concurrent.futures.TimeoutError()
-                else:
-                    for future in concurrent.futures.as_completed(
-                        futures, timeout=self._pool_timeout
-                    ):
-                        settle(future, futures[future])
-            except concurrent.futures.TimeoutError:
-                waiting = ", ".join(
-                    sorted(
-                        _cell_label(specs[index].key)
-                        for future, index in futures.items()
-                        if not future.done()
-                    )
-                )
-                raise FaultInjectionError(
-                    f"campaign cells still pending after "
-                    f"{self._pool_timeout}s: {waiting}"
-                ) from None
-            except KeyboardInterrupt:
-                # Graceful drain: stop feeding the pool, let cells
-                # already on a worker finish, journal them, then stop.
-                interrupted = True
-                pool.shutdown(wait=False, cancel_futures=True)
-                started = [
-                    future
-                    for future in futures
-                    if not future.cancelled()
-                ]
-                drained, _ = concurrent.futures.wait(
-                    started, timeout=self._drain_grace()
-                )
-                for future in drained:
-                    try:
-                        outcome = future.result()
-                    except Exception:
-                        continue
-                    if isinstance(outcome, _AttemptSuccess):
-                        absorb(outcome)
-                raise
-        finally:
-            # On the interrupt path the pool was already asked to stop
-            # and stragglers got a bounded drain; waiting again here
-            # could block indefinitely on a wedged cell.
-            pool.shutdown(wait=not interrupted, cancel_futures=True)
-
-    def _drain_grace(self) -> float:
-        """Seconds to wait for in-flight cells on interrupt."""
-        if self._cell_timeout is not None:
-            return self._cell_timeout + 5.0
-        if self._pool_timeout is not None:
-            return self._pool_timeout
-        return 60.0
-
-
-# ----------------------------------------------------------------------
-# Campaign-level driver (the supervised analogue of CampaignRunner.run)
-# ----------------------------------------------------------------------
-
-def run_supervised_campaign(
-    runner: CampaignRunner,
-    generator: CampaignGenerator,
-    campaigns: Union[int, Sequence[int]],
-    executor: SupervisedExecutor,
-) -> SupervisedOutcome:
-    """Run a campaign batch under supervision, with coverage.
-
-    Mirrors :meth:`CampaignRunner.run` — same canonical cell order,
-    same cell-granularity trace with a cumulative virtual-time axis —
-    but completes with quarantined cells annotated instead of aborting,
-    and resumes from the executor's journal when one is attached.
-    Trace emission walks specs in canonical order after execution, so
-    a resumed run's trace is byte-identical to an uninterrupted one.
-    """
-    specs = runner.cell_specs(generator, campaigns)
-    duration = generator.profile.duration
-    profile = generator.profile.name
-    total = len(specs)
-    tracer = active_tracer()
-    cells_metric = active_registry().counter(
-        "repro_campaign_cells_total",
-        "Campaign cells (campaign x controller) completed.",
-    )
-    if tracer.enabled:
-        tracer.emit(
-            "campaign.start",
-            0.0,
-            profile=profile,
-            seed=generator.seed,
-            campaigns=(
-                campaigns
-                if isinstance(campaigns, int)
-                else len(list(campaigns))
-            ),
-            controllers=sorted(
-                {spec.controller for spec in specs}
-            ),
-            cells=total,
-        )
-    outcome = executor.execute(specs)
-    quarantined_keys = {
-        cell.key: cell
-        for cell in outcome.coverage.quarantined_cells
-    }
-    for position, spec in enumerate(specs, start=1):
-        index = position - 1
-        card = outcome.by_index.get(index)
-        if card is not None:
-            cells_metric.inc(
-                profile=profile, controller=spec.controller
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    "campaign.cell",
-                    position * duration,
-                    profile=profile,
-                    campaign=spec.campaign,
-                    controller=spec.controller,
-                    completed=position,
-                    cells=total,
-                    score=round(card.score, 6),
-                    failed_rescales=card.failed_rescales,
-                )
-        elif tracer.enabled:
-            quarantine = quarantined_keys.get(spec.key)
-            tracer.emit(
-                "campaign.quarantine",
-                position * duration,
-                profile=profile,
-                campaign=spec.campaign,
-                controller=spec.controller,
-                cells=total,
-                error=(
-                    quarantine.error if quarantine is not None else ""
-                ),
-            )
-    if tracer.enabled:
-        tracer.emit(
-            "campaign.end",
-            total * duration,
-            profile=profile,
-            cells=total,
-        )
-    return outcome
-
-
 __all__ = [
     "CHECKPOINT_VERSION",
-    "CampaignCoverage",
-    "CampaignInterrupted",
-    "CellRetryPolicy",
     "CheckpointJournal",
     "JournalCell",
     "JournalHeader",
-    "QuarantinedCell",
-    "SupervisedExecutor",
-    "SupervisedOutcome",
+    "LoadedJournal",
     "cell_fingerprint",
-    "run_supervised_campaign",
+    "load_journal",
     "scorecard_from_payload",
     "scorecard_to_payload",
-    "supervised_cell_attempt",
 ]

@@ -2,9 +2,8 @@
 
 :func:`compile_grid` turns a :class:`~repro.sweeps.spec.SweepSpec`
 into a list of :class:`~repro.faults.campaigns.CampaignCellSpec` —
-the exact currency of :class:`~repro.faults.campaigns.CampaignExecutor`
-and :class:`~repro.faults.checkpoint.SupervisedExecutor`. Sweeps
-therefore inherit the whole campaign execution stack for free:
+the exact currency of :class:`~repro.faults.executor.CampaignExecutor`.
+Sweeps therefore inherit the whole campaign execution stack for free:
 ``--jobs N`` process pools with byte-identical merged results, retry +
 quarantine supervision, crash-safe checkpoint journals with resume,
 progress heartbeats, and span profiling.
@@ -25,7 +24,6 @@ cleanly across pool workers (the REPRO2xx rules' dynamic counterpart).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -52,15 +50,14 @@ from repro.faults.campaigns import (
     CampaignProfile,
     CampaignTargets,
     SasoScorecard,
-    make_executor,
     resolve_jobs,
 )
-from repro.faults.checkpoint import (
+from repro.faults.checkpoint import CheckpointJournal, JournalHeader
+from repro.faults.executor import (
     CampaignCoverage,
+    CampaignExecutor,
     CellRetryPolicy,
-    CheckpointJournal,
-    JournalHeader,
-    SupervisedExecutor,
+    checkpoint_journal,
 )
 from repro.sweeps.spec import (
     SweepCell,
@@ -68,10 +65,7 @@ from repro.sweeps.spec import (
     expand_cells,
     sweep_label,
 )
-from repro.telemetry.progress import (
-    ProgressListener,
-    interrupted_cells,
-)
+from repro.telemetry.progress import ProgressListener
 from repro.workloads.wordcount import (
     COUNT,
     FLATMAP,
@@ -360,53 +354,34 @@ def run_sweep(
 ) -> SweepResult:
     """Run every cell of a sweep grid.
 
-    Without ``checkpoint``, cells run on the plain campaign executor
-    (serial for one job, a process pool otherwise) and any cell failure
-    aborts the sweep. With ``checkpoint``, the supervised crash-safe
-    path is used: completed cells are durably journaled the moment they
-    finish, failing cells are retried then quarantined, and a
+    Cells run on the campaign executor (serial for one job, a process
+    pool otherwise). Without ``checkpoint`` any cell failure aborts the
+    sweep. With ``checkpoint``, completed cells are durably journaled
+    the moment they finish, failing cells are retried then quarantined
+    (``retry`` defaults to :class:`CellRetryPolicy`), and a
     hard-killed sweep resumes with ``resume=True`` producing
     byte-identical output. Results are byte-identical across job
     counts, backends, and fresh-vs-resumed runs.
     """
     grid = compile_grid(spec)
-    if checkpoint is None:
-        if resume:
-            raise SweepError("resume requires a checkpoint path")
-        executor = make_executor(jobs, progress=progress)
-        cards = executor.run_cells(grid.specs)
-        return SweepResult(
-            grid=grid,
-            scorecards=dict(enumerate(cards)),
-        )
-    journal = CheckpointJournal.open(
+    if resume and checkpoint is None:
+        raise SweepError("resume requires a checkpoint path")
+    with checkpoint_journal(
         checkpoint, grid.header, resume=resume
-    )
-    try:
-        for note in journal.warnings:
-            warnings.warn(note, RuntimeWarning, stacklevel=2)
-        if resume:
-            for note in interrupted_cells(journal.heartbeats):
-                warnings.warn(
-                    f"interrupted sweep was executing {note} when it "
-                    f"stopped",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        supervisor = SupervisedExecutor(
+    ) as journal:
+        if retry is None and journal is not None:
+            retry = CellRetryPolicy()
+        outcome = CampaignExecutor(
             jobs=resolve_jobs(jobs),
             retry=retry,
             cell_timeout=cell_timeout,
             journal=journal,
             progress=progress,
-        )
-        outcome = supervisor.execute(grid.specs)
-    finally:
-        journal.close()
+        ).execute(grid.specs)
     return SweepResult(
         grid=grid,
         scorecards=dict(outcome.by_index),
-        coverage=outcome.coverage,
+        coverage=None if journal is None else outcome.coverage,
         resumed=outcome.resumed,
     )
 

@@ -1,12 +1,12 @@
 """Live campaign progress: heartbeats, renderers, stall detection.
 
 Chaos campaigns run for minutes and, with a process pool, in silence.
-This module gives the executors a narrow seam to report liveness
+This module gives the campaign executor a narrow seam to report liveness
 without touching any golden output:
 
 * :class:`CellEvent` — one heartbeat: a cell started, finished, was
   restored from the checkpoint journal on resume, or was quarantined.
-  Events flow through the executors' existing result channel (worker
+  Events flow through the executor's existing result channel (worker
   pid and wall duration ride on the per-cell result objects), so there
   is no side channel to keep deterministic.
 * :class:`ProgressListener` — the sink protocol. The shared
@@ -19,8 +19,8 @@ without touching any golden output:
   fallback for non-TTY streams. Both write to *stderr-like* streams
   only; stdout stays byte-identical with or without ``--progress``.
 
-Heartbeats are additionally journaled by the executors (see
-:mod:`repro.faults.checkpoint`) so a resumed run can report what the
+Heartbeats are additionally journaled by the campaign executor (see
+:mod:`repro.faults.executor`) so a resumed run can report what the
 dead run was doing when it was killed.
 """
 

@@ -225,7 +225,7 @@ class TestRegistries:
             in WORKER_ENTRY_POINTS
         )
         assert (
-            "repro.faults.checkpoint.supervised_cell_attempt"
+            "repro.faults.executor.run_cell_attempt"
             in WORKER_ENTRY_POINTS
         )
 
@@ -299,25 +299,25 @@ class TestRuntimeGuard:
 
 class TestProcessBoundaryHooks:
     def test_parallel_executor_rejects_lambda_factory(self):
-        from repro.faults.campaigns import ParallelExecutor
         from repro.errors import FaultInjectionError
+        from repro.faults.executor import CampaignExecutor
 
         spec = SimpleNamespace(
             key=(7, 0, "lam"), controller_factory=lambda: None
         )
         with pytest.raises(FaultInjectionError) as excinfo:
-            ParallelExecutor._ensure_submittable([spec], [0])
+            CampaignExecutor._ensure_submittable([spec], [0])
         message = str(excinfo.value)
         assert "controller='lam'" in message
         assert "[REPRO201]" in message
 
     def test_parallel_executor_accepts_module_factory(self):
-        from repro.faults.campaigns import ParallelExecutor
+        from repro.faults.executor import CampaignExecutor
 
         spec = SimpleNamespace(
             key=(7, 0, "ok"), controller_factory=_module_factory
         )
-        ParallelExecutor._ensure_submittable([spec], [0])
+        CampaignExecutor._ensure_submittable([spec], [0])
 
     def test_chaos_workload_rejects_lambda_factory(self):
         from repro.experiments.chaos import ChaosWorkload

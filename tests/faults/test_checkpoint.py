@@ -32,8 +32,6 @@ from repro.faults.campaigns import (
     PROFILES,
     CampaignGenerator,
     CampaignTargets,
-    ParallelExecutor,
-    SerialExecutor,
 )
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
@@ -43,6 +41,7 @@ from repro.faults.checkpoint import (
     scorecard_from_payload,
     scorecard_to_payload,
 )
+from repro.faults.executor import CampaignExecutor
 from repro.telemetry.registry import MetricsRegistry, metering
 from repro.workloads.wordcount import heron_wordcount_graph
 
@@ -261,7 +260,8 @@ class TestJournalCorruption:
 
 
 class TestExecutorJournaling:
-    """Both stock executors honour an attached journal.
+    """The executor honours an attached journal, in-process and on a
+    pool.
 
     Scorecards are deterministic across executions, so they are
     compared against a plain serial run. Telemetry includes wall-clock
@@ -272,7 +272,7 @@ class TestExecutorJournaling:
     """
 
     def _plain_cards(self, specs):
-        return SerialExecutor().run_cells(specs)
+        return CampaignExecutor().run_cells(specs)
 
     def _journaled_run(self, path, specs, make_backend, resume=False):
         journal = CheckpointJournal.open(path, HEADER, resume=resume)
@@ -289,10 +289,10 @@ class TestExecutorJournaling:
         self, tmp_path, backend
     ):
         make_backend = (
-            (lambda j: SerialExecutor(checkpoint=j))
+            (lambda j: CampaignExecutor(journal=j))
             if backend == "serial"
-            else (lambda j: ParallelExecutor(
-                2, timeout=POOL_TIMEOUT, checkpoint=j
+            else (lambda j: CampaignExecutor(
+                jobs=2, pool_timeout=POOL_TIMEOUT, journal=j
             ))
         )
         specs = _specs()
@@ -320,7 +320,7 @@ class TestExecutorJournaling:
         plain_cards = self._plain_cards(specs)
         path = str(tmp_path / "j.jsonl")
         with CheckpointJournal.open(path, HEADER) as journal:
-            SerialExecutor(checkpoint=journal).run_cells(specs)
+            CampaignExecutor(journal=journal).run_cells(specs)
         lines = Path(path).read_text().splitlines()
         Path(path).write_text(
             "\n".join(lines[:4]) + "\n"  # header + 3 of 6 cells
@@ -328,10 +328,10 @@ class TestExecutorJournaling:
         journal = CheckpointJournal.open(path, HEADER, resume=True)
         assert len(journal.completed) == 3
         backend = (
-            SerialExecutor(checkpoint=journal)
+            CampaignExecutor(journal=journal)
             if resumed_executor == "serial"
-            else ParallelExecutor(
-                2, timeout=POOL_TIMEOUT, checkpoint=journal
+            else CampaignExecutor(
+                jobs=2, pool_timeout=POOL_TIMEOUT, journal=journal
             )
         )
         cards = backend.run_cells(specs)

@@ -1,17 +1,20 @@
 """Serial ↔ parallel equivalence suite for the campaign executor.
 
-The `ParallelExecutor` contract: running the same cell specs on a
-process pool produces scorecards *byte-identical* (asserted through a
-`SasoScorecard` dict round-trip and `repr`) to the in-process
-`SerialExecutor`, in the same canonical (campaign-major,
-controller-minor) order, regardless of completion order. The suite also
-covers the failure paths — a controller factory that raises inside a
-child must surface the failing `(seed, campaign, controller)` cell with
-the child's traceback and must not hang the pool — plus jobs/env
-validation and the rate-less-source regression.
+The `CampaignExecutor` contract: running the same cell specs on a
+process pool (`jobs > 1`) produces scorecards *byte-identical*
+(asserted through a `SasoScorecard` dict round-trip and `repr`) to the
+in-process run (`jobs=1`), in the same canonical (campaign-major,
+controller-minor) order, regardless of completion order — under every
+multiprocessing start method, for span structure and metrics text as
+well as scorecards. The suite also covers the failure paths — a
+controller factory that raises must surface the failing `(seed,
+campaign, controller)` cell with its traceback, in-process or in a
+child, and must not hang the pool — plus jobs/env validation and the
+rate-less-source regression.
 """
 
 import dataclasses
+import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,12 +31,12 @@ from repro.faults.campaigns import (
     CampaignProfile,
     CampaignRunner,
     CampaignTargets,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
     resolve_jobs,
     run_campaign_cell,
 )
+from repro.faults.executor import CampaignExecutor
+from repro.telemetry.registry import MetricsRegistry, metering
+from repro.telemetry.spans import SpanProfiler, profiling
 from repro.workloads.wordcount import (
     COUNT,
     FLATMAP,
@@ -74,11 +77,11 @@ class TestSerialParallelEquivalence:
         """Fixed-seed golden cells: jobs=2 matches serial exactly."""
         runner = _runner()
         generator = _wordcount_generator(PROFILES["smoke"])
-        serial = runner.run(generator, 2, executor=SerialExecutor())
+        serial = runner.run(generator, 2, executor=CampaignExecutor())
         parallel = runner.run(
             generator,
             2,
-            executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
+            executor=CampaignExecutor(jobs=2, pool_timeout=POOL_TIMEOUT),
         )
         _assert_equivalent(serial, parallel)
         # Canonical order is campaign-major, controller-minor.
@@ -92,11 +95,11 @@ class TestSerialParallelEquivalence:
         """More workers than campaigns still merges canonically."""
         runner = _runner()
         generator = _wordcount_generator(PROFILES["smoke"], seed=7)
-        serial = runner.run(generator, 2, executor=SerialExecutor())
+        serial = runner.run(generator, 2, executor=CampaignExecutor())
         parallel = runner.run(
             generator,
             2,
-            executor=ParallelExecutor(3, timeout=POOL_TIMEOUT),
+            executor=CampaignExecutor(jobs=3, pool_timeout=POOL_TIMEOUT),
         )
         _assert_equivalent(serial, parallel)
 
@@ -104,11 +107,11 @@ class TestSerialParallelEquivalence:
     def test_mixed_profile(self):
         runner = _runner(tick=2.0)
         generator = _wordcount_generator(PROFILES["mixed"])
-        serial = runner.run(generator, 2, executor=SerialExecutor())
+        serial = runner.run(generator, 2, executor=CampaignExecutor())
         parallel = runner.run(
             generator,
             2,
-            executor=ParallelExecutor(4, timeout=POOL_TIMEOUT),
+            executor=CampaignExecutor(jobs=4, pool_timeout=POOL_TIMEOUT),
         )
         _assert_equivalent(serial, parallel)
 
@@ -122,11 +125,11 @@ class TestSerialParallelEquivalence:
             ),
             seed=3,
         )
-        serial = runner.run(generator, 1, executor=SerialExecutor())
+        serial = runner.run(generator, 1, executor=CampaignExecutor())
         parallel = runner.run(
             generator,
             1,
-            executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
+            executor=CampaignExecutor(jobs=2, pool_timeout=POOL_TIMEOUT),
         )
         _assert_equivalent(serial, parallel)
 
@@ -140,11 +143,11 @@ class TestSerialParallelEquivalence:
             ),
             seed=3,
         )
-        serial = runner.run(generator, 1, executor=SerialExecutor())
+        serial = runner.run(generator, 1, executor=CampaignExecutor())
         parallel = runner.run(
             generator,
             1,
-            executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
+            executor=CampaignExecutor(jobs=2, pool_timeout=POOL_TIMEOUT),
         )
         _assert_equivalent(serial, parallel)
 
@@ -184,11 +187,11 @@ class TestSerialParallelEquivalence:
             policy_interval=HERON_POLICY_INTERVAL,
         )
         generator = _wordcount_generator(profile, seed=seed)
-        serial = runner.run(generator, 1, executor=SerialExecutor())
+        serial = runner.run(generator, 1, executor=CampaignExecutor())
         parallel = runner.run(
             generator,
             1,
-            executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
+            executor=CampaignExecutor(jobs=2, pool_timeout=POOL_TIMEOUT),
         )
         _assert_equivalent(serial, parallel)
 
@@ -198,15 +201,85 @@ class TestSerialParallelEquivalence:
         generator = _wordcount_generator(PROFILES["smoke"])
         specs = runner.cell_specs(generator, 1)
         direct = [run_campaign_cell(spec) for spec in specs]
-        batch = runner.run(generator, 1, executor=SerialExecutor())
+        batch = runner.run(generator, 1, executor=CampaignExecutor())
         _assert_equivalent(direct, batch)
 
     def test_empty_batch(self):
         runner = _runner()
         generator = _wordcount_generator(PROFILES["smoke"])
         assert runner.run(
-            generator, 0, executor=ParallelExecutor(2)
+            generator, 0, executor=CampaignExecutor(jobs=2)
         ) == []
+
+
+@pytest.fixture(params=["fork", "spawn", "forkserver"])
+def start_method(request):
+    """Run the test's pools under one multiprocessing start method and
+    restore the process default afterwards."""
+    method = request.param
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method!r} is not available here")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        yield method
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+
+
+#: Wall-clock step timings differ from run to run (their count does
+#: not), so these lines are left out of the compared metrics text.
+_TIMED_METRIC_LINES = (
+    "repro_engine_step_seconds_bucket",
+    "repro_engine_step_seconds_sum",
+)
+
+
+def _observed_smoke_batch(executor):
+    """Scorecards, span structure and metrics text of the smoke batch."""
+    registry = MetricsRegistry()
+    profiler = SpanProfiler()
+    with metering(registry), profiling(profiler):
+        cards = _runner().run(
+            _wordcount_generator(PROFILES["smoke"]), 2, executor=executor
+        )
+    metrics = [
+        line
+        for line in registry.render_text().splitlines()
+        if not line.startswith(_TIMED_METRIC_LINES)
+    ]
+    return _cards_as_dicts(cards), profiler.structure(), metrics
+
+
+@pytest.fixture(scope="module")
+def serial_smoke_batch():
+    return _observed_smoke_batch(CampaignExecutor())
+
+
+def _span_counts(structure):
+    return {
+        child["name"]: child["count"] for child in structure["children"]
+    }
+
+
+class TestStartMethods:
+    def test_start_method_pool_matches_serial(
+        self, start_method, serial_smoke_batch
+    ):
+        """Worker telemetry arrives whatever the start method: the
+        opt-ins travel in each work item, not in inherited state."""
+        serial_cards, serial_spans, serial_metrics = serial_smoke_batch
+        cards, spans, metrics = _observed_smoke_batch(
+            CampaignExecutor(jobs=2, pool_timeout=POOL_TIMEOUT)
+        )
+        assert cards == serial_cards
+        counts = _span_counts(spans)
+        serial_counts = _span_counts(serial_spans)
+        for name in ("controller.decide", "engine.tick"):
+            assert serial_counts[name] > 0
+            assert counts.get(name) == serial_counts[name]
+        assert spans == serial_spans
+        assert metrics == serial_metrics
 
 
 def _exploding_controller():
@@ -225,30 +298,36 @@ class TestWorkerFailure:
             policy_interval=HERON_POLICY_INTERVAL,
         )
 
-    def test_child_exception_names_cell_and_traceback(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_failure_names_cell_and_traceback(self, jobs):
+        """One failure path: in-process and on the pool, the first
+        failing cell aborts the batch with its key and traceback."""
         runner = self._boom_runner()
         generator = _wordcount_generator(PROFILES["smoke"], seed=9)
         with pytest.raises(FaultInjectionError) as excinfo:
             runner.run(
                 generator,
                 2,
-                executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
+                executor=CampaignExecutor(
+                    jobs=jobs, pool_timeout=POOL_TIMEOUT
+                ),
             )
         message = str(excinfo.value)
         # The failing (seed, campaign, controller) cell is named...
         assert "seed=9" in message
         assert "campaign=" in message
         assert "controller='boom'" in message
-        # ...with the child's own traceback attached.
+        # ...with the cell's own traceback attached.
         assert "RuntimeError: kaboom-controller" in message
-        assert "worker traceback" in message
+        assert "cell traceback" in message
         assert "_exploding_controller" in message
-
-    def test_serial_executor_raises_plainly(self):
-        runner = self._boom_runner()
-        generator = _wordcount_generator(PROFILES["smoke"], seed=9)
-        with pytest.raises(RuntimeError, match="kaboom-controller"):
-            runner.run(generator, 1, executor=SerialExecutor())
+        cause = excinfo.value.__cause__
+        if jobs == 1:
+            # In-process, the original exception stays chained.
+            assert isinstance(cause, RuntimeError)
+            assert str(cause) == "kaboom-controller"
+        else:
+            assert cause is None
 
     def test_unpicklable_factory_names_cell(self):
         runner = CampaignRunner(
@@ -267,7 +346,7 @@ class TestWorkerFailure:
             runner.run(
                 generator,
                 1,
-                executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
+                executor=CampaignExecutor(jobs=2, pool_timeout=POOL_TIMEOUT),
             )
 
 
@@ -275,7 +354,7 @@ class TestJobsResolution:
     def test_parallel_executor_rejects_nonpositive_jobs(self):
         for jobs in (0, -1):
             with pytest.raises(FaultInjectionError, match="jobs"):
-                ParallelExecutor(jobs)
+                CampaignExecutor(jobs=jobs)
 
     def test_resolve_jobs_explicit(self):
         assert resolve_jobs(1) == 1
@@ -302,18 +381,6 @@ class TestJobsResolution:
     def test_explicit_jobs_beat_env(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "8")
         assert resolve_jobs(2) == 2
-
-    def test_make_executor_picks_backend(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert isinstance(make_executor(), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        executor = make_executor(4)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.jobs == 4
-        monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        from_env = make_executor()
-        assert isinstance(from_env, ParallelExecutor)
-        assert from_env.jobs == 2
 
 
 class TestRateLessSourceRegression:

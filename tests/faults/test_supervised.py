@@ -9,32 +9,32 @@ file covers the supervising layer wrapped around it:
   with coverage annotated instead of aborting, on both the in-process
   and the process-pool paths,
 * per-cell SIGALRM wall-clock deadlines,
-* SIGTERM mid-campaign -> `CampaignInterrupted` naming the journal,
-  then a resume that completes the batch with identical scorecards,
-* `run_supervised_campaign` emitting the same trace and scorecards as
-  the plain `CampaignRunner.run` path,
+* SIGTERM or Ctrl-C mid-campaign -> `CampaignInterrupted` naming the
+  journal (or none), then a resume that completes the batch with
+  identical scorecards,
+* a warning when `cell_timeout` cannot be enforced,
+* `CampaignRunner.execute` with a retry policy emitting the same trace
+  and scorecards as the plain `CampaignRunner.run` path,
 * the chaos report's coverage annotation.
 """
 
 import dataclasses
 import os
 import signal
+import threading
 import time
+import warnings
 
 import pytest
 
 from repro.errors import FaultInjectionError
 from repro.experiments.chaos import chaos_report, run_chaos
-from repro.faults.campaigns import (
-    SerialExecutor,
-    run_campaign_cell,
-)
-from repro.faults.checkpoint import (
+from repro.faults.campaigns import run_campaign_cell
+from repro.faults.checkpoint import CheckpointJournal
+from repro.faults.executor import (
+    CampaignExecutor,
     CampaignInterrupted,
     CellRetryPolicy,
-    CheckpointJournal,
-    SupervisedExecutor,
-    run_supervised_campaign,
 )
 from repro.telemetry.tracer import Tracer, tracing
 from tests.faults.test_checkpoint import (
@@ -94,6 +94,18 @@ class _TerminateAt:
         return run_campaign_cell(spec)
 
 
+class _InterruptAt:
+    """Raise KeyboardInterrupt (Ctrl-C) when a specific cell comes up."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __call__(self, spec):
+        if spec.key == self.key:
+            raise KeyboardInterrupt()
+        return run_campaign_cell(spec)
+
+
 class TestRetryPolicy:
     def test_backoff_sequence_is_capped_exponential(self):
         policy = CellRetryPolicy()
@@ -125,9 +137,9 @@ class TestRetryPolicy:
 
     def test_executor_rejects_bad_limits(self):
         with pytest.raises(FaultInjectionError, match="jobs"):
-            SupervisedExecutor(jobs=0)
+            CampaignExecutor(jobs=0)
         with pytest.raises(FaultInjectionError, match="cell_timeout"):
-            SupervisedExecutor(cell_timeout=0.0)
+            CampaignExecutor(cell_timeout=0.0)
 
 
 class TestRetryAndQuarantine:
@@ -135,8 +147,8 @@ class TestRetryAndQuarantine:
         specs = _specs(campaigns=1)
         flaky = _Flaky({specs[0].key: 2})
         sleeps = []
-        supervisor = SupervisedExecutor(
-            runner=flaky, sleep=sleeps.append
+        supervisor = CampaignExecutor(
+            runner=flaky, retry=CellRetryPolicy(), sleep=sleeps.append
         )
         outcome = supervisor.execute(specs)
         assert outcome.coverage.complete
@@ -144,12 +156,12 @@ class TestRetryAndQuarantine:
         assert flaky.attempts[specs[0].key] == 3
         # Retries re-run the same deterministic cell, so the batch
         # still matches an unsupervised run exactly.
-        assert outcome.scorecards == SerialExecutor().run_cells(specs)
+        assert outcome.scorecards == CampaignExecutor().run_cells(specs)
 
     def test_poison_cell_quarantined_serially(self):
         specs = _specs(campaigns=1)
         sleeps = []
-        supervisor = SupervisedExecutor(
+        supervisor = CampaignExecutor(
             runner=_fail_dhalion,
             retry=CellRetryPolicy(max_attempts=2),
             sleep=sleeps.append,
@@ -168,11 +180,11 @@ class TestRetryAndQuarantine:
         # One backoff between the two rounds, none after the last.
         assert sleeps == [0.25]
         good = [s for s in specs if s.controller != "dhalion"]
-        assert outcome.scorecards == SerialExecutor().run_cells(good)
+        assert outcome.scorecards == CampaignExecutor().run_cells(good)
 
     def test_run_cells_contract_turns_quarantine_into_error(self):
         specs = _specs(campaigns=1)
-        supervisor = SupervisedExecutor(
+        supervisor = CampaignExecutor(
             runner=_fail_dhalion,
             retry=CellRetryPolicy(max_attempts=1),
             sleep=lambda _: None,
@@ -182,9 +194,21 @@ class TestRetryAndQuarantine:
         ):
             supervisor.run_cells(specs)
 
-    def test_poison_cell_quarantined_on_pool(self):
+    def test_poison_cell_quarantined_on_pool(self, monkeypatch):
         specs = _specs(campaigns=1)
-        supervisor = SupervisedExecutor(
+        guarded = []
+        check = CampaignExecutor._ensure_submittable
+
+        def counting_check(batch, indices):
+            guarded.append(list(indices))
+            check(batch, indices)
+
+        monkeypatch.setattr(
+            CampaignExecutor,
+            "_ensure_submittable",
+            staticmethod(counting_check),
+        )
+        supervisor = CampaignExecutor(
             jobs=2,
             runner=_fail_dhalion,
             retry=CellRetryPolicy(max_attempts=2),
@@ -197,24 +221,56 @@ class TestRetryAndQuarantine:
         (cell,) = cov.quarantined_cells
         assert cell.attempts == 2
         assert "ValueError: injected poison" in cell.error
+        # The pickle guard runs once per batch, not once per round.
+        assert guarded == [[0, 1, 2]]
         good = [s for s in specs if s.controller != "dhalion"]
-        assert outcome.scorecards == SerialExecutor().run_cells(good)
+        assert outcome.scorecards == CampaignExecutor().run_cells(good)
 
 
 class TestCellTimeout:
     def test_over_budget_cell_is_a_failed_attempt(self):
         specs = _specs(campaigns=1)[:1]
-        supervisor = SupervisedExecutor(
+        supervisor = CampaignExecutor(
             runner=_sleep_forever,
             retry=CellRetryPolicy(max_attempts=1),
             cell_timeout=0.2,
             sleep=lambda _: None,
         )
         start = time.monotonic()  # repro: allow[REPRO101] — test timeout guard
-        outcome = supervisor.execute(specs)
+        with warnings.catch_warnings():
+            # Enforceable on the main thread: no "not enforced" warning.
+            warnings.simplefilter("error", RuntimeWarning)
+            outcome = supervisor.execute(specs)
         assert time.monotonic() - start < 10.0  # repro: allow[REPRO101]
         (cell,) = outcome.coverage.quarantined_cells
         assert cell.error == "cell exceeded its 0.2s timeout"
+
+    def test_timeout_off_main_thread_warns_once(self):
+        specs = _specs(campaigns=1)
+        seen = []
+        outcomes = []
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcomes.append(
+                    CampaignExecutor(cell_timeout=30.0).execute(specs)
+                )
+            seen.extend(caught)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=POOL_TIMEOUT)
+        assert not thread.is_alive()
+        (outcome,) = outcomes
+        assert outcome.coverage.complete
+        relevant = [
+            w for w in seen if issubclass(w.category, RuntimeWarning)
+        ]
+        assert len(relevant) == 1
+        message = str(relevant[0].message)
+        assert "cell_timeout=30s is not enforced" in message
+        assert "main thread" in message
 
 
 class TestInterruptAndResume:
@@ -223,7 +279,7 @@ class TestInterruptAndResume:
         specs = _specs(campaigns=2)
         assert len(specs) == 6
         with CheckpointJournal.open(path, HEADER) as journal:
-            supervisor = SupervisedExecutor(
+            supervisor = CampaignExecutor(
                 runner=_TerminateAt(specs[3].key), journal=journal
             )
             with pytest.raises(CampaignInterrupted) as caught:
@@ -237,22 +293,34 @@ class TestInterruptAndResume:
         with CheckpointJournal.open(
             path, HEADER, resume=True
         ) as journal:
-            outcome = SupervisedExecutor(journal=journal).execute(
+            outcome = CampaignExecutor(journal=journal).execute(
                 specs
             )
         assert outcome.resumed == 3
         assert outcome.coverage.complete
-        assert outcome.scorecards == SerialExecutor().run_cells(specs)
+        assert outcome.scorecards == CampaignExecutor().run_cells(specs)
 
     def test_interrupt_without_journal_says_cells_are_lost(self):
         specs = _specs(campaigns=1)
-        supervisor = SupervisedExecutor(
+        supervisor = CampaignExecutor(
             runner=_TerminateAt(specs[1].key)
         )
         with pytest.raises(CampaignInterrupted) as caught:
             supervisor.execute(specs)
         assert caught.value.path is None
         assert "no checkpoint" in str(caught.value)
+
+    def test_keyboard_interrupt_without_journal(self):
+        """One interrupt path: an unjournaled fail-fast run stopped by
+        Ctrl-C raises CampaignInterrupted (the CLI exits 130)."""
+        specs = _specs(campaigns=1)
+        executor = CampaignExecutor(runner=_InterruptAt(specs[1].key))
+        with pytest.raises(CampaignInterrupted) as caught:
+            executor.execute(specs)
+        interrupted = caught.value
+        assert interrupted.path is None
+        assert (interrupted.completed, interrupted.cells) == (1, 3)
+        assert "no checkpoint" in str(interrupted)
 
 
 class TestSupervisedCampaignDriver:
@@ -263,8 +331,10 @@ class TestSupervisedCampaignDriver:
             plain = runner.run(_generator(), 2)
         supervised_tracer = Tracer()
         with tracing(supervised_tracer):
-            outcome = run_supervised_campaign(
-                runner, _generator(), 2, SupervisedExecutor()
+            outcome = runner.execute(
+                _generator(),
+                2,
+                executor=CampaignExecutor(retry=CellRetryPolicy()),
             )
         assert outcome.scorecards == plain
         assert outcome.coverage.complete
@@ -275,11 +345,10 @@ class TestSupervisedCampaignDriver:
     def test_quarantine_traced_instead_of_aborting(self):
         tracer = Tracer()
         with tracing(tracer):
-            outcome = run_supervised_campaign(
-                _runner(),
+            outcome = _runner().execute(
                 _generator(),
                 1,
-                SupervisedExecutor(
+                executor=CampaignExecutor(
                     runner=_fail_dhalion,
                     retry=CellRetryPolicy(max_attempts=1),
                     sleep=lambda _: None,
@@ -330,7 +399,7 @@ class TestChaosReportCoverage:
 
 
 def _quarantined_stub():
-    from repro.faults.checkpoint import QuarantinedCell
+    from repro.faults.executor import QuarantinedCell
 
     return QuarantinedCell(
         key=(1, 0, "dhalion"),

@@ -19,9 +19,8 @@ from repro.faults.campaigns import (
     PROFILES,
     CampaignGenerator,
     CampaignTargets,
-    ParallelExecutor,
-    SerialExecutor,
 )
+from repro.faults.executor import CampaignExecutor
 from repro.telemetry.spans import (
     NULL_PROFILER,
     SPAN_SCHEMA_VERSION,
@@ -193,9 +192,9 @@ def _smoke_structure(jobs=None, backend=None, monkeypatch=None):
         seed=1,
     )
     executor = (
-        SerialExecutor()
+        CampaignExecutor()
         if jobs is None
-        else ParallelExecutor(jobs=jobs, timeout=180.0)
+        else CampaignExecutor(jobs=jobs, pool_timeout=180.0)
     )
     profiler = SpanProfiler()
     with profiling(profiler):
@@ -251,5 +250,5 @@ class TestSpanDeterminism:
             CampaignTargets.from_graph(heron_wordcount_graph()),
             seed=1,
         )
-        runner.run(generator, 1, executor=SerialExecutor())
+        runner.run(generator, 1, executor=CampaignExecutor())
         assert active_profiler().tree().children == {}
