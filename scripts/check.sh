@@ -44,6 +44,11 @@
 #                      trace / scorecard byte-identity oracle holds for
 #                      both backends, whichever one the width rule
 #                      picks (skipped if numpy is missing)
+#  13. pytest (REPRO_ENGINE unset)
+#                    - the engine, fault and integration tests with no
+#                      pin, so every deployment picks its backend by
+#                      width and runs that DS2 scales across the
+#                      threshold switch backends mid-run
 #
 # ruff and mypy are optional dev dependencies (`pip install -e .[lint]`).
 # When they are missing the stage is skipped with a notice rather than
@@ -173,6 +178,7 @@ run_stage "sweep kill-and-resume equivalence (smoke)" \
 if [ "$FAST" -eq 1 ]; then
     skip_stage "pytest (REPRO_ENGINE=object)" "--fast"
     skip_stage "pytest (REPRO_ENGINE=vector)" "--fast"
+    skip_stage "pytest (REPRO_ENGINE unset)" "--fast"
 else
     # The decision oracle for the two engine backends: the whole
     # tier-1 suite — including the golden trace and chaos scorecard
@@ -186,6 +192,12 @@ else
     else
         skip_stage "pytest (REPRO_ENGINE=vector)" "numpy not installed"
     fi
+    # The two stages above pin every deployment; this one lets the
+    # width rule pick per deployment, so mid-run backend switches go
+    # through the golden scorecard and equivalence checks too.
+    run_stage "pytest (REPRO_ENGINE unset)" \
+        env -u REPRO_ENGINE python -m pytest -x -q \
+        tests/engine tests/faults tests/integration
 fi
 
 if [ "$FAILURES" -ne 0 ]; then

@@ -10,12 +10,14 @@ Produces the two committed performance artifacts that back
   ranking rather than a vague slowdown;
 * ``benchmarks/output/engine_speedup.txt`` — ticks/second for both
   backends across a width sweep, from the narrow Heron wordcount
-  deployments of the chaos experiment's recovery replay to Q5 at 512
-  slots. It shows where the struct-of-arrays backend's advantage comes
-  from (the object backend's per-instance Python work scales with
+  deployments of the chaos experiment's recovery replay, through the
+  plans DS2 deploys in the chaos campaign cells, to Q5 at 512 slots.
+  It shows where the struct-of-arrays backend's advantage comes from
+  (the object backend's per-instance Python work scales with
   parallelism, the vector backend's is near-flat), where the two cross,
   and which backend the default width rule
-  (:func:`repro.engine.vectorized.select_backend`) picks for each cell.
+  (:func:`repro.engine.vectorized.select_backend`) picks for a
+  deployment of each plan.
 
 Usage::
 
@@ -37,7 +39,7 @@ import pstats
 import sys
 import time
 from functools import partial
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime, HeronRuntime
@@ -57,6 +59,11 @@ SWEEP = (8, 16, 32, 64, 128, 256, 512)
 #: Narrow part of the sweep: Heron wordcount with every operator at
 #: this parallelism, the shape of the chaos recovery replay.
 WORDCOUNT_SWEEP = (1, 2, 4, 8)
+
+#: Chaos part of the sweep: (flatmap, count) parallelism of the Heron
+#: wordcount plans the chaos campaign cells deploy (source 2, sink 1),
+#: from the initial plan to the one DS2 converges to.
+CHAOS_SWEEP = ((1, 1), (2, 3), (2, 7), (5, 10), (10, 20))
 
 #: The benchmark cell asserted by
 #: ``benchmarks/test_engine_performance.py`` (>= 5x).
@@ -86,8 +93,26 @@ def build_wordcount(backend: str, parallelism: int) -> Simulator:
     """The narrow cell: Heron wordcount, every operator at
     ``parallelism``, configured like the chaos recovery replay."""
     graph = heron_wordcount_graph()
+    return build_heron(
+        backend, {name: parallelism for name in graph.names}
+    )
+
+
+def build_chaos(backend: str, flatmap: int, count: int) -> Simulator:
+    """A chaos campaign cell's plan: Heron wordcount at source 2,
+    sink 1 and the given flatmap/count parallelism."""
+    return build_heron(
+        backend,
+        {"source": 2, "flatmap": flatmap, "count": count, "sink": 1},
+    )
+
+
+def build_heron(backend: str, parallelism: Dict[str, int]) -> Simulator:
+    """Heron wordcount at ``parallelism``, with the chaos experiment's
+    engine configuration."""
+    graph = heron_wordcount_graph()
     return Simulator(
-        PhysicalPlan(graph, {name: parallelism for name in graph.names}),
+        PhysicalPlan(graph, parallelism),
         HeronRuntime(),
         EngineConfig(
             tick=1.0,
@@ -136,6 +161,12 @@ def scaling_table(seconds: float) -> Tuple[str, float]:
     cells: List[Tuple[str, Callable[[str], Simulator]]] = [
         (f"wordcount p={p}", partial(build_wordcount, parallelism=p))
         for p in WORDCOUNT_SWEEP
+    ] + [
+        (
+            f"chaos {flatmap}/{count}",
+            partial(build_chaos, flatmap=flatmap, count=count),
+        )
+        for flatmap, count in CHAOS_SWEEP
     ] + [
         (f"q5 slots={slots}", partial(build_simulator, slots=slots))
         for slots in SWEEP
@@ -193,11 +224,13 @@ def main(argv: List[str]) -> int:
     header = (
         "Engine backend throughput. wordcount p=N: Heron wordcount, "
         "every operator\nat parallelism N, tick=1s (the chaos recovery "
-        "replay's shape). q5 slots=N:\nNexmark Q5 on the Flink runtime, "
+        "replay's shape). chaos F/C:\nthe same at source 2, flatmap F, "
+        "count C, sink 1 (plans the chaos\ncampaign cells deploy). "
+        "q5 slots=N:\nNexmark Q5 on the Flink runtime, "
         "tick=0.25s, record latency tracking on;\nQ5 gives the N slots "
         "to the windowed hot_items operator. widest = the\nplan's widest "
-        "operator; default = the backend select_backend picks for it\n"
-        "when nothing is pinned.\n"
+        "operator; default = the backend select_backend picks for a\n"
+        "deployment of it when nothing is pinned.\n"
     )
     speedup_text = (
         header

@@ -21,16 +21,19 @@ robustness signals in every window:
   discards the in-flight counters of the old instances and makes the
   window under-count activity.
 
-Storage is struct-of-arrays: one ``(n, 5)`` float64 accumulator with a
-row per registered instance and columns ``[pulled, pushed, useful,
-waiting, observed]``. The row order is the registration order —
+Storage is one accumulator with a row per registered instance and
+columns ``[pulled, pushed, useful, waiting, observed]``. The row order
+is the registration order —
 :meth:`~repro.dataflow.physical.PhysicalPlan.all_instances`, i.e.
 topological operator order with instance indexes ascending — so each
-operator owns one contiguous row block and the vectorized engine backend
-can accumulate a whole operator per tick with :meth:`record_block`. The
-scalar :meth:`record` API is unchanged and works on row views, and a
-pure-Python list-of-rows fallback keeps the manager usable without
-numpy.
+operator owns one contiguous row block. Each registration picks the
+layout its engine backend writes fastest: an ``(n, 5)`` float64 array
+(``blocks=True``) that the vectorized backend accumulates a whole
+operator per tick into with :meth:`record_block`, or a list of
+per-row float lists that the object backend's scalar
+:meth:`record_row` calls update without numpy scalar indexing. Both
+layouts add the same float64 values in the same order, so a window
+collected from either is bit-identical.
 """
 
 # repro: equivalence-sensitive — object and vector accumulation paths must
@@ -64,21 +67,21 @@ class MetricsManager:
         self._window_start = start_time
         self._now = start_time
         self._outage_time = 0.0
-        # Struct-of-arrays accumulator: row per instance, columns
-        # [pulled, pushed, useful, waiting, observed]. An (n, 5)
-        # float64 ndarray when numpy is available, else a list of
-        # per-row float lists with the same indexing.
+        # Accumulator: row per instance, columns [pulled, pushed,
+        # useful, waiting, observed]. An (n, 5) float64 ndarray when
+        # registered with blocks=True, else a list of per-row float
+        # lists with the same indexing.
         self._ids: Tuple[InstanceId, ...] = ()
         self._index: Dict[InstanceId, int] = {}
+        self._blocks = False
         self._acc: Any = self._zeros(0)
         # Instances whose reports are currently withheld (dropout).
         self._suppressed: Set[InstanceId] = set()
         # Whether in-flight counters were discarded this window.
         self._truncated = False
 
-    @staticmethod
-    def _zeros(rows: int) -> Any:
-        if HAVE_NUMPY:
+    def _zeros(self, rows: int) -> Any:
+        if self._blocks:
             return np.zeros((rows, 5), dtype=np.float64)
         return [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in range(rows)]
 
@@ -109,7 +112,9 @@ class MetricsManager:
                 f"unregistered instance {instance}"
             ) from None
 
-    def register_instances(self, instances: Iterable[InstanceId]) -> None:
+    def register_instances(
+        self, instances: Iterable[InstanceId], blocks: bool = False
+    ) -> None:
         """Replace the reporting instance set (called on deploy and on
         every redeploy — counters restart for the new instances).
 
@@ -117,9 +122,16 @@ class MetricsManager:
         instances' in-flight counters, so the window collected next is
         flagged as truncated — warm-up logic must not mistake it for a
         full observation.
+
+        ``blocks`` selects the numpy array layout that
+        :meth:`record_block` needs (requires numpy); otherwise rows are
+        plain float lists, the faster target for :meth:`record_row`.
         """
+        if blocks and not HAVE_NUMPY:
+            raise MetricsError("the block layout requires numpy")
         if len(self._ids) and self._any_observed():
             self._truncated = True
+        self._blocks = blocks
         self._ids = tuple(instances)
         self._index = {iid: row for row, iid in enumerate(self._ids)}
         if len(self._index) != len(self._ids):
@@ -130,7 +142,7 @@ class MetricsManager:
         self._suppressed.clear()
 
     def _any_observed(self) -> bool:
-        if HAVE_NUMPY:
+        if self._blocks:
             return bool((self._acc[:, _OBSERVED] > 0).any())
         return any(row[_OBSERVED] > 0 for row in self._acc)
 
@@ -197,8 +209,10 @@ class MetricsManager:
         the accumulated totals are bit-identical to ``stop - start``
         scalar :meth:`record` calls.
         """
-        if not HAVE_NUMPY:
-            raise MetricsError("record_block requires numpy")
+        if not self._blocks:
+            raise MetricsError(
+                "record_block needs a registration with blocks=True"
+            )
         if not 0 <= start <= stop <= len(self._ids):
             raise MetricsError(
                 f"row block [{start}, {stop}) outside the registered "
@@ -215,7 +229,7 @@ class MetricsManager:
         self._now += dt
         if outage:
             self._outage_time += dt
-        if HAVE_NUMPY:
+        if self._blocks:
             self._acc[:, _OBSERVED] += dt
         else:
             for row in self._acc:
@@ -286,7 +300,7 @@ class MetricsManager:
                 if iid in self._suppressed:
                     continue
                 row = self._acc[row_index]
-                if HAVE_NUMPY:
+                if self._blocks:
                     pulled, pushed, useful, waiting, observed = row.tolist()
                 else:
                     pulled, pushed, useful, waiting, observed = row

@@ -45,7 +45,12 @@ from repro.engine.latency import (
 )
 from repro.engine.metrics_manager import MetricsManager
 from repro.engine.runtimes import Runtime
-from repro.engine.vectorized import VectorEngine, select_backend
+from repro.engine.vectorized import (
+    Carry,
+    VectorEngine,
+    resolve_backend,
+    width_backend,
+)
 from repro.errors import EngineError, ReconfigurationError
 from repro.metrics import MetricsWindow, OperatorHealth
 from repro.telemetry.registry import (
@@ -203,10 +208,12 @@ class Simulator:
         ``backend`` pins the tick-loop implementation: ``"object"``
         (per-instance Python objects) or ``"vector"`` (struct-of-arrays
         numpy hot path); both produce bit-identical results. When
-        omitted, the ``REPRO_ENGINE`` environment variable decides, and
-        without it the backend is picked from the plan's widest
-        operator (see :func:`repro.engine.vectorized.select_backend`).
-        The pin exists for the equivalence tests that compare the two."""
+        omitted, the ``REPRO_ENGINE`` environment variable decides; the
+        pin is resolved here, once, and holds for the whole run.
+        Without one, every deployment (this one and each redeploy)
+        picks its backend from the deployed plan's widest operator (see
+        :func:`repro.engine.vectorized.width_backend`). The pin exists
+        for the equivalence tests that compare the two."""
         self._plan = plan
         self._graph: LogicalGraph = plan.graph
         # Topology lookups the tick makes, resolved once.
@@ -266,10 +273,11 @@ class Simulator:
             "Virtual seconds spent in crash recovery",
         ).labels(runtime=runtime_label)
         self._state = StateModel(graph=self._graph)
-        self._backend = select_backend(backend, plan)
-        self._vec: Optional[VectorEngine] = (
-            VectorEngine(self) if self._backend == "vector" else None
-        )
+        self._pinned = resolve_backend(backend)
+        # The backend of the current deployment (set by _deploy); the
+        # vector engine is None while the object backend runs.
+        self._backend = "object"
+        self._vec: Optional[VectorEngine] = None
         self._obj_instances: Dict[str, List[_Instance]] = {}
         # Per-deployment state (see _deploy): instance ids, per-record
         # costs before this tick's noise, demand-independent budgets,
@@ -402,7 +410,8 @@ class Simulator:
 
     @property
     def backend(self) -> str:
-        """The active tick-loop backend, ``"object"`` or ``"vector"``."""
+        """The tick-loop backend of the current deployment,
+        ``"object"`` or ``"vector"``; it may change at a redeploy."""
         return self._backend
 
     @property
@@ -686,16 +695,32 @@ class Simulator:
     def _deploy(self, plan: PhysicalPlan) -> None:
         """(Re)build instance state for ``plan``, preserving in-flight
         records and window buffers from the previous deployment, and
-        resolve everything a tick needs that only the plan decides."""
+        resolve everything a tick needs that only the plan decides.
+
+        The backend is picked per deployment, so a redeploy may switch
+        it: the old backend's state is reduced to a :data:`Carry`, the
+        one form both backends build from. Everything else (metrics
+        manager, state model, source backlogs, latency trackers, the
+        jitter RNG) lives here and is shared by both."""
+        if self._vec is not None:
+            carried = self._vec.carry()
+        else:
+            carried = self._carry_objects()
         self._plan = plan
         self._ids = {name: plan.instances(name) for name in self._order}
         self._cache_costs(plan)
-        if self._vec is not None:
-            self._vec.deploy(plan)
+        self._backend = self._pinned or width_backend(plan)
+        if self._backend == "vector":
+            self._obj_instances, self._routes, self._bounded = {}, {}, []
+            if self._vec is None:
+                self._vec = VectorEngine(self)
+            self._vec.deploy(plan, carried)
         else:
-            self._deploy_objects(plan)
+            self._vec = None
+            self._deploy_objects(plan, carried)
         self._metrics.register_instances(
-            iid for name in self._order for iid in self._ids[name]
+            (iid for name in self._order for iid in self._ids[name]),
+            blocks=self._vec is not None,
         )
         self._static_budgets = None
         if not self._runtime.demand_driven:
@@ -709,21 +734,28 @@ class Simulator:
                     self._runtime.budgets(plan, {}, dt), dt
                 )
 
-    def _deploy_objects(self, plan: PhysicalPlan) -> None:
-        """The object backend's :meth:`_deploy`."""
-        carried_ports: Dict[str, Dict[str, float]] = {}
-        carried_window: Dict[str, Tuple[float, float]] = {}
+    def _carry_objects(self) -> Carry:
+        """The object backend's instance state reduced to carried
+        totals, summed instance by instance (empty before the first
+        deployment)."""
+        carried: Carry = {}
         for name, instances in self._obj_instances.items():
             per_port: Dict[str, float] = {}
             for inst in instances:
                 for port, queue in inst.ports.items():
                     per_port[port] = per_port.get(port, 0.0) + queue.length
-            carried_ports[name] = per_port
-            buffered = sum(
-                i.window.buffered for i in instances if i.window is not None
-            )
-            backlog = sum(i.fire_backlog for i in instances)
-            carried_window[name] = (buffered, backlog)
+            buffered = 0.0
+            backlog = 0.0
+            for inst in instances:
+                if inst.window is not None:
+                    buffered += inst.window.buffered
+                backlog += inst.fire_backlog
+            carried[name] = (per_port, buffered, backlog)
+        return carried
+
+    def _deploy_objects(self, plan: PhysicalPlan, carried: Carry) -> None:
+        """Build the object backend's instances for ``plan`` from the
+        ``carried`` totals of the previous deployment."""
         self._obj_instances = {}
         self._rows = {}
         row = 0
@@ -733,8 +765,9 @@ class Simulator:
             capacity = self._runtime.queue_capacity(spec, parallelism)
             weights = plan.input_weights(name)
             ports = self._graph.upstream(name)
-            queued_by_port = carried_ports.get(name, {})
-            buffered, backlog = carried_window.get(name, (0.0, 0.0))
+            queued_by_port, buffered, backlog = carried.get(
+                name, ({}, 0.0, 0.0)
+            )
             instances: List[_Instance] = []
             for index, iid in enumerate(self._ids[name]):
                 instance = _Instance(

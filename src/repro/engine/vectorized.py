@@ -31,8 +31,9 @@ per instance. :meth:`VectorEngine.materialize_instances` rebuilds real
 
 The cost of a tick here is a fixed number of small numpy calls per
 operator, nearly independent of the parallelism, so the backend wins on
-wide plans and loses on narrow ones; :func:`select_backend` picks one
-per simulator from the plan's widest operator.
+wide plans and loses on narrow ones; :func:`width_backend` picks one
+per deployment from the plan's widest operator, and a redeploy may
+switch backends by handing the old one's :data:`Carry` to the new one.
 
 **Equivalence contract.** The vector backend must produce *bit-identical*
 decisions, metrics, traces, and scorecards to the object backend. Every
@@ -115,17 +116,30 @@ def resolve_backend(backend: Optional[str]) -> Optional[str]:
 
 
 def select_backend(backend: Optional[str], plan: PhysicalPlan) -> str:
-    """The backend a simulator of ``plan`` runs on: the pinned one
-    (:func:`resolve_backend`) if any, else ``vector`` when numpy is
-    available and the widest operator has at least
-    :data:`VECTOR_MIN_WIDTH` instances, else ``object``."""
+    """The backend a deployment of ``plan`` runs on: the pinned one
+    (:func:`resolve_backend`) if any, else :func:`width_backend`."""
     pinned = resolve_backend(backend)
     if pinned is not None:
         return pinned
+    return width_backend(plan)
+
+
+def width_backend(plan: PhysicalPlan) -> str:
+    """The width rule: ``vector`` when numpy is available and the
+    plan's widest operator has at least :data:`VECTOR_MIN_WIDTH`
+    instances, else ``object``."""
     widest = max(plan.parallelism.values())
     if HAVE_NUMPY and widest >= VECTOR_MIN_WIDTH:
         return "vector"
     return "object"
+
+
+#: Carried state of a deployment, per operator: records queued per
+#: input port, window-buffered records, and fire backlog, each summed
+#: over the instances in index order. A redeploy reduces instance state
+#: to exactly these totals and spreads them over the new instances by
+#: the plan's input weights, on either backend.
+Carry = Dict[str, Tuple[Dict[str, float], float, float]]
 
 
 class _OpState:
@@ -271,23 +285,18 @@ class VectorEngine:
     # Deployment
     # ------------------------------------------------------------------
 
-    def deploy(self, plan: PhysicalPlan) -> None:
-        """(Re)build array state for ``plan``, preserving in-flight
-        records and window buffers — the vector replay of
-        ``Simulator._deploy``."""
-        sim = self._sim
-        carried_ports: Dict[str, Dict[str, float]] = {}
-        carried_window: Dict[str, Tuple[float, float]] = {}
+    def carry(self) -> Carry:
+        """The live array state reduced to carried totals (see
+        :data:`Carry`), summed instance by instance as the object
+        backend's ``Simulator._carry_objects`` does."""
+        carried: Carry = {}
         for name, op in self._ops.items():
             per_port: Dict[str, float] = {}
             for k, port in enumerate(op.ports):
-                # Sequential per-instance sum, as the object backend
-                # accumulates queue lengths instance by instance.
                 total = 0.0
                 for value in op.q_len[k].tolist():
                     total += value
                 per_port[port] = total
-            carried_ports[name] = per_port
             buffered = 0.0
             if op.win_buffered is not None:
                 for value in op.win_buffered.tolist():
@@ -295,7 +304,14 @@ class VectorEngine:
             backlog = 0.0
             for value in op.fire_backlog.tolist():
                 backlog += value
-            carried_window[name] = (buffered, backlog)
+            carried[name] = (per_port, buffered, backlog)
+        return carried
+
+    def deploy(self, plan: PhysicalPlan, carried: Carry) -> None:
+        """Build array state for ``plan`` from the ``carried`` totals of
+        the previous deployment (empty on the first) — the vector
+        replay of ``Simulator._deploy_objects``."""
+        sim = self._sim
         self._ops = {}
         next_row = 0
         for name in self._graph.topological_order():
@@ -314,13 +330,14 @@ class VectorEngine:
                 row_start=next_row,
             )
             next_row = op.row_stop
-            queued_by_port = carried_ports.get(name, {})
-            buffered, backlog = carried_window.get(name, (0.0, 0.0))
+            queued_by_port, buffered, backlog = carried.get(
+                name, ({}, 0.0, 0.0)
+            )
             for k, port in enumerate(ports):
-                carried = queued_by_port.get(port, 0.0)
-                # force_push of carried * weight per instance: length
+                queued = queued_by_port.get(port, 0.0)
+                # force_push of queued * weight per instance: length
                 # and the cumulative pushed counter both start there.
-                row = carried * op.weights
+                row = queued * op.weights
                 op.q_len[k] = row
                 op.q_pushed[k] = row
             op.fire_backlog = backlog * op.weights
@@ -908,9 +925,11 @@ class VectorEngine:
 
 __all__ = [
     "BACKENDS",
+    "Carry",
     "ENGINE_ENV",
     "VECTOR_MIN_WIDTH",
     "VectorEngine",
     "resolve_backend",
     "select_backend",
+    "width_backend",
 ]

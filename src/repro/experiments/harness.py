@@ -142,8 +142,9 @@ def run_controlled(
             runs against the shim (the control path is otherwise
             unchanged).
         backend: Engine backend (``"object"`` or ``"vector"``); None
-            defers to ``$REPRO_ENGINE`` and then to the plan's width
-            (see :func:`repro.engine.vectorized.select_backend`).
+            defers to ``$REPRO_ENGINE`` and then to the width of each
+            deployed plan (see
+            :func:`repro.engine.vectorized.width_backend`).
             Results are bit-identical either way.
     """
     if plan is None:

@@ -671,9 +671,9 @@ class CampaignCellSpec:
     engine_config: Optional[EngineConfig] = None
     scalable_operators: Optional[Tuple[str, ...]] = None
     #: Engine backend for this cell ("object" or "vector"); None
-    #: defers to $REPRO_ENGINE, then to the plan's width. Part of the
-    #: cell fingerprint only when set, so pre-sweep journals keep their
-    #: recorded hashes.
+    #: defers to $REPRO_ENGINE, then to each deployed plan's width.
+    #: Part of the cell fingerprint only when set, so pre-sweep
+    #: journals keep their recorded hashes.
     engine_backend: Optional[str] = None
 
     @property

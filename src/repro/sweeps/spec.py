@@ -61,10 +61,10 @@ SWEEP_CONTROLLERS: Tuple[str, ...] = ("ds2", "ds2-legacy", "dhalion")
 #: Runtime execution models cells may run on.
 SWEEP_RUNTIMES: Tuple[str, ...] = ("heron", "flink", "timely")
 
-#: Engine backends; "default" defers to ``$REPRO_ENGINE``, then to the
-#: plan's width (and keeps the backend out of the cell fingerprint, so
-#: the same journal resumes under either backend — they are
-#: bit-identical by construction).
+#: Engine backends; "default" defers to ``$REPRO_ENGINE``, then to each
+#: deployed plan's width (and keeps the backend out of the cell
+#: fingerprint, so the same journal resumes under either backend — they
+#: are bit-identical by construction).
 SWEEP_BACKENDS: Tuple[str, ...] = ("default", "object", "vector")
 
 #: Axis values assumed when a spec omits the axis entirely.

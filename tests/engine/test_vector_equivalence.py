@@ -12,15 +12,23 @@ smoke wordcount pipeline, the windowed Nexmark Q5 job (Flink and Heron
 runtimes), the two-input Q3 join, a Timely deployment (shared-worker
 water-filling budgets), and the narrow crash-replay shape of the chaos
 experiment on all three runtimes.
+
+Under default selection the backend is picked per deployment, so a
+rescale across :data:`VECTOR_MIN_WIDTH` switches backends mid-run; the
+switching tests check that such a run equals both pinned runs.
 """
 
+import dataclasses
+import math
 import random
 
 import pytest
 
 from repro.dataflow.physical import PhysicalPlan
+from repro.dataflow.state import SavepointModel
 from repro.engine.npcompat import HAVE_NUMPY
 from repro.engine.runtimes import FlinkRuntime, HeronRuntime, TimelyRuntime
+from repro.engine import simulator as simulator_module
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.engine import vectorized
 from repro.engine.vectorized import (
@@ -34,8 +42,12 @@ from repro.faults.campaigns import (
     PROFILES,
     CampaignGenerator,
     CampaignTargets,
+    run_campaign_cell,
 )
+from repro.faults.events import InstanceCrash
 from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
+from repro.experiments.chaos import resolve_workload
 from repro.workloads.nexmark import get_query
 from repro.workloads.wordcount import (
     flink_wordcount_graph,
@@ -355,3 +367,216 @@ class TestBackendSelection:
             backend="vector",
         )
         assert sim.backend == "vector"
+
+
+def instances_fingerprint(sim):
+    """The ``Simulator._instances`` view in comparable form: every
+    port's length and conservation counters, window state and fire
+    backlog, per instance."""
+    return {
+        name: [
+            (
+                inst.iid,
+                {
+                    port: (queue.length, queue._pushed, queue._popped)
+                    for port, queue in inst.ports.items()
+                },
+                None
+                if inst.window is None
+                else (inst.window.buffered, inst.window.next_fire),
+                inst.fire_backlog,
+            )
+            for inst in instances
+        ]
+        for name, instances in sim._instances.items()
+    }
+
+
+def _switching_runtime():
+    """Flink with a free reconfiguration mechanism: rescales and crash
+    recoveries redeploy at once (``state / inf`` is exactly 0)."""
+    return FlinkRuntime(
+        savepoint=SavepointModel(
+            base_seconds=0.0,
+            snapshot_bandwidth=math.inf,
+            redeploy_seconds=0.0,
+        )
+    )
+
+
+def _narrow_wordcount(runtime, backend=None, **config):
+    graph = heron_wordcount_graph()
+    plan = PhysicalPlan(
+        graph,
+        {"source": 2, "flatmap": 1, "count": 1, "sink": 1},
+        max_parallelism=24,
+    )
+    return Simulator(
+        plan, runtime, EngineConfig(**config), backend=backend
+    )
+
+
+def _narrow_q5(runtime, backend=None, **config):
+    graph = get_query("Q5").flink_graph()
+    plan = PhysicalPlan(
+        graph, {"bids": 1, "hot_items": 4, "sink": 1}, max_parallelism=36
+    )
+    return Simulator(
+        plan, runtime, EngineConfig(**config), backend=backend
+    )
+
+
+class TestBackendSwitching:
+    """Under default selection every deployment picks its backend, and
+    a run that switches must equal both pinned runs bit for bit."""
+
+    WIDE = {"flatmap": 4, "count": VECTOR_MIN_WIDTH}
+    NARROW = {"flatmap": 2, "count": 3}
+
+    #: (narrow simulator, wide rescale, narrow rescale, crashed
+    #: operator): wordcount, and windowed Q5 whose carry includes
+    #: window buffers and fire backlogs.
+    CELLS = {
+        "wordcount": (_narrow_wordcount, WIDE, NARROW, "count"),
+        "q5": (
+            _narrow_q5,
+            {"hot_items": VECTOR_MIN_WIDTH + 4},
+            {"hot_items": 3},
+            "hot_items",
+        ),
+    }
+
+    def _run(self, cell, backend):
+        make_sim, wide, narrow, crashed = self.CELLS[cell]
+        sim = make_sim(
+            _switching_runtime(),
+            backend,
+            tick=0.5,
+            cost_jitter=0.1,
+            track_record_latency=True,
+        )
+        trace, backends = [], [sim.backend]
+
+        def phase():
+            # 61 half-second ticks: redeploys land between window fires,
+            # so the carry holds window-buffered records.
+            for _ in range(61):
+                trace.append(sim.step())
+            trace.append(accessor_fingerprint(sim))
+            trace.append(instances_fingerprint(sim))
+            trace.append(sim.state_model.total_bytes)
+            trace.append(window_fingerprint(sim.collect_metrics()))
+
+        phase()
+        trace.append(sim.rescale(wide))
+        backends.append(sim.backend)
+        phase()
+        # A zero-cost crash redeploys the same (wide) plan.
+        trace.append(sim.fail_instance(crashed, 3))
+        backends.append(sim.backend)
+        phase()
+        trace.append(sim.rescale(narrow))
+        backends.append(sim.backend)
+        phase()
+        trace.append(sim.record_latency.distribution.quantile(0.99))
+        return trace, backends
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_switch_up_and_down_matches_both_pins(self, cell, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        default, backends = self._run(cell, None)
+        assert backends == ["object", "vector", "vector", "object"]
+        for pin in ("object", "vector"):
+            pinned, pinned_backends = self._run(cell, pin)
+            assert set(pinned_backends) == {pin}
+            assert pinned == default
+
+    def _outage_run(self, backend):
+        """Flink with real savepoint outages: the wide plan is pending
+        while a crash extends the outage, and applies when it ends."""
+        sim = _narrow_wordcount(
+            FlinkRuntime(),
+            backend,
+            tick=1.0,
+            track_record_latency=False,
+            source_catchup_factor=1.3,
+        )
+        schedule = FaultSchedule([InstanceCrash(time=70.0, operator="count")])
+        injector = FaultInjector(sim, schedule)
+        trace, backends = [], []
+        for until, updates in ((60.0, self.WIDE), (250.0, self.NARROW)):
+            while sim.time < until:
+                trace.append(injector.step())
+            trace.append(window_fingerprint(injector.collect_metrics()))
+            outage = injector.rescale(updates)
+            assert outage > 0
+            trace.append(outage)
+            backends.append(sim.backend)
+            while sim.in_outage:
+                trace.append(injector.step())
+            backends.append(sim.backend)
+            trace.append(instances_fingerprint(sim))
+            trace.append(sim.state_model.total_bytes)
+        while sim.time < 400.0:
+            trace.append(injector.step())
+        trace.append(window_fingerprint(injector.collect_metrics()))
+        return trace, backends, injector.crash_outages
+
+    def test_switch_at_outage_end_with_pending_crash(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        trace, backends, crashes = self._outage_run(None)
+        # The backend changes when the outage ends, not at the request.
+        assert backends == ["object", "vector", "vector", "object"]
+        assert len(crashes) == 1 and crashes[0][0] == 70.0
+        for pin in ("object", "vector"):
+            assert self._outage_run(pin) == (trace, [pin] * 4, crashes)
+
+    def test_env_after_construction_switches_nothing(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        sim = _narrow_wordcount(_switching_runtime(), tick=0.5)
+        monkeypatch.setenv(ENGINE_ENV, "vector")
+        sim.run_for(5.0)
+        sim.rescale(self.NARROW)
+        assert sim.backend == "object"
+        monkeypatch.setenv(ENGINE_ENV, "object")
+        sim.rescale(self.WIDE)
+        assert sim.backend == "vector"
+
+        monkeypatch.setenv(ENGINE_ENV, "object")
+        pinned = _narrow_wordcount(_switching_runtime(), tick=0.5)
+        monkeypatch.delenv(ENGINE_ENV)
+        pinned.run_for(5.0)
+        pinned.rescale(self.WIDE)
+        assert pinned.backend == "object"
+
+    def test_chaos_cell_scorecard_independent_of_backend(
+        self, monkeypatch
+    ):
+        """The ds2 cell of mixed campaign 0 scales wordcount past
+        VECTOR_MIN_WIDTH, so by default it switches backends mid-run."""
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        load = resolve_workload("wordcount")
+        generator = CampaignGenerator(
+            PROFILES["mixed"],
+            CampaignTargets.from_graph(load.graph_factory()),
+            seed=1,
+        )
+        (spec,) = [
+            cell
+            for cell in load.runner(1.0).cell_specs(generator, [0])
+            if cell.controller == "ds2"
+        ]
+        picked = []
+
+        def recording_width_backend(plan):
+            picked.append(vectorized.width_backend(plan))
+            return picked[-1]
+
+        monkeypatch.setattr(
+            simulator_module, "width_backend", recording_width_backend
+        )
+        default = run_campaign_cell(spec)
+        assert {"object", "vector"} <= set(picked)
+        for pin in ("object", "vector"):
+            pinned = dataclasses.replace(spec, engine_backend=pin)
+            assert run_campaign_cell(pinned) == default
