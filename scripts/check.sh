@@ -127,7 +127,7 @@ run_stage "trace schema (golden file)" \
 # method.
 run_stage "parallel chaos equivalence (smoke)" \
     python -m pytest -q tests/faults/test_parallel_runner.py \
-    -k "smoke or start_method"
+    -k "smoke or start_method or recovery"
 # Crash-safety gate: a chaos run hard-killed mid-campaign and resumed
 # from its checkpoint journal must print byte-identical output to an
 # uninterrupted run (serial and process-pool).

@@ -976,8 +976,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "worker processes for the 'chaos' experiment's campaign "
-            "cells (default: $REPRO_JOBS, else 1 = serial; results "
-            "are byte-identical either way)"
+            "cells and its crash-recovery replay (default: "
+            "$REPRO_JOBS, else 1 = serial; results are byte-identical "
+            "either way)"
         ),
     )
     run.add_argument(

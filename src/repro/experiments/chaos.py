@@ -16,10 +16,11 @@ Campaigns run over a pluggable *workload* (:data:`WORKLOADS`): the
 Heron wordcount benchmark (section 5.2 of the paper) by default, or any
 of the Nexmark queries — windowed state on the Flink-style runtime
 (``nexmark-q1`` … ``nexmark-q11``) plus a Timely-style global-scaling
-variant (``nexmark-q5-timely``). A second pass replays a crash-only
+variant (``nexmark-q5-timely``). A second batch replays a crash-only
 profile on all three runtimes to expose their distinct recovery models
 (savepoint restore vs. peer re-sync vs. container restart; see
-:mod:`repro.engine.recovery`).
+:mod:`repro.engine.recovery`), one :class:`RecoveryCellSpec` per
+(runtime, campaign).
 
 Everything is deterministic: same profile, seed, workload, and campaign
 count ⇒ byte-identical scorecards and report, whether the cells run
@@ -58,11 +59,13 @@ from repro.faults.injector import FaultInjector
 from repro.experiments.report import format_table
 from repro.faults.campaigns import (
     PROFILES,
+    RECOVERY_CELL_PREFIX,
     AggregateScore,
     CampaignGenerator,
     CampaignProfile,
     CampaignRunner,
     CampaignTargets,
+    CellKey,
     SasoScorecard,
     _cell_label,
     aggregate_scorecards,
@@ -72,10 +75,12 @@ from repro.faults.checkpoint import JournalHeader
 from repro.faults.executor import (
     CampaignCoverage,
     CampaignExecutor,
+    CampaignInterrupted,
     CellRetryPolicy,
     checkpoint_journal,
 )
 from repro.telemetry.progress import ProgressListener
+from repro.telemetry.tracer import NULL_TRACER, tracing
 from repro.workloads.nexmark import ALL_QUERIES, get_query
 from repro.workloads.wordcount import (
     COUNT,
@@ -92,6 +97,13 @@ DEFAULT_WORKLOAD = "wordcount"
 
 #: Campaigns replayed per runtime for the recovery-model comparison.
 RECOVERY_CAMPAIGNS = 5
+
+#: Runtimes of the recovery-model comparison, in report-fold order.
+RECOVERY_RUNTIMES: Dict[str, Callable[[], Runtime]] = {
+    "flink": FlinkRuntime,
+    "timely": TimelyRuntime,
+    "heron": HeronRuntime,
+}
 
 #: Nexmark chaos settings: the convergence experiment's policy cadence
 #: and the Table 4 sweep's "start everything at 8" configuration.
@@ -403,9 +415,10 @@ def run_chaos(
         include_recovery: Also replay the crash-only profile on all
             three runtimes (skipped by fast smoke paths).
         workload: Built-in workload name (see :data:`WORKLOADS`).
-        jobs: Campaign-cell worker processes; ``None`` consults
-            ``$REPRO_JOBS``, 1 (the default) runs serially in-process.
-            Results are byte-identical either way.
+        jobs: Worker processes for the campaign cells and the
+            recovery replay; ``None`` consults ``$REPRO_JOBS``, 1 (the
+            default) runs serially in-process. Results are
+            byte-identical either way.
         checkpoint: Journal path making the run crash-safe: every
             completed cell is durably recorded, failing cells are
             retried then quarantined, and the result carries
@@ -435,11 +448,12 @@ def run_chaos(
         campaigns=int(campaigns),
         controllers=tuple(sorted(load.controllers_factory())),
     )
+    workers = resolve_jobs(jobs)
     with checkpoint_journal(checkpoint, header, resume=resume) as journal:
         if retry is None and journal is not None:
             retry = CellRetryPolicy()
         executor = CampaignExecutor(
-            jobs=resolve_jobs(jobs),
+            jobs=workers,
             retry=retry,
             cell_timeout=cell_timeout,
             journal=journal,
@@ -455,7 +469,28 @@ def run_chaos(
         )
     recovery: Dict[str, List[float]] = {}
     if include_recovery:
-        recovery = recovery_distributions(seed=seed, tick=tick)
+        try:
+            recovery = recovery_distributions(
+                seed=seed, tick=tick, jobs=workers, progress=progress
+            )
+        except CampaignInterrupted:
+            # The replay is unjournaled, but every campaign cell is
+            # already in the journal: resuming re-runs only the replay.
+            coverage = outcome.coverage
+            raise CampaignInterrupted(
+                f"campaign interrupted during the crash-recovery "
+                f"replay, after {coverage.completed} of "
+                f"{coverage.cells} campaign cells"
+                + (
+                    f"; completed cells are checkpointed in "
+                    f"{checkpoint!r}"
+                    if checkpoint is not None
+                    else " (no checkpoint: completed cells are lost)"
+                ),
+                completed=coverage.completed,
+                cells=coverage.cells,
+                path=checkpoint,
+            ) from None
     return ChaosResult(
         profile=spec.name,
         campaigns=int(campaigns),
@@ -468,10 +503,71 @@ def run_chaos(
     )
 
 
+@dataclass(frozen=True)
+class RecoveryCellSpec:
+    """One cell of the crash-recovery replay: campaign ``campaign`` of
+    the crash-only profile at master seed ``seed``, on the runtime
+    named ``runtime`` (a :data:`RECOVERY_RUNTIMES` key)."""
+
+    seed: int
+    campaign: int
+    runtime: str
+    tick: float
+
+    @property
+    def key(self) -> CellKey:
+        """``(seed, campaign, "recovery:<runtime>")``."""
+        return (
+            self.seed,
+            self.campaign,
+            f"{RECOVERY_CELL_PREFIX}{self.runtime}",
+        )
+
+
+# repro: worker-entry
+def run_recovery_cell(spec: RecoveryCellSpec) -> Tuple[float, ...]:
+    """Replay one crash-only campaign and return its crash outages.
+
+    No controller: the plan stays at 2 instances per operator, so the
+    outages measure the runtime's recovery *mechanism*. An outage is
+    fixed when its crash fires (the recovery model reads the state at
+    that tick), so the replay stops once no one-shot event is left.
+    Per-tick engine trace events are suppressed, as in
+    :func:`~repro.faults.campaigns.run_campaign_cell`.
+    """
+    profile = PROFILES["crashes"]
+    graph = heron_wordcount_graph()
+    schedule = CampaignGenerator(
+        profile, CampaignTargets.from_graph(graph), seed=spec.seed
+    ).schedule(spec.campaign)
+    with tracing(NULL_TRACER):
+        simulator = Simulator(
+            plan=PhysicalPlan(
+                graph=graph,
+                parallelism={name: 2 for name in graph.names},
+            ),
+            runtime=RECOVERY_RUNTIMES[spec.runtime](),
+            config=EngineConfig(
+                tick=spec.tick,
+                track_record_latency=False,
+                source_catchup_factor=1.3,
+            ),
+        )
+        injector = FaultInjector(simulator, schedule)
+        while (
+            simulator.time < profile.duration
+            and injector.one_shots_pending
+        ):
+            injector.step()
+    return tuple(outage for _, outage in injector.crash_outages)
+
+
 def recovery_distributions(
     campaigns: int = RECOVERY_CAMPAIGNS,
     seed: int = 1,
     tick: float = 1.0,
+    jobs: int = 1,
+    progress: Optional[ProgressListener] = None,
 ) -> Dict[str, List[float]]:
     """Crash-recovery outage samples per runtime.
 
@@ -484,41 +580,27 @@ def recovery_distributions(
     distributions should be visibly distinct: savepoint restore grows
     with total keyed state, peer re-sync with the lost worker's shard,
     container restart stays near-constant.
+
+    Each (runtime, campaign) pair is one :func:`run_recovery_cell` on a
+    fail-fast, unjournaled :class:`CampaignExecutor` with ``jobs``
+    workers; samples fold back in runtime-major, campaign-minor order,
+    so the result does not depend on ``jobs``.
     """
-    spec = PROFILES["crashes"]
-    graph = heron_wordcount_graph()
-    generator = CampaignGenerator(
-        spec, CampaignTargets.from_graph(graph), seed=seed
-    )
-    parallelism = {name: 2 for name in graph.names}
-    config = EngineConfig(
-        tick=tick,
-        track_record_latency=False,
-        source_catchup_factor=1.3,
-    )
-    outages: Dict[str, List[float]] = {}
-    for label, runtime in (
-        ("flink", FlinkRuntime()),
-        ("timely", TimelyRuntime()),
-        ("heron", HeronRuntime()),
-    ):
-        samples: List[float] = []
-        for campaign in range(campaigns):
-            schedule = generator.schedule(campaign)
-            simulator = Simulator(
-                plan=PhysicalPlan(
-                    graph=graph, parallelism=dict(parallelism)
-                ),
-                runtime=runtime,
-                config=config,
-            )
-            injector = FaultInjector(simulator, schedule)
-            while simulator.time < spec.duration:
-                injector.step()
-            samples.extend(
-                outage for _, outage in injector.crash_outages
-            )
-        outages[label] = samples
+    specs = [
+        RecoveryCellSpec(
+            seed=int(seed), campaign=campaign, runtime=runtime, tick=tick
+        )
+        for runtime in RECOVERY_RUNTIMES
+        for campaign in range(campaigns)
+    ]
+    results = CampaignExecutor(
+        jobs=jobs, progress=progress, runner=run_recovery_cell
+    ).run_cells(specs)
+    outages: Dict[str, List[float]] = {
+        runtime: [] for runtime in RECOVERY_RUNTIMES
+    }
+    for spec, samples in zip(specs, results):
+        outages[spec.runtime].extend(samples)
     return outages
 
 
@@ -614,6 +696,8 @@ __all__ = [
     "NEXMARK_INITIAL_PARALLELISM",
     "NEXMARK_POLICY_INTERVAL",
     "RECOVERY_CAMPAIGNS",
+    "RECOVERY_RUNTIMES",
+    "RecoveryCellSpec",
     "TIMELY_INITIAL_WORKERS",
     "WORKLOADS",
     "chaos_controllers",
@@ -622,4 +706,5 @@ __all__ = [
     "resolve_profile",
     "resolve_workload",
     "run_chaos",
+    "run_recovery_cell",
 ]

@@ -635,8 +635,19 @@ CellKey = Tuple[int, int, str]
 JOBS_ENV_VAR = "REPRO_JOBS"
 
 
+#: Controller-slot prefix of the chaos experiment's crash-recovery
+#: replay cells, keyed ``(seed, campaign, "recovery:<runtime>")``.
+RECOVERY_CELL_PREFIX = "recovery:"
+
+
 def _cell_label(key: CellKey) -> str:
     seed, campaign, controller = key
+    if controller.startswith(RECOVERY_CELL_PREFIX):
+        runtime = controller[len(RECOVERY_CELL_PREFIX):]
+        return (
+            f"(seed={seed}, campaign={campaign}, "
+            f"recovery replay on {runtime!r})"
+        )
     return f"(seed={seed}, campaign={campaign}, controller={controller!r})"
 
 
@@ -993,6 +1004,7 @@ __all__ = [
     "FAULT_KINDS",
     "JOBS_ENV_VAR",
     "PROFILES",
+    "RECOVERY_CELL_PREFIX",
     "SCORE_WEIGHTS",
     "SasoScorecard",
     "aggregate_scorecards",

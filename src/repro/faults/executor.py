@@ -5,7 +5,9 @@ A chaos campaign or a parameter sweep is a batch of independent
 ``(seed, campaign, controller)`` cells
 (:class:`~repro.faults.campaigns.CampaignCellSpec`).
 :class:`CampaignExecutor` runs a batch and returns a
-:class:`CampaignOutcome`:
+:class:`CampaignOutcome`. A batch given its own cell body (``runner``)
+may use its own spec and result types: the chaos experiment's
+crash-recovery replay runs that way, one cell per (campaign, runtime).
 
 * **Where.** ``jobs == 1`` runs cells in-process, one at a time;
   ``jobs > 1`` runs them on a process pool. Every cell builds its own
@@ -29,7 +31,7 @@ A chaos campaign or a parameter sweep is a batch of independent
   :class:`~repro.telemetry.progress.ProgressListener` receives one
   heartbeat per cell event (journaled too, when there is a journal).
 
-Determinism contract: scorecards come back in canonical spec order.
+Determinism contract: results come back in canonical spec order.
 Per-cell metrics and span trees are recorded where the cell runs and
 folded into the ambient registry and profiler in that same order, so
 results and merged telemetry do not depend on ``jobs``, completion
@@ -49,25 +51,23 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
+    Generic,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
 from repro.core.backoff import capped_backoff, invalid_backoff_reason
 from repro.errors import FaultInjectionError
 from repro.faults import campaigns
-from repro.faults.campaigns import (
-    CampaignCellSpec,
-    CellKey,
-    SasoScorecard,
-    _cell_label,
-)
+from repro.faults.campaigns import CellKey, _cell_label
 from repro.telemetry.progress import (
     NULL_PROGRESS,
     CellEvent,
@@ -89,10 +89,21 @@ if TYPE_CHECKING:
         JournalHeader,
     )
 
-#: A cell body: spec in, scorecard out. Injectable so tests can drive
-#: retry, timeout and quarantine with controlled bodies; must be a
+#: One cell of a batch: a picklable spec with a canonical ``key``
+#: (:data:`~repro.faults.campaigns.CellKey`). The default body and the
+#: journal take :class:`~repro.faults.campaigns.CampaignCellSpec`; a
+#: custom ``runner`` brings its own spec type.
+CellSpec = Any
+
+#: What a cell body returns: a
+#: :class:`~repro.faults.campaigns.SasoScorecard` for campaign cells.
+CellResult = TypeVar("CellResult")
+
+#: A cell body: spec in, result out. Injectable so tests can drive
+#: retry, timeout and quarantine with controlled bodies, and so batches
+#: other than campaign cells can share the executor; must be a
 #: module-level callable when cells run on a pool.
-CellRunner = Callable[[CampaignCellSpec], SasoScorecard]
+CellRunner = Callable[[CellSpec], CellResult]
 
 #: How often the pool drain wakes up to refresh progress and check the
 #: pool deadline when no cell has finished.
@@ -170,25 +181,26 @@ class CampaignCoverage:
 
 
 @dataclass(frozen=True)
-class CampaignOutcome:
+class CampaignOutcome(Generic[CellResult]):
     """Everything one batch produced.
 
-    ``by_index`` maps each completed spec index to its scorecard
-    (quarantined cells are absent); ``resumed`` counts cells recovered
-    from the journal rather than run live.
+    ``by_index`` maps each completed spec index to its result (a
+    scorecard, for campaign cells; quarantined cells are absent);
+    ``resumed`` counts cells recovered from the journal rather than run
+    live.
     """
 
-    by_index: Dict[int, SasoScorecard]
+    by_index: Dict[int, CellResult]
     coverage: CampaignCoverage
     resumed: int
 
     @property
-    def scorecards(self) -> List[SasoScorecard]:
-        """Completed scorecards in canonical spec order."""
+    def scorecards(self) -> List[CellResult]:
+        """Completed results in canonical spec order."""
         return [self.by_index[i] for i in sorted(self.by_index)]
 
-    def require_complete(self) -> List[SasoScorecard]:
-        """The scorecards, or an error naming every quarantined cell."""
+    def require_complete(self) -> List[CellResult]:
+        """The results, or an error naming every quarantined cell."""
         coverage = self.coverage
         if coverage.quarantined:
             labels = ", ".join(
@@ -238,8 +250,8 @@ class CellWork:
     """
 
     index: int
-    spec: CampaignCellSpec
-    runner: Optional[CellRunner] = None
+    spec: CellSpec
+    runner: Optional[CellRunner[Any]] = None
     timeout: Optional[float] = None
     meter: bool = False
     profile: bool = False
@@ -248,7 +260,7 @@ class CellWork:
 @dataclass(frozen=True)
 class _CellDone:
     index: int
-    scorecard: SasoScorecard
+    result: Any
     #: The cell's metrics snapshot and span tree, when opted in.
     telemetry: Optional[Dict[str, object]]
     spans: Optional[Dict[str, object]]
@@ -347,7 +359,7 @@ def run_cell_attempt(work: CellWork) -> _CellOutcome:
     whether to abort, retry, or quarantine. KeyboardInterrupt is not
     caught: interrupts belong to the executor.
     """
-    runner = work.runner
+    runner: Optional[CellRunner[Any]] = work.runner
     if runner is None:
         # Looked up at call time, never pickled: wrappers installed on
         # the module attribute see every in-process cell.
@@ -363,7 +375,7 @@ def run_cell_attempt(work: CellWork) -> _CellOutcome:
                 stack.enter_context(metering(registry))
             if profiler is not None:
                 stack.enter_context(profiling(profiler))
-            card = runner(work.spec)
+            result = runner(work.spec)
     except _CellTimeout:
         return _CellFailed(
             index=work.index,
@@ -379,7 +391,7 @@ def run_cell_attempt(work: CellWork) -> _CellOutcome:
         )
     return _CellDone(
         index=work.index,
-        scorecard=card,
+        result=result,
         telemetry=None if registry is None else registry.snapshot(),
         spans=None if profiler is None else profiler.to_dict(),
         duration=wall_clock() - started,
@@ -426,19 +438,19 @@ def _terminate_as_interrupt() -> Iterator[None]:
 # The executor
 # ----------------------------------------------------------------------
 
-class _Batch:
+class _Batch(Generic[CellResult]):
     """Mutable state of one :meth:`CampaignExecutor.execute` call."""
 
     def __init__(
         self,
-        specs: List[CampaignCellSpec],
+        specs: List[CellSpec],
         journal: Optional["CheckpointJournal"],
         progress: ProgressListener,
     ) -> None:
         self.specs = specs
         self.journal = journal
         self.progress = progress
-        self.cards: Dict[int, SasoScorecard] = {}
+        self.cards: Dict[int, CellResult] = {}
         self.telemetry: Dict[int, Dict[str, object]] = {}
         self.spans: Dict[int, Dict[str, object]] = {}
         self.failures: Dict[int, _CellFailed] = {}
@@ -472,7 +484,7 @@ class _Batch:
     def keep(
         self,
         index: int,
-        card: SasoScorecard,
+        card: CellResult,
         telemetry: Optional[Dict[str, object]],
         spans: Optional[Dict[str, object]],
     ) -> None:
@@ -491,13 +503,13 @@ class _Batch:
             assert done.telemetry is not None  # journaled cells meter
             self.journal.record_cell(
                 self.specs[done.index],
-                done.scorecard,
+                done.result,
                 done.telemetry,
                 spans=done.spans,
                 duration=done.duration,
                 worker=done.worker,
             )
-        self.keep(done.index, done.scorecard, done.telemetry, done.spans)
+        self.keep(done.index, done.result, done.telemetry, done.spans)
         self.failures.pop(done.index, None)
         self.heartbeat(
             "done", done.index, worker=done.worker, duration=done.duration
@@ -508,14 +520,16 @@ class CampaignExecutor:
     """Runs batches of campaign cells (see the module docstring).
 
     Contract: given specs in canonical order, every completed cell's
-    scorecard equals ``run_campaign_cell(spec)``, and results, merged
+    result equals ``runner(spec)`` (by default
+    ``run_campaign_cell(spec)``, a scorecard), and results, merged
     telemetry and traces are the same for any ``jobs``. ``jobs`` picks
     in-process (1) or pool execution; ``retry`` turns fail-fast into
     retry-then-quarantine; ``cell_timeout`` bounds one attempt;
     ``journal`` makes the batch crash-safe and resumable; ``progress``
     receives heartbeats; ``pool_timeout`` bounds the wait for pool
-    cells (a deadlock guard). ``runner`` and ``sleep`` are test seams
-    for the cell body and the backoff wait.
+    cells (a deadlock guard). ``runner`` replaces the cell body (tests
+    inject controlled failures through it; the chaos recovery replay
+    its own cells) and ``sleep`` the backoff wait.
     """
 
     def __init__(
@@ -527,7 +541,7 @@ class CampaignExecutor:
         journal: Optional["CheckpointJournal"] = None,
         progress: Optional[ProgressListener] = None,
         pool_timeout: Optional[float] = None,
-        runner: Optional[CellRunner] = None,
+        runner: Optional[CellRunner[Any]] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if int(jobs) < 1:
@@ -550,19 +564,19 @@ class CampaignExecutor:
         self._sleep = sleep
 
     # perfbench/layers.py wraps both methods by name, so both stay here.
-    def run_cells(
-        self, specs: Sequence[CampaignCellSpec]
-    ) -> List[SasoScorecard]:
-        """Every cell's scorecard in spec order; a quarantined cell is
-        an error (:meth:`execute` returns partial batches instead)."""
+    def run_cells(self, specs: Sequence[CellSpec]) -> List[Any]:
+        """Every cell's result in spec order; a quarantined cell is an
+        error (:meth:`execute` returns partial batches instead)."""
         return self.execute(specs).require_complete()
 
     def execute(
-        self, specs: Sequence[CampaignCellSpec]
-    ) -> CampaignOutcome:
+        self, specs: Sequence[CellSpec]
+    ) -> CampaignOutcome[Any]:
         """Run the batch: resume from the journal, run what is
         missing, quarantine cells that exhaust the retry budget."""
-        batch = _Batch(list(specs), self._journal, self._progress)
+        batch: _Batch[Any] = _Batch(
+            list(specs), self._journal, self._progress
+        )
         if self._journal is not None:
             matched = self._journal.match(batch.specs)
             for index in sorted(matched):
@@ -645,7 +659,7 @@ class CampaignExecutor:
 
     # -- failures -------------------------------------------------------
 
-    def _settle(self, batch: _Batch, outcome: _CellOutcome) -> None:
+    def _settle(self, batch: _Batch[Any], outcome: _CellOutcome) -> None:
         if isinstance(outcome, _CellDone):
             batch.complete(outcome)
             return
@@ -662,7 +676,7 @@ class CampaignExecutor:
         batch.heartbeat("retry", outcome.index)
 
     def _quarantine(
-        self, batch: _Batch, index: int, attempts: int
+        self, batch: _Batch[Any], index: int, attempts: int
     ) -> QuarantinedCell:
         failure = batch.failures[index]
         spec = batch.specs[index]
@@ -692,11 +706,13 @@ class CampaignExecutor:
 
     @staticmethod
     def _ensure_submittable(
-        specs: Sequence[CampaignCellSpec], indices: Sequence[int]
+        specs: Sequence[CellSpec], indices: Sequence[int]
     ) -> None:
         """Reject unpicklable controller factories before the pool
         starts: a configuration error poisoning every cell, not a flaky
-        cell to retry (static counterpart: the REPRO2xx rules)."""
+        cell to retry (static counterpart: the REPRO2xx rules). Specs
+        without a factory (the recovery replay's) have nothing to
+        check."""
         # Local import: repro.analysis must stay importable without the
         # faults stack.
         from repro.analysis.parallel import ensure_parallel_safe
@@ -704,9 +720,12 @@ class CampaignExecutor:
 
         for index in indices:
             spec = specs[index]
+            factory = getattr(spec, "controller_factory", None)
+            if factory is None:
+                continue
             try:
                 ensure_parallel_safe(
-                    spec.controller_factory,
+                    factory,
                     context=(
                         f"campaign cell {_cell_label(spec.key)} "
                         "controller_factory"
@@ -719,7 +738,7 @@ class CampaignExecutor:
 
     def _run_in_process(
         self,
-        batch: _Batch,
+        batch: _Batch[Any],
         pending: Sequence[int],
         work: Dict[int, CellWork],
     ) -> None:
@@ -729,7 +748,7 @@ class CampaignExecutor:
 
     def _run_on_pool(
         self,
-        batch: _Batch,
+        batch: _Batch[Any],
         pending: Sequence[int],
         work: Dict[int, CellWork],
     ) -> None:
@@ -756,7 +775,7 @@ class CampaignExecutor:
 
     def _drain(
         self,
-        batch: _Batch,
+        batch: _Batch[Any],
         running: Dict["concurrent.futures.Future[_CellOutcome]", int],
     ) -> None:
         """Settle cells as they finish, waking every
@@ -791,7 +810,7 @@ class CampaignExecutor:
 
     def _drain_into_journal(
         self,
-        batch: _Batch,
+        batch: _Batch[Any],
         pool: concurrent.futures.ProcessPoolExecutor,
         running: Dict["concurrent.futures.Future[_CellOutcome]", int],
     ) -> None:

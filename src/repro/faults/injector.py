@@ -121,6 +121,12 @@ class FaultInjector:
         return list(self._crash_outages)
 
     @property
+    def one_shots_pending(self) -> int:
+        """One-shot events (crashes, rescale-failure arming) not yet
+        fired. Once it is 0, no later tick can add a crash outage."""
+        return len(self._one_shots) - self._next_one_shot
+
+    @property
     def armed_rescale_failures(self) -> int:
         """Rescale failures still waiting to reject a request."""
         return sum(remaining for _, remaining in self._armed)

@@ -10,7 +10,8 @@ well as scorecards. The suite also covers the failure paths — a
 controller factory that raises must surface the failing `(seed,
 campaign, controller)` cell with its traceback, in-process or in a
 child, and must not hang the pool — plus jobs/env validation and the
-rate-less-source regression.
+rate-less-source regression. The chaos experiment's crash-recovery
+replay runs on the same executor and is held to the same contract.
 """
 
 import dataclasses
@@ -22,7 +23,14 @@ from hypothesis import strategies as st
 
 from repro.engine.runtimes import HeronRuntime
 from repro.errors import FaultInjectionError
-from repro.experiments.chaos import chaos_controllers, resolve_workload
+from repro.cli import main
+from repro.experiments.chaos import (
+    chaos_controllers,
+    chaos_report,
+    recovery_distributions,
+    resolve_workload,
+    run_chaos,
+)
 from repro.experiments.comparison import HERON_POLICY_INTERVAL
 from repro.faults.campaigns import (
     JOBS_ENV_VAR,
@@ -262,7 +270,41 @@ def _span_counts(structure):
     }
 
 
+def _observed_recovery_replay(jobs):
+    """Outage samples, span structure and metrics text of a small
+    crash-recovery replay."""
+    registry = MetricsRegistry()
+    profiler = SpanProfiler()
+    with metering(registry), profiling(profiler):
+        samples = recovery_distributions(
+            campaigns=2, seed=1, tick=2.0, jobs=jobs
+        )
+    metrics = [
+        line
+        for line in registry.render_text().splitlines()
+        if not line.startswith(_TIMED_METRIC_LINES)
+    ]
+    return samples, profiler.structure(), metrics
+
+
+@pytest.fixture(scope="module")
+def serial_recovery_replay():
+    return _observed_recovery_replay(jobs=1)
+
+
 class TestStartMethods:
+    def test_start_method_recovery_replay_matches_serial(
+        self, start_method, serial_recovery_replay
+    ):
+        serial_samples, serial_spans, serial_metrics = (
+            serial_recovery_replay
+        )
+        samples, spans, metrics = _observed_recovery_replay(jobs=2)
+        assert samples == serial_samples
+        assert _span_counts(serial_spans)["engine.tick"] > 0
+        assert spans == serial_spans
+        assert metrics == serial_metrics
+
     def test_start_method_pool_matches_serial(
         self, start_method, serial_smoke_batch
     ):
@@ -280,6 +322,50 @@ class TestStartMethods:
             assert counts.get(name) == serial_counts[name]
         assert spans == serial_spans
         assert metrics == serial_metrics
+
+
+class TestRecoveryReplayJobs:
+    """The replay cells give the same samples, report, trace and
+    metrics at any ``--jobs``."""
+
+    def test_recovery_run_chaos_jobs_independent(self):
+        serial, pooled = (
+            run_chaos(
+                profile="smoke",
+                campaigns=2,
+                tick=2.0,
+                include_recovery=True,
+                jobs=jobs,
+            )
+            for jobs in (1, 2)
+        )
+        assert serial.recovery
+        assert pooled.recovery == serial.recovery
+        assert chaos_report(pooled) == chaos_report(serial)
+
+    def test_recovery_cli_trace_and_metrics_jobs_independent(
+        self, tmp_path, capsys
+    ):
+        observed = []
+        for jobs in ("1", "2"):
+            trace = tmp_path / f"trace-{jobs}.jsonl"
+            assert main([
+                "run", "chaos", "--profile", "smoke", "--seeds", "2",
+                "--scale", "0.5", "--jobs", jobs,
+                "--trace", str(trace), "--telemetry",
+            ]) == 0
+            out = capsys.readouterr().out.replace(str(trace), "TRACE")
+            lines = [
+                line
+                for line in out.splitlines()
+                if not line.startswith(_TIMED_METRIC_LINES)
+            ]
+            observed.append((trace.read_bytes(), lines))
+        (serial_trace, serial_out), (pooled_trace, pooled_out) = observed
+        assert serial_trace
+        assert pooled_trace == serial_trace
+        assert "Crash-recovery outage per runtime" in "\n".join(serial_out)
+        assert pooled_out == serial_out
 
 
 def _exploding_controller():

@@ -11,7 +11,8 @@ file covers the supervising layer wrapped around it:
 * per-cell SIGALRM wall-clock deadlines,
 * SIGTERM or Ctrl-C mid-campaign -> `CampaignInterrupted` naming the
   journal (or none), then a resume that completes the batch with
-  identical scorecards,
+  identical scorecards; Ctrl-C during the chaos recovery replay, after
+  every campaign cell is journaled, resumes to identical stdout,
 * a warning when `cell_timeout` cannot be enforced,
 * `CampaignRunner.execute` with a retry policy emitting the same trace
   and scorecards as the plain `CampaignRunner.run` path,
@@ -27,8 +28,15 @@ import warnings
 
 import pytest
 
+from repro.cli import main
 from repro.errors import FaultInjectionError
-from repro.experiments.chaos import chaos_report, run_chaos
+from repro.experiments import chaos
+from repro.experiments.chaos import (
+    RecoveryCellSpec,
+    chaos_report,
+    run_chaos,
+    run_recovery_cell,
+)
 from repro.faults.campaigns import run_campaign_cell
 from repro.faults.checkpoint import CheckpointJournal
 from repro.faults.executor import (
@@ -39,6 +47,7 @@ from repro.faults.executor import (
 from repro.telemetry.tracer import Tracer, tracing
 from tests.faults.test_checkpoint import (
     HEADER,
+    _cell_count,
     _generator,
     _runner,
     _specs,
@@ -104,6 +113,18 @@ class _InterruptAt:
         if spec.key == self.key:
             raise KeyboardInterrupt()
         return run_campaign_cell(spec)
+
+
+class _InterruptReplayAt:
+    """Raise KeyboardInterrupt when a specific replay cell comes up."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __call__(self, spec):
+        if spec.key == self.key:
+            raise KeyboardInterrupt()
+        return run_recovery_cell(spec)
 
 
 class TestRetryPolicy:
@@ -321,6 +342,40 @@ class TestInterruptAndResume:
         assert interrupted.path is None
         assert (interrupted.completed, interrupted.cells) == (1, 3)
         assert "no checkpoint" in str(interrupted)
+
+
+    def test_interrupt_during_recovery_replay_resumes_identically(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Ctrl-C while the (unjournaled) replay cells run: every
+        campaign cell is journaled by then, so the CLI names the
+        journal and prints the resume command, and the resumed run
+        prints exactly what an uninterrupted run prints."""
+        args = [
+            "run", "chaos", "--profile", "smoke", "--seeds", "2",
+            "--scale", "0.5",
+        ]
+        assert main(args + ["--checkpoint", str(tmp_path / "ref")]) == 0
+        expected = capsys.readouterr().out
+        assert "Crash-recovery outage per runtime" in expected
+
+        path = str(tmp_path / "chaos.ckpt")
+        replay_cell = RecoveryCellSpec(
+            seed=1, campaign=1, runtime="timely", tick=2.0
+        )
+        monkeypatch.setattr(
+            chaos, "run_recovery_cell", _InterruptReplayAt(replay_cell.key)
+        )
+        assert main(args + ["--checkpoint", path]) == 130
+        err = capsys.readouterr().err
+        assert "crash-recovery replay, after 6 of 6 campaign cells" in err
+        assert repr(path) in err
+        assert f"--checkpoint {path} --resume" in err
+        assert _cell_count(path) == 6
+
+        monkeypatch.undo()
+        assert main(args + ["--checkpoint", path, "--resume"]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestSupervisedCampaignDriver:
