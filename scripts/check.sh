@@ -8,43 +8,39 @@
 # Stages (in order):
 #   1. ruff          - style/correctness lint (skipped if not installed)
 #   2. mypy          - type check (skipped if not installed)
-#   3. repro lint    - in-tree determinism linter (always runs)
-#   4. parallel safety
-#                    - pickle-safety / worker-shared-state /
-#                      reduction-order analyzers plus stale-suppression
-#                      hygiene over every shipped tree (lint fixtures
-#                      excluded: they exist to violate the rules)
-#   5. repro check-graph --all
+#   3. repro lint    - in-tree determinism linter, including stale
+#                      suppression comments (always runs)
+#   4. repro check-graph --all
 #                    - graph invariants for every built-in workload
-#   6. trace schema  - golden-file JSONL trace schema check
-#   7. parallel chaos equivalence
+#   5. trace schema  - golden-file JSONL trace schema check
+#   6. parallel chaos equivalence
 #                    - smoke-profile serial vs process-pool scorecards,
 #                      plus span structure and metrics text under the
 #                      fork, spawn and forkserver start methods
-#   8. kill-and-resume equivalence
+#   7. kill-and-resume equivalence
 #                    - hard-killed chaos run resumed from its journal
 #                      must match an uninterrupted run byte-for-byte
-#   9. run report (golden file)
+#   8. run report (golden file)
 #                    - `repro report` over the committed smoke-campaign
 #                      journal must render byte-identical JSON to the
 #                      committed golden report
-#  10. sweep (golden file + kill-and-resume)
+#   9. sweep (golden file + kill-and-resume)
 #                    - `repro sweep run` over the committed smoke grid
 #                      (two pool workers, checkpointed) and
 #                      `repro sweep report` from that journal must both
 #                      render byte-identical JSON to the committed
 #                      golden sensitivity artifact; plus the sweep
 #                      SIGKILL-and-resume equivalence tests
-#  11. pytest (REPRO_ENGINE=object)
+#  10. pytest (REPRO_ENGINE=object)
 #                    - tier-1 test suite with every Simulator pinned to
 #                      the per-instance object engine backend
-#  12. pytest (REPRO_ENGINE=vector)
+#  11. pytest (REPRO_ENGINE=vector)
 #                    - the same tier-1 suite on the struct-of-arrays
 #                      engine backend; passing both proves the golden
 #                      trace / scorecard byte-identity oracle holds for
 #                      both backends, whichever one the width rule
 #                      picks (skipped if numpy is missing)
-#  13. pytest (REPRO_ENGINE unset)
+#  12. pytest (REPRO_ENGINE unset)
 #                    - the engine, fault and integration tests with no
 #                      pin, so every deployment picks its backend by
 #                      width and runs that DS2 scales across the
@@ -53,7 +49,7 @@
 # ruff and mypy are optional dev dependencies (`pip install -e .[lint]`).
 # When they are missing the stage is skipped with a notice rather than
 # failing, so the gate is usable in minimal containers; the in-tree
-# stages (3-10) have no third-party dependencies and always run.
+# stages (3-9) have no third-party dependencies and always run.
 
 set -u
 
@@ -107,14 +103,6 @@ fi
 
 run_stage "repro lint" \
     python -m repro lint src/repro scripts benchmarks examples
-# Parallel-safety gate, as its own stage so its exit code (and which
-# family failed) is visible in the stage summary rather than folded
-# into the determinism lint above.
-run_stage "parallel safety (pickle/worker-state/reduction-order)" \
-    python -m repro lint \
-    --select pickle-safety,worker-shared-state,reduction-order,suppressions \
-    --exclude tests/analysis/fixtures \
-    src/repro tests scripts benchmarks examples
 run_stage "repro check-graph" python -m repro check-graph --all
 # Golden-file trace schema gate: a seeded controlled run must still
 # serialize byte-for-byte to tests/telemetry/golden_trace.jsonl.

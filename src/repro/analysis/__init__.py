@@ -1,19 +1,15 @@
 """Static analysis for the reproduction: keep replays replayable and
 graphs well-formed *before* anything runs.
 
-Three engines share one rule-registry/reporter core:
+Two engines share one rule-registry/reporter core:
 
 * the **determinism linter** (:mod:`repro.analysis.linter`) — an
   AST-based pass over Python sources banning the entropy sources that
   silently break the byte-identical-replay contract of the chaos
   subsystem (wall clocks, module-level/unseeded RNG, OS entropy,
-  iteration over unordered collections, ``id()``-based ordering);
-* the **parallel-safety analyzer** (:mod:`repro.analysis.parallel`) —
-  pickle-safety of values crossing process boundaries (REPRO2xx),
-  shared-state writes reachable from worker entry points (REPRO3xx),
-  and order-unstable reductions in equivalence-sensitive numeric
-  modules (REPRO4xx), plus the construction-time
-  :func:`~repro.analysis.parallel.ensure_parallel_safe` hook;
+  iteration over unordered collections, ``id()``-based ordering),
+  plus a warning for ``# repro: allow[...]`` comments that no longer
+  suppress anything;
 * the **dataflow-graph static checker**
   (:mod:`repro.analysis.graphcheck`) — structural and rate-sanity
   validation of logical dataflow graphs, so a malformed graph fails
@@ -22,19 +18,13 @@ Three engines share one rule-registry/reporter core:
 
 All report through :class:`repro.analysis.report.Diagnostic` and the
 text/JSON renderers in :mod:`repro.analysis.report`; the CLI exposes
-them as ``repro lint`` (the combined source driver,
-:mod:`repro.analysis.driver`) and ``repro check-graph``.
+them as ``repro lint`` and ``repro check-graph``. The runtime pickle
+guard for values crossing a process boundary lives with the executor
+that needs it (:func:`repro.faults.executor.ensure_parallel_safe`).
 """
 
 from __future__ import annotations
 
-from repro.analysis.driver import (
-    ALL_REGISTRIES,
-    HYGIENE_RULES,
-    all_rules,
-    check_source,
-    check_sources,
-)
 from repro.analysis.graphcheck import (
     GRAPH_CHECKS,
     GraphSpec,
@@ -50,21 +40,6 @@ from repro.analysis.linter import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.parallel import (
-    EQUIVALENCE_SENSITIVE_MODULES,
-    PARALLEL_RULES,
-    SINK_REGISTRY,
-    WORKER_ENTRY_POINTS,
-    ProcessBoundarySink,
-    check_parallel_paths,
-    check_parallel_source,
-    collect_parallel_findings,
-    ensure_parallel_safe,
-    register_equivalence_sensitive,
-    register_sink,
-    register_worker_entry,
-    unpicklable_reason,
-)
 from repro.analysis.report import (
     Diagnostic,
     Severity,
@@ -73,39 +48,22 @@ from repro.analysis.report import (
     render_text,
 )
 from repro.analysis.rules import (
-    FAMILIES,
     AnalysisError,
     Rule,
     RuleRegistry,
-    register_family,
 )
 
 __all__ = [
-    "ALL_REGISTRIES",
     "AnalysisError",
     "Diagnostic",
-    "EQUIVALENCE_SENSITIVE_MODULES",
-    "FAMILIES",
     "GRAPH_CHECKS",
     "GraphSpec",
-    "HYGIENE_RULES",
     "LINT_RULES",
     "NodeSpec",
-    "PARALLEL_RULES",
-    "ProcessBoundarySink",
     "Rule",
     "RuleRegistry",
-    "SINK_REGISTRY",
     "Severity",
-    "WORKER_ENTRY_POINTS",
-    "all_rules",
     "check_graph",
-    "check_parallel_paths",
-    "check_parallel_source",
-    "check_source",
-    "check_sources",
-    "collect_parallel_findings",
-    "ensure_parallel_safe",
     "ensure_valid_graph",
     "graph_spec_from_json",
     "graph_spec_from_logical",
@@ -113,11 +71,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "register_equivalence_sensitive",
-    "register_family",
-    "register_sink",
-    "register_worker_entry",
     "render_json",
     "render_text",
-    "unpicklable_reason",
 ]

@@ -23,48 +23,39 @@ Suppress a deliberate use with a same-line comment::
     order = list(tags)  # repro: allow[REPRO104]
 
 The bracket takes a comma-separated list of rule ids or names, or
-``*`` to allow everything on that line.
+``*`` to allow everything on that line. An allow that no longer
+suppresses anything is itself reported, as a warning:
 
-The parallel-safety rule families (pickle-safety, worker shared state,
-reduction order) live in :mod:`repro.analysis.parallel`; the combined
-run over both analyzers — plus stale-suppression reporting — is
-:func:`repro.analysis.driver.check_sources`, which is what ``repro
-lint`` invokes.
+* ``REPRO501 stale-allow`` — an allow comment whose rule does not
+  fire on that line (or names no known rule).
+
+Comments are found with :mod:`tokenize`, so an ``allow`` that merely
+appears inside a string literal or docstring example is *not* a
+suppression (and cannot go stale).
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 from typing import (
+    Dict,
     Iterable,
     List,
     Optional,
     Sequence,
     Set,
+    Tuple,
     Union,
 )
 
-from repro.analysis.pysource import (
-    Aliases,
-    iter_python_files,
-    parse_suppressions,
-    suppressed,
-    unordered_reason,
-)
 from repro.analysis.report import Diagnostic, Severity
-from repro.analysis.rules import (
-    Rule,
-    RuleRegistry,
-    register_family,
-)
+from repro.analysis.rules import AnalysisError, Rule, RuleRegistry
 
-DETERMINISM = register_family(
-    "determinism",
-    "entropy and ordering hazards that break seeded replay",
-)
-
-#: Registry of every determinism lint rule.
+#: Registry of every lint rule.
 LINT_RULES = RuleRegistry()
 
 SYNTAX = LINT_RULES.register(Rule(
@@ -75,7 +66,6 @@ SYNTAX = LINT_RULES.register(Rule(
         "an unparseable file cannot be checked, so it fails the lint "
         "run instead of silently escaping analysis"
     ),
-    family=DETERMINISM,
 ))
 WALL_CLOCK = LINT_RULES.register(Rule(
     id="REPRO101",
@@ -86,7 +76,6 @@ WALL_CLOCK = LINT_RULES.register(Rule(
         "time; a wall-clock read makes two replays of the same seed "
         "diverge"
     ),
-    family=DETERMINISM,
 ))
 UNSEEDED_RNG = LINT_RULES.register(Rule(
     id="REPRO102",
@@ -100,7 +89,6 @@ UNSEEDED_RNG = LINT_RULES.register(Rule(
         "from the OS; all randomness must flow through an explicitly "
         "seeded random.Random passed in by the caller"
     ),
-    family=DETERMINISM,
 ))
 OS_ENTROPY = LINT_RULES.register(Rule(
     id="REPRO103",
@@ -110,7 +98,6 @@ OS_ENTROPY = LINT_RULES.register(Rule(
         "kernel entropy is unseedable by construction; identifiers "
         "and draws must come from the run's seed instead"
     ),
-    family=DETERMINISM,
 ))
 UNORDERED_ITERATION = LINT_RULES.register(Rule(
     id="REPRO104",
@@ -125,7 +112,6 @@ UNORDERED_ITERATION = LINT_RULES.register(Rule(
         "order every run; wrap in sorted() or iterate an ordered "
         "container"
     ),
-    family=DETERMINISM,
 ))
 ID_ORDERING = LINT_RULES.register(Rule(
     id="REPRO105",
@@ -135,7 +121,19 @@ ID_ORDERING = LINT_RULES.register(Rule(
         "id() is an allocation address, different every process; "
         "sort by a stable domain key instead"
     ),
-    family=DETERMINISM,
+))
+STALE_ALLOW = LINT_RULES.register(Rule(
+    id="REPRO501",
+    name="stale-allow",
+    summary=(
+        "a # repro: allow[RULE] comment whose rule no longer fires "
+        "on that line"
+    ),
+    rationale=(
+        "a stale allow is a latent hole: when the flagged construct "
+        "returns (or moves one line), the suppression silently "
+        "swallows it; remove the comment once the finding is gone"
+    ),
 ))
 
 #: Real-clock callables, by resolved qualified name.
@@ -180,6 +178,193 @@ _OS_ENTROPY_CALLS = frozenset({
     "random.SystemRandom",
 })
 
+
+# ----------------------------------------------------------------------
+# Source plumbing: suppression comments, import aliases, set-ness
+# ----------------------------------------------------------------------
+
+#: The suppression directive: comment token "repro:" followed by
+#: "allow" with a bracketed rule list. Spelled out here (rather than
+#: quoted) so this very comment does not parse as a suppression.
+ALLOW_PATTERN = re.compile(
+    r"#\s*repro:\s*allow\[([^\]]*)\]", re.IGNORECASE
+)
+
+
+def _comment_lines(source: str) -> List[Tuple[int, str]]:
+    """``(lineno, comment_text)`` for every comment token. Falls back
+    to a whole-line scan when the file does not tokenize (the linter
+    reports the syntax error separately)."""
+    comments: List[Tuple[int, str]] = []
+    try:
+        for token in tokenize.generate_tokens(
+            io.StringIO(source).readline
+        ):
+            if token.type == tokenize.COMMENT:
+                comments.append((token.start[0], token.string))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        comments = [
+            (lineno, line)
+            for lineno, line in enumerate(
+                source.splitlines(), start=1
+            )
+            if "#" in line
+        ]
+    return comments
+
+
+def parse_suppressions(source: str) -> Dict[int, Set[str]]:
+    """Map 1-based line numbers to the rule tokens allowed there."""
+    allowed: Dict[int, Set[str]] = {}
+    for lineno, comment in _comment_lines(source):
+        match = ALLOW_PATTERN.search(comment)
+        if match is None:
+            continue
+        tokens = {
+            token.strip()
+            for token in match.group(1).split(",")
+            if token.strip()
+        }
+        if tokens:
+            allowed[lineno] = tokens
+    return allowed
+
+
+def suppressed(
+    allowed: Dict[int, Set[str]], lineno: int, rule: Rule
+) -> bool:
+    """Whether ``rule`` is allowed on ``lineno`` (id, name, or ``*``)."""
+    tokens = allowed.get(lineno)
+    if not tokens:
+        return False
+    return any(
+        token == "*"
+        or token.upper() == rule.id
+        or token.lower() == rule.name
+        for token in tokens
+    )
+
+
+class Aliases:
+    """Tracks import bindings so dotted call names resolve to their
+    canonical modules (``np.random.rand`` -> ``numpy.random.rand``,
+    ``from time import time as t; t()`` -> ``time.time``)."""
+
+    def __init__(self) -> None:
+        self._map: Dict[str, str] = {}
+
+    def add_import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.asname is not None:
+                self._map[alias.asname] = alias.name
+            else:
+                root = alias.name.split(".")[0]
+                self._map.setdefault(root, root)
+
+    def add_import_from(self, node: ast.ImportFrom) -> None:
+        if node.level or node.module is None:
+            return  # relative import: never a stdlib entropy source
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            self._map[bound] = f"{node.module}.{alias.name}"
+
+    def qualify(self, node: ast.AST) -> Optional[str]:
+        """Resolve an expression to a dotted name, or None if it is
+        not a plain name/attribute chain."""
+        if isinstance(node, ast.Name):
+            return self._map.get(node.id, node.id)
+        if isinstance(node, ast.Attribute):
+            base = self.qualify(node.value)
+            if base is None:
+                return None
+            return f"{base}.{node.attr}"
+        return None
+
+
+def _is_keys_view(expr: ast.AST) -> bool:
+    """``x.keys()`` — a view that participates in set algebra."""
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Attribute)
+        and expr.func.attr == "keys"
+        and not expr.args
+        and not expr.keywords
+    )
+
+
+def unordered_reason(
+    expr: ast.AST, aliases: Aliases
+) -> Optional[str]:
+    """Why ``expr`` evaluates to an unordered collection, or None if
+    its order is well-defined (syntactically)."""
+    if isinstance(expr, ast.Set):
+        return "a set literal"
+    if isinstance(expr, ast.SetComp):
+        return "a set comprehension"
+    if isinstance(expr, ast.Call):
+        name = aliases.qualify(expr.func)
+        if name in ("set", "frozenset"):
+            return f"{name}(...)"
+        if (
+            isinstance(expr.func, ast.Attribute)
+            and expr.func.attr in ("union", "intersection",
+                                   "difference",
+                                   "symmetric_difference")
+            and unordered_reason(expr.func.value, aliases) is not None
+        ):
+            return f"a set .{expr.func.attr}(...) result"
+    if isinstance(expr, ast.BinOp) and isinstance(
+        expr.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        left = unordered_reason(expr.left, aliases)
+        right = unordered_reason(expr.right, aliases)
+        keysish = _is_keys_view(expr.left) or _is_keys_view(expr.right)
+        if left is not None or right is not None or keysish:
+            return "a set-algebra result"
+    return None
+
+
+def iter_python_files(
+    paths: Sequence[Union[str, Path]],
+    *,
+    exclude: Iterable[Union[str, Path]] = (),
+) -> List[Path]:
+    """Expand files/directory trees to a sorted ``*.py`` list.
+
+    ``exclude`` drops files equal to, or below, any of the given
+    paths (directories exclude their whole subtree).
+    """
+    excluded = [Path(entry).resolve() for entry in exclude]
+
+    def keep(candidate: Path) -> bool:
+        resolved = candidate.resolve()
+        return not any(
+            resolved == anchor or anchor in resolved.parents
+            for anchor in excluded
+        )
+
+    files: List[Path] = []
+    for entry in paths:
+        entry_path = Path(entry)
+        if entry_path.is_dir():
+            files.extend(
+                found
+                for found in sorted(entry_path.rglob("*.py"))
+                if keep(found)
+            )
+        elif entry_path.is_file():
+            if keep(entry_path):
+                files.append(entry_path)
+        else:
+            raise AnalysisError(
+                f"no such file or directory: {entry_path}"
+            )
+    return files
+
+
+# ----------------------------------------------------------------------
+# The determinism rules
+# ----------------------------------------------------------------------
 
 def _has_arguments(node: ast.Call) -> bool:
     return bool(node.args or node.keywords)
@@ -355,7 +540,7 @@ class _LintVisitor(ast.NodeVisitor):
 
 def collect_findings(source: str, path: str = "<string>") -> List[Diagnostic]:
     """Raw determinism findings for one source string — every rule, no
-    suppression/select/ignore filtering. The combined driver applies
+    suppression/select/ignore filtering. :func:`lint_source` applies
     those afterwards (it needs the raw set to spot stale allows)."""
     try:
         tree = ast.parse(source, filename=path)
@@ -372,34 +557,62 @@ def collect_findings(source: str, path: str = "<string>") -> List[Diagnostic]:
     return visitor.findings
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    *,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
+def _stale_findings(
+    path: str,
+    allowed: Dict[int, Set[str]],
+    raw: Sequence[Diagnostic],
 ) -> List[Diagnostic]:
-    """Lint one source string; returns unsuppressed findings.
+    """REPRO501 warnings for allow tokens that suppress nothing."""
+    fired: Dict[int, Set[str]] = {}
+    for finding in raw:
+        if finding.line is not None:
+            fired.setdefault(finding.line, set()).add(finding.code)
 
-    ``select`` restricts to the given rule ids/names; ``ignore`` drops
-    the given ones. Suppression comments are always honored.
-    """
-    selected = _resolve_rule_set(select)
-    ignored = _resolve_rule_set(ignore) or set()
-    allowed = parse_suppressions(source)
-    results: List[Diagnostic] = []
-    for finding in collect_findings(source, path):
-        rule = LINT_RULES.get(finding.code)
-        if selected is not None and rule.id not in selected:
-            continue
-        if rule.id in ignored:
-            continue
-        if finding.line is not None and suppressed(
-            allowed, finding.line, rule
+    def stale(lineno: int, message: str) -> Diagnostic:
+        return Diagnostic(
+            code=STALE_ALLOW.id,
+            message=message,
+            path=path,
+            line=lineno,
+            severity=Severity.WARNING,
+        )
+
+    findings: List[Diagnostic] = []
+    for lineno in sorted(allowed):
+        tokens = allowed[lineno]
+        if any(
+            token.upper() == STALE_ALLOW.id
+            or token.lower() == STALE_ALLOW.name
+            for token in tokens
         ):
+            # An explicit allow[REPRO501] opts the line out of stale
+            # checking (and is never itself reported stale).
             continue
-        results.append(finding)
-    return results
+        fired_here = fired.get(lineno, set())
+        for token in sorted(tokens):
+            if token == "*":
+                if not fired_here:
+                    findings.append(stale(
+                        lineno,
+                        "stale suppression: allow[*] on a line where "
+                        "no rule fires; remove the comment",
+                    ))
+            elif token not in LINT_RULES:
+                findings.append(stale(
+                    lineno,
+                    f"suppression names unknown rule {token!r}; it "
+                    "suppresses nothing",
+                ))
+            else:
+                rule = LINT_RULES.get(token)
+                if rule.id not in fired_here:
+                    findings.append(stale(
+                        lineno,
+                        f"stale suppression: {rule.id} ({rule.name}) "
+                        "no longer fires on this line; remove the "
+                        "allow comment",
+                    ))
+    return findings
 
 
 def _resolve_rule_set(
@@ -408,6 +621,40 @@ def _resolve_rule_set(
     if keys is None:
         return None
     return {LINT_RULES.get(key).id for key in keys}
+
+
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    *,
+    select: Optional[Iterable[str]] = None,
+    ignore: Optional[Iterable[str]] = None,
+) -> List[Diagnostic]:
+    """Lint one source string; returns unsuppressed findings, then
+    REPRO501 warnings for stale allows.
+
+    ``select`` restricts to the given rule ids/names; ``ignore`` drops
+    the given ones. Suppression comments are always honored.
+    """
+    selected = _resolve_rule_set(select)
+    ignored = _resolve_rule_set(ignore) or set()
+    allowed = parse_suppressions(source)
+    raw = collect_findings(source, path)
+    findings = [
+        finding
+        for finding in raw
+        if finding.line is None
+        or not suppressed(
+            allowed, finding.line, LINT_RULES.get(finding.code)
+        )
+    ]
+    findings.extend(_stale_findings(path, allowed, raw))
+    return [
+        finding
+        for finding in findings
+        if (selected is None or finding.code in selected)
+        and finding.code not in ignored
+    ]
 
 
 def lint_file(
@@ -429,10 +676,18 @@ def lint_paths(
     *,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
+    exclude: Sequence[Union[str, Path]] = (),
 ) -> List[Diagnostic]:
-    """Lint files and/or directory trees (``*.py``, sorted order)."""
+    """Lint files and/or directory trees (``*.py``, sorted order).
+
+    ``exclude`` drops files at or below the given paths (the lint
+    fixtures directory, for one, is deliberately full of findings).
+    """
+    # Resolve eagerly so an unknown rule fails fast, not mid-walk.
+    _resolve_rule_set(select)
+    _resolve_rule_set(ignore)
     findings: List[Diagnostic] = []
-    for file_path in iter_python_files(paths):
+    for file_path in iter_python_files(paths, exclude=exclude):
         findings.extend(
             lint_file(file_path, select=select, ignore=ignore)
         )

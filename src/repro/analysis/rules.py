@@ -5,23 +5,16 @@ suppressions, ``--select`` and reports reference), a short name, and a
 one-line rationale. Registries keep ids unique and give the CLI and the
 documentation one place to enumerate the catalog from.
 
-Id conventions: ``REPRO1xx`` are determinism lint rules; ``REPRO2xx``
-are pickle-safety rules; ``REPRO3xx`` are worker-shared-state rules;
-``REPRO4xx`` are reduction-order rules; ``REPRO5xx`` are suppression-
-hygiene rules; ``GRAPH1xx`` are structural graph checks; ``GRAPH2xx``
-are physical-plan checks; ``GRAPH3xx`` are rate/selectivity sanity
-checks.
-
-Rules belong to a *family* — the unit ``repro lint --list-rules``
-groups by and ``--select``/``--ignore`` accept as a shorthand for
-every rule in it. Families are registered once, with a one-line
-description, via :func:`register_family`.
+Id conventions: ``REPRO1xx`` are determinism lint rules; ``REPRO5xx``
+are suppression-hygiene rules; ``GRAPH1xx`` are structural graph
+checks; ``GRAPH2xx`` are physical-plan checks; ``GRAPH3xx`` are
+rate/selectivity sanity checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 from repro.errors import ReproError
 
@@ -29,23 +22,6 @@ from repro.errors import ReproError
 class AnalysisError(ReproError):
     """Raised for invalid analysis requests (unknown rule ids, paths
     that are neither files nor directories, malformed graph specs)."""
-
-
-#: Registered family name -> one-line description (insertion-ordered:
-#: catalog output follows registration order).
-FAMILIES: Dict[str, str] = {}
-
-
-def register_family(name: str, description: str) -> str:
-    """Register a rule family (idempotent for identical descriptions)."""
-    existing = FAMILIES.get(name)
-    if existing is not None and existing != description:
-        raise AnalysisError(
-            f"family {name!r} already registered with a different "
-            "description"
-        )
-    FAMILIES[name] = description
-    return name
 
 
 @dataclass(frozen=True)
@@ -60,16 +36,12 @@ class Rule:
         summary: One line of what the rule forbids or asserts.
         rationale: Why violating it breaks determinism or the decision
             model — shown by ``repro lint --explain``.
-        family: Family the rule belongs to (see :data:`FAMILIES`);
-            ``--select``/``--ignore`` accept the family name as a
-            shorthand for every rule in it.
     """
 
     id: str
     name: str
     summary: str
     rationale: str
-    family: str = "general"
 
 
 class RuleRegistry:
@@ -122,18 +94,9 @@ class RuleRegistry:
     def as_mapping(self) -> Mapping[str, Rule]:
         return dict(self._by_id)
 
-    def by_family(self) -> Dict[str, List[Rule]]:
-        """Rules grouped by family, registration-ordered both ways."""
-        grouped: Dict[str, List[Rule]] = {}
-        for rule in self:
-            grouped.setdefault(rule.family, []).append(rule)
-        return grouped
-
 
 __all__ = [
     "AnalysisError",
-    "FAMILIES",
     "Rule",
     "RuleRegistry",
-    "register_family",
 ]

@@ -496,34 +496,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
-        check_sources,
+        LINT_RULES,
         has_errors,
+        lint_paths,
         render_json,
         render_text,
     )
-    from repro.analysis.driver import all_rules
-    from repro.analysis.rules import FAMILIES, AnalysisError
+    from repro.analysis.rules import AnalysisError
 
     if args.list_rules:
-        grouped: dict = {}
-        for rule in all_rules():
-            grouped.setdefault(rule.family, []).append(rule)
-        blocks = []
-        for family, description in FAMILIES.items():
-            rules = grouped.get(family)
-            if not rules:
-                continue
-            blocks.append(format_table(
-                ("id", "name", "summary"),
-                [(rule.id, rule.name, rule.summary)
-                 for rule in rules],
-                title=f"{family} — {description}",
-            ))
-        blocks.append(
-            "suppress a finding with '# repro: allow[ID]'; "
-            "--select/--ignore also accept family names"
-        )
-        print("\n\n".join(blocks))
+        print(format_table(
+            ("id", "name", "summary"),
+            [(rule.id, rule.name, rule.summary) for rule in LINT_RULES],
+            title="lint rules",
+        ))
+        print("\nsuppress a finding with '# repro: allow[ID]'")
         return 0
     paths = args.paths
     if not paths:
@@ -538,11 +525,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return [r.strip() for r in value.split(",") if r.strip()]
 
     try:
-        findings = check_sources(
+        findings = lint_paths(
             paths,
             select=split_rules(args.select),
             ignore=split_rules(args.ignore),
-            exclude=args.exclude or (),
         )
     except AnalysisError as error:
         print(f"lint error: {error}", file=sys.stderr)
@@ -1200,10 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_report.set_defaults(func=cmd_sweep_report)
     lint = sub.add_parser(
         "lint",
-        help=(
-            "determinism + parallel-safety analyzers over Python "
-            "sources"
-        ),
+        help="determinism linter over Python sources",
     )
     lint.add_argument(
         "paths",
@@ -1223,28 +1206,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         default=None,
         metavar="RULES",
-        help=(
-            "comma-separated rule ids/names or family names to run "
-            "exclusively"
-        ),
+        help="comma-separated rule ids/names to run exclusively",
     )
     lint.add_argument(
         "--ignore",
         default=None,
         metavar="RULES",
-        help=(
-            "comma-separated rule ids/names or family names to skip"
-        ),
-    )
-    lint.add_argument(
-        "--exclude",
-        action="append",
-        default=None,
-        metavar="PATH",
-        help=(
-            "skip files at or below PATH (repeatable; e.g. a "
-            "fixtures directory that is deliberately dirty)"
-        ),
+        help="comma-separated rule ids/names to skip",
     )
     lint.add_argument(
         "--list-rules",

@@ -11,8 +11,9 @@ Used in two places:
   backpressure limit.
 """
 
-# repro: equivalence-sensitive — scalar and batch water-fill must agree bit
-# for bit (REPRO4xx rules enforce sequential reductions here).
+# Scalar and batch water-fill must agree bit for bit, so reductions here
+# stay sequential; tests/engine/test_allocation.py::TestFairAllocateBatch
+# enforces it.
 from __future__ import annotations
 
 import math

@@ -36,8 +36,9 @@ layouts add the same float64 values in the same order, so a window
 collected from either is bit-identical.
 """
 
-# repro: equivalence-sensitive — object and vector accumulation paths must
-# agree bit for bit (REPRO4xx rules enforce sequential reductions here).
+# Object and vector accumulation paths must agree bit for bit, so
+# reductions here stay sequential; tests/engine/test_metrics_manager.py::
+# TestLayouts enforces it.
 from __future__ import annotations
 
 from dataclasses import replace

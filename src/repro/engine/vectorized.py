@@ -61,8 +61,8 @@ full tier-1 suite (golden trace, chaos scorecards) that
 ``scripts/check.sh`` runs once per backend.
 """
 
-# repro: equivalence-sensitive — bit-identity contract of docs/performance.md:
-# reductions here must stay sequential (REPRO4xx rules enforce this).
+# Bit-identity contract of docs/performance.md: reductions here must stay
+# sequential; tests/engine/test_vector_equivalence.py enforces it.
 from __future__ import annotations
 
 import math

@@ -78,6 +78,7 @@ from repro.faults.executor import (
     CampaignInterrupted,
     CellRetryPolicy,
     checkpoint_journal,
+    ensure_parallel_safe,
 )
 from repro.telemetry.progress import ProgressListener
 from repro.telemetry.tracer import NULL_TRACER, tracing
@@ -257,10 +258,7 @@ class ChaosWorkload:
     def __post_init__(self) -> None:
         # Workload factories end up inside CampaignCellSpec and cross
         # into pool workers under --jobs N; reject lambdas/closures at
-        # registration, not as a pickle traceback mid-campaign. The
-        # static counterpart is the REPRO2xx pickle-safety rules.
-        from repro.analysis.parallel import ensure_parallel_safe
-
+        # registration, not as a pickle traceback mid-campaign.
         for field_name in (
             "graph_factory",
             "runtime_factory",
@@ -524,7 +522,6 @@ class RecoveryCellSpec:
         )
 
 
-# repro: worker-entry
 def run_recovery_cell(spec: RecoveryCellSpec) -> Tuple[float, ...]:
     """Replay one crash-only campaign and return its crash outages.
 

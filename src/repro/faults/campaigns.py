@@ -693,7 +693,6 @@ class CampaignCellSpec:
         return (self.seed, self.campaign, self.controller)
 
 
-# repro: worker-entry
 def run_campaign_cell(spec: CampaignCellSpec) -> SasoScorecard:
     """Run one campaign cell and reduce it to a scorecard.
 

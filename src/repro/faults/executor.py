@@ -41,6 +41,8 @@ order, resume, or the multiprocessing start method.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import inspect
 import os
 import signal
 import threading
@@ -57,6 +59,7 @@ from typing import (
     Generic,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -236,6 +239,76 @@ class CampaignInterrupted(Exception):
 
 
 # ----------------------------------------------------------------------
+# The pickle guard: what may cross into a pool worker
+# ----------------------------------------------------------------------
+
+def unpicklable_reason(value: object) -> Optional[str]:
+    """Why ``value`` cannot cross a process boundary, or None.
+
+    Lambdas, locally defined functions/classes, bound instance
+    methods, and partials or mappings holding any of those: each
+    either fails to pickle or cannot be re-imported by a fresh worker.
+    """
+    if isinstance(value, functools.partial):
+        inner = unpicklable_reason(value.func)
+        if inner is None:
+            for captured in list(value.args) + list(
+                value.keywords.values()
+            ):
+                if callable(captured):
+                    inner = unpicklable_reason(captured)
+                    if inner is not None:
+                        break
+        if inner is not None:
+            return (
+                "functools.partial over an unpicklable value: "
+                f"{inner}"
+            )
+        return None
+    if isinstance(value, Mapping):
+        for key in value:
+            inner = unpicklable_reason(value[key])
+            if inner is not None:
+                return f"{key!r}: {inner}"
+        return None
+    if inspect.ismethod(value) and not isinstance(value.__self__, type):
+        return (
+            f"bound method {value.__qualname__!r} captures its "
+            "instance and does not pickle; use a module-level function"
+        )
+    qualname = getattr(value, "__qualname__", "") or ""
+    if getattr(value, "__name__", None) == "<lambda>":
+        return (
+            "lambdas pickle by qualified name, which a lambda does not "
+            "have; use a module-level function or functools.partial "
+            "of one"
+        )
+    if "<locals>" in qualname:
+        return (
+            f"{qualname!r} is defined inside a function and cannot be "
+            "imported by a worker process; hoist it to module level"
+        )
+    return None
+
+
+def ensure_parallel_safe(
+    value: object, *, context: str = "factory"
+) -> object:
+    """Reject values that cannot cross a process boundary.
+
+    Called by :class:`CampaignExecutor` before its first pool round and
+    by ``ChaosWorkload`` at construction, so the violation is reported
+    where the value was built, not as a pickle traceback deep inside a
+    campaign. Raises :class:`~repro.errors.FaultInjectionError`;
+    returns ``value`` unchanged when safe.
+    """
+    reason = unpicklable_reason(value)
+    if reason is not None:
+        raise FaultInjectionError(f"{context}: {reason}")
+    return value
+
+
+# ----------------------------------------------------------------------
 # One attempt of one cell: the worker entry point
 # ----------------------------------------------------------------------
 
@@ -349,7 +422,6 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
-# repro: worker-entry
 def run_cell_attempt(work: CellWork) -> _CellOutcome:
     """Run one attempt of one cell, in-process or in a pool worker.
 
@@ -710,29 +782,20 @@ class CampaignExecutor:
     ) -> None:
         """Reject unpicklable controller factories before the pool
         starts: a configuration error poisoning every cell, not a flaky
-        cell to retry (static counterpart: the REPRO2xx rules). Specs
-        without a factory (the recovery replay's) have nothing to
-        check."""
-        # Local import: repro.analysis must stay importable without the
-        # faults stack.
-        from repro.analysis.parallel import ensure_parallel_safe
-        from repro.analysis.rules import AnalysisError
-
+        cell to retry. Specs without a factory (the recovery replay's)
+        have nothing to check."""
         for index in indices:
             spec = specs[index]
             factory = getattr(spec, "controller_factory", None)
             if factory is None:
                 continue
-            try:
-                ensure_parallel_safe(
-                    factory,
-                    context=(
-                        f"campaign cell {_cell_label(spec.key)} "
-                        "controller_factory"
-                    ),
-                )
-            except AnalysisError as error:
-                raise FaultInjectionError(str(error)) from error
+            ensure_parallel_safe(
+                factory,
+                context=(
+                    f"campaign cell {_cell_label(spec.key)} "
+                    "controller_factory"
+                ),
+            )
 
     # -- one round of attempts ------------------------------------------
 
@@ -871,5 +934,7 @@ __all__ = [
     "CellWork",
     "QuarantinedCell",
     "checkpoint_journal",
+    "ensure_parallel_safe",
     "run_cell_attempt",
+    "unpicklable_reason",
 ]

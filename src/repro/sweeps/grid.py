@@ -18,7 +18,8 @@ burstiness changes the storm itself.
 
 All controller factories are module-level functions or
 :func:`functools.partial` of them, so every compiled cell pickles
-cleanly across pool workers (the REPRO2xx rules' dynamic counterpart).
+cleanly across pool workers (checked before the first pool round by
+:func:`repro.faults.executor.ensure_parallel_safe`).
 """
 
 from __future__ import annotations

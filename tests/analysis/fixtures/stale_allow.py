@@ -1,5 +1,5 @@
 """Fixture: REPRO501 stale suppressions — allow comments whose rule
-no longer fires on that line (driver-level check)."""
+no longer fires on that line."""
 
 import time
 

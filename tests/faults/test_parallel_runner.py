@@ -9,13 +9,17 @@ multiprocessing start method, for span structure and metrics text as
 well as scorecards. The suite also covers the failure paths — a
 controller factory that raises must surface the failing `(seed,
 campaign, controller)` cell with its traceback, in-process or in a
-child, and must not hang the pool — plus jobs/env validation and the
-rate-less-source regression. The chaos experiment's crash-recovery
-replay runs on the same executor and is held to the same contract.
+child, and must not hang the pool — plus jobs/env validation, the
+rate-less-source regression, and the pickle guard that rejects
+lambdas, closures and bound methods before any worker starts. The
+chaos experiment's crash-recovery replay runs on the same executor and
+is held to the same contract.
 """
 
 import dataclasses
 import multiprocessing
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +29,8 @@ from repro.engine.runtimes import HeronRuntime
 from repro.errors import FaultInjectionError
 from repro.cli import main
 from repro.experiments.chaos import (
+    WORKLOADS,
+    ChaosWorkload,
     chaos_controllers,
     chaos_report,
     recovery_distributions,
@@ -42,7 +48,11 @@ from repro.faults.campaigns import (
     resolve_jobs,
     run_campaign_cell,
 )
-from repro.faults.executor import CampaignExecutor
+from repro.faults.executor import (
+    CampaignExecutor,
+    ensure_parallel_safe,
+    unpicklable_reason,
+)
 from repro.telemetry.registry import MetricsRegistry, metering
 from repro.telemetry.spans import SpanProfiler, profiling
 from repro.workloads.wordcount import (
@@ -427,7 +437,7 @@ class TestWorkerFailure:
         )
         generator = _wordcount_generator(PROFILES["smoke"])
         with pytest.raises(
-            FaultInjectionError, match="controller='lam'"
+            FaultInjectionError, match="controller='lam'.*lambda"
         ):
             runner.run(
                 generator,
@@ -508,3 +518,101 @@ class TestRateLessSourceRegression:
         )
         object.__setattr__(graph.operator(SOURCE), "rate", None)
         assert runner._targets_for(240.0) == {SOURCE: 1000.0}
+
+
+def _module_factory():
+    return object()
+
+
+class _Holder:
+    def method(self):
+        return object()
+
+
+class TestRuntimeGuard:
+    def test_module_level_callable_passes(self):
+        assert ensure_parallel_safe(_module_factory) is _module_factory
+        assert unpicklable_reason(_module_factory) is None
+
+    def test_lambda_is_rejected(self):
+        reason = unpicklable_reason(lambda: None)
+        assert reason is not None and "lambda" in reason
+        with pytest.raises(FaultInjectionError, match="lambda"):
+            ensure_parallel_safe(lambda: None)
+
+    def test_local_def_is_rejected(self):
+        def local_factory():
+            return object()
+
+        reason = unpicklable_reason(local_factory)
+        assert reason is not None
+        assert "defined inside a function" in reason
+        assert "local_factory" in reason
+
+    def test_bound_method_is_rejected(self):
+        reason = unpicklable_reason(_Holder().method)
+        assert reason is not None and "bound method" in reason
+
+    def test_classmethod_bound_to_type_passes(self):
+        # classmethods pickle by qualified name like plain functions.
+        assert unpicklable_reason(dict.fromkeys) is None
+
+    def test_partial_over_lambda_is_rejected(self):
+        reason = unpicklable_reason(partial(sorted, key=lambda x: x))
+        assert reason is not None
+        assert "functools.partial" in reason and "lambda" in reason
+
+    def test_partial_over_module_callable_passes(self):
+        assert unpicklable_reason(partial(_module_factory)) is None
+
+    def test_mapping_values_are_checked_and_keyed(self):
+        reason = unpicklable_reason(
+            {"ok": _module_factory, "bad": lambda: None}
+        )
+        assert reason is not None
+        assert "'bad'" in reason and "lambda" in reason
+
+    def test_context_prefixes_the_error(self):
+        with pytest.raises(
+            FaultInjectionError, match="controllers_factory:"
+        ):
+            ensure_parallel_safe(
+                lambda: None, context="controllers_factory"
+            )
+
+
+class TestProcessBoundaryHooks:
+    def test_parallel_executor_rejects_lambda_factory(self):
+        spec = SimpleNamespace(
+            key=(7, 0, "lam"), controller_factory=lambda: None
+        )
+        with pytest.raises(FaultInjectionError) as excinfo:
+            CampaignExecutor._ensure_submittable([spec], [0])
+        message = str(excinfo.value)
+        assert "controller='lam'" in message
+        assert "lambda" in message
+
+    def test_parallel_executor_accepts_module_factory(self):
+        spec = SimpleNamespace(
+            key=(7, 0, "ok"), controller_factory=_module_factory
+        )
+        CampaignExecutor._ensure_submittable([spec], [0])
+
+    def test_chaos_workload_rejects_lambda_factory(self):
+        with pytest.raises(
+            FaultInjectionError, match="graph_factory.*lambda"
+        ):
+            ChaosWorkload(
+                name="bad",
+                description="lambda factory must be rejected",
+                policy_interval=1.0,
+                graph_factory=lambda: None,
+                runtime_factory=_module_factory,
+                parallelism_factory=_module_factory,
+                controllers_factory=_module_factory,
+            )
+
+    def test_shipped_chaos_workloads_construct_cleanly(self):
+        # WORKLOADS is built at import time, so importing it at all
+        # proves every shipped factory passed ensure_parallel_safe.
+        assert WORKLOADS
