@@ -16,7 +16,7 @@ Produces the two committed performance artifacts that back
   (the object backend's per-instance Python work scales with
   parallelism, the vector backend's is near-flat), where the two cross,
   and which backend the default width rule
-  (:func:`repro.engine.vectorized.select_backend`) picks for a
+  (:func:`repro.engine.vectorized.width_backend`) picks for a
   deployment of each plan.
 
 Usage::
@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime, HeronRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.engine.vectorized import BACKENDS, select_backend
+from repro.engine.vectorized import BACKENDS, width_backend
 from repro.workloads.nexmark import get_query
 from repro.workloads.wordcount import heron_wordcount_graph
 
@@ -189,7 +189,7 @@ def scaling_table(seconds: float) -> Tuple[str, float]:
         rows.append(
             f"{label:<16} {max(plan.parallelism.values()):>6} "
             f"{tps['object']:>11.0f} {tps['vector']:>11.0f} "
-            f"{speedup:>7.2f}x {select_backend(None, plan):>8}"
+            f"{speedup:>7.2f}x {width_backend(plan):>8}"
         )
     return "\n".join(rows), bench_speedup
 
@@ -229,7 +229,7 @@ def main(argv: List[str]) -> int:
         "q5 slots=N:\nNexmark Q5 on the Flink runtime, "
         "tick=0.25s, record latency tracking on;\nQ5 gives the N slots "
         "to the windowed hot_items operator. widest = the\nplan's widest "
-        "operator; default = the backend select_backend picks for a\n"
+        "operator; default = the backend width_backend picks for a\n"
         "deployment of it when nothing is pinned.\n"
     )
     speedup_text = (

@@ -1,9 +1,8 @@
-"""Shared diagnostic model and reporters for the analysis engines.
+"""Diagnostic model and reporters for the determinism linter.
 
-Both the determinism linter and the graph checker reduce their findings
-to :class:`Diagnostic` records; the text and JSON renderers here are the
-only way results leave the package, so the CLI, CI gate, and tests all
-consume the same shape.
+The linter reduces its findings to :class:`Diagnostic` records; the
+text and JSON renderers here are the only way results leave the
+package, so the CLI, CI gate, and tests all consume the same shape.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from typing import Iterable, List, Optional, Sequence
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings fail the run (non-zero exit from the CLI,
-    :class:`~repro.errors.GraphError` from construction-time checks);
+    ``ERROR`` findings fail the run (non-zero exit from the CLI);
     ``WARNING`` findings are reported but do not fail by themselves.
     """
 
@@ -34,15 +32,13 @@ class Diagnostic:
     """One finding of an analysis pass.
 
     Attributes:
-        code: Stable rule/check identifier (e.g. ``REPRO104``,
-            ``GRAPH101``) — what suppressions and ``--select`` match.
+        code: Stable rule identifier (e.g. ``REPRO104``) — what
+            suppressions and ``--select`` match.
         message: Human-readable description, phrased as the problem
             plus the fix ("iterating a set ...; sort it first").
-        path: Source file for lint findings, graph name for graph
-            findings.
-        line: 1-based source line for lint findings (None for graph
-            findings).
-        column: 0-based source column for lint findings.
+        path: Source file of the finding.
+        line: 1-based source line (None when not tied to a line).
+        column: 0-based source column.
         severity: :class:`Severity` of the finding.
     """
 

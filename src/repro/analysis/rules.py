@@ -6,9 +6,7 @@ one-line rationale. Registries keep ids unique and give the CLI and the
 documentation one place to enumerate the catalog from.
 
 Id conventions: ``REPRO1xx`` are determinism lint rules; ``REPRO5xx``
-are suppression-hygiene rules; ``GRAPH1xx`` are structural graph
-checks; ``GRAPH2xx`` are physical-plan checks; ``GRAPH3xx`` are
-rate/selectivity sanity checks.
+are suppression-hygiene rules.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from repro.errors import ReproError
 
 class AnalysisError(ReproError):
     """Raised for invalid analysis requests (unknown rule ids, paths
-    that are neither files nor directories, malformed graph specs)."""
+    that are neither files nor directories)."""
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,12 @@ Commands:
 * ``lint [paths]`` — the determinism linter over Python sources
   (defaults to the installed ``repro`` package); non-zero exit on
   violations, so CI can gate on it.
-* ``check-graph [graphs]`` — the dataflow-graph static checker over
-  built-in workload graphs (``--all``) or a JSON spec (``--spec``).
 """
 
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -266,26 +265,13 @@ def cmd_list_experiments(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_resume_command(args: argparse.Namespace) -> str:
-    """The exact command that resumes an interrupted chaos run."""
-    parts = ["python -m repro run chaos"]
-    if getattr(args, "scale", 1.0) != 1.0:
-        parts.append(f"--scale {args.scale:g}")
-    if getattr(args, "profile", None) is not None:
-        parts.append(f"--profile {args.profile}")
-    if getattr(args, "seeds", None) is not None:
-        parts.append(f"--seeds {args.seeds}")
-    if getattr(args, "fault_seed", 1) != 1:
-        parts.append(f"--fault-seed {args.fault_seed}")
-    if getattr(args, "workload", None) is not None:
-        parts.append(f"--workload {args.workload}")
-    if getattr(args, "jobs", None) is not None:
-        parts.append(f"--jobs {args.jobs}")
-    if getattr(args, "progress", False):
-        parts.append("--progress")
-    parts.append(f"--checkpoint {args.checkpoint}")
-    parts.append("--resume")
-    return " ".join(parts)
+def _resume_command(args: argparse.Namespace) -> str:
+    """The shell command that resumes an interrupted journaled run: the
+    original command line, every flag kept, plus ``--resume``."""
+    argv = list(args.argv)
+    if "--resume" not in argv:
+        argv.append("--resume")
+    return shlex.join(["python", "-m", "repro", *argv])
 
 
 def _execute_run(
@@ -328,7 +314,7 @@ def _execute_run(
             print(str(error), file=sys.stderr)
             if error.path is not None:
                 print(
-                    f"resume with: {_chaos_resume_command(args)}",
+                    f"resume with: {_resume_command(args)}",
                     file=sys.stderr,
                 )
             return 130
@@ -538,48 +524,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if has_errors(findings) else 0
 
 
-def cmd_check_graph(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        check_graph,
-        graph_spec_from_json,
-        render_json,
-        render_text,
-    )
-    from repro.analysis.report import Severity
-    from repro.analysis.rules import AnalysisError
-    from repro.analysis.workload_graphs import (
-        build_graph,
-        builtin_graph_names,
-    )
-
-    names = list(args.graphs)
-    if args.all:
-        names = list(builtin_graph_names())
-    if not names and args.spec is None:
-        print(
-            "nothing to check: name built-in graphs, pass --all, or "
-            f"--spec FILE\nbuilt-ins: {', '.join(builtin_graph_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    findings = []
-    try:
-        for name in names:
-            findings.extend(check_graph(build_graph(name), name=name))
-        if args.spec is not None:
-            spec = graph_spec_from_json(args.spec)
-            findings.extend(check_graph(spec))
-    except (AnalysisError, ValueError) as error:
-        print(f"check-graph error: {error}", file=sys.stderr)
-        return 2
-    renderer = render_json if args.format == "json" else render_text
-    print(renderer(findings))
-    has_error = any(
-        f.severity is Severity.ERROR for f in findings
-    )
-    return 1 if has_error else 0
-
-
 def _oneshot_wordcount_audit():
     """One DS2 sizing of the under-provisioned Heron wordcount from a
     single 60 s window, as a (evaluation, DecisionAudit) pair — the
@@ -758,18 +702,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_resume_command(args: argparse.Namespace) -> str:
-    """The exact command that resumes an interrupted sweep."""
-    parts = [f"python -m repro sweep run --spec {args.spec}"]
-    if getattr(args, "jobs", None) is not None:
-        parts.append(f"--jobs {args.jobs}")
-    if getattr(args, "progress", False):
-        parts.append("--progress")
-    parts.append(f"--checkpoint {args.checkpoint}")
-    parts.append("--resume")
-    return " ".join(parts)
-
-
 def _write_sweep_report(report: object, fmt: str) -> None:
     from repro.sweeps import SWEEP_RENDERERS
 
@@ -833,7 +765,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
             print(str(error), file=sys.stderr)
             if error.path is not None:
                 print(
-                    f"resume with: {_sweep_resume_command(args)}",
+                    f"resume with: {_resume_command(args)}",
                     file=sys.stderr,
                 )
             return 130
@@ -1221,39 +1153,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     lint.set_defaults(func=cmd_lint)
-    check = sub.add_parser(
-        "check-graph",
-        help="static checks on dataflow graphs",
-    )
-    check.add_argument(
-        "graphs",
-        nargs="*",
-        help="built-in graph names (see 'repro check-graph' bare)",
-    )
-    check.add_argument(
-        "--all",
-        action="store_true",
-        help="check every built-in workload graph",
-    )
-    check.add_argument(
-        "--spec",
-        default=None,
-        metavar="FILE",
-        help="check a JSON graph spec file",
-    )
-    check.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    check.set_defaults(func=cmd_check_graph)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Kept for the resume command printed when a journaled run is
+    # interrupted.
+    args.argv = tuple(argv)
     if not getattr(args, "command", None):
         parser.print_help()
         return 1

@@ -23,6 +23,17 @@ from typing import Optional, Sequence, Tuple
 from repro.errors import GraphError
 
 
+def _finite_at_least_zero(value: float) -> bool:
+    """Whether ``value`` is a finite number >= 0. NaN and infinities
+    fail: they would poison every rate the engine and DS2 derive."""
+    return 0.0 <= value < math.inf
+
+
+def _finite_above_zero(value: float) -> bool:
+    """Whether ``value`` is a finite number > 0."""
+    return 0.0 < value < math.inf
+
+
 class OperatorKind(enum.Enum):
     """The kinds of operators supported by the simulator.
 
@@ -63,14 +74,17 @@ class CostModel:
     coordination_alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.processing_cost < 0:
-            raise ValueError("processing_cost must be >= 0")
-        if self.deserialization_cost < 0:
-            raise ValueError("deserialization_cost must be >= 0")
-        if self.serialization_cost < 0:
-            raise ValueError("serialization_cost must be >= 0")
-        if self.coordination_alpha < 0:
-            raise ValueError("coordination_alpha must be >= 0")
+        for name in (
+            "processing_cost",
+            "deserialization_cost",
+            "serialization_cost",
+            "coordination_alpha",
+        ):
+            value = getattr(self, name)
+            if not _finite_at_least_zero(value):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
 
     @property
     def base_cost(self) -> float:
@@ -114,8 +128,11 @@ class Selectivity:
     ratio: float
 
     def __post_init__(self) -> None:
-        if self.ratio < 0:
-            raise ValueError("selectivity ratio must be >= 0")
+        if not _finite_at_least_zero(self.ratio):
+            raise ValueError(
+                f"selectivity ratio must be finite and >= 0, "
+                f"got {self.ratio!r}"
+            )
 
     def outputs_for(self, records: float) -> float:
         """Number of output records for ``records`` processed inputs."""
@@ -141,10 +158,17 @@ class RateSchedule:
             raise ValueError("first step of a rate schedule must start at 0")
         previous = -math.inf
         for start, rate in self.steps:
+            if not math.isfinite(start):
+                raise ValueError(
+                    f"rate schedule start times must be finite, "
+                    f"got {start!r}"
+                )
             if start <= previous:
                 raise ValueError("rate schedule steps must be increasing")
-            if rate < 0:
-                raise ValueError("rates must be >= 0")
+            if not _finite_at_least_zero(rate):
+                raise ValueError(
+                    f"rates must be finite and >= 0, got {rate!r}"
+                )
             previous = start
 
     @classmethod
@@ -219,20 +243,23 @@ class WindowSpec:
     staggered: bool = False
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError("window length must be > 0")
+        if not _finite_above_zero(self.length):
+            raise ValueError("window length must be finite and > 0")
         if self.kind is WindowKind.SLIDING:
-            if self.slide is None or self.slide <= 0:
+            if self.slide is None or not _finite_above_zero(self.slide):
                 raise ValueError("sliding windows need a positive slide")
             if self.slide > self.length:
                 raise ValueError("slide must be <= window length")
         if self.kind is WindowKind.SESSION:
-            if self.gap is None or self.gap <= 0:
+            if self.gap is None or not _finite_above_zero(self.gap):
                 raise ValueError("session windows need a positive gap")
-        if self.assign_cost < 0 or self.fire_cost < 0:
-            raise ValueError("window costs must be >= 0")
-        if self.fire_selectivity < 0:
-            raise ValueError("fire_selectivity must be >= 0")
+        if not (
+            _finite_at_least_zero(self.assign_cost)
+            and _finite_at_least_zero(self.fire_cost)
+        ):
+            raise ValueError("window costs must be finite and >= 0")
+        if not _finite_at_least_zero(self.fire_selectivity):
+            raise ValueError("fire_selectivity must be finite and >= 0")
 
     @property
     def fire_interval(self) -> float:
@@ -323,12 +350,14 @@ class OperatorSpec:
             raise GraphError(
                 f"non-window operator {self.name!r} cannot have a window"
             )
-        if self.rate_limit is not None and self.rate_limit <= 0:
-            raise GraphError("rate_limit must be > 0 when given")
-        if self.state_bytes_per_record < 0:
-            raise GraphError("state_bytes_per_record must be >= 0")
-        if self.record_bytes <= 0:
-            raise GraphError("record_bytes must be > 0")
+        if self.rate_limit is not None and not _finite_above_zero(
+            self.rate_limit
+        ):
+            raise GraphError("rate_limit must be finite and > 0 when given")
+        if not _finite_at_least_zero(self.state_bytes_per_record):
+            raise GraphError("state_bytes_per_record must be finite and >= 0")
+        if not _finite_above_zero(self.record_bytes):
+            raise GraphError("record_bytes must be finite and > 0")
 
     @property
     def is_source(self) -> bool:

@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.graphcheck import ensure_valid_graph
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.operators import OperatorSpec
 from repro.dataflow.physical import InstanceId, PhysicalPlan
@@ -224,16 +223,6 @@ class Simulator:
         }
         self._sources = self._graph.sources()
         self._sinks = self._graph.sinks()
-        # Fail before the first tick, with every problem reported at
-        # once, if the graph or plan violates a static invariant that
-        # arrived through a path LogicalGraph/PhysicalPlan did not
-        # already validate.
-        ensure_valid_graph(
-            self._graph,
-            parallelism=plan.parallelism,
-            max_parallelism=plan.max_parallelism,
-            name="simulator graph",
-        )
         self._runtime = runtime
         self._config = config or EngineConfig()
         self._time = 0.0

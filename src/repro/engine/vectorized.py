@@ -96,7 +96,7 @@ VECTOR_MIN_WIDTH = 8
 def resolve_backend(backend: Optional[str]) -> Optional[str]:
     """The pinned engine backend: the explicit argument if given, else
     the ``REPRO_ENGINE`` environment variable, else None (pick from the
-    plan, see :func:`select_backend`)."""
+    plan, see :func:`width_backend`)."""
     chosen = backend if backend is not None else (
         os.environ.get(ENGINE_ENV) or None
     )
@@ -113,15 +113,6 @@ def resolve_backend(backend: Optional[str]) -> Optional[str]:
             f"or select {ENGINE_ENV}=object"
         )
     return chosen
-
-
-def select_backend(backend: Optional[str], plan: PhysicalPlan) -> str:
-    """The backend a deployment of ``plan`` runs on: the pinned one
-    (:func:`resolve_backend`) if any, else :func:`width_backend`."""
-    pinned = resolve_backend(backend)
-    if pinned is not None:
-        return pinned
-    return width_backend(plan)
 
 
 def width_backend(plan: PhysicalPlan) -> str:
@@ -930,6 +921,5 @@ __all__ = [
     "VECTOR_MIN_WIDTH",
     "VectorEngine",
     "resolve_backend",
-    "select_backend",
     "width_backend",
 ]

@@ -54,6 +54,7 @@ from typing import (
     Union,
 )
 
+from repro.dataflow.physical import PhysicalPlan
 from repro.errors import FaultInjectionError
 from repro.faults.events import (
     FaultEvent,
@@ -779,16 +780,10 @@ class CampaignRunner:
     ) -> None:
         if not controllers:
             raise FaultInjectionError("runner needs >= 1 controller")
-        # Static checks before the first (expensive) campaign cell:
-        # a malformed graph or impossible starting parallelism fails
-        # here with every problem reported, not mid-batch.
-        from repro.analysis.graphcheck import ensure_valid_graph
-
-        ensure_valid_graph(
-            graph,
-            parallelism=dict(initial_parallelism),
-            name="campaign graph",
-        )
+        # An impossible starting parallelism fails here, as PlanError,
+        # before the first (expensive) campaign cell rather than
+        # mid-batch.
+        PhysicalPlan(graph, initial_parallelism)
         self._graph = graph
         self._runtime = runtime
         self._initial = dict(initial_parallelism)

@@ -210,18 +210,14 @@ class CompiledGrid:
 def compile_grid(spec: SweepSpec) -> CompiledGrid:
     """Lower a sweep spec into executor-ready campaign cells.
 
-    Every graph/parallelism combination is statically validated before
-    the first (expensive) cell runs; per-cell fingerprints come from
+    Per-cell fingerprints come from
     :func:`~repro.faults.checkpoint.cell_fingerprint` exactly as for
     chaos campaigns, so sweep journals reject foreign or stale cells
     the same way.
     """
-    from repro.analysis.graphcheck import ensure_valid_graph
-
     cells = expand_cells(spec)
     graphs: Dict[float, LogicalGraph] = {}
     generators: Dict[Tuple[str, Optional[float]], CampaignGenerator] = {}
-    validated: set = set()
     specs: List[CampaignCellSpec] = []
     owners: List[Tuple[int, int]] = []
     engine_config = EngineConfig(
@@ -247,13 +243,6 @@ def compile_grid(spec: SweepSpec) -> CompiledGrid:
                 name: initial[name]
                 for name in graph.scalable_operators()
             }
-        if (cell.rate, cell.runtime) not in validated:
-            ensure_valid_graph(
-                graph,
-                parallelism=dict(initial),
-                name=f"sweep graph (rate={cell.rate:g})",
-            )
-            validated.add((cell.rate, cell.runtime))
         profile = _variant_profile(cell.profile, cell.burstiness)
         generator = generators.get((profile.name, cell.burstiness))
         if generator is None:

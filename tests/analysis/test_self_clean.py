@@ -67,6 +67,6 @@ def test_package_root_is_the_real_tree():
     # Guard against the test silently passing because it linted an
     # installed copy with no modules in it.
     assert (PACKAGE_ROOT / "analysis" / "linter.py").is_file()
-    assert (PACKAGE_ROOT / "analysis" / "graphcheck.py").is_file()
+    assert (PACKAGE_ROOT / "analysis" / "report.py").is_file()
     assert (PACKAGE_ROOT / "engine" / "simulator.py").is_file()
     assert FIXTURES.is_dir()

@@ -100,6 +100,20 @@ class TestConstruction:
         with pytest.raises(GraphError):
             LogicalGraph(ops, edges)
 
+    def test_unfed_operator_rejected(self):
+        # Feeds the sink but is reachable from no source.
+        ops = [_src(), _map("m"), _map("unfed"), sink("k")]
+        edges = [Edge("src", "m"), Edge("m", "k"), Edge("unfed", "k")]
+        with pytest.raises(GraphError, match="no incoming edges"):
+            LogicalGraph(ops, edges)
+
+    def test_dead_end_operator_rejected(self):
+        # Fed by the source but reaches no sink.
+        ops = [_src(), _map("m"), _map("dead"), sink("k")]
+        edges = [Edge("src", "m"), Edge("m", "k"), Edge("src", "dead")]
+        with pytest.raises(GraphError, match="no outgoing edges"):
+            LogicalGraph(ops, edges)
+
     def test_graph_without_source_rejected(self):
         # A map with no incoming edges is caught as a non-source with
         # no inputs.

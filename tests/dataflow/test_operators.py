@@ -25,6 +25,92 @@ from repro.dataflow.operators import (
 from repro.errors import GraphError
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Selectivity(ratio=NAN), ValueError),
+        (lambda: Selectivity(ratio=INF), ValueError),
+        (lambda: RateSchedule.constant(NAN), ValueError),
+        (lambda: RateSchedule.constant(INF), ValueError),
+        (lambda: RateSchedule.phases([(0.0, 1.0), (NAN, 2.0)]), ValueError),
+        (lambda: RateSchedule.phases([(0.0, 1.0), (INF, 2.0)]), ValueError),
+        (lambda: CostModel(processing_cost=NAN), ValueError),
+        (lambda: CostModel(processing_cost=INF), ValueError),
+        (
+            lambda: CostModel(processing_cost=1e-6, serialization_cost=NAN),
+            ValueError,
+        ),
+        (
+            lambda: CostModel(processing_cost=1e-6, coordination_alpha=INF),
+            ValueError,
+        ),
+        (
+            lambda: WindowSpec(
+                kind=WindowKind.TUMBLING, length=1.0, fire_selectivity=NAN
+            ),
+            ValueError,
+        ),
+        (
+            lambda: WindowSpec(
+                kind=WindowKind.SLIDING, length=INF, slide=1.0
+            ),
+            ValueError,
+        ),
+        (
+            lambda: map_operator(
+                "m", costs=CostModel(processing_cost=1e-6), rate_limit=NAN
+            ),
+            GraphError,
+        ),
+        (
+            lambda: map_operator(
+                "m", costs=CostModel(processing_cost=1e-6), rate_limit=INF
+            ),
+            GraphError,
+        ),
+        (
+            lambda: map_operator(
+                "m", costs=CostModel(processing_cost=1e-6),
+                record_bytes=NAN,
+            ),
+            GraphError,
+        ),
+        (
+            lambda: map_operator(
+                "m", costs=CostModel(processing_cost=1e-6),
+                state_bytes_per_record=INF,
+            ),
+            GraphError,
+        ),
+    ],
+    ids=[
+        "selectivity-nan",
+        "selectivity-inf",
+        "rate-nan",
+        "rate-inf",
+        "start-nan",
+        "start-inf",
+        "cost-nan",
+        "cost-inf",
+        "serialization-nan",
+        "alpha-inf",
+        "fire-selectivity-nan",
+        "window-length-inf",
+        "rate-limit-nan",
+        "rate-limit-inf",
+        "record-bytes-nan",
+        "state-bytes-inf",
+    ],
+)
+def test_non_finite_values_rejected_at_construction(build, error):
+    with pytest.raises(error, match="finite"):
+        build()
+
+
 class TestCostModel:
     def test_base_cost_sums_three_activities(self):
         costs = CostModel(

@@ -35,7 +35,7 @@ from repro.engine.vectorized import (
     ENGINE_ENV,
     VECTOR_MIN_WIDTH,
     resolve_backend,
-    select_backend,
+    width_backend,
 )
 from repro.errors import EngineError
 from repro.faults.campaigns import (
@@ -321,8 +321,8 @@ class TestBackendSelection:
         assert resolve_backend(None) is None
         narrow = _uniform_plan(VECTOR_MIN_WIDTH - 1)
         wide = _uniform_plan(VECTOR_MIN_WIDTH)
-        assert select_backend(None, narrow) == "object"
-        assert select_backend(None, wide) == "vector"
+        assert width_backend(narrow) == "object"
+        assert width_backend(wide) == "vector"
 
     def test_widest_operator_decides(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
@@ -336,12 +336,22 @@ class TestBackendSelection:
     def test_default_without_numpy_is_object(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         monkeypatch.setattr(vectorized, "HAVE_NUMPY", False)
-        assert select_backend(None, _uniform_plan(64)) == "object"
+        assert width_backend(_uniform_plan(64)) == "object"
 
     def test_pin_overrides_width(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "object")
-        assert select_backend(None, _uniform_plan(64)) == "object"
-        assert select_backend("vector", _uniform_plan(1)) == "vector"
+        assert resolve_backend(None) == "object"
+        assert resolve_backend("vector") == "vector"
+        wide = Simulator(
+            _uniform_plan(VECTOR_MIN_WIDTH), HeronRuntime(),
+            EngineConfig(tick=0.5),
+        )
+        assert wide.backend == "object"
+        narrow = Simulator(
+            _uniform_plan(1), HeronRuntime(), EngineConfig(tick=0.5),
+            backend="vector",
+        )
+        assert narrow.backend == "vector"
 
     def test_env_selects_vector(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "vector")

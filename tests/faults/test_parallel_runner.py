@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.runtimes import HeronRuntime
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, PlanError
 from repro.cli import main
 from repro.experiments.chaos import (
     WORKLOADS,
@@ -444,6 +444,22 @@ class TestWorkerFailure:
                 1,
                 executor=CampaignExecutor(jobs=2, pool_timeout=POOL_TIMEOUT),
             )
+
+
+class TestRunnerInit:
+    def test_bad_initial_plan_fails_before_any_cell(self):
+        """The starting plan is built as a PhysicalPlan at
+        construction, so an impossible one fails there as PlanError;
+        the exploding controller proves no cell ever ran."""
+        for initial in ({FLATMAP: 0}, {"no-such-operator": 1}):
+            with pytest.raises(PlanError):
+                CampaignRunner(
+                    graph=heron_wordcount_graph(),
+                    runtime=HeronRuntime(),
+                    initial_parallelism=initial,
+                    controllers={"boom": _exploding_controller},
+                    policy_interval=HERON_POLICY_INTERVAL,
+                )
 
 
 class TestJobsResolution:

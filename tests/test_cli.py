@@ -1,14 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.workload_graphs import builtin_graph_names
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.faults.executor import CampaignInterrupted
 
 FIXTURES = Path(__file__).parent / "analysis" / "fixtures"
+SWEEP_SPEC = Path(__file__).parent / "sweeps" / "smoke_grid.toml"
 
 
 class TestParser:
@@ -184,6 +186,94 @@ class TestCheckpointCli:
         assert capsys.readouterr().out == first
 
 
+class TestResumeCommand:
+    """An interrupted journaled run prints a resume command that is the
+    original command line, every flag kept and paths shell-quoted."""
+
+    @staticmethod
+    def _printed_command(err):
+        line = next(
+            line for line in err.splitlines()
+            if line.startswith("resume with: ")
+        )
+        words = shlex.split(line[len("resume with: "):])
+        assert words[:3] == ["python", "-m", "repro"]
+        return build_parser().parse_args(words[3:])
+
+    @staticmethod
+    def _interrupt(checkpoint):
+        def interrupted(*args, **kwargs):
+            raise CampaignInterrupted(
+                "interrupted", completed=1, cells=2, path=checkpoint
+            )
+
+        return interrupted
+
+    def test_sweep_resume_keeps_format(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import repro.sweeps
+
+        checkpoint = str(tmp_path / "sweep journal.jsonl")
+        monkeypatch.setattr(
+            repro.sweeps, "run_sweep", self._interrupt(checkpoint)
+        )
+        assert main([
+            "sweep", "run", "--spec", str(SWEEP_SPEC),
+            "--format", "json", "--jobs", "2",
+            "--checkpoint", checkpoint,
+        ]) == 130
+        args = self._printed_command(capsys.readouterr().err)
+        assert args.command == "sweep"
+        assert args.spec == str(SWEEP_SPEC)
+        assert args.format == "json"
+        assert args.jobs == 2
+        assert args.checkpoint == checkpoint
+        assert args.resume is True
+
+    def test_chaos_resume_keeps_telemetry_flags(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import repro.cli
+
+        out_dir = tmp_path / "run output"
+        checkpoint = str(out_dir / "chaos.ckpt")
+        trace = str(out_dir / "trace.jsonl")
+        spans = str(out_dir / "spans.json")
+        monkeypatch.setattr(
+            repro.cli, "_run_chaos", self._interrupt(checkpoint)
+        )
+        assert main([
+            "run", "chaos", "--profile", "smoke", "--seeds", "2",
+            "--trace", trace, "--spans", spans, "--telemetry",
+            "--checkpoint", checkpoint,
+        ]) == 130
+        args = self._printed_command(capsys.readouterr().err)
+        assert args.experiment == "chaos"
+        assert args.profile == "smoke"
+        assert args.seeds == 2
+        assert args.trace == trace
+        assert args.spans == spans
+        assert args.telemetry is True
+        assert args.checkpoint == checkpoint
+        assert args.resume is True
+
+    def test_resume_flag_is_not_repeated(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import repro.cli
+
+        checkpoint = str(tmp_path / "chaos.ckpt")
+        monkeypatch.setattr(
+            repro.cli, "_run_chaos", self._interrupt(checkpoint)
+        )
+        assert main([
+            "run", "chaos", "--checkpoint", checkpoint, "--resume",
+        ]) == 130
+        err = capsys.readouterr().err
+        assert err.count("--resume") == 1
+
+
 class TestLintCommand:
     def test_clean_file_exits_zero(self, capsys):
         assert main(["lint", str(FIXTURES / "clean.py")]) == 0
@@ -247,78 +337,6 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert "REPRO501" in out
         assert "warning" in out
-
-
-class TestCheckGraphCommand:
-    def test_all_builtin_graphs_pass(self, capsys):
-        assert main(["check-graph", "--all"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
-
-    def test_named_graph_passes(self, capsys):
-        assert main(["check-graph", "wordcount-heron"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
-
-    def test_no_arguments_is_usage_error(self, capsys):
-        assert main(["check-graph"]) == 2
-        err = capsys.readouterr().err
-        # Usage error lists the built-in names so the fix is obvious.
-        assert "wordcount-heron" in err
-
-    def test_unknown_graph_is_usage_error(self, capsys):
-        assert main(["check-graph", "no-such-graph"]) == 2
-        assert "no-such-graph" in capsys.readouterr().err
-
-    def test_cyclic_spec_exits_nonzero(self, capsys, tmp_path):
-        spec = tmp_path / "cyclic.json"
-        spec.write_text(json.dumps({
-            "name": "cyclic",
-            "operators": [
-                {"name": "src", "kind": "source", "rate": 10.0},
-                {"name": "a"},
-                {"name": "b"},
-                {"name": "out", "kind": "sink"},
-            ],
-            "edges": [
-                ["src", "a"], ["a", "b"], ["b", "a"], ["a", "out"],
-            ],
-        }))
-        assert main(["check-graph", "--spec", str(spec)]) == 1
-        out = capsys.readouterr().out
-        assert "GRAPH101" in out
-        assert "back edges" in out
-
-    def test_orphan_spec_exits_nonzero_json(self, capsys, tmp_path):
-        spec = tmp_path / "orphan.json"
-        spec.write_text(json.dumps({
-            "name": "orphan",
-            "operators": [
-                {"name": "src", "kind": "source", "rate": 10.0},
-                {"name": "lost"},
-                {"name": "out", "kind": "sink"},
-            ],
-            "edges": [["src", "out"]],
-        }))
-        assert main([
-            "check-graph", "--format", "json", "--spec", str(spec),
-        ]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        codes = {d["code"] for d in payload["diagnostics"]}
-        assert "GRAPH104" in codes
-
-    def test_malformed_spec_file_is_usage_error(self, capsys, tmp_path):
-        spec = tmp_path / "broken.json"
-        spec.write_text("{not json")
-        assert main(["check-graph", "--spec", str(spec)]) == 2
-        assert capsys.readouterr().err
-
-    def test_registry_names_are_stable(self):
-        # The CLI test list stays honest: a rename of a built-in graph
-        # shows up here rather than silently changing --all coverage.
-        names = builtin_graph_names()
-        assert "wordcount-heron" in names
-        assert "wordcount-flink" in names
-        assert "wordcount-skew" in names
-        assert len(names) >= 20
 
 
 class TestCommands:
