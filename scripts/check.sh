@@ -108,8 +108,7 @@ run_stage "trace schema (golden file)" \
     python -m pytest -q tests/telemetry/test_trace_io.py
 # Executor equivalence gate: cells run on a process pool must produce
 # byte-identical scorecards to in-process ones on the smoke profile,
-# and the same span structure and metrics text under every start
-# method.
+# and the same span structure under every start method.
 run_stage "parallel chaos equivalence (smoke)" \
     python -m pytest -q tests/faults/test_parallel_runner.py \
     -k "smoke or start_method or recovery"

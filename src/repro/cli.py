@@ -6,8 +6,7 @@ Commands:
 * ``list-experiments`` — the reproducible tables/figures.
 * ``run <experiment>`` — run one experiment (optionally scaled down)
   and print the regenerated rows. ``--trace FILE`` records a JSONL
-  trace of the run; ``--telemetry`` prints the runtime metrics
-  registry afterwards. For ``chaos``, ``--checkpoint FILE`` journals
+  trace of the run. For ``chaos``, ``--checkpoint FILE`` journals
   every completed cell durably (retry/quarantine supervision included)
   and ``--resume`` continues an interrupted run byte-identically;
   ``--progress`` renders live cell progress on stderr and ``--spans
@@ -402,13 +401,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     trace_path = getattr(args, "trace", None)
     spans_path = getattr(args, "spans", None)
-    telemetry = bool(getattr(args, "telemetry", False))
-    if (
-        trace_path is None
-        and spans_path is None
-        and not telemetry
-        and not show_progress
-    ):
+    if trace_path is None and spans_path is None and not show_progress:
         return _execute_run(
             args, experiment, runner, faults, profile, seeds,
             workload, jobs,
@@ -424,28 +417,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         progress = make_progress_renderer(sys.stderr)
     profiler = None
     tracer = None
-    registry = None
     with contextlib.ExitStack() as stack:
         if spans_path is not None:
             from repro.telemetry.spans import SpanProfiler, profiling
 
             profiler = SpanProfiler()
             stack.enter_context(profiling(profiler))
-        if trace_path is not None or telemetry:
+        if trace_path is not None:
             # Activate an unbounded tracer (a CLI run is finite;
-            # nothing should be evicted from the flight recorder) and
-            # a fresh metrics registry for the duration of the run.
-            from repro.telemetry import (
-                MetricsRegistry,
-                Tracer,
-                metering,
-                tracing,
-            )
+            # nothing should be evicted from the flight recorder).
+            from repro.telemetry import Tracer, tracing
 
             tracer = Tracer(capacity=None)
-            registry = MetricsRegistry()
             stack.enter_context(tracing(tracer))
-            stack.enter_context(metering(registry))
         if progress is not None:
             stack.callback(progress.close)
         code = _execute_run(
@@ -454,7 +438,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if code != 0:
         return code
-    if spans_path is not None and profiler is not None:
+    if profiler is not None:
         import json
 
         try:
@@ -468,15 +452,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"cannot write spans: {error}", file=sys.stderr)
             return 2
         print(f"wrote span profile to {spans_path}")
-    if trace_path is not None and tracer is not None:
+    if tracer is not None:
         try:
             count = tracer.write_jsonl(trace_path)
         except OSError as error:
             print(f"cannot write trace: {error}", file=sys.stderr)
             return 2
         print(f"wrote {count} trace events to {trace_path}")
-    if telemetry and registry is not None:
-        print(registry.render_text())
     return 0
 
 
@@ -923,11 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="record a JSONL trace of the run to FILE",
-    )
-    run.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="print the runtime metrics registry after the run",
     )
     run.add_argument(
         "--progress",

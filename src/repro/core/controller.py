@@ -41,7 +41,6 @@ from repro.telemetry.audit import (
     build_decision_audit,
     finalize_audit,
 )
-from repro.telemetry.registry import active_registry
 from repro.telemetry.spans import SpanProfiler, active_profiler
 from repro.telemetry.tracer import Tracer, active_tracer
 
@@ -243,14 +242,6 @@ class ControlLoop:
         self._tracer = tracer if tracer is not None else active_tracer()
         self._profiler: SpanProfiler = active_profiler()
         self._audit_enabled = audit
-        self._m_decisions = active_registry().counter(
-            "repro_controller_decisions_total",
-            "Policy invocations by controller and outcome",
-        )
-        self._m_window_age = active_registry().gauge(
-            "repro_controller_window_age_seconds",
-            "Age of the observed window at invocation time (staleness)",
-        )
         # (requested, next attempt number, earliest retry time)
         self._pending_retry: Optional[
             Tuple[Dict[str, int], int, float]
@@ -307,10 +298,6 @@ class ControlLoop:
             )
             desired = self._controller.on_metrics(observation)
             self.result.decisions.append((self._sim.time, desired))
-            self._m_window_age.set(
-                max(0.0, self._sim.time - window.end),
-                controller=self._controller.name,
-            )
             audit: Optional[DecisionAudit] = None
             if self._audit_enabled:
                 audit = build_decision_audit(
@@ -343,11 +330,8 @@ class ControlLoop:
         attempt: int = 0,
         failure_reason: Optional[str] = None,
     ) -> None:
-        """Close out one policy invocation: count it, finalize its
-        audit record, and emit the trace events."""
-        self._m_decisions.inc(
-            controller=self._controller.name, outcome=outcome
-        )
+        """Close out one policy invocation: finalize its audit record
+        and emit the trace events."""
         if audit is not None:
             if reason is not None and audit.skip_reason is None:
                 audit = replace(audit, skip_reason=reason)

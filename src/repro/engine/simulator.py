@@ -52,11 +52,6 @@ from repro.engine.vectorized import (
 )
 from repro.errors import EngineError, ReconfigurationError
 from repro.metrics import MetricsWindow, OperatorHealth
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    active_registry,
-    wall_clock,
-)
 from repro.telemetry.spans import SpanProfiler, active_profiler
 from repro.telemetry.tracer import Tracer, active_tracer
 
@@ -196,13 +191,11 @@ class Simulator:
         runtime: Runtime,
         config: Optional[EngineConfig] = None,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
         backend: Optional[str] = None,
     ) -> None:
-        """``tracer``/``registry`` default to the ambient ones (see
-        :func:`repro.telemetry.tracing` /
-        :func:`repro.telemetry.metering`) — no-ops unless a caller
-        activated telemetry.
+        """``tracer`` defaults to the ambient one (see
+        :func:`repro.telemetry.tracing`) — a no-op unless a caller
+        activated tracing.
 
         ``backend`` pins the tick-loop implementation: ``"object"``
         (per-instance Python objects) or ``"vector"`` (struct-of-arrays
@@ -232,35 +225,8 @@ class Simulator:
         # point drift would shift them by a tick over long runs.
         self._tick_count = 0
         self._tracer = tracer if tracer is not None else active_tracer()
-        self._registry = (
-            registry if registry is not None else active_registry()
-        )
         self._profiler: SpanProfiler = active_profiler()
         self._metrics = MetricsManager(tracer=self._tracer)
-        # Pre-bound instruments so per-tick accounting is a dict bump.
-        reg = self._registry
-        runtime_label = runtime.name
-        self._m_step_seconds = reg.histogram(
-            "repro_engine_step_seconds",
-            "Wall-clock seconds per simulation tick",
-        ).labels(runtime=runtime_label)
-        self._m_ticks = reg.counter(
-            "repro_engine_ticks_total", "Simulation ticks executed"
-        ).labels(runtime=runtime_label)
-        self._m_rescales = reg.counter(
-            "repro_engine_rescales_total", "Reconfigurations applied"
-        ).labels(runtime=runtime_label)
-        self._m_rescale_outage = reg.counter(
-            "repro_engine_rescale_outage_seconds_total",
-            "Virtual seconds spent down for reconfiguration",
-        ).labels(runtime=runtime_label)
-        self._m_crashes = reg.counter(
-            "repro_engine_crashes_total", "Instance crashes injected"
-        ).labels(runtime=runtime_label)
-        self._m_recovery = reg.counter(
-            "repro_engine_recovery_seconds_total",
-            "Virtual seconds spent in crash recovery",
-        ).labels(runtime=runtime_label)
         self._state = StateModel(graph=self._graph)
         self._pinned = resolve_backend(backend)
         # The backend of the current deployment (set by _deploy); the
@@ -374,11 +340,6 @@ class Simulator:
     def tracer(self) -> Tracer:
         """The tracer this simulator emits events into."""
         return self._tracer
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics registry this simulator reports into."""
-        return self._registry
 
     @property
     def last_stats(self) -> Optional[TickStats]:
@@ -520,8 +481,6 @@ class Simulator:
         window = self._metrics.collect(
             health=health, source_observed_rates=source_rates
         )
-        if self._registry.enabled:
-            self._report_window_metrics(window, health)
         self._window_source_emitted = {
             name: 0.0 for name in self._sources
         }
@@ -530,43 +489,6 @@ class Simulator:
         }
         self._window_started = self._time
         return window
-
-    def _report_window_metrics(
-        self,
-        window: MetricsWindow,
-        health: Mapping[str, OperatorHealth],
-    ) -> None:
-        """Cold-path gauge updates at window collection time."""
-        reg = self._registry
-        runtime_label = self._runtime.name
-        fill = reg.gauge(
-            "repro_engine_queue_fill",
-            "Worst input-buffer occupancy per operator",
-        )
-        pending = reg.gauge(
-            "repro_engine_pending_records",
-            "Records queued per operator",
-        )
-        completeness = reg.gauge(
-            "repro_metrics_window_completeness",
-            "Fraction of registered instances that reported",
-        )
-        for name in sorted(health):
-            entry = health[name]
-            fill.set(entry.queue_fill, operator=name)
-            pending.set(entry.pending_records, operator=name)
-        for name in sorted(window.completeness):
-            completeness.set(
-                window.completeness[name], operator=name
-            )
-        reg.counter(
-            "repro_metrics_windows_total", "Metrics windows collected"
-        ).inc(runtime=runtime_label)
-        if window.truncated:
-            reg.counter(
-                "repro_metrics_truncated_windows_total",
-                "Windows that lost in-flight counters to a redeploy",
-            ).inc(runtime=runtime_label)
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -594,8 +516,6 @@ class Simulator:
         self._pending_plan = new_plan
         self._outage_until = self._time + outage
         self._rescale_count += 1
-        self._m_rescales.inc()
-        self._m_rescale_outage.inc(outage)
         if self._tracer.enabled:
             self._tracer.emit(
                 "engine.rescale",
@@ -663,8 +583,6 @@ class Simulator:
             self._state.snapshot(), self._plan.parallelism, operator
         )
         self._crash_count += 1
-        self._m_crashes.inc()
-        self._m_recovery.inc(outage)
         if self._tracer.enabled:
             self._tracer.emit(
                 "engine.recovery",
@@ -880,8 +798,6 @@ class Simulator:
     def step(self) -> TickStats:
         """Advance virtual time by one tick."""
         dt = self._config.tick
-        timed = self._registry.enabled
-        started = wall_clock() if timed else 0.0
         profiled = self._profiler.enabled
         if profiled:
             self._profiler.enter("engine.tick")
@@ -894,9 +810,6 @@ class Simulator:
             if profiled:
                 self._profiler.exit("engine.tick")
         self._last_stats = stats
-        if timed:
-            self._m_step_seconds.observe(wall_clock() - started)
-            self._m_ticks.inc()
         tracer = self._tracer
         if (
             tracer.enabled

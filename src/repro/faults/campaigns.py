@@ -68,7 +68,6 @@ from repro.faults.events import (
 from repro.faults.schedule import FaultSchedule
 from repro.metrics import downtime_seconds
 from repro.telemetry.audit import AuditSummary, summarize_audits
-from repro.telemetry.registry import active_registry
 from repro.telemetry.tracer import NULL_TRACER, active_tracer, tracing
 
 if TYPE_CHECKING:
@@ -907,10 +906,6 @@ class CampaignRunner:
         # the trace is byte-identical for any job count and for
         # resumed runs.
         tracer = active_tracer()
-        cells = active_registry().counter(
-            "repro_campaign_cells_total",
-            "Campaign cells (campaign x controller) completed.",
-        )
         if tracer.enabled:
             tracer.emit(
                 "campaign.start",
@@ -922,16 +917,14 @@ class CampaignRunner:
                 cells=total,
             )
         outcome = executor.execute(specs)
+        if not tracer.enabled:
+            return outcome
         errors = {
             cell.key: cell.error
             for cell in outcome.coverage.quarantined_cells
         }
         for completed, spec in enumerate(specs, start=1):
             card = outcome.by_index.get(completed - 1)
-            if card is not None:
-                cells.inc(profile=profile, controller=spec.controller)
-            if not tracer.enabled:
-                continue
             if card is not None:
                 tracer.emit(
                     "campaign.cell",
@@ -954,13 +947,12 @@ class CampaignRunner:
                     cells=total,
                     error=errors.get(spec.key, ""),
                 )
-        if tracer.enabled:
-            tracer.emit(
-                "campaign.end",
-                total * duration,
-                profile=profile,
-                cells=total,
-            )
+        tracer.emit(
+            "campaign.end",
+            total * duration,
+            profile=profile,
+            cells=total,
+        )
         return outcome
 
     def run(

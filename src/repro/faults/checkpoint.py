@@ -4,25 +4,25 @@ A chaos campaign is hours of seeded simulation reduced to one scorecard
 per ``(seed, campaign, controller)`` cell. :class:`CheckpointJournal`
 keeps the finished ones across a SIGKILL, a worker OOM, or a poison
 cell: a durable, append-only JSONL journal with one fsynced record per
-completed cell (canonical cell key, the full scorecard payload, the
-cell's telemetry snapshot, and a content hash of the cell's
-configuration). Recovery tolerates a torn final record — the classic
-crash-mid-append artifact — by dropping it with a warning and
-truncating the file back to its valid prefix; anything else (mid-file
-corruption, a schema-version mismatch, a header or cell-hash mismatch)
-is rejected hard with :class:`~repro.errors.CheckpointError`, because
-silently resuming the wrong campaign is worse than not resuming at all.
+completed cell (canonical cell key, the full scorecard payload, and a
+content hash of the cell's configuration). Recovery tolerates a torn
+final record — the classic crash-mid-append artifact — by dropping it
+with a warning and truncating the file back to its valid prefix;
+anything else (mid-file corruption, a schema-version mismatch, a
+header or cell-hash mismatch) is rejected hard with
+:class:`~repro.errors.CheckpointError`, because silently resuming the
+wrong campaign is worse than not resuming at all.
 
 The journal is handed to :class:`~repro.faults.executor.CampaignExecutor`,
 which records cells as they finish, skips the ones already recorded,
 and adds retry, quarantine, timeouts and graceful interrupts.
 
 Determinism contract: a run that is hard-killed and resumed from its
-journal produces scorecards, traces, and merged telemetry
-byte-identical to an uninterrupted run — cells are keyed canonically,
-journal payloads round-trip losslessly through JSON, and telemetry
-snapshots are folded in canonical cell order regardless of which cells
-were resumed and which ran live.
+journal produces scorecards and traces byte-identical to an
+uninterrupted run — cells are keyed canonically, journal payloads
+round-trip losslessly through JSON, and results are reassembled in
+canonical cell order regardless of which cells were resumed and which
+ran live.
 """
 
 from __future__ import annotations
@@ -284,7 +284,6 @@ class JournalCell:
     key: CellKey
     spec_hash: str
     scorecard: SasoScorecard
-    telemetry: Dict[str, object]
     #: Optional observability extras (absent in journals written by
     #: older builds): the cell's span-tree payload, wall-clock
     #: duration, and executing worker pid. None of them participate
@@ -319,9 +318,8 @@ def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
         raise CheckpointError(
             f"cell {_cell_label(key)} has no scorecard payload"
         )
-    telemetry = payload.get("telemetry")
-    if not isinstance(telemetry, dict):
-        telemetry = {"metrics": []}
+    # Journals written by older builds also carry a "telemetry"
+    # metrics snapshot per cell; nothing reads it any more.
     spans = payload.get("spans")
     if not isinstance(spans, dict):
         spans = None
@@ -337,7 +335,6 @@ def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
         key=key,
         spec_hash=spec_hash,
         scorecard=scorecard_from_payload(scorecard),
-        telemetry=telemetry,
         spans=spans,
         duration=None if duration is None else float(duration),
         worker=worker,
@@ -433,9 +430,10 @@ class CheckpointJournal:
                 f"cannot resume: no checkpoint at {path!r}"
             )
         if not non_empty:
-            # A run killed before its first cell completed leaves an
-            # empty file (the header is written lazily with the first
-            # record): nothing to recover, but resume should succeed.
+            # A fresh open writes the header at once, so only a run
+            # killed mid-way through that first write (or a file
+            # created by hand) is empty: nothing to recover, but
+            # resume should succeed.
             return cls(
                 path,
                 header,
@@ -640,10 +638,8 @@ class CheckpointJournal:
     def _write_line(self, payload: Mapping[str, object]) -> None:
         handle = self._file
         assert handle is not None
-        # No sort_keys: telemetry snapshots key histogram buckets by
-        # their numeric bounds rendered as strings, and sorting those
-        # lexicographically would scramble the bucket order the merge
-        # validates. Payload dicts are built in deterministic order.
+        # Payload dicts are built in deterministic order, so records
+        # are byte-stable without sort_keys.
         profiled = self._profiler.enabled
         if profiled:
             self._profiler.enter("checkpoint.append")
@@ -659,7 +655,6 @@ class CheckpointJournal:
         self,
         spec: CampaignCellSpec,
         scorecard: SasoScorecard,
-        telemetry: Dict[str, object],
         *,
         spans: Optional[Dict[str, object]] = None,
         duration: Optional[float] = None,
@@ -676,7 +671,6 @@ class CheckpointJournal:
             "key": list(spec.key),
             "spec_hash": cell_fingerprint(spec),
             "scorecard": scorecard_to_payload(scorecard),
-            "telemetry": telemetry,
         }
         if duration is not None:
             payload["duration"] = round(duration, 6)
@@ -689,7 +683,6 @@ class CheckpointJournal:
             key=spec.key,
             spec_hash=cell_fingerprint(spec),
             scorecard=scorecard,
-            telemetry=telemetry,
             spans=spans,
             duration=duration,
             worker=worker,

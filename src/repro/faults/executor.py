@@ -32,10 +32,10 @@ crash-recovery replay runs that way, one cell per (campaign, runtime).
   heartbeat per cell event (journaled too, when there is a journal).
 
 Determinism contract: results come back in canonical spec order.
-Per-cell metrics and span trees are recorded where the cell runs and
-folded into the ambient registry and profiler in that same order, so
-results and merged telemetry do not depend on ``jobs``, completion
-order, resume, or the multiprocessing start method.
+Per-cell span trees are recorded where the cell runs and folded into
+the ambient profiler in that same order, so results and merged span
+structure do not depend on ``jobs``, completion order, resume, or the
+multiprocessing start method.
 """
 
 from __future__ import annotations
@@ -77,13 +77,12 @@ from repro.telemetry.progress import (
     ProgressListener,
     interrupted_cells,
 )
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    active_registry,
-    metering,
+from repro.telemetry.spans import (
+    SpanProfiler,
+    active_profiler,
+    profiling,
     wall_clock,
 )
-from repro.telemetry.spans import SpanProfiler, active_profiler, profiling
 
 if TYPE_CHECKING:
     from repro.faults.checkpoint import (
@@ -316,9 +315,9 @@ def ensure_parallel_safe(
 class CellWork:
     """One cell attempt, as shipped to wherever it runs.
 
-    The telemetry opt-ins travel inside the item, so a pool worker
-    meters and profiles exactly when the parent wants it to, whatever
-    the multiprocessing start method. ``runner`` is ``None`` for the
+    The profiling opt-in travels inside the item, so a pool worker
+    profiles exactly when the parent wants it to, whatever the
+    multiprocessing start method. ``runner`` is ``None`` for the
     real cell body, which the worker then looks up by name.
     """
 
@@ -326,7 +325,6 @@ class CellWork:
     spec: CellSpec
     runner: Optional[CellRunner[Any]] = None
     timeout: Optional[float] = None
-    meter: bool = False
     profile: bool = False
 
 
@@ -334,8 +332,7 @@ class CellWork:
 class _CellDone:
     index: int
     result: Any
-    #: The cell's metrics snapshot and span tree, when opted in.
-    telemetry: Optional[Dict[str, object]]
+    #: The cell's span tree, when profiling is on.
     spans: Optional[Dict[str, object]]
     #: Wall seconds and executing pid (heartbeat and journal data;
     #: never folded into any golden artifact).
@@ -436,15 +433,12 @@ def run_cell_attempt(work: CellWork) -> _CellOutcome:
         # Looked up at call time, never pickled: wrappers installed on
         # the module attribute see every in-process cell.
         runner = campaigns.run_campaign_cell
-    registry = MetricsRegistry() if work.meter else None
     profiler = SpanProfiler() if work.profile else None
     started = wall_clock()
     try:
         with ExitStack() as stack:
             if work.timeout is not None:
                 stack.enter_context(_cell_alarm(work.timeout))
-            if registry is not None:
-                stack.enter_context(metering(registry))
             if profiler is not None:
                 stack.enter_context(profiling(profiler))
             result = runner(work.spec)
@@ -464,7 +458,6 @@ def run_cell_attempt(work: CellWork) -> _CellOutcome:
     return _CellDone(
         index=work.index,
         result=result,
-        telemetry=None if registry is None else registry.snapshot(),
         spans=None if profiler is None else profiler.to_dict(),
         duration=wall_clock() - started,
         worker=os.getpid(),
@@ -523,7 +516,6 @@ class _Batch(Generic[CellResult]):
         self.journal = journal
         self.progress = progress
         self.cards: Dict[int, CellResult] = {}
-        self.telemetry: Dict[int, Dict[str, object]] = {}
         self.spans: Dict[int, Dict[str, object]] = {}
         self.failures: Dict[int, _CellFailed] = {}
 
@@ -537,7 +529,7 @@ class _Batch(Generic[CellResult]):
     ) -> None:
         """Render one heartbeat and, when journaled, append it so a
         resumed run can say what the dead run was doing. Heartbeats are
-        never read back into scorecards, traces, or telemetry."""
+        never read back into scorecards, traces, or spans."""
         if not self.progress.enabled:
             return
         event = CellEvent(
@@ -557,31 +549,26 @@ class _Batch(Generic[CellResult]):
         self,
         index: int,
         card: CellResult,
-        telemetry: Optional[Dict[str, object]],
         spans: Optional[Dict[str, object]],
     ) -> None:
         self.cards[index] = card
-        if telemetry is not None:
-            self.telemetry[index] = telemetry
         if spans is not None:
             self.spans[index] = spans
 
     def restore(self, index: int, cell: "JournalCell") -> None:
-        self.keep(index, cell.scorecard, cell.telemetry, cell.spans)
+        self.keep(index, cell.scorecard, cell.spans)
         self.heartbeat("resume", index)
 
     def complete(self, done: _CellDone) -> None:
         if self.journal is not None:
-            assert done.telemetry is not None  # journaled cells meter
             self.journal.record_cell(
                 self.specs[done.index],
                 done.result,
-                done.telemetry,
                 spans=done.spans,
                 duration=done.duration,
                 worker=done.worker,
             )
-        self.keep(done.index, done.result, done.telemetry, done.spans)
+        self.keep(done.index, done.result, done.spans)
         self.failures.pop(done.index, None)
         self.heartbeat(
             "done", done.index, worker=done.worker, duration=done.duration
@@ -594,9 +581,9 @@ class CampaignExecutor:
     Contract: given specs in canonical order, every completed cell's
     result equals ``runner(spec)`` (by default
     ``run_campaign_cell(spec)``, a scorecard), and results, merged
-    telemetry and traces are the same for any ``jobs``. ``jobs`` picks
-    in-process (1) or pool execution; ``retry`` turns fail-fast into
-    retry-then-quarantine; ``cell_timeout`` bounds one attempt;
+    span structure and traces are the same for any ``jobs``. ``jobs``
+    picks in-process (1) or pool execution; ``retry`` turns fail-fast
+    into retry-then-quarantine; ``cell_timeout`` bounds one attempt;
     ``journal`` makes the batch crash-safe and resumable; ``progress``
     receives heartbeats; ``pool_timeout`` bounds the wait for pool
     cells (a deadlock guard). ``runner`` replaces the cell body (tests
@@ -662,7 +649,6 @@ class CampaignExecutor:
         self._warn_if_timeout_unenforced()
         if pending and self._jobs > 1:
             self._ensure_submittable(batch.specs, pending)
-        meter = self._journal is not None or active_registry().enabled
         profile = active_profiler().enabled
         work = {
             index: CellWork(
@@ -670,7 +656,6 @@ class CampaignExecutor:
                 spec=batch.specs[index],
                 runner=self._runner,
                 timeout=self._cell_timeout,
-                meter=meter,
                 profile=profile,
             )
             for index in pending
@@ -707,13 +692,8 @@ class CampaignExecutor:
             self._quarantine(batch, index, attempts)
             for index in sorted(batch.failures)
         ]
-        # Canonical-order fold: gauges are last-write-wins, so the
-        # order must not depend on completion order; resumed and live
-        # cells fold identically.
-        registry = active_registry()
-        if registry.enabled:
-            for index in sorted(batch.telemetry):
-                registry.merge_snapshot(batch.telemetry[index])
+        # Canonical-order fold, so the merged tree does not depend on
+        # completion order; resumed and live cells fold identically.
         profiler = active_profiler()
         if profiler.enabled:
             for index in sorted(batch.spans):

@@ -586,6 +586,22 @@ def _parse_scalar(text: str, where: str) -> object:
         ) from None
 
 
+def _split_unquoted(text: str, separator: str) -> List[str]:
+    """Split ``text`` at every ``separator`` outside a double-quoted
+    string."""
+    parts: List[str] = []
+    start = 0
+    quoted = False
+    for index, char in enumerate(text):
+        if char == '"':
+            quoted = not quoted
+        elif char == separator and not quoted:
+            parts.append(text[start:index])
+            start = index + 1
+    parts.append(text[start:])
+    return parts
+
+
 def _parse_minimal_toml(text: str, where: str) -> Dict[str, object]:
     """A fallback parser for the restricted sweep-spec TOML subset.
 
@@ -597,7 +613,7 @@ def _parse_minimal_toml(text: str, where: str) -> Dict[str, object]:
     root: Dict[str, object] = {}
     current: Dict[str, object] = root
     for number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _split_unquoted(raw, "#")[0].strip()
         if not line:
             continue
         spot = f"{where}:{number}"
@@ -630,7 +646,7 @@ def _parse_minimal_toml(text: str, where: str) -> Dict[str, object]:
             items = (
                 [
                     _parse_scalar(item, spot)
-                    for item in inner.split(",")
+                    for item in _split_unquoted(inner, ",")
                     if item.strip()
                 ]
                 if inner

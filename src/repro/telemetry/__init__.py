@@ -1,16 +1,14 @@
 """Observability for the DS2 reproduction (see docs/observability.md).
 
-Three cooperating layers, all zero-cost no-ops unless activated:
+Cooperating layers, all zero-cost no-ops unless activated:
 
 * :mod:`repro.telemetry.tracer` — a ring-buffer flight recorder with a
   deterministic JSONL export ("what happened, in order").
-* :mod:`repro.telemetry.registry` — process-local counters, gauges,
-  and histograms with text/JSON reporters ("how is it doing").
+* :mod:`repro.telemetry.spans` — a hierarchical span profiler for the
+  hot phases of a run ("where did the time go").
 * :mod:`repro.telemetry.audit` — per-decision audit records capturing
   a controller invocation's inputs and the Eq. 7/8 traversal that
   produced its output ("why did it decide that").
-* :mod:`repro.telemetry.spans` — a hierarchical span profiler for the
-  hot phases of a run ("where did the time go").
 * :mod:`repro.telemetry.progress` — live campaign heartbeats and
   progress renderers ("is it still making progress").
 * :mod:`repro.telemetry.reports` — aggregated run reports joining
@@ -19,13 +17,13 @@ Three cooperating layers, all zero-cost no-ops unless activated:
 
 Activate ambiently around any experiment::
 
-    from repro.telemetry import MetricsRegistry, Tracer, metering, tracing
+    from repro.telemetry import SpanProfiler, Tracer, profiling, tracing
 
     with tracing(Tracer(capacity=None)) as tracer, \\
-            metering(MetricsRegistry()) as registry:
+            profiling(SpanProfiler()) as profiler:
         run_controlled(...)
     tracer.write_jsonl("out.jsonl")
-    print(registry.render_text())
+    print(profiler.render())
 """
 
 from repro.telemetry.audit import (
@@ -51,18 +49,6 @@ from repro.telemetry.progress import (
     interrupted_cells,
     make_progress_renderer,
 )
-from repro.telemetry.registry import (
-    DEFAULT_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    active_registry,
-    metering,
-    wall_clock,
-)
 from repro.telemetry.reports import (
     RunReport,
     build_report,
@@ -79,6 +65,7 @@ from repro.telemetry.spans import (
     SpanProfiler,
     active_profiler,
     profiling,
+    wall_clock,
 )
 from repro.telemetry.trace_io import (
     EPOCH_KIND,
@@ -101,19 +88,12 @@ from repro.telemetry.tracer import (
 __all__ = [
     "AuditSummary",
     "CellEvent",
-    "Counter",
-    "DEFAULT_BUCKETS",
     "DecisionAudit",
     "EPOCH_KIND",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_PROFILER",
     "NULL_PROGRESS",
-    "NULL_REGISTRY",
     "NULL_TRACER",
     "NullProgressListener",
-    "NullRegistry",
     "NullSpanProfiler",
     "NullTracer",
     "OperatorAudit",
@@ -129,7 +109,6 @@ __all__ = [
     "TraceSummary",
     "Tracer",
     "active_profiler",
-    "active_registry",
     "active_tracer",
     "audit_from_dict",
     "audit_to_dict",
@@ -138,7 +117,6 @@ __all__ = [
     "finalize_audit",
     "interrupted_cells",
     "make_progress_renderer",
-    "metering",
     "operator_audits",
     "profiling",
     "read_trace",

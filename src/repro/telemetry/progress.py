@@ -39,7 +39,7 @@ from typing import (
     Tuple,
 )
 
-from repro.telemetry.registry import wall_clock
+from repro.telemetry.spans import wall_clock
 
 # A stalled worker is reported when no heartbeat has arrived for this
 # fraction of the per-cell timeout (or for STALL_DEFAULT_SECONDS when

@@ -5,10 +5,10 @@ went* while it ran. A :class:`SpanProfiler` maintains a tree of named
 spans — ``engine.tick`` containing ``engine.allocate`` and
 ``engine.window_fire``, ``controller.decide`` containing
 ``metrics.collect`` — each node accumulating an invocation count and
-wall-clock seconds. The profiler is ambient, like the tracer and the
-metrics registry: engine components resolve :func:`active_profiler` at
-construction time and pay a single attribute read per instrumented
-site when profiling is disabled (the default).
+wall-clock seconds. The profiler is ambient, like the tracer: engine
+components resolve :func:`active_profiler` at construction time and
+pay a single attribute read per instrumented site when profiling is
+disabled (the default).
 
 Two determinism rules keep spans out of the decision path:
 
@@ -31,13 +31,24 @@ the payloads back in canonical cell order with :meth:`merge`.
 from __future__ import annotations
 
 import threading
+import time as _time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import TelemetryError
-from repro.telemetry.registry import wall_clock
 
 SPAN_SCHEMA_VERSION = 1
+
+
+def wall_clock() -> float:
+    """Monotonic wall-clock seconds, for span timings and host-side
+    bookkeeping (heartbeat durations, pool deadlines) only.
+
+    This is the single place telemetry reads the host clock; trace
+    events and audit records must never call it (they carry virtual
+    time so traces stay deterministic).
+    """
+    return _time.perf_counter()  # repro: allow[REPRO101]
 
 
 class SpanNode:
@@ -292,4 +303,5 @@ __all__ = [
     "SpanProfiler",
     "active_profiler",
     "profiling",
+    "wall_clock",
 ]

@@ -199,8 +199,9 @@ def render_trace_summary(summary: TraceSummary) -> str:
         lines.append(
             f"warning: truncated trace — the ring buffer dropped the "
             f"first {summary.dropped} event(s) (trace starts at seq "
-            f"{summary.first_seq}); re-run with a larger --trace "
-            "capacity for full coverage"
+            f"{summary.first_seq}); it was recorded by a bounded "
+            "Tracer(capacity=N) — record with Tracer(capacity=None), "
+            "as `repro run --trace` does, for full coverage"
         )
     lines.append(
         f"decisions: {summary.decisions}  "

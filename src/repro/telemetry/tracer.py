@@ -19,7 +19,7 @@ Design constraints, in order:
 * **Determinism.** Events carry *virtual* time only; serialization
   sorts keys and uses ``repr``-exact floats, so a fixed seed produces
   a byte-identical trace. Wall-clock never enters the trace (it lives
-  only in the metrics registry's overhead histograms).
+  only in the span profiler's timings).
 * **Bounded memory.** The buffer is a ring: when full, the oldest
   events are dropped (and counted in :attr:`~Tracer.dropped`), which
   is the flight-recorder behaviour long chaos sweeps need. Exporters

@@ -17,6 +17,7 @@ The crash-safety contract has two halves, both tested here:
 import dataclasses
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -38,14 +39,22 @@ from repro.faults.checkpoint import (
     CheckpointJournal,
     JournalHeader,
     cell_fingerprint,
+    load_journal,
     scorecard_from_payload,
     scorecard_to_payload,
 )
 from repro.faults.executor import CampaignExecutor
-from repro.telemetry.registry import MetricsRegistry, metering
+from repro.telemetry.spans import SpanProfiler, profiling
 from repro.workloads.wordcount import heron_wordcount_graph
 
 POOL_TIMEOUT = 180.0
+
+#: A journal committed by an older build: every cell record also
+#: carries a "telemetry" metrics snapshot that nothing reads any more.
+SMOKE_JOURNAL = (
+    Path(__file__).resolve().parent.parent
+    / "reports" / "smoke_checkpoint.jsonl"
+)
 
 HEADER = JournalHeader(
     profile="smoke",
@@ -136,7 +145,7 @@ class TestJournalLifecycle:
         cards = [run_campaign_cell(s) for s in specs]
         with CheckpointJournal.open(path, HEADER) as journal:
             for spec, card in zip(specs, cards):
-                journal.record_cell(spec, card, {"metrics": []})
+                journal.record_cell(spec, card)
         resumed = CheckpointJournal.open(path, HEADER, resume=True)
         matched = resumed.match(specs)
         assert sorted(matched) == [0, 1, 2]
@@ -145,6 +154,61 @@ class TestJournalLifecycle:
         ) == _cards_as_dicts(cards)
         assert resumed.warnings == []
         resumed.close()
+
+    def test_cell_record_has_no_telemetry_key(self, tmp_path):
+        from repro.faults.campaigns import run_campaign_cell
+
+        path = str(tmp_path / "j.jsonl")
+        spec = _specs(campaigns=1)[0]
+        card = run_campaign_cell(spec)
+        with CheckpointJournal.open(path, HEADER) as journal:
+            journal.record_cell(spec, card, duration=1.5, worker=7)
+        records = [
+            json.loads(line)
+            for line in Path(path).read_text().splitlines()
+        ]
+        assert [r["record"] for r in records] == ["header", "cell"]
+        assert "telemetry" not in records[1]
+        cell = load_journal(path).cells[spec.key]
+        assert cell.scorecard == card
+        assert cell.spec_hash == cell_fingerprint(spec)
+        assert (cell.duration, cell.worker) == (1.5, 7)
+
+    def test_older_journal_with_telemetry_snapshots_resumes(
+        self, tmp_path
+    ):
+        """Cell records from older builds carry a "telemetry" key; it is
+        ignored, and every cell still resumes without re-running."""
+        path = str(tmp_path / "old.jsonl")
+        shutil.copyfile(SMOKE_JOURNAL, path)
+        assert all(
+            "telemetry" in json.loads(line)
+            for line in Path(path).read_text().splitlines()
+            if '"record": "cell"' in line
+        )
+        loaded = load_journal(path)
+        specs = _specs()
+        by_key = {spec.key: spec for spec in specs}
+        ordered = [
+            by_key[(1, campaign, controller)]
+            for campaign in range(loaded.header.campaigns)
+            for controller in loaded.header.controllers
+        ]
+
+        def never_run(spec):
+            raise AssertionError(f"cell {spec.key} re-ran")
+
+        with CheckpointJournal.open(
+            path, loaded.header, resume=True
+        ) as journal:
+            outcome = CampaignExecutor(
+                journal=journal, runner=never_run
+            ).execute(ordered)
+        assert outcome.resumed == len(ordered) == 6
+        assert [outcome.by_index[i] for i in range(6)] == [
+            loaded.cells[spec.key].scorecard for spec in ordered
+        ]
+        assert Path(path).read_bytes() == SMOKE_JOURNAL.read_bytes()
 
     def test_fresh_open_refuses_existing_journal(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -166,9 +230,7 @@ def _journal_with_cells(tmp_path, campaigns=1):
     specs = _specs(campaigns=campaigns)
     with CheckpointJournal.open(path, HEADER) as journal:
         for spec in specs:
-            journal.record_cell(
-                spec, run_campaign_cell(spec), {"metrics": []}
-            )
+            journal.record_cell(spec, run_campaign_cell(spec))
     return path, specs
 
 
@@ -264,11 +326,9 @@ class TestExecutorJournaling:
     pool.
 
     Scorecards are deterministic across executions, so they are
-    compared against a plain serial run. Telemetry includes wall-clock
-    histograms (engine step timing), so cross-execution byte equality
-    is only demanded where it must hold: a *full* resume replays the
-    journaled per-cell snapshots, whose canonical fold must reproduce
-    the original run's registry exactly.
+    compared against a plain serial run. A *full* resume replays the
+    journaled per-cell span payloads, whose canonical fold must
+    reproduce the original run's span structure exactly.
     """
 
     def _plain_cards(self, specs):
@@ -276,13 +336,13 @@ class TestExecutorJournaling:
 
     def _journaled_run(self, path, specs, make_backend, resume=False):
         journal = CheckpointJournal.open(path, HEADER, resume=resume)
-        registry = MetricsRegistry()
+        profiler = SpanProfiler()
         try:
-            with metering(registry):
+            with profiling(profiler):
                 cards = make_backend(journal).run_cells(specs)
         finally:
             journal.close()
-        return cards, registry.render_text()
+        return cards, profiler.structure()
 
     @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_journaled_run_and_full_resume_equivalence(
@@ -298,17 +358,17 @@ class TestExecutorJournaling:
         specs = _specs()
         plain_cards = self._plain_cards(specs)
         path = str(tmp_path / "j.jsonl")
-        cards, metrics = self._journaled_run(
+        cards, spans = self._journaled_run(
             path, specs, make_backend
         )
         assert _cards_as_dicts(cards) == _cards_as_dicts(plain_cards)
         # Full resume: every cell comes from the journal; the merged
-        # registry must be byte-identical to the original run's.
-        resumed_cards, resumed_metrics = self._journaled_run(
+        # span structure must equal the original run's.
+        resumed_cards, resumed_spans = self._journaled_run(
             path, specs, make_backend, resume=True
         )
         assert _cards_as_dicts(resumed_cards) == _cards_as_dicts(cards)
-        assert resumed_metrics == metrics
+        assert resumed_spans == spans
 
     @pytest.mark.parametrize("resumed_executor", ["serial", "parallel"])
     def test_partial_journal_resumes_missing_cells_only(

@@ -53,7 +53,6 @@ from repro.faults.executor import (
     ensure_parallel_safe,
     unpicklable_reason,
 )
-from repro.telemetry.registry import MetricsRegistry, metering
 from repro.telemetry.spans import SpanProfiler, profiling
 from repro.workloads.wordcount import (
     COUNT,
@@ -245,28 +244,14 @@ def start_method(request):
         multiprocessing.set_start_method(previous, force=True)
 
 
-#: Wall-clock step timings differ from run to run (their count does
-#: not), so these lines are left out of the compared metrics text.
-_TIMED_METRIC_LINES = (
-    "repro_engine_step_seconds_bucket",
-    "repro_engine_step_seconds_sum",
-)
-
-
 def _observed_smoke_batch(executor):
-    """Scorecards, span structure and metrics text of the smoke batch."""
-    registry = MetricsRegistry()
+    """Scorecards and span structure of the smoke batch."""
     profiler = SpanProfiler()
-    with metering(registry), profiling(profiler):
+    with profiling(profiler):
         cards = _runner().run(
             _wordcount_generator(PROFILES["smoke"]), 2, executor=executor
         )
-    metrics = [
-        line
-        for line in registry.render_text().splitlines()
-        if not line.startswith(_TIMED_METRIC_LINES)
-    ]
-    return _cards_as_dicts(cards), profiler.structure(), metrics
+    return _cards_as_dicts(cards), profiler.structure()
 
 
 @pytest.fixture(scope="module")
@@ -281,20 +266,14 @@ def _span_counts(structure):
 
 
 def _observed_recovery_replay(jobs):
-    """Outage samples, span structure and metrics text of a small
-    crash-recovery replay."""
-    registry = MetricsRegistry()
+    """Outage samples and span structure of a small crash-recovery
+    replay."""
     profiler = SpanProfiler()
-    with metering(registry), profiling(profiler):
+    with profiling(profiler):
         samples = recovery_distributions(
             campaigns=2, seed=1, tick=2.0, jobs=jobs
         )
-    metrics = [
-        line
-        for line in registry.render_text().splitlines()
-        if not line.startswith(_TIMED_METRIC_LINES)
-    ]
-    return samples, profiler.structure(), metrics
+    return samples, profiler.structure()
 
 
 @pytest.fixture(scope="module")
@@ -306,22 +285,19 @@ class TestStartMethods:
     def test_start_method_recovery_replay_matches_serial(
         self, start_method, serial_recovery_replay
     ):
-        serial_samples, serial_spans, serial_metrics = (
-            serial_recovery_replay
-        )
-        samples, spans, metrics = _observed_recovery_replay(jobs=2)
+        serial_samples, serial_spans = serial_recovery_replay
+        samples, spans = _observed_recovery_replay(jobs=2)
         assert samples == serial_samples
         assert _span_counts(serial_spans)["engine.tick"] > 0
         assert spans == serial_spans
-        assert metrics == serial_metrics
 
     def test_start_method_pool_matches_serial(
         self, start_method, serial_smoke_batch
     ):
-        """Worker telemetry arrives whatever the start method: the
-        opt-ins travel in each work item, not in inherited state."""
-        serial_cards, serial_spans, serial_metrics = serial_smoke_batch
-        cards, spans, metrics = _observed_smoke_batch(
+        """Worker spans arrive whatever the start method: the opt-in
+        travels in each work item, not in inherited state."""
+        serial_cards, serial_spans = serial_smoke_batch
+        cards, spans = _observed_smoke_batch(
             CampaignExecutor(jobs=2, pool_timeout=POOL_TIMEOUT)
         )
         assert cards == serial_cards
@@ -331,12 +307,11 @@ class TestStartMethods:
             assert serial_counts[name] > 0
             assert counts.get(name) == serial_counts[name]
         assert spans == serial_spans
-        assert metrics == serial_metrics
 
 
 class TestRecoveryReplayJobs:
-    """The replay cells give the same samples, report, trace and
-    metrics at any ``--jobs``."""
+    """The replay cells give the same samples, report and trace at any
+    ``--jobs``."""
 
     def test_recovery_run_chaos_jobs_independent(self):
         serial, pooled = (
@@ -362,15 +337,12 @@ class TestRecoveryReplayJobs:
             assert main([
                 "run", "chaos", "--profile", "smoke", "--seeds", "2",
                 "--scale", "0.5", "--jobs", jobs,
-                "--trace", str(trace), "--telemetry",
+                "--trace", str(trace),
             ]) == 0
+            # Stdout is the chaos report: every scorecard metric and
+            # the recovery outage table.
             out = capsys.readouterr().out.replace(str(trace), "TRACE")
-            lines = [
-                line
-                for line in out.splitlines()
-                if not line.startswith(_TIMED_METRIC_LINES)
-            ]
-            observed.append((trace.read_bytes(), lines))
+            observed.append((trace.read_bytes(), out.splitlines()))
         (serial_trace, serial_out), (pooled_trace, pooled_out) = observed
         assert serial_trace
         assert pooled_trace == serial_trace

@@ -8,6 +8,9 @@ input is rejected with a :class:`~repro.errors.SweepError` naming the
 offending axis — before any cell runs.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from repro.sweeps import (
     SweepSpec,
     compile_grid,
     expand_cells,
+    load_spec,
     spec_fingerprint,
     sweep_label,
 )
@@ -27,6 +31,7 @@ from repro.sweeps.spec import (
     SWEEP_BACKENDS,
     SWEEP_CONTROLLERS,
     SWEEP_RUNTIMES,
+    _parse_minimal_toml,
 )
 
 # -- strategies --------------------------------------------------------
@@ -323,3 +328,47 @@ def test_fingerprint_distinguishes_settings():
     assert sweep_label(base) == (
         f"g@{spec_fingerprint(base)}"
     )
+
+
+# -- the TOML fallback parser (Python < 3.11 has no tomllib) -------------
+
+SWEEPS_DIR = Path(__file__).resolve().parent
+
+QUOTED_SPEC = """\
+[sweep]
+name = "grid #1, v2"  # a comment after a quoted '#'
+campaigns = 1
+
+[axes]
+rate = [1.0, 1.25]  # trailing comment
+controller = ["ds2", "dhalion"]
+"""
+
+
+def _load_without_tomllib(monkeypatch, path):
+    with monkeypatch.context() as patch:
+        # A None entry makes `import tomllib` raise ModuleNotFoundError.
+        patch.setitem(sys.modules, "tomllib", None)
+        return load_spec(str(path))
+
+
+@pytest.mark.parametrize("grid", ["smoke_grid.toml", "paper_grid.toml"])
+def test_fallback_parser_loads_committed_grids(monkeypatch, grid):
+    pytest.importorskip("tomllib")
+    path = SWEEPS_DIR / grid
+    assert _load_without_tomllib(monkeypatch, path) == load_spec(str(path))
+
+
+def test_fallback_parser_keeps_quoted_hash_and_comma(monkeypatch, tmp_path):
+    pytest.importorskip("tomllib")
+    path = tmp_path / "quoted.toml"
+    path.write_text(QUOTED_SPEC, encoding="utf-8")
+    fallback = _load_without_tomllib(monkeypatch, path)
+    assert fallback.name == "grid #1, v2"
+    assert fallback == load_spec(str(path))
+
+
+def test_fallback_parser_splits_arrays_outside_quotes():
+    tomllib = pytest.importorskip("tomllib")
+    text = 'tags = ["a, b", "c # d", 3]  # comment\n'
+    assert _parse_minimal_toml(text, "<test>") == tomllib.loads(text)

@@ -144,6 +144,10 @@ class TestSummarize:
         assert "seq 10" in text
         assert "dropped the first 10 event(s)" in text
         assert "truncated" in text
+        # Only a library caller's bounded tracer drops events; the CLI
+        # has no capacity flag to suggest.
+        assert "Tracer(capacity=None)" in text
+        assert "--trace capacity" not in text
 
     def test_complete_trace_reports_no_drops(self):
         summary = summarize_trace([_record(seq=0, t=3.0)])

@@ -245,7 +245,7 @@ class TestResumeCommand:
         )
         assert main([
             "run", "chaos", "--profile", "smoke", "--seeds", "2",
-            "--trace", trace, "--spans", spans, "--telemetry",
+            "--trace", trace, "--spans", spans,
             "--checkpoint", checkpoint,
         ]) == 130
         args = self._printed_command(capsys.readouterr().err)
@@ -254,7 +254,6 @@ class TestResumeCommand:
         assert args.seeds == 2
         assert args.trace == trace
         assert args.spans == spans
-        assert args.telemetry is True
         assert args.checkpoint == checkpoint
         assert args.resume is True
 
@@ -393,10 +392,15 @@ class TestTelemetryCommands:
     def test_trace_flags_parsed(self):
         parser = build_parser()
         args = parser.parse_args([
-            "run", "faults", "--trace", "out.jsonl", "--telemetry",
+            "run", "faults", "--trace", "out.jsonl",
         ])
         assert args.trace == "out.jsonl"
-        assert args.telemetry is True
+
+    def test_run_has_no_metrics_dump_flag(self):
+        # Tick counts live in the engine.tick span (--spans); rescales,
+        # recoveries and decisions in the trace (--trace).
+        args = build_parser().parse_args(["run", "faults"])
+        assert not hasattr(args, "telemetry")
 
     @pytest.mark.slow
     def test_traced_run_writes_valid_jsonl(self, faults_trace, capsys):
@@ -407,15 +411,6 @@ class TestTelemetryCommands:
         # three controllers run back to back: three epochs
         epochs = [r for r in records if r["kind"] == "engine.start"]
         assert len(epochs) == 3
-
-    @pytest.mark.slow
-    def test_telemetry_flag_prints_metrics(self, capsys, tmp_path):
-        assert main([
-            "run", "faults", "--scale", "0.3", "--telemetry",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_engine_ticks_total counter" in out
-        assert "# TYPE repro_engine_step_seconds histogram" in out
 
     @pytest.mark.slow
     def test_trace_summarize_text(self, faults_trace, capsys):
