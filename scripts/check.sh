@@ -13,8 +13,8 @@
 #   4. trace schema  - golden-file JSONL trace schema check
 #   5. parallel chaos equivalence
 #                    - smoke-profile serial vs process-pool scorecards,
-#                      plus span structure and metrics text under the
-#                      fork, spawn and forkserver start methods
+#                      plus span structure under the fork, spawn and
+#                      forkserver start methods
 #   6. kill-and-resume equivalence
 #                    - hard-killed chaos run resumed from its journal
 #                      must match an uninterrupted run byte-for-byte

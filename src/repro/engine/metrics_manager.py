@@ -28,8 +28,8 @@ is the registration order —
 topological operator order with instance indexes ascending — so each
 operator owns one contiguous row block. Each registration picks the
 layout its engine backend writes fastest: an ``(n, 5)`` float64 array
-(``blocks=True``) that the vectorized backend accumulates a whole
-operator per tick into with :meth:`record_block`, or a list of
+(``blocks=True``) that the vectorized backend accumulates the whole
+deployment into once per tick with :meth:`record_block`, or a list of
 per-row float lists that the object backend's scalar
 :meth:`record_row` calls update without numpy scalar indexing. Both
 layouts add the same float64 values in the same order, so a window
@@ -202,7 +202,7 @@ class MetricsManager:
     ) -> None:
         """Accumulate one tick's activity for the contiguous row block
         ``[start, stop)`` — the batched :meth:`record` used by the
-        vectorized engine backend, one call per operator per tick.
+        vectorized engine backend, one call per tick over every row.
 
         ``counters`` has shape ``(4, stop - start)``: rows pulled,
         pushed, useful, and waiting, one column per instance in row

@@ -920,10 +920,12 @@ class Simulator:
                     )
                 else:
                     consumed = vec.run_operator(
-                        name, spec, budgets[name], dt, end_time
+                        name, spec, budgets[name], end_time
                     )
                 if spec.is_sink:
                     sink_consumed[name] = consumed
+        if vec is not None:
+            vec.record_metrics(dt)
         self._observe_latency(dt, source_emitted, sink_consumed)
         backpressured = self.backpressured_operators()
         for name in backpressured:

@@ -7,33 +7,52 @@ and per-instance loops for routing, budget allocation, and metrics. That
 is O(upstream x downstream) Queue pushes per edge per tick — the binding
 constraint on wide deployments (the Nexmark queries run up to 36 slots).
 
-This module holds the same simulation as flat float64 numpy arrays, one
-block per operator:
+This module holds the same simulation as flat float64 numpy arrays.
+Each deployment owns one :class:`_Arena`: a handful of contiguous
+buffers that hold every operator's state back to back, in topological
+order. Each operator's :class:`_OpState` fields are views into it:
 
 * ``q_len``, ``q_pushed``, ``q_popped`` — shape ``(K, p)`` for an
   operator with ``K`` input ports (one per upstream edge) and ``p``
-  instances. Column ``j`` of row ``k`` is instance ``j``'s port queue
-  for upstream ``k``: its current length and the cumulative pushed /
-  popped conservation counters of :class:`~repro.engine.buffers.Queue`.
+  instances, each a block of one flat queue buffer. Column ``j`` of
+  row ``k`` is instance ``j``'s port queue for upstream ``k``: its
+  current length and the cumulative pushed / popped conservation
+  counters of :class:`~repro.engine.buffers.Queue`.
 * ``fire_backlog`` — shape ``(p,)``, windowed operators' released but
-  unprocessed records.
+  unprocessed records, a slice of one ``(N,)`` buffer over all ``N``
+  instances of the deployment.
+* ``counters`` — shape ``(4, p)``, the tick's ``[pulled, pushed,
+  useful, waiting]`` rows, a column block of one ``(4, N)`` buffer
+  whose columns are the metrics manager's rows.
 * ``weights`` — shape ``(p,)``, the plan's input-partitioning weights
   for the operator (how upstream output is split across its instances).
 
+The tick still steps operators one by one in reverse topological order
+for the phases that depend on that order (downstream limit, budget
+allocation, pop, emit, window fire). The phases that do not — the
+conservation check, the backpressure and fill scan, the metrics
+record, demand estimates and latency delays — run once per tick over
+the whole arena. Every write to operator state goes into the views in
+place (``[...] =`` or ``out=``): rebinding a field would detach the
+operator from its arena, and the arena-wide passes would read stale
+state.
+
 Window state (:class:`~repro.dataflow.windowing.WindowState`) is held
-as ``win_buffered`` — shape ``(p,)``, per-instance buffered records —
-plus one shared fire clock (``win_next_fire`` / ``win_last_check``)
-per operator: every instance of a window operator is created, reset,
-and fired with the same spec and the same virtual times, so the scalar
-clocks advance in bit-identical lockstep and only ``buffered`` varies
-per instance. :meth:`VectorEngine.materialize_instances` rebuilds real
+as ``win_buffered`` — shape ``(p,)``, per-instance buffered records, a
+slice of the arena's ``(N,)`` buffer — plus one shared fire clock
+(``win_next_fire`` / ``win_last_check``) per operator: every instance
+of a window operator is created, reset, and fired with the same spec
+and the same virtual times, so the scalar clocks advance in
+bit-identical lockstep and only ``buffered`` varies per instance.
+:meth:`VectorEngine.materialize_instances` rebuilds real
 ``WindowState`` objects from these arrays on demand.
 
 The cost of a tick here is a fixed number of small numpy calls per
-operator, nearly independent of the parallelism, so the backend wins on
-wide plans and loses on narrow ones; :func:`width_backend` picks one
-per deployment from the plan's widest operator, and a redeploy may
-switch backends by handing the old one's :data:`Carry` to the new one.
+operator plus a few per tick, nearly independent of the parallelism,
+so the backend wins on wide plans and loses on narrow ones;
+:func:`width_backend` picks one per deployment from the plan's widest
+operator, and a redeploy may switch backends by handing the old one's
+:data:`Carry` to the new one.
 
 **Equivalence contract.** The vector backend must produce *bit-identical*
 decisions, metrics, traces, and scorecards to the object backend. Every
@@ -67,7 +86,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow.operators import OperatorSpec
 from repro.dataflow.physical import InstanceId, PhysicalPlan
@@ -133,8 +152,77 @@ def width_backend(plan: PhysicalPlan) -> str:
 Carry = Dict[str, Tuple[Dict[str, float], float, float]]
 
 
+class _Arena:
+    """One deployment's operator state in contiguous float64 buffers.
+
+    Operators are laid out back to back in topological order, which is
+    also the metrics manager's row order, so column ``row_start + j``
+    of the ``(N,)`` and ``(4, N)`` buffers is instance ``j`` of the
+    operator whose first row is ``row_start``. Each operator's queue
+    block ``(K, p)`` occupies ``K * p`` consecutive cells of the flat
+    queue buffers, port-major. The arena also holds the index arrays
+    its per-tick passes need; they are fixed for the deployment.
+    """
+
+    __slots__ = (
+        "q_len",
+        "q_pushed",
+        "q_popped",
+        "fire_backlog",
+        "win_buffered",
+        "counters",
+        "drift",
+        "bound",
+        "bad",
+        "row_starts",
+        "queue_starts",
+        "op_rows",
+        "ported",
+        "ported_cells",
+    )
+
+    def __init__(self, blocks: Sequence[Tuple[int, int]]) -> None:
+        """``blocks`` holds each operator's ``(ports, parallelism)``,
+        in topological order."""
+        row_starts: List[int] = []
+        queue_starts: List[int] = []
+        rows = cells = 0
+        for ports, parallelism in blocks:
+            row_starts.append(rows)
+            queue_starts.append(cells)
+            rows += parallelism
+            cells += ports * parallelism
+        self.row_starts = tuple(row_starts)
+        self.queue_starts = tuple(queue_starts)
+        self.q_len: FloatArray = np.zeros(cells, dtype=np.float64)
+        self.q_pushed: FloatArray = np.zeros(cells, dtype=np.float64)
+        self.q_popped: FloatArray = np.zeros(cells, dtype=np.float64)
+        # Zero at every instance of an operator that has no window.
+        self.fire_backlog: FloatArray = np.zeros(rows, dtype=np.float64)
+        self.win_buffered: FloatArray = np.zeros(rows, dtype=np.float64)
+        # The tick's [pulled, pushed, useful, waiting] rows, one column
+        # per metrics row; rewritten in full every active tick.
+        self.counters: FloatArray = np.zeros((4, rows), dtype=np.float64)
+        # Scratch of the conservation check.
+        self.drift: FloatArray = np.empty(cells, dtype=np.float64)
+        self.bound: FloatArray = np.empty(cells, dtype=np.float64)
+        self.bad: FloatArray = np.empty(cells, dtype=np.bool_)
+        # First row of every operator (every block is non-empty), and
+        # first queue cell of every operator that has ports: the
+        # segment starts of the per-operator maxima (``reduceat`` needs
+        # non-empty segments, so portless operators are left out).
+        self.op_rows = np.array(row_starts, dtype=np.intp)
+        self.ported = tuple(
+            i for i, (ports, _) in enumerate(blocks) if ports
+        )
+        self.ported_cells = np.array(
+            [queue_starts[i] for i in self.ported], dtype=np.intp
+        )
+
+
 class _OpState:
-    """Struct-of-arrays state of one operator's instances."""
+    """Struct-of-arrays state of one operator's instances: views into
+    its deployment's :class:`_Arena` plus per-operator constants."""
 
     __slots__ = (
         "name",
@@ -157,9 +245,6 @@ class _OpState:
         "targets",
         "zeros",
         "counters",
-        "drift",
-        "bound",
-        "bad",
     )
 
     def __init__(
@@ -170,8 +255,11 @@ class _OpState:
         ports: Tuple[str, ...],
         capacity: Optional[float],
         weights: Tuple[float, ...],
-        row_start: int,
+        arena: _Arena,
+        position: int,
     ) -> None:
+        """``position`` is the operator's index in the arena's
+        topological layout."""
         self.name = name
         self.spec = spec
         self.parallelism = parallelism
@@ -181,19 +269,24 @@ class _OpState:
         }
         self.capacity = capacity
         shape = (len(ports), parallelism)
-        self.q_len: FloatArray = np.zeros(shape, dtype=np.float64)
-        self.q_pushed: FloatArray = np.zeros(shape, dtype=np.float64)
-        self.q_popped: FloatArray = np.zeros(shape, dtype=np.float64)
-        self.fire_backlog: FloatArray = np.zeros(
-            parallelism, dtype=np.float64
-        )
+        first = arena.queue_starts[position]
+        cells = slice(first, first + len(ports) * parallelism)
+        self.q_len: FloatArray = arena.q_len[cells].reshape(shape)
+        self.q_pushed: FloatArray = arena.q_pushed[cells].reshape(shape)
+        self.q_popped: FloatArray = arena.q_popped[cells].reshape(shape)
+        self.row_start = arena.row_starts[position]
+        self.row_stop = self.row_start + parallelism
+        rows = slice(self.row_start, self.row_stop)
+        self.fire_backlog: FloatArray = arena.fire_backlog[rows]
         # Window state, struct-of-arrays: the per-instance ``buffered``
         # amounts plus the shared fire clock. All instances of a window
         # operator are created, reset, and fired together with the same
         # spec and the same virtual times, so their ``next_fire`` /
         # ``_last_check`` scalars advance in bit-identical lockstep —
         # one copy is enough.
-        self.win_buffered: Optional[FloatArray] = None
+        self.win_buffered: Optional[FloatArray] = (
+            None if spec.window is None else arena.win_buffered[rows]
+        )
         self.win_next_fire = 0.0
         self.win_last_check = 0.0
         self.weights: FloatArray = np.array(weights, dtype=np.float64)
@@ -202,8 +295,6 @@ class _OpState:
         self.positive: Optional[FloatArray] = (
             None if bool(positive.all()) else positive
         )
-        self.row_start = row_start
-        self.row_stop = row_start + parallelism
         # Per output edge, set by deploy: the downstream operator state,
         # this operator's port index there, and the edge's scratch for
         # _emit — ``stack`` (base row over this operator's per-instance
@@ -215,15 +306,10 @@ class _OpState:
         # Read-only zeros: the start of the per-instance sequential
         # sums, and a sink's pushed counters.
         self.zeros: FloatArray = np.zeros(parallelism, dtype=np.float64)
-        # Scratch, rewritten every tick: the [pulled, pushed, useful,
-        # waiting] counters handed to MetricsManager.record_block, and
-        # the conservation check's work arrays.
-        self.counters: FloatArray = np.zeros(
-            (4, parallelism), dtype=np.float64
-        )
-        self.drift: FloatArray = np.empty(shape, dtype=np.float64)
-        self.bound: FloatArray = np.empty(shape, dtype=np.float64)
-        self.bad: FloatArray = np.empty(shape, dtype=np.bool_)
+        # The tick's [pulled, pushed, useful, waiting] rows: the
+        # operator writes pulled, pushed and its raw useful time, and
+        # VectorEngine.record_metrics finishes every column at once.
+        self.counters: FloatArray = arena.counters[:, rows]
 
     def queue_totals(self) -> FloatArray:
         """Records queued per instance, summed across ports in port
@@ -241,16 +327,6 @@ class _OpState:
         if self.win_buffered is not None:
             extra = extra + self.win_buffered
         return self.queue_totals() + extra
-
-    def max_fill(self) -> float:
-        """Worst port occupancy across instances (0 when unbounded or
-        portless). ``min(1, max(len) / capacity)`` is the maximum of
-        the per-queue fills ``min(1, len / capacity)``: correctly
-        rounded division by a positive constant and ``min(1, .)`` are
-        both monotone."""
-        if not self.ports or self.capacity is None:
-            return 0.0
-        return min(1.0, float(self.q_len.max()) / self.capacity)
 
 
 class VectorEngine:
@@ -271,6 +347,12 @@ class VectorEngine:
         self._sim = sim
         self._graph = sim.graph
         self._ops: Dict[str, _OpState] = {}
+        self._arena = _Arena(())
+        # Bounded operators with ports: their positions among the
+        # arena's ported operators, names, and queue capacities.
+        self._bounded: FloatArray = np.zeros(0, dtype=np.intp)
+        self._bounded_names: Tuple[str, ...] = ()
+        self._capacities: FloatArray = np.zeros(0, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Deployment
@@ -299,28 +381,36 @@ class VectorEngine:
         return carried
 
     def deploy(self, plan: PhysicalPlan, carried: Carry) -> None:
-        """Build array state for ``plan`` from the ``carried`` totals of
-        the previous deployment (empty on the first) — the vector
+        """Build a fresh arena for ``plan`` from the ``carried`` totals
+        of the previous deployment (empty on the first) — the vector
         replay of ``Simulator._deploy_objects``."""
         sim = self._sim
+        order = self._graph.topological_order()
+        ports_of = {
+            name: tuple(self._graph.upstream(name)) for name in order
+        }
+        arena = _Arena(
+            [
+                (len(ports_of[name]), plan.parallelism_of(name))
+                for name in order
+            ]
+        )
+        self._arena = arena
         self._ops = {}
-        next_row = 0
-        for name in self._graph.topological_order():
+        for position, name in enumerate(order):
             spec = self._graph.operator(name)
             parallelism = plan.parallelism_of(name)
-            capacity = sim.runtime.queue_capacity(spec, parallelism)
-            weights = plan.input_weights(name)
-            ports = tuple(self._graph.upstream(name))
+            ports = ports_of[name]
             op = _OpState(
                 name=name,
                 spec=spec,
                 parallelism=parallelism,
                 ports=ports,
-                capacity=capacity,
-                weights=weights,
-                row_start=next_row,
+                capacity=sim.runtime.queue_capacity(spec, parallelism),
+                weights=plan.input_weights(name),
+                arena=arena,
+                position=position,
             )
-            next_row = op.row_stop
             queued_by_port, buffered, backlog = carried.get(
                 name, ({}, 0.0, 0.0)
             )
@@ -328,16 +418,16 @@ class VectorEngine:
                 queued = queued_by_port.get(port, 0.0)
                 # force_push of queued * weight per instance: length
                 # and the cumulative pushed counter both start there.
-                row = queued * op.weights
-                op.q_len[k] = row
-                op.q_pushed[k] = row
-            op.fire_backlog = backlog * op.weights
-            if spec.window is not None:
+                np.multiply(queued, op.weights, out=op.q_len[k])
+                op.q_pushed[k] = op.q_len[k]
+            np.multiply(backlog, op.weights, out=op.fire_backlog)
+            if op.win_buffered is not None:
+                assert spec.window is not None
                 # One WindowState carries the fire-clock reset semantics
                 # for the whole instance block (lockstep, see _OpState).
                 clock = WindowState(spec=spec.window)
                 clock.reset(sim.time)
-                op.win_buffered = buffered * op.weights
+                np.multiply(buffered, op.weights, out=op.win_buffered)
                 op.win_next_fire = clock.next_fire
                 op.win_last_check = clock._last_check
             self._ops[name] = op
@@ -355,6 +445,19 @@ class VectorEngine:
                     )
                 )
             op.targets = tuple(targets)
+        ops = list(self._ops.values())
+        bounded = [
+            (slot, ops[position])
+            for slot, position in enumerate(arena.ported)
+            if ops[position].capacity is not None
+        ]
+        self._bounded = np.array(
+            [slot for slot, _ in bounded], dtype=np.intp
+        )
+        self._bounded_names = tuple(op.name for _, op in bounded)
+        self._capacities = np.array(
+            [op.capacity for _, op in bounded], dtype=np.float64
+        )
 
     # ------------------------------------------------------------------
     # Observability
@@ -375,8 +478,30 @@ class VectorEngine:
                 total += value
         return total
 
+    def _bounded_fills(self) -> FloatArray:
+        """``max(len) / capacity`` of every bounded operator with
+        ports, in topological order, from one ``reduceat`` over the
+        arena's queue lengths. Maxima are order-free, so each is the
+        operator's own ``q_len.max()``."""
+        maxima = np.maximum.reduceat(
+            self._arena.q_len, self._arena.ported_cells
+        )[self._bounded]
+        return np.divide(maxima, self._capacities, out=maxima)
+
+    def max_fills(self) -> Dict[str, float]:
+        """Worst port occupancy across instances, per operator (0 when
+        unbounded or portless). ``min(1, max(len) / capacity)`` is the
+        maximum of the per-queue fills ``min(1, len / capacity)``:
+        correctly rounded division by a positive constant and
+        ``min(1, .)`` are both monotone."""
+        fills = dict.fromkeys(self._ops, 0.0)
+        if self._bounded_names:
+            ratios = np.minimum(1.0, self._bounded_fills())
+            fills.update(zip(self._bounded_names, ratios.tolist()))
+        return fills
+
     def max_fill(self, name: str) -> float:
-        return self._ops[name].max_fill()
+        return self.max_fills()[name]
 
     def backpressured(self) -> Tuple[str, ...]:
         """Operators with a bounded port at or above the runtime's
@@ -388,108 +513,142 @@ class VectorEngine:
         threshold ``t <= 1``, ``min(1, x) >= t`` is ``x >= t``. A
         threshold above 1 is never reached."""
         threshold = self._sim.runtime.backpressure_threshold
-        if threshold > 1.0:
+        if threshold > 1.0 or not self._bounded_names:
             return ()
         return tuple(
             name
-            for name, op in self._ops.items()
-            if op.capacity is not None
-            and op.ports
-            and float(op.q_len.max()) / op.capacity >= threshold
+            for name, fill in zip(
+                self._bounded_names, self._bounded_fills().tolist()
+            )
+            if fill >= threshold
         )
 
     def check_invariants(self) -> None:
         """Queue conservation and non-negative fire backlogs (the
-        vector replay of ``Queue.check_conservation``), computed in
-        each operator's scratch arrays."""
-        for name, op in self._ops.items():
-            if op.ports:
-                drift, bound, bad = op.drift, op.bound, op.bad
-                np.subtract(op.q_pushed, op.q_popped, out=drift)
-                np.subtract(drift, op.q_len, out=drift)
-                np.abs(drift, out=drift)
-                np.maximum(1.0, op.q_pushed, out=bound)
-                np.multiply(1e-6, bound, out=bound)
-                np.greater(drift, bound, out=bad)
-                if bool(bad.any()):
-                    k, j = (int(i[0]) for i in np.nonzero(bad))
+        vector replay of ``Queue.check_conservation``), one pass over
+        the whole arena. On a violation the error names the first one
+        in the object backend's order (see
+        :meth:`_raise_first_violation`)."""
+        arena = self._arena
+        queues_bad = False
+        if len(arena.q_len):
+            drift, bound, bad = arena.drift, arena.bound, arena.bad
+            np.subtract(arena.q_pushed, arena.q_popped, out=drift)
+            np.subtract(drift, arena.q_len, out=drift)
+            np.abs(drift, out=drift)
+            np.maximum(1.0, arena.q_pushed, out=bound)
+            np.multiply(1e-6, bound, out=bound)
+            np.greater(drift, bound, out=bad)
+            queues_bad = bool(bad.any())
+        if queues_bad or float(arena.fire_backlog.min()) < -1e-6:
+            self._raise_first_violation()
+
+    def _raise_first_violation(self) -> None:
+        """Raise what the object backend's check raises: it walks the
+        operators in topological order, each one's instances in index
+        order, and checks an instance's ports in port order before its
+        fire backlog. ``arena.bad`` holds the queue verdicts of the
+        pass that just ran."""
+        arena = self._arena
+        for position, op in enumerate(self._ops.values()):
+            first = arena.queue_starts[position]
+            bad = arena.bad[first:first + op.q_len.size].reshape(
+                op.q_len.shape
+            )
+            for j in range(op.parallelism):
+                for k in range(len(op.ports)):
+                    if bad[k, j]:
+                        raise EngineError(
+                            "queue conservation violated: "
+                            f"pushed={float(op.q_pushed[k, j])} "
+                            f"popped={float(op.q_popped[k, j])} "
+                            f"length={float(op.q_len[k, j])}"
+                        )
+                if float(op.fire_backlog[j]) < -1e-6:
                     raise EngineError(
-                        "queue conservation violated: "
-                        f"pushed={float(op.q_pushed[k, j])} "
-                        f"popped={float(op.q_popped[k, j])} "
-                        f"length={float(op.q_len[k, j])}"
+                        f"negative fire backlog at {InstanceId(op.name, j)}"
                     )
-            # Only window operators ever hold a fire backlog.
-            if (
-                op.win_buffered is not None
-                and float(op.fire_backlog.min()) < -1e-6
-            ):
-                j = int(np.flatnonzero(op.fire_backlog < -1e-6)[0])
-                raise EngineError(
-                    f"negative fire backlog at {InstanceId(name, j)}"
-                )
 
     # ------------------------------------------------------------------
     # Demand estimation and latency delays
     # ------------------------------------------------------------------
 
+    def _write_work(self, op: _OpState, out: FloatArray) -> None:
+        """Write a non-source operator's seconds of pending work per
+        instance into ``out``: queue totals times the per-record cost,
+        plus fire backlog times the fire cost at a window operator —
+        the object backend's per-instance expressions."""
+        sim = self._sim
+        if op.win_buffered is None:
+            np.multiply(op.queue_totals(), sim._unit_cost(op.name), out=out)
+        else:
+            assign_cost, fire_cost = sim._window_costs(op.name)
+            np.multiply(op.queue_totals(), assign_cost, out=out)
+            out += op.fire_backlog * fire_cost
+
     def estimate_demands(self, dt: float) -> Dict[str, FloatArray]:
         """Seconds of pending work per instance, one array per operator
-        in topological order (consumed by ``Runtime.budgets_batch``)."""
+        in topological order (consumed by ``Runtime.budgets_batch``),
+        each a block of one ``(N,)`` buffer."""
         sim = self._sim
+        work = np.empty(len(self._arena.fire_backlog), dtype=np.float64)
         demands: Dict[str, FloatArray] = {}
         for name, op in self._ops.items():
-            spec = op.spec
-            if spec.is_source:
-                schedule = spec.rate
+            block = work[op.row_start:op.row_stop]
+            if op.spec.is_source:
+                schedule = op.spec.rate
                 assert schedule is not None
                 rate = schedule.rate_at(sim.time)
                 per_instance = (
                     rate * dt + sim.source_backlog(name)
                 ) / op.parallelism
                 cost = sim._source_cost(name)
-                demands[name] = np.full(
-                    op.parallelism,
-                    per_instance * max(cost, 1e-9),
-                    dtype=np.float64,
-                )
-                continue
-            if spec.window is not None:
-                assign_cost, fire_cost = sim._window_costs(name)
-                demands[name] = (
-                    op.queue_totals() * assign_cost
-                    + op.fire_backlog * fire_cost
-                )
-                continue
-            cost = sim._unit_cost(name)
-            demands[name] = op.queue_totals() * cost
+                block.fill(per_instance * max(cost, 1e-9))
+            else:
+                self._write_work(op, block)
+            demands[name] = block
         return demands
 
     def operator_delays(self) -> Dict[str, float]:
         """Per-operator drain delays for the record-latency tracker
-        (the vector replay of ``Simulator._object_delays``)."""
+        (the vector replay of ``Simulator._object_delays``): each
+        operator's maximum pending work, from one ``reduceat`` over an
+        ``(N,)`` buffer of every instance's work."""
         sim = self._sim
+        work = np.zeros(len(self._arena.fire_backlog), dtype=np.float64)
+        for op in self._ops.values():
+            if not op.spec.is_source:
+                self._write_work(op, work[op.row_start:op.row_stop])
+        maxima = np.maximum.reduceat(work, self._arena.op_rows).tolist()
         delays: Dict[str, float] = {}
-        for name, op in self._ops.items():
-            spec = op.spec
-            if spec.is_source:
-                schedule = spec.rate
+        for (name, op), longest in zip(self._ops.items(), maxima):
+            if op.spec.is_source:
+                schedule = op.spec.rate
                 assert schedule is not None
                 rate = schedule.rate_at(sim.time)
                 backlog = sim.source_backlog(name)
                 delays[name] = backlog / rate if rate > 0 else 0.0
-                continue
-            if spec.window is not None:
-                assign_cost, fire_cost = sim._window_costs(name)
-                per_instance = (
-                    op.queue_totals() * assign_cost
-                    + op.fire_backlog * fire_cost
-                )
             else:
-                cost = sim._unit_cost(name)
-                per_instance = op.queue_totals() * cost
-            delays[name] = float(per_instance.max())
+                delays[name] = longest
         return delays
+
+    def record_metrics(self, dt: float) -> None:
+        """Finish the tick's counters and hand them to the metrics
+        manager in one call: ``useful = min(raw useful, dt)`` and
+        ``waiting = max(0, dt - useful)`` over the whole arena, then one
+        ``record_block`` over every row. Each operator wrote its pulled,
+        pushed and raw useful rows during the tick; every column is
+        rewritten every active tick and nothing reads the accumulators
+        mid-tick, so one end-of-tick add per element is the per-operator
+        add it replaces."""
+        counters = self._arena.counters
+        useful, waiting = counters[2], counters[3]
+        np.minimum(useful, dt, out=useful)
+        np.subtract(dt, useful, out=waiting)
+        np.maximum(0.0, waiting, out=waiting)
+        self._sim.metrics_manager.record_block(
+            0, counters.shape[1], counters
+        )
 
     # ------------------------------------------------------------------
     # Routing
@@ -677,7 +836,7 @@ class VectorEngine:
         counters = op.counters
         counters[0] = allocations
         counters[1] = allocations
-        self._record(op, allocations, cost, dt)
+        np.multiply(allocations, cost, out=counters[2])
         emitted_total = 0.0
         for value in allocations.tolist():
             emitted_total += value
@@ -686,30 +845,11 @@ class VectorEngine:
         )
         return emitted_total, desired
 
-    def _record(
-        self, op: _OpState, done: FloatArray, cost: float, dt: float
-    ) -> None:
-        """Fill the useful and waiting rows of ``op.counters`` for
-        ``done`` records at ``cost`` each and hand all four rows to the
-        metrics manager (pulled and pushed are already in place):
-        ``useful = min(done * cost, dt)``, ``waiting = max(0, dt -
-        useful)``, computed in place."""
-        counters = op.counters
-        useful, waiting = counters[2], counters[3]
-        np.multiply(done, cost, out=useful)
-        np.minimum(useful, dt, out=useful)
-        np.subtract(dt, useful, out=waiting)
-        np.maximum(0.0, waiting, out=waiting)
-        self._sim.metrics_manager.record_block(
-            op.row_start, op.row_stop, counters
-        )
-
     def run_operator(
         self,
         name: str,
         spec: OperatorSpec,
         budgets: FloatArray,
-        dt: float,
         end_time: float,
     ) -> float:
         """Run one non-source operator for a tick; returns records
@@ -729,10 +869,10 @@ class VectorEngine:
             if profiler.enabled:
                 with profiler.span("engine.window_fire"):
                     return self._run_window(
-                        op, spec, budgets, dt, end_time, space, totals
+                        op, spec, budgets, end_time, space, totals
                     )
             return self._run_window(
-                op, spec, budgets, dt, end_time, space, totals
+                op, spec, budgets, end_time, space, totals
             )
         unit_cost = sim._unit_cost(name)
         selectivity = spec.selectivity.ratio
@@ -752,7 +892,7 @@ class VectorEngine:
         else:
             np.multiply(processed, selectivity, out=counters[1])
             self._emit(op, counters[1])
-        self._record(op, processed, unit_cost, dt)
+        np.multiply(processed, unit_cost, out=counters[2])
         processed_list = processed.tolist()
         sim.state_model.record_processed_block(name, processed_list)
         consumed_total = 0.0
@@ -765,7 +905,6 @@ class VectorEngine:
         op: _OpState,
         spec: OperatorSpec,
         budgets: FloatArray,
-        dt: float,
         end_time: float,
         space: float,
         totals: FloatArray,
@@ -803,7 +942,7 @@ class VectorEngine:
             )
         fire_cap = math.inf if fire_sel <= 0 else space / fire_sel
         fired = fair_allocate_batch(fire_cap, fire_desires)
-        op.fire_backlog = backlog - fired
+        np.subtract(backlog, fired, out=backlog)
         emit = fired * fire_sel
         self._emit(op, emit)
         useful_acc = fired * fire_cost
@@ -832,8 +971,8 @@ class VectorEngine:
             op.win_last_check = end_time
             fraction = min(1.0, elapsed / window_spec.fire_interval)
             released = buffered * fraction
-            op.win_buffered = buffered - released
-            op.fire_backlog = op.fire_backlog + released
+            np.subtract(buffered, released, out=op.win_buffered)
+            np.add(backlog, released, out=backlog)
         else:
             fires = 0
             next_fire = op.win_next_fire
@@ -842,24 +981,18 @@ class VectorEngine:
                 next_fire += window_spec.fire_interval
             op.win_next_fire = next_fire
             if fires:
-                op.fire_backlog = op.fire_backlog + buffered
-                op.win_buffered = np.zeros(op.parallelism, dtype=np.float64)
+                np.add(backlog, buffered, out=backlog)
+                op.win_buffered[...] = 0.0
             else:
-                op.win_buffered = buffered
+                op.win_buffered[...] = buffered
         counters = op.counters
         counters[0] = assigned
         counters[1] = emit
-        # useful = fired * fire_cost + assigned * assign_cost, then the
-        # usual min/max against the tick.
-        useful, waiting = counters[2], counters[3]
+        # Raw useful = fired * fire_cost + assigned * assign_cost;
+        # record_metrics applies the min/max against the tick.
+        useful = counters[2]
         np.multiply(assigned, assign_cost, out=useful)
         np.add(useful_acc, useful, out=useful)
-        np.minimum(useful, dt, out=useful)
-        np.subtract(dt, useful, out=waiting)
-        np.maximum(0.0, waiting, out=waiting)
-        sim.metrics_manager.record_block(
-            op.row_start, op.row_stop, counters
-        )
         assigned_list = assigned.tolist()
         sim.state_model.record_processed_block(op.name, assigned_list)
         consumed_total = 0.0

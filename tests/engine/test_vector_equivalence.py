@@ -590,3 +590,166 @@ class TestBackendSwitching:
         for pin in ("object", "vector"):
             pinned = dataclasses.replace(spec, engine_backend=pin)
             assert run_campaign_cell(pinned) == default
+
+
+def _corrupt(sim, corruption):
+    """Apply one corruption to either backend's live state: ``("pushed",
+    operator, port, index)`` adds 1000 to that queue's pushed counter,
+    ``("backlog", operator, index)`` makes that fire backlog -1."""
+    kind, name, *where = corruption
+    if sim.backend == "object":
+        instance = sim._obj_instances[name][where[-1]]
+        if kind == "pushed":
+            instance.ports[where[0]]._pushed += 1000.0
+        else:
+            instance.fire_backlog = -1.0
+        return
+    op = sim._vec._ops[name]
+    if kind == "pushed":
+        op.q_pushed[op.port_index[where[0]], where[-1]] += 1000.0
+    else:
+        op.fire_backlog[where[-1]] = -1.0
+
+
+class TestInvariantViolations:
+    """With several corrupt queues and backlogs, both backends name the
+    first violation in the same order: operators topologically,
+    instances by index, an instance's ports before its fire backlog."""
+
+    CASES = {
+        "q3-two-join-queues": (
+            "Q3",
+            [
+                ("pushed", "incremental_join", "person_filter", 1),
+                ("pushed", "incremental_join", "auctions", 0),
+            ],
+        ),
+        "q8-backlog-before-later-instance": (
+            "Q8",
+            [
+                ("pushed", "window_join", "persons", 1),
+                ("pushed", "window_join", "auctions", 2),
+                ("backlog", "window_join", 0),
+            ],
+        ),
+        "q8-port-before-same-instance-backlog": (
+            "Q8",
+            [
+                ("backlog", "window_join", 1),
+                ("pushed", "window_join", "auctions", 1),
+                ("pushed", "window_join", "persons", 3),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_first_violation_matches(self, case):
+        query, corruptions = self.CASES[case]
+        graph = get_query(query).flink_graph()
+        messages = []
+        for backend in ("object", "vector"):
+            sim = Simulator(
+                PhysicalPlan(graph, {name: 4 for name in graph.names}),
+                FlinkRuntime(),
+                EngineConfig(tick=0.25),
+                backend=backend,
+            )
+            sim.run_for(10.0)
+            for corruption in corruptions:
+                _corrupt(sim, corruption)
+            with pytest.raises(EngineError) as raised:
+                sim._check_invariants()
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+
+def assert_arena_aliased(sim):
+    """Every state array of every operator is a view into the current
+    deployment's arena (an empty queue block shares no memory, so
+    portless operators skip the queue fields)."""
+    import numpy as np
+
+    engine = sim._vec
+    assert engine is not None
+    arena = engine._arena
+    for op in engine._ops.values():
+        fields = [
+            ("fire_backlog", arena.fire_backlog),
+            ("counters", arena.counters),
+        ]
+        if op.ports:
+            fields += [
+                ("q_len", arena.q_len),
+                ("q_pushed", arena.q_pushed),
+                ("q_popped", arena.q_popped),
+            ]
+        if op.win_buffered is not None:
+            fields.append(("win_buffered", arena.win_buffered))
+        for field, buffer in fields:
+            assert np.shares_memory(getattr(op, field), buffer), (
+                op.name,
+                field,
+            )
+
+
+class TestArena:
+    def test_views_survive_every_redeploy(self, monkeypatch):
+        """Deploy, a non-staggered window fire, a rescale that switches
+        object to vector, and a crash recovery all leave the operator
+        state aliased to the arena."""
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        sim = _narrow_q5(_switching_runtime(), "vector", tick=0.5)
+        assert_arena_aliased(sim)
+        sim = _narrow_q5(_switching_runtime(), tick=0.5)
+        sim.run_for(5.0)
+        assert sim.backend == "object"
+        sim.rescale({"hot_items": VECTOR_MIN_WIDTH + 4})
+        assert sim.backend == "vector"
+        assert_arena_aliased(sim)
+        window = sim._vec._ops["hot_items"]
+        assert not window.spec.window.staggered
+        next_fire = window.win_next_fire
+        sim.run_for(5.0)
+        assert window.win_next_fire > next_fire
+        assert float(window.fire_backlog.max()) > 0
+        assert_arena_aliased(sim)
+        before = sim._vec._arena
+        sim.fail_instance("hot_items", 3)
+        assert sim._vec._arena is not before
+        assert_arena_aliased(sim)
+        sim.run_for(5.0)
+        assert_arena_aliased(sim)
+
+    def test_record_block_once_per_active_tick(self, monkeypatch):
+        """One record_block per active vector tick, whatever the
+        operator count, and none during a rescale outage."""
+        from repro.engine.metrics_manager import MetricsManager
+
+        calls = []
+        record_block = MetricsManager.record_block
+
+        def spy(self, start, stop, counters):
+            calls.append((start, stop))
+            return record_block(self, start, stop, counters)
+
+        monkeypatch.setattr(MetricsManager, "record_block", spy)
+        graph = get_query("Q3").flink_graph()
+        sim = Simulator(
+            PhysicalPlan(
+                graph, {name: 4 for name in graph.names}, max_parallelism=36
+            ),
+            FlinkRuntime(),
+            EngineConfig(tick=0.25),
+            backend="vector",
+        )
+        active = 0
+        for tick in range(200):
+            if tick == 60:
+                assert sim.rescale({"incremental_join": 6}) > 0
+            active += not sim.step().in_outage
+        assert 0 < active < 200
+        assert len(calls) == active
+        widths = {sum(sim.plan.parallelism.values())}
+        widths.add(4 * len(graph.names))
+        assert {stop for _, stop in calls} == widths
+        assert {start for start, _ in calls} == {0}

@@ -5,8 +5,8 @@ process pool (`jobs > 1`) produces scorecards *byte-identical*
 (asserted through a `SasoScorecard` dict round-trip and `repr`) to the
 in-process run (`jobs=1`), in the same canonical (campaign-major,
 controller-minor) order, regardless of completion order — under every
-multiprocessing start method, for span structure and metrics text as
-well as scorecards. The suite also covers the failure paths — a
+multiprocessing start method, for span structure as well as
+scorecards. The suite also covers the failure paths — a
 controller factory that raises must surface the failing `(seed,
 campaign, controller)` cell with its traceback, in-process or in a
 child, and must not hang the pool — plus jobs/env validation, the
