@@ -17,7 +17,10 @@
 #                      forkserver start methods
 #   6. kill-and-resume equivalence
 #                    - hard-killed chaos run resumed from its journal
-#                      must match an uninterrupted run byte-for-byte
+#                      must match an uninterrupted run byte-for-byte,
+#                      and the committed smoke-campaign journal (cell
+#                      fingerprints recorded by an older build) must
+#                      still resume without re-running a cell
 #   7. run report (golden file)
 #                    - `repro report` over the committed smoke-campaign
 #                      journal must render byte-identical JSON to the
@@ -28,7 +31,8 @@
 #                      `repro sweep report` from that journal must both
 #                      render byte-identical JSON to the committed
 #                      golden sensitivity artifact; plus the sweep
-#                      SIGKILL-and-resume equivalence tests
+#                      SIGKILL-and-resume equivalence tests and the
+#                      pin on the smoke grid's cell fingerprints
 #   9. pytest (REPRO_ENGINE=object)
 #                    - tier-1 test suite with every Simulator pinned to
 #                      the per-instance object engine backend
@@ -114,9 +118,11 @@ run_stage "parallel chaos equivalence (smoke)" \
     -k "smoke or start_method or recovery"
 # Crash-safety gate: a chaos run hard-killed mid-campaign and resumed
 # from its checkpoint journal must print byte-identical output to an
-# uninterrupted run (serial and process-pool).
+# uninterrupted run (serial and process-pool), and a journal written
+# by an older build must still resume (its cell fingerprints match).
 run_stage "kill-and-resume equivalence (smoke)" \
-    python -m pytest -q tests/faults/test_checkpoint.py -k kill_and_resume
+    python -m pytest -q tests/faults/test_checkpoint.py \
+    -k "kill_and_resume or older_journal"
 # Run-report gate: the aggregated report over the committed
 # smoke-campaign journal must stay byte-identical to the committed
 # golden JSON. Cheap (<1s), so it runs even with --fast.
@@ -130,7 +136,8 @@ run_stage "run report (golden file)" check_golden_report
 # Sweep gate: running the committed smoke grid (two pool workers, with
 # a checkpoint journal) and re-reporting from that journal must both
 # reproduce the committed golden sensitivity artifact byte-for-byte,
-# and a sweep hard-killed mid-grid must resume to the same bytes.
+# a sweep hard-killed mid-grid must resume to the same bytes, and the
+# grid's cell fingerprints must not drift (old journals must resume).
 check_golden_sweep() {
     local journal status
     journal="$(mktemp "${TMPDIR:-/tmp}/sweep_journal.XXXXXX")" \
@@ -157,7 +164,7 @@ check_golden_sweep() {
 run_stage "sweep (golden file)" check_golden_sweep
 run_stage "sweep kill-and-resume equivalence (smoke)" \
     python -m pytest -q tests/sweeps/test_sweep_equivalence.py \
-    -k "kill_and_resume or report_cli"
+    -k "kill_and_resume or report_cli or fingerprints_pinned"
 
 if [ "$FAST" -eq 1 ]; then
     skip_stage "pytest (REPRO_ENGINE=object)" "--fast"

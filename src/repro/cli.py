@@ -37,6 +37,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import shlex
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
@@ -349,6 +350,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             f"unknown experiment {args.experiment!r}; available: "
             f"{', '.join(sorted(EXPERIMENTS))}",
+            file=sys.stderr,
+        )
+        return 2
+    if not (args.scale > 0 and math.isfinite(args.scale)):
+        print(
+            f"--scale must be a finite number > 0, got {args.scale}",
             file=sys.stderr,
         )
         return 2

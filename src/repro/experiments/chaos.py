@@ -25,9 +25,10 @@ profile on all three runtimes to expose their distinct recovery models
 Everything is deterministic: same profile, seed, workload, and campaign
 count ⇒ byte-identical scorecards and report, whether the cells run
 serially or on a process pool (``jobs``; see
-:class:`repro.faults.executor.CampaignExecutor`). All controller
-factories here are module-level functions or partials, so every cell
-spec pickles cleanly across worker processes.
+:class:`repro.faults.executor.CampaignExecutor`). The contenders come
+from :mod:`repro.experiments.harness`; every factory is a module-level
+function or a partial of one, so every cell spec pickles cleanly
+across worker processes.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.baselines import DhalionConfig, DhalionController
 from repro.core.controller import Controller
-from repro.core.manager import DS2Controller, ManagerConfig
-from repro.core.policy import DS2Policy, ExecutionModel
+from repro.core.policy import ExecutionModel
 from repro.engine.runtimes import (
     FlinkRuntime,
     HeronRuntime,
@@ -48,12 +47,15 @@ from repro.engine.runtimes import (
 )
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import PhysicalPlan
-from repro.engine.simulator import EngineConfig, Simulator
+from repro.engine.simulator import Simulator
 from repro.errors import FaultInjectionError
 from repro.experiments.comparison import HERON_POLICY_INTERVAL
-from repro.experiments.fault_tolerance import (
-    SOURCE_PARALLELISM,
-    _ds2_controller,
+from repro.experiments.harness import (
+    RUNTIMES,
+    TIMELY_INITIAL_WORKERS,
+    WORDCOUNT_INITIAL_PARALLELISM,
+    campaign_engine_config,
+    contenders,
 )
 from repro.faults.injector import FaultInjector
 from repro.experiments.report import format_table
@@ -76,20 +78,13 @@ from repro.faults.executor import (
     CampaignCoverage,
     CampaignExecutor,
     CampaignInterrupted,
-    CellRetryPolicy,
-    checkpoint_journal,
     ensure_parallel_safe,
+    journaled_executor,
 )
 from repro.telemetry.progress import ProgressListener
 from repro.telemetry.tracer import NULL_TRACER, tracing
 from repro.workloads.nexmark import ALL_QUERIES, get_query
-from repro.workloads.wordcount import (
-    COUNT,
-    FLATMAP,
-    SINK,
-    SOURCE,
-    heron_wordcount_graph,
-)
+from repro.workloads.wordcount import heron_wordcount_graph
 
 #: Default campaign batch (the ISSUE's acceptance run).
 DEFAULT_PROFILE = "mixed"
@@ -99,42 +94,15 @@ DEFAULT_WORKLOAD = "wordcount"
 #: Campaigns replayed per runtime for the recovery-model comparison.
 RECOVERY_CAMPAIGNS = 5
 
-#: Runtimes of the recovery-model comparison, in report-fold order.
-RECOVERY_RUNTIMES: Dict[str, Callable[[], Runtime]] = {
-    "flink": FlinkRuntime,
-    "timely": TimelyRuntime,
-    "heron": HeronRuntime,
-}
-
 #: Nexmark chaos settings: the convergence experiment's policy cadence
 #: and the Table 4 sweep's "start everything at 8" configuration.
 NEXMARK_POLICY_INTERVAL = 30.0
 NEXMARK_INITIAL_PARALLELISM = 8
-#: Timely workers per operator at the start of a global-scaling cell
-#: (under the paper's 4-worker optimum, so the controller must act).
-TIMELY_INITIAL_WORKERS = 2
-
-
-def _make_hardened_ds2() -> Controller:
-    return _ds2_controller(True)
-
-
-def _make_legacy_ds2() -> Controller:
-    return _ds2_controller(False)
-
-
-def _make_dhalion() -> Controller:
-    return DhalionController(DhalionConfig())
 
 
 def chaos_controllers() -> Dict[str, Callable[[], Controller]]:
-    """Fresh-instance factories for the three contenders (module-level
-    functions, so cell specs stay picklable for the process pool)."""
-    return {
-        "ds2": _make_hardened_ds2,
-        "ds2-legacy": _make_legacy_ds2,
-        "dhalion": _make_dhalion,
-    }
+    """Fresh-instance factories for the three wordcount contenders."""
+    return contenders(heron_wordcount_graph)
 
 
 def resolve_profile(name: str) -> CampaignProfile:
@@ -148,17 +116,8 @@ def resolve_profile(name: str) -> CampaignProfile:
         ) from None
 
 
-def _wordcount_graph() -> LogicalGraph:
-    return heron_wordcount_graph()
-
-
 def _wordcount_parallelism(graph: LogicalGraph) -> Dict[str, int]:
-    return {
-        SOURCE: SOURCE_PARALLELISM,
-        FLATMAP: 1,
-        COUNT: 1,
-        SINK: 1,
-    }
+    return dict(WORDCOUNT_INITIAL_PARALLELISM)
 
 
 def _nexmark_graph(query_name: str, flavor: str) -> LogicalGraph:
@@ -180,58 +139,6 @@ def _uniform_parallelism(
     workers: int, graph: LogicalGraph
 ) -> Dict[str, int]:
     return {name: workers for name in graph.names}
-
-
-def _nexmark_ds2(
-    query_name: str, flavor: str, hardened: bool
-) -> Controller:
-    """A DS2 controller sized for one Nexmark query's graph.
-
-    Module-level (hence picklable via :func:`functools.partial`): the
-    policy needs the query's own graph, so the generic wordcount
-    factories cannot be reused.
-    """
-    graph = _nexmark_graph(query_name, flavor)
-    model = (
-        ExecutionModel.GLOBAL
-        if flavor == "timely"
-        else ExecutionModel.PER_OPERATOR
-    )
-    config = ManagerConfig(
-        warmup_intervals=0, activation_intervals=1, target_ratio=1.0
-    )
-    if hardened:
-        return DS2Controller(
-            DS2Policy(graph, execution_model=model), config
-        )
-    legacy = ManagerConfig(
-        warmup_intervals=0,
-        activation_intervals=1,
-        target_ratio=1.0,
-        completeness_compensation=False,
-        min_completeness=0.0,
-        max_window_age_intervals=None,
-    )
-    return DS2Controller(
-        DS2Policy(
-            graph, execution_model=model, completeness_scaling=False
-        ),
-        legacy,
-    )
-
-
-def _nexmark_controllers(
-    query_name: str, flavor: str
-) -> Dict[str, Callable[[], Controller]]:
-    controllers: Dict[str, Callable[[], Controller]] = {
-        "ds2": partial(_nexmark_ds2, query_name, flavor, True),
-        "ds2-legacy": partial(_nexmark_ds2, query_name, flavor, False),
-    }
-    if flavor == "flink":
-        # Dhalion's backpressure heuristic assumes per-operator worker
-        # assignment; it has no global-scaling analogue on Timely.
-        controllers["dhalion"] = _make_dhalion
-    return controllers
 
 
 @dataclass(frozen=True)
@@ -281,11 +188,7 @@ class ChaosWorkload:
             initial_parallelism=self.parallelism_factory(graph),
             controllers=self.controllers_factory(),
             policy_interval=self.policy_interval,
-            engine_config=EngineConfig(
-                tick=tick,
-                track_record_latency=False,
-                source_catchup_factor=1.3,
-            ),
+            engine_config=campaign_engine_config(tick),
             scalable_operators=(
                 graph.names if self.global_scaling else None
             ),
@@ -301,7 +204,7 @@ def _builtin_workloads() -> Dict[str, ChaosWorkload]:
                 "(default)"
             ),
             policy_interval=HERON_POLICY_INTERVAL,
-            graph_factory=_wordcount_graph,
+            graph_factory=heron_wordcount_graph,
             runtime_factory=HeronRuntime,
             parallelism_factory=_wordcount_parallelism,
             controllers_factory=chaos_controllers,
@@ -322,7 +225,7 @@ def _builtin_workloads() -> Dict[str, ChaosWorkload]:
                 _nexmark_parallelism, query.name
             ),
             controllers_factory=partial(
-                _nexmark_controllers, query.name, "flink"
+                contenders, partial(_nexmark_graph, query.name, "flink")
             ),
         )
     workloads["nexmark-q5-timely"] = ChaosWorkload(
@@ -338,7 +241,9 @@ def _builtin_workloads() -> Dict[str, ChaosWorkload]:
             _uniform_parallelism, TIMELY_INITIAL_WORKERS
         ),
         controllers_factory=partial(
-            _nexmark_controllers, "Q5", "timely"
+            contenders,
+            partial(_nexmark_graph, "Q5", "timely"),
+            ExecutionModel.GLOBAL,
         ),
         global_scaling=True,
     )
@@ -397,8 +302,6 @@ def run_chaos(
     jobs: Optional[int] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    retry: Optional[CellRetryPolicy] = None,
-    cell_timeout: Optional[float] = None,
     progress: Optional[ProgressListener] = None,
 ) -> ChaosResult:
     """Run ``campaigns`` sampled campaigns × the workload's controllers.
@@ -406,7 +309,8 @@ def run_chaos(
     Args:
         profile: Built-in profile name (see
             :data:`repro.faults.campaigns.PROFILES`).
-        campaigns: Number of sampled campaigns (one seed each).
+        campaigns: Number of sampled campaigns (one seed each);
+            at least 1.
         seed: Master seed of the campaign generator.
         tick: Engine tick; 1.0 keeps a 20-campaign batch under a
             minute of wall clock.
@@ -419,16 +323,14 @@ def run_chaos(
             byte-identical either way.
         checkpoint: Journal path making the run crash-safe: every
             completed cell is durably recorded, failing cells are
-            retried then quarantined, and the result carries
-            :attr:`ChaosResult.coverage`. A hard-killed run resumes
-            with ``resume=True`` and produces byte-identical output.
+            retried then quarantined (the default
+            :class:`~repro.faults.executor.CellRetryPolicy`), and the
+            result carries :attr:`ChaosResult.coverage`. Without it
+            the first failing cell aborts the batch. A hard-killed run
+            resumes with ``resume=True`` and produces byte-identical
+            output.
         resume: Resume from an existing ``checkpoint`` journal instead
             of starting fresh (requires ``checkpoint``).
-        retry: Per-cell retry policy; defaults to
-            :class:`~repro.faults.executor.CellRetryPolicy` with a
-            checkpoint and to fail-fast without one.
-        cell_timeout: Per-cell wall-clock budget (seconds); a cell over
-            budget counts as a failed attempt.
         progress: Optional heartbeat sink (see
             :mod:`repro.telemetry.progress`); renders live cell
             progress and, with a checkpoint, journals heartbeats so a
@@ -437,6 +339,10 @@ def run_chaos(
     """
     spec = resolve_profile(profile)
     load = resolve_workload(workload)
+    if campaigns < 1:
+        raise FaultInjectionError(
+            f"a chaos batch needs at least 1 campaign, got {campaigns}"
+        )
     if resume and checkpoint is None:
         raise FaultInjectionError("resume requires a checkpoint path")
     header = JournalHeader(
@@ -447,16 +353,9 @@ def run_chaos(
         controllers=tuple(sorted(load.controllers_factory())),
     )
     workers = resolve_jobs(jobs)
-    with checkpoint_journal(checkpoint, header, resume=resume) as journal:
-        if retry is None and journal is not None:
-            retry = CellRetryPolicy()
-        executor = CampaignExecutor(
-            jobs=workers,
-            retry=retry,
-            cell_timeout=cell_timeout,
-            journal=journal,
-            progress=progress,
-        )
+    with journaled_executor(
+        checkpoint, header, resume=resume, jobs=workers, progress=progress
+    ) as executor:
         generator = CampaignGenerator(
             spec,
             CampaignTargets.from_graph(load.graph_factory()),
@@ -505,7 +404,8 @@ def run_chaos(
 class RecoveryCellSpec:
     """One cell of the crash-recovery replay: campaign ``campaign`` of
     the crash-only profile at master seed ``seed``, on the runtime
-    named ``runtime`` (a :data:`RECOVERY_RUNTIMES` key)."""
+    named ``runtime`` (a :data:`~repro.experiments.harness.RUNTIMES`
+    key)."""
 
     seed: int
     campaign: int
@@ -543,12 +443,8 @@ def run_recovery_cell(spec: RecoveryCellSpec) -> Tuple[float, ...]:
                 graph=graph,
                 parallelism={name: 2 for name in graph.names},
             ),
-            runtime=RECOVERY_RUNTIMES[spec.runtime](),
-            config=EngineConfig(
-                tick=spec.tick,
-                track_record_latency=False,
-                source_catchup_factor=1.3,
-            ),
+            runtime=RUNTIMES[spec.runtime](),
+            config=campaign_engine_config(spec.tick),
         )
         injector = FaultInjector(simulator, schedule)
         while (
@@ -587,14 +483,14 @@ def recovery_distributions(
         RecoveryCellSpec(
             seed=int(seed), campaign=campaign, runtime=runtime, tick=tick
         )
-        for runtime in RECOVERY_RUNTIMES
+        for runtime in RUNTIMES
         for campaign in range(campaigns)
     ]
     results = CampaignExecutor(
         jobs=jobs, progress=progress, runner=run_recovery_cell
     ).run_cells(specs)
     outages: Dict[str, List[float]] = {
-        runtime: [] for runtime in RECOVERY_RUNTIMES
+        runtime: [] for runtime in RUNTIMES
     }
     for spec, samples in zip(specs, results):
         outages[spec.runtime].extend(samples)
@@ -693,9 +589,7 @@ __all__ = [
     "NEXMARK_INITIAL_PARALLELISM",
     "NEXMARK_POLICY_INTERVAL",
     "RECOVERY_CAMPAIGNS",
-    "RECOVERY_RUNTIMES",
     "RecoveryCellSpec",
-    "TIMELY_INITIAL_WORKERS",
     "WORKLOADS",
     "chaos_controllers",
     "chaos_report",

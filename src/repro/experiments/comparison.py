@@ -19,12 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.baselines import DhalionConfig, DhalionController
-from repro.core.manager import DS2Controller, ManagerConfig
-from repro.core.policy import DS2Policy
 from repro.engine.runtimes import HeronRuntime
-from repro.engine.simulator import EngineConfig
-from repro.experiments.harness import ExperimentRun, run_controlled
+from repro.experiments.harness import (
+    ExperimentRun,
+    campaign_engine_config,
+    dhalion_controller,
+    ds2_controller,
+    run_controlled,
+)
 from repro.workloads.wordcount import (
     COUNT,
     FLATMAP,
@@ -80,11 +82,7 @@ def _run(
         controller=controller,
         policy_interval=HERON_POLICY_INTERVAL,
         duration=duration,
-        engine_config=EngineConfig(
-            tick=tick,
-            track_record_latency=False,
-            source_catchup_factor=1.3,
-        ),
+        engine_config=campaign_engine_config(tick),
     )
     events = run.loop_result.events
     convergence_time = events[-1].time if events else 0.0
@@ -105,7 +103,7 @@ def run_dhalion(
 ) -> ComparisonResult:
     """Dhalion on the Heron wordcount (Figure 1 / Figure 6 left)."""
     return _run(
-        DhalionController(DhalionConfig()),
+        dhalion_controller(),
         "dhalion",
         duration,
         tick,
@@ -117,16 +115,9 @@ def run_ds2(
 ) -> ComparisonResult:
     """DS2 on the Heron wordcount (§5.2: 60 s interval, no warm-up,
     one-interval activation, target ratio 1.0)."""
-    graph = heron_wordcount_graph()
-    controller = DS2Controller(
-        DS2Policy(graph),
-        ManagerConfig(
-            warmup_intervals=0,
-            activation_intervals=1,
-            target_ratio=1.0,
-        ),
+    return _run(
+        ds2_controller(heron_wordcount_graph), "ds2", duration, tick
     )
-    return _run(controller, "ds2", duration, tick)
 
 
 def source_rate_series(

@@ -34,13 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.baselines import DhalionConfig, DhalionController
-from repro.core.manager import DS2Controller, ManagerConfig
-from repro.core.policy import DS2Policy
 from repro.engine.runtimes import HeronRuntime
-from repro.engine.simulator import EngineConfig
 from repro.experiments.comparison import HERON_POLICY_INTERVAL
-from repro.experiments.harness import ExperimentRun, run_controlled
+from repro.experiments.harness import (
+    WORDCOUNT_INITIAL_PARALLELISM,
+    ExperimentRun,
+    campaign_engine_config,
+    dhalion_controller,
+    ds2_controller,
+    run_controlled,
+)
 from repro.experiments.report import format_table
 from repro.faults import (
     FaultSchedule,
@@ -52,7 +55,6 @@ from repro.workloads.wordcount import (
     COUNT,
     FLATMAP,
     HERON_SOURCE_RATE,
-    SINK,
     SOURCE,
     heron_wordcount_graph,
     heron_wordcount_optimum,
@@ -66,10 +68,6 @@ DROPOUT_SECONDS = 180.0
 # outage ends, discarding in-flight counters — the window covering the
 # restart is truncated.
 CRASH_AT = 810.0
-
-#: The source runs two instances so a 50% reporter dropout resolves to
-#: one whole silenced reporter.
-SOURCE_PARALLELISM = 2
 
 
 def default_fault_schedule(seed: int = 1) -> FaultSchedule:
@@ -147,30 +145,6 @@ class FaultToleranceResult:
         )
 
 
-def _ds2_controller(hardened: bool) -> DS2Controller:
-    graph = heron_wordcount_graph()
-    if hardened:
-        return DS2Controller(
-            DS2Policy(graph),
-            ManagerConfig(
-                warmup_intervals=0,
-                activation_intervals=1,
-                target_ratio=1.0,
-            ),
-        )
-    return DS2Controller(
-        DS2Policy(graph, completeness_scaling=False),
-        ManagerConfig(
-            warmup_intervals=0,
-            activation_intervals=1,
-            target_ratio=1.0,
-            completeness_compensation=False,
-            min_completeness=0.0,
-            max_window_age_intervals=None,
-        ),
-    )
-
-
 def _run(
     controller,
     controller_name: str,
@@ -179,24 +153,14 @@ def _run(
     tick: float,
     schedule: FaultSchedule,
 ) -> FaultToleranceResult:
-    graph = heron_wordcount_graph()
     run = run_controlled(
-        graph=graph,
+        graph=heron_wordcount_graph(),
         runtime=HeronRuntime(),
-        initial_parallelism={
-            SOURCE: SOURCE_PARALLELISM,
-            FLATMAP: 1,
-            COUNT: 1,
-            SINK: 1,
-        },
+        initial_parallelism=WORDCOUNT_INITIAL_PARALLELISM,
         controller=controller,
         policy_interval=HERON_POLICY_INTERVAL,
         duration=duration,
-        engine_config=EngineConfig(
-            tick=tick,
-            track_record_latency=False,
-            source_catchup_factor=1.3,
-        ),
+        engine_config=campaign_engine_config(tick),
         fault_schedule=schedule,
     )
     return FaultToleranceResult(
@@ -220,7 +184,7 @@ def run_ds2_faults(
 ) -> FaultToleranceResult:
     """DS2 (hardened or legacy) under the fault campaign."""
     return _run(
-        _ds2_controller(hardened),
+        ds2_controller(heron_wordcount_graph, hardened),
         "ds2" if hardened else "ds2-legacy",
         hardened,
         duration,
@@ -236,7 +200,7 @@ def run_dhalion_faults(
 ) -> FaultToleranceResult:
     """Dhalion under the same fault campaign."""
     return _run(
-        DhalionController(DhalionConfig()),
+        dhalion_controller(),
         "dhalion",
         False,
         duration,

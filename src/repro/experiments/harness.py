@@ -5,22 +5,38 @@ controller into a :class:`~repro.core.controller.ControlLoop`, runs it
 for a given duration, and captures the time series the paper's figures
 are drawn from: observed source rate over time, per-operator
 parallelism over time, scaling events, and latency distributions.
+
+The contender vocabulary of the robustness experiments (the faults
+experiment, chaos campaigns, sweeps) lives here too: the DS2 and
+Dhalion controller factories, their engine settings, the runtime
+table, and the starting configurations.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.baselines import DhalionConfig, DhalionController
 from repro.core.controller import Controller, ControlLoop, LoopResult
+from repro.core.manager import DS2Controller, ManagerConfig
+from repro.core.policy import DS2Policy, ExecutionModel
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.latency import LatencyDistribution
-from repro.engine.runtimes import Runtime
+from repro.engine.runtimes import (
+    FlinkRuntime,
+    HeronRuntime,
+    Runtime,
+    TimelyRuntime,
+)
 from repro.engine.simulator import EngineConfig, Simulator, TickStats
 from repro.errors import ReproError
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
+from repro.workloads.wordcount import COUNT, FLATMAP, SINK, SOURCE
 
 
 @dataclass
@@ -209,4 +225,108 @@ def run_controlled(
     )
 
 
-__all__ = ["ExperimentRun", "TimeSeries", "run_controlled"]
+# ----------------------------------------------------------------------
+# Robustness contenders and their settings
+# ----------------------------------------------------------------------
+
+#: Runtime factories by name, in the crash-recovery replay's fold order.
+RUNTIMES: Dict[str, Callable[[], Runtime]] = {
+    "flink": FlinkRuntime,
+    "timely": TimelyRuntime,
+    "heron": HeronRuntime,
+}
+
+#: Starting parallelism of the Heron wordcount robustness runs. The
+#: source runs two instances so a 50% reporter dropout resolves to one
+#: whole silenced reporter.
+WORDCOUNT_INITIAL_PARALLELISM: Mapping[str, int] = {
+    SOURCE: 2,
+    FLATMAP: 1,
+    COUNT: 1,
+    SINK: 1,
+}
+
+#: Timely workers per operator at the start of a global-scaling run
+#: (under the paper's 4-worker optimum, so the controller must act).
+TIMELY_INITIAL_WORKERS = 2
+
+
+def campaign_engine_config(tick: float) -> EngineConfig:
+    """Engine settings of every robustness run: no per-record latency
+    tracking, and sources drain backlog at up to 1.3x their rate."""
+    return EngineConfig(
+        tick=tick,
+        track_record_latency=False,
+        source_catchup_factor=1.3,
+    )
+
+
+def ds2_controller(
+    graph_source: Callable[[], LogicalGraph],
+    hardened: bool = True,
+    model: ExecutionModel = ExecutionModel.PER_OPERATOR,
+) -> DS2Controller:
+    """DS2 on the graph ``graph_source()`` builds, with the paper's
+    §5.2 manager settings: no warm-up, one-interval activation, target
+    ratio 1.0.
+
+    ``hardened`` keeps completeness compensation, the degraded-mode
+    floor and the stale-window guard; False turns them off, reproducing
+    the legacy treatment of missing telemetry as missing load. A
+    :func:`functools.partial` over this function pickles whenever its
+    arguments do, so cell specs can carry it to pool workers.
+    """
+    config = ManagerConfig(
+        warmup_intervals=0, activation_intervals=1, target_ratio=1.0
+    )
+    if not hardened:
+        config = dataclasses.replace(
+            config,
+            completeness_compensation=False,
+            min_completeness=0.0,
+            max_window_age_intervals=None,
+        )
+    return DS2Controller(
+        DS2Policy(
+            graph_source(),
+            execution_model=model,
+            completeness_scaling=hardened,
+        ),
+        config,
+    )
+
+
+def dhalion_controller() -> DhalionController:
+    """Dhalion, the backpressure-driven baseline, at its defaults."""
+    return DhalionController(DhalionConfig())
+
+
+def contenders(
+    graph_source: Callable[[], LogicalGraph],
+    model: ExecutionModel = ExecutionModel.PER_OPERATOR,
+) -> Dict[str, Callable[[], Controller]]:
+    """Fresh-instance factories for the robustness contenders, in cell
+    order: hardened DS2 (``ds2``), legacy DS2 (``ds2-legacy``) and,
+    under per-operator execution only, Dhalion (``dhalion``): its
+    backpressure heuristic has no global-scaling analogue."""
+    factories: Dict[str, Callable[[], Controller]] = {
+        "ds2": partial(ds2_controller, graph_source, True, model),
+        "ds2-legacy": partial(ds2_controller, graph_source, False, model),
+    }
+    if model is ExecutionModel.PER_OPERATOR:
+        factories["dhalion"] = dhalion_controller
+    return factories
+
+
+__all__ = [
+    "ExperimentRun",
+    "RUNTIMES",
+    "TIMELY_INITIAL_WORKERS",
+    "TimeSeries",
+    "WORDCOUNT_INITIAL_PARALLELISM",
+    "campaign_engine_config",
+    "contenders",
+    "dhalion_controller",
+    "ds2_controller",
+    "run_controlled",
+]

@@ -10,7 +10,7 @@ under them (:mod:`repro.faults.campaigns`). Campaigns become
 crash-safe through :mod:`repro.faults.checkpoint`, a durable journal
 of completed cells, and run on the one campaign executor,
 :mod:`repro.faults.executor`: in-process or on a process pool, with
-optional per-cell timeouts, bounded retry, and quarantine.
+bounded retry and quarantine when the batch has a journal.
 """
 
 from repro.faults.events import (

@@ -15,7 +15,7 @@ wrong campaign is worse than not resuming at all.
 
 The journal is handed to :class:`~repro.faults.executor.CampaignExecutor`,
 which records cells as they finish, skips the ones already recorded,
-and adds retry, quarantine, timeouts and graceful interrupts.
+and adds retry, quarantine and graceful interrupts.
 
 Determinism contract: a run that is hard-killed and resumed from its
 journal produces scorecards and traces byte-identical to an

@@ -18,12 +18,13 @@ crash-recovery replay runs that way, one cell per (campaign, runtime).
   carries its traceback. With a :class:`CellRetryPolicy`, failed cells
   are retried after a capped exponential backoff and quarantined once
   they exhaust the budget; the batch completes and
-  :class:`CampaignCoverage` says what is missing. ``cell_timeout``
-  bounds one attempt (SIGALRM in the executing process).
+  :class:`CampaignCoverage` says what is missing.
 * **Durability.** With a
   :class:`~repro.faults.checkpoint.CheckpointJournal`, every completed
   cell is fsynced the moment it finishes, and cells already in the
-  journal are not re-run.
+  journal are not re-run. Chaos runs and sweeps build their executor
+  with :func:`journaled_executor`: retry-then-quarantine exactly when
+  there is a journal, fail-fast otherwise.
 * **Interrupts.** SIGINT and SIGTERM stop the batch with
   :class:`CampaignInterrupted`. On a journaled pool run, cells already
   on a worker are drained into the journal first.
@@ -49,7 +50,7 @@ import threading
 import time
 import traceback
 import warnings
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -102,7 +103,7 @@ CellSpec = Any
 CellResult = TypeVar("CellResult")
 
 #: A cell body: spec in, result out. Injectable so tests can drive
-#: retry, timeout and quarantine with controlled bodies, and so batches
+#: retry and quarantine with controlled bodies, and so batches
 #: other than campaign cells can share the executor; must be a
 #: module-level callable when cells run on a pool.
 CellRunner = Callable[[CellSpec], CellResult]
@@ -324,7 +325,6 @@ class CellWork:
     index: int
     spec: CellSpec
     runner: Optional[CellRunner[Any]] = None
-    timeout: Optional[float] = None
     profile: bool = False
 
 
@@ -357,46 +357,6 @@ class _CellFailed:
 
 
 _CellOutcome = Union[_CellDone, _CellFailed]
-
-
-class _CellTimeout(Exception):
-    """Raised inside a cell when its SIGALRM deadline fires."""
-
-
-def _raise_cell_timeout(signum: int, frame: object) -> None:
-    raise _CellTimeout()
-
-
-def _alarm_unusable_reason(in_process: bool) -> Optional[str]:
-    """Why a SIGALRM cell deadline cannot be armed (``None`` if it
-    can). Pool workers run cells on their main thread; ``in_process``
-    means cells run on the calling thread."""
-    if not hasattr(signal, "SIGALRM"):
-        return "this platform has no SIGALRM"
-    if in_process and (
-        threading.current_thread() is not threading.main_thread()
-    ):
-        return (
-            "cells run in-process off the main thread, where SIGALRM "
-            "cannot be armed"
-        )
-    return None
-
-
-@contextmanager
-def _cell_alarm(timeout: float) -> Iterator[None]:
-    """Arm a per-cell wall-clock deadline via SIGALRM where possible
-    (:meth:`CampaignExecutor.execute` warns when it is not)."""
-    if _alarm_unusable_reason(in_process=True) is not None:
-        yield
-        return
-    previous = signal.signal(signal.SIGALRM, _raise_cell_timeout)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 #: Seconds between a pool worker's checks that its parent still lives.
@@ -436,18 +396,8 @@ def run_cell_attempt(work: CellWork) -> _CellOutcome:
     profiler = SpanProfiler() if work.profile else None
     started = wall_clock()
     try:
-        with ExitStack() as stack:
-            if work.timeout is not None:
-                stack.enter_context(_cell_alarm(work.timeout))
-            if profiler is not None:
-                stack.enter_context(profiling(profiler))
+        with nullcontext() if profiler is None else profiling(profiler):
             result = runner(work.spec)
-    except _CellTimeout:
-        return _CellFailed(
-            index=work.index,
-            error=f"cell exceeded its {work.timeout:g}s timeout",
-            traceback="",
-        )
     except Exception as error:  # noqa: BLE001 — judged by the policy
         return _CellFailed(
             index=work.index,
@@ -583,12 +533,12 @@ class CampaignExecutor:
     ``run_campaign_cell(spec)``, a scorecard), and results, merged
     span structure and traces are the same for any ``jobs``. ``jobs``
     picks in-process (1) or pool execution; ``retry`` turns fail-fast
-    into retry-then-quarantine; ``cell_timeout`` bounds one attempt;
-    ``journal`` makes the batch crash-safe and resumable; ``progress``
-    receives heartbeats; ``pool_timeout`` bounds the wait for pool
-    cells (a deadlock guard). ``runner`` replaces the cell body (tests
-    inject controlled failures through it; the chaos recovery replay
-    its own cells) and ``sleep`` the backoff wait.
+    into retry-then-quarantine; ``journal`` makes the batch crash-safe
+    and resumable; ``progress`` receives heartbeats; ``pool_timeout``
+    bounds the wait for pool cells (a deadlock guard). ``runner``
+    replaces the cell body (tests inject controlled failures through
+    it; the chaos recovery replay its own cells) and ``sleep`` the
+    backoff wait.
     """
 
     def __init__(
@@ -596,7 +546,6 @@ class CampaignExecutor:
         *,
         jobs: int = 1,
         retry: Optional[CellRetryPolicy] = None,
-        cell_timeout: Optional[float] = None,
         journal: Optional["CheckpointJournal"] = None,
         progress: Optional[ProgressListener] = None,
         pool_timeout: Optional[float] = None,
@@ -607,13 +556,8 @@ class CampaignExecutor:
             raise FaultInjectionError(
                 f"campaign executor needs jobs >= 1, got {jobs}"
             )
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise FaultInjectionError(
-                f"cell_timeout must be > 0, got {cell_timeout}"
-            )
         self._jobs = int(jobs)
         self._retry = retry
-        self._cell_timeout = cell_timeout
         self._journal = journal
         self._progress = (
             progress if progress is not None else NULL_PROGRESS
@@ -646,7 +590,6 @@ class CampaignExecutor:
             for index in range(len(batch.specs))
             if index not in batch.cards
         ]
-        self._warn_if_timeout_unenforced()
         if pending and self._jobs > 1:
             self._ensure_submittable(batch.specs, pending)
         profile = active_profiler().enabled
@@ -655,7 +598,6 @@ class CampaignExecutor:
                 index=index,
                 spec=batch.specs[index],
                 runner=self._runner,
-                timeout=self._cell_timeout,
                 profile=profile,
             )
             for index in pending
@@ -743,18 +685,6 @@ class CampaignExecutor:
             error=failure.error,
             traceback=failure.traceback,
         )
-
-    def _warn_if_timeout_unenforced(self) -> None:
-        if self._cell_timeout is None:
-            return
-        reason = _alarm_unusable_reason(in_process=self._jobs == 1)
-        if reason is not None:
-            warnings.warn(
-                f"cell_timeout={self._cell_timeout:g}s is not enforced: "
-                f"{reason}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     @staticmethod
     def _ensure_submittable(
@@ -862,12 +792,7 @@ class CampaignExecutor:
         succeeded."""
         pool.shutdown(wait=False, cancel_futures=True)
         started = [future for future in running if not future.cancelled()]
-        if self._cell_timeout is not None:
-            grace = self._cell_timeout + 5.0
-        elif self._pool_timeout is not None:
-            grace = self._pool_timeout
-        else:
-            grace = 60.0
+        grace = 60.0 if self._pool_timeout is None else self._pool_timeout
         finished, _ = concurrent.futures.wait(started, timeout=grace)
         for future in finished:
             outcome = _future_outcome(future, running[future])
@@ -876,21 +801,32 @@ class CampaignExecutor:
 
 
 @contextmanager
-def checkpoint_journal(
-    path: Optional[str], header: "JournalHeader", *, resume: bool
-) -> Iterator[Optional["CheckpointJournal"]]:
-    """Open the run's checkpoint journal (``None`` without a path) and
-    close it afterwards.
+def journaled_executor(
+    checkpoint: Optional[str],
+    header: "JournalHeader",
+    *,
+    resume: bool,
+    jobs: int,
+    progress: Optional[ProgressListener],
+) -> Iterator[CampaignExecutor]:
+    """The executor for one chaos or sweep batch, valid for the block.
 
-    Recovery notes (a dropped torn tail) and, on resume, the cells the
-    interrupted run was executing are re-emitted as RuntimeWarnings.
+    Without ``checkpoint`` the executor fails fast and keeps no
+    journal. With one, it opens the journal (continuing it when
+    ``resume``), retries failing cells then quarantines them
+    (:class:`CellRetryPolicy` defaults), and closes the journal on
+    exit. Recovery notes (a dropped torn tail) and, on resume, the
+    cells the interrupted run was executing are re-emitted as
+    RuntimeWarnings.
     """
-    if path is None:
-        yield None
+    if checkpoint is None:
+        yield CampaignExecutor(jobs=jobs, progress=progress)
         return
     from repro.faults.checkpoint import CheckpointJournal
 
-    with CheckpointJournal.open(path, header, resume=resume) as journal:
+    with CheckpointJournal.open(
+        checkpoint, header, resume=resume
+    ) as journal:
         for note in journal.warnings:
             warnings.warn(note, RuntimeWarning, stacklevel=4)
         if resume:
@@ -901,7 +837,12 @@ def checkpoint_journal(
                     RuntimeWarning,
                     stacklevel=4,
                 )
-        yield journal
+        yield CampaignExecutor(
+            jobs=jobs,
+            retry=CellRetryPolicy(),
+            journal=journal,
+            progress=progress,
+        )
 
 
 __all__ = [
@@ -913,8 +854,8 @@ __all__ = [
     "CellRunner",
     "CellWork",
     "QuarantinedCell",
-    "checkpoint_journal",
     "ensure_parallel_safe",
+    "journaled_executor",
     "run_cell_attempt",
     "unpicklable_reason",
 ]

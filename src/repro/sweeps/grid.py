@@ -16,8 +16,10 @@ controllers under the same faults, not different luck. A pinned
 burstiness gets its own variant profile (distinct PRNG stream), since
 burstiness changes the storm itself.
 
-All controller factories are module-level functions or
-:func:`functools.partial` of them, so every compiled cell pickles
+Cells are built by :meth:`~repro.faults.campaigns.CampaignRunner.cell_specs`
+over the contenders of :mod:`repro.experiments.harness`, exactly as
+chaos cells are; every controller factory is a module-level function
+or a :func:`functools.partial` of one, so every compiled cell pickles
 cleanly across pool workers (checked before the first pool round by
 :func:`repro.faults.executor.ensure_parallel_safe`).
 """
@@ -27,39 +29,32 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.baselines import DhalionConfig, DhalionController
-from repro.core.controller import Controller
-from repro.core.manager import DS2Controller, ManagerConfig
-from repro.core.policy import DS2Policy, ExecutionModel
+from repro.core.policy import ExecutionModel
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.operators import CostModel, RateSchedule
-from repro.engine.runtimes import (
-    FlinkRuntime,
-    HeronRuntime,
-    Runtime,
-    TimelyRuntime,
-)
-from repro.engine.simulator import EngineConfig
 from repro.errors import SweepError
 from repro.experiments.comparison import HERON_POLICY_INTERVAL
+from repro.experiments.harness import (
+    RUNTIMES,
+    TIMELY_INITIAL_WORKERS,
+    WORDCOUNT_INITIAL_PARALLELISM,
+    campaign_engine_config,
+    contenders,
+)
 from repro.faults.campaigns import (
     PROFILES,
     CampaignCellSpec,
     CampaignGenerator,
     CampaignProfile,
+    CampaignRunner,
     CampaignTargets,
     SasoScorecard,
     resolve_jobs,
 )
 from repro.faults.checkpoint import CheckpointJournal, JournalHeader
-from repro.faults.executor import (
-    CampaignCoverage,
-    CampaignExecutor,
-    CellRetryPolicy,
-    checkpoint_journal,
-)
+from repro.faults.executor import CampaignCoverage, journaled_executor
 from repro.sweeps.spec import (
     SweepCell,
     SweepSpec,
@@ -68,13 +63,9 @@ from repro.sweeps.spec import (
 )
 from repro.telemetry.progress import ProgressListener
 from repro.workloads.wordcount import (
-    COUNT,
-    FLATMAP,
     HERON_COUNT_LIMIT,
     HERON_FLATMAP_LIMIT,
     HERON_SOURCE_RATE,
-    SINK,
-    SOURCE,
     wordcount_graph,
 )
 
@@ -84,24 +75,6 @@ SWEEP_WORKLOAD = "wordcount"
 #: Policy cadence and scoring tail, matching the chaos wordcount cells.
 SWEEP_POLICY_INTERVAL = HERON_POLICY_INTERVAL
 SWEEP_TAIL_SECONDS = 120.0
-
-_RUNTIME_FACTORIES: Dict[str, Callable[[], Runtime]] = {
-    "heron": HeronRuntime,
-    "flink": FlinkRuntime,
-    "timely": TimelyRuntime,
-}
-
-#: Timely workers per operator at cell start (global scaling: every
-#: operator moves in lockstep, so all start uniform).
-TIMELY_INITIAL_WORKERS = 2
-
-#: Per-operator starting parallelism for the per-operator runtimes.
-PER_OPERATOR_INITIAL: Dict[str, int] = {
-    SOURCE: 2,
-    FLATMAP: 1,
-    COUNT: 1,
-    SINK: 1,
-}
 
 
 def _scaled_wordcount_graph(rate: float) -> LogicalGraph:
@@ -113,62 +86,6 @@ def _scaled_wordcount_graph(rate: float) -> LogicalGraph:
         count_cost=CostModel(processing_cost=1e-6),
         flatmap_rate_limit=HERON_FLATMAP_LIMIT,
         count_rate_limit=HERON_COUNT_LIMIT,
-    )
-
-
-def _sweep_ds2(
-    rate: float, runtime: str, hardened: bool
-) -> Controller:
-    """A DS2 controller sized for one sweep cell's graph and runtime.
-
-    Module-level (hence picklable via :func:`functools.partial`): the
-    policy needs the cell's own scaled graph, and Timely cells need the
-    global execution model.
-    """
-    graph = _scaled_wordcount_graph(rate)
-    model = (
-        ExecutionModel.GLOBAL
-        if runtime == "timely"
-        else ExecutionModel.PER_OPERATOR
-    )
-    if hardened:
-        return DS2Controller(
-            DS2Policy(graph, execution_model=model),
-            ManagerConfig(
-                warmup_intervals=0,
-                activation_intervals=1,
-                target_ratio=1.0,
-            ),
-        )
-    return DS2Controller(
-        DS2Policy(
-            graph, execution_model=model, completeness_scaling=False
-        ),
-        ManagerConfig(
-            warmup_intervals=0,
-            activation_intervals=1,
-            target_ratio=1.0,
-            completeness_compensation=False,
-            min_completeness=0.0,
-            max_window_age_intervals=None,
-        ),
-    )
-
-
-def _make_sweep_dhalion() -> Controller:
-    return DhalionController(DhalionConfig())
-
-
-def _controller_factory(
-    cell: SweepCell,
-) -> Callable[[], Controller]:
-    if cell.controller == "dhalion":
-        return _make_sweep_dhalion
-    return partial(
-        _sweep_ds2,
-        cell.rate,
-        cell.runtime,
-        cell.controller == "ds2",
     )
 
 
@@ -216,33 +133,15 @@ def compile_grid(spec: SweepSpec) -> CompiledGrid:
     the same way.
     """
     cells = expand_cells(spec)
+    engine_config = campaign_engine_config(spec.tick)
     graphs: Dict[float, LogicalGraph] = {}
     generators: Dict[Tuple[str, Optional[float]], CampaignGenerator] = {}
     specs: List[CampaignCellSpec] = []
     owners: List[Tuple[int, int]] = []
-    engine_config = EngineConfig(
-        tick=spec.tick,
-        track_record_latency=False,
-        source_catchup_factor=1.3,
-    )
     for cell in cells:
         graph = graphs.get(cell.rate)
         if graph is None:
-            graph = _scaled_wordcount_graph(cell.rate)
-            graphs[cell.rate] = graph
-        if cell.runtime == "timely":
-            initial = {
-                name: TIMELY_INITIAL_WORKERS for name in graph.names
-            }
-            scalable: Optional[Tuple[str, ...]] = tuple(graph.names)
-            scored = dict(initial)
-        else:
-            initial = dict(PER_OPERATOR_INITIAL)
-            scalable = None
-            scored = {
-                name: initial[name]
-                for name in graph.scalable_operators()
-            }
+            graph = graphs[cell.rate] = _scaled_wordcount_graph(cell.rate)
         profile = _variant_profile(cell.profile, cell.burstiness)
         generator = generators.get((profile.name, cell.burstiness))
         if generator is None:
@@ -252,39 +151,39 @@ def compile_grid(spec: SweepSpec) -> CompiledGrid:
                 seed=spec.seed,
             )
             generators[(profile.name, cell.burstiness)] = generator
-        duration = profile.duration
-        rate_schedule = graph.operator(SOURCE).rate
-        assert rate_schedule is not None
-        target_rates = {SOURCE: rate_schedule.rate_at(duration)}
-        factory = _controller_factory(cell)
-        for k in range(spec.campaigns):
+        # Timely scales globally: every operator starts uniform and
+        # moves in lockstep.
+        timely = cell.runtime == "timely"
+        factories = contenders(
+            partial(_scaled_wordcount_graph, cell.rate),
+            ExecutionModel.GLOBAL if timely else ExecutionModel.PER_OPERATOR,
+        )
+        runner = CampaignRunner(
+            graph=graph,
+            runtime=RUNTIMES[cell.runtime](),
+            initial_parallelism=(
+                {name: TIMELY_INITIAL_WORKERS for name in graph.names}
+                if timely
+                else WORDCOUNT_INITIAL_PARALLELISM
+            ),
+            controllers={cell.controller: factories[cell.controller]},
+            policy_interval=SWEEP_POLICY_INTERVAL,
+            engine_config=engine_config,
+            tail_seconds=SWEEP_TAIL_SECONDS,
+            scalable_operators=graph.names if timely else None,
+        )
+        backend = None if cell.backend == "default" else cell.backend
+        for cell_spec in runner.cell_specs(generator, spec.campaigns):
+            k = cell_spec.campaign
             specs.append(
-                CampaignCellSpec(
-                    seed=spec.seed,
+                dataclasses.replace(
+                    cell_spec,
                     # Scenario-major campaign ordinal: unique per
                     # (scenario, k), shared across the scenario's
                     # controllers so CellKeys stay distinct while
                     # margin pairs share schedules.
                     campaign=cell.scenario * spec.campaigns + k,
-                    controller=cell.controller,
-                    profile=profile.name,
-                    graph=graph,
-                    runtime=_RUNTIME_FACTORIES[cell.runtime](),
-                    initial_parallelism=dict(initial),
-                    controller_factory=factory,
-                    policy_interval=SWEEP_POLICY_INTERVAL,
-                    duration=duration,
-                    schedule=generator.schedule(k),
-                    scored_parallelism=dict(scored),
-                    target_rates=target_rates,
-                    tail_seconds=SWEEP_TAIL_SECONDS,
-                    engine_config=engine_config,
-                    scalable_operators=scalable,
-                    engine_backend=(
-                        None
-                        if cell.backend == "default"
-                        else cell.backend
-                    ),
+                    engine_backend=backend,
                 )
             )
             owners.append((cell.index, k))
@@ -338,8 +237,6 @@ def run_sweep(
     jobs: Optional[int] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    retry: Optional[CellRetryPolicy] = None,
-    cell_timeout: Optional[float] = None,
     progress: Optional[ProgressListener] = None,
 ) -> SweepResult:
     """Run every cell of a sweep grid.
@@ -348,7 +245,7 @@ def run_sweep(
     pool otherwise). Without ``checkpoint`` any cell failure aborts the
     sweep. With ``checkpoint``, completed cells are durably journaled
     the moment they finish, failing cells are retried then quarantined
-    (``retry`` defaults to :class:`CellRetryPolicy`), and a
+    (the default :class:`~repro.faults.executor.CellRetryPolicy`), and a
     hard-killed sweep resumes with ``resume=True`` producing
     byte-identical output. Results are byte-identical across job
     counts, backends, and fresh-vs-resumed runs.
@@ -356,22 +253,18 @@ def run_sweep(
     grid = compile_grid(spec)
     if resume and checkpoint is None:
         raise SweepError("resume requires a checkpoint path")
-    with checkpoint_journal(
-        checkpoint, grid.header, resume=resume
-    ) as journal:
-        if retry is None and journal is not None:
-            retry = CellRetryPolicy()
-        outcome = CampaignExecutor(
-            jobs=resolve_jobs(jobs),
-            retry=retry,
-            cell_timeout=cell_timeout,
-            journal=journal,
-            progress=progress,
-        ).execute(grid.specs)
+    with journaled_executor(
+        checkpoint,
+        grid.header,
+        resume=resume,
+        jobs=resolve_jobs(jobs),
+        progress=progress,
+    ) as executor:
+        outcome = executor.execute(grid.specs)
     return SweepResult(
         grid=grid,
         scorecards=dict(outcome.by_index),
-        coverage=None if journal is None else outcome.coverage,
+        coverage=None if checkpoint is None else outcome.coverage,
         resumed=outcome.resumed,
     )
 
@@ -412,11 +305,9 @@ def sweep_result_from_journal(
 
 
 __all__ = [
-    "PER_OPERATOR_INITIAL",
     "SWEEP_POLICY_INTERVAL",
     "SWEEP_TAIL_SECONDS",
     "SWEEP_WORKLOAD",
-    "TIMELY_INITIAL_WORKERS",
     "CompiledGrid",
     "SweepResult",
     "compile_grid",

@@ -15,7 +15,7 @@ without touching any golden output:
 * :class:`TTYProgressRenderer` / :class:`PlainProgressRenderer` — a
   ``\\r``-refreshed status line (cells done/total, ETA, in-flight
   cells, per-worker last activity, stall warnings when no heartbeat
-  arrives within a fraction of the cell timeout) and a line-per-event
+  arrives for ``stall_after`` seconds) and a line-per-event
   fallback for non-TTY streams. Both write to *stderr-like* streams
   only; stdout stays byte-identical with or without ``--progress``.
 
@@ -42,9 +42,7 @@ from typing import (
 from repro.telemetry.spans import wall_clock
 
 # A stalled worker is reported when no heartbeat has arrived for this
-# fraction of the per-cell timeout (or for STALL_DEFAULT_SECONDS when
-# the campaign runs without a timeout).
-STALL_TIMEOUT_FRACTION = 0.5
+# long, unless the renderer is given its own ``stall_after``.
 STALL_DEFAULT_SECONDS = 60.0
 
 CellKey = Tuple[int, int, str]
@@ -131,7 +129,6 @@ class _ProgressState:
 
     def __init__(
         self,
-        cell_timeout: Optional[float],
         stall_after: Optional[float],
         clock: Callable[[], float],
     ) -> None:
@@ -144,12 +141,9 @@ class _ProgressState:
         # worker pid -> last completed label + duration
         self.workers: Dict[int, str] = {}
         self.last_heartbeat = clock()
-        if stall_after is not None:
-            self.stall_after = stall_after
-        elif cell_timeout is not None:
-            self.stall_after = cell_timeout * STALL_TIMEOUT_FRACTION
-        else:
-            self.stall_after = STALL_DEFAULT_SECONDS
+        self.stall_after = (
+            STALL_DEFAULT_SECONDS if stall_after is None else stall_after
+        )
 
     def absorb(self, event: CellEvent) -> None:
         self.completed = event.completed
@@ -210,13 +204,12 @@ class TTYProgressRenderer(ProgressListener):
     def __init__(
         self,
         stream: IO[str],
-        cell_timeout: Optional[float] = None,
         stall_after: Optional[float] = None,
         clock: Callable[[], float] = wall_clock,
         width: int = 79,
     ) -> None:
         self._stream = stream
-        self._state = _ProgressState(cell_timeout, stall_after, clock)
+        self._state = _ProgressState(stall_after, clock)
         self._width = width
         self._stall_reported = False
         self._dirty = False
@@ -267,12 +260,11 @@ class PlainProgressRenderer(ProgressListener):
     def __init__(
         self,
         stream: IO[str],
-        cell_timeout: Optional[float] = None,
         stall_after: Optional[float] = None,
         clock: Callable[[], float] = wall_clock,
     ) -> None:
         self._stream = stream
-        self._state = _ProgressState(cell_timeout, stall_after, clock)
+        self._state = _ProgressState(stall_after, clock)
         self._stall_reported = False
 
     def on_event(self, event: CellEvent) -> None:
@@ -331,15 +323,14 @@ def interrupted_cells(
 
 def make_progress_renderer(
     stream: IO[str],
-    cell_timeout: Optional[float] = None,
     stall_after: Optional[float] = None,
 ) -> ProgressListener:
     """Pick the renderer for ``stream``: the refreshing TTY renderer
     for interactive terminals, the line-per-event one otherwise."""
     isatty = getattr(stream, "isatty", None)
     if callable(isatty) and isatty():
-        return TTYProgressRenderer(stream, cell_timeout, stall_after)
-    return PlainProgressRenderer(stream, cell_timeout, stall_after)
+        return TTYProgressRenderer(stream, stall_after)
+    return PlainProgressRenderer(stream, stall_after)
 
 
 __all__ = [
@@ -349,7 +340,6 @@ __all__ = [
     "PlainProgressRenderer",
     "ProgressListener",
     "STALL_DEFAULT_SECONDS",
-    "STALL_TIMEOUT_FRACTION",
     "TTYProgressRenderer",
     "interrupted_cells",
     "make_progress_renderer",

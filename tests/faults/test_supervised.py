@@ -1,4 +1,4 @@
-"""Supervision suite: retry, quarantine, timeouts, interrupt/resume.
+"""Supervision suite: retry, quarantine, interrupt/resume.
 
 The journal's durability contract lives in test_checkpoint.py; this
 file covers the supervising layer wrapped around it:
@@ -8,23 +8,20 @@ file covers the supervising layer wrapped around it:
 * quarantine of cells that exhaust the budget — the batch completes
   with coverage annotated instead of aborting, on both the in-process
   and the process-pool paths,
-* per-cell SIGALRM wall-clock deadlines,
 * SIGTERM or Ctrl-C mid-campaign -> `CampaignInterrupted` naming the
   journal (or none), then a resume that completes the batch with
   identical scorecards; Ctrl-C during the chaos recovery replay, after
   every campaign cell is journaled, resumes to identical stdout,
-* a warning when `cell_timeout` cannot be enforced,
 * `CampaignRunner.execute` with a retry policy emitting the same trace
   and scorecards as the plain `CampaignRunner.run` path,
+* `run_chaos` retrying then quarantining exactly when it has a
+  checkpoint journal, and failing fast without one,
 * the chaos report's coverage annotation.
 """
 
 import dataclasses
 import os
 import signal
-import threading
-import time
-import warnings
 
 import pytest
 
@@ -37,6 +34,7 @@ from repro.experiments.chaos import (
     run_chaos,
     run_recovery_cell,
 )
+from repro.faults import campaigns
 from repro.faults.campaigns import run_campaign_cell
 from repro.faults.checkpoint import CheckpointJournal
 from repro.faults.executor import (
@@ -64,11 +62,6 @@ def _fail_dhalion(spec):
     """Poison exactly the dhalion cells; everything else is real."""
     if spec.controller == "dhalion":
         raise ValueError("injected poison")
-    return run_campaign_cell(spec)
-
-
-def _sleep_forever(spec):
-    time.sleep(30.0)
     return run_campaign_cell(spec)
 
 
@@ -159,8 +152,6 @@ class TestRetryPolicy:
     def test_executor_rejects_bad_limits(self):
         with pytest.raises(FaultInjectionError, match="jobs"):
             CampaignExecutor(jobs=0)
-        with pytest.raises(FaultInjectionError, match="cell_timeout"):
-            CampaignExecutor(cell_timeout=0.0)
 
 
 class TestRetryAndQuarantine:
@@ -246,52 +237,6 @@ class TestRetryAndQuarantine:
         assert guarded == [[0, 1, 2]]
         good = [s for s in specs if s.controller != "dhalion"]
         assert outcome.scorecards == CampaignExecutor().run_cells(good)
-
-
-class TestCellTimeout:
-    def test_over_budget_cell_is_a_failed_attempt(self):
-        specs = _specs(campaigns=1)[:1]
-        supervisor = CampaignExecutor(
-            runner=_sleep_forever,
-            retry=CellRetryPolicy(max_attempts=1),
-            cell_timeout=0.2,
-            sleep=lambda _: None,
-        )
-        start = time.monotonic()  # repro: allow[REPRO101] — test timeout guard
-        with warnings.catch_warnings():
-            # Enforceable on the main thread: no "not enforced" warning.
-            warnings.simplefilter("error", RuntimeWarning)
-            outcome = supervisor.execute(specs)
-        assert time.monotonic() - start < 10.0  # repro: allow[REPRO101]
-        (cell,) = outcome.coverage.quarantined_cells
-        assert cell.error == "cell exceeded its 0.2s timeout"
-
-    def test_timeout_off_main_thread_warns_once(self):
-        specs = _specs(campaigns=1)
-        seen = []
-        outcomes = []
-
-        def run():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                outcomes.append(
-                    CampaignExecutor(cell_timeout=30.0).execute(specs)
-                )
-            seen.extend(caught)
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(timeout=POOL_TIMEOUT)
-        assert not thread.is_alive()
-        (outcome,) = outcomes
-        assert outcome.coverage.complete
-        relevant = [
-            w for w in seen if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(relevant) == 1
-        message = str(relevant[0].message)
-        assert "cell_timeout=30s is not enforced" in message
-        assert "main thread" in message
 
 
 class TestInterruptAndResume:
@@ -415,6 +360,35 @@ class TestSupervisedCampaignDriver:
         assert "injected poison" in event.data["error"]
         assert len(tracer.events("campaign.cell")) == 2
         assert len(tracer.events("campaign.end")) == 1
+
+
+class TestRetryIffJournal:
+    def test_without_checkpoint_first_failure_aborts(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "run_campaign_cell", _fail_dhalion)
+        with pytest.raises(FaultInjectionError, match="injected poison"):
+            run_chaos(
+                profile="smoke",
+                campaigns=1,
+                tick=2.0,
+                include_recovery=False,
+            )
+
+    def test_with_checkpoint_retries_then_quarantines(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(campaigns, "run_campaign_cell", _fail_dhalion)
+        result = run_chaos(
+            profile="smoke",
+            campaigns=1,
+            tick=2.0,
+            include_recovery=False,
+            checkpoint=str(tmp_path / "chaos.ckpt"),
+        )
+        coverage = result.coverage
+        assert (coverage.completed, coverage.quarantined) == (2, 1)
+        (cell,) = coverage.quarantined_cells
+        assert cell.key == (1, 0, "dhalion")
+        assert cell.attempts == CellRetryPolicy().max_attempts
 
 
 class TestChaosReportCoverage:

@@ -7,7 +7,9 @@ fresh-vs-SIGKILL-and-resumed runs. The CLI half of this file mirrors
 the chaos kill-and-resume machinery in
 ``tests/faults/test_checkpoint.py`` — hard-kill ``repro sweep run``
 mid-grid, resume from the journal, demand the same stdout — and is
-also wired into ``scripts/check.sh`` as part of the sweep stage.
+also wired into ``scripts/check.sh`` as part of the sweep stage, as is
+the pin on the smoke grid's cell fingerprints (journals written by
+earlier builds must keep resuming).
 """
 
 import dataclasses
@@ -23,9 +25,11 @@ import pytest
 import repro
 from repro.engine.npcompat import HAVE_NUMPY
 from repro.engine.vectorized import ENGINE_ENV
+from repro.faults.checkpoint import cell_fingerprint
 from repro.sweeps import (
     SweepSpec,
     build_sweep_report,
+    compile_grid,
     load_spec,
     render_sweep_json,
     run_sweep,
@@ -47,6 +51,25 @@ def _cards_as_dicts(result):
 
 def _report_json(result):
     return render_sweep_json(build_sweep_report(result))
+
+
+def test_smoke_grid_fingerprints_pinned():
+    """Cell fingerprints are what a journal is resumed against: if they
+    drift, every sweep journal written before the drift stops
+    resuming."""
+    assert [
+        cell_fingerprint(spec)
+        for spec in compile_grid(load_spec(str(SPEC_PATH))).specs
+    ] == [
+        "92b8172864b33ea2",
+        "4267999102333e9f",
+        "0882212e3bcdd326",
+        "cfc7d7c3f23de028",
+        "856917d260e6e9cd",
+        "20b7fc24df7db903",
+        "6e469b5841f60058",
+        "374c8dd86a7f19bd",
+    ]
 
 
 # ----------------------------------------------------------------------

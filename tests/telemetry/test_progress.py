@@ -131,10 +131,10 @@ class TestPlainRenderer:
         clock = _FakeClock()
         stream = io.StringIO()
         renderer = PlainProgressRenderer(
-            stream, cell_timeout=10.0, clock=clock
+            stream, stall_after=5.0, clock=clock
         )
         renderer.on_event(_event("start", completed=0))
-        clock.now += 6.0  # past 10.0 * STALL_TIMEOUT_FRACTION
+        clock.now += 6.0  # past stall_after
         renderer.tick()
         renderer.tick()
         assert stream.getvalue().count("no heartbeat") == 1

@@ -109,6 +109,33 @@ class TestParser:
         assert "--jobs" in err
         assert "positive" in err
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_nonpositive_campaign_count_rejected(self, seeds, capsys):
+        assert main([
+            "run", "chaos", "--profile", "smoke", "--seeds", seeds,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "invalid chaos campaign" in captured.err
+        assert "at least 1 campaign" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig7", "--scale", "0"],
+            ["run", "table4", "--scale", "-1"],
+            ["run", "fig9", "--scale", "nan"],
+            ["run", "fig6", "--scale", "inf"],
+            ["run", "chaos", "--scale", "-0.5", "--seeds", "1"],
+        ],
+    )
+    def test_invalid_scale_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "--scale must be a finite number > 0" in captured.err
+        assert captured.out == ""
+
     def test_unknown_chaos_workload_rejected(self, capsys):
         assert main([
             "run", "chaos", "--workload", "volcano", "--seeds", "1",
