@@ -33,16 +33,22 @@
 #                      golden sensitivity artifact; plus the sweep
 #                      SIGKILL-and-resume equivalence tests and the
 #                      pin on the smoke grid's cell fingerprints
-#   9. pytest (REPRO_ENGINE=object)
+#   9. table 4 (golden file)
+#                    - `repro run table4 --scale 0.2` (36 DS2 loops on
+#                      the Nexmark queries; with numpy, every tick runs
+#                      on the vector engine backend) must print
+#                      byte-identical output to the committed golden
+#                      table (~8s)
+#  10. pytest (REPRO_ENGINE=object)
 #                    - tier-1 test suite with every Simulator pinned to
 #                      the per-instance object engine backend
-#  10. pytest (REPRO_ENGINE=vector)
+#  11. pytest (REPRO_ENGINE=vector)
 #                    - the same tier-1 suite on the struct-of-arrays
 #                      engine backend; passing both proves the golden
 #                      trace / scorecard byte-identity oracle holds for
 #                      both backends, whichever one the width rule
 #                      picks (skipped if numpy is missing)
-#  11. pytest (REPRO_ENGINE unset)
+#  12. pytest (REPRO_ENGINE unset)
 #                    - the engine, fault and integration tests with no
 #                      pin, so every deployment picks its backend by
 #                      width and runs that DS2 scales across the
@@ -51,7 +57,7 @@
 # ruff and mypy are optional dev dependencies (`pip install -e .[lint]`).
 # When they are missing the stage is skipped with a notice rather than
 # failing, so the gate is usable in minimal containers; the in-tree
-# stages (3-8) have no third-party dependencies and always run.
+# stages (3-9) have no third-party dependencies and always run.
 
 set -u
 
@@ -165,6 +171,15 @@ run_stage "sweep (golden file)" check_golden_sweep
 run_stage "sweep kill-and-resume equivalence (smoke)" \
     python -m pytest -q tests/sweeps/test_sweep_equivalence.py \
     -k "kill_and_resume or report_cli or fingerprints_pinned"
+# Table 4 gate: the paper's headline convergence table at scale 0.2
+# must print byte-identical output to the committed golden table. Its
+# plans are 8-36 wide, so with numpy every tick runs on the vector
+# backend, including the float paths of its width-1 sources and sinks.
+check_golden_table4() {
+    python -m repro run table4 --scale 0.2 \
+        | diff -u tests/experiments/golden_table4.txt -
+}
+run_stage "table 4 (golden file)" check_golden_table4
 
 if [ "$FAST" -eq 1 ]; then
     skip_stage "pytest (REPRO_ENGINE=object)" "--fast"

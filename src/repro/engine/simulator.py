@@ -101,12 +101,24 @@ class EngineConfig:
     trace_tick_every: int = 8
 
     def __post_init__(self) -> None:
-        if self.tick <= 0:
-            raise EngineError("tick must be > 0")
-        if self.source_catchup_factor < 1.0:
-            raise EngineError("source_catchup_factor must be >= 1")
-        if self.epoch_seconds is not None and self.epoch_seconds <= 0:
-            raise EngineError("epoch_seconds must be > 0")
+        # Written so that NaN fails every check: a NaN or infinite tick
+        # would stall or never end run_for.
+        if not 0.0 < self.tick < math.inf:
+            raise EngineError(
+                f"tick must be finite and > 0, got {self.tick!r}"
+            )
+        if not 1.0 <= self.source_catchup_factor < math.inf:
+            raise EngineError(
+                "source_catchup_factor must be finite and >= 1, got "
+                f"{self.source_catchup_factor!r}"
+            )
+        if self.epoch_seconds is not None and not (
+            0.0 < self.epoch_seconds < math.inf
+        ):
+            raise EngineError(
+                "epoch_seconds must be finite and > 0, got "
+                f"{self.epoch_seconds!r}"
+            )
         if not 0.0 <= self.cost_jitter < 1.0:
             raise EngineError("cost_jitter must be in [0, 1)")
         if self.trace_tick_every < 1:
@@ -541,8 +553,9 @@ class Simulator:
         extend rather than stack: the job is simply down until the
         latest end time.
         """
-        if seconds < 0:
-            raise EngineError("seconds must be >= 0")
+        # NaN fails the test too; an infinite outage is allowed.
+        if not seconds >= 0:
+            raise EngineError(f"seconds must be >= 0, got {seconds!r}")
         if seconds == 0:
             return
         if self._pending_plan is None:
@@ -829,14 +842,18 @@ class Simulator:
 
     def run_for(self, seconds: float) -> None:
         """Advance virtual time by ``seconds``."""
-        if seconds < 0:
-            raise EngineError("seconds must be >= 0")
+        if not 0.0 <= seconds < math.inf:
+            raise EngineError(
+                f"seconds must be finite and >= 0, got {seconds!r}"
+            )
         target = self._time + seconds
         while self._time < target - 1e-9:
             self.step()
 
     def run_until(self, time: float) -> None:
         """Advance virtual time up to ``time``."""
+        if not math.isfinite(time):
+            raise EngineError(f"time must be finite, got {time!r}")
         if time < self._time:
             raise EngineError("cannot run backwards in time")
         self.run_for(time - self._time)

@@ -49,10 +49,14 @@ bit-identical lockstep and only ``buffered`` varies per instance.
 
 The cost of a tick here is a fixed number of small numpy calls per
 operator plus a few per tick, nearly independent of the parallelism,
-so the backend wins on wide plans and loses on narrow ones;
-:func:`width_backend` picks one per deployment from the plan's widest
-operator, and a redeploy may switch backends by handing the old one's
-:data:`Carry` to the new one.
+so the backend wins on wide plans and loses on narrow ones. Width-1
+sources, width-1 single-port operators without a window, and the
+pushes into any width-1 queue skip numpy altogether: they run as float
+code on their arena cells, because a numpy call on a one-element array
+costs more than the arithmetic it does. :func:`width_backend` picks a
+backend per deployment from the plan's widest operator, and a redeploy
+may switch backends by handing the old one's :data:`Carry` to the new
+one.
 
 **Equivalence contract.** The vector backend must produce *bit-identical*
 decisions, metrics, traces, and scorecards to the object backend. Every
@@ -71,7 +75,11 @@ of the object backend exactly:
   accumulation with ``np.cumsum`` down the base row stacked over the
   amounts (cumsum is sequential by definition); columns where a bounded
   queue would clamp an individual push fall back to an exact scalar
-  replay.
+  replay;
+* the float code of width-1 operators and width-1 queues performs the
+  object backend's own float operations, in the same order (its pop is
+  the single-port ``min(amount, length)``, argued at
+  :meth:`VectorEngine._pop_batch`).
 
 The shortcuts that keep the per-operator call count down are exact too;
 ``docs/performance.md`` gives the argument for each. The contract is
@@ -91,7 +99,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.dataflow.operators import OperatorSpec
 from repro.dataflow.physical import InstanceId, PhysicalPlan
 from repro.dataflow.windowing import WindowState
-from repro.engine.allocation import fair_allocate_batch
+from repro.engine.allocation import fair_allocate, fair_allocate_batch
 from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
 from repro.errors import EngineError
 
@@ -245,6 +253,7 @@ class _OpState:
         "targets",
         "zeros",
         "counters",
+        "scalar",
     )
 
     def __init__(
@@ -310,6 +319,12 @@ class _OpState:
         # operator writes pulled, pushed and its raw useful time, and
         # VectorEngine.record_metrics finishes every column at once.
         self.counters: FloatArray = arena.counters[:, rows]
+        # Width-1 sources and width-1 single-port operators without a
+        # window run as float code on their arena cells; every other
+        # operator runs on arrays.
+        self.scalar = parallelism == 1 and (
+            spec.is_source or (len(ports) == 1 and spec.window is None)
+        )
 
     def queue_totals(self) -> FloatArray:
         """Records queued per instance, summed across ports in port
@@ -539,7 +554,7 @@ class VectorEngine:
             np.maximum(1.0, arena.q_pushed, out=bound)
             np.multiply(1e-6, bound, out=bound)
             np.greater(drift, bound, out=bad)
-            queues_bad = bool(bad.any())
+            queues_bad = np.count_nonzero(bad) > 0
         if queues_bad or float(arena.fire_backlog.min()) < -1e-6:
             self._raise_first_violation()
 
@@ -657,15 +672,24 @@ class VectorEngine:
     @staticmethod
     def _downstream_limit(op: _OpState) -> float:
         """Maximum records ``op`` may emit right now without
-        overflowing any downstream instance queue (inf if unbounded)."""
+        overflowing any downstream instance queue (inf if unbounded).
+        A width-1 downstream operator is read as floats: the object
+        backend's ``free_space / weight`` for its one queue."""
         limit = math.inf
         for dop, k, _, _ in op.targets:
-            if dop.capacity is None:
+            capacity = dop.capacity
+            if capacity is None:
                 continue
-            free = np.maximum(0.0, dop.capacity - dop.q_len[k])
+            if dop.parallelism == 1:
+                weight = dop.weights.item(0)
+                if weight > 0:
+                    free = max(0.0, capacity - dop.q_len.item(k, 0))
+                    limit = min(limit, free / weight)
+                continue
+            free = np.maximum(0.0, capacity - dop.q_len[k])
             if dop.positive is None:
                 ratios = free / dop.weights
-            elif bool(dop.positive.any()):
+            elif np.count_nonzero(dop.positive):
                 ratios = free[dop.positive] / dop.weights[dop.positive]
             else:
                 continue
@@ -677,69 +701,137 @@ class VectorEngine:
         """Distribute per-upstream-instance emissions across every
         downstream instance queue.
 
+        The object backend pushes nothing for a zero emission, and
+        adding zeros would leave every queue unchanged, so an all-zero
+        ``emits`` returns at once. A width-1 downstream operator takes
+        the pushes one by one (:meth:`_push_one`), a wider one as an
+        ``(p, p_down)`` block (:meth:`_push_block`).
+        """
+        if not np.count_nonzero(emits):
+            return
+        records: Optional[List[float]] = None
+        for dop, k, stack, sums in op.targets:
+            if dop.parallelism == 1:
+                if records is None:
+                    records = emits.tolist()
+                VectorEngine._push_one(dop, k, records)
+            else:
+                np.multiply.outer(emits, dop.weights, out=stack[1:])
+                VectorEngine._push_block(dop, k, stack, sums)
+
+    @staticmethod
+    def _emit_one(op: _OpState, records: float) -> None:
+        """:meth:`_emit` for a width-1 operator's one emission, as a
+        float — ``Simulator._emit`` for its one instance."""
+        if records <= 0:
+            return
+        for dop, k, stack, sums in op.targets:
+            if dop.parallelism == 1:
+                VectorEngine._push_one(dop, k, (records,))
+            else:
+                np.multiply(records, dop.weights, out=stack[1])
+                VectorEngine._push_block(dop, k, stack, sums)
+
+    @staticmethod
+    def _push_one(dop: _OpState, k: int, records: Sequence[float]) -> None:
+        """Push ``records[i] * weight`` into port ``k`` of a width-1
+        operator, one upstream instance after the other, as floats."""
+        weight = dop.weights.item(0)
+        if not weight > 0:
+            # The object backend routes nothing to a zero-weight queue.
+            return
+        # Nor does it push an emission <= 0.
+        amounts = [record * weight for record in records if not record <= 0]
+        dop.q_len[k, 0], dop.q_pushed[k, 0] = VectorEngine._replay_pushes(
+            dop, 0, dop.q_len.item(k, 0), dop.q_pushed.item(k, 0), amounts
+        )
+
+    @staticmethod
+    def _replay_pushes(
+        dop: _OpState,
+        j: int,
+        length: float,
+        pushed: float,
+        amounts: Sequence[float],
+    ) -> Tuple[float, float]:
+        """``Queue.push`` of each amount in turn into a queue of
+        instance ``j`` that holds ``length`` records and has accepted
+        ``pushed``, with the object backend's overflow error; returns
+        the new length and pushed counter."""
+        capacity = dop.capacity
+        for amount in amounts:
+            space = (
+                math.inf if capacity is None
+                else max(0.0, capacity - length)
+            )
+            accepted = min(amount, space)
+            length += accepted
+            pushed += accepted
+            if accepted < amount - 1e-6:
+                raise EngineError(
+                    f"emission overflow into {InstanceId(dop.name, j)}: "
+                    "the downstream limit computation is inconsistent"
+                )
+        return length, pushed
+
+    @staticmethod
+    def _push_block(
+        dop: _OpState, k: int, stack: FloatArray, sums: FloatArray
+    ) -> None:
+        """Push the amounts in ``stack[1:]`` (upstream instance by
+        downstream instance) into port ``k`` of a wide operator.
+
         For downstream instance ``j`` the object backend pushes the
         amounts ``emits[i] * weight[j]`` sequentially over upstream
-        instances ``i``; ``np.cumsum`` down the edge's ``stack`` (the
-        base row over the amounts) replays that base-dependent sequence
-        exactly, and with one upstream instance it is the single sum
-        ``base + amount``. Columns where a bounded queue would clamp an
+        instances ``i``; ``np.cumsum`` down ``stack`` (the base row over
+        the amounts) replays that base-dependent sequence exactly, and
+        with one upstream instance it is the single sum ``base +
+        amount``. Columns where a bounded queue would clamp an
         individual push (backpressure epsilon cases) are replayed
-        scalar-exactly instead. The object backend pushes nothing for a
-        zero emission, and adding zeros would leave every queue
-        unchanged, so an all-zero ``emits`` returns at once.
+        scalar-exactly instead; one count over the whole block decides
+        whether any column needs it.
         """
-        if not bool(emits.any()):
-            return
-        single = len(emits) == 1
-        for dop, k, stack, sums in op.targets:
-            amounts = stack[1:]
-            np.multiply.outer(emits, dop.weights, out=amounts)
-            base_len = dop.q_len[k]
-            base_pushed = dop.q_pushed[k]
-            if single:
-                starts = base_len[None, :]
-                new_len = base_len + amounts[0]
-            else:
-                stack[0] = base_len
-                np.cumsum(stack, axis=0, out=sums)
-                starts = sums[:-1]
-                new_len = sums[-1]
-            replayed: List[Tuple[int, float, float]] = []
-            capacity = dop.capacity
-            if capacity is not None:
-                # A push clamps when its amount exceeds the free space
-                # seen at that step; before the first clamp the
-                # unclamped partial sums are the true lengths, so the
-                # test is exact.
-                free = np.maximum(0.0, capacity - starts)
-                clamped = (amounts > free).any(axis=0)
-                if bool(clamped.any()):
-                    for j in np.flatnonzero(clamped).tolist():
-                        length = float(base_len[j])
-                        pushed = float(base_pushed[j])
-                        for amount in amounts[:, j].tolist():
-                            space = max(0.0, capacity - length)
-                            accepted = min(amount, space)
-                            length += accepted
-                            pushed += accepted
-                            if accepted < amount - 1e-6:
-                                raise EngineError(
-                                    "emission overflow into "
-                                    f"{InstanceId(dop.name, j)}: the "
-                                    "downstream limit computation is "
-                                    "inconsistent"
-                                )
-                        replayed.append((j, length, pushed))
-            dop.q_len[k] = new_len
-            if single:
-                dop.q_pushed[k] = base_pushed + amounts[0]
-            else:
-                stack[0] = base_pushed
-                np.cumsum(stack, axis=0, out=sums)
-                dop.q_pushed[k] = sums[-1]
-            for j, length, pushed in replayed:
-                dop.q_len[k, j] = length
-                dop.q_pushed[k, j] = pushed
+        amounts = stack[1:]
+        single = len(amounts) == 1
+        base_len = dop.q_len[k]
+        base_pushed = dop.q_pushed[k]
+        if single:
+            starts = base_len[None, :]
+            new_len = base_len + amounts[0]
+        else:
+            stack[0] = base_len
+            np.cumsum(stack, axis=0, out=sums)
+            starts = sums[:-1]
+            new_len = sums[-1]
+        replayed: List[Tuple[int, float, float]] = []
+        capacity = dop.capacity
+        if capacity is not None:
+            # A push clamps when its amount exceeds the free space
+            # seen at that step; before the first clamp the
+            # unclamped partial sums are the true lengths, so the
+            # test is exact.
+            clamped = amounts > np.maximum(0.0, capacity - starts)
+            if np.count_nonzero(clamped):
+                columns = np.flatnonzero(clamped.any(axis=0))
+                for j in columns.tolist():
+                    length, pushed = VectorEngine._replay_pushes(
+                        dop,
+                        j,
+                        float(base_len[j]),
+                        float(base_pushed[j]),
+                        amounts[:, j].tolist(),
+                    )
+                    replayed.append((j, length, pushed))
+        dop.q_len[k] = new_len
+        if single:
+            dop.q_pushed[k] = base_pushed + amounts[0]
+        else:
+            stack[0] = base_pushed
+            np.cumsum(stack, axis=0, out=sums)
+            dop.q_pushed[k] = sums[-1]
+        for j, length, pushed in replayed:
+            dop.q_len[k, j] = length
+            dop.q_pushed[k, j] = pushed
 
     @staticmethod
     def _pop_batch(
@@ -767,13 +859,13 @@ class VectorEngine:
             op.q_popped[0] += removed
             return removed
         active = (amounts > 0) & (totals > 0)
-        if not bool(active.any()):
+        if not np.count_nonzero(active):
             return np.zeros(op.parallelism, dtype=np.float64)
         drain = active & (amounts >= totals)
         partial = active & ~drain
         queues = op.q_len
         removed = np.zeros_like(queues)
-        if bool(partial.any()):
+        if np.count_nonzero(partial):
             safe_totals = np.where(partial, totals, 1.0)
             shares = amounts * (queues / safe_totals)
             removed = np.where(
@@ -782,7 +874,7 @@ class VectorEngine:
         removed = np.where(drain, queues, removed)
         new_len = queues - removed
         negative = new_len < 0
-        if bool(negative.any()):
+        if np.count_nonzero(negative):
             worst = float(new_len.min())
             if worst < -1e-6:
                 raise EngineError(
@@ -809,7 +901,7 @@ class VectorEngine:
     ) -> Tuple[float, float]:
         """Generate and emit source records; returns
         ``(emitted, desired)`` — the vector replay of
-        ``Simulator._run_source``."""
+        ``Simulator._run_source``, as float code for a width-1 source."""
         sim = self._sim
         op = self._ops[name]
         schedule = spec.rate
@@ -825,21 +917,30 @@ class VectorEngine:
             space = math.inf
         cost = sim._source_cost(name)
         share = want / op.parallelism
-        if cost <= 0:
-            desires = np.full(
-                op.parallelism, share, dtype=np.float64
-            )
-        else:
-            desires = np.minimum(share, budgets / cost)
-        allocations = fair_allocate_batch(space, desires)
-        self._emit(op, allocations)
         counters = op.counters
-        counters[0] = allocations
-        counters[1] = allocations
-        np.multiply(allocations, cost, out=counters[2])
-        emitted_total = 0.0
-        for value in allocations.tolist():
-            emitted_total += value
+        if op.scalar:
+            desire = share if cost <= 0 else min(share, budgets.item(0) / cost)
+            emitted = fair_allocate(space, (desire,))[0]
+            self._emit_one(op, emitted)
+            counters[0, 0] = emitted
+            counters[1, 0] = emitted
+            counters[2, 0] = emitted * cost
+            emitted_total = 0.0 + emitted
+        else:
+            if cost <= 0:
+                desires = np.full(
+                    op.parallelism, share, dtype=np.float64
+                )
+            else:
+                desires = np.minimum(share, budgets / cost)
+            allocations = fair_allocate_batch(space, desires)
+            self._emit(op, allocations)
+            counters[0] = allocations
+            counters[1] = allocations
+            np.multiply(allocations, cost, out=counters[2])
+            emitted_total = 0.0
+            for value in allocations.tolist():
+                emitted_total += value
         sim._source_backlog[name] = max(
             0.0, available - emitted_total
         )
@@ -852,14 +953,18 @@ class VectorEngine:
         budgets: FloatArray,
         end_time: float,
     ) -> float:
-        """Run one non-source operator for a tick; returns records
-        consumed — the vector replay of ``Simulator._run_operator``."""
+        """Run one non-source operator for a tick — the vector replay
+        of ``Simulator._run_operator``. Returns the records a sink
+        consumed; the tick reads nothing else, so other operators
+        return 0."""
         sim = self._sim
         op = self._ops[name]
         if spec.is_sink:
             space = math.inf
         else:
             space = self._downstream_limit(op)
+        if op.scalar:
+            return self._run_scalar(op, spec, budgets.item(0), space)
         # Nothing refills this operator's queues before it runs: its
         # upstream operators come later in the (reverse topological)
         # tick order.
@@ -895,9 +1000,57 @@ class VectorEngine:
         np.multiply(processed, unit_cost, out=counters[2])
         processed_list = processed.tolist()
         sim.state_model.record_processed_block(name, processed_list)
+        return self._consumed(spec, processed_list)
+
+    def _run_scalar(
+        self,
+        op: _OpState,
+        spec: OperatorSpec,
+        budget: float,
+        space: float,
+    ) -> float:
+        """A width-1 single-port operator without a window, as float
+        code: ``Simulator._run_operator`` for its one instance, read
+        from and written to the arena cells.
+
+        Its one port holds the whole queued total, so the object
+        backend's ``pop_records`` removes ``min(allowed, length)`` (see
+        the single-port case of :meth:`_pop_batch`)."""
+        sim = self._sim
+        unit_cost = sim._unit_cost(op.name)
+        selectivity = spec.selectivity.ratio
+        length = op.q_len.item(0, 0)
+        total = 0.0 + length
+        desire = (
+            total if unit_cost <= 0 else min(total, budget / unit_cost)
+        )
+        pull_cap = (
+            math.inf if selectivity <= 0 else space / selectivity
+        )
+        allowed = fair_allocate(pull_cap, (desire,))[0]
+        processed = min(allowed, length)
+        op.q_len[0, 0] = length - processed
+        op.q_popped[0, 0] = op.q_popped.item(0, 0) + processed
+        emit = processed * selectivity
+        pushed = 0.0
+        if not spec.is_sink and emit > 0:
+            self._emit_one(op, emit)
+            pushed = emit
+        counters = op.counters
+        counters[0, 0] = processed
+        counters[1, 0] = pushed
+        counters[2, 0] = processed * unit_cost
+        sim.state_model.record_processed(op.name, processed)
+        return 0.0 + processed if spec.is_sink else 0.0
+
+    @staticmethod
+    def _consumed(spec: OperatorSpec, processed: List[float]) -> float:
+        """Records a sink consumed: the object backend's sequential
+        sum over its instances (0 for any other operator)."""
         consumed_total = 0.0
-        for value in processed_list:
-            consumed_total += value
+        if spec.is_sink:
+            for value in processed:
+                consumed_total += value
         return consumed_total
 
     def _run_window(
@@ -995,10 +1148,7 @@ class VectorEngine:
         np.add(useful_acc, useful, out=useful)
         assigned_list = assigned.tolist()
         sim.state_model.record_processed_block(op.name, assigned_list)
-        consumed_total = 0.0
-        for value in assigned_list:
-            consumed_total += value
-        return consumed_total
+        return self._consumed(spec, assigned_list)
 
     # ------------------------------------------------------------------
     # Compatibility

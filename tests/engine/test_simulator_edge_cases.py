@@ -1,6 +1,8 @@
 """Edge-case tests: redeploys with windows, Timely rescaling, rate
 schedules mid-flight, and metrics across outages."""
 
+import math
+
 import pytest
 
 from repro.dataflow.graph import Edge, LogicalGraph
@@ -17,6 +19,7 @@ from repro.dataflow.physical import PhysicalPlan
 from repro.dataflow.state import SavepointModel
 from repro.engine.runtimes import FlinkRuntime, TimelyRuntime
 from repro.engine.simulator import EngineConfig, Simulator
+from repro.errors import EngineError
 
 
 def window_pipeline(rate=10_000.0, kind="sliding"):
@@ -220,3 +223,55 @@ class TestOutageMetrics:
         # Epochs interrupted by the outage complete late but complete.
         assert sim.epoch_latency.pending_epochs <= 2
         assert dist.quantile(1.0) >= 2.0
+
+def small_simulator():
+    graph = LogicalGraph(
+        [
+            source("src", rate=RateSchedule.constant(1000.0)),
+            map_operator("m", costs=CostModel(processing_cost=1e-5)),
+            sink("snk"),
+        ],
+        [Edge("src", "m"), Edge("m", "snk")],
+    )
+    return Simulator(
+        PhysicalPlan(graph, {"m": 1}),
+        FlinkRuntime(),
+        EngineConfig(tick=0.1, track_record_latency=False),
+    )
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["tick", "source_catchup_factor", "epoch_seconds"]
+    )
+    def test_engine_config_rejects(self, field, value):
+        with pytest.raises(EngineError, match=field):
+            EngineConfig(**{field: value})
+
+    def test_run_for_inf_rejected(self):
+        sim = small_simulator()
+        with pytest.raises(EngineError, match="finite"):
+            sim.run_for(math.inf)
+        assert sim.time == 0.0
+
+    def test_run_for_nan_rejected(self):
+        sim = small_simulator()
+        with pytest.raises(EngineError, match="finite"):
+            sim.run_for(math.nan)
+        assert sim.time == 0.0
+
+    def test_run_until_inf_rejected(self):
+        sim = small_simulator()
+        with pytest.raises(EngineError, match="finite"):
+            sim.run_until(math.inf)
+        assert sim.time == 0.0
+
+    def test_force_outage_nan_rejected(self):
+        sim = small_simulator()
+        with pytest.raises(EngineError, match="seconds"):
+            sim.force_outage(math.nan)
+        assert sim._pending_plan is None
+        assert not sim.in_outage
+        sim.run_for(1.0)
+        assert not sim.last_stats.in_outage

@@ -24,6 +24,14 @@ import random
 
 import pytest
 
+from repro.dataflow.graph import Edge, LogicalGraph
+from repro.dataflow.operators import (
+    CostModel,
+    RateSchedule,
+    map_operator,
+    sink,
+    source,
+)
 from repro.dataflow.physical import PhysicalPlan
 from repro.dataflow.state import SavepointModel
 from repro.engine.npcompat import HAVE_NUMPY
@@ -54,6 +62,14 @@ from repro.workloads.wordcount import (
     flink_wordcount_initial_parallelism,
     heron_wordcount_graph,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - optional dev dependency
+    HAVE_HYPOTHESIS = False
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="vector backend requires numpy"
@@ -753,3 +769,275 @@ class TestArena:
         widths.add(4 * len(graph.names))
         assert {stop for _, stop in calls} == widths
         assert {start for start, _ in calls} == {0}
+
+
+def arena_fingerprint(sim):
+    """Every queue, fire-backlog and window-buffer cell in the arena's
+    layout (operators in topological order, a queue block port-major,
+    instances by index), plus the StateModel bytes per operator, as
+    float hex strings: equal fingerprints are equal bit for bit. An
+    object-backend run is laid out the same way."""
+    order = sim.graph.topological_order()
+    if sim.backend == "vector":
+        arena = sim._vec._arena
+        cells = [
+            buffer.tolist()
+            for buffer in (
+                arena.q_len,
+                arena.q_pushed,
+                arena.q_popped,
+                arena.fire_backlog,
+                arena.win_buffered,
+            )
+        ]
+    else:
+        cells = [[], [], [], [], []]
+        for name in order:
+            instances = sim._obj_instances[name]
+            for port in sim.graph.upstream(name):
+                queues = [inst.ports[port] for inst in instances]
+                cells[0] += [queue.length for queue in queues]
+                cells[1] += [queue.total_pushed for queue in queues]
+                cells[2] += [queue.total_popped for queue in queues]
+            cells[3] += [inst.fire_backlog for inst in instances]
+            cells[4] += [
+                0.0 if inst.window is None else inst.window.buffered
+                for inst in instances
+            ]
+    cells.append([sim.state_model.state_bytes(name) for name in order])
+    return [[value.hex() for value in values] for values in cells]
+
+
+def bitwise_trace(sim, ticks, actions=None, every=10):
+    """The repr of every TickStats (a repr tells -0.0 from 0.0, and a
+    numpy scalar from a float) and, every ``every`` ticks, the arena
+    fingerprint and a collected window. ``actions`` maps a tick number
+    to a callable run on the simulator before that tick; its result
+    goes into the trace."""
+    actions = actions or {}
+    trace = []
+    for tick in range(ticks):
+        if tick in actions:
+            trace.append(repr(actions[tick](sim)))
+        trace.append(repr(sim.step()))
+        if tick % every == every - 1:
+            trace.append(arena_fingerprint(sim))
+            trace.append(repr(window_fingerprint(sim.collect_metrics())))
+    return trace
+
+
+def chain_graph(rate, costs, sink_cost=1e-9):
+    """``src -> ops... -> snk``: one map per entry of ``costs`` (name
+    to per-record processing cost)."""
+    names = ["src", *costs, "snk"]
+    return LogicalGraph(
+        [
+            source("src", rate=RateSchedule.constant(rate)),
+            *(
+                map_operator(name, costs=CostModel(processing_cost=cost))
+                for name, cost in costs.items()
+            ),
+            sink("snk", costs=CostModel(processing_cost=sink_cost)),
+        ],
+        [Edge(up, down) for up, down in zip(names, names[1:])],
+    )
+
+
+def chain_sim(graph, parallelism, runtime, backend, **config):
+    config.setdefault("tick", 0.1)
+    return Simulator(
+        PhysicalPlan(graph, parallelism, max_parallelism=16),
+        runtime,
+        EngineConfig(**config),
+        backend=backend,
+    )
+
+
+class TestScalarPaths:
+    """Width-1 sources, width-1 single-port operators and the pushes
+    into width-1 queues run as float code in the vector backend; each
+    case pins both backends and compares the runs bit for bit."""
+
+    @staticmethod
+    def _run_both(make_sim, ticks, actions=None):
+        """Run ``make_sim(backend)`` on both backends; return the
+        vector simulator and assert the traces are identical."""
+        traces, sims = [], []
+        for backend in ("object", "vector"):
+            sims.append(make_sim(backend))
+            traces.append(bitwise_trace(sims[-1], ticks, actions))
+        assert traces[0] == traces[1]
+        return sims[1]
+
+    @staticmethod
+    def _scalar_ops(sim):
+        return {
+            name for name, op in sim._vec._ops.items() if op.scalar
+        }
+
+    def test_source_into_wide_bounded_operator(self):
+        """A width-1 source backpressured by a wide bounded operator."""
+        graph = chain_graph(120_000.0, {"work": 1e-4})
+
+        def make_sim(backend):
+            return chain_sim(
+                graph,
+                {"src": 1, "work": 8, "snk": 1},
+                FlinkRuntime(),
+                backend,
+                cost_jitter=0.1,
+            )
+
+        sim = self._run_both(make_sim, 200)
+        assert self._scalar_ops(sim) == {"src", "snk"}
+        assert "work" in sim.backpressured_operators()
+
+    def _filling_sink(self, backend):
+        graph = chain_graph(30_000.0, {"work": 1e-5}, sink_cost=1e-4)
+        return chain_sim(
+            graph, {"src": 1, "work": 8, "snk": 1}, FlinkRuntime(), backend
+        )
+
+    def test_wide_operator_fills_bounded_sink(self):
+        """Eight instances push into a full width-1 sink, where
+        individual pushes clamp."""
+        sim = self._run_both(self._filling_sink, 200)
+        assert sim.max_fill_fraction("snk") > 1.0 - 1e-9
+
+    def test_overflow_into_width1_queue_raises_same_error(
+        self, monkeypatch
+    ):
+        """With the downstream limit broken, both backends fail on the
+        same push with the same message."""
+        messages = []
+        for backend in ("object", "vector"):
+            sim = self._filling_sink(backend)
+            sim.run_for(10.0)
+            with monkeypatch.context() as patch:
+                for owner in (Simulator, vectorized.VectorEngine):
+                    patch.setattr(
+                        owner,
+                        "_downstream_limit",
+                        staticmethod(lambda *_: math.inf),
+                    )
+                with pytest.raises(EngineError) as raised:
+                    sim.step()
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("emission overflow into snk[0]")
+
+    def test_width1_operators_in_a_chain(self):
+        """Width-1 maps on both sides of a wide one: a scalar operator
+        fed by a scalar source and emitting into a wide queue, and one
+        fed by eight instances and emitting into a width-1 sink."""
+        graph = chain_graph(
+            25_000.0, {"pre": 1e-5, "work": 1e-4, "post": 5e-5}
+        )
+
+        def make_sim(backend):
+            return chain_sim(
+                graph,
+                {"src": 1, "pre": 1, "work": 8, "post": 1, "snk": 1},
+                FlinkRuntime(),
+                backend,
+                cost_jitter=0.1,
+                track_record_latency=True,
+            )
+
+        sim = self._run_both(make_sim, 200)
+        assert self._scalar_ops(sim) == {"src", "pre", "post", "snk"}
+        assert sim.backpressured_operators()
+
+    def test_width1_sink_on_timely(self):
+        """Unbounded queues and demand-driven budgets: one Timely
+        worker runs every operator."""
+        graph = chain_graph(20_000.0, {"work": 3e-5}, sink_cost=2e-5)
+
+        def make_sim(backend):
+            return chain_sim(
+                graph,
+                {name: 1 for name in graph.names},
+                TimelyRuntime(),
+                backend,
+                epoch_seconds=1.0,
+            )
+
+        sim = self._run_both(make_sim, 200)
+        assert self._scalar_ops(sim) == set(graph.names)
+        assert sim.queue_length("work") > 0
+
+    def test_width1_join_stays_on_arrays(self):
+        graph = get_query("Q3").flink_graph()
+
+        def make_sim(backend):
+            return chain_sim(
+                graph,
+                {name: 1 for name in graph.names},
+                FlinkRuntime(),
+                backend,
+                tick=0.25,
+                cost_jitter=0.1,
+            )
+
+        sim = self._run_both(make_sim, 200)
+        assert self._scalar_ops(sim) == set(graph.names) - {
+            "incremental_join"
+        }
+
+    def test_rescale_from_width1_and_back(self):
+        graph = chain_graph(
+            25_000.0, {"pre": 6e-5, "work": 1e-4, "post": 1e-5}
+        )
+        scalar_sets = []
+
+        def rescale(updates):
+            def action(sim):
+                outage = sim.rescale(updates)
+                if sim.backend == "vector":
+                    scalar_sets.append(self._scalar_ops(sim))
+                return outage
+
+            return action
+
+        def make_sim(backend):
+            return chain_sim(
+                graph,
+                {"src": 1, "pre": 1, "work": 8, "post": 1, "snk": 1},
+                _switching_runtime(),
+                backend,
+            )
+
+        self._run_both(
+            make_sim,
+            240,
+            actions={
+                60: rescale({"pre": 2, "src": 2}),
+                150: rescale({"pre": 1, "src": 1}),
+            },
+        )
+        assert scalar_sets == [
+            {"post", "snk"},
+            {"src", "pre", "post", "snk"},
+        ]
+
+    if HAVE_HYPOTHESIS:
+
+        @given(
+            widths=st.tuples(*[st.sampled_from((1, 2, 8))] * 4),
+            rate=st.sampled_from((5_000.0, 40_000.0)),
+        )
+        @settings(max_examples=15, deadline=None)
+        def test_property_chain_widths(self, widths, rate):
+            """Any mix of widths 1, 2 and 8 along a bounded chain."""
+            graph = chain_graph(rate, {"a": 2e-5, "b": 1e-4})
+
+            def make_sim(backend):
+                return chain_sim(
+                    graph,
+                    dict(zip(graph.names, widths)),
+                    FlinkRuntime(),
+                    backend,
+                    cost_jitter=0.1,
+                )
+
+            self._run_both(make_sim, 60)
