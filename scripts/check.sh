@@ -18,6 +18,8 @@
 #   6. kill-and-resume equivalence
 #                    - hard-killed chaos run resumed from its journal
 #                      must match an uninterrupted run byte-for-byte,
+#                      a resume over a complete chaos journal must run
+#                      no cell (crash-recovery replay cells included),
 #                      and the committed smoke-campaign journal (cell
 #                      fingerprints recorded by an older build) must
 #                      still resume without re-running a cell
@@ -124,11 +126,12 @@ run_stage "parallel chaos equivalence (smoke)" \
     -k "smoke or start_method or recovery"
 # Crash-safety gate: a chaos run hard-killed mid-campaign and resumed
 # from its checkpoint journal must print byte-identical output to an
-# uninterrupted run (serial and process-pool), and a journal written
+# uninterrupted run (serial and process-pool), a resume over a
+# complete journal must re-run no replay cell, and a journal written
 # by an older build must still resume (its cell fingerprints match).
 run_stage "kill-and-resume equivalence (smoke)" \
     python -m pytest -q tests/faults/test_checkpoint.py \
-    -k "kill_and_resume or older_journal"
+    -k "kill_and_resume or older_journal or reruns_no_replay_cell"
 # Run-report gate: the aggregated report over the committed
 # smoke-campaign journal must stay byte-identical to the committed
 # golden JSON. Cheap (<1s), so it runs even with --fast.

@@ -16,11 +16,11 @@ Campaigns run over a pluggable *workload* (:data:`WORKLOADS`): the
 Heron wordcount benchmark (section 5.2 of the paper) by default, or any
 of the Nexmark queries — windowed state on the Flink-style runtime
 (``nexmark-q1`` … ``nexmark-q11``) plus a Timely-style global-scaling
-variant (``nexmark-q5-timely``). A second batch replays a crash-only
-profile on all three runtimes to expose their distinct recovery models
-(savepoint restore vs. peer re-sync vs. container restart; see
-:mod:`repro.engine.recovery`), one :class:`RecoveryCellSpec` per
-(runtime, campaign).
+variant (``nexmark-q5-timely``). A second batch, on the same executor
+and journal, replays a crash-only profile on all three runtimes to
+expose their distinct recovery models (savepoint restore vs. peer
+re-sync vs. container restart; see :mod:`repro.engine.recovery`), one
+:class:`RecoveryCellSpec` per (runtime, campaign).
 
 Everything is deterministic: same profile, seed, workload, and campaign
 count ⇒ byte-identical scorecards and report, whether the cells run
@@ -48,7 +48,7 @@ from repro.engine.runtimes import (
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.simulator import Simulator
-from repro.errors import FaultInjectionError
+from repro.errors import CheckpointError, FaultInjectionError
 from repro.experiments.comparison import HERON_POLICY_INTERVAL
 from repro.experiments.harness import (
     RUNTIMES,
@@ -73,14 +73,14 @@ from repro.faults.campaigns import (
     aggregate_scorecards,
     resolve_jobs,
 )
-from repro.faults.checkpoint import JournalHeader
+from repro.faults.checkpoint import JournalHeader, content_hash
 from repro.faults.executor import (
     CampaignCoverage,
     CampaignExecutor,
-    CampaignInterrupted,
     ensure_parallel_safe,
     journaled_executor,
 )
+from repro.faults.schedule import FaultSchedule
 from repro.telemetry.progress import ProgressListener
 from repro.telemetry.tracer import NULL_TRACER, tracing
 from repro.workloads.nexmark import ALL_QUERIES, get_query
@@ -322,13 +322,14 @@ def run_chaos(
             default) runs serially in-process. Results are
             byte-identical either way.
         checkpoint: Journal path making the run crash-safe: every
-            completed cell is durably recorded, failing cells are
-            retried then quarantined (the default
-            :class:`~repro.faults.executor.CellRetryPolicy`), and the
-            result carries :attr:`ChaosResult.coverage`. Without it
-            the first failing cell aborts the batch. A hard-killed run
-            resumes with ``resume=True`` and produces byte-identical
-            output.
+            completed cell, replay cells included, is durably
+            recorded, failing cells are retried then quarantined (the
+            default :class:`~repro.faults.executor.CellRetryPolicy`),
+            and the result carries :attr:`ChaosResult.coverage` (of
+            the campaign cells). Without it the first failing cell
+            aborts the batch. A hard-killed run resumes with
+            ``resume=True``, runs only the cells its journal lacks,
+            and produces byte-identical output.
         resume: Resume from an existing ``checkpoint`` journal instead
             of starting fresh (requires ``checkpoint``).
         progress: Optional heartbeat sink (see
@@ -364,30 +365,11 @@ def run_chaos(
         outcome = load.runner(tick).execute(
             generator, campaigns, executor=executor
         )
-    recovery: Dict[str, List[float]] = {}
-    if include_recovery:
-        try:
+        recovery: Dict[str, List[float]] = {}
+        if include_recovery:
             recovery = recovery_distributions(
-                seed=seed, tick=tick, jobs=workers, progress=progress
+                seed=seed, tick=tick, executor=executor
             )
-        except CampaignInterrupted:
-            # The replay is unjournaled, but every campaign cell is
-            # already in the journal: resuming re-runs only the replay.
-            coverage = outcome.coverage
-            raise CampaignInterrupted(
-                f"campaign interrupted during the crash-recovery "
-                f"replay, after {coverage.completed} of "
-                f"{coverage.cells} campaign cells"
-                + (
-                    f"; completed cells are checkpointed in "
-                    f"{checkpoint!r}"
-                    if checkpoint is not None
-                    else " (no checkpoint: completed cells are lost)"
-                ),
-                completed=coverage.completed,
-                cells=coverage.cells,
-                path=checkpoint,
-            ) from None
     return ChaosResult(
         profile=spec.name,
         campaigns=int(campaigns),
@@ -400,17 +382,30 @@ def run_chaos(
     )
 
 
+#: Profile and uniform per-operator parallelism of the replay.
+_RECOVERY_PROFILE = "crashes"
+_RECOVERY_PARALLELISM = 2
+
+
 @dataclass(frozen=True)
 class RecoveryCellSpec:
     """One cell of the crash-recovery replay: campaign ``campaign`` of
     the crash-only profile at master seed ``seed``, on the runtime
     named ``runtime`` (a :data:`~repro.experiments.harness.RUNTIMES`
-    key)."""
+    key).
+
+    Implements the executor's cell contract
+    (:class:`~repro.faults.executor.CellSpec`): the result is the
+    tuple of crash outages, journaled as a JSON list under
+    ``"outages"``.
+    """
 
     seed: int
     campaign: int
     runtime: str
     tick: float
+
+    result_field = "outages"
 
     @property
     def key(self) -> CellKey:
@@ -420,6 +415,59 @@ class RecoveryCellSpec:
             self.campaign,
             f"{RECOVERY_CELL_PREFIX}{self.runtime}",
         )
+
+    def fingerprint(self) -> str:
+        """Content hash of everything that determines the outages: the
+        cell's coordinates and tick, the regenerated crash schedule
+        (event for event), the graph, the plan, and the engine
+        config."""
+        graph, schedule = _replay_inputs(self)
+        return content_hash({
+            "seed": self.seed,
+            "campaign": self.campaign,
+            "runtime": self.runtime,
+            "tick": repr(self.tick),
+            "profile": _RECOVERY_PROFILE,
+            "schedule_seed": schedule.seed,
+            "events": [repr(event) for event in schedule.events],
+            "graph_names": list(graph.names),
+            "graph_edges": [repr(edge) for edge in graph.edges],
+            "parallelism": _RECOVERY_PARALLELISM,
+            "engine_config": repr(campaign_engine_config(self.tick)),
+        })
+
+    def run(self) -> Tuple[float, ...]:
+        # The module global, read at call time (tests patch it).
+        return run_recovery_cell(self)
+
+    @staticmethod
+    def encode_result(outages: Tuple[float, ...]) -> List[float]:
+        return list(outages)
+
+    @staticmethod
+    def decode_result(payload: object) -> Tuple[float, ...]:
+        if not isinstance(payload, list) or not all(
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            for value in payload
+        ):
+            raise CheckpointError(
+                f"malformed outages payload: {payload!r}"
+            )
+        return tuple(float(value) for value in payload)
+
+
+def _replay_inputs(
+    spec: RecoveryCellSpec,
+) -> Tuple[LogicalGraph, FaultSchedule]:
+    """The replay's graph and the cell's crash-only schedule."""
+    graph = heron_wordcount_graph()
+    schedule = CampaignGenerator(
+        PROFILES[_RECOVERY_PROFILE],
+        CampaignTargets.from_graph(graph),
+        seed=spec.seed,
+    ).schedule(spec.campaign)
+    return graph, schedule
 
 
 def run_recovery_cell(spec: RecoveryCellSpec) -> Tuple[float, ...]:
@@ -432,25 +480,21 @@ def run_recovery_cell(spec: RecoveryCellSpec) -> Tuple[float, ...]:
     Per-tick engine trace events are suppressed, as in
     :func:`~repro.faults.campaigns.run_campaign_cell`.
     """
-    profile = PROFILES["crashes"]
-    graph = heron_wordcount_graph()
-    schedule = CampaignGenerator(
-        profile, CampaignTargets.from_graph(graph), seed=spec.seed
-    ).schedule(spec.campaign)
+    duration = PROFILES[_RECOVERY_PROFILE].duration
+    graph, schedule = _replay_inputs(spec)
     with tracing(NULL_TRACER):
         simulator = Simulator(
             plan=PhysicalPlan(
                 graph=graph,
-                parallelism={name: 2 for name in graph.names},
+                parallelism={
+                    name: _RECOVERY_PARALLELISM for name in graph.names
+                },
             ),
             runtime=RUNTIMES[spec.runtime](),
             config=campaign_engine_config(spec.tick),
         )
         injector = FaultInjector(simulator, schedule)
-        while (
-            simulator.time < profile.duration
-            and injector.one_shots_pending
-        ):
+        while simulator.time < duration and injector.one_shots_pending:
             injector.step()
     return tuple(outage for _, outage in injector.crash_outages)
 
@@ -459,8 +503,7 @@ def recovery_distributions(
     campaigns: int = RECOVERY_CAMPAIGNS,
     seed: int = 1,
     tick: float = 1.0,
-    jobs: int = 1,
-    progress: Optional[ProgressListener] = None,
+    executor: Optional[CampaignExecutor] = None,
 ) -> Dict[str, List[float]]:
     """Crash-recovery outage samples per runtime.
 
@@ -474,10 +517,12 @@ def recovery_distributions(
     with total keyed state, peer re-sync with the lost worker's shard,
     container restart stays near-constant.
 
-    Each (runtime, campaign) pair is one :func:`run_recovery_cell` on a
-    fail-fast, unjournaled :class:`CampaignExecutor` with ``jobs``
-    workers; samples fold back in runtime-major, campaign-minor order,
-    so the result does not depend on ``jobs``.
+    Each (runtime, campaign) pair is one :class:`RecoveryCellSpec`
+    cell on ``executor`` — :func:`run_chaos` passes the campaign
+    batch's, so replay cells are journaled, retried and resumed like
+    campaign cells — or, by default, on a serial fail-fast executor.
+    Samples fold back in runtime-major, campaign-minor order, so the
+    result does not depend on where the cells ran.
     """
     specs = [
         RecoveryCellSpec(
@@ -486,9 +531,9 @@ def recovery_distributions(
         for runtime in RUNTIMES
         for campaign in range(campaigns)
     ]
-    results = CampaignExecutor(
-        jobs=jobs, progress=progress, runner=run_recovery_cell
-    ).run_cells(specs)
+    if executor is None:
+        executor = CampaignExecutor()
+    results = executor.run_cells(specs)
     outages: Dict[str, List[float]] = {
         runtime: [] for runtime in RUNTIMES
     }

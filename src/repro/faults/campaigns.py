@@ -687,10 +687,37 @@ class CampaignCellSpec:
     #: journals keep their recorded hashes.
     engine_backend: Optional[str] = None
 
+    #: Journal field of a campaign cell's result (the cell contract;
+    #: see :class:`~repro.faults.executor.CellSpec`).
+    result_field = "scorecard"
+
     @property
     def key(self) -> CellKey:
         """The cell's canonical ``(seed, campaign, controller)`` key."""
         return (self.seed, self.campaign, self.controller)
+
+    def fingerprint(self) -> str:
+        """:func:`~repro.faults.checkpoint.cell_fingerprint`."""
+        from repro.faults.checkpoint import cell_fingerprint
+
+        return cell_fingerprint(self)
+
+    def run(self) -> SasoScorecard:
+        # The module global, read at call time: wrappers installed on
+        # ``campaigns.run_campaign_cell`` see every in-process cell.
+        return run_campaign_cell(self)
+
+    @staticmethod
+    def encode_result(card: SasoScorecard) -> Dict[str, object]:
+        from repro.faults.checkpoint import scorecard_to_payload
+
+        return scorecard_to_payload(card)
+
+    @staticmethod
+    def decode_result(payload: object) -> SasoScorecard:
+        from repro.faults.checkpoint import scorecard_from_payload
+
+        return scorecard_from_payload(payload)
 
 
 def run_campaign_cell(spec: CampaignCellSpec) -> SasoScorecard:

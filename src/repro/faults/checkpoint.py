@@ -1,17 +1,27 @@
-"""Crash-safe chaos campaigns: the durable cell journal.
+"""Crash-safe robustness batches: the durable cell journal.
 
-A chaos campaign is hours of seeded simulation reduced to one scorecard
-per ``(seed, campaign, controller)`` cell. :class:`CheckpointJournal`
-keeps the finished ones across a SIGKILL, a worker OOM, or a poison
-cell: a durable, append-only JSONL journal with one fsynced record per
-completed cell (canonical cell key, the full scorecard payload, and a
-content hash of the cell's configuration). Recovery tolerates a torn
-final record — the classic crash-mid-append artifact — by dropping it
-with a warning and truncating the file back to its valid prefix;
-anything else (mid-file corruption, a schema-version mismatch, a
-header or cell-hash mismatch) is rejected hard with
-:class:`~repro.errors.CheckpointError`, because silently resuming the
-wrong campaign is worse than not resuming at all.
+A chaos campaign is hours of seeded simulation reduced to one result
+per cell. :class:`CheckpointJournal` keeps the finished ones across a
+SIGKILL, a worker OOM, or a poison cell: a durable, append-only JSONL
+journal with one fsynced record per completed cell (canonical cell
+key, the encoded result, and a content hash of the cell's
+configuration). Recovery tolerates a torn final record — the classic
+crash-mid-append artifact — by dropping it with a warning and
+truncating the file back to its valid prefix; anything else (mid-file
+corruption, a schema-version mismatch, a header or cell-hash mismatch)
+is rejected hard with :class:`~repro.errors.CheckpointError`, because
+silently resuming the wrong campaign is worse than not resuming at all.
+
+The journal knows a cell only through its spec's cell contract (see
+:class:`~repro.faults.executor.CellSpec`): ``key``, ``fingerprint()``,
+and a result codec (``result_field``, ``encode_result``,
+``decode_result``). A cell record stores the encoded result under its
+kind's ``result_field`` — ``"scorecard"`` for campaign cells,
+``"outages"`` for the chaos experiment's crash-recovery replay — so
+several kinds of batch can share one journal, and :meth:`match` pairs
+each batch with its own kind's records only. Scorecard records are
+also decoded on load, so a corrupt one is reported with its line
+number.
 
 The journal is handed to :class:`~repro.faults.executor.CampaignExecutor`,
 which records cells as they finish, skips the ones already recorded,
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import (
@@ -48,6 +59,7 @@ from repro.faults.campaigns import (
     SasoScorecard,
     _cell_label,
 )
+from repro.faults.executor import CellSpec
 from repro.telemetry.audit import AuditSummary
 from repro.telemetry.spans import active_profiler
 
@@ -56,8 +68,9 @@ from repro.faults.executor import (  # noqa: F401
     CampaignExecutor as SupervisedExecutor,
 )
 
-#: Journal schema version. Bump on any change to the record layout;
-#: resume rejects journals written by a different version.
+#: Journal schema version; resume rejects journals written by a
+#: different version. Bump it only when an existing record's layout
+#: changes: a new cell kind, with its own result field, is not one.
 CHECKPOINT_VERSION = 1
 
 # ----------------------------------------------------------------------
@@ -99,10 +112,12 @@ def scorecard_to_payload(card: SasoScorecard) -> Dict[str, object]:
     }
 
 
-def scorecard_from_payload(
-    payload: Mapping[str, object],
-) -> SasoScorecard:
+def scorecard_from_payload(payload: object) -> SasoScorecard:
     """Rebuild a :class:`SasoScorecard` from its journal payload."""
+    if not isinstance(payload, Mapping):
+        raise CheckpointError(
+            "malformed scorecard payload: not an object"
+        )
     try:
         raw_audit = payload.get("audit")
         audit: Optional[AuditSummary] = None
@@ -147,6 +162,14 @@ def scorecard_from_payload(
 # ----------------------------------------------------------------------
 # Fingerprints — what makes a journal record trustworthy
 # ----------------------------------------------------------------------
+
+def content_hash(doc: Mapping[str, object]) -> str:
+    """A cell fingerprint: the first 16 hex digits of the SHA-256 of
+    ``doc`` as key-sorted JSON. ``doc`` names everything that
+    determines the cell's result, floats as ``repr`` strings."""
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
+
 
 def cell_fingerprint(spec: CampaignCellSpec) -> str:
     """Content hash of everything that determines a cell's scorecard.
@@ -195,8 +218,20 @@ def cell_fingerprint(spec: CampaignCellSpec) -> str:
         # no results — the backends are bit-identical by construction —
         # so it rightly stays out of the hash.)
         doc["engine_backend"] = spec.engine_backend
-    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return content_hash(doc)
+
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is a JSON integer. ``int()`` would also take a
+    float, a bool or a numeric string and silently coerce it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _header_int(payload: Mapping[str, object], name: str) -> int:
+    value = payload[name]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{name} is not an integer: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -252,20 +287,19 @@ class JournalHeader:
             sweep = payload.get("sweep")
             if sweep is not None and not isinstance(sweep, str):
                 raise TypeError("sweep is not a string")
-            cells = payload.get("cells")
-            if cells is not None and (
-                not isinstance(cells, int) or isinstance(cells, bool)
-            ):
-                raise TypeError("cells is not an integer")
             return cls(
                 profile=str(payload["profile"]),
                 workload=str(payload["workload"]),
-                seed=int(payload["seed"]),  # type: ignore[call-overload]
-                campaigns=int(payload["campaigns"]),  # type: ignore[call-overload]
+                seed=_header_int(payload, "seed"),
+                campaigns=_header_int(payload, "campaigns"),
                 controllers=tuple(str(c) for c in controllers),
-                version=int(payload["version"]),  # type: ignore[call-overload]
+                version=_header_int(payload, "version"),
                 sweep=sweep,
-                cells=cells,
+                cells=(
+                    None
+                    if payload.get("cells") is None
+                    else _header_int(payload, "cells")
+                ),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise CheckpointError(
@@ -277,13 +311,28 @@ class JournalHeader:
 # The journal
 # ----------------------------------------------------------------------
 
+#: Keys of a cell record that are not its result: the record kind,
+#: the cell key and fingerprint, the observability extras, and the
+#: metrics snapshot journals from older builds carry.
+_CELL_RECORD_KEYS = frozenset((
+    "record", "key", "spec_hash", "duration", "worker", "spans",
+    "telemetry",
+))
+
+
 @dataclass(frozen=True)
 class JournalCell:
-    """One completed cell as recovered from a journal."""
+    """One completed cell as recovered from a journal.
+
+    ``field`` is the cell kind's ``result_field`` and ``payload`` the
+    result as journaled under it (plain JSON); the kind's
+    ``decode_result`` rebuilds the result.
+    """
 
     key: CellKey
     spec_hash: str
-    scorecard: SasoScorecard
+    field: str
+    payload: object
     #: Optional observability extras (absent in journals written by
     #: older builds): the cell's span-tree payload, wall-clock
     #: duration, and executing worker pid. None of them participate
@@ -292,18 +341,19 @@ class JournalCell:
     duration: Optional[float] = None
     worker: Optional[int] = None
 
+    @property
+    def scorecard(self) -> SasoScorecard:
+        """The decoded result of a campaign-cell (``"scorecard"``)
+        record."""
+        return CampaignCellSpec.decode_result(self.payload)
+
 
 def _parse_cell_key(raw: object) -> CellKey:
-    if (
-        not isinstance(raw, list)
-        or len(raw) != 3
-        or not isinstance(raw[2], str)
-    ):
-        raise CheckpointError(f"malformed cell key {raw!r}")
-    try:
-        return (int(raw[0]), int(raw[1]), raw[2])
-    except (TypeError, ValueError):
-        raise CheckpointError(f"malformed cell key {raw!r}") from None
+    if isinstance(raw, list) and len(raw) == 3:
+        seed, campaign, name = raw
+        if _is_int(seed) and _is_int(campaign) and isinstance(name, str):
+            return (seed, campaign, name)
+    raise CheckpointError(f"malformed cell key {raw!r}")
 
 
 def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
@@ -313,28 +363,41 @@ def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
         raise CheckpointError(
             f"cell {_cell_label(key)} has no spec hash"
         )
-    scorecard = payload.get("scorecard")
-    if not isinstance(scorecard, Mapping):
+    fields = [name for name in payload if name not in _CELL_RECORD_KEYS]
+    if len(fields) != 1:
         raise CheckpointError(
-            f"cell {_cell_label(key)} has no scorecard payload"
+            f"cell {_cell_label(key)} has "
+            + (
+                f"{len(fields)} result payloads {fields}"
+                if fields
+                else "no result payload"
+            )
         )
-    # Journals written by older builds also carry a "telemetry"
-    # metrics snapshot per cell; nothing reads it any more.
+    (field,) = fields
+    if field == CampaignCellSpec.result_field:
+        # Decoded here only to validate: corruption is then reported
+        # with its line number, not at resume.
+        CampaignCellSpec.decode_result(payload[field])
     spans = payload.get("spans")
     if not isinstance(spans, dict):
         spans = None
+    # A NaN or infinite duration (Python's json reads both) counts as
+    # absent: it would make the JSON run report invalid.
     duration = payload.get("duration")
-    if not isinstance(duration, (int, float)) or isinstance(
-        duration, bool
+    if (
+        not isinstance(duration, (int, float))
+        or isinstance(duration, bool)
+        or not math.isfinite(duration)
     ):
         duration = None
     worker = payload.get("worker")
-    if not isinstance(worker, int) or isinstance(worker, bool):
+    if not _is_int(worker):
         worker = None
     return JournalCell(
         key=key,
         spec_hash=spec_hash,
-        scorecard=scorecard_from_payload(scorecard),
+        field=field,
+        payload=payload[field],
         spans=spans,
         duration=None if duration is None else float(duration),
         worker=worker,
@@ -653,24 +716,28 @@ class CheckpointJournal:
 
     def record_cell(
         self,
-        spec: CampaignCellSpec,
-        scorecard: SasoScorecard,
+        spec: CellSpec,
+        result: object,
         *,
         spans: Optional[Dict[str, object]] = None,
         duration: Optional[float] = None,
         worker: Optional[int] = None,
     ) -> None:
-        """Durably append one completed cell (fsynced before return).
+        """Durably append one completed cell (fsynced before return):
+        its key, ``spec.fingerprint()`` and ``spec.encode_result(
+        result)`` under ``spec.result_field``.
 
         ``spans``, ``duration`` and ``worker`` are optional
         observability extras; they are journaled next to the result
         but take no part in fingerprinting or resume matching.
         """
+        fingerprint = spec.fingerprint()
+        encoded = spec.encode_result(result)
         payload: Dict[str, object] = {
             "record": "cell",
             "key": list(spec.key),
-            "spec_hash": cell_fingerprint(spec),
-            "scorecard": scorecard_to_payload(scorecard),
+            "spec_hash": fingerprint,
+            spec.result_field: encoded,
         }
         if duration is not None:
             payload["duration"] = round(duration, 6)
@@ -681,8 +748,9 @@ class CheckpointJournal:
         self._append(payload)
         self._cells[spec.key] = JournalCell(
             key=spec.key,
-            spec_hash=cell_fingerprint(spec),
-            scorecard=scorecard,
+            spec_hash=fingerprint,
+            field=spec.result_field,
+            payload=encoded,
             spans=spans,
             duration=duration,
             worker=worker,
@@ -700,32 +768,36 @@ class CheckpointJournal:
         self._heartbeats.append(record)
 
     def record_quarantine(
-        self, spec: CampaignCellSpec, attempts: int, error: str
+        self, spec: CellSpec, attempts: int, error: str
     ) -> None:
         """Append a quarantine note (informational; not resumed past)."""
         self._append({
             "record": "quarantine",
             "key": list(spec.key),
-            "spec_hash": cell_fingerprint(spec),
+            "spec_hash": spec.fingerprint(),
             "attempts": attempts,
             "error": error,
         })
 
-    def match(
-        self, specs: Sequence[CampaignCellSpec]
-    ) -> Dict[int, JournalCell]:
+    def match(self, specs: Sequence[CellSpec]) -> Dict[int, JournalCell]:
         """Map spec indices to their recovered journal cells.
 
-        Every journaled cell must belong to this batch (same key *and*
-        same content hash); a journal holding foreign or stale cells
-        is rejected rather than partially trusted.
+        Only records of the batch's own kind (its specs'
+        ``result_field``) are considered, so batches of different kinds
+        can share one journal. Every such record must belong to this
+        batch (same key *and* same fingerprint); a journal holding
+        foreign or stale cells is rejected rather than partially
+        trusted.
         """
-        by_key: Dict[CellKey, Tuple[int, CampaignCellSpec]] = {
+        by_key: Dict[CellKey, Tuple[int, CellSpec]] = {
             spec.key: (index, spec)
             for index, spec in enumerate(specs)
         }
+        fields = {spec.result_field for spec in specs}
         matched: Dict[int, JournalCell] = {}
         for key, cell in self._cells.items():
+            if cell.field not in fields:
+                continue
             located = by_key.get(key)
             if located is None:
                 raise CheckpointError(
@@ -734,7 +806,7 @@ class CheckpointJournal:
                     f"run"
                 )
             index, spec = located
-            fingerprint = cell_fingerprint(spec)
+            fingerprint = spec.fingerprint()
             if cell.spec_hash != fingerprint:
                 raise CheckpointError(
                     f"checkpoint cell {_cell_label(key)} was recorded "
@@ -765,6 +837,7 @@ __all__ = [
     "JournalHeader",
     "LoadedJournal",
     "cell_fingerprint",
+    "content_hash",
     "load_journal",
     "scorecard_from_payload",
     "scorecard_to_payload",

@@ -3,11 +3,13 @@ when one fails.
 
 A chaos campaign or a parameter sweep is a batch of independent
 ``(seed, campaign, controller)`` cells
-(:class:`~repro.faults.campaigns.CampaignCellSpec`).
-:class:`CampaignExecutor` runs a batch and returns a
-:class:`CampaignOutcome`. A batch given its own cell body (``runner``)
-may use its own spec and result types: the chaos experiment's
-crash-recovery replay runs that way, one cell per (campaign, runtime).
+(:class:`~repro.faults.campaigns.CampaignCellSpec`); the chaos
+experiment's crash-recovery replay is a batch of ``(seed, campaign,
+runtime)`` cells (:class:`~repro.experiments.chaos.RecoveryCellSpec`).
+:class:`CampaignExecutor` runs a batch of either kind and returns a
+:class:`CampaignOutcome`. It, and the journal, handle a cell only
+through its spec's cell contract (:class:`CellSpec`): a key, a
+fingerprint, a body, and a JSON codec for the result.
 
 * **Where.** ``jobs == 1`` runs cells in-process, one at a time;
   ``jobs > 1`` runs them on a process pool. Every cell builds its own
@@ -62,6 +64,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     TypeVar,
@@ -70,7 +73,6 @@ from typing import (
 
 from repro.core.backoff import capped_backoff, invalid_backoff_reason
 from repro.errors import FaultInjectionError
-from repro.faults import campaigns
 from repro.faults.campaigns import CellKey, _cell_label
 from repro.telemetry.progress import (
     NULL_PROGRESS,
@@ -92,21 +94,46 @@ if TYPE_CHECKING:
         JournalHeader,
     )
 
-#: One cell of a batch: a picklable spec with a canonical ``key``
-#: (:data:`~repro.faults.campaigns.CellKey`). The default body and the
-#: journal take :class:`~repro.faults.campaigns.CampaignCellSpec`; a
-#: custom ``runner`` brings its own spec type.
-CellSpec = Any
+class CellSpec(Protocol):
+    """The cell contract: one cell of a batch, as a picklable spec.
+
+    :class:`~repro.faults.campaigns.CampaignCellSpec` (result: a
+    :class:`~repro.faults.campaigns.SasoScorecard`, journaled under
+    ``"scorecard"``) and :class:`~repro.experiments.chaos.RecoveryCellSpec`
+    (result: a tuple of outage seconds, under ``"outages"``) implement
+    it; the executor and the journal use nothing else.
+    """
+
+    #: Journal field the encoded result is stored under; it also names
+    #: the kind, so batches of different kinds can share a journal.
+    result_field: str
+
+    @property
+    def key(self) -> CellKey:
+        """Canonical identity (:data:`~repro.faults.campaigns.CellKey`)."""
+
+    def fingerprint(self) -> str:
+        """Content hash of everything that determines the result."""
+
+    def run(self) -> Any:
+        """The cell body: run the cell and return its result."""
+
+    def encode_result(self, result: Any) -> object:
+        """The result as plain JSON; lossless."""
+
+    def decode_result(self, payload: object) -> Any:
+        """Inverse of :meth:`encode_result`; raises
+        :class:`~repro.errors.CheckpointError` when malformed."""
+
 
 #: What a cell body returns: a
 #: :class:`~repro.faults.campaigns.SasoScorecard` for campaign cells.
 CellResult = TypeVar("CellResult")
 
-#: A cell body: spec in, result out. Injectable so tests can drive
-#: retry and quarantine with controlled bodies, and so batches
-#: other than campaign cells can share the executor; must be a
+#: A replacement cell body: spec in, result out. Injectable so tests
+#: can drive retry and quarantine with controlled bodies; must be a
 #: module-level callable when cells run on a pool.
-CellRunner = Callable[[CellSpec], CellResult]
+CellRunner = Callable[[Any], CellResult]
 
 #: How often the pool drain wakes up to refresh progress and check the
 #: pool deadline when no cell has finished.
@@ -319,7 +346,7 @@ class CellWork:
     The profiling opt-in travels inside the item, so a pool worker
     profiles exactly when the parent wants it to, whatever the
     multiprocessing start method. ``runner`` is ``None`` for the
-    real cell body, which the worker then looks up by name.
+    spec's own body (:meth:`CellSpec.run`).
     """
 
     index: int
@@ -388,11 +415,9 @@ def run_cell_attempt(work: CellWork) -> _CellOutcome:
     whether to abort, retry, or quarantine. KeyboardInterrupt is not
     caught: interrupts belong to the executor.
     """
-    runner: Optional[CellRunner[Any]] = work.runner
-    if runner is None:
-        # Looked up at call time, never pickled: wrappers installed on
-        # the module attribute see every in-process cell.
-        runner = campaigns.run_campaign_cell
+    runner: CellRunner[Any] = (
+        type(work.spec).run if work.runner is None else work.runner
+    )
     profiler = SpanProfiler() if work.profile else None
     started = wall_clock()
     try:
@@ -506,7 +531,8 @@ class _Batch(Generic[CellResult]):
             self.spans[index] = spans
 
     def restore(self, index: int, cell: "JournalCell") -> None:
-        self.keep(index, cell.scorecard, cell.spans)
+        result = self.specs[index].decode_result(cell.payload)
+        self.keep(index, result, cell.spans)
         self.heartbeat("resume", index)
 
     def complete(self, done: _CellDone) -> None:
@@ -529,16 +555,14 @@ class CampaignExecutor:
     """Runs batches of campaign cells (see the module docstring).
 
     Contract: given specs in canonical order, every completed cell's
-    result equals ``runner(spec)`` (by default
-    ``run_campaign_cell(spec)``, a scorecard), and results, merged
-    span structure and traces are the same for any ``jobs``. ``jobs``
-    picks in-process (1) or pool execution; ``retry`` turns fail-fast
-    into retry-then-quarantine; ``journal`` makes the batch crash-safe
-    and resumable; ``progress`` receives heartbeats; ``pool_timeout``
+    result equals ``spec.run()``, and results, merged span structure
+    and traces are the same for any ``jobs``. ``jobs`` picks
+    in-process (1) or pool execution; ``retry`` turns fail-fast into
+    retry-then-quarantine; ``journal`` makes the batch crash-safe and
+    resumable; ``progress`` receives heartbeats; ``pool_timeout``
     bounds the wait for pool cells (a deadlock guard). ``runner``
     replaces the cell body (tests inject controlled failures through
-    it; the chaos recovery replay its own cells) and ``sleep`` the
-    backoff wait.
+    it) and ``sleep`` the backoff wait.
     """
 
     def __init__(

@@ -251,11 +251,22 @@ def report_from_journal(
     loaded: "LoadedJournal",
     trace: Optional[TraceSummary] = None,
 ) -> RunReport:
-    """Assemble a :class:`RunReport` from an already-parsed journal."""
-    from repro.faults.campaigns import aggregate_scorecards
+    """Assemble a :class:`RunReport` from an already-parsed journal.
+
+    Only campaign cells (scorecard records) are reported: a chaos
+    journal also holds the crash-recovery replay's cells.
+    """
+    from repro.faults.campaigns import (
+        CampaignCellSpec,
+        aggregate_scorecards,
+    )
 
     header = loaded.header
-    keys = sorted(loaded.cells)
+    keys = sorted(
+        key
+        for key, cell in loaded.cells.items()
+        if cell.field == CampaignCellSpec.result_field
+    )
     cells = [loaded.cells[key] for key in keys]
 
     rows: List[CellRow] = []

@@ -7,11 +7,16 @@ The crash-safety contract has two halves, both tested here:
   recovered with a warning; mid-file corruption, schema-version
   mismatches, header mismatches, and spec-hash mismatches are rejected
   with `CheckpointError` rather than half-trusted.
+* The cell contract — campaign cells and the chaos experiment's
+  crash-recovery replay cells share one journal, each kind with its
+  own fingerprint and result codec, and each batch trusts only
+  records of its own kind.
 * The resume equivalence gate — a `repro run chaos --checkpoint` run
   hard-killed (SIGKILL) mid-campaign and resumed with `--resume` must
   print stdout byte-identical to an uninterrupted run, serially and on
-  a process pool. `scripts/check.sh` runs the `kill_and_resume` tests
-  as a dedicated stage.
+  a process pool, and a resume over a complete journal runs no cell
+  at all. `scripts/check.sh` runs the `kill_and_resume` and
+  `reruns_no_replay_cell` tests as a dedicated stage.
 """
 
 import dataclasses
@@ -27,8 +32,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
 from repro.errors import CheckpointError, FaultInjectionError
-from repro.experiments.chaos import resolve_workload
+from repro.experiments import chaos
+from repro.experiments.chaos import RecoveryCellSpec, resolve_workload
+from repro.faults import campaigns
 from repro.faults.campaigns import (
     PROFILES,
     CampaignGenerator,
@@ -126,6 +134,51 @@ class TestCellFingerprint:
         # A different engine tick is a different campaign config.
         other = _specs(tick=1.0)
         assert cell_fingerprint(specs[0]) != cell_fingerprint(other[0])
+
+
+def _replay_specs(count=2, tick=2.0):
+    return [
+        RecoveryCellSpec(seed=1, campaign=campaign, runtime=runtime, tick=tick)
+        for runtime in ("flink", "heron")
+        for campaign in range(count)
+    ]
+
+
+class TestReplayCellContract:
+    def test_fingerprint_stable_and_sensitive(self):
+        base = RecoveryCellSpec(
+            seed=1, campaign=0, runtime="flink", tick=2.0
+        )
+        assert base.fingerprint() == dataclasses.replace(base).fingerprint()
+        variants = [
+            base,
+            dataclasses.replace(base, seed=2),
+            dataclasses.replace(base, campaign=1),
+            dataclasses.replace(base, runtime="timely"),
+            dataclasses.replace(base, tick=1.0),
+        ]
+        prints = [spec.fingerprint() for spec in variants]
+        assert len(set(prints)) == len(prints)
+
+    @pytest.mark.parametrize(
+        "outages",
+        [(), (12.5,), (0.1, 3.0000000000000004, 1e-300, 71.0)],
+    )
+    def test_outages_codec_round_trips_exactly(self, outages):
+        payload = json.loads(
+            json.dumps(RecoveryCellSpec.encode_result(outages))
+        )
+        decoded = RecoveryCellSpec.decode_result(payload)
+        assert decoded == outages
+        assert type(decoded) is tuple
+        assert [repr(x) for x in decoded] == [repr(x) for x in outages]
+
+    @pytest.mark.parametrize(
+        "payload", [None, {"outages": []}, [True], ["1.5"], [[1.0]]]
+    )
+    def test_malformed_outages_rejected(self, payload):
+        with pytest.raises(CheckpointError, match="malformed outages"):
+            RecoveryCellSpec.decode_result(payload)
 
 
 class TestJournalLifecycle:
@@ -232,6 +285,116 @@ def _journal_with_cells(tmp_path, campaigns=1):
         for spec in specs:
             journal.record_cell(spec, run_campaign_cell(spec))
     return path, specs
+
+
+def _journal_with_both_kinds(tmp_path):
+    """Campaign cells and (fake-outage) replay cells in one journal."""
+    path, specs = _journal_with_cells(tmp_path)
+    replay = _replay_specs()
+    with CheckpointJournal.open(path, HEADER, resume=True) as journal:
+        for index, spec in enumerate(replay):
+            journal.record_cell(spec, (float(index), 0.5))
+    return path, specs, replay
+
+
+class TestCellKinds:
+    def test_batches_of_two_kinds_share_a_journal(self, tmp_path):
+        path, specs, replay = _journal_with_both_kinds(tmp_path)
+        records = [
+            json.loads(line)
+            for line in Path(path).read_text().splitlines()[1:]
+        ]
+        assert [("scorecard" in r, "outages" in r) for r in records] == (
+            [(True, False)] * len(specs) + [(False, True)] * len(replay)
+        )
+        assert records[-1]["outages"] == [3.0, 0.5]
+        assert records[-1]["key"] == [1, 1, "recovery:heron"]
+        with CheckpointJournal.open(path, HEADER, resume=True) as journal:
+            assert sorted(journal.match(specs)) == [0, 1, 2]
+            matched = journal.match(replay)
+        assert sorted(matched) == [0, 1, 2, 3]
+        assert [
+            replay[i].decode_result(matched[i].payload) for i in range(4)
+        ] == [(0.0, 0.5), (1.0, 0.5), (2.0, 0.5), (3.0, 0.5)]
+
+    def test_stale_replay_record_rejected(self, tmp_path):
+        """Replay cells journaled under tick=2.0 must not resume a
+        tick=1.0 replay."""
+        path, _, _ = _journal_with_both_kinds(tmp_path)
+        with CheckpointJournal.open(path, HEADER, resume=True) as journal:
+            with pytest.raises(
+                CheckpointError, match="different campaign configuration"
+            ):
+                journal.match(_replay_specs(tick=1.0))
+
+    def test_foreign_replay_record_rejected(self, tmp_path):
+        path, _, replay = _journal_with_both_kinds(tmp_path)
+        with CheckpointJournal.open(path, HEADER, resume=True) as journal:
+            with pytest.raises(CheckpointError, match="recovery replay"):
+                journal.match(replay[:3])
+
+    def test_malformed_replay_record_rejected_on_resume(self, tmp_path):
+        path, _, replay = _journal_with_both_kinds(tmp_path)
+        text = Path(path).read_text().replace(
+            '"outages": [3.0, 0.5]', '"outages": ["3.0", 0.5]'
+        )
+        Path(path).write_text(text)
+        with CheckpointJournal.open(path, HEADER, resume=True) as journal:
+            with pytest.raises(CheckpointError, match="malformed outages"):
+                CampaignExecutor(journal=journal).execute(replay)
+
+    @pytest.mark.parametrize(
+        "extra,match",
+        [({}, "no result payload"), ({"b": 1, "c": 2}, "2 result payloads")],
+    )
+    def test_cell_record_needs_one_result_payload(
+        self, tmp_path, extra, match
+    ):
+        path, _ = _journal_with_cells(tmp_path)
+        record = {"record": "cell", "key": [1, 5, "ds2"], "spec_hash": "x"}
+        record.update(extra)
+        with open(path, "a") as handle:
+            handle.write(json.dumps(record) + "\n")
+            handle.write(json.dumps({"record": "heartbeat"}) + "\n")
+        with pytest.raises(CheckpointError, match="corrupt at line 5"):
+            load_journal(path)
+        with pytest.raises(CheckpointError, match=match):
+            load_journal(path)
+
+
+def _first_cell_line(lines):
+    return next(
+        number
+        for number, line in enumerate(lines)
+        if json.loads(line)["record"] == "cell"
+    )
+
+
+@pytest.mark.parametrize(
+    "record,field,value",
+    [
+        ("cell", "key", [1.7, 0, "ds2"]),
+        ("cell", "key", [True, 0, "ds2"]),
+        ("cell", "key", [1, "0", "ds2"]),
+        ("header", "campaigns", 2.9),
+        ("header", "seed", True),
+        ("header", "seed", "1"),
+        ("header", "version", 1.0),
+        ("header", "version", True),
+    ],
+)
+def test_journal_integers_are_not_coerced(tmp_path, record, field, value):
+    """A float, a bool or a numeric string where the journal holds an
+    integer is corruption, not something to round."""
+    lines = SMOKE_JOURNAL.read_text().splitlines()
+    index = 0 if record == "header" else _first_cell_line(lines)
+    payload = json.loads(lines[index])
+    payload[field] = value
+    lines[index] = json.dumps(payload)
+    path = tmp_path / "j.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match="integer|malformed cell key"):
+        load_journal(str(path))
 
 
 class TestJournalCorruption:
@@ -519,6 +682,34 @@ def test_kill_and_resume_byte_identical(tmp_path, jobs_args):
     assert resumed.returncode == 0, resumed.stderr
     assert resumed.stdout == reference.stdout
     assert "Coverage: 9/9 cells completed" in resumed.stdout
+
+
+def test_resume_reruns_no_replay_cell(tmp_path, capsys, monkeypatch):
+    """A resume over a complete chaos journal runs no cell: the
+    crash-recovery replay cells come from the journal too."""
+    path = str(tmp_path / "chaos.ckpt")
+    args = [
+        "run", "chaos", "--profile", "smoke", "--seeds", "2",
+        "--scale", "0.5", "--checkpoint", path,
+    ]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    replay = [
+        key for key in load_journal(path).cells
+        if key[2].startswith("recovery:")
+    ]
+    assert len(replay) == 15
+    calls = []
+
+    def never_run(spec):
+        calls.append(spec.key)
+        raise AssertionError(f"cell {spec.key} re-ran")
+
+    monkeypatch.setattr(chaos, "run_recovery_cell", never_run)
+    monkeypatch.setattr(campaigns, "run_campaign_cell", never_run)
+    assert main(args + ["--resume"]) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == []
 
 
 def test_kill_and_resume_trace_identical(tmp_path):

@@ -271,7 +271,8 @@ def _observed_recovery_replay(jobs):
     profiler = SpanProfiler()
     with profiling(profiler):
         samples = recovery_distributions(
-            campaigns=2, seed=1, tick=2.0, jobs=jobs
+            campaigns=2, seed=1, tick=2.0,
+            executor=CampaignExecutor(jobs=jobs),
         )
     return samples, profiler.structure()
 

@@ -10,8 +10,9 @@ file covers the supervising layer wrapped around it:
   and the process-pool paths,
 * SIGTERM or Ctrl-C mid-campaign -> `CampaignInterrupted` naming the
   journal (or none), then a resume that completes the batch with
-  identical scorecards; Ctrl-C during the chaos recovery replay, after
-  every campaign cell is journaled, resumes to identical stdout,
+  identical scorecards; Ctrl-C during the chaos recovery replay
+  resumes by running only the replay cells the journal lacks, to
+  identical stdout,
 * `CampaignRunner.execute` with a retry policy emitting the same trace
   and scorecards as the plain `CampaignRunner.run` path,
 * `run_chaos` retrying then quarantining exactly when it has a
@@ -29,14 +30,16 @@ from repro.cli import main
 from repro.errors import FaultInjectionError
 from repro.experiments import chaos
 from repro.experiments.chaos import (
+    RECOVERY_CAMPAIGNS,
     RecoveryCellSpec,
     chaos_report,
     run_chaos,
     run_recovery_cell,
 )
+from repro.experiments.harness import RUNTIMES
 from repro.faults import campaigns
 from repro.faults.campaigns import run_campaign_cell
-from repro.faults.checkpoint import CheckpointJournal
+from repro.faults.checkpoint import CheckpointJournal, load_journal
 from repro.faults.executor import (
     CampaignExecutor,
     CampaignInterrupted,
@@ -45,7 +48,6 @@ from repro.faults.executor import (
 from repro.telemetry.tracer import Tracer, tracing
 from tests.faults.test_checkpoint import (
     HEADER,
-    _cell_count,
     _generator,
     _runner,
     _specs,
@@ -117,6 +119,17 @@ class _InterruptReplayAt:
     def __call__(self, spec):
         if spec.key == self.key:
             raise KeyboardInterrupt()
+        return run_recovery_cell(spec)
+
+
+class _RecordReplay:
+    """Run replay cells for real, noting each key that runs."""
+
+    def __init__(self):
+        self.keys = []
+
+    def __call__(self, spec):
+        self.keys.append(spec.key)
         return run_recovery_cell(spec)
 
 
@@ -292,10 +305,11 @@ class TestInterruptAndResume:
     def test_interrupt_during_recovery_replay_resumes_identically(
         self, tmp_path, capsys, monkeypatch
     ):
-        """Ctrl-C while the (unjournaled) replay cells run: every
-        campaign cell is journaled by then, so the CLI names the
+        """Ctrl-C while the replay cells run: the replay cells finished
+        so far are journaled like campaign cells, so the CLI names the
         journal and prints the resume command, and the resumed run
-        prints exactly what an uninterrupted run prints."""
+        runs only the replay cells the journal lacks and prints
+        exactly what an uninterrupted run prints."""
         args = [
             "run", "chaos", "--profile", "smoke", "--seeds", "2",
             "--scale", "0.5",
@@ -313,14 +327,26 @@ class TestInterruptAndResume:
         )
         assert main(args + ["--checkpoint", path]) == 130
         err = capsys.readouterr().err
-        assert "crash-recovery replay, after 6 of 6 campaign cells" in err
         assert repr(path) in err
         assert f"--checkpoint {path} --resume" in err
-        assert _cell_count(path) == 6
+        journaled = set(load_journal(path).cells)
 
-        monkeypatch.undo()
+        replayed = _RecordReplay()
+        monkeypatch.setattr(chaos, "run_recovery_cell", replayed)
         assert main(args + ["--checkpoint", path, "--resume"]) == 0
         assert capsys.readouterr().out == expected
+        replay_keys = [
+            RecoveryCellSpec(
+                seed=1, campaign=campaign, runtime=runtime, tick=2.0
+            ).key
+            for runtime in RUNTIMES
+            for campaign in range(RECOVERY_CAMPAIGNS)
+        ]
+        # Runtime-major order: flink's five cells and timely's first
+        # were journaled before the interrupt.
+        assert replayed.keys == replay_keys[6:]
+        assert journaled.isdisjoint(replayed.keys)
+        assert set(replay_keys[:6]) <= journaled
 
 
 class TestSupervisedCampaignDriver:

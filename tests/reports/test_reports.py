@@ -13,7 +13,12 @@ import os
 import pytest
 
 from repro.errors import CheckpointError, TelemetryError
-from repro.faults.checkpoint import CheckpointJournal, JournalHeader
+from repro.experiments.chaos import run_chaos
+from repro.faults.checkpoint import (
+    CheckpointJournal,
+    JournalHeader,
+    load_journal,
+)
 from repro.telemetry.progress import CellEvent
 from repro.telemetry.reports import (
     REPORT_RENDERERS,
@@ -131,6 +136,56 @@ class TestInterruptedRuns:
         assert "interrupted while executing: seed=1 0/ds2" in text
         markdown = render_report_markdown(report)
         assert "seed=1 0/ds2" in markdown
+
+
+class TestChaosJournalWithReplay:
+    def test_report_counts_campaign_cells_only(self, tmp_path):
+        """A chaos journal also holds the crash-recovery replay cells;
+        the report is about campaign cells and skips them."""
+        path = str(tmp_path / "chaos.ckpt")
+        run_chaos(profile="smoke", campaigns=1, tick=2.0, checkpoint=path)
+        keys = load_journal(path).cells
+        assert sum(key[2].startswith("recovery:") for key in keys) == 15
+        report = build_report(path)
+        assert report.cells_expected == report.cells_completed == 3
+        assert {row.controller for row in report.cells} == {
+            "ds2", "ds2-legacy", "dhalion",
+        }
+        assert report.duration_stats["cells_timed"] == 3
+        text = render_report_text(report)
+        assert "cells: 3/3 completed, 0 quarantined" in text
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+class TestNonFiniteDuration:
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_counts_as_absent(self, tmp_path, value):
+        """Python's json reads NaN and Infinity; a journal holding one
+        as a cell duration must still render valid JSON."""
+        with open(SMOKE_JOURNAL, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        index = next(
+            number
+            for number, line in enumerate(lines)
+            if json.loads(line)["record"] == "cell"
+        )
+        record = json.loads(lines[index])
+        record["duration"] = float(value)
+        lines[index] = json.dumps(record)
+        assert value in lines[index]
+        path = tmp_path / "nan.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        report = build_report(str(path))
+        payload = json.loads(
+            render_report_json(report), parse_constant=_reject_constant
+        )
+        assert payload["durations"]["cells_timed"] == 5
+        assert (
+            sum(row.duration is None for row in report.cells) == 1
+        )
 
 
 class TestErrors:
