@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pathlib
 
+from repro.experiments.artifacts import ARTIFACTS
+
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
@@ -29,3 +31,12 @@ def run_once(benchmark, func):
     the same work.
     """
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+def emit_artifact(benchmark, artifact_id: str):
+    """Run one paper artifact of the registry once at scale 1, emit its
+    rendered text under its committed name, and return its result."""
+    entry = ARTIFACTS[artifact_id]
+    result = run_once(benchmark, lambda: entry.run(1.0))
+    emit(entry.output, entry.render(result))
+    return result

@@ -21,16 +21,12 @@ and the emitted artifact are byte-identical either way (see
 ``test_chaos_parallel.py``).
 """
 
-from benchmarks._util import emit, run_once
+from benchmarks._util import emit_artifact
 from repro.experiments.chaos import chaos_report, run_chaos
 
 
 def test_chaos_campaigns(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: run_chaos(profile="mixed", campaigns=20, seed=1),
-    )
-    emit("chaos_scorecards", chaos_report(result))
+    result = emit_artifact(benchmark, "chaos")
 
     # Hardened DS2 tops the ranking on mean SASO score.
     assert result.ranking()[0] == "ds2"

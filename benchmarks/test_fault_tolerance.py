@@ -12,19 +12,12 @@ against three controllers. The headline results:
 * Dhalion ignores rate telemetry and is indifferent to the dropout.
 """
 
-from benchmarks._util import emit, run_once
-from repro.experiments.fault_tolerance import (
-    CRASH_AT,
-    fault_tolerance_report,
-    run_fault_tolerance,
-)
+from benchmarks._util import emit_artifact
+from repro.experiments.fault_tolerance import CRASH_AT
 
 
 def test_fault_tolerance(benchmark):
-    results = run_once(
-        benchmark, lambda: run_fault_tolerance(tick=0.5)
-    )
-    emit("fault_tolerance", fault_tolerance_report(results))
+    results = emit_artifact(benchmark, "faults")
 
     by_name = {r.controller: r for r in results}
     hardened = by_name["ds2"]

@@ -8,56 +8,11 @@ per-record instrumentation multipliers are 8% / 15%; the end-to-end
 effect depends on queueing headroom, which this experiment measures.
 """
 
-from benchmarks._util import emit, run_once
-from repro.experiments.accuracy import converged_flink_plan
-from repro.experiments.overhead import (
-    measure_flink_overhead,
-    measure_timely_overhead,
-)
-from repro.experiments.report import format_table
-from repro.workloads.nexmark import ALL_QUERIES
+from benchmarks._util import emit_artifact
 
 
 def test_fig10_overhead(benchmark):
-    def experiment():
-        points = []
-        for query in ALL_QUERIES:
-            base = converged_flink_plan(
-                query, duration=1200.0, tick=0.25
-            )
-            points.append(
-                measure_flink_overhead(
-                    query, duration=240.0, tick=0.25, base_plan=base
-                )
-            )
-            points.append(
-                measure_timely_overhead(query, duration=120.0, tick=0.1)
-            )
-        return points
-
-    points = run_once(benchmark, experiment)
-
-    rows = [
-        (
-            p.query,
-            p.runtime,
-            f"{p.vanilla_median * 1000:.1f}",
-            f"{p.instrumented_median * 1000:.1f}",
-            f"{p.relative_overhead:+.0%}",
-        )
-        for p in points
-    ]
-    emit(
-        "fig10_overhead",
-        format_table(
-            ("query", "runtime", "vanilla p50 (ms)", "instr p50 (ms)",
-             "overhead"),
-            rows,
-            title=(
-                "Figure 10: instrumentation overhead (vanilla vs instr)"
-            ),
-        ),
-    )
+    points = emit_artifact(benchmark, "fig10")
 
     for p in points:
         # Instrumentation never speeds anything up...

@@ -7,35 +7,11 @@ decisions, with redeploy dips and backlog-drain overshoot — taking on
 the order of half an hour of virtual time to converge.
 """
 
-from benchmarks._util import emit, run_once
-from repro.experiments.comparison import run_dhalion, source_rate_series
-from repro.experiments.report import format_rate, format_table
+from benchmarks._util import emit_artifact
 
 
 def test_fig1_dhalion_source_rate(benchmark):
-    result = run_once(
-        benchmark, lambda: run_dhalion(duration=3600.0, tick=0.5)
-    )
-    series = source_rate_series(result)
-    # Downsample to one row per 2 minutes for the report.
-    rows = []
-    next_time = 0.0
-    for time, rate in series:
-        if time >= next_time:
-            bar = "#" * int(30 * min(1.0, rate / result.target_rate))
-            rows.append((f"{time:7.0f}", format_rate(rate), bar))
-            next_time += 120.0
-    table = format_table(
-        ("time (s)", "observed source rate", ""),
-        rows,
-        title=(
-            "Figure 1: source rate under Dhalion "
-            f"(target {format_rate(result.target_rate)}/s, "
-            f"{result.steps} scaling decisions, converged at "
-            f"t={result.convergence_time:.0f}s)"
-        ),
-    )
-    emit("fig1_dhalion_source_rate", table)
+    result = emit_artifact(benchmark, "fig1")
 
     # Shape assertions mirroring the paper's narrative.
     assert result.steps >= 5

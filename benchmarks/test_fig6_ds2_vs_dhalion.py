@@ -6,58 +6,11 @@ FlatMap, 20 Count — in a single step after one 60-second metrics
 window, i.e. two orders of magnitude faster.
 """
 
-from benchmarks._util import emit, run_once
-from repro.experiments.comparison import (
-    parallelism_series,
-    run_dhalion,
-    run_ds2,
-)
-from repro.experiments.report import format_table
-from repro.workloads.wordcount import COUNT, FLATMAP
+from benchmarks._util import emit_artifact
 
 
 def test_fig6_ds2_vs_dhalion(benchmark):
-    def experiment():
-        return run_dhalion(duration=3600.0, tick=0.5), run_ds2(
-            duration=420.0, tick=0.5
-        )
-
-    dhalion, ds2 = run_once(benchmark, experiment)
-
-    rows = []
-    for result in (dhalion, ds2):
-        for event in result.run.loop_result.events:
-            rows.append((
-                result.controller,
-                f"{event.time:7.0f}",
-                event.applied[FLATMAP],
-                event.applied[COUNT],
-            ))
-    timeline = format_table(
-        ("controller", "time (s)", "flatmap", "count"),
-        rows,
-        title="Figure 6: parallelism over time (scaling events)",
-    )
-    summary = format_table(
-        (
-            "controller", "steps", "converged (s)",
-            "final flatmap (opt 10)", "final count (opt 20)",
-            "overprovisioning",
-        ),
-        [
-            (
-                r.controller,
-                r.steps,
-                f"{r.convergence_time:.0f}",
-                r.final_flatmap,
-                r.final_count,
-                f"{r.overprovisioning_factor:.2f}x",
-            )
-            for r in (dhalion, ds2)
-        ],
-        title="Section 5.2 summary",
-    )
-    emit("fig6_ds2_vs_dhalion", timeline + "\n\n" + summary)
+    dhalion, ds2 = emit_artifact(benchmark, "fig6")
 
     # DS2: one step, exact optimum, after one 60 s window.
     assert ds2.steps == 1

@@ -7,52 +7,17 @@ when the rate halves — each action through Flink's savepoint-and-
 restart mechanism with a tens-of-seconds outage.
 """
 
-from benchmarks._util import emit, run_once
-from repro.experiments.dynamic import run_dynamic_scaling
-from repro.experiments.report import format_rate, format_table
-from repro.workloads.wordcount import COUNT, FLATMAP
+from benchmarks._util import emit_artifact
+from repro.workloads.wordcount import FLATMAP
 
 
 def test_fig7_flink_dynamic(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: run_dynamic_scaling(phase_seconds=600.0, tick=0.25),
-    )
-    rows = [
-        (
-            f"{event.time:7.1f}",
-            event.applied[FLATMAP],
-            event.applied[COUNT],
-            f"{event.outage_seconds:.0f}",
-        )
-        for event in result.run.loop_result.events
-    ]
-    timeline = format_table(
-        ("time (s)", "flatmap", "count", "outage (s)"),
-        rows,
-        title=(
-            "Figure 7: scaling actions (phase 1: 2M rec/s for 600 s; "
-            "phase 2: 1M rec/s)"
-        ),
-    )
+    result = emit_artifact(benchmark, "fig7")
     # Steady-state achieved rates per phase.
     phase1_rate = result.run.source_rate["source"].window_mean(500, 600)
     phase2_rate = result.run.source_rate["source"].window_mean(
         1100, 1200
     )
-    summary = format_table(
-        ("phase", "steps", "final flatmap", "final count",
-         "steady source rate"),
-        [
-            ("1 (2M rec/s)", result.phase1_steps,
-             result.phase1_final[FLATMAP], result.phase1_final[COUNT],
-             format_rate(phase1_rate)),
-            ("2 (1M rec/s)", result.phase2_steps,
-             result.final[FLATMAP], result.final[COUNT],
-             format_rate(phase2_rate)),
-        ],
-    )
-    emit("fig7_flink_dynamic", timeline + "\n\n" + summary)
 
     assert 1 <= result.phase1_steps <= 3
     assert 1 <= result.phase2_steps <= 3

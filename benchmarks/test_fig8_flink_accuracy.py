@@ -7,52 +7,11 @@ rate is sustained with low latency; above it, latency barely improves —
 the indicated configuration is the minimum that keeps up.
 """
 
-from benchmarks._util import emit, run_once
-from repro.experiments.accuracy import run_figure8
-from repro.experiments.report import (
-    format_rate,
-    format_table,
-    latency_summary,
-)
-from repro.workloads.nexmark import ALL_QUERIES
+from benchmarks._util import emit_artifact
 
 
 def test_fig8_flink_accuracy(benchmark):
-    def experiment():
-        return {
-            query.name: run_figure8(
-                query,
-                offsets=(-4, -2, 0, +4),
-                duration=240.0,
-                tick=0.25,
-                convergence_duration=1200.0,
-            )
-            for query in ALL_QUERIES
-        }
-
-    results = run_once(benchmark, experiment)
-
-    rows = []
-    for name, points in results.items():
-        for p in points:
-            rows.append((
-                name,
-                f"{p.main_parallelism}"
-                + (" <- indicated" if p.is_indicated else ""),
-                format_rate(p.achieved_rate),
-                format_rate(p.target_rate),
-                "yes" if p.backpressured else "no",
-                latency_summary(p.latency),
-            ))
-    emit(
-        "fig8_flink_accuracy",
-        format_table(
-            ("query", "parallelism", "achieved", "target",
-             "backpressure", "per-record latency"),
-            rows,
-            title="Figure 8: source rates and latency vs parallelism",
-        ),
-    )
+    results = emit_artifact(benchmark, "fig8")
 
     for name, points in results.items():
         indicated = next(p for p in points if p.is_indicated)

@@ -9,44 +9,11 @@ the target regardless of provisioning — the load-spike effect the
 paper discusses.
 """
 
-from benchmarks._util import emit, run_once
-from repro.experiments.accuracy import FIGURE9_QUERIES, run_figure9
-from repro.experiments.report import format_table
+from benchmarks._util import emit_artifact
 
 
 def test_fig9_timely_accuracy(benchmark):
-    def experiment():
-        return {
-            query.name: run_figure9(
-                query, worker_counts=(2, 3, 4, 6), duration=120.0,
-                tick=0.1,
-            )
-            for query in FIGURE9_QUERIES
-        }
-
-    results = run_once(benchmark, experiment)
-
-    rows = []
-    for name, points in results.items():
-        for p in points:
-            dist = p.epoch_latency
-            rows.append((
-                name,
-                f"{p.workers}" + (" <- indicated" if p.is_indicated
-                                  else ""),
-                f"{dist.median():.2f}" if len(dist) else "inf",
-                f"{dist.quantile(0.99):.2f}" if len(dist) else "inf",
-                f"{p.fraction_above_target:.0%}",
-            ))
-    emit(
-        "fig9_timely_accuracy",
-        format_table(
-            ("query", "workers", "epoch p50 (s)", "epoch p99 (s)",
-             "epochs > 1 s"),
-            rows,
-            title="Figure 9: per-epoch latency vs global worker count",
-        ),
-    )
+    results = emit_artifact(benchmark, "fig9")
 
     for name, points in results.items():
         by_workers = {p.workers: p for p in points}

@@ -6,35 +6,11 @@ without skew, does not meet the (unreachable) target, and its decision
 limiter freezes further reconfiguration instead of over-provisioning.
 """
 
-from benchmarks._util import emit, run_once
-from repro.experiments.report import format_table
-from repro.experiments.skew_experiment import run_skew_experiment
+from benchmarks._util import emit_artifact
 
 
 def test_skew_experiment(benchmark):
-    results = run_once(
-        benchmark, lambda: run_skew_experiment(duration=600.0, tick=0.25)
-    )
-    rows = [
-        (
-            f"{r.skew:.0%}",
-            r.steps,
-            f"({r.final_flatmap}, {r.final_count})",
-            f"({r.noskew_flatmap}, {r.noskew_count})",
-            f"{r.achieved_rate / r.target_rate:.0%}",
-            "yes" if r.frozen else "no",
-        )
-        for r in results
-    ]
-    emit(
-        "skew_experiment",
-        format_table(
-            ("skew", "steps", "final (flatmap, count)",
-             "no-skew optimum", "achieved/target", "frozen"),
-            rows,
-            title="Section 4.2.3: DS2 under data skew",
-        ),
-    )
+    results = emit_artifact(benchmark, "skew")
 
     for r in results:
         assert r.steps == 2, r.skew

@@ -7,25 +7,13 @@ main operator; the headline result holds: at most three steps, always
 to the same final configuration.
 """
 
-import pytest
-
-from benchmarks._util import emit, run_once
-from repro.experiments.convergence import (
-    PAPER_INITIAL_CONFIGS,
-    format_table4,
-    max_steps,
-    run_table4,
-    run_timely_convergence_cell,
-)
-from repro.experiments.report import format_table
+from benchmarks._util import emit_artifact
+from repro.experiments.convergence import PAPER_INITIAL_CONFIGS, max_steps
 from repro.workloads.nexmark import ALL_QUERIES
 
 
 def test_table4_flink_convergence(benchmark):
-    cells = run_once(
-        benchmark, lambda: run_table4(duration=1500.0, tick=0.25)
-    )
-    emit("table4_convergence", format_table4(cells))
+    cells = emit_artifact(benchmark, "table4")
 
     assert max_steps(cells) <= 3
     # Every query converges to the same final configuration from every
@@ -41,35 +29,8 @@ def test_table4_flink_convergence(benchmark):
 def test_table4_timely_counterpart(benchmark):
     """Section 5.4: 'We also ran the same queries using Timely Dataflow
     and the results were similar' — DS2 picks 4 workers everywhere."""
-    def experiment():
-        cells = {}
-        for query in ALL_QUERIES:
-            for initial in (2, 8):
-                cells[(query.name, initial)] = (
-                    run_timely_convergence_cell(
-                        query, initial, duration=900.0, tick=0.25
-                    )
-                )
-        return cells
+    cells = emit_artifact(benchmark, "table4-timely")
 
-    cells = run_once(benchmark, experiment)
-    rows = [
-        (
-            name,
-            initial,
-            "→".join(map(str, cell.steps)) or "stable",
-            cell.final,
-        )
-        for (name, initial), cell in sorted(cells.items())
-    ]
-    emit(
-        "table4_timely",
-        format_table(
-            ("query", "initial workers", "steps", "final"),
-            rows,
-            title="Table 4 (Timely counterpart): global worker count",
-        ),
-    )
     for cell in cells.values():
         assert cell.final == 4
         assert cell.step_count <= 3

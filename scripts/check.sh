@@ -3,7 +3,7 @@
 #
 # Usage: scripts/check.sh [--fast]
 #
-#   --fast   skip the pytest stage (lint/type-check only)
+#   --fast   skip the paper-artifact and pytest stages
 #
 # Stages (in order):
 #   1. ruff          - style/correctness lint (skipped if not installed)
@@ -41,16 +41,22 @@
 #                      on the vector engine backend) must print
 #                      byte-identical output to the committed golden
 #                      table (~8s)
-#  10. pytest (REPRO_ENGINE=object)
+#  10. paper artifacts (golden files)
+#                    - `repro run <id>` at scale 1, for every entry of
+#                      the paper-artifact registry
+#                      (repro.experiments.artifacts), must print its
+#                      committed benchmarks/output/<file>.txt
+#                      byte for byte (~35s)
+#  11. pytest (REPRO_ENGINE=object)
 #                    - tier-1 test suite with every Simulator pinned to
 #                      the per-instance object engine backend
-#  11. pytest (REPRO_ENGINE=vector)
+#  12. pytest (REPRO_ENGINE=vector)
 #                    - the same tier-1 suite on the struct-of-arrays
 #                      engine backend; passing both proves the golden
 #                      trace / scorecard byte-identity oracle holds for
 #                      both backends, whichever one the width rule
 #                      picks (skipped if numpy is missing)
-#  12. pytest (REPRO_ENGINE unset)
+#  13. pytest (REPRO_ENGINE unset)
 #                    - the engine, fault and integration tests with no
 #                      pin, so every deployment picks its backend by
 #                      width and runs that DS2 scales across the
@@ -59,7 +65,8 @@
 # ruff and mypy are optional dev dependencies (`pip install -e .[lint]`).
 # When they are missing the stage is skipped with a notice rather than
 # failing, so the gate is usable in minimal containers; the in-tree
-# stages (3-9) have no third-party dependencies and always run.
+# stages (3-10) have no third-party dependencies, and stages 3-9 run
+# even with --fast.
 
 set -u
 
@@ -183,12 +190,31 @@ check_golden_table4() {
         | diff -u tests/experiments/golden_table4.txt -
 }
 run_stage "table 4 (golden file)" check_golden_table4
+# Paper-artifact gate: every registered table and figure, run through
+# `repro run <id>` at scale 1, must print exactly the artifact the
+# benchmark emitters committed under benchmarks/output/.
+check_paper_artifacts() {
+    local listing id output status=0
+    listing="$(python -c 'from repro.experiments.artifacts import ARTIFACTS
+for entry in ARTIFACTS.values():
+    print(entry.id, entry.output)')" || return 1
+    [ -n "$listing" ] || return 1
+    while read -r id output; do
+        echo "--- repro run ${id}"
+        python -m repro run "$id" \
+            | diff -u "benchmarks/output/${output}.txt" - \
+            || status=1
+    done <<< "$listing"
+    return "$status"
+}
 
 if [ "$FAST" -eq 1 ]; then
+    skip_stage "paper artifacts (golden files)" "--fast"
     skip_stage "pytest (REPRO_ENGINE=object)" "--fast"
     skip_stage "pytest (REPRO_ENGINE=vector)" "--fast"
     skip_stage "pytest (REPRO_ENGINE unset)" "--fast"
 else
+    run_stage "paper artifacts (golden files)" check_paper_artifacts
     # The decision oracle for the two engine backends: the whole
     # tier-1 suite — including the golden trace and chaos scorecard
     # byte-identity tests — must pass with each backend selected for

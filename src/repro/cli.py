@@ -3,9 +3,11 @@
 Commands:
 
 * ``list-queries`` — the Nexmark workload registry (paper + extended).
-* ``list-experiments`` — the reproducible tables/figures.
-* ``run <experiment>`` — run one experiment (optionally scaled down)
-  and print the regenerated rows. ``--trace FILE`` records a JSONL
+* ``list-experiments`` — the reproducible tables/figures (the
+  registry in :mod:`repro.experiments.artifacts`).
+* ``run <experiment>`` — run one artifact (optionally scaled down) and
+  print it; at scale 1 that is exactly its committed
+  ``benchmarks/output/`` file. ``--trace FILE`` records a JSONL
   trace of the run. For ``chaos``, ``--checkpoint FILE`` journals
   every completed cell durably (retry/quarantine supervision included)
   and ``--resume`` continues an interrupted run byte-identically;
@@ -40,193 +42,12 @@ import argparse
 import math
 import shlex
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.experiments.report import (
-    format_rate,
-    format_steps,
-    format_table,
-)
+from repro.experiments.report import format_table
 
-
-# ----------------------------------------------------------------------
-# Experiment runners (scaled by a single --scale factor)
-# ----------------------------------------------------------------------
-
-def _run_fig6(scale: float) -> str:
-    from repro.experiments.comparison import run_dhalion, run_ds2
-
-    dhalion = run_dhalion(duration=3600.0 * scale, tick=0.5)
-    ds2 = run_ds2(duration=max(300.0, 600.0 * scale), tick=0.5)
-    return format_table(
-        ("controller", "steps", "converged (s)", "flatmap", "count",
-         "achieved"),
-        [
-            (r.controller, r.steps, f"{r.convergence_time:.0f}",
-             r.final_flatmap, r.final_count,
-             format_rate(r.achieved_rate))
-            for r in (dhalion, ds2)
-        ],
-        title="Figure 6 / §5.2: DS2 vs Dhalion (optimal: 10/20)",
-    )
-
-
-def _run_fig7(scale: float) -> str:
-    from repro.experiments.dynamic import run_dynamic_scaling
-    from repro.workloads.wordcount import COUNT, FLATMAP
-
-    result = run_dynamic_scaling(
-        phase_seconds=600.0 * scale, tick=0.25
-    )
-    return format_table(
-        ("time (s)", "flatmap", "count"),
-        [
-            (f"{e.time:.0f}", e.applied[FLATMAP], e.applied[COUNT])
-            for e in result.run.loop_result.events
-        ],
-        title="Figure 7 / §5.3: dynamic scaling actions",
-    )
-
-
-def _run_table4(scale: float) -> str:
-    from repro.experiments.convergence import (
-        format_table4,
-        run_table4,
-    )
-
-    cells = run_table4(duration=1500.0 * scale, tick=0.25)
-    return format_table4(cells)
-
-
-def _run_fig9(scale: float) -> str:
-    from repro.experiments.accuracy import (
-        FIGURE9_QUERIES,
-        run_figure9,
-    )
-
-    rows = []
-    for query in FIGURE9_QUERIES:
-        for point in run_figure9(
-            query, duration=max(60.0, 120.0 * scale)
-        ):
-            dist = point.epoch_latency
-            rows.append((
-                query.name,
-                point.workers,
-                f"{dist.median():.2f}" if len(dist) else "inf",
-                f"{point.fraction_above_target:.0%}",
-            ))
-    return format_table(
-        ("query", "workers", "epoch p50 (s)", "epochs > 1 s"),
-        rows,
-        title="Figure 9 / §5.5: epoch latency vs workers (optimal: 4)",
-    )
-
-
-def _run_skew(scale: float) -> str:
-    from repro.experiments.skew_experiment import run_skew_experiment
-
-    results = run_skew_experiment(
-        duration=max(300.0, 600.0 * scale), tick=0.25
-    )
-    return format_table(
-        ("skew", "steps", "final", "no-skew optimum",
-         "achieved/target"),
-        [
-            (f"{r.skew:.0%}", r.steps,
-             f"({r.final_flatmap}, {r.final_count})",
-             f"({r.noskew_flatmap}, {r.noskew_count})",
-             f"{r.achieved_rate / r.target_rate:.0%}")
-            for r in results
-        ],
-        title="§4.2.3: DS2 under data skew",
-    )
-
-
-def _run_faults(
-    scale: float,
-    faults: Optional[str] = None,
-    fault_seed: int = 1,
-) -> str:
-    from repro.experiments.fault_tolerance import (
-        default_fault_schedule,
-        fault_tolerance_report,
-        run_dhalion_faults,
-        run_ds2_faults,
-    )
-    from repro.faults import parse_faults
-
-    # The campaign's fault times are absolute, so the duration stays
-    # fixed; --scale below 1 coarsens the tick instead.
-    tick = 0.5 if scale >= 1.0 else 1.0
-    schedule = (
-        parse_faults(faults, seed=fault_seed)
-        if faults is not None
-        else default_fault_schedule(fault_seed)
-    )
-    results = [
-        run_ds2_faults(tick=tick, hardened=True, schedule=schedule),
-        run_ds2_faults(tick=tick, hardened=False, schedule=schedule),
-        run_dhalion_faults(tick=tick, schedule=schedule),
-    ]
-    return fault_tolerance_report(results)
-
-
-def _run_chaos(
-    scale: float,
-    profile: str = "mixed",
-    seeds: int = 20,
-    seed: int = 1,
-    workload: str = "wordcount",
-    jobs: Optional[int] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    progress: Optional[object] = None,
-) -> str:
-    from repro.experiments.chaos import chaos_report, run_chaos
-
-    # Campaign durations are baked into the profile; --scale below 1
-    # coarsens the tick instead (as with 'faults').
-    tick = 1.0 if scale >= 1.0 else 2.0
-    result = run_chaos(
-        profile=profile,
-        campaigns=seeds,
-        seed=seed,
-        tick=tick,
-        workload=workload,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        resume=resume,
-        progress=progress,  # type: ignore[arg-type]
-    )
-    return chaos_report(result)
-
-
-EXPERIMENTS: Dict[str, Callable[[float], str]] = {
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "table4": _run_table4,
-    "fig9": _run_fig9,
-    "skew": _run_skew,
-    "faults": _run_faults,
-    "chaos": _run_chaos,
-}
-
-EXPERIMENT_DESCRIPTIONS = {
-    "fig6": "DS2 vs Dhalion on Heron wordcount (§5.2)",
-    "fig7": "dynamic scaling on Flink wordcount (§5.3)",
-    "table4": "Nexmark convergence sweep (§5.4)",
-    "fig9": "Timely epoch-latency accuracy (§5.5)",
-    "skew": "DS2 under data skew (§4.2.3)",
-    "faults": "convergence under injected faults (robustness)",
-    "chaos": "seeded chaos campaigns with SASO scorecards (robustness)",
-}
-
-#: Accepted spellings of experiment ids (resolved before dispatch).
-EXPERIMENT_ALIASES = {
-    "fault_tolerance": "faults",
-    "fault-tolerance": "faults",
-}
+if TYPE_CHECKING:
+    from repro.experiments.artifacts import Artifact
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +77,11 @@ def cmd_list_queries(_args: argparse.Namespace) -> int:
 
 
 def cmd_list_experiments(_args: argparse.Namespace) -> int:
+    from repro.experiments.artifacts import ARTIFACTS
+
     print(format_table(
         ("experiment", "reproduces"),
-        sorted(EXPERIMENT_DESCRIPTIONS.items()),
+        [(entry.id, entry.description) for entry in ARTIFACTS.values()],
     ))
     print("\nRun one with: python -m repro run <experiment> "
           "[--scale 0.5]")
@@ -275,81 +98,84 @@ def _resume_command(args: argparse.Namespace) -> str:
 
 
 def _execute_run(
-    args: argparse.Namespace,
-    experiment: str,
-    runner: Callable[[float], str],
-    faults: Optional[str],
-    profile: Optional[str],
-    seeds: Optional[int],
-    workload: Optional[str] = None,
-    jobs: Optional[int] = None,
-    progress: Optional[object] = None,
+    args: argparse.Namespace, entry: "Artifact", flags: Dict[str, object]
 ) -> int:
-    """Dispatch one (already validated) experiment and print its rows."""
-    if experiment == "chaos":
-        from repro.errors import CheckpointError, FaultInjectionError
-        from repro.faults.executor import CampaignInterrupted
+    """Run one (already validated) artifact and print its text. An
+    error of the experiment's own is one stderr line and exit 2."""
+    from repro.errors import (
+        CheckpointError,
+        FaultInjectionError,
+        ReproError,
+    )
+    from repro.faults.executor import CampaignInterrupted
 
-        checkpoint = getattr(args, "checkpoint", None)
-        try:
+    try:
+        print(entry.render(entry.run(args.scale, **flags)))
+    except CampaignInterrupted as error:
+        print(str(error), file=sys.stderr)
+        if error.path is not None:
             print(
-                _run_chaos(
-                    args.scale,
-                    profile=profile if profile is not None else "mixed",
-                    seeds=seeds if seeds is not None else 20,
-                    seed=getattr(args, "fault_seed", 1),
-                    workload=(
-                        workload if workload is not None else "wordcount"
-                    ),
-                    jobs=jobs,
-                    checkpoint=checkpoint,
-                    resume=bool(getattr(args, "resume", False)),
-                    progress=progress,
-                )
+                f"resume with: {_resume_command(args)}", file=sys.stderr
             )
-        except CheckpointError as error:
-            print(f"unusable checkpoint: {error}", file=sys.stderr)
-            return 2
-        except CampaignInterrupted as error:
-            print(str(error), file=sys.stderr)
-            if error.path is not None:
-                print(
-                    f"resume with: {_resume_command(args)}",
-                    file=sys.stderr,
-                )
-            return 130
-        except FaultInjectionError as error:
-            print(f"invalid chaos campaign: {error}", file=sys.stderr)
-            return 2
-        return 0
-    if experiment == "faults":
-        from repro.errors import FaultInjectionError
-
-        try:
-            print(
-                _run_faults(
-                    args.scale,
-                    faults=faults,
-                    fault_seed=getattr(args, "fault_seed", 1),
-                )
-            )
-        except FaultInjectionError as error:
-            print(f"invalid fault spec: {error}", file=sys.stderr)
-            return 2
-        return 0
-    print(runner(args.scale))
+        return 130
+    except ReproError as error:
+        if isinstance(error, CheckpointError):
+            label = "unusable checkpoint"
+        elif (
+            isinstance(error, FaultInjectionError)
+            and entry.invalid_input is not None
+        ):
+            label = entry.invalid_input
+        else:
+            label = f"run {entry.id} failed"
+        print(f"{label}: {error}", file=sys.stderr)
+        return 2
     return 0
 
 
+def _set_flags(
+    args: argparse.Namespace, flags: Sequence[str]
+) -> Dict[str, object]:
+    """The run flags among ``flags`` given on the command line (unset
+    ones are None, or False for a switch; ``--seeds 0`` is set)."""
+    values = {flag: getattr(args, flag) for flag in flags}
+    return {
+        flag: value for flag, value in values.items()
+        if value is not None and value is not False
+    }
+
+
+def _unaccepted_flag(
+    args: argparse.Namespace, entry: "Artifact"
+) -> Optional[str]:
+    """Why ``args`` sets a run flag that ``entry`` does not take, or
+    None if it sets none."""
+    from repro.experiments.artifacts import ARTIFACTS
+
+    owners: Dict[str, List[str]] = {}
+    for other in ARTIFACTS.values():
+        for flag in other.flags:
+            owners.setdefault(flag, []).append(f"'{other.id}'")
+    for flag in _set_flags(args, list(owners)):
+        if flag in entry.flags:
+            continue
+        ids = owners[flag]
+        noun = "experiment" if len(ids) == 1 else "experiments"
+        return (
+            f"--{flag.replace('_', '-')} only applies to the "
+            f"{' and '.join(ids)} {noun}"
+        )
+    return None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    experiment = EXPERIMENT_ALIASES.get(
-        args.experiment, args.experiment
-    )
-    runner = EXPERIMENTS.get(experiment)
-    if runner is None:
+    from repro.experiments.artifacts import ALIASES, ARTIFACTS
+
+    entry = ARTIFACTS.get(ALIASES.get(args.experiment, args.experiment))
+    if entry is None:
         print(
             f"unknown experiment {args.experiment!r}; available: "
-            f"{', '.join(sorted(EXPERIMENTS))}",
+            f"{', '.join(ARTIFACTS)}",
             file=sys.stderr,
         )
         return 2
@@ -359,69 +185,39 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    faults = getattr(args, "faults", None)
-    if faults is not None and experiment != "faults":
-        print(
-            "--faults only applies to the 'faults' experiment",
-            file=sys.stderr,
-        )
+    problem = _unaccepted_flag(args, entry)
+    if problem is not None:
+        print(problem, file=sys.stderr)
         return 2
-    profile = getattr(args, "profile", None)
-    seeds = getattr(args, "seeds", None)
-    workload = getattr(args, "workload", None)
-    jobs = getattr(args, "jobs", None)
-    checkpoint = getattr(args, "checkpoint", None)
-    resume = bool(getattr(args, "resume", False))
-    if (
-        profile is not None
-        or seeds is not None
-        or workload is not None
-        or jobs is not None
-        or checkpoint is not None
-        or resume
-    ) and experiment != "chaos":
-        print(
-            "--profile/--seeds/--workload/--jobs/--checkpoint/"
-            "--resume only apply to the 'chaos' experiment",
-            file=sys.stderr,
-        )
-        return 2
-    if resume and checkpoint is None:
+    if args.resume and args.checkpoint is None:
         print(
             "--resume requires --checkpoint FILE (the journal to "
             "resume from)",
             file=sys.stderr,
         )
         return 2
-    if jobs is not None and jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         print(
-            f"--jobs must be a positive worker count, got {jobs}",
+            f"--jobs must be a positive worker count, got {args.jobs}",
             file=sys.stderr,
         )
         return 2
-    show_progress = bool(getattr(args, "progress", False))
-    if show_progress and experiment != "chaos":
-        print(
-            "--progress only applies to the 'chaos' experiment",
-            file=sys.stderr,
-        )
-        return 2
-    trace_path = getattr(args, "trace", None)
-    spans_path = getattr(args, "spans", None)
-    if trace_path is None and spans_path is None and not show_progress:
-        return _execute_run(
-            args, experiment, runner, faults, profile, seeds,
-            workload, jobs,
-        )
-    import contextlib
-
     # The progress renderer writes only to stderr, so stdout (the
     # golden experiment report) is byte-identical with or without it.
     progress = None
-    if show_progress:
+    if args.progress:
         from repro.telemetry.progress import make_progress_renderer
 
         progress = make_progress_renderer(sys.stderr)
+    flags = _set_flags(args, entry.flags)
+    if progress is not None:
+        flags["progress"] = progress
+    trace_path = args.trace
+    spans_path = args.spans
+    if trace_path is None and spans_path is None and progress is None:
+        return _execute_run(args, entry, flags)
+    import contextlib
+
     profiler = None
     tracer = None
     with contextlib.ExitStack() as stack:
@@ -439,10 +235,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             stack.enter_context(tracing(tracer))
         if progress is not None:
             stack.callback(progress.close)
-        code = _execute_run(
-            args, experiment, runner, faults, profile, seeds,
-            workload, jobs, progress,
-        )
+        code = _execute_run(args, entry, flags)
     if code != 0:
         return code
     if profiler is not None:
@@ -843,11 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--fault-seed",
         type=int,
-        default=1,
+        default=None,
         dest="fault_seed",
         help=(
-            "seed for the fault schedule's deterministic noise "
-            "(for 'chaos': the campaign generator's master seed)"
+            "seed for the 'faults' schedule's deterministic noise, or "
+            "the 'chaos' campaign generator's master seed (default 1)"
         ),
     )
     run.add_argument(

@@ -18,6 +18,7 @@ activation), and the stream processor. Here:
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -262,8 +263,10 @@ class ControlLoop:
 
     def run(self, duration: float) -> LoopResult:
         """Run the loop for ``duration`` seconds of virtual time."""
-        if duration < 0:
-            raise PolicyError("duration must be >= 0")
+        if not 0.0 <= duration < math.inf:
+            raise PolicyError(
+                f"duration must be finite and >= 0, got {duration!r}"
+            )
         end = self._sim.time + duration
         while self._sim.time < end - 1e-9:
             next_decision = min(end, self._sim.time + self._interval)

@@ -18,6 +18,9 @@ Module                 Paper content
                        faults (crashes, metric dropout, failed rescales)
 ``chaos``              Robustness extension: seeded chaos campaigns with
                        SASO scorecards and per-runtime recovery models
+``artifacts``          The registry over all of the above: one ``run``
+                       plus one pure ``render`` per table or figure,
+                       shared by ``repro run <id>`` and ``benchmarks/``
 =====================  ====================================================
 
 Every experiment accepts scale knobs (durations, tick size) so the

@@ -28,6 +28,9 @@ from repro.workloads.nexmark import ALL_QUERIES, NexmarkQuery
 #: Paper's Table 4 sweep of initial configurations.
 PAPER_INITIAL_CONFIGS = (8, 12, 16, 20, 24, 28)
 
+#: Initial global worker counts of the Timely counterpart.
+TIMELY_INITIAL_CONFIGS = (2, 8)
+
 #: Paper's §5.4 controller settings.
 CONVERGENCE_POLICY_INTERVAL = 30.0
 CONVERGENCE_WARMUP_INTERVALS = 1
@@ -132,6 +135,22 @@ def run_table4(
     return cells
 
 
+def run_timely_table4(
+    queries: Sequence[NexmarkQuery] = ALL_QUERIES,
+    initial_configs: Sequence[int] = TIMELY_INITIAL_CONFIGS,
+    duration: float = 900.0,
+    tick: float = 0.25,
+) -> Dict[Tuple[str, int], ConvergenceCell]:
+    """The Timely counterpart of Table 4 (global worker count)."""
+    return {
+        (query.name, initial): run_timely_convergence_cell(
+            query, initial, duration=duration, tick=tick
+        )
+        for query in queries
+        for initial in initial_configs
+    }
+
+
 def format_table4(
     cells: Mapping[Tuple[str, int], ConvergenceCell],
     queries: Sequence[NexmarkQuery] = ALL_QUERIES,
@@ -168,9 +187,11 @@ __all__ = [
     "CONVERGENCE_WARMUP_INTERVALS",
     "ConvergenceCell",
     "PAPER_INITIAL_CONFIGS",
+    "TIMELY_INITIAL_CONFIGS",
     "format_table4",
     "max_steps",
     "run_flink_convergence_cell",
     "run_table4",
     "run_timely_convergence_cell",
+    "run_timely_table4",
 ]

@@ -213,20 +213,16 @@ def run_fault_tolerance(
     duration: float = 1200.0,
     tick: float = 0.5,
     seed: int = 1,
+    schedule: Optional[FaultSchedule] = None,
 ) -> List[FaultToleranceResult]:
-    """All three controllers under the default campaign."""
+    """All three controllers under one campaign (default: the
+    built-in one, seeded with ``seed``)."""
+    if schedule is None:
+        schedule = default_fault_schedule(seed)
     return [
-        run_ds2_faults(
-            duration, tick, hardened=True,
-            schedule=default_fault_schedule(seed),
-        ),
-        run_ds2_faults(
-            duration, tick, hardened=False,
-            schedule=default_fault_schedule(seed),
-        ),
-        run_dhalion_faults(
-            duration, tick, schedule=default_fault_schedule(seed),
-        ),
+        run_ds2_faults(duration, tick, hardened=True, schedule=schedule),
+        run_ds2_faults(duration, tick, hardened=False, schedule=schedule),
+        run_dhalion_faults(duration, tick, schedule=schedule),
     ]
 
 

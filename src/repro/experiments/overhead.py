@@ -137,12 +137,17 @@ def run_figure10(
     queries: Sequence[NexmarkQuery] = ALL_QUERIES,
     flink_duration: float = 300.0,
     timely_duration: float = 120.0,
+    convergence_duration: float = 1200.0,
 ) -> List[OverheadPoint]:
     """The full Figure 10 sweep (both runtimes, all queries)."""
     points: List[OverheadPoint] = []
     for query in queries:
         points.append(
-            measure_flink_overhead(query, duration=flink_duration)
+            measure_flink_overhead(
+                query,
+                duration=flink_duration,
+                convergence_duration=convergence_duration,
+            )
         )
         points.append(
             measure_timely_overhead(query, duration=timely_duration)

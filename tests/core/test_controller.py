@@ -111,6 +111,20 @@ class TestControlLoop:
             ControlLoop(simulator(chain_graph), ScriptedController([]),
                         policy_interval=0.0)
 
+    @pytest.mark.parametrize(
+        "duration", [float("inf"), float("nan"), -1.0]
+    )
+    def test_non_finite_or_negative_duration_rejected(
+        self, chain_graph, duration
+    ):
+        loop = ControlLoop(
+            simulator(chain_graph), ScriptedController([]),
+            policy_interval=5.0,
+        )
+        with pytest.raises(PolicyError, match="finite and >= 0"):
+            loop.run(duration)
+        assert loop.simulator.time == 0.0
+
     def test_unknown_scalable_operator_rejected(self, chain_graph):
         with pytest.raises(PolicyError):
             ControlLoop(

@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.artifacts import ARTIFACTS
 from repro.faults.executor import CampaignInterrupted
 
 FIXTURES = Path(__file__).parent / "analysis" / "fixtures"
@@ -28,8 +30,9 @@ class TestParser:
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        for entry in ARTIFACTS.values():
+            assert entry.id in out
+            assert entry.description in out
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
@@ -136,6 +139,32 @@ class TestParser:
         assert "--scale must be a finite number > 0" in captured.err
         assert captured.out == ""
 
+    def test_fault_seed_rejected_for_other_experiments(self, capsys):
+        assert main(["run", "fig6", "--fault-seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "--fault-seed" in err
+        assert "'faults' and 'chaos'" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "fig6", "--scale", "1e-9"],
+             "no source-rate samples captured"),
+            (["run", "table4", "--scale", "1e308"],
+             "duration must be finite"),
+        ],
+    )
+    def test_experiment_error_is_one_line_exit_2(
+        self, argv, message, capsys
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"run {argv[1]} failed: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_unknown_chaos_workload_rejected(self, capsys):
         assert main([
             "run", "chaos", "--workload", "volcano", "--seeds", "1",
@@ -236,6 +265,14 @@ class TestResumeCommand:
 
         return interrupted
 
+    def _interrupt_chaos(self, monkeypatch, checkpoint):
+        monkeypatch.setitem(
+            ARTIFACTS, "chaos",
+            dataclasses.replace(
+                ARTIFACTS["chaos"], run=self._interrupt(checkpoint)
+            ),
+        )
+
     def test_sweep_resume_keeps_format(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -261,15 +298,11 @@ class TestResumeCommand:
     def test_chaos_resume_keeps_telemetry_flags(
         self, capsys, monkeypatch, tmp_path
     ):
-        import repro.cli
-
         out_dir = tmp_path / "run output"
         checkpoint = str(out_dir / "chaos.ckpt")
         trace = str(out_dir / "trace.jsonl")
         spans = str(out_dir / "spans.json")
-        monkeypatch.setattr(
-            repro.cli, "_run_chaos", self._interrupt(checkpoint)
-        )
+        self._interrupt_chaos(monkeypatch, checkpoint)
         assert main([
             "run", "chaos", "--profile", "smoke", "--seeds", "2",
             "--trace", trace, "--spans", spans,
@@ -287,12 +320,8 @@ class TestResumeCommand:
     def test_resume_flag_is_not_repeated(
         self, capsys, monkeypatch, tmp_path
     ):
-        import repro.cli
-
         checkpoint = str(tmp_path / "chaos.ckpt")
-        monkeypatch.setattr(
-            repro.cli, "_run_chaos", self._interrupt(checkpoint)
-        )
+        self._interrupt_chaos(monkeypatch, checkpoint)
         assert main([
             "run", "chaos", "--checkpoint", checkpoint, "--resume",
         ]) == 130
