@@ -9,6 +9,7 @@ imbalance experiment of section 4.2.3.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -44,6 +45,18 @@ class Channel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.weight <= 1.0:
             raise PlanError("channel weight must be in [0, 1]")
+
+
+def _integral_parallelism(name: str, value: object) -> int:
+    """``value`` as an ``int``, or a :class:`PlanError` naming the
+    operator when it is not an integer (a bool, NaN or 2.5 is not)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise PlanError(
+        f"parallelism for {name!r} must be an integer, got {value!r}"
+    )
 
 
 def uniform_weights(parallelism: int) -> Tuple[float, ...]:
@@ -121,7 +134,7 @@ class PhysicalPlan:
         self._max_parallelism = max_parallelism
         resolved: Dict[str, int] = {}
         for name in graph.names:
-            value = parallelism.get(name, 1)
+            value = _integral_parallelism(name, parallelism.get(name, 1))
             if value < 1:
                 raise PlanError(
                     f"parallelism for {name!r} must be >= 1, got {value}"
@@ -236,7 +249,7 @@ class PhysicalPlan:
         for name, value in updates.items():
             if name not in self._parallelism:
                 raise PlanError(f"unknown operator {name!r}")
-            value = max(1, value)
+            value = max(1, _integral_parallelism(name, value))
             if self._max_parallelism is not None:
                 value = min(value, self._max_parallelism)
             if not self._graph.operator(name).data_parallel:

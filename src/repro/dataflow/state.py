@@ -115,11 +115,11 @@ class SavepointModel:
     redeploy_seconds: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.base_seconds < 0:
+        if not self.base_seconds >= 0:
             raise EngineError("base_seconds must be >= 0")
-        if self.snapshot_bandwidth <= 0:
+        if not self.snapshot_bandwidth > 0:
             raise EngineError("snapshot_bandwidth must be > 0")
-        if self.redeploy_seconds < 0:
+        if not self.redeploy_seconds >= 0:
             raise EngineError("redeploy_seconds must be >= 0")
 
     def outage_seconds(self, total_state_bytes: float) -> float:

@@ -28,7 +28,7 @@ class Queue:
     __slots__ = ("_capacity", "_length", "_pushed", "_popped")
 
     def __init__(self, capacity: Optional[float] = None) -> None:
-        if capacity is not None and capacity <= 0:
+        if capacity is not None and not capacity > 0:
             raise EngineError("queue capacity must be > 0 when bounded")
         self._capacity = capacity
         self._length = 0.0

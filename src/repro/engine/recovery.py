@@ -107,11 +107,11 @@ class PeerSyncRecovery(RecoveryModel):
     name = "peer-resync"
 
     def __post_init__(self) -> None:
-        if self.base_seconds < 0:
+        if not self.base_seconds >= 0:
             raise EngineError("base_seconds must be >= 0")
-        if self.sync_bandwidth <= 0:
+        if not self.sync_bandwidth > 0:
             raise EngineError("sync_bandwidth must be > 0")
-        if self.rejoin_seconds < 0:
+        if not self.rejoin_seconds >= 0:
             raise EngineError("rejoin_seconds must be >= 0")
 
     def outage_seconds(
@@ -150,9 +150,9 @@ class ContainerRestartRecovery(RecoveryModel):
     name = "container-restart"
 
     def __post_init__(self) -> None:
-        if self.restart_seconds < 0:
+        if not self.restart_seconds >= 0:
             raise EngineError("restart_seconds must be >= 0")
-        if self.replay_bandwidth <= 0:
+        if not self.replay_bandwidth > 0:
             raise EngineError("replay_bandwidth must be > 0")
 
     def outage_seconds(

@@ -19,12 +19,11 @@ operator instances and moves data:
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.dataflow.operators import OperatorSpec
-from repro.dataflow.physical import InstanceId, PhysicalPlan
+from repro.dataflow.physical import PhysicalPlan
 from repro.dataflow.state import SavepointModel
-from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
 from repro.engine.recovery import (
     ContainerRestartRecovery,
     PeerSyncRecovery,
@@ -72,49 +71,17 @@ class Runtime(abc.ABC):
     def budgets(
         self,
         plan: PhysicalPlan,
-        demands: Mapping[InstanceId, float],
+        demands: Mapping[str, Sequence[float]],
         dt: float,
-    ) -> Dict[InstanceId, float]:
-        """Seconds of execution granted to each instance this tick.
+    ) -> Dict[str, List[float]]:
+        """Seconds of execution granted to each instance this tick, one
+        list per operator of ``plan`` (index = instance index).
 
-        ``demands`` maps each instance to the seconds of work it has
-        available (queued records times per-record cost); runtimes with
-        shared workers use it to divide worker time.
+        ``demands`` holds, per operator, the seconds of work each
+        instance has available (queued records times per-record cost);
+        runtimes with shared workers use it to divide worker time.
+        Plain floats in and out, so the object engine needs no numpy.
         """
-
-    def budgets_batch(
-        self,
-        plan: PhysicalPlan,
-        demands: Mapping[str, FloatArray],
-        dt: float,
-    ) -> Dict[str, FloatArray]:
-        """Batched :meth:`budgets`: per-operator demand arrays in, one
-        float64 budget array per operator out (index = instance index).
-
-        The struct-of-arrays engine backend calls this instead of the
-        per-:class:`InstanceId` API so the hot path never materializes
-        instance-id dictionaries. The default implementation adapts
-        through :meth:`budgets`, so custom runtimes stay compatible;
-        the built-in runtimes override it with a genuinely batched
-        computation that is bit-identical to the scalar one.
-        """
-        if not HAVE_NUMPY:
-            raise EngineError("budgets_batch requires numpy")
-        iid_demands: Dict[InstanceId, float] = {}
-        for name in plan.graph.topological_order():
-            for index, value in enumerate(demands[name].tolist()):
-                iid_demands[InstanceId(name, index)] = value
-        budgets = self.budgets(plan, iid_demands, dt)
-        return {
-            name: np.array(
-                [
-                    budgets.get(InstanceId(name, index), dt)
-                    for index in range(plan.parallelism_of(name))
-                ],
-                dtype=np.float64,
-            )
-            for name in plan.graph.topological_order()
-        }
 
     @abc.abstractmethod
     def savepoint_model(self) -> SavepointModel:
@@ -162,11 +129,12 @@ class FlinkRuntime(Runtime):
         # a numeric guard. Capping it tighter than the per-tick flow of
         # a cheap operator (e.g. a null sink) would turn the cap itself
         # into the pipeline bottleneck.
-        if buffer_seconds <= 0:
+        # Written so that NaN fails every check.
+        if not buffer_seconds > 0:
             raise EngineError("buffer_seconds must be > 0")
-        if max_queue_records <= 0:
+        if not max_queue_records > 0:
             raise EngineError("max_queue_records must be > 0")
-        if cores is not None and cores < 1:
+        if cores is not None and not cores >= 1:
             raise EngineError("cores must be >= 1 when given")
         self.buffer_seconds = buffer_seconds
         self.max_queue_records = max_queue_records
@@ -185,32 +153,16 @@ class FlinkRuntime(Runtime):
     def budgets(
         self,
         plan: PhysicalPlan,
-        demands: Mapping[InstanceId, float],
+        demands: Mapping[str, Sequence[float]],
         dt: float,
-    ) -> Dict[InstanceId, float]:
-        instances = plan.all_instances()
-        share = 1.0
-        if self.cores is not None and len(instances) > self.cores:
-            share = self.cores / len(instances)
-        return {iid: dt * share for iid in instances}
-
-    def budgets_batch(
-        self,
-        plan: PhysicalPlan,
-        demands: Mapping[str, FloatArray],
-        dt: float,
-    ) -> Dict[str, FloatArray]:
-        if not HAVE_NUMPY:
-            raise EngineError("budgets_batch requires numpy")
+    ) -> Dict[str, List[float]]:
         total = plan.total_instances
         share = 1.0
         if self.cores is not None and total > self.cores:
             share = self.cores / total
         value = dt * share
         return {
-            name: np.full(
-                plan.parallelism_of(name), value, dtype=np.float64
-            )
+            name: [value] * plan.parallelism_of(name)
             for name in plan.graph.topological_order()
         }
 
@@ -245,7 +197,7 @@ class HeronRuntime(FlinkRuntime):
         savepoint: Optional[SavepointModel] = None,
         recovery: Optional[RecoveryModel] = None,
     ) -> None:
-        if queue_bytes <= 0:
+        if not queue_bytes > 0:
             raise EngineError("queue_bytes must be > 0")
         super().__init__(
             buffer_seconds=1.0,
@@ -320,45 +272,21 @@ class TimelyRuntime(Runtime):
     def budgets(
         self,
         plan: PhysicalPlan,
-        demands: Mapping[InstanceId, float],
+        demands: Mapping[str, Sequence[float]],
         dt: float,
-    ) -> Dict[InstanceId, float]:
-        workers = self.validate_plan(plan)
-        budgets: Dict[InstanceId, float] = {}
-        all_instances = plan.all_instances()
-        for worker in range(workers):
-            local = [
-                iid for iid in all_instances if iid.index == worker
-            ]
-            budgets.update(
-                _waterfill(local, demands, dt)
-            )
-        return budgets
-
-    def budgets_batch(
-        self,
-        plan: PhysicalPlan,
-        demands: Mapping[str, FloatArray],
-        dt: float,
-    ) -> Dict[str, FloatArray]:
-        if not HAVE_NUMPY:
-            raise EngineError("budgets_batch requires numpy")
+    ) -> Dict[str, List[float]]:
         workers = self.validate_plan(plan)
         order = plan.graph.topological_order()
-        demand_lists = {name: demands[name].tolist() for name in order}
-        out = {
-            name: np.empty(workers, dtype=np.float64) for name in order
-        }
-        # Worker k runs instance k of every operator; the per-worker
-        # demand vector in topological operator order is exactly the
-        # iteration order of the per-InstanceId implementation, so the
-        # shared scalar core produces bit-identical allocations.
+        columns = [demands[name] for name in order]
+        out = {name: [0.0] * workers for name in order}
+        # Worker k runs instance k of every operator; it divides its
+        # tick among them in topological operator order.
         for worker in range(workers):
             allocation = _waterfill_values(
-                [demand_lists[name][worker] for name in order], dt
+                [column[worker] for column in columns], dt
             )
-            for position, name in enumerate(order):
-                out[name][worker] = allocation[position]
+            for name, value in zip(order, allocation):
+                out[name][worker] = value
         return out
 
     def savepoint_model(self) -> SavepointModel:
@@ -371,8 +299,7 @@ class TimelyRuntime(Runtime):
 def _waterfill_values(
     demands: List[float], budget: float
 ) -> List[float]:
-    """Positional water-filling core shared by the per-:class:`InstanceId`
-    and batched budget paths.
+    """Positional water-filling core of :meth:`TimelyRuntime.budgets`.
 
     Divides ``budget`` seconds among positions proportionally to need:
     everyone gets at most an equal share per round, and unused share is
@@ -422,20 +349,6 @@ def _waterfill_values(
         for index in range(len(demands)):
             allocation[index] += bonus
     return allocation
-
-
-def _waterfill(
-    instances: list,
-    demands: Mapping[InstanceId, float],
-    budget: float,
-) -> Dict[InstanceId, float]:
-    """Divide ``budget`` seconds among ``instances`` proportionally to
-    need (see :func:`_waterfill_values` for the algorithm and its
-    edge-case contract)."""
-    values = _waterfill_values(
-        [demands.get(iid, 0.0) for iid in instances], budget
-    )
-    return {iid: values[pos] for pos, iid in enumerate(instances)}
 
 
 __all__ = ["FlinkRuntime", "HeronRuntime", "Runtime", "TimelyRuntime"]

@@ -29,23 +29,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.operators import OperatorSpec
-from repro.dataflow.physical import InstanceId, PhysicalPlan
+from repro.dataflow.physical import PhysicalPlan
 from repro.dataflow.state import StateModel
-from repro.dataflow.windowing import WindowState
-from repro.engine.allocation import fair_allocate
-from repro.engine.buffers import Queue
 from repro.engine.latency import (
     EpochLatencyTracker,
     RecordLatencyTracker,
 )
 from repro.engine.metrics_manager import MetricsManager
+from repro.engine.objects import ObjectEngine, _Instance
 from repro.engine.runtimes import Runtime
 from repro.engine.vectorized import (
-    Carry,
     VectorEngine,
     resolve_backend,
     width_backend,
@@ -54,6 +51,16 @@ from repro.errors import EngineError, ReconfigurationError
 from repro.metrics import MetricsWindow, OperatorHealth
 from repro.telemetry.spans import SpanProfiler, active_profiler
 from repro.telemetry.tracer import Tracer, active_tracer
+
+#: The engine of a deployment: both answer the same methods, and the
+#: simulator never asks which one it holds.
+_Engine = Union[ObjectEngine, VectorEngine]
+
+#: Engine class per backend name.
+_ENGINES: Dict[str, Callable[[Simulator], _Engine]] = {
+    "object": ObjectEngine,
+    "vector": VectorEngine,
+}
 
 
 @dataclass(frozen=True)
@@ -125,58 +132,6 @@ class EngineConfig:
             raise EngineError("trace_tick_every must be >= 1")
 
 
-@dataclass
-class _Instance:
-    """Mutable runtime state of one operator instance.
-
-    Input records arrive through per-port queues, one per upstream
-    operator — as with Flink's per-channel network buffers, a flooding
-    input fills its own buffers and backpressures its own producer
-    without crowding out the other inputs of a join. Sources have no
-    ports.
-    """
-
-    iid: InstanceId
-    spec: OperatorSpec
-    ports: Dict[str, Queue]
-    window: Optional[WindowState] = None
-    fire_backlog: float = 0.0
-
-    @property
-    def total_queue_length(self) -> float:
-        """Records queued across all input ports."""
-        return sum(queue.length for queue in self.ports.values())
-
-    @property
-    def max_fill_fraction(self) -> float:
-        """Worst port occupancy (0 for unbounded/portless)."""
-        if not self.ports:
-            return 0.0
-        return max(queue.fill_fraction for queue in self.ports.values())
-
-    @property
-    def pending_records(self) -> float:
-        extra = self.fire_backlog
-        if self.window is not None:
-            extra += self.window.buffered
-        return self.total_queue_length + extra
-
-    def pop_records(self, amount: float, total: float) -> float:
-        """Remove up to ``amount`` records, drawing from each port in
-        proportion to its backlog (the scheduler polls all inputs);
-        returns the amount actually removed. ``total`` is the current
-        :attr:`total_queue_length`, which the caller already holds."""
-        if amount <= 0 or total <= 0:
-            return 0.0
-        if amount >= total:
-            return sum(queue.drain() for queue in self.ports.values())
-        popped = 0.0
-        for queue in self.ports.values():
-            share = amount * (queue.length / total)
-            popped += queue.pop(share)
-        return popped
-
-
 @dataclass(frozen=True)
 class TickStats:
     """Per-tick observations surfaced to experiment harnesses.
@@ -241,22 +196,18 @@ class Simulator:
         self._metrics = MetricsManager(tracer=self._tracer)
         self._state = StateModel(graph=self._graph)
         self._pinned = resolve_backend(backend)
-        # The backend of the current deployment (set by _deploy); the
-        # vector engine is None while the object backend runs.
+        # The backend of the current deployment and its engine (set by
+        # _deploy; until then an empty engine, which carries nothing).
+        # The engine holds the instance state; everything else below is
+        # shared by both engines.
         self._backend = "object"
-        self._vec: Optional[VectorEngine] = None
-        self._obj_instances: Dict[str, List[_Instance]] = {}
-        # Per-deployment state (see _deploy): instance ids, per-record
-        # costs before this tick's noise, demand-independent budgets,
-        # and for the object backend each operator's first metrics row
-        # and the (queue, weight, instance) targets of its output.
-        self._ids: Dict[str, Tuple[InstanceId, ...]] = {}
+        self._engine: _Engine = ObjectEngine(self)
+        # Per-deployment state (see _deploy): per-record costs before
+        # this tick's noise, and demand-independent budgets in the
+        # engine's form.
         self._unit_costs: Dict[str, float] = {}
         self._window_factors: Dict[str, Tuple[float, float, float]] = {}
-        self._static_budgets: Optional[Dict[str, Any]] = None
-        self._rows: Dict[str, int] = {}
-        self._routes: Dict[str, List[Tuple[Queue, float, InstanceId]]] = {}
-        self._bounded: List[Tuple[str, Tuple[Queue, ...]]] = []
+        self._static_budgets: Optional[Mapping[str, Any]] = None
         self._source_backlog: Dict[str, float] = {
             name: 0.0 for name in self._sources
         }
@@ -385,9 +336,7 @@ class Simulator:
         the struct-of-arrays state (mutations do not flow back). Kept
         for tests and debugging tools that inspect per-port queues.
         """
-        if self._vec is not None:
-            return self._vec.materialize_instances()
-        return self._obj_instances
+        return self._engine.materialize_instances()
 
     def source_target_rates(self) -> Dict[str, float]:
         """Target (schedule) rate of each source at the current time —
@@ -409,13 +358,7 @@ class Simulator:
 
     def total_queued_records(self) -> float:
         """Records queued anywhere inside the dataflow."""
-        if self._vec is not None:
-            return self._vec.total_queued()
-        return sum(
-            inst.pending_records
-            for instances in self._obj_instances.values()
-            for inst in instances
-        )
+        return self._engine.total_queued()
 
     def _require_operator(self, operator: str) -> None:
         if operator not in self._specs:
@@ -424,11 +367,7 @@ class Simulator:
     def queue_length(self, operator: str) -> float:
         """Total records queued at an operator (all instances)."""
         self._require_operator(operator)
-        if self._vec is not None:
-            return self._vec.queue_length(operator)
-        return sum(
-            i.pending_records for i in self._obj_instances[operator]
-        )
+        return self._engine.queue_length(operator)
 
     def pending_records(self, operator: Optional[str] = None) -> float:
         """Records pending inside the dataflow: queued at the ports
@@ -443,10 +382,7 @@ class Simulator:
         """Worst input-buffer occupancy across the operator's
         instances, in [0, 1] (0 for unbounded or portless queues)."""
         self._require_operator(operator)
-        if self._vec is not None:
-            return self._vec.max_fill(operator)
-        instances = self._obj_instances[operator]
-        return max(inst.max_fill_fraction for inst in instances)
+        return self._engine.max_fill(operator)
 
     def utilization(self, operator: str) -> float:
         """Useful-time fraction of the operator since the last metrics
@@ -456,14 +392,7 @@ class Simulator:
     def backpressured_operators(self) -> Tuple[str, ...]:
         """Operators whose queues crossed the runtime's backpressure
         threshold (the coarse signal Dhalion-style controllers use)."""
-        if self._vec is not None:
-            return self._vec.backpressured()
-        threshold = self._runtime.backpressure_threshold
-        return tuple(
-            name
-            for name, queues in self._bounded
-            if any(queue.fill_fraction >= threshold for queue in queues)
-        )
+        return self._engine.backpressured()
 
     # ------------------------------------------------------------------
     # Metrics
@@ -618,127 +547,25 @@ class Simulator:
         resolve everything a tick needs that only the plan decides.
 
         The backend is picked per deployment, so a redeploy may switch
-        it: the old backend's state is reduced to a :data:`Carry`, the
-        one form both backends build from. Everything else (metrics
-        manager, state model, source backlogs, latency trackers, the
-        jitter RNG) lives here and is shared by both."""
-        if self._vec is not None:
-            carried = self._vec.carry()
-        else:
-            carried = self._carry_objects()
+        it: the old engine's state is reduced to a
+        :data:`~repro.engine.vectorized.Carry`, the one form both
+        engines build from. Everything else (metrics manager, state
+        model, source backlogs, latency trackers, the jitter RNG) lives
+        here and is shared by both."""
+        carried = self._engine.carry()
         self._plan = plan
-        self._ids = {name: plan.instances(name) for name in self._order}
         self._cache_costs(plan)
         self._backend = self._pinned or width_backend(plan)
-        if self._backend == "vector":
-            self._obj_instances, self._routes, self._bounded = {}, {}, []
-            if self._vec is None:
-                self._vec = VectorEngine(self)
-            self._vec.deploy(plan, carried)
-        else:
-            self._vec = None
-            self._deploy_objects(plan, carried)
+        self._engine = _ENGINES[self._backend](self)
+        self._engine.deploy(plan, carried)
         self._metrics.register_instances(
-            (iid for name in self._order for iid in self._ids[name]),
-            blocks=self._vec is not None,
+            plan.all_instances(), blocks=self._engine.metric_blocks
         )
         self._static_budgets = None
         if not self._runtime.demand_driven:
-            dt = self._config.tick
-            if self._vec is not None:
-                self._static_budgets = self._runtime.budgets_batch(
-                    plan, {}, dt
-                )
-            else:
-                self._static_budgets = self._budget_lists(
-                    self._runtime.budgets(plan, {}, dt), dt
-                )
-
-    def _carry_objects(self) -> Carry:
-        """The object backend's instance state reduced to carried
-        totals, summed instance by instance (empty before the first
-        deployment)."""
-        carried: Carry = {}
-        for name, instances in self._obj_instances.items():
-            per_port: Dict[str, float] = {}
-            for inst in instances:
-                for port, queue in inst.ports.items():
-                    per_port[port] = per_port.get(port, 0.0) + queue.length
-            buffered = 0.0
-            backlog = 0.0
-            for inst in instances:
-                if inst.window is not None:
-                    buffered += inst.window.buffered
-                backlog += inst.fire_backlog
-            carried[name] = (per_port, buffered, backlog)
-        return carried
-
-    def _deploy_objects(self, plan: PhysicalPlan, carried: Carry) -> None:
-        """Build the object backend's instances for ``plan`` from the
-        ``carried`` totals of the previous deployment."""
-        self._obj_instances = {}
-        self._rows = {}
-        row = 0
-        for name in self._order:
-            spec = self._specs[name]
-            parallelism = plan.parallelism_of(name)
-            capacity = self._runtime.queue_capacity(spec, parallelism)
-            weights = plan.input_weights(name)
-            ports = self._graph.upstream(name)
-            queued_by_port, buffered, backlog = carried.get(
-                name, ({}, 0.0, 0.0)
+            self._static_budgets = self._engine.grant(
+                self._runtime.budgets(plan, {}, self._config.tick)
             )
-            instances: List[_Instance] = []
-            for index, iid in enumerate(self._ids[name]):
-                instance = _Instance(
-                    iid=iid,
-                    spec=spec,
-                    ports={
-                        port: Queue(capacity=capacity) for port in ports
-                    },
-                )
-                if spec.window is not None:
-                    instance.window = WindowState(spec=spec.window)
-                    instance.window.reset(self._time)
-                    instance.window.buffered = buffered * weights[index]
-                for port in ports:
-                    instance.ports[port].force_push(
-                        queued_by_port.get(port, 0.0) * weights[index]
-                    )
-                instance.fire_backlog = backlog * weights[index]
-                instances.append(instance)
-            self._obj_instances[name] = instances
-            self._rows[name] = row
-            row += parallelism
-        # Zero-weight instances receive nothing and bound nothing.
-        self._routes = {
-            name: [
-                (inst.ports[name], weight, inst.iid)
-                for downstream in self._graph.downstream(name)
-                for inst, weight in zip(
-                    self._obj_instances[downstream],
-                    plan.input_weights(downstream),
-                )
-                if weight > 0
-            ]
-            for name in self._order
-        }
-        self._bounded = [
-            (name, tuple(q for i in instances for q in i.ports.values()))
-            for name, instances in self._obj_instances.items()
-            if instances[0].ports
-            and next(iter(instances[0].ports.values())).bounded
-        ]
-
-    def _budget_lists(
-        self, budgets: Mapping[InstanceId, float], dt: float
-    ) -> Dict[str, List[float]]:
-        """Per-instance budgets as one list per operator (index =
-        instance index), ``dt`` for any instance the runtime left out."""
-        return {
-            name: [budgets.get(iid, dt) for iid in ids]
-            for name, ids in self._ids.items()
-        }
 
     # ------------------------------------------------------------------
     # Cost helpers
@@ -889,24 +716,18 @@ class Simulator:
 
     def _active_tick(self, dt: float) -> TickStats:
         self._refresh_jitter()
-        vec = self._vec
+        engine = self._engine
         profiled = self._profiler.enabled
         if profiled:
             self._profiler.enter("engine.allocate")
         try:
             budgets = self._static_budgets
             if budgets is None:
-                if vec is None:
-                    budgets = self._budget_lists(
-                        self._runtime.budgets(
-                            self._plan, self._estimate_demands(dt), dt
-                        ),
-                        dt,
+                budgets = engine.grant(
+                    self._runtime.budgets(
+                        self._plan, engine.estimate_demands(dt), dt
                     )
-                else:
-                    budgets = self._runtime.budgets_batch(
-                        self._plan, vec.estimate_demands(dt), dt
-                    )
+                )
         finally:
             if profiled:
                 self._profiler.exit("engine.allocate")
@@ -919,30 +740,19 @@ class Simulator:
         for name in self._reverse_order:
             spec = self._specs[name]
             if spec.is_source:
-                if vec is None:
-                    emitted, desired = self._run_source(
-                        name, spec, budgets[name], dt
-                    )
-                else:
-                    emitted, desired = vec.run_source(
-                        name, spec, budgets[name], dt
-                    )
+                emitted, desired = engine.run_source(
+                    name, spec, budgets[name], dt
+                )
                 source_emitted[name] = emitted
                 source_desired[name] = desired
                 self._window_source_emitted[name] += emitted
             else:
-                if vec is None:
-                    consumed = self._run_operator(
-                        name, spec, budgets[name], dt, end_time
-                    )
-                else:
-                    consumed = vec.run_operator(
-                        name, spec, budgets[name], end_time
-                    )
+                consumed = engine.run_operator(
+                    name, spec, budgets[name], end_time
+                )
                 if spec.is_sink:
                     sink_consumed[name] = consumed
-        if vec is not None:
-            vec.record_metrics(dt)
+        engine.record_metrics(dt)
         self._observe_latency(dt, source_emitted, sink_consumed)
         backpressured = self.backpressured_operators()
         for name in backpressured:
@@ -951,7 +761,7 @@ class Simulator:
         self._tick_count += 1
         self._time = self._tick_count * dt
         if self._config.check_invariants:
-            self._check_invariants()
+            engine.check_invariants()
         return TickStats(
             time=self._time,
             source_emitted=source_emitted,
@@ -961,269 +771,8 @@ class Simulator:
             in_outage=False,
         )
 
-    def _estimate_demands(self, dt: float) -> Dict[InstanceId, float]:
-        """Seconds of pending work per instance (for shared-worker
-        budget allocation)."""
-        demands: Dict[InstanceId, float] = {}
-        for name, instances in self._obj_instances.items():
-            spec = self._specs[name]
-            if spec.is_source:
-                schedule = spec.rate
-                assert schedule is not None
-                rate = schedule.rate_at(self._time)
-                per_instance = (
-                    rate * dt + self._source_backlog[name]
-                ) / len(instances)
-                cost = self._source_cost(name)
-                for inst in instances:
-                    demands[inst.iid] = per_instance * max(cost, 1e-9)
-                continue
-            if spec.window is not None:
-                assign_cost, fire_cost = self._window_costs(name)
-                for inst in instances:
-                    demands[inst.iid] = (
-                        inst.total_queue_length * assign_cost
-                        + inst.fire_backlog * fire_cost
-                    )
-                continue
-            cost = self._unit_cost(name)
-            for inst in instances:
-                demands[inst.iid] = inst.total_queue_length * cost
-        return demands
-
-    @staticmethod
-    def _downstream_limit(
-        routes: List[Tuple[Queue, float, InstanceId]]
-    ) -> float:
-        """Maximum records an operator may emit right now without
-        overflowing any downstream instance queue (inf if unbounded)."""
-        limit = math.inf
-        for queue, weight, _ in routes:
-            limit = min(limit, queue.free_space / weight)
-        return limit
-
-    @staticmethod
-    def _emit(
-        routes: List[Tuple[Queue, float, InstanceId]], records: float
-    ) -> None:
-        """Distribute ``records`` output records of one operator
-        instance across all downstream instance queues."""
-        if records <= 0:
-            return
-        for queue, weight, iid in routes:
-            amount = records * weight
-            if queue.push(amount) < amount - 1e-6:
-                raise EngineError(
-                    f"emission overflow into {iid}: the "
-                    "downstream limit computation is inconsistent"
-                )
-
-    def _run_source(
-        self,
-        name: str,
-        spec: OperatorSpec,
-        budgets: Sequence[float],
-        dt: float,
-    ) -> Tuple[float, float]:
-        """Generate and emit source records; returns (emitted, desired)."""
-        schedule = spec.rate
-        assert schedule is not None
-        rate = schedule.rate_at(self._time)
-        desired = rate * dt
-        available = desired + self._source_backlog[name]
-        cap = desired * self._config.source_catchup_factor
-        want = min(available, max(cap, desired))
-        routes = self._routes[name]
-        if self._runtime.sources_blocked_by_backpressure:
-            space = self._downstream_limit(routes)
-        else:
-            space = math.inf
-        cost = self._source_cost(name)
-        # Each source instance generates an equal share of the stream;
-        # the shared downstream space is divided fairly among them.
-        share = want / len(budgets)
-        desires = []
-        for budget in budgets:
-            by_budget = math.inf if cost <= 0 else budget / cost
-            desires.append(min(share, by_budget))
-        allocations = fair_allocate(space, desires)
-        record = self._metrics.record_row
-        row = self._rows[name]
-        emitted_total = 0.0
-        for index, emit in enumerate(allocations):
-            self._emit(routes, emit)
-            useful = min(emit * cost, dt)
-            record(row + index, emit, emit, useful, max(0.0, dt - useful))
-            emitted_total += emit
-        self._source_backlog[name] = max(
-            0.0, available - emitted_total
-        )
-        return emitted_total, desired
-
-    def _run_operator(
-        self,
-        name: str,
-        spec: OperatorSpec,
-        budgets: Sequence[float],
-        dt: float,
-        end_time: float,
-    ) -> float:
-        """Run one non-source operator for a tick; returns records
-        consumed (meaningful for sinks)."""
-        instances = self._obj_instances[name]
-        routes = self._routes[name]
-        # Shared downstream space for this operator's emissions this
-        # tick, in output records; divided fairly among the instances
-        # so that a squeezed instance does not distort the
-        # backpressure limit seen by upstream operators.
-        if spec.is_sink:
-            space = math.inf
-        else:
-            space = self._downstream_limit(routes)
-        # Nothing refills this operator's queues before it runs: its
-        # upstream operators come later in the (reverse topological)
-        # tick order.
-        totals = [inst.total_queue_length for inst in instances]
-        if spec.window is not None:
-            profiled = self._profiler.enabled
-            if profiled:
-                self._profiler.enter("engine.window_fire")
-            try:
-                return self._run_window(
-                    name, spec, instances, totals, budgets, dt,
-                    end_time, space,
-                )
-            finally:
-                if profiled:
-                    self._profiler.exit("engine.window_fire")
-        # Regular (non-window) operator.
-        unit_cost = self._unit_cost(name)
-        selectivity = spec.selectivity.ratio
-        desires = []
-        for total, budget in zip(totals, budgets):
-            by_budget = math.inf if unit_cost <= 0 else budget / unit_cost
-            desires.append(min(total, by_budget))
-        pull_cap = (
-            math.inf if selectivity <= 0 else space / selectivity
-        )
-        allocations = fair_allocate(pull_cap, desires)
-        record = self._metrics.record_row
-        row = self._rows[name]
-        consumed_total = 0.0
-        processed_all = []
-        for index, (inst, allowed) in enumerate(
-            zip(instances, allocations)
-        ):
-            processed = inst.pop_records(allowed, totals[index])
-            emit = processed * selectivity
-            pushed = 0.0
-            if not spec.is_sink and emit > 0:
-                self._emit(routes, emit)
-                pushed = emit
-            useful = min(processed * unit_cost, dt)
-            record(
-                row + index,
-                processed,
-                pushed,
-                useful,
-                max(0.0, dt - useful),
-            )
-            processed_all.append(processed)
-            consumed_total += processed
-        self._state.record_processed_block(name, processed_all)
-        return consumed_total
-
-    def _run_window(
-        self,
-        name: str,
-        spec: OperatorSpec,
-        instances: List[_Instance],
-        totals: List[float],
-        budgets: Sequence[float],
-        dt: float,
-        end_time: float,
-        space: float,
-    ) -> float:
-        window_spec = spec.window
-        assert window_spec is not None
-        parallelism = len(instances)
-        routes = self._routes[name]
-        assign_cost, fire_cost = self._window_costs(name)
-        fire_sel = window_spec.fire_selectivity
-        budgets_left = list(budgets)
-        useful_acc = [0.0] * parallelism
-        pushed_acc = [0.0] * parallelism
-        pulled_acc = [0.0] * parallelism
-        # Fire work and assignment work share each instance's budget
-        # proportionally to their demands (the scheduler interleaves
-        # them); a fire-first priority would let a large fire backlog
-        # starve input reading entirely, collapsing throughput instead
-        # of degrading it.
-        fire_budget = [0.0] * parallelism
-        for index, inst in enumerate(instances):
-            fire_demand = inst.fire_backlog * fire_cost
-            assign_demand = totals[index] * assign_cost
-            total_demand = fire_demand + assign_demand
-            if total_demand <= 0:
-                continue
-            share = min(1.0, fire_demand / total_demand)
-            fire_budget[index] = budgets_left[index] * share
-        # Stage 1: drain the fire backlogs (burst work), sharing the
-        # downstream space fairly.
-        fire_desires = []
-        for inst, budget in zip(instances, fire_budget):
-            by_budget = math.inf if fire_cost <= 0 else budget / fire_cost
-            fire_desires.append(min(inst.fire_backlog, by_budget))
-        fire_cap = math.inf if fire_sel <= 0 else space / fire_sel
-        fired_alloc = fair_allocate(fire_cap, fire_desires)
-        for index, (inst, fired) in enumerate(zip(instances, fired_alloc)):
-            if fired <= 0:
-                continue
-            inst.fire_backlog -= fired
-            emit = fired * fire_sel
-            self._emit(routes, emit)
-            useful_acc[index] += fired * fire_cost
-            pushed_acc[index] += emit
-            budgets_left[index] = max(
-                0.0, budgets_left[index] - fired * fire_cost
-            )
-        # Stage 2: assign newly arrived records to windows (no
-        # emission, so no space constraint). Firing popped nothing, so
-        # the queue totals are unchanged.
-        for index, inst in enumerate(instances):
-            by_budget = (
-                math.inf
-                if assign_cost <= 0
-                else budgets_left[index] / assign_cost
-            )
-            assigned = inst.pop_records(
-                min(totals[index], by_budget), totals[index]
-            )
-            assert inst.window is not None
-            inst.window.buffered += assigned * window_spec.replication
-            useful_acc[index] += assigned * assign_cost
-            pulled_acc[index] += assigned
-            # Stage 3: check window boundaries.
-            released, _fires = inst.window.maybe_fire(end_time)
-            inst.fire_backlog += released
-        record = self._metrics.record_row
-        row = self._rows[name]
-        consumed_total = 0.0
-        for index in range(parallelism):
-            useful = min(useful_acc[index], dt)
-            record(
-                row + index,
-                pulled_acc[index],
-                pushed_acc[index],
-                useful,
-                max(0.0, dt - useful),
-            )
-            consumed_total += pulled_acc[index]
-        self._state.record_processed_block(name, pulled_acc)
-        return consumed_total
-
     # ------------------------------------------------------------------
-    # Latency & invariants
+    # Latency
     # ------------------------------------------------------------------
 
     def _observe_latency(
@@ -1233,12 +782,9 @@ class Simulator:
         sink_consumed: Mapping[str, float],
     ) -> None:
         if self._record_latency is not None:
-            if self._vec is not None:
-                delays = self._vec.operator_delays()
-            else:
-                delays = self._object_delays()
             self._record_latency.observe_tick(
-                operator_delays=delays, sink_consumed=sink_consumed
+                operator_delays=self._engine.operator_delays(),
+                sink_consumed=sink_consumed,
             )
         if self._epoch_latency is not None:
             self._epoch_latency.observe_tick(
@@ -1246,47 +792,6 @@ class Simulator:
                 source_emitted=source_emitted,
                 sink_consumed=sink_consumed,
             )
-
-    def _object_delays(self) -> Dict[str, float]:
-        """Per-operator drain delays for the record-latency tracker."""
-        delays: Dict[str, float] = {}
-        for name, instances in self._obj_instances.items():
-            spec = self._specs[name]
-            if spec.is_source:
-                # Source delay: time to drain external backlog.
-                schedule = spec.rate
-                assert schedule is not None
-                rate = schedule.rate_at(self._time)
-                backlog = self._source_backlog[name]
-                delays[name] = backlog / rate if rate > 0 else 0.0
-                continue
-            if spec.window is not None:
-                assign_cost, fire_cost = self._window_costs(name)
-                per_instance = [
-                    inst.total_queue_length * assign_cost
-                    + inst.fire_backlog * fire_cost
-                    for inst in instances
-                ]
-            else:
-                cost = self._unit_cost(name)
-                per_instance = [
-                    inst.total_queue_length * cost for inst in instances
-                ]
-            delays[name] = max(per_instance) if per_instance else 0.0
-        return delays
-
-    def _check_invariants(self) -> None:
-        if self._vec is not None:
-            self._vec.check_invariants()
-            return
-        for instances in self._obj_instances.values():
-            for inst in instances:
-                for queue in inst.ports.values():
-                    queue.check_conservation()
-                if inst.fire_backlog < -1e-6:
-                    raise EngineError(
-                        f"negative fire backlog at {inst.iid}"
-                    )
 
 
 __all__ = ["EngineConfig", "Simulator", "TickStats"]

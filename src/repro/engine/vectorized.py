@@ -1,6 +1,6 @@
 """Struct-of-arrays engine backend (the ``vector`` engine).
 
-The ``object`` backend of :class:`~repro.engine.simulator.Simulator`
+The ``object`` backend (:class:`~repro.engine.objects.ObjectEngine`)
 steps one Python object per operator instance: a dict of
 :class:`~repro.engine.buffers.Queue` per port, a scalar fire backlog,
 and per-instance loops for routing, budget allocation, and metrics. That
@@ -104,7 +104,8 @@ from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.simulator import Simulator, _Instance
+    from repro.engine.objects import _Instance
+    from repro.engine.simulator import Simulator
 
 #: Environment variable pinning the engine backend for simulators
 #: constructed without an explicit ``backend=`` argument.
@@ -347,12 +348,17 @@ class _OpState:
 class VectorEngine:
     """The struct-of-arrays tick loop behind ``backend="vector"``.
 
-    A friend object of :class:`~repro.engine.simulator.Simulator`: the
-    simulator keeps the orchestration (tick order, outages, telemetry,
-    TickStats, per-deployment costs and budgets) and delegates every
-    per-instance loop here. All methods mutate the per-operator arrays
-    in place.
+    A friend object of :class:`~repro.engine.simulator.Simulator` and a
+    peer of :class:`~repro.engine.objects.ObjectEngine`, answering the
+    same methods: the simulator keeps the orchestration (tick order,
+    outages, telemetry, TickStats, per-deployment costs and budgets)
+    and delegates every per-instance loop here. All methods mutate the
+    per-operator arrays in place.
     """
+
+    #: The metrics manager's row layout this engine writes (one
+    #: ``(n, 5)`` array, see :meth:`MetricsManager.register_instances`).
+    metric_blocks = True
 
     def __init__(self, sim: "Simulator") -> None:
         if not HAVE_NUMPY:
@@ -375,8 +381,8 @@ class VectorEngine:
 
     def carry(self) -> Carry:
         """The live array state reduced to carried totals (see
-        :data:`Carry`), summed instance by instance as the object
-        backend's ``Simulator._carry_objects`` does."""
+        :data:`Carry`), summed instance by instance as
+        ``ObjectEngine.carry`` does."""
         carried: Carry = {}
         for name, op in self._ops.items():
             per_port: Dict[str, float] = {}
@@ -398,7 +404,7 @@ class VectorEngine:
     def deploy(self, plan: PhysicalPlan, carried: Carry) -> None:
         """Build a fresh arena for ``plan`` from the ``carried`` totals
         of the previous deployment (empty on the first) — the vector
-        replay of ``Simulator._deploy_objects``."""
+        replay of ``ObjectEngine.deploy``."""
         sim = self._sim
         order = self._graph.topological_order()
         ports_of = {
@@ -474,6 +480,16 @@ class VectorEngine:
             [op.capacity for _, op in bounded], dtype=np.float64
         )
 
+    def grant(
+        self, budgets: Dict[str, List[float]]
+    ) -> Dict[str, FloatArray]:
+        """The runtime's per-operator budget lists as the float64
+        arrays this engine's tick reads."""
+        return {
+            name: np.array(values, dtype=np.float64)
+            for name, values in budgets.items()
+        }
+
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -503,20 +519,16 @@ class VectorEngine:
         )[self._bounded]
         return np.divide(maxima, self._capacities, out=maxima)
 
-    def max_fills(self) -> Dict[str, float]:
-        """Worst port occupancy across instances, per operator (0 when
+    def max_fill(self, name: str) -> float:
+        """Worst port occupancy across the operator's instances (0 when
         unbounded or portless). ``min(1, max(len) / capacity)`` is the
         maximum of the per-queue fills ``min(1, len / capacity)``:
         correctly rounded division by a positive constant and
         ``min(1, .)`` are both monotone."""
-        fills = dict.fromkeys(self._ops, 0.0)
-        if self._bounded_names:
-            ratios = np.minimum(1.0, self._bounded_fills())
-            fills.update(zip(self._bounded_names, ratios.tolist()))
-        return fills
-
-    def max_fill(self, name: str) -> float:
-        return self.max_fills()[name]
+        if name not in self._bounded_names:
+            return 0.0
+        fills = self._bounded_fills()
+        return min(1.0, fills.item(self._bounded_names.index(name)))
 
     def backpressured(self) -> Tuple[str, ...]:
         """Operators with a bounded port at or above the runtime's
@@ -592,7 +604,7 @@ class VectorEngine:
         """Write a non-source operator's seconds of pending work per
         instance into ``out``: queue totals times the per-record cost,
         plus fire backlog times the fire cost at a window operator —
-        the object backend's per-instance expressions."""
+        the element-wise replay of ``ObjectEngine._work``."""
         sim = self._sim
         if op.win_buffered is None:
             np.multiply(op.queue_totals(), sim._unit_cost(op.name), out=out)
@@ -601,13 +613,12 @@ class VectorEngine:
             np.multiply(op.queue_totals(), assign_cost, out=out)
             out += op.fire_backlog * fire_cost
 
-    def estimate_demands(self, dt: float) -> Dict[str, FloatArray]:
-        """Seconds of pending work per instance, one array per operator
-        in topological order (consumed by ``Runtime.budgets_batch``),
-        each a block of one ``(N,)`` buffer."""
+    def estimate_demands(self, dt: float) -> Dict[str, List[float]]:
+        """Seconds of pending work per instance, one list per operator
+        in topological order (consumed by ``Runtime.budgets``), read
+        out of one ``(N,)`` buffer in one ``tolist``."""
         sim = self._sim
         work = np.empty(len(self._arena.fire_backlog), dtype=np.float64)
-        demands: Dict[str, FloatArray] = {}
         for name, op in self._ops.items():
             block = work[op.row_start:op.row_stop]
             if op.spec.is_source:
@@ -615,18 +626,21 @@ class VectorEngine:
                 assert schedule is not None
                 rate = schedule.rate_at(sim.time)
                 per_instance = (
-                    rate * dt + sim.source_backlog(name)
+                    rate * dt + sim._source_backlog[name]
                 ) / op.parallelism
                 cost = sim._source_cost(name)
                 block.fill(per_instance * max(cost, 1e-9))
             else:
                 self._write_work(op, block)
-            demands[name] = block
-        return demands
+        values = work.tolist()
+        return {
+            name: values[op.row_start:op.row_stop]
+            for name, op in self._ops.items()
+        }
 
     def operator_delays(self) -> Dict[str, float]:
         """Per-operator drain delays for the record-latency tracker
-        (the vector replay of ``Simulator._object_delays``): each
+        (the vector replay of ``ObjectEngine.operator_delays``): each
         operator's maximum pending work, from one ``reduceat`` over an
         ``(N,)`` buffer of every instance's work."""
         sim = self._sim
@@ -641,7 +655,7 @@ class VectorEngine:
                 schedule = op.spec.rate
                 assert schedule is not None
                 rate = schedule.rate_at(sim.time)
-                backlog = sim.source_backlog(name)
+                backlog = sim._source_backlog[name]
                 delays[name] = backlog / rate if rate > 0 else 0.0
             else:
                 delays[name] = longest
@@ -722,7 +736,7 @@ class VectorEngine:
     @staticmethod
     def _emit_one(op: _OpState, records: float) -> None:
         """:meth:`_emit` for a width-1 operator's one emission, as a
-        float — ``Simulator._emit`` for its one instance."""
+        float — ``ObjectEngine._emit`` for its one instance."""
         if records <= 0:
             return
         for dop, k, stack, sums in op.targets:
@@ -901,7 +915,7 @@ class VectorEngine:
     ) -> Tuple[float, float]:
         """Generate and emit source records; returns
         ``(emitted, desired)`` — the vector replay of
-        ``Simulator._run_source``, as float code for a width-1 source."""
+        ``ObjectEngine.run_source``, as float code for a width-1 source."""
         sim = self._sim
         op = self._ops[name]
         schedule = spec.rate
@@ -954,7 +968,7 @@ class VectorEngine:
         end_time: float,
     ) -> float:
         """Run one non-source operator for a tick — the vector replay
-        of ``Simulator._run_operator``. Returns the records a sink
+        of ``ObjectEngine.run_operator``. Returns the records a sink
         consumed; the tick reads nothing else, so other operators
         return 0."""
         sim = self._sim
@@ -1010,7 +1024,7 @@ class VectorEngine:
         space: float,
     ) -> float:
         """A width-1 single-port operator without a window, as float
-        code: ``Simulator._run_operator`` for its one instance, read
+        code: ``ObjectEngine.run_operator`` for its one instance, read
         from and written to the arena cells.
 
         Its one port holds the whole queued total, so the object
@@ -1155,7 +1169,7 @@ class VectorEngine:
     # ------------------------------------------------------------------
 
     def materialize_instances(self) -> Dict[str, List["_Instance"]]:
-        """Object-backend-shaped snapshots of the array state, for
+        """Object-engine-shaped snapshots of the array state, for
         callers (tests, debuggers) that poke ``Simulator._instances``.
 
         Queues are rebuilt with the exact length / pushed / popped
@@ -1166,7 +1180,7 @@ class VectorEngine:
         arrays.
         """
         from repro.engine.buffers import Queue
-        from repro.engine.simulator import _Instance
+        from repro.engine.objects import _Instance
 
         result: Dict[str, List["_Instance"]] = {}
         for name, op in self._ops.items():

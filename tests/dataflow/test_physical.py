@@ -1,5 +1,7 @@
 """Unit tests for physical plans, partitioning, and channels."""
 
+import math
+
 import pytest
 
 from repro.dataflow.graph import Edge, LogicalGraph
@@ -99,6 +101,23 @@ class TestPhysicalPlan:
     def test_parallelism_must_be_positive(self, chain_graph):
         with pytest.raises(PlanError):
             PhysicalPlan(chain_graph, {"worker": 0})
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, True, "2"])
+    def test_parallelism_must_be_an_integer(self, chain_graph, value):
+        """Both validators name the operator: the constructor, and
+        clamped, which a rescale request goes through."""
+        with pytest.raises(PlanError, match="'worker' must be an integer"):
+            PhysicalPlan(chain_graph, {"worker": value})
+        plan = PhysicalPlan(chain_graph, {}, max_parallelism=8)
+        with pytest.raises(PlanError, match="'worker' must be an integer"):
+            plan.clamped({"worker": value})
+
+    def test_integral_parallelism_stored_as_int(self, chain_graph):
+        plan = PhysicalPlan(chain_graph, {"worker": 3.0})
+        assert type(plan.parallelism_of("worker")) is int
+        clamped = plan.clamped({"worker": -2.0})
+        assert type(clamped.parallelism_of("worker")) is int
+        assert clamped.parallelism == {"src": 1, "worker": 1, "snk": 1}
 
     def test_unknown_operator_rejected(self, chain_graph):
         with pytest.raises(PlanError, match="unknown"):

@@ -1,5 +1,7 @@
 """Unit tests for the Flink/Heron/Timely execution models."""
 
+import math
+
 import pytest
 
 from repro.dataflow.graph import Edge, LogicalGraph
@@ -10,8 +12,10 @@ from repro.dataflow.operators import (
     sink,
     source,
 )
-from repro.dataflow.physical import InstanceId, PhysicalPlan
-from repro.engine.npcompat import HAVE_NUMPY, np
+from repro.dataflow.physical import PhysicalPlan
+from repro.dataflow.state import SavepointModel
+from repro.engine.buffers import Queue
+from repro.engine.recovery import ContainerRestartRecovery, PeerSyncRecovery
 from repro.engine.runtimes import (
     FlinkRuntime,
     HeronRuntime,
@@ -49,14 +53,15 @@ class TestFlinkRuntime:
         runtime = FlinkRuntime()
         plan = PhysicalPlan(graph, {"m": 3})
         budgets = runtime.budgets(plan, {}, dt=0.1)
-        assert all(b == pytest.approx(0.1) for b in budgets.values())
-        assert len(budgets) == 5
+        granted = [b for values in budgets.values() for b in values]
+        assert all(b == pytest.approx(0.1) for b in granted)
+        assert len(granted) == 5
 
     def test_core_contention_scales_budgets(self, graph):
         runtime = FlinkRuntime(cores=2)
         plan = PhysicalPlan(graph, {"m": 6})  # 8 instances on 2 cores
         budgets = runtime.budgets(plan, {}, dt=0.1)
-        assert budgets[InstanceId("m", 0)] == pytest.approx(0.1 * 2 / 8)
+        assert budgets["m"][0] == pytest.approx(0.1 * 2 / 8)
 
     def test_validation(self):
         with pytest.raises(EngineError):
@@ -104,36 +109,51 @@ class TestTimelyRuntime:
     def test_worker_budget_is_work_conserving(self, graph):
         runtime = TimelyRuntime()
         plan = PhysicalPlan(graph, {name: 2 for name in graph.names})
-        demands = {iid: 0.0 for iid in plan.all_instances()}
+        demands = {name: [0.0, 0.0] for name in graph.names}
         # Worker 0's map instance has all the pending work.
-        demands[InstanceId("m", 0)] = 1.0
+        demands["m"][0] = 1.0
         budgets = runtime.budgets(plan, demands, dt=0.1)
         # The busy instance gets nearly the whole worker tick (idle
         # co-located instances only receive spin leftovers).
-        assert budgets[InstanceId("m", 0)] >= 0.09
+        assert budgets["m"][0] >= 0.09
+        # Worker 1 has no active demand at all: pure spin split.
+        for name in graph.names:
+            assert budgets[name][1] == pytest.approx(0.1 / 3)
 
     def test_budget_split_among_busy_instances(self, graph):
         runtime = TimelyRuntime()
         plan = PhysicalPlan(graph, {name: 1 for name in graph.names})
-        demands = {
-            InstanceId("src", 0): 1.0,
-            InstanceId("m", 0): 1.0,
-            InstanceId("snk", 0): 1.0,
-        }
+        demands = {"src": [1.0], "m": [1.0], "snk": [1.0]}
         budgets = runtime.budgets(plan, demands, dt=0.3)
         # Three equally hungry instances share one worker evenly.
-        assert budgets[InstanceId("m", 0)] == pytest.approx(0.1)
+        assert budgets["m"][0] == pytest.approx(0.1)
 
     def test_per_worker_isolation(self, graph):
         runtime = TimelyRuntime()
         plan = PhysicalPlan(graph, {name: 2 for name in graph.names})
-        demands = {iid: 1.0 for iid in plan.all_instances()}
+        demands = {name: [1.0, 1.0] for name in graph.names}
         budgets = runtime.budgets(plan, demands, dt=0.3)
         # Each worker runs one instance of each of the 3 operators.
-        worker0 = sum(
-            b for iid, b in budgets.items() if iid.index == 0
-        )
+        worker0 = sum(values[0] for values in budgets.values())
         assert worker0 == pytest.approx(0.3)
+
+    def test_waterfills_each_worker_in_topological_order(self, graph):
+        """Worker k's budgets are the water-filling of instance k of
+        every operator, in topological operator order, bit for bit."""
+        runtime = TimelyRuntime()
+        plan = PhysicalPlan(graph, {name: 3 for name in graph.names})
+        order = ("src", "m", "snk")
+        demands = {
+            name: [0.01 * (1 + worker + 3 * position) for worker in range(3)]
+            for position, name in enumerate(order)
+        }
+        # Each worker's total demand exceeds its 0.1 s tick.
+        budgets = runtime.budgets(plan, demands, dt=0.1)
+        for worker in range(3):
+            expected = _waterfill_values(
+                [demands[name][worker] for name in order], 0.1
+            )
+            assert [budgets[name][worker] for name in order] == expected
 
     def test_no_backpressure_semantics(self):
         runtime = TimelyRuntime()
@@ -170,53 +190,28 @@ class TestWaterfillEdgeCases:
         assert sum(allocation) == pytest.approx(0.3)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
-class TestBudgetsBatch:
-    """budgets_batch must agree exactly with the per-InstanceId
-    budgets path — it backs the vector engine backend."""
-
-    def as_demand_arrays(self, plan, demands):
-        return {
-            name: np.asarray(
-                [
-                    demands[InstanceId(name, index)]
-                    for index in range(plan.parallelism_of(name))
-                ],
-                dtype=np.float64,
-            )
-            for name in plan.graph.topological_order()
-        }
-
-    @pytest.mark.parametrize(
-        "runtime_cls", [FlinkRuntime, HeronRuntime, TimelyRuntime]
-    )
-    def test_matches_scalar_budgets(self, graph, runtime_cls):
-        runtime = runtime_cls()
-        plan = PhysicalPlan(graph, {name: 3 for name in graph.names})
-        demands = {
-            iid: 0.01 * (1 + index)
-            for index, iid in enumerate(plan.all_instances())
-        }
-        scalar = runtime.budgets(plan, demands, dt=0.25)
-        batch = runtime.budgets_batch(
-            plan, self.as_demand_arrays(plan, demands), dt=0.25
-        )
-        for name in plan.graph.topological_order():
-            for index in range(plan.parallelism_of(name)):
-                assert batch[name][index] == (
-                    scalar[InstanceId(name, index)]
-                ), (name, index)
-
-    def test_timely_zero_demand_worker(self, graph):
-        runtime = TimelyRuntime()
-        plan = PhysicalPlan(graph, {name: 2 for name in graph.names})
-        demands = {iid: 0.0 for iid in plan.all_instances()}
-        demands[InstanceId("m", 0)] = 1.0
-        scalar = runtime.budgets(plan, demands, dt=0.1)
-        batch = runtime.budgets_batch(
-            plan, self.as_demand_arrays(plan, demands), dt=0.1
-        )
-        # Worker 1 has no active demand at all: pure spin split.
-        for name in plan.graph.topological_order():
-            assert batch[name][1] == scalar[InstanceId(name, 1)]
-            assert batch[name][1] == pytest.approx(0.1 / 3)
+@pytest.mark.parametrize(
+    "factory, field",
+    [
+        (FlinkRuntime, "buffer_seconds"),
+        (FlinkRuntime, "max_queue_records"),
+        (FlinkRuntime, "cores"),
+        (HeronRuntime, "queue_bytes"),
+        (SavepointModel, "base_seconds"),
+        (SavepointModel, "snapshot_bandwidth"),
+        (SavepointModel, "redeploy_seconds"),
+        (PeerSyncRecovery, "base_seconds"),
+        (PeerSyncRecovery, "sync_bandwidth"),
+        (PeerSyncRecovery, "rejoin_seconds"),
+        (ContainerRestartRecovery, "restart_seconds"),
+        (ContainerRestartRecovery, "replay_bandwidth"),
+        (Queue, "capacity"),
+    ],
+)
+def test_constructor_rejects_nan_and_accepts_infinity(factory, field):
+    """NaN passes ``x <= 0`` and ``x < 0`` alike, so every check is
+    written to fail it; infinity (a free redeploy's bandwidth) stays
+    allowed."""
+    with pytest.raises(EngineError, match=field.split("_")[0]):
+        factory(**{field: math.nan})
+    factory(**{field: math.inf})

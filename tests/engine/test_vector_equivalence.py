@@ -35,6 +35,8 @@ from repro.dataflow.operators import (
 from repro.dataflow.physical import PhysicalPlan
 from repro.dataflow.state import SavepointModel
 from repro.engine.npcompat import HAVE_NUMPY
+from repro.engine.objects import ObjectEngine
+from repro.engine.recovery import PeerSyncRecovery
 from repro.engine.runtimes import FlinkRuntime, HeronRuntime, TimelyRuntime
 from repro.engine import simulator as simulator_module
 from repro.engine.simulator import EngineConfig, Simulator
@@ -430,6 +432,19 @@ def _switching_runtime():
     )
 
 
+def _switching_timely():
+    """Timely with a free savepoint and a free peer re-sync: rescales
+    and crash recoveries redeploy at once."""
+    return TimelyRuntime(
+        savepoint=_switching_runtime().savepoint_model(),
+        recovery=PeerSyncRecovery(
+            base_seconds=0.0,
+            sync_bandwidth=math.inf,
+            rejoin_seconds=0.0,
+        ),
+    )
+
+
 def _narrow_wordcount(runtime, backend=None, **config):
     graph = heron_wordcount_graph()
     plan = PhysicalPlan(
@@ -452,6 +467,23 @@ def _narrow_q5(runtime, backend=None, **config):
     )
 
 
+def _timely_q5(runtime, backend=None, **config):
+    """Windowed Q5 on 4 Timely workers, with epoch latency on."""
+    graph = get_query("Q5").timely_graph()
+    plan = PhysicalPlan(graph, {name: 4 for name in graph.names})
+    return Simulator(
+        plan,
+        runtime,
+        EngineConfig(epoch_seconds=1.0, **config),
+        backend=backend,
+    )
+
+
+def _timely_q5_workers(workers):
+    """Every operator of Timely Q5 at ``workers`` instances."""
+    return {name: workers for name in get_query("Q5").timely_graph().names}
+
+
 class TestBackendSwitching:
     """Under default selection every deployment picks its backend, and
     a run that switches must equal both pinned runs bit for bit."""
@@ -459,23 +491,35 @@ class TestBackendSwitching:
     WIDE = {"flatmap": 4, "count": VECTOR_MIN_WIDTH}
     NARROW = {"flatmap": 2, "count": 3}
 
-    #: (narrow simulator, wide rescale, narrow rescale, crashed
-    #: operator): wordcount, and windowed Q5 whose carry includes
-    #: window buffers and fire backlogs.
+    #: (narrow simulator, runtime, wide rescale, narrow rescale,
+    #: crashed operator): wordcount, windowed Q5 whose carry includes
+    #: window buffers and fire backlogs, and Q5 on Timely, whose
+    #: demand-driven budgets are granted every tick, moving every
+    #: operator from 4 workers to 8 and then to 3.
     CELLS = {
-        "wordcount": (_narrow_wordcount, WIDE, NARROW, "count"),
+        "wordcount": (
+            _narrow_wordcount, _switching_runtime, WIDE, NARROW, "count"
+        ),
         "q5": (
             _narrow_q5,
+            _switching_runtime,
             {"hot_items": VECTOR_MIN_WIDTH + 4},
             {"hot_items": 3},
+            "hot_items",
+        ),
+        "timely-q5": (
+            _timely_q5,
+            _switching_timely,
+            _timely_q5_workers(VECTOR_MIN_WIDTH),
+            _timely_q5_workers(3),
             "hot_items",
         ),
     }
 
     def _run(self, cell, backend):
-        make_sim, wide, narrow, crashed = self.CELLS[cell]
+        make_sim, runtime, wide, narrow, crashed = self.CELLS[cell]
         sim = make_sim(
-            _switching_runtime(),
+            runtime(),
             backend,
             tick=0.5,
             cost_jitter=0.1,
@@ -505,6 +549,8 @@ class TestBackendSwitching:
         backends.append(sim.backend)
         phase()
         trace.append(sim.record_latency.distribution.quantile(0.99))
+        if sim.epoch_latency is not None:
+            trace.append(sim.epoch_latency.distribution.quantile(0.99))
         return trace, backends
 
     @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -614,13 +660,13 @@ def _corrupt(sim, corruption):
     ``("backlog", operator, index)`` makes that fire backlog -1."""
     kind, name, *where = corruption
     if sim.backend == "object":
-        instance = sim._obj_instances[name][where[-1]]
+        instance = sim._engine._instances[name][where[-1]]
         if kind == "pushed":
             instance.ports[where[0]]._pushed += 1000.0
         else:
             instance.fire_backlog = -1.0
         return
-    op = sim._vec._ops[name]
+    op = sim._engine._ops[name]
     if kind == "pushed":
         op.q_pushed[op.port_index[where[0]], where[-1]] += 1000.0
     else:
@@ -674,7 +720,7 @@ class TestInvariantViolations:
             for corruption in corruptions:
                 _corrupt(sim, corruption)
             with pytest.raises(EngineError) as raised:
-                sim._check_invariants()
+                sim._engine.check_invariants()
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
@@ -685,8 +731,8 @@ def assert_arena_aliased(sim):
     portless operators skip the queue fields)."""
     import numpy as np
 
-    engine = sim._vec
-    assert engine is not None
+    engine = sim._engine
+    assert sim.backend == "vector"
     arena = engine._arena
     for op in engine._ops.values():
         fields = [
@@ -722,16 +768,16 @@ class TestArena:
         sim.rescale({"hot_items": VECTOR_MIN_WIDTH + 4})
         assert sim.backend == "vector"
         assert_arena_aliased(sim)
-        window = sim._vec._ops["hot_items"]
+        window = sim._engine._ops["hot_items"]
         assert not window.spec.window.staggered
         next_fire = window.win_next_fire
         sim.run_for(5.0)
         assert window.win_next_fire > next_fire
         assert float(window.fire_backlog.max()) > 0
         assert_arena_aliased(sim)
-        before = sim._vec._arena
+        before = sim._engine._arena
         sim.fail_instance("hot_items", 3)
-        assert sim._vec._arena is not before
+        assert sim._engine._arena is not before
         assert_arena_aliased(sim)
         sim.run_for(5.0)
         assert_arena_aliased(sim)
@@ -779,7 +825,7 @@ def arena_fingerprint(sim):
     object-backend run is laid out the same way."""
     order = sim.graph.topological_order()
     if sim.backend == "vector":
-        arena = sim._vec._arena
+        arena = sim._engine._arena
         cells = [
             buffer.tolist()
             for buffer in (
@@ -793,7 +839,7 @@ def arena_fingerprint(sim):
     else:
         cells = [[], [], [], [], []]
         for name in order:
-            instances = sim._obj_instances[name]
+            instances = sim._engine._instances[name]
             for port in sim.graph.upstream(name):
                 queues = [inst.ports[port] for inst in instances]
                 cells[0] += [queue.length for queue in queues]
@@ -872,7 +918,7 @@ class TestScalarPaths:
     @staticmethod
     def _scalar_ops(sim):
         return {
-            name for name, op in sim._vec._ops.items() if op.scalar
+            name for name, op in sim._engine._ops.items() if op.scalar
         }
 
     def test_source_into_wide_bounded_operator(self):
@@ -914,7 +960,7 @@ class TestScalarPaths:
             sim = self._filling_sink(backend)
             sim.run_for(10.0)
             with monkeypatch.context() as patch:
-                for owner in (Simulator, vectorized.VectorEngine):
+                for owner in (ObjectEngine, vectorized.VectorEngine):
                     patch.setattr(
                         owner,
                         "_downstream_limit",
