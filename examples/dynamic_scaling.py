@@ -14,39 +14,8 @@ Run with::
 """
 
 from repro.experiments.dynamic import run_dynamic_scaling
-from repro.workloads.wordcount import COUNT, FLATMAP, SOURCE
-
-
-def strip_chart(series, width: int = 72, height: int = 12) -> str:
-    """Render a (time, value) series as a coarse ASCII chart."""
-    if not series:
-        return "(no samples)"
-    times = [t for t, _ in series]
-    values = [v for _, v in series]
-    t_min, t_max = min(times), max(times)
-    v_max = max(values) or 1.0
-    # Downsample into `width` buckets of mean value.
-    buckets = [[] for _ in range(width)]
-    for t, v in series:
-        index = min(
-            width - 1, int((t - t_min) / (t_max - t_min + 1e-9) * width)
-        )
-        buckets[index].append(v)
-    levels = [
-        (sum(b) / len(b) / v_max if b else 0.0) for b in buckets
-    ]
-    rows = []
-    for row in range(height, 0, -1):
-        threshold = row / height
-        line = "".join(
-            "#" if level >= threshold else " " for level in levels
-        )
-        rows.append(line)
-    rows.append("-" * width)
-    rows.append(
-        f"0s{' ' * (width - 12)}{t_max:7.0f}s"
-    )
-    return "\n".join(rows)
+from repro.viz import strip_chart
+from repro.workloads.wordcount import COUNT, FLATMAP
 
 
 def main() -> None:

@@ -41,22 +41,29 @@
 #                      on the vector engine backend) must print
 #                      byte-identical output to the committed golden
 #                      table (~8s)
-#  10. paper artifacts (golden files)
+#  10. golden files without numpy, fixed hash seed
+#                    - stages 4, 7, 8 (golden sweep) and 9 again, with
+#                      numpy made unimportable
+#                      (scripts/no_numpy/sitecustomize.py on
+#                      PYTHONPATH, pool workers included) and
+#                      PYTHONHASHSEED=12345: results must not depend
+#                      on numpy's presence or on the hash seed (~15s)
+#  11. paper artifacts (golden files)
 #                    - `repro run <id>` at scale 1, for every entry of
 #                      the paper-artifact registry
 #                      (repro.experiments.artifacts), must print its
 #                      committed benchmarks/output/<file>.txt
 #                      byte for byte (~35s)
-#  11. pytest (REPRO_ENGINE=object)
+#  12. pytest (REPRO_ENGINE=object)
 #                    - tier-1 test suite with every Simulator pinned to
 #                      the per-instance object engine backend
-#  12. pytest (REPRO_ENGINE=vector)
+#  13. pytest (REPRO_ENGINE=vector)
 #                    - the same tier-1 suite on the struct-of-arrays
 #                      engine backend; passing both proves the golden
 #                      trace / scorecard byte-identity oracle holds for
 #                      both backends, whichever one the width rule
 #                      picks (skipped if numpy is missing)
-#  13. pytest (REPRO_ENGINE unset)
+#  14. pytest (REPRO_ENGINE unset)
 #                    - the engine, fault and integration tests with no
 #                      pin, so every deployment picks its backend by
 #                      width and runs that DS2 scales across the
@@ -65,7 +72,7 @@
 # ruff and mypy are optional dev dependencies (`pip install -e .[lint]`).
 # When they are missing the stage is skipped with a notice rather than
 # failing, so the gate is usable in minimal containers; the in-tree
-# stages (3-10) have no third-party dependencies, and stages 3-9 run
+# stages (3-11) have no third-party dependencies, and stages 3-10 run
 # even with --fast.
 
 set -u
@@ -190,6 +197,22 @@ check_golden_table4() {
         | diff -u tests/experiments/golden_table4.txt -
 }
 run_stage "table 4 (golden file)" check_golden_table4
+# Environment-independence gate: the golden-file checks above, re-run
+# in interpreters (pool workers included) where numpy cannot be
+# imported and str hashing uses a fixed non-default seed. The object
+# backend and the pure-Python paths must reproduce every byte.
+check_goldens_without_numpy() (
+    export PYTHONPATH="scripts/no_numpy:${PYTHONPATH}"
+    export PYTHONHASHSEED=12345
+    python -c 'from repro.engine.npcompat import HAVE_NUMPY
+assert not HAVE_NUMPY, "numpy blocker not active"' || exit 1
+    python -m pytest -q tests/telemetry/test_trace_io.py || exit 1
+    check_golden_report || exit 1
+    check_golden_sweep || exit 1
+    check_golden_table4
+)
+run_stage "golden files (no numpy, PYTHONHASHSEED=12345)" \
+    check_goldens_without_numpy
 # Paper-artifact gate: every registered table and figure, run through
 # `repro run <id>` at scale 1, must print exactly the artifact the
 # benchmark emitters committed under benchmarks/output/.

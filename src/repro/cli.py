@@ -2,7 +2,7 @@
 
 Commands:
 
-* ``list-queries`` — the Nexmark workload registry (paper + extended).
+* ``list-queries`` — the Nexmark queries the paper evaluates.
 * ``list-experiments`` — the reproducible tables/figures (the
   registry in :mod:`repro.experiments.artifacts`).
 * ``run <experiment>`` — run one artifact (optionally scaled down) and
@@ -55,23 +55,15 @@ if TYPE_CHECKING:
 # ----------------------------------------------------------------------
 
 def cmd_list_queries(_args: argparse.Namespace) -> int:
-    from repro.workloads.nexmark import ALL_QUERIES, EXTENDED_QUERIES
+    from repro.workloads.nexmark import ALL_QUERIES
 
-    rows = []
-    for query in ALL_QUERIES:
-        rows.append((
-            query.name, "paper", query.description,
-            query.main_operator, query.indicated_flink,
-        ))
-    for query in EXTENDED_QUERIES:
-        rows.append((
-            query.name, "extended", query.description,
-            query.main_operator, query.indicated_flink,
-        ))
     print(format_table(
-        ("query", "suite", "description", "main operator",
-         "optimal parallelism"),
-        rows,
+        ("query", "description", "main operator", "optimal parallelism"),
+        [
+            (query.name, query.description, query.main_operator,
+             query.indicated_flink)
+            for query in ALL_QUERIES
+        ],
     ))
     return 0
 

@@ -28,7 +28,6 @@ from repro.core.learning import (
     ScalingCurveLearner,
 )
 from repro.core.manager import DS2Controller, ManagerConfig
-from repro.core.repository import MetricsRepository
 from repro.core.offline import (
     OperatorProfile,
     microbenchmark_operator,
@@ -51,7 +50,6 @@ __all__ = [
     "LearningDS2Controller",
     "LoopResult",
     "ManagerConfig",
-    "MetricsRepository",
     "ModelEvaluation",
     "Observation",
     "OperatorEstimate",

@@ -41,13 +41,14 @@ def invalid_backoff_reason(
     """The first problem with a backoff parameter triple, or ``None``.
 
     Field names are injectable so each retry policy can report errors
-    in its own vocabulary while sharing the validation rules.
+    in its own vocabulary while sharing the validation rules. Every
+    check is written so that NaN fails it.
     """
-    if base < 1.0:
+    if not base >= 1.0:
         return f"{base_name} must be >= 1"
-    if initial <= 0:
+    if not initial > 0:
         return f"{initial_name} must be > 0"
-    if cap < initial:
+    if not cap >= initial:
         return f"{cap_name} must be >= {initial_name}"
     return None
 

@@ -21,7 +21,6 @@ import abc
 import math
 from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -44,9 +43,6 @@ from repro.telemetry.audit import (
 )
 from repro.telemetry.spans import SpanProfiler, active_profiler
 from repro.telemetry.tracer import Tracer, active_tracer
-
-if TYPE_CHECKING:  # import-cycle guard: repository imports metrics only
-    from repro.core.repository import MetricsRepository
 
 
 @dataclass(frozen=True)
@@ -172,14 +168,6 @@ class LoopResult:
         """Number of reconfigurations applied."""
         return len(self.events)
 
-    def parallelism_trace(self, operator: str) -> List[Tuple[float, int]]:
-        """(time, parallelism) pairs for one operator, one per event."""
-        return [
-            (event.time, event.applied[operator])
-            for event in self.events
-            if operator in event.applied
-        ]
-
 
 class ControlLoop:
     """Closed loop between a simulated job and a scaling controller."""
@@ -191,7 +179,6 @@ class ControlLoop:
         policy_interval: float,
         scalable_operators: Optional[Tuple[str, ...]] = None,
         tick_observer: Optional[Callable[[TickStats], None]] = None,
-        repository: Optional["MetricsRepository"] = None,
         retry: Optional[RetryConfig] = RetryConfig(),
         tracer: Optional[Tracer] = None,
         audit: bool = True,
@@ -208,10 +195,6 @@ class ControlLoop:
                 to ignore").
             tick_observer: Optional callback invoked with every
                 :class:`TickStats` (used to build time series).
-            repository: Optional metrics repository (paper Figure 5);
-                every collected window is reported into it, giving
-                policies access to bounded history (lookback merging,
-                per-operator scaling history).
             retry: Backoff schedule for reconfigurations the runtime
                 rejects (:class:`~repro.errors.ReconfigurationError`);
                 None propagates the first failure's record and never
@@ -224,8 +207,11 @@ class ControlLoop:
             audit: Record a :class:`~repro.telemetry.DecisionAudit`
                 per policy invocation into ``result.audits``.
         """
-        if policy_interval <= 0:
-            raise PolicyError("policy_interval must be > 0")
+        if not 0.0 < policy_interval < math.inf:
+            raise PolicyError(
+                f"policy_interval must be finite and > 0, "
+                f"got {policy_interval!r}"
+            )
         self._sim = simulator
         self._controller = controller
         self._interval = policy_interval
@@ -238,7 +224,6 @@ class ControlLoop:
         if unknown:
             raise PolicyError(f"unknown scalable operators {sorted(unknown)}")
         self._tick_observer = tick_observer
-        self._repository = repository
         self._retry = retry
         self._tracer = tracer if tracer is not None else active_tracer()
         self._profiler: SpanProfiler = active_profiler()
@@ -277,10 +262,6 @@ class ControlLoop:
             self._invoke_policy()
         return self.result
 
-    @property
-    def repository(self) -> Optional["MetricsRepository"]:
-        return self._repository
-
     def _invoke_policy(self) -> None:
         profiled = self._profiler.enabled
         if profiled:
@@ -288,8 +269,6 @@ class ControlLoop:
         try:
             window = self._sim.collect_metrics()
             self.result.windows.append(window)
-            if self._repository is not None:
-                self._repository.report(window)
             observation = Observation(
                 time=self._sim.time,
                 window=window,

@@ -101,9 +101,9 @@ class ManagerConfig:
     max_window_age_intervals: Optional[int] = 2
 
     def __post_init__(self) -> None:
-        if self.warmup_intervals < 0:
+        if not self.warmup_intervals >= 0:
             raise PolicyError("warmup_intervals must be >= 0")
-        if self.activation_intervals < 1:
+        if not self.activation_intervals >= 1:
             raise PolicyError("activation_intervals must be >= 1")
         if not 0.0 < self.target_ratio <= 1.0:
             raise PolicyError("target_ratio must be in (0, 1]")
@@ -111,18 +111,18 @@ class ManagerConfig:
             raise PolicyError(
                 "activation_aggregate must be 'median' or 'max'"
             )
-        if self.suppress_minor_change < 0:
+        if not self.suppress_minor_change >= 0:
             raise PolicyError("suppress_minor_change must be >= 0")
         if not 0.0 < self.degradation_factor <= 1.0:
             raise PolicyError("degradation_factor must be in (0, 1]")
         if (
             self.max_useless_decisions is not None
-            and self.max_useless_decisions < 1
+            and not self.max_useless_decisions >= 1
         ):
             raise PolicyError("max_useless_decisions must be >= 1")
-        if self.max_rate_compensation < 1.0:
+        if not self.max_rate_compensation >= 1.0:
             raise PolicyError("max_rate_compensation must be >= 1")
-        if self.skew_imbalance_threshold < 1.0:
+        if not self.skew_imbalance_threshold >= 1.0:
             raise PolicyError("skew_imbalance_threshold must be >= 1")
         if not 0.0 < self.skew_saturation_threshold <= 1.0:
             raise PolicyError(
@@ -132,7 +132,7 @@ class ManagerConfig:
             raise PolicyError("min_completeness must be in [0, 1]")
         if (
             self.max_window_age_intervals is not None
-            and self.max_window_age_intervals < 1
+            and not self.max_window_age_intervals >= 1
         ):
             raise PolicyError("max_window_age_intervals must be >= 1")
 

@@ -82,21 +82,6 @@ class LogicalGraph:
         self._validate_kinds()
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_chain(cls, operators: Sequence[OperatorSpec]) -> "LogicalGraph":
-        """Build a linear pipeline source -> op -> ... -> sink."""
-        if len(operators) < 2:
-            raise GraphError("a chain needs at least two operators")
-        edges = [
-            Edge(upstream=a.name, downstream=b.name)
-            for a, b in zip(operators, operators[1:])
-        ]
-        return cls(operators=operators, edges=edges)
-
-    # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
 
@@ -246,58 +231,6 @@ class LogicalGraph:
             and not self._operators[name].is_sink
             and self._operators[name].data_parallel
         )
-
-    def adjacency(self) -> Dict[str, Dict[str, bool]]:
-        """Adjacency as nested dicts: ``adj[i][j]`` is True iff i -> j."""
-        adj: Dict[str, Dict[str, bool]] = {
-            i: {j: False for j in self._operators} for i in self._operators
-        }
-        for edge in self._edges:
-            adj[edge.upstream][edge.downstream] = True
-        return adj
-
-    def paths_from_sources(self, name: str) -> List[Tuple[str, ...]]:
-        """All simple paths from any source to ``name`` (used by the
-        latency estimator). Exponential in pathological graphs, fine for
-        the small query graphs used here."""
-        self.operator(name)
-        paths: List[Tuple[str, ...]] = []
-
-        def walk(current: str, suffix: Tuple[str, ...]) -> None:
-            ups = self._upstream[current]
-            if not ups:
-                paths.append((current,) + suffix)
-                return
-            for up in ups:
-                walk(up, (current,) + suffix)
-
-        walk(name, ())
-        return paths
-
-    def expected_selectivity_to(self, name: str) -> float:
-        """Expected output records observed at operator ``name`` per
-        source record, summed over all sources.
-
-        Computed by propagating long-run selectivities along the DAG:
-        ``arrival(op) = sum(arrival(u) * long_run_selectivity(u))`` over
-        its upstreams, with ``arrival(source) = 1`` per source record of
-        that source. Used for epoch-latency bookkeeping.
-        """
-        spec = self.operator(name)
-        if spec.is_source:
-            return 1.0
-        arrivals: Dict[str, float] = {}
-        for op_name in self._topo_order:
-            op = self._operators[op_name]
-            if op.is_source:
-                arrivals[op_name] = 1.0
-                continue
-            total = 0.0
-            for up in self._upstream[op_name]:
-                up_spec = self._operators[up]
-                total += arrivals[up] * up_spec.long_run_selectivity
-            arrivals[op_name] = total
-        return arrivals[name]
 
     def __contains__(self, name: object) -> bool:
         return name in self._operators

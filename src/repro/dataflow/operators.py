@@ -103,18 +103,6 @@ class CostModel:
         overhead = 1.0 + self.coordination_alpha * (parallelism - 1)
         return self.base_cost * overhead
 
-    def scaled(self, factor: float) -> "CostModel":
-        """Return a copy with every per-record cost multiplied by
-        ``factor`` (used e.g. to model instrumentation overhead)."""
-        if factor < 0:
-            raise ValueError("factor must be >= 0")
-        return CostModel(
-            processing_cost=self.processing_cost * factor,
-            deserialization_cost=self.deserialization_cost * factor,
-            serialization_cost=self.serialization_cost * factor,
-            coordination_alpha=self.coordination_alpha,
-        )
-
 
 @dataclass(frozen=True)
 class Selectivity:

@@ -101,24 +101,6 @@ class LatencyDistribution:
         )
         return above / total
 
-    def cdf_points(
-        self, points: int = 50
-    ) -> List[Tuple[float, float]]:
-        """``points`` evenly-spaced (latency, cumulative_fraction) pairs
-        suitable for plotting a CDF."""
-        ordered = self._ensure_sorted()
-        if not ordered:
-            return []
-        total = self.total_weight
-        result: List[Tuple[float, float]] = []
-        running = 0.0
-        step = max(1, len(ordered) // points)
-        for index, sample in enumerate(ordered):
-            running += sample.weight
-            if index % step == 0 or index == len(ordered) - 1:
-                result.append((sample.latency, running / total))
-        return result
-
 
 class RecordLatencyTracker:
     """Per-record latency estimation from instantaneous queue delays."""

@@ -74,20 +74,7 @@ def latency_summary(
     return " ".join(parts)
 
 
-def cdf_table(
-    distribution: LatencyDistribution, points: int = 10
-) -> str:
-    """A small CDF table (latency in ms vs cumulative fraction)."""
-    if len(distribution) == 0:
-        return "no samples"
-    rows = []
-    for q in [i / points for i in range(1, points + 1)]:
-        rows.append((f"{q:.0%}", f"{distribution.quantile(q) * 1000:.1f}"))
-    return format_table(("fraction", "latency (ms)"), rows)
-
-
 __all__ = [
-    "cdf_table",
     "format_rate",
     "format_steps",
     "format_table",

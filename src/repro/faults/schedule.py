@@ -101,18 +101,6 @@ class FaultSchedule:
             hash((self._seed, index, round(salt * 1000)))
         )
 
-    def one_shots_between(
-        self, after: float, upto: float
-    ) -> List[FaultEvent]:
-        """One-shot events with ``after < time <= upto`` (fired when the
-        injected clock passes them)."""
-        return [
-            event
-            for event in self._events
-            if isinstance(event, ONE_SHOT_TYPES)
-            and after < event.time <= upto
-        ]
-
     def active(
         self, now: float, kind: Optional[Type[E]] = None
     ) -> List[FaultEvent]:

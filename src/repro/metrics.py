@@ -105,16 +105,6 @@ class InstanceCounters:
             observed_time=self.observed_time + other.observed_time,
         )
 
-    @classmethod
-    def zero(cls, observed_time: float = 0.0) -> "InstanceCounters":
-        return cls(
-            records_pulled=0.0,
-            records_pushed=0.0,
-            useful_time=0.0,
-            waiting_time=0.0,
-            observed_time=observed_time,
-        )
-
 
 @dataclass(frozen=True)
 class OperatorHealth:
@@ -299,27 +289,6 @@ class MetricsWindow:
             self.instances[iid].cpu_utilization for iid in instance_ids
         ) / len(instance_ids)
 
-    def instance_imbalance(self, operator: str) -> float:
-        """Ratio of the highest to the mean per-instance observed
-        processing rate — a cheap data-skew indicator.
-
-        DS2 collects metrics per operator instance, so skew detection
-        "can be effortlessly implemented by the Manager" (paper section
-        4.2): with balanced keys every instance sees roughly its fair
-        share, so the ratio stays near 1; a hot instance pushes it up.
-        Returns 1.0 when nothing was processed.
-        """
-        rates = [
-            self.instances[iid].observed_processing_rate or 0.0
-            for iid in self.instances_of(operator)
-        ]
-        if not rates:
-            raise MetricsError(f"no instances reported for {operator!r}")
-        mean = sum(rates) / len(rates)
-        if mean <= 0:
-            return 1.0
-        return max(rates) / mean
-
     def utilization_imbalance(self, operator: str) -> Tuple[float, float]:
         """(max_utilization, max/mean utilization ratio) across an
         operator's instances.
@@ -369,32 +338,6 @@ def downtime_seconds(windows: Iterable[MetricsWindow]) -> float:
     return sum(w.outage_fraction * w.duration for w in windows)
 
 
-def mean_source_shortfall(
-    windows: Iterable[MetricsWindow],
-    target_rates: Mapping[str, float],
-) -> float:
-    """Mean relative shortfall of observed source rates vs targets.
-
-    For each window and each source in ``target_rates``, the shortfall
-    is ``max(0, 1 - observed/target)`` — how far the job fell below the
-    offered load; rates above target (backlog drain) do not count as
-    error. Returns the mean over all (window, source) pairs, 0.0 when
-    there is nothing to score.
-    """
-    shortfalls: List[float] = []
-    for window in windows:
-        for name, target in target_rates.items():
-            if target <= 0:
-                continue
-            observed = window.source_observed_rates.get(name)
-            if observed is None:
-                continue
-            shortfalls.append(max(0.0, 1.0 - observed / target))
-    if not shortfalls:
-        return 0.0
-    return sum(shortfalls) / len(shortfalls)
-
-
 def merge_windows(windows: Iterable[MetricsWindow]) -> MetricsWindow:
     """Merge adjacent metric windows into one (counters summed, health
     taken from the latest window)."""
@@ -434,7 +377,6 @@ __all__ = [
     "MetricsWindow",
     "OperatorHealth",
     "downtime_seconds",
-    "mean_source_shortfall",
     "merge_windows",
     "MIN_USEFUL_FRACTION",
 ]

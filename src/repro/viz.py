@@ -1,15 +1,13 @@
-"""Terminal visualization and data export for experiment results.
+"""Terminal visualization for experiment results.
 
 A reproduction is only useful if its results can be *looked at*. This
 module renders time series and latency CDFs as ASCII charts (the
-dependency-free equivalent of the paper's matplotlib figures) and
-exports them as CSV/JSON for external plotting.
+dependency-free equivalent of the paper's matplotlib figures).
 """
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.engine.latency import LatencyDistribution
 from repro.errors import ReproError
@@ -116,33 +114,7 @@ def cdf_chart(
     return "\n".join(lines)
 
 
-def series_to_csv(series: Series, out: TextIO, header=("time", "value")):
-    """Write a (time, value) series as CSV."""
-    out.write(",".join(header) + "\n")
-    for t, v in series:
-        out.write(f"{t},{v}\n")
-
-
-def series_to_json(series: Series) -> str:
-    """Serialize a (time, value) series as a JSON array of pairs."""
-    return json.dumps([[t, v] for t, v in series])
-
-
-def cdf_to_csv(
-    distribution: LatencyDistribution,
-    out: TextIO,
-    points: int = 100,
-) -> None:
-    """Write a latency CDF as CSV (latency, cumulative_fraction)."""
-    out.write("latency,fraction\n")
-    for latency, fraction in distribution.cdf_points(points):
-        out.write(f"{latency},{fraction}\n")
-
-
 __all__ = [
     "cdf_chart",
-    "cdf_to_csv",
-    "series_to_csv",
-    "series_to_json",
     "strip_chart",
 ]

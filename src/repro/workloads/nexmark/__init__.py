@@ -24,21 +24,15 @@ from repro.workloads.nexmark.queries import (
     NexmarkQuery,
     get_query,
 )
-from repro.workloads.nexmark.queries_ext import (
-    EXTENDED_QUERIES,
-    get_extended_query,
-)
 
 __all__ = [
     "ALL_QUERIES",
     "Auction",
     "Bid",
-    "EXTENDED_QUERIES",
     "Event",
     "GeneratorConfig",
     "NexmarkGenerator",
     "NexmarkQuery",
     "Person",
-    "get_extended_query",
     "get_query",
 ]

@@ -18,7 +18,7 @@ from repro.workloads.nexmark.generator import (
     GeneratorConfig,
     NexmarkGenerator,
 )
-from repro.workloads.nexmark.model import Auction, Bid, Person
+from repro.workloads.nexmark.model import Bid, Person
 from repro.workloads.nexmark.queries import (
     Q2_PASS_RATIO,
     Q3_PERSON_PASS,
@@ -29,7 +29,6 @@ from repro.workloads.nexmark.semantics import (
     q2_selection,
     q3_local_item_suggestion,
 )
-from repro.workloads.nexmark.semantics_ext import q9_winning_bids
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ def measure_selectivities(
     )
     events = generator.take(events_count)
     persons = [e for e in events if isinstance(e, Person)]
-    auctions = [e for e in events if isinstance(e, Auction)]
     bids = [e for e in events if isinstance(e, Bid)]
 
     checks: List[SelectivityCheck] = []
@@ -94,18 +92,6 @@ def measure_selectivities(
         operator="person_filter",
         configured=Q3_PERSON_PASS,
         measured=len(local) / len(persons),
-    ))
-
-    # Q9: fraction of auctions closing with a valid winner — the
-    # extended dataflow's join selectivity relative to auctions.
-    winners = q9_winning_bids(auctions, bids)
-    from repro.workloads.nexmark.queries_ext import Q9_WIN_RATIO
-
-    checks.append(SelectivityCheck(
-        query="Q9",
-        operator="winning_bids",
-        configured=Q9_WIN_RATIO,
-        measured=len(winners) / len(auctions),
     ))
     return checks
 

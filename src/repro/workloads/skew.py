@@ -20,11 +20,7 @@ from typing import Dict, Optional
 
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import Partitioner, PhysicalPlan
-from repro.workloads.wordcount import (
-    COUNT,
-    flink_wordcount_graph,
-    heron_wordcount_graph,
-)
+from repro.workloads.wordcount import COUNT
 
 #: Skew levels evaluated in the paper.
 PAPER_SKEW_LEVELS = (0.2, 0.5, 0.7)
@@ -46,33 +42,7 @@ def skewed_wordcount_plan(
     )
 
 
-def heron_skewed_wordcount(
-    skew: float, initial_parallelism: Optional[Dict[str, int]] = None
-) -> PhysicalPlan:
-    """The section 4.2.3 setup: the Dhalion benchmark with skewed
-    word keys, starting under-provisioned."""
-    graph = heron_wordcount_graph()
-    parallelism = initial_parallelism or {name: 1 for name in graph.names}
-    return skewed_wordcount_plan(graph, parallelism, skew)
-
-
-def flink_skewed_wordcount(
-    skew: float,
-    initial_parallelism: Optional[Dict[str, int]] = None,
-    max_parallelism: int = 36,
-) -> PhysicalPlan:
-    """The Flink variant of the skewed wordcount (the paper ran the
-    skew experiment on Flink)."""
-    graph = flink_wordcount_graph()
-    parallelism = initial_parallelism or {name: 1 for name in graph.names}
-    return skewed_wordcount_plan(
-        graph, parallelism, skew, max_parallelism=max_parallelism
-    )
-
-
 __all__ = [
     "PAPER_SKEW_LEVELS",
-    "flink_skewed_wordcount",
-    "heron_skewed_wordcount",
     "skewed_wordcount_plan",
 ]

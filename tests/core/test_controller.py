@@ -134,7 +134,7 @@ class TestControlLoop:
                 scalable_operators=("ghost",),
             )
 
-    def test_parallelism_trace(self, chain_graph):
+    def test_applied_parallelism_in_order(self, chain_graph):
         # A decision arriving while a redeploy is in flight is dropped,
         # so script the second action for after the first outage ends.
         ctrl = ScriptedController(
@@ -143,8 +143,9 @@ class TestControlLoop:
         sim = simulator(chain_graph)
         loop = ControlLoop(sim, ctrl, policy_interval=10.0)
         result = loop.run(200.0)
-        trace = result.parallelism_trace("worker")
-        assert [value for _, value in trace] == [2, 4]
+        assert [event.applied["worker"] for event in result.events] == [
+            2, 4,
+        ]
 
     def test_event_reports_pending_parallelism_during_outage(
         self, chain_graph

@@ -6,8 +6,6 @@ from repro.dataflow.graph import Edge, LogicalGraph
 from repro.dataflow.operators import (
     CostModel,
     RateSchedule,
-    filter_operator,
-    flatmap,
     join,
     map_operator,
     sink,
@@ -32,15 +30,6 @@ class TestConstruction:
         )
         assert len(graph) == 3
         assert "m" in graph
-
-    def test_from_chain_builds_edges(self):
-        graph = LogicalGraph.from_chain([_src(), _map("m"), sink("k")])
-        assert graph.downstream("src") == ("m",)
-        assert graph.downstream("m") == ("k",)
-
-    def test_from_chain_needs_two_operators(self):
-        with pytest.raises(GraphError):
-            LogicalGraph.from_chain([_src()])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
@@ -183,41 +172,6 @@ class TestTraversal:
         assert "src" not in scalable
         assert "snk" not in scalable
         assert set(scalable) == {"left", "right", "merge"}
-
-    def test_adjacency_matches_edges(self, diamond_graph):
-        adjacency = diamond_graph.adjacency()
-        assert adjacency["src"]["left"]
-        assert adjacency["src"]["right"]
-        assert not adjacency["left"]["right"]
-        assert not adjacency["snk"]["src"]
-
-    def test_paths_from_sources(self, diamond_graph):
-        paths = diamond_graph.paths_from_sources("snk")
-        assert sorted(paths) == [
-            ("src", "left", "merge", "snk"),
-            ("src", "right", "merge", "snk"),
-        ]
-
-    def test_expected_selectivity_chain(self):
-        ops = [
-            _src(),
-            flatmap("f", costs=CostModel(processing_cost=1e-6),
-                    selectivity=20.0),
-            filter_operator("g", costs=CostModel(processing_cost=1e-6),
-                            pass_ratio=0.5),
-            sink("k"),
-        ]
-        graph = LogicalGraph.from_chain(ops)
-        # Each source record -> 20 words -> 10 pass the filter.
-        assert graph.expected_selectivity_to("k") == pytest.approx(10.0)
-
-    def test_expected_selectivity_diamond_sums_paths(
-        self, diamond_graph
-    ):
-        # left passes 1.0, right passes 0.5, merge emits 1 per input.
-        assert diamond_graph.expected_selectivity_to(
-            "merge"
-        ) == pytest.approx(1.5)
 
     def test_repr_contains_operators(self, chain_graph):
         assert "worker" in repr(chain_graph)

@@ -44,21 +44,6 @@ class TestMultiInputTopologies:
         assert set(graph.downstream("w")) == {"k1", "k2"}
         assert graph.sinks() == ("k1", "k2")
 
-    def test_expected_selectivity_per_sink(self):
-        graph = multi_stage_graph()
-        # Per source record of either source: join keeps 0.5, window
-        # emits 0.1 per buffered record -> 0.05 at each sink; the
-        # graph-level expectation sums over both sources.
-        assert graph.expected_selectivity_to("k1") == pytest.approx(
-            2 * 0.5 * 0.1
-        )
-
-    def test_paths_enumerate_both_sources(self):
-        graph = multi_stage_graph()
-        paths = graph.paths_from_sources("k1")
-        starts = {path[0] for path in paths}
-        assert starts == {"s1", "s2"}
-
     def test_window_with_two_inputs_allowed(self):
         graph = LogicalGraph(
             [

@@ -146,21 +146,6 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(processing_cost=1e-6).effective_cost(0)
 
-    def test_scaled_multiplies_each_component(self):
-        costs = CostModel(
-            processing_cost=2e-6,
-            deserialization_cost=1e-6,
-            serialization_cost=1e-6,
-            coordination_alpha=0.05,
-        )
-        doubled = costs.scaled(2.0)
-        assert doubled.base_cost == pytest.approx(8e-6)
-        assert doubled.coordination_alpha == 0.05
-
-    def test_scaled_rejects_negative_factor(self):
-        with pytest.raises(ValueError):
-            CostModel(processing_cost=1e-6).scaled(-1.0)
-
 
 class TestSelectivity:
     def test_outputs_for(self):

@@ -63,17 +63,6 @@ class TestLatencyDistribution:
         assert dist.fraction_above(1.0) == pytest.approx(0.5)
         assert dist.fraction_above(10.0) == 0.0
 
-    def test_cdf_points_monotone(self):
-        dist = LatencyDistribution()
-        for value in range(100):
-            dist.add(float(value))
-        points = dist.cdf_points(points=10)
-        latencies = [p[0] for p in points]
-        fractions = [p[1] for p in points]
-        assert latencies == sorted(latencies)
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
-
     def test_zero_weight_ignored(self):
         dist = LatencyDistribution()
         dist.add(1.0, weight=0.0)

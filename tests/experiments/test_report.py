@@ -5,7 +5,6 @@ import pytest
 from repro.engine.latency import LatencyDistribution
 from repro.errors import ReproError
 from repro.experiments.report import (
-    cdf_table,
     format_rate,
     format_steps,
     format_table,
@@ -53,11 +52,3 @@ class TestFormatters:
 
     def test_latency_summary_empty(self):
         assert latency_summary(LatencyDistribution()) == "no samples"
-
-    def test_cdf_table(self):
-        dist = LatencyDistribution()
-        for v in range(10):
-            dist.add(v / 100.0)
-        text = cdf_table(dist, points=5)
-        assert "latency (ms)" in text
-        assert "100%" in text

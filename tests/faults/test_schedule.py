@@ -28,14 +28,6 @@ class TestFaultSchedule:
         with pytest.raises(FaultInjectionError):
             FaultSchedule(["crash@10:a"])  # strings must be parsed
 
-    def test_one_shots_between(self):
-        crash = InstanceCrash(time=50.0, operator="b")
-        dropout = MetricDropout(time=40.0, duration=100.0, operator="a")
-        schedule = FaultSchedule([crash, dropout])
-        assert schedule.one_shots_between(0.0, 49.0) == []
-        assert schedule.one_shots_between(0.0, 50.0) == [crash]
-        assert schedule.one_shots_between(50.0, 60.0) == []
-
     def test_active_filters_by_kind(self):
         dropout = MetricDropout(time=10.0, duration=10.0, operator="a")
         lag = MetricLag(time=15.0, duration=10.0)

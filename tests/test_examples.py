@@ -34,19 +34,3 @@ class TestExampleScripts:
         )
         assert proc.returncode == 0, proc.stderr
         assert "flatmap=10, count=20" in proc.stdout
-
-    def test_strip_chart_renders(self):
-        sys.path.insert(0, str(EXAMPLES))
-        try:
-            from dynamic_scaling import strip_chart
-        finally:
-            sys.path.pop(0)
-        chart = strip_chart(
-            [(float(t), float(t % 7)) for t in range(100)],
-            width=40,
-            height=5,
-        )
-        lines = chart.splitlines()
-        assert len(lines) == 7
-        assert any("#" in line for line in lines)
-        assert strip_chart([]) == "(no samples)"

@@ -79,11 +79,6 @@ class TestInstanceCounters:
         assert merged.useful_time == 6.0
         assert merged.observed_time == 20.0
 
-    def test_zero_factory(self):
-        z = InstanceCounters.zero(observed_time=5.0)
-        assert z.records_pulled == 0.0
-        assert z.observed_time == 5.0
-
 
 class TestOperatorHealth:
     def test_validation(self):
@@ -169,20 +164,6 @@ class TestMetricsWindow:
             ("op", 1): (1.0, 1.0, 5.0),
         })
         assert window.cpu_utilization("op") == pytest.approx(0.75)
-
-    def test_instance_imbalance_balanced(self):
-        window = make_window({
-            ("op", 0): (100.0, 0.0, 1.0),
-            ("op", 1): (100.0, 0.0, 1.0),
-        })
-        assert window.instance_imbalance("op") == pytest.approx(1.0)
-
-    def test_instance_imbalance_hot_instance(self):
-        window = make_window({
-            ("op", 0): (300.0, 0.0, 1.0),
-            ("op", 1): (100.0, 0.0, 1.0),
-        })
-        assert window.instance_imbalance("op") == pytest.approx(1.5)
 
     def test_utilization_imbalance(self):
         window = make_window({

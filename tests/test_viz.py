@@ -1,19 +1,10 @@
-"""Tests for the terminal visualization / export helpers."""
-
-import io
-import json
+"""Tests for the terminal visualization helpers."""
 
 import pytest
 
 from repro.engine.latency import LatencyDistribution
 from repro.errors import ReproError
-from repro.viz import (
-    cdf_chart,
-    cdf_to_csv,
-    series_to_csv,
-    series_to_json,
-    strip_chart,
-)
+from repro.viz import cdf_chart, strip_chart
 
 
 @pytest.fixture
@@ -85,26 +76,3 @@ class TestCdfChart:
         # the top row (100%) has the fewest filled columns.
         assert fills == sorted(fills)
 
-
-class TestExport:
-    def test_series_to_csv(self, ramp_series):
-        buffer = io.StringIO()
-        series_to_csv(ramp_series[:3], buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "time,value"
-        assert lines[1] == "0.0,0.0"
-        assert len(lines) == 4
-
-    def test_series_to_json_roundtrip(self, ramp_series):
-        data = json.loads(series_to_json(ramp_series))
-        assert data[10] == [10.0, 10.0]
-
-    def test_cdf_to_csv(self, distribution):
-        buffer = io.StringIO()
-        cdf_to_csv(distribution, buffer, points=10)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "latency,fraction"
-        assert len(lines) > 5
-        # Fractions are monotone.
-        fractions = [float(line.split(",")[1]) for line in lines[1:]]
-        assert fractions == sorted(fractions)

@@ -21,7 +21,7 @@ def checks():
 
 class TestSelectivityConsistency:
     def test_all_queries_checked(self, checks):
-        assert {c.query for c in checks} >= {"Q1", "Q2", "Q3", "Q9"}
+        assert {c.query for c in checks} == {"Q1", "Q2", "Q3"}
 
     def test_configured_matches_measured(self, checks):
         for check in checks:

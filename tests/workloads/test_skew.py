@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.workloads.skew import (
-    PAPER_SKEW_LEVELS,
-    flink_skewed_wordcount,
-    heron_skewed_wordcount,
-    skewed_wordcount_plan,
+from repro.workloads.skew import PAPER_SKEW_LEVELS, skewed_wordcount_plan
+from repro.workloads.wordcount import (
+    COUNT,
+    FLATMAP,
+    flink_wordcount_graph,
+    heron_wordcount_graph,
 )
-from repro.workloads.wordcount import COUNT, FLATMAP, heron_wordcount_graph
 
 
 class TestSkewPlans:
@@ -35,9 +35,19 @@ class TestSkewPlans:
         assert all(w == pytest.approx(0.25) for w in weights)
 
     def test_heron_builder_defaults_underprovisioned(self):
-        plan = heron_skewed_wordcount(skew=0.7)
+        graph = heron_wordcount_graph()
+        plan = skewed_wordcount_plan(
+            graph, {name: 1 for name in graph.names}, skew=0.7
+        )
         assert plan.parallelism_of(COUNT) == 1
+        assert plan.input_weights(COUNT) == pytest.approx([1.0])
 
     def test_flink_builder_has_slot_limit(self):
-        plan = flink_skewed_wordcount(skew=0.2)
+        graph = flink_wordcount_graph()
+        plan = skewed_wordcount_plan(
+            graph, {name: 1 for name in graph.names}, skew=0.2,
+            max_parallelism=36,
+        )
         assert plan.max_parallelism == 36
+        weights = plan.with_parallelism({COUNT: 5}).input_weights(COUNT)
+        assert weights[0] == pytest.approx(0.2)
