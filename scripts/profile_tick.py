@@ -6,16 +6,18 @@ Produces the two committed performance artifacts that back
 
 * ``benchmarks/output/profile_tick.txt`` — cProfile hot-function
   tables for the ``object`` and ``vector`` engine backends on the
-  Nexmark Q5 benchmark cell, so regressions show up as a changed
-  ranking rather than a vague slowdown;
+  Nexmark Q5 benchmark cell (a hot key on its windowed operator), so
+  regressions show up as a changed ranking rather than a vague
+  slowdown;
 * ``benchmarks/output/engine_speedup.txt`` — ticks/second for both
   backends across a width sweep, from the narrow Heron wordcount
   deployments of the chaos experiment's recovery replay, through the
-  plans DS2 deploys in the chaos campaign cells, to Q5 at 512 slots.
-  It shows where the struct-of-arrays backend's advantage comes from
-  (the object backend's per-instance Python work scales with
-  parallelism, the vector backend's is near-flat), where the two cross,
-  and which backend the default width rule
+  plans DS2 deploys in the chaos campaign cells, to Q5 at 512 slots,
+  evenly partitioned and with a hot key. It shows where each backend's
+  cost comes from (the object backend's Python work scales with its
+  lanes — one per evenly partitioned operator, one per instance of a
+  skewed one — and the vector backend's is near-flat), where the two
+  cross, and which backend the default width rule
   (:func:`repro.engine.vectorized.width_backend`) picks for a
   deployment of each plan.
 
@@ -41,10 +43,10 @@ import time
 from functools import partial
 from typing import Callable, Dict, List, Tuple
 
-from repro.dataflow.physical import PhysicalPlan
+from repro.dataflow.physical import Partitioner, PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime, HeronRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.engine.vectorized import BACKENDS, width_backend
+from repro.engine.vectorized import BACKENDS, lane_width, width_backend
 from repro.workloads.nexmark import get_query
 from repro.workloads.wordcount import heron_wordcount_graph
 
@@ -56,6 +58,11 @@ OUTPUT_DIR = pathlib.Path(__file__).resolve().parent.parent / (
 #: gives them to the windowed operator).
 SWEEP = (8, 16, 32, 64, 128, 256, 512)
 
+#: Q5 with a hot key: the share of hot_items' input its instance 0
+#: takes, and the slots swept with it.
+HOT_SHARE = 0.5
+HOT_SWEEP = (8, 16, 64, 256)
+
 #: Narrow part of the sweep: Heron wordcount with every operator at
 #: this parallelism, the shape of the chaos recovery replay.
 WORDCOUNT_SWEEP = (1, 2, 4, 8)
@@ -66,13 +73,16 @@ WORDCOUNT_SWEEP = (1, 2, 4, 8)
 CHAOS_SWEEP = ((1, 1), (2, 3), (2, 7), (5, 10), (10, 20))
 
 #: The benchmark cell asserted by
-#: ``benchmarks/test_engine_performance.py`` (>= 5x).
+#: ``benchmarks/test_engine_performance.py`` (>= 5x), with a hot key.
 BENCH_SLOTS = 256
 
 
-def build_simulator(backend: str, slots: int) -> Simulator:
+def build_simulator(
+    backend: str, slots: int, hot_share: float = 0.0
+) -> Simulator:
     """The Q5 benchmark cell: Flink runtime, sliding window, record
-    latency tracking on (the most instrumented configuration)."""
+    latency tracking on (the most instrumented configuration), and
+    ``hot_share`` of hot_items' input on its instance 0 (0 = even)."""
     query = get_query("Q5")
     graph = query.flink_graph()
     parallelism = query.initial_parallelism(graph, slots)
@@ -80,6 +90,7 @@ def build_simulator(backend: str, slots: int) -> Simulator:
         graph,
         parallelism,
         max_parallelism=max(parallelism.values()) + 8,
+        partitioner=Partitioner({"hot_items": hot_share}),
     )
     return Simulator(
         plan,
@@ -136,7 +147,7 @@ def measure_ticks_per_second(sim: Simulator, seconds: float) -> float:
 
 def profile_backend(backend: str, slots: int, virtual: float) -> str:
     """cProfile hot-function table for ``virtual`` simulated seconds."""
-    sim = build_simulator(backend, slots)
+    sim = build_simulator(backend, slots, HOT_SHARE)
     sim.run_for(5.0)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -170,10 +181,16 @@ def scaling_table(seconds: float) -> Tuple[str, float]:
     ] + [
         (f"q5 slots={slots}", partial(build_simulator, slots=slots))
         for slots in SWEEP
+    ] + [
+        (
+            f"q5 hot slots={slots}",
+            partial(build_simulator, slots=slots, hot_share=HOT_SHARE),
+        )
+        for slots in HOT_SWEEP
     ]
     rows: List[str] = []
     rows.append(
-        f"{'cell':<16} {'widest':>6} {'object t/s':>11} "
+        f"{'cell':<16} {'widest':>6} {'lanes':>5} {'object t/s':>11} "
         f"{'vector t/s':>11} {'speedup':>8} {'default':>8}"
     )
     bench_speedup = 0.0
@@ -183,12 +200,13 @@ def scaling_table(seconds: float) -> Tuple[str, float]:
             for backend in BACKENDS
         }
         speedup = tps["vector"] / tps["object"]
-        if label == f"q5 slots={BENCH_SLOTS}":
+        if label == f"q5 hot slots={BENCH_SLOTS}":
             bench_speedup = speedup
         plan = build("object").plan
+        lanes = max(lane_width(plan, name) for name in plan.parallelism)
         rows.append(
             f"{label:<16} {max(plan.parallelism.values()):>6} "
-            f"{tps['object']:>11.0f} {tps['vector']:>11.0f} "
+            f"{lanes:>5} {tps['object']:>11.0f} {tps['vector']:>11.0f} "
             f"{speedup:>7.2f}x {width_backend(plan):>8}"
         )
     return "\n".join(rows), bench_speedup
@@ -213,7 +231,8 @@ def main(argv: List[str]) -> int:
         table = profile_backend(backend, BENCH_SLOTS, virtual)
         sections.append(
             f"== cProfile: backend={backend} nexmark-q5 "
-            f"slots={BENCH_SLOTS} ({virtual:.0f}s virtual) ==\n{table}"
+            f"slots={BENCH_SLOTS} hot_items skew={HOT_SHARE} "
+            f"({virtual:.0f}s virtual) ==\n{table}"
         )
     profile_text = "\n\n".join(sections)
     (OUTPUT_DIR / "profile_tick.txt").write_text(profile_text + "\n")
@@ -228,16 +247,19 @@ def main(argv: List[str]) -> int:
         "count C, sink 1 (plans the chaos\ncampaign cells deploy). "
         "q5 slots=N:\nNexmark Q5 on the Flink runtime, "
         "tick=0.25s, record latency tracking on;\nQ5 gives the N slots "
-        "to the windowed hot_items operator. widest = the\nplan's widest "
-        "operator; default = the backend width_backend picks for a\n"
-        "deployment of it when nothing is pinned.\n"
+        "to the windowed hot_items operator. q5 hot: the same\nwith "
+        f"{HOT_SHARE:g} of hot_items' input on its instance 0. "
+        "widest = the plan's widest\noperator; lanes = the most "
+        "object-engine lanes of an operator (1 when\nit is evenly "
+        "partitioned); default = the backend width_backend picks\nfor "
+        "a deployment of it when nothing is pinned.\n"
     )
     speedup_text = (
         header
         + "\n"
         + table
         + "\n\n"
-        + f"benchmark cell: slots={BENCH_SLOTS}, "
+        + f"benchmark cell: hot slots={BENCH_SLOTS}, "
         f"speedup={bench_speedup:.2f}x (asserted >= 5x by\n"
         "benchmarks/test_engine_performance.py::"
         "test_vector_backend_speedup_q5)"

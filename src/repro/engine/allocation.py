@@ -17,13 +17,17 @@ Used in two places:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
 from repro.errors import EngineError
 
 
-def fair_allocate(total: float, desires: Sequence[float]) -> List[float]:
+def fair_allocate(
+    total: float,
+    desires: Sequence[float],
+    counts: Optional[Sequence[int]] = None,
+) -> List[float]:
     """Split ``total`` units among ``desires`` by water-filling.
 
     Every demand receives at most an equal share of what remains; shares
@@ -32,24 +36,44 @@ def fair_allocate(total: float, desires: Sequence[float]) -> List[float]:
     individual desire.
 
     ``total`` may be ``math.inf`` (everyone gets their full desire).
+
+    ``counts`` makes entry ``i`` stand for ``counts[i]`` equal demands
+    in a row (an engine lane), and the result holds one value per
+    entry: bit for bit what the expanded list would give each of them,
+    because every step that depends on the order (the sum of desires,
+    the ``remaining -= grant`` drain, the active count) is replayed
+    once per demand.
     """
-    if total < 0:
-        raise EngineError("total must be >= 0")
+    # Written so that NaN fails the check: a NaN total would starve
+    # every demand without a word.
+    if not total >= 0:
+        raise EngineError(f"total must be >= 0, got {total!r}")
     desires = [max(0.0, d) for d in desires]
-    if math.isinf(total) or total >= sum(desires):
+    if counts is None:
+        counts = [1] * len(desires)
+    elif len(counts) != len(desires) or any(c < 1 for c in counts):
+        raise EngineError(
+            "counts must hold one entry >= 1 per desire, got "
+            f"{list(counts)!r} for {len(desires)} desires"
+        )
+    if math.isinf(total) or total >= sum(
+        d for d, count in zip(desires, counts) for _ in range(count)
+    ):
         return list(desires)
     allocation = [0.0] * len(desires)
     remaining = total
     active = [i for i, d in enumerate(desires) if d > 0]
     while active and remaining > 1e-12:
-        share = remaining / len(active)
+        width = sum(counts[index] for index in active)
+        share = remaining / width
         next_active = []
         progressed = False
         for index in active:
             want = desires[index] - allocation[index]
             grant = min(share, want)
             allocation[index] += grant
-            remaining -= grant
+            for _ in range(counts[index]):
+                remaining -= grant
             if grant < want - 1e-15:
                 next_active.append(index)
             else:
@@ -57,7 +81,7 @@ def fair_allocate(total: float, desires: Sequence[float]) -> List[float]:
         if not progressed:
             # Every active demand took a full share: the remainder is
             # split evenly and we are done (avoids float residue loops).
-            share = remaining / len(active)
+            share = remaining / width
             for index in active:
                 allocation[index] += share
             remaining = 0.0
@@ -78,8 +102,8 @@ def fair_allocate_batch(total: float, desires: FloatArray) -> FloatArray:
     """
     if not HAVE_NUMPY:
         raise EngineError("fair_allocate_batch requires numpy")
-    if total < 0:
-        raise EngineError("total must be >= 0")
+    if not total >= 0:
+        raise EngineError(f"total must be >= 0, got {total!r}")
     clamped = np.maximum(0.0, np.asarray(desires, dtype=np.float64))
     if math.isinf(total):
         return clamped

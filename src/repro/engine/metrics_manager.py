@@ -31,9 +31,9 @@ layout its engine backend writes fastest: an ``(n, 5)`` float64 array
 (``blocks=True``) that the vectorized backend accumulates the whole
 deployment into once per tick with :meth:`record_block`, or a list of
 per-row float lists that the object backend's scalar
-:meth:`record_row` calls update without numpy scalar indexing. Both
-layouts add the same float64 values in the same order, so a window
-collected from either is bit-identical.
+:meth:`record_rows` calls (one per lane of identical instances) update
+without numpy scalar indexing. Both layouts add the same float64 values
+in the same order, so a window collected from either is bit-identical.
 """
 
 # Object and vector accumulation paths must agree bit for bit, so
@@ -196,6 +196,24 @@ class MetricsManager:
         acc[_PUSHED] += pushed
         acc[_USEFUL] += useful
         acc[_WAITING] += waiting
+
+    def record_rows(
+        self,
+        start: int,
+        stop: int,
+        pulled: float,
+        pushed: float,
+        useful: float,
+        waiting: float,
+    ) -> None:
+        """:meth:`record_row` with the same values for every row of
+        ``[start, stop)``: the object engine's lane of identical
+        instances (list layout only)."""
+        for acc in self._acc[start:stop]:
+            acc[_PULLED] += pulled
+            acc[_PUSHED] += pushed
+            acc[_USEFUL] += useful
+            acc[_WAITING] += waiting
 
     def record_block(
         self, start: int, stop: int, counters: FloatArray

@@ -1,16 +1,27 @@
 """Per-instance engine backend (the ``object`` engine).
 
-One :class:`_Instance` per operator instance and per-instance Python
-loops: the reference semantics, cheapest on narrow plans, and no numpy
-needed. :class:`ObjectEngine` answers the same methods as its peer
-:class:`~repro.engine.vectorized.VectorEngine`, which replays its
-float64 operations one for one (see ``docs/engine.md``).
+Python objects and loops: the reference semantics, cheapest on narrow
+plans, and no numpy needed. :class:`ObjectEngine` answers the same
+methods as its peer :class:`~repro.engine.vectorized.VectorEngine`,
+which replays its float64 operations one for one (see
+``docs/engine.md``).
+
+The engine steps *lanes*. An operator whose input the plan partitions
+evenly runs as one :class:`_Instance` with ``count`` = its parallelism:
+its instances start every deployment equal and get equal budgets, so
+they stay equal tick after tick (``docs/performance.md`` gives the
+argument), and one of them stands for all. Every other operator runs
+one ``_Instance`` per instance (``count`` = 1). Each step whose result
+depends on the order of instances — a water-fill, the pushes into a
+downstream queue, a sum — is replayed ``count`` times in instance
+order, so a lane is bit for bit the instances it stands for.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow.operators import OperatorSpec
@@ -18,7 +29,7 @@ from repro.dataflow.physical import InstanceId, PhysicalPlan
 from repro.dataflow.windowing import WindowState
 from repro.engine.allocation import fair_allocate
 from repro.engine.buffers import Queue
-from repro.engine.vectorized import Carry
+from repro.engine.vectorized import Carry, lane_width
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,7 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class _Instance:
-    """Mutable runtime state of one operator instance.
+    """Mutable runtime state of one operator instance, or of a lane of
+    ``count`` identical instances from ``iid`` on.
 
     Input records arrive through per-port queues, one per upstream
     operator — as with Flink's per-channel network buffers, a flooding
@@ -41,6 +53,7 @@ class _Instance:
     ports: Dict[str, Queue]
     window: Optional[WindowState] = None
     fire_backlog: float = 0.0
+    count: int = 1
 
     @property
     def total_queue_length(self) -> float:
@@ -76,10 +89,31 @@ class _Instance:
             popped += queue.pop(share)
         return popped
 
+    def snapshot(self, iid: InstanceId) -> "_Instance":
+        """A detached copy of this lane's state as instance ``iid``."""
+        return replace(
+            self,
+            iid=iid,
+            ports={port: copy.copy(q) for port, q in self.ports.items()},
+            window=copy.copy(self.window),
+            count=1,
+        )
+
+
+def _expand(
+    values: Sequence[float], lanes: Sequence[_Instance]
+) -> List[float]:
+    """One value per lane, repeated per instance: the instance order."""
+    return [
+        value
+        for value, lane in zip(values, lanes)
+        for _ in range(lane.count)
+    ]
+
 
 #: Output targets of one operator: (downstream port queue, input
-#: weight, downstream instance) for every downstream instance that
-#: receives records.
+#: weight, downstream lane) for every downstream lane that receives
+#: records.
 _Routes = List[Tuple[Queue, float, InstanceId]]
 
 
@@ -101,10 +135,13 @@ class ObjectEngine:
         self._state = sim.state_model
         self._profiler = sim._profiler
         self._dt = sim.config.tick
-        self._instances: Dict[str, List[_Instance]] = {}
-        # Per deployment: each operator's first metrics row, the
+        # Per deployment: each operator's lanes in instance order and
+        # their counts, its parallelism and first metrics row, the
         # targets of its output, and the input queues of every bounded
         # operator with ports.
+        self._lanes: Dict[str, List[_Instance]] = {}
+        self._counts: Dict[str, List[int]] = {}
+        self._widths: Dict[str, int] = {}
         self._rows: Dict[str, int] = {}
         self._routes: Dict[str, _Routes] = {}
         self._bounded: List[Tuple[str, Tuple[Queue, ...]]] = []
@@ -118,25 +155,38 @@ class ObjectEngine:
         :data:`~repro.engine.vectorized.Carry`), summed instance by
         instance (empty before the first deployment)."""
         carried: Carry = {}
-        for name, instances in self._instances.items():
+        for name, lanes in self._lanes.items():
             per_port: Dict[str, float] = {}
-            for inst in instances:
-                for port, queue in inst.ports.items():
-                    per_port[port] = per_port.get(port, 0.0) + queue.length
+            for lane in lanes:
+                for port, queue in lane.ports.items():
+                    for _ in range(lane.count):
+                        per_port[port] = (
+                            per_port.get(port, 0.0) + queue.length
+                        )
             buffered = 0.0
             backlog = 0.0
-            for inst in instances:
-                if inst.window is not None:
-                    buffered += inst.window.buffered
-                backlog += inst.fire_backlog
+            for lane in lanes:
+                for _ in range(lane.count):
+                    if lane.window is not None:
+                        buffered += lane.window.buffered
+                    backlog += lane.fire_backlog
             carried[name] = (per_port, buffered, backlog)
         return carried
 
     def deploy(self, plan: PhysicalPlan, carried: Carry) -> None:
-        """Build the instances for ``plan`` from the ``carried`` totals
-        of the previous deployment (empty on the first)."""
+        """Build the lanes for ``plan`` from the ``carried`` totals of
+        the previous deployment (empty on the first)."""
         runtime = self._sim.runtime
-        self._instances = {}
+        # A demand-driven runtime may divide shared worker time by the
+        # demands of every operator at once (Timely's per-worker
+        # water-fill): one unevenly partitioned operator then makes
+        # every budget differ by instance, so lanes need an even plan.
+        even = {name: lane_width(plan, name) == 1 for name in self._specs}
+        if runtime.demand_driven and not all(even.values()):
+            even = dict.fromkeys(even, False)
+        self._lanes = {}
+        self._counts = {}
+        self._widths = {}
         self._rows = {}
         row = 0
         for name, spec in self._specs.items():
@@ -147,54 +197,76 @@ class ObjectEngine:
             queued_by_port, buffered, backlog = carried.get(
                 name, ({}, 0.0, 0.0)
             )
-            instances: List[_Instance] = []
-            for index, iid in enumerate(plan.instances(name)):
-                instance = _Instance(
+            count = parallelism if even[name] else 1
+            lanes: List[_Instance] = []
+            for index, iid in enumerate(plan.instances(name)[::count]):
+                weight = weights[index * count]
+                lane = _Instance(
                     iid=iid,
                     spec=spec,
                     ports={
                         port: Queue(capacity=capacity) for port in ports
                     },
+                    count=count,
                 )
                 if spec.window is not None:
-                    instance.window = WindowState(spec=spec.window)
-                    instance.window.reset(self._sim.time)
-                    instance.window.buffered = buffered * weights[index]
+                    lane.window = WindowState(spec=spec.window)
+                    lane.window.reset(self._sim.time)
+                    lane.window.buffered = buffered * weight
                 for port in ports:
-                    instance.ports[port].force_push(
-                        queued_by_port.get(port, 0.0) * weights[index]
+                    lane.ports[port].force_push(
+                        queued_by_port.get(port, 0.0) * weight
                     )
-                instance.fire_backlog = backlog * weights[index]
-                instances.append(instance)
-            self._instances[name] = instances
+                lane.fire_backlog = backlog * weight
+                lanes.append(lane)
+            self._lanes[name] = lanes
+            self._counts[name] = [count] * len(lanes)
+            self._widths[name] = parallelism
             self._rows[name] = row
             row += parallelism
         # Zero-weight instances receive nothing and bound nothing.
         self._routes = {
             name: [
-                (inst.ports[name], weight, inst.iid)
+                (lane.ports[name], weight, lane.iid)
                 for downstream in self._graph.downstream(name)
-                for inst, weight in zip(
-                    self._instances[downstream],
-                    plan.input_weights(downstream),
+                for lane, weight in zip(
+                    self._lanes[downstream],
+                    plan.input_weights(downstream)[
+                        :: self._lanes[downstream][0].count
+                    ],
                 )
                 if weight > 0
             ]
             for name in self._specs
         }
         self._bounded = [
-            (name, tuple(q for i in instances for q in i.ports.values()))
-            for name, instances in self._instances.items()
-            if instances[0].ports
-            and next(iter(instances[0].ports.values())).bounded
+            (name, tuple(q for i in lanes for q in i.ports.values()))
+            for name, lanes in self._lanes.items()
+            if lanes[0].ports
+            and next(iter(lanes[0].ports.values())).bounded
         ]
 
     def grant(
         self, budgets: Dict[str, List[float]]
     ) -> Dict[str, List[float]]:
-        """The runtime's per-operator budget lists, as this engine's
-        tick reads them (unchanged)."""
-        return budgets
+        """The runtime's per-instance budget lists as one budget per
+        lane; raises :class:`EngineError` if the instances of a lane
+        were granted different budgets (a lane could not stand for
+        them)."""
+        granted: Dict[str, List[float]] = {}
+        for name, lanes in self._lanes.items():
+            values = budgets[name]
+            if len(lanes) == len(values):
+                granted[name] = values
+                continue
+            value = values[0]
+            if any(other != value for other in values):
+                raise EngineError(
+                    f"unequal budgets across the instances of {name!r}, "
+                    "which run as one lane"
+                )
+            granted[name] = [value]
+        return granted
 
     # ------------------------------------------------------------------
     # Observability
@@ -202,19 +274,17 @@ class ObjectEngine:
 
     def queue_length(self, name: str) -> float:
         """Total pending records at an operator (all instances)."""
-        return sum(i.pending_records for i in self._instances[name])
+        lanes = self._lanes[name]
+        return sum(_expand([lane.pending_records for lane in lanes], lanes))
 
     def total_queued(self) -> float:
         """Records queued anywhere inside the dataflow."""
-        return sum(
-            inst.pending_records
-            for instances in self._instances.values()
-            for inst in instances
-        )
+        lanes = [lane for group in self._lanes.values() for lane in group]
+        return sum(_expand([lane.pending_records for lane in lanes], lanes))
 
     def max_fill(self, name: str) -> float:
         """Worst port occupancy across the operator's instances."""
-        return max(inst.max_fill_fraction for inst in self._instances[name])
+        return max(lane.max_fill_fraction for lane in self._lanes[name])
 
     def backpressured(self) -> Tuple[str, ...]:
         """Operators with a bounded port at or above the runtime's
@@ -227,67 +297,77 @@ class ObjectEngine:
         )
 
     def check_invariants(self) -> None:
-        """Queue conservation and non-negative fire backlogs."""
-        for instances in self._instances.values():
-            for inst in instances:
-                for queue in inst.ports.values():
+        """Queue conservation and non-negative fire backlogs (the first
+        violating instance of a lane is its first)."""
+        for lanes in self._lanes.values():
+            for lane in lanes:
+                for queue in lane.ports.values():
                     queue.check_conservation()
-                if inst.fire_backlog < -1e-6:
+                if lane.fire_backlog < -1e-6:
                     raise EngineError(
-                        f"negative fire backlog at {inst.iid}"
+                        f"negative fire backlog at {lane.iid}"
                     )
 
     def materialize_instances(self) -> Dict[str, List[_Instance]]:
-        """The live per-operator instances (mutations are the
-        simulation's own state)."""
-        return self._instances
+        """Per-instance snapshots of the lanes, one per instance in
+        index order. Treat them as read-only: mutations do not flow
+        back into the lanes."""
+        return {
+            name: [
+                lane.snapshot(InstanceId(name, lane.iid.index + offset))
+                for lane in lanes
+                for offset in range(lane.count)
+            ]
+            for name, lanes in self._lanes.items()
+        }
 
     # ------------------------------------------------------------------
     # Demand estimation and latency delays
     # ------------------------------------------------------------------
 
-    def _work(self, name: str, instances: List[_Instance]) -> List[float]:
-        """Seconds of pending work per instance of a non-source
-        operator: queue totals times the per-record cost, plus fire
-        backlog times the fire cost at a window operator."""
+    def _work(self, name: str, lanes: List[_Instance]) -> List[float]:
+        """Seconds of pending work per lane of a non-source operator:
+        queue totals times the per-record cost, plus fire backlog times
+        the fire cost at a window operator."""
         sim = self._sim
         if self._specs[name].window is not None:
             assign_cost, fire_cost = sim._window_costs(name)
             return [
-                inst.total_queue_length * assign_cost
-                + inst.fire_backlog * fire_cost
-                for inst in instances
+                lane.total_queue_length * assign_cost
+                + lane.fire_backlog * fire_cost
+                for lane in lanes
             ]
         cost = sim._unit_cost(name)
-        return [inst.total_queue_length * cost for inst in instances]
+        return [lane.total_queue_length * cost for lane in lanes]
 
     def estimate_demands(self, dt: float) -> Dict[str, List[float]]:
         """Seconds of pending work per instance, one list per operator
         in topological order (for shared-worker budget allocation)."""
         sim = self._sim
         demands: Dict[str, List[float]] = {}
-        for name, instances in self._instances.items():
+        for name, lanes in self._lanes.items():
             spec = self._specs[name]
+            parallelism = self._widths[name]
             if spec.is_source:
                 schedule = spec.rate
                 assert schedule is not None
                 rate = schedule.rate_at(sim.time)
                 per_instance = (
                     rate * dt + sim._source_backlog[name]
-                ) / len(instances)
+                ) / parallelism
                 cost = sim._source_cost(name)
-                demands[name] = [per_instance * max(cost, 1e-9)] * len(
-                    instances
+                demands[name] = [per_instance * max(cost, 1e-9)] * (
+                    parallelism
                 )
             else:
-                demands[name] = self._work(name, instances)
+                demands[name] = _expand(self._work(name, lanes), lanes)
         return demands
 
     def operator_delays(self) -> Dict[str, float]:
         """Per-operator drain delays for the record-latency tracker."""
         sim = self._sim
         delays: Dict[str, float] = {}
-        for name, instances in self._instances.items():
+        for name, lanes in self._lanes.items():
             spec = self._specs[name]
             if spec.is_source:
                 # Source delay: time to drain external backlog.
@@ -297,12 +377,11 @@ class ObjectEngine:
                 backlog = sim._source_backlog[name]
                 delays[name] = backlog / rate if rate > 0 else 0.0
                 continue
-            per_instance = self._work(name, instances)
-            delays[name] = max(per_instance) if per_instance else 0.0
+            delays[name] = max(self._work(name, lanes))
         return delays
 
     def record_metrics(self, dt: float) -> None:
-        """Nothing to do: each instance recorded its row as it ran."""
+        """Nothing to do: each lane recorded its rows as it ran."""
 
     # ------------------------------------------------------------------
     # Routing
@@ -318,18 +397,22 @@ class ObjectEngine:
         return limit
 
     @staticmethod
-    def _emit(routes: _Routes, records: float) -> None:
-        """Distribute ``records`` output records of one operator
-        instance across all downstream instance queues."""
+    def _emit(routes: _Routes, records: float, count: int) -> None:
+        """Distribute ``records`` output records of each of ``count``
+        operator instances across all downstream queues, instance by
+        instance, so each queue sees the per-instance push sequence."""
         if records <= 0:
             return
-        for queue, weight, iid in routes:
-            amount = records * weight
-            if queue.push(amount) < amount - 1e-6:
-                raise EngineError(
-                    f"emission overflow into {iid}: the "
-                    "downstream limit computation is inconsistent"
-                )
+        pushes = [
+            (queue, records * weight, iid) for queue, weight, iid in routes
+        ]
+        for _ in range(count):
+            for queue, amount, iid in pushes:
+                if queue.push(amount) < amount - 1e-6:
+                    raise EngineError(
+                        f"emission overflow into {iid}: the "
+                        "downstream limit computation is inconsistent"
+                    )
 
     # ------------------------------------------------------------------
     # Tick work
@@ -359,20 +442,29 @@ class ObjectEngine:
         cost = sim._source_cost(name)
         # Each source instance generates an equal share of the stream;
         # the shared downstream space is divided fairly among them.
-        share = want / len(budgets)
+        share = want / self._widths[name]
         desires = []
         for budget in budgets:
             by_budget = math.inf if cost <= 0 else budget / cost
             desires.append(min(share, by_budget))
-        allocations = fair_allocate(space, desires)
-        record = self._metrics.record_row
+        allocations = fair_allocate(space, desires, self._counts[name])
+        record = self._metrics.record_rows
         row = self._rows[name]
         emitted_total = 0.0
-        for index, emit in enumerate(allocations):
-            self._emit(routes, emit)
+        for lane, emit in zip(self._lanes[name], allocations):
+            self._emit(routes, emit, lane.count)
             useful = min(emit * cost, dt)
-            record(row + index, emit, emit, useful, max(0.0, dt - useful))
-            emitted_total += emit
+            start = row + lane.iid.index
+            record(
+                start,
+                start + lane.count,
+                emit,
+                emit,
+                useful,
+                max(0.0, dt - useful),
+            )
+            for _ in range(lane.count):
+                emitted_total += emit
         sim._source_backlog[name] = max(
             0.0, available - emitted_total
         )
@@ -388,7 +480,7 @@ class ObjectEngine:
         """Run one non-source operator for a tick; returns records
         consumed (meaningful for sinks)."""
         dt = self._dt
-        instances = self._instances[name]
+        lanes = self._lanes[name]
         routes = self._routes[name]
         # Shared downstream space for this operator's emissions this
         # tick, in output records; divided fairly among the instances
@@ -401,14 +493,14 @@ class ObjectEngine:
         # Nothing refills this operator's queues before it runs: its
         # upstream operators come later in the (reverse topological)
         # tick order.
-        totals = [inst.total_queue_length for inst in instances]
+        totals = [lane.total_queue_length for lane in lanes]
         if spec.window is not None:
             profiled = self._profiler.enabled
             if profiled:
                 self._profiler.enter("engine.window_fire")
             try:
                 return self._run_window(
-                    name, spec, instances, totals, budgets, dt,
+                    name, spec, lanes, totals, budgets, dt,
                     end_time, space,
                 )
             finally:
@@ -424,30 +516,31 @@ class ObjectEngine:
         pull_cap = (
             math.inf if selectivity <= 0 else space / selectivity
         )
-        allocations = fair_allocate(pull_cap, desires)
-        record = self._metrics.record_row
+        allocations = fair_allocate(pull_cap, desires, self._counts[name])
+        record = self._metrics.record_rows
         row = self._rows[name]
         consumed_total = 0.0
         processed_all = []
-        for index, (inst, allowed) in enumerate(
-            zip(instances, allocations)
-        ):
-            processed = inst.pop_records(allowed, totals[index])
+        for lane, allowed, total in zip(lanes, allocations, totals):
+            processed = lane.pop_records(allowed, total)
             emit = processed * selectivity
             pushed = 0.0
             if not spec.is_sink and emit > 0:
-                self._emit(routes, emit)
+                self._emit(routes, emit, lane.count)
                 pushed = emit
             useful = min(processed * unit_cost, dt)
+            start = row + lane.iid.index
             record(
-                row + index,
+                start,
+                start + lane.count,
                 processed,
                 pushed,
                 useful,
                 max(0.0, dt - useful),
             )
-            processed_all.append(processed)
-            consumed_total += processed
+            for _ in range(lane.count):
+                processed_all.append(processed)
+                consumed_total += processed
         self._state.record_processed_block(name, processed_all)
         return consumed_total
 
@@ -455,7 +548,7 @@ class ObjectEngine:
         self,
         name: str,
         spec: OperatorSpec,
-        instances: List[_Instance],
+        lanes: List[_Instance],
         totals: List[float],
         budgets: Sequence[float],
         dt: float,
@@ -464,22 +557,22 @@ class ObjectEngine:
     ) -> float:
         window_spec = spec.window
         assert window_spec is not None
-        parallelism = len(instances)
+        width = len(lanes)
         routes = self._routes[name]
         assign_cost, fire_cost = self._sim._window_costs(name)
         fire_sel = window_spec.fire_selectivity
         budgets_left = list(budgets)
-        useful_acc = [0.0] * parallelism
-        pushed_acc = [0.0] * parallelism
-        pulled_acc = [0.0] * parallelism
+        useful_acc = [0.0] * width
+        pushed_acc = [0.0] * width
+        pulled_acc = [0.0] * width
         # Fire work and assignment work share each instance's budget
         # proportionally to their demands (the scheduler interleaves
         # them); a fire-first priority would let a large fire backlog
         # starve input reading entirely, collapsing throughput instead
         # of degrading it.
-        fire_budget = [0.0] * parallelism
-        for index, inst in enumerate(instances):
-            fire_demand = inst.fire_backlog * fire_cost
+        fire_budget = [0.0] * width
+        for index, lane in enumerate(lanes):
+            fire_demand = lane.fire_backlog * fire_cost
             assign_demand = totals[index] * assign_cost
             total_demand = fire_demand + assign_demand
             if total_demand <= 0:
@@ -489,17 +582,19 @@ class ObjectEngine:
         # Stage 1: drain the fire backlogs (burst work), sharing the
         # downstream space fairly.
         fire_desires = []
-        for inst, budget in zip(instances, fire_budget):
+        for lane, budget in zip(lanes, fire_budget):
             by_budget = math.inf if fire_cost <= 0 else budget / fire_cost
-            fire_desires.append(min(inst.fire_backlog, by_budget))
+            fire_desires.append(min(lane.fire_backlog, by_budget))
         fire_cap = math.inf if fire_sel <= 0 else space / fire_sel
-        fired_alloc = fair_allocate(fire_cap, fire_desires)
-        for index, (inst, fired) in enumerate(zip(instances, fired_alloc)):
+        fired_alloc = fair_allocate(
+            fire_cap, fire_desires, self._counts[name]
+        )
+        for index, (lane, fired) in enumerate(zip(lanes, fired_alloc)):
             if fired <= 0:
                 continue
-            inst.fire_backlog -= fired
+            lane.fire_backlog -= fired
             emit = fired * fire_sel
-            self._emit(routes, emit)
+            self._emit(routes, emit, lane.count)
             useful_acc[index] += fired * fire_cost
             pushed_acc[index] += emit
             budgets_left[index] = max(
@@ -508,36 +603,41 @@ class ObjectEngine:
         # Stage 2: assign newly arrived records to windows (no
         # emission, so no space constraint). Firing popped nothing, so
         # the queue totals are unchanged.
-        for index, inst in enumerate(instances):
+        for index, lane in enumerate(lanes):
             by_budget = (
                 math.inf
                 if assign_cost <= 0
                 else budgets_left[index] / assign_cost
             )
-            assigned = inst.pop_records(
+            assigned = lane.pop_records(
                 min(totals[index], by_budget), totals[index]
             )
-            assert inst.window is not None
-            inst.window.buffered += assigned * window_spec.replication
+            assert lane.window is not None
+            lane.window.buffered += assigned * window_spec.replication
             useful_acc[index] += assigned * assign_cost
             pulled_acc[index] += assigned
             # Stage 3: check window boundaries.
-            released, _fires = inst.window.maybe_fire(end_time)
-            inst.fire_backlog += released
-        record = self._metrics.record_row
+            released, _fires = lane.window.maybe_fire(end_time)
+            lane.fire_backlog += released
+        record = self._metrics.record_rows
         row = self._rows[name]
         consumed_total = 0.0
-        for index in range(parallelism):
+        for index, lane in enumerate(lanes):
             useful = min(useful_acc[index], dt)
+            start = row + lane.iid.index
             record(
-                row + index,
+                start,
+                start + lane.count,
                 pulled_acc[index],
                 pushed_acc[index],
                 useful,
                 max(0.0, dt - useful),
             )
-            consumed_total += pulled_acc[index]
-        self._state.record_processed_block(name, pulled_acc)
+            for _ in range(lane.count):
+                consumed_total += pulled_acc[index]
+        self._state.record_processed_block(
+            name, _expand(pulled_acc, lanes)
+        )
         return consumed_total
 
 

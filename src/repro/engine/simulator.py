@@ -170,7 +170,8 @@ class Simulator:
         omitted, the ``REPRO_ENGINE`` environment variable decides; the
         pin is resolved here, once, and holds for the whole run.
         Without one, every deployment (this one and each redeploy)
-        picks its backend from the deployed plan's widest operator (see
+        picks its backend from the deployed plan's widest operator in
+        object-engine lanes (see
         :func:`repro.engine.vectorized.width_backend`). The pin exists
         for the equivalence tests that compare the two."""
         self._plan = plan
@@ -329,12 +330,13 @@ class Simulator:
 
     @property
     def _instances(self) -> Dict[str, List[_Instance]]:
-        """Per-operator instance objects.
+        """Per-operator instance objects, one per instance.
 
-        Under the object backend this is the live simulation state;
-        under the vector backend it is a read-only materialization of
-        the struct-of-arrays state (mutations do not flow back). Kept
-        for tests and debugging tools that inspect per-port queues.
+        A read-only materialization of the engine's state on either
+        backend: per-instance snapshots of the object backend's lanes,
+        or of the vector backend's struct-of-arrays state (mutations
+        do not flow back). Kept for tests and debugging tools that
+        inspect per-port queues.
         """
         return self._engine.materialize_instances()
 

@@ -1,11 +1,13 @@
 """Struct-of-arrays engine backend (the ``vector`` engine).
 
 The ``object`` backend (:class:`~repro.engine.objects.ObjectEngine`)
-steps one Python object per operator instance: a dict of
-:class:`~repro.engine.buffers.Queue` per port, a scalar fire backlog,
-and per-instance loops for routing, budget allocation, and metrics. That
-is O(upstream x downstream) Queue pushes per edge per tick — the binding
-constraint on wide deployments (the Nexmark queries run up to 36 slots).
+steps Python objects: a dict of :class:`~repro.engine.buffers.Queue`
+per port, a scalar fire backlog, and loops for routing, budget
+allocation, and metrics. One object, a *lane*, stands for all the
+instances of an evenly partitioned operator, which stay identical; a
+skewed operator needs one per instance. For those that is
+O(upstream x downstream) Queue pushes per edge per tick — the binding
+constraint on wide skewed deployments.
 
 This module holds the same simulation as flat float64 numpy arrays.
 Each deployment owns one :class:`_Arena`: a handful of contiguous
@@ -49,14 +51,15 @@ bit-identical lockstep and only ``buffered`` varies per instance.
 
 The cost of a tick here is a fixed number of small numpy calls per
 operator plus a few per tick, nearly independent of the parallelism,
-so the backend wins on wide plans and loses on narrow ones. Width-1
+so the backend wins on plans with a wide skewed operator and loses on
+narrow or evenly partitioned ones. Width-1
 sources, width-1 single-port operators without a window, and the
 pushes into any width-1 queue skip numpy altogether: they run as float
 code on their arena cells, because a numpy call on a one-element array
 costs more than the arithmetic it does. :func:`width_backend` picks a
-backend per deployment from the plan's widest operator, and a redeploy
-may switch backends by handing the old one's :data:`Carry` to the new
-one.
+backend per deployment from the plan's widest operator in object-engine
+lanes (:func:`lane_width`), and a redeploy may switch backends by
+handing the old one's :data:`Carry` to the new one.
 
 **Equivalence contract.** The vector backend must produce *bit-identical*
 decisions, metrics, traces, and scorecards to the object backend. Every
@@ -114,10 +117,10 @@ ENGINE_ENV = "REPRO_ENGINE"
 #: Recognized backend names.
 BACKENDS = ("object", "vector")
 
-#: Parallelism of a plan's widest operator at and above which the
-#: vector backend is used. Below it the backend's fixed numpy cost per
-#: operator per tick outweighs what it saves per instance; the measured
-#: crossover is in benchmarks/output/engine_speedup.txt.
+#: Lanes of a plan's widest operator (see :func:`lane_width`) at and
+#: above which the vector backend is used. Below it the backend's fixed
+#: numpy cost per operator per tick outweighs what it saves per lane;
+#: the measured crossover is in benchmarks/output/engine_speedup.txt.
 VECTOR_MIN_WIDTH = 8
 
 
@@ -143,11 +146,30 @@ def resolve_backend(backend: Optional[str]) -> Optional[str]:
     return chosen
 
 
+def lane_width(plan: PhysicalPlan, name: str) -> int:
+    """The lanes the object engine steps for operator ``name``: 1 when
+    the plan partitions its input evenly (one lane stands for every
+    instance), else one per instance."""
+    weights = plan.input_weights(name)
+    if all(weight == weights[0] for weight in weights):
+        return 1
+    return len(weights)
+
+
 def width_backend(plan: PhysicalPlan) -> str:
     """The width rule: ``vector`` when numpy is available and the
-    plan's widest operator has at least :data:`VECTOR_MIN_WIDTH`
-    instances, else ``object``."""
-    widest = max(plan.parallelism.values())
+    plan's widest operator has at least :data:`VECTOR_MIN_WIDTH` lanes
+    (see :func:`lane_width`), else ``object``.
+
+    Lanes, not instances, because the object engine's cost grows with
+    its lanes: an evenly partitioned operator costs it about as much at
+    any width. So every evenly partitioned plan runs on ``object``, and
+    ``vector`` keeps the plans with a skewed operator at least
+    :data:`VECTOR_MIN_WIDTH` wide. The object engine stays ahead on
+    even plans up to about 512 instances (measured in
+    benchmarks/output/engine_speedup.txt); no workload deploys one
+    wider than 36."""
+    widest = max(lane_width(plan, name) for name in plan.parallelism)
     if HAVE_NUMPY and widest >= VECTOR_MIN_WIDTH:
         return "vector"
     return "object"
@@ -1217,6 +1239,7 @@ __all__ = [
     "ENGINE_ENV",
     "VECTOR_MIN_WIDTH",
     "VectorEngine",
+    "lane_width",
     "resolve_backend",
     "width_backend",
 ]

@@ -72,6 +72,80 @@ class TestFairAllocate:
         allocation = fair_allocate(12.0, [2.0, 5.0, 9.0])
         assert allocation == pytest.approx([2.0, 5.0, 5.0])
 
+    def test_counts_give_one_value_per_lane(self):
+        # Lanes (2 x 3, 1 x 10) are the demands (2, 2, 2, 10): 2 + 2 + 2
+        # is satisfied, and 10 takes what the lanes left.
+        assert fair_allocate(9.0, [2.0, 10.0], [3, 1]) == [2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "total,desires,counts",
+        [
+            (math.nan, [1.0, 2.0], None),
+            (math.nan, [], None),
+            (-1.0, [1.0], [1]),
+            (1.0, [1.0, 2.0], [1]),
+            (1.0, [1.0], [1, 1]),
+            (1.0, [1.0, 2.0], [1, 0]),
+            (1.0, [1.0], [-3]),
+        ],
+        ids=[
+            "nan-total",
+            "nan-total-no-desires",
+            "negative-total",
+            "counts-too-short",
+            "counts-too-long",
+            "zero-count",
+            "negative-count",
+        ],
+    )
+    def test_bad_arguments_rejected(self, total, desires, counts):
+        with pytest.raises(EngineError):
+            fair_allocate(total, desires, counts)
+        if HAVE_NUMPY and counts is None:
+            with pytest.raises(EngineError):
+                fair_allocate_batch(
+                    total, np.asarray(desires, dtype=np.float64)
+                )
+
+    if HAVE_HYPOTHESIS:
+
+        @given(
+            total=st.one_of(
+                st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+                st.just(math.inf),
+                st.just(0.0),
+            ),
+            lanes=st.lists(
+                st.tuples(
+                    st.one_of(
+                        st.floats(
+                            min_value=-1e6, max_value=1e9, allow_nan=False
+                        ),
+                        st.just(0.0),
+                        st.floats(min_value=0.0, max_value=1e-12),
+                    ),
+                    st.integers(min_value=1, max_value=40),
+                ),
+                max_size=8,
+            ),
+        )
+        @settings(max_examples=300, deadline=None)
+        def test_property_counts_match_expanded(self, total, lanes):
+            """Each lane's value is, bit for bit, what the water-fill
+            over the expanded list gives every demand of the lane."""
+            desires = [desire for desire, _ in lanes]
+            counts = [count for _, count in lanes]
+            expanded = fair_allocate(
+                total,
+                [desire for desire, count in lanes for _ in range(count)],
+            )
+            counted = fair_allocate(total, desires, counts)
+            assert [value.hex() for value in expanded] == [
+                value.hex()
+                for value, count in zip(counted, counts)
+                for _ in range(count)
+            ]
+
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 class TestFairAllocateBatch:

@@ -45,6 +45,26 @@ class TestRecording:
             )
 
 
+class TestLaneRows:
+    def test_record_rows_equals_record_row_per_row(self):
+        """One record_rows call over a lane's rows adds what a
+        record_row call per row adds, bit for bit."""
+        ids = [InstanceId("op", index) for index in range(3)]
+        managers = [MetricsManager(), MetricsManager()]
+        for manager in managers:
+            manager.register_instances(ids)
+        values = (0.1, 0.2, 0.30000000000000004, 1 / 3)
+        for _ in range(7):
+            managers[0].record_rows(0, 2, *values)
+            for row in range(2):
+                managers[1].record_row(row, *values)
+        for manager in managers:
+            manager.advance(0.5)
+        windows = [manager.collect() for manager in managers]
+        assert windows[0] == windows[1]
+        assert windows[0].instances[ids[2]].records_pulled == 0.0
+
+
 class TestCollection:
     def test_collect_resets_counters(self, manager):
         iid = InstanceId("op", 0)

@@ -13,12 +13,15 @@ runtimes), the two-input Q3 join, a Timely deployment (shared-worker
 water-filling budgets), and the narrow crash-replay shape of the chaos
 experiment on all three runtimes.
 
-Under default selection the backend is picked per deployment, so a
-rescale across :data:`VECTOR_MIN_WIDTH` switches backends mid-run; the
-switching tests check that such a run equals both pinned runs.
+Under default selection the backend is picked per deployment by the
+plan's widest operator in object-engine lanes (an evenly partitioned
+operator is one lane), so a rescale of a skewed operator across
+:data:`VECTOR_MIN_WIDTH` switches backends mid-run; the switching tests
+check that such a run equals both pinned runs.
 """
 
 import dataclasses
+import functools
 import math
 import random
 
@@ -32,7 +35,7 @@ from repro.dataflow.operators import (
     sink,
     source,
 )
-from repro.dataflow.physical import PhysicalPlan
+from repro.dataflow.physical import Partitioner, PhysicalPlan
 from repro.dataflow.state import SavepointModel
 from repro.engine.npcompat import HAVE_NUMPY
 from repro.engine.objects import ObjectEngine
@@ -57,6 +60,7 @@ from repro.faults.campaigns import (
 from repro.faults.events import InstanceCrash
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
+from repro.experiments import harness
 from repro.experiments.chaos import resolve_workload
 from repro.workloads.nexmark import get_query
 from repro.workloads.wordcount import (
@@ -328,25 +332,40 @@ class TestAccessorEquivalence:
                     assert obj.window.next_fire == vec.window.next_fire
 
 
-def _uniform_plan(width):
+#: A hot key on wordcount's count operator: instance 0 takes half its
+#: input, so at two or more instances each one is a lane of its own.
+HOT_COUNT = Partitioner({"count": 0.5})
+
+
+def _uniform_plan(width, partitioner=None):
     graph = heron_wordcount_graph()
-    return PhysicalPlan(graph, {name: width for name in graph.names})
+    return PhysicalPlan(
+        graph,
+        {name: width for name in graph.names},
+        partitioner=partitioner,
+    )
 
 
 class TestBackendSelection:
     def test_default_picks_by_width(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         assert resolve_backend(None) is None
-        narrow = _uniform_plan(VECTOR_MIN_WIDTH - 1)
-        wide = _uniform_plan(VECTOR_MIN_WIDTH)
+        narrow = _uniform_plan(VECTOR_MIN_WIDTH - 1, HOT_COUNT)
+        wide = _uniform_plan(VECTOR_MIN_WIDTH, HOT_COUNT)
         assert width_backend(narrow) == "object"
         assert width_backend(wide) == "vector"
+
+    def test_even_operators_count_one_lane(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        assert width_backend(_uniform_plan(512)) == "object"
 
     def test_widest_operator_decides(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         graph = heron_wordcount_graph()
         plan = PhysicalPlan(
-            graph, {"flatmap": 1, "count": VECTOR_MIN_WIDTH}
+            graph,
+            {"flatmap": 1, "count": VECTOR_MIN_WIDTH},
+            partitioner=HOT_COUNT,
         )
         sim = Simulator(plan, HeronRuntime(), EngineConfig(tick=0.5))
         assert sim.backend == "vector"
@@ -354,14 +373,14 @@ class TestBackendSelection:
     def test_default_without_numpy_is_object(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         monkeypatch.setattr(vectorized, "HAVE_NUMPY", False)
-        assert width_backend(_uniform_plan(64)) == "object"
+        assert width_backend(_uniform_plan(64, HOT_COUNT)) == "object"
 
     def test_pin_overrides_width(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "object")
         assert resolve_backend(None) == "object"
         assert resolve_backend("vector") == "vector"
         wide = Simulator(
-            _uniform_plan(VECTOR_MIN_WIDTH), HeronRuntime(),
+            _uniform_plan(VECTOR_MIN_WIDTH, HOT_COUNT), HeronRuntime(),
             EngineConfig(tick=0.5),
         )
         assert wide.backend == "object"
@@ -446,21 +465,31 @@ def _switching_timely():
 
 
 def _narrow_wordcount(runtime, backend=None, **config):
+    """Wordcount with a hot key on count, so a rescale of count
+    crosses the lane threshold."""
     graph = heron_wordcount_graph()
     plan = PhysicalPlan(
         graph,
         {"source": 2, "flatmap": 1, "count": 1, "sink": 1},
         max_parallelism=24,
+        partitioner=HOT_COUNT,
     )
     return Simulator(
         plan, runtime, EngineConfig(**config), backend=backend
     )
 
 
+#: A hot key on Q5's windowed operator.
+HOT_ITEMS = Partitioner({"hot_items": 0.5})
+
+
 def _narrow_q5(runtime, backend=None, **config):
     graph = get_query("Q5").flink_graph()
     plan = PhysicalPlan(
-        graph, {"bids": 1, "hot_items": 4, "sink": 1}, max_parallelism=36
+        graph,
+        {"bids": 1, "hot_items": 4, "sink": 1},
+        max_parallelism=36,
+        partitioner=HOT_ITEMS,
     )
     return Simulator(
         plan, runtime, EngineConfig(**config), backend=backend
@@ -468,9 +497,13 @@ def _narrow_q5(runtime, backend=None, **config):
 
 
 def _timely_q5(runtime, backend=None, **config):
-    """Windowed Q5 on 4 Timely workers, with epoch latency on."""
+    """Windowed Q5 on 4 Timely workers, with epoch latency on and a hot
+    key on hot_items: the per-worker water-fill then gives every
+    operator unequal budgets, so the object engine runs no lane."""
     graph = get_query("Q5").timely_graph()
-    plan = PhysicalPlan(graph, {name: 4 for name in graph.names})
+    plan = PhysicalPlan(
+        graph, {name: 4 for name in graph.names}, partitioner=HOT_ITEMS
+    )
     return Simulator(
         plan,
         runtime,
@@ -486,7 +519,9 @@ def _timely_q5_workers(workers):
 
 class TestBackendSwitching:
     """Under default selection every deployment picks its backend, and
-    a run that switches must equal both pinned runs bit for bit."""
+    a run that switches must equal both pinned runs bit for bit. Each
+    cell has a hot key on the operator it rescales, which crosses the
+    lane threshold."""
 
     WIDE = {"flatmap": 4, "count": VECTOR_MIN_WIDTH}
     NARROW = {"flatmap": 2, "count": 3}
@@ -624,9 +659,15 @@ class TestBackendSwitching:
     def test_chaos_cell_scorecard_independent_of_backend(
         self, monkeypatch
     ):
-        """The ds2 cell of mixed campaign 0 scales wordcount past
-        VECTOR_MIN_WIDTH, so by default it switches backends mid-run."""
+        """The ds2 cell of mixed campaign 0, with a hot key on count,
+        scales count past VECTOR_MIN_WIDTH lanes, so by default it
+        switches backends mid-run."""
         monkeypatch.delenv(ENGINE_ENV, raising=False)
+        monkeypatch.setattr(
+            harness,
+            "PhysicalPlan",
+            functools.partial(PhysicalPlan, partitioner=HOT_COUNT),
+        )
         load = resolve_workload("wordcount")
         generator = CampaignGenerator(
             PROFILES["mixed"],
@@ -657,26 +698,38 @@ class TestBackendSwitching:
 def _corrupt(sim, corruption):
     """Apply one corruption to either backend's live state: ``("pushed",
     operator, port, index)`` adds 1000 to that queue's pushed counter,
-    ``("backlog", operator, index)`` makes that fire backlog -1."""
+    ``("backlog", operator, index)`` makes that fire backlog -1. Index
+    None corrupts every instance: on the object backend, the one lane
+    of an evenly partitioned operator; an index names a lane of its
+    own."""
     kind, name, *where = corruption
+    index = where[-1]
     if sim.backend == "object":
-        instance = sim._engine._instances[name][where[-1]]
-        if kind == "pushed":
-            instance.ports[where[0]]._pushed += 1000.0
+        lanes = sim._engine._lanes[name]
+        if index is None:
+            (lane,) = lanes
         else:
-            instance.fire_backlog = -1.0
+            (lane,) = [lane for lane in lanes if lane.iid.index == index]
+            assert lane.count == 1
+        if kind == "pushed":
+            lane.ports[where[0]]._pushed += 1000.0
+        else:
+            lane.fire_backlog = -1.0
         return
     op = sim._engine._ops[name]
+    column = slice(None) if index is None else index
     if kind == "pushed":
-        op.q_pushed[op.port_index[where[0]], where[-1]] += 1000.0
+        op.q_pushed[op.port_index[where[0]], column] += 1000.0
     else:
-        op.fire_backlog[where[-1]] = -1.0
+        op.fire_backlog[column] = -1.0
 
 
 class TestInvariantViolations:
     """With several corrupt queues and backlogs, both backends name the
     first violation in the same order: operators topologically,
-    instances by index, an instance's ports before its fire backlog."""
+    instances by index, an instance's ports before its fire backlog.
+    The corrupted operator of an indexed case has a hot key, so each of
+    its instances is a lane of its own on the object backend."""
 
     CASES = {
         "q3-two-join-queues": (
@@ -702,16 +755,32 @@ class TestInvariantViolations:
                 ("pushed", "window_join", "persons", 3),
             ],
         ),
+        "q8-uniform-lane": (
+            "Q8",
+            [
+                ("backlog", "window_join", None),
+                ("pushed", "window_join", "persons", None),
+            ],
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_first_violation_matches(self, case):
         query, corruptions = self.CASES[case]
         graph = get_query(query).flink_graph()
+        hot = {
+            name: 0.5
+            for _, name, *where in corruptions
+            if where[-1] is not None
+        }
         messages = []
         for backend in ("object", "vector"):
             sim = Simulator(
-                PhysicalPlan(graph, {name: 4 for name in graph.names}),
+                PhysicalPlan(
+                    graph,
+                    {name: 4 for name in graph.names},
+                    partitioner=Partitioner(hot),
+                ),
                 FlinkRuntime(),
                 EngineConfig(tick=0.25),
                 backend=backend,
@@ -839,7 +908,7 @@ def arena_fingerprint(sim):
     else:
         cells = [[], [], [], [], []]
         for name in order:
-            instances = sim._engine._instances[name]
+            instances = sim._instances[name]
             for port in sim.graph.upstream(name):
                 queues = [inst.ports[port] for inst in instances]
                 cells[0] += [queue.length for queue in queues]
@@ -889,10 +958,17 @@ def chain_graph(rate, costs, sink_cost=1e-9):
     )
 
 
-def chain_sim(graph, parallelism, runtime, backend, **config):
+def chain_sim(graph, parallelism, runtime, backend, skew=None, **config):
+    """``skew`` maps operators to a hot-key share (see
+    :class:`~repro.dataflow.physical.Partitioner`)."""
     config.setdefault("tick", 0.1)
     return Simulator(
-        PhysicalPlan(graph, parallelism, max_parallelism=16),
+        PhysicalPlan(
+            graph,
+            parallelism,
+            max_parallelism=16,
+            partitioner=Partitioner(skew),
+        ),
         runtime,
         EngineConfig(**config),
         backend=backend,
@@ -1071,19 +1147,32 @@ class TestScalarPaths:
         @given(
             widths=st.tuples(*[st.sampled_from((1, 2, 8))] * 4),
             rate=st.sampled_from((5_000.0, 40_000.0)),
+            hot=st.sampled_from(((), ("a",), ("b", "snk"))),
+            rescaled=st.sampled_from((1, 3, 8)),
         )
         @settings(max_examples=15, deadline=None)
-        def test_property_chain_widths(self, widths, rate):
-            """Any mix of widths 1, 2 and 8 along a bounded chain."""
+        def test_property_chain_widths(self, widths, rate, hot, rescaled):
+            """Any mix of widths 1, 2 and 8 along a bounded chain, with
+            hot keys on none, one or two operators (so the object
+            backend mixes lanes with per-instance operators), through
+            a rescale of ``b`` and a zero-cost crash."""
             graph = chain_graph(rate, {"a": 2e-5, "b": 1e-4})
 
             def make_sim(backend):
                 return chain_sim(
                     graph,
                     dict(zip(graph.names, widths)),
-                    FlinkRuntime(),
+                    _switching_runtime(),
                     backend,
+                    skew={name: 0.5 for name in hot},
                     cost_jitter=0.1,
                 )
 
-            self._run_both(make_sim, 60)
+            self._run_both(
+                make_sim,
+                60,
+                actions={
+                    20: lambda sim: sim.rescale({"b": rescaled}),
+                    40: lambda sim: sim.fail_instance("b", 0),
+                },
+            )
