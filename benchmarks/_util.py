@@ -8,8 +8,11 @@ survive output capturing.
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
+from typing import Iterator
 
+from repro.engine import objects
 from repro.experiments.artifacts import ARTIFACTS
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -21,6 +24,21 @@ def emit(name: str, text: str) -> None:
     print(text)
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+@contextlib.contextmanager
+def per_instance() -> Iterator[None]:
+    """Deployments made inside the context run one engine lane per
+    instance: the engine's reference semantics, which lanes are timed
+    against."""
+    lane_runs = objects.lane_runs
+    objects.lane_runs = lambda plan, name: [
+        (index, 1) for index in range(plan.parallelism_of(name))
+    ]
+    try:
+        yield
+    finally:
+        objects.lane_runs = lane_runs
 
 
 def run_once(benchmark, func):

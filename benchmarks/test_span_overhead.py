@@ -1,7 +1,7 @@
 """Overhead of the span profiler (ISSUE 9 acceptance criterion).
 
-Two claims, both measured on the wide Nexmark Q5 cell under the
-``vector`` engine backend (the fastest stepping path, hence the most
+Two claims, both measured on the wide Nexmark Q5 cell, whose evenly
+partitioned operators each run as one engine lane (a cheap tick, hence
 sensitive to per-tick instrumentation):
 
 * stepping with an active ``SpanProfiler`` stays within 5% of stepping
@@ -20,11 +20,8 @@ shared machine.
 
 import time
 
-import pytest
-
 from benchmarks._util import emit
 from repro.dataflow.physical import PhysicalPlan
-from repro.engine.npcompat import HAVE_NUMPY
 from repro.engine.runtimes import FlinkRuntime
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.telemetry.spans import SpanProfiler, profiling
@@ -35,13 +32,10 @@ TICKS = 150
 ENABLED_TOLERANCE = 0.05
 DISABLED_TOLERANCE = 0.01
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector backend requires numpy"
-)
-
 
 def build_simulator() -> Simulator:
-    """The wide Q5 vector cell from the engine speedup benchmark."""
+    """The wide Q5 cell from the engine speedup benchmark, without its
+    hot key."""
     query = get_query("Q5")
     graph = query.flink_graph()
     parallelism = query.initial_parallelism(graph, 256)
@@ -54,7 +48,6 @@ def build_simulator() -> Simulator:
         plan,
         FlinkRuntime(),
         EngineConfig(tick=0.25, track_record_latency=True),
-        backend="vector",
     )
 
 
@@ -95,8 +88,8 @@ def test_span_overhead_within_tolerance():
         "span_overhead",
         "\n".join(
             [
-                "Span profiler overhead (wide Nexmark Q5, vector "
-                f"backend, {TICKS} ticks, best of {REPEATS})",
+                "Span profiler overhead (wide Nexmark Q5, engine "
+                f"lanes, {TICKS} ticks, best of {REPEATS})",
                 f"  baseline: {best_baseline * 1000:.1f} ms",
                 f"  disabled: {best_disabled * 1000:.1f} ms "
                 f"({disabled_overhead:+.1%}, "

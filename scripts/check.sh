@@ -38,47 +38,38 @@
 #   9. table 4 (golden file)
 #                    - `repro run table4 --scale 0.2` (36 DS2 loops on
 #                      the Nexmark queries) must print byte-identical
-#                      output to the committed golden table, twice:
-#                      unpinned (its plans are evenly partitioned, so
-#                      every tick runs on the object engine's lanes)
-#                      and with REPRO_ENGINE=vector (skipped if numpy
-#                      is missing), so the vector backend stays
-#                      byte-gated on Table 4 (~4s)
-#  10. golden files without numpy, fixed hash seed
+#                      output to the committed golden table (~1.5s)
+#  10. golden files with one lane per instance
+#                    - stages 4, 7, 8 (golden sweep) and 9 again, with
+#                      every deployment stepping one engine lane per
+#                      instance (scripts/per_instance/sitecustomize.py
+#                      on PYTHONPATH, pool workers included): the
+#                      engine's lanes must reproduce its reference
+#                      semantics byte for byte (~15s)
+#  11. golden files without numpy, fixed hash seed
 #                    - stages 4, 7, 8 (golden sweep) and 9 again, with
 #                      numpy made unimportable
 #                      (scripts/no_numpy/sitecustomize.py on
 #                      PYTHONPATH, pool workers included) and
 #                      PYTHONHASHSEED=12345: results must not depend
 #                      on numpy's presence or on the hash seed (~15s)
-#  11. paper artifacts (golden files)
+#  12. paper artifacts (golden files)
 #                    - `repro run <id>` at scale 1, for every entry of
 #                      the paper-artifact registry
 #                      (repro.experiments.artifacts), must print its
 #                      committed benchmarks/output/<file>.txt
 #                      byte for byte (~35s)
-#  12. pytest (REPRO_ENGINE=object)
-#                    - tier-1 test suite with every Simulator pinned to
-#                      the per-instance object engine backend
-#  13. pytest (REPRO_ENGINE=vector)
-#                    - the same tier-1 suite on the struct-of-arrays
-#                      engine backend; passing both proves the golden
-#                      trace / scorecard byte-identity oracle holds for
-#                      both backends, whichever one the lane rule
-#                      picks (skipped if numpy is missing). Stage 9's
-#                      pinned run gates Table 4, which tier-1 does not
-#                      run
-#  14. pytest (REPRO_ENGINE unset)
-#                    - the engine, fault and integration tests with no
-#                      pin, so every deployment picks its backend by
-#                      its widest operator in object-engine lanes, and
-#                      runs that DS2 scales a skewed operator across
-#                      the threshold switch backends mid-run
+#  13. paper artifacts with one lane per instance
+#                    - stage 12 under stage 10's hook (~1 min)
+#  14. pytest
+#                    - the tier-1 test suite, whose
+#                      tests/engine/test_lane_equivalence.py compares
+#                      lanes with one lane per instance tick by tick
 #
 # ruff and mypy are optional dev dependencies (`pip install -e .[lint]`).
 # When they are missing the stage is skipped with a notice rather than
 # failing, so the gate is usable in minimal containers; the in-tree
-# stages (3-11) have no third-party dependencies, and stages 3-10 run
+# stages (3-13) have no third-party dependencies, and stages 3-11 run
 # even with --fast.
 
 set -u
@@ -195,29 +186,39 @@ run_stage "sweep kill-and-resume equivalence (smoke)" \
     python -m pytest -q tests/sweeps/test_sweep_equivalence.py \
     -k "kill_and_resume or report_cli or fingerprints_pinned"
 # Table 4 gate: the paper's headline convergence table at scale 0.2
-# must print byte-identical output to the committed golden table. Its
-# plans are 8-36 wide but evenly partitioned, so unpinned every tick
-# runs on the object engine's lanes; a second run pinned to the vector
-# backend keeps its arrays and the float paths of its width-1 sources
-# and sinks gated on the same bytes.
+# must print byte-identical output to the committed golden table.
 check_golden_table4() {
     python -m repro run table4 --scale 0.2 \
-        | diff -u tests/experiments/golden_table4.txt - || return 1
-    if python -c "import numpy" >/dev/null 2>&1; then
-        REPRO_ENGINE=vector python -m repro run table4 --scale 0.2 \
-            | diff -u tests/experiments/golden_table4.txt -
-    fi
+        | diff -u tests/experiments/golden_table4.txt -
 }
 run_stage "table 4 (golden file)" check_golden_table4
+# Lane gate: the golden-file checks above, re-run in interpreters (pool
+# workers included) whose engine steps one lane per instance. A lane
+# stands for a run of identical instances, so every byte must match.
+check_goldens_per_instance() (
+    export PYTHONPATH="scripts/per_instance:${PYTHONPATH}"
+    python -c 'from repro.engine import objects
+assert objects.lane_runs.__name__ == "_one_lane_per_instance", \
+    "per-instance hook not active"' || exit 1
+    python -m pytest -q tests/telemetry/test_trace_io.py || exit 1
+    check_golden_report || exit 1
+    check_golden_sweep || exit 1
+    check_golden_table4
+)
+run_stage "golden files (one lane per instance)" check_goldens_per_instance
 # Environment-independence gate: the golden-file checks above, re-run
 # in interpreters (pool workers included) where numpy cannot be
-# imported and str hashing uses a fixed non-default seed. The object
-# backend and the pure-Python paths must reproduce every byte.
+# imported and str hashing uses a fixed non-default seed. Nothing may
+# depend on numpy's presence or on the hash seed.
 check_goldens_without_numpy() (
     export PYTHONPATH="scripts/no_numpy:${PYTHONPATH}"
     export PYTHONHASHSEED=12345
-    python -c 'from repro.engine.npcompat import HAVE_NUMPY
-assert not HAVE_NUMPY, "numpy blocker not active"' || exit 1
+    python -c 'try:
+    import numpy
+except ImportError:
+    pass
+else:
+    raise SystemExit("numpy blocker not active")' || exit 1
     python -m pytest -q tests/telemetry/test_trace_io.py || exit 1
     check_golden_report || exit 1
     check_golden_sweep || exit 1
@@ -243,31 +244,20 @@ for entry in ARTIFACTS.values():
     return "$status"
 }
 
+check_paper_artifacts_per_instance() (
+    export PYTHONPATH="scripts/per_instance:${PYTHONPATH}"
+    check_paper_artifacts
+)
+
 if [ "$FAST" -eq 1 ]; then
     skip_stage "paper artifacts (golden files)" "--fast"
-    skip_stage "pytest (REPRO_ENGINE=object)" "--fast"
-    skip_stage "pytest (REPRO_ENGINE=vector)" "--fast"
-    skip_stage "pytest (REPRO_ENGINE unset)" "--fast"
+    skip_stage "paper artifacts (one lane per instance)" "--fast"
+    skip_stage "pytest" "--fast"
 else
     run_stage "paper artifacts (golden files)" check_paper_artifacts
-    # The decision oracle for the two engine backends: the whole
-    # tier-1 suite — including the golden trace and chaos scorecard
-    # byte-identity tests — must pass with each backend selected for
-    # every Simulator.
-    run_stage "pytest (REPRO_ENGINE=object)" \
-        env REPRO_ENGINE=object python -m pytest -x -q
-    if python -c "import numpy" >/dev/null 2>&1; then
-        run_stage "pytest (REPRO_ENGINE=vector)" \
-            env REPRO_ENGINE=vector python -m pytest -x -q
-    else
-        skip_stage "pytest (REPRO_ENGINE=vector)" "numpy not installed"
-    fi
-    # The two stages above pin every deployment; this one lets the
-    # width rule pick per deployment, so mid-run backend switches go
-    # through the golden scorecard and equivalence checks too.
-    run_stage "pytest (REPRO_ENGINE unset)" \
-        env -u REPRO_ENGINE python -m pytest -x -q \
-        tests/engine tests/faults tests/integration
+    run_stage "paper artifacts (one lane per instance)" \
+        check_paper_artifacts_per_instance
+    run_stage "pytest" python -m pytest -x -q
 fi
 
 if [ "$FAILURES" -ne 0 ]; then

@@ -3,8 +3,8 @@
 Put this directory first on ``PYTHONPATH`` and each interpreter --
 including pool workers under any start method -- imports this module
 at startup, before any user code. ``import numpy`` then raises
-``ImportError``, exactly as in an environment without numpy, so
-:mod:`repro.engine.npcompat` falls back to the pure-Python paths::
+``ImportError``, exactly as in an environment without numpy, so any
+dependency on it shows up as a failure::
 
     PYTHONPATH=scripts/no_numpy:src python -m repro run table4 --scale 0.2
 

@@ -1,25 +1,23 @@
 #!/usr/bin/env python
-"""Profile the simulator tick loop and measure backend speedup.
+"""Profile the simulator tick loop and measure what lanes save.
 
 Produces the two committed performance artifacts that back
 ``docs/performance.md``:
 
 * ``benchmarks/output/profile_tick.txt`` — cProfile hot-function
-  tables for the ``object`` and ``vector`` engine backends on the
-  Nexmark Q5 benchmark cell (a hot key on its windowed operator), so
-  regressions show up as a changed ranking rather than a vague
+  tables for the engine with lanes and with one lane per instance on
+  the Nexmark Q5 benchmark cell (a hot key on its windowed operator),
+  so regressions show up as a changed ranking rather than a vague
   slowdown;
-* ``benchmarks/output/engine_speedup.txt`` — ticks/second for both
-  backends across a width sweep, from the narrow Heron wordcount
-  deployments of the chaos experiment's recovery replay, through the
-  plans DS2 deploys in the chaos campaign cells, to Q5 at 512 slots,
-  evenly partitioned and with a hot key. It shows where each backend's
-  cost comes from (the object backend's Python work scales with its
-  lanes — one per evenly partitioned operator, one per instance of a
-  skewed one — and the vector backend's is near-flat), where the two
-  cross, and which backend the default width rule
-  (:func:`repro.engine.vectorized.width_backend`) picks for a
-  deployment of each plan.
+* ``benchmarks/output/engine_speedup.txt`` — ticks/second with lanes
+  and with one lane per instance across a width sweep, from the narrow
+  Heron wordcount deployments of the chaos experiment's recovery
+  replay, through the plans DS2 deploys in the chaos campaign cells,
+  to Q5 at 512 slots, evenly partitioned and with a hot key. The
+  engine's Python work scales with its lanes (one per run of
+  consecutive instances with equal input weights: one for an evenly
+  partitioned operator, two for a hot key), so the table shows what
+  stepping lanes saves at each width.
 
 Usage::
 
@@ -34,6 +32,7 @@ the wall-clock timings vary between runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import io
 import pathlib
@@ -41,12 +40,12 @@ import pstats
 import sys
 import time
 from functools import partial
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.dataflow.physical import Partitioner, PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime, HeronRuntime
+from repro.engine import objects
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.engine.vectorized import BACKENDS, lane_width, width_backend
 from repro.workloads.nexmark import get_query
 from repro.workloads.wordcount import heron_wordcount_graph
 
@@ -76,10 +75,28 @@ CHAOS_SWEEP = ((1, 1), (2, 3), (2, 7), (5, 10), (10, 20))
 #: ``benchmarks/test_engine_performance.py`` (>= 5x), with a hot key.
 BENCH_SLOTS = 256
 
+#: Lane layouts compared: the engine's runs, and one lane per instance
+#: (its reference semantics).
+LAYOUTS = ("lanes", "per-instance")
 
-def build_simulator(
-    backend: str, slots: int, hot_share: float = 0.0
-) -> Simulator:
+
+@contextlib.contextmanager
+def layout(name: str) -> Iterator[None]:
+    """Deployments made inside the context use lane layout ``name``."""
+    if name == "lanes":
+        yield
+        return
+    lane_runs = objects.lane_runs
+    objects.lane_runs = lambda plan, op: [
+        (index, 1) for index in range(plan.parallelism_of(op))
+    ]
+    try:
+        yield
+    finally:
+        objects.lane_runs = lane_runs
+
+
+def build_simulator(slots: int, hot_share: float = 0.0) -> Simulator:
     """The Q5 benchmark cell: Flink runtime, sliding window, record
     latency tracking on (the most instrumented configuration), and
     ``hot_share`` of hot_items' input on its instance 0 (0 = even)."""
@@ -96,29 +113,25 @@ def build_simulator(
         plan,
         FlinkRuntime(),
         EngineConfig(tick=0.25, track_record_latency=True),
-        backend=backend,
     )
 
 
-def build_wordcount(backend: str, parallelism: int) -> Simulator:
+def build_wordcount(parallelism: int) -> Simulator:
     """The narrow cell: Heron wordcount, every operator at
     ``parallelism``, configured like the chaos recovery replay."""
     graph = heron_wordcount_graph()
-    return build_heron(
-        backend, {name: parallelism for name in graph.names}
-    )
+    return build_heron({name: parallelism for name in graph.names})
 
 
-def build_chaos(backend: str, flatmap: int, count: int) -> Simulator:
+def build_chaos(flatmap: int, count: int) -> Simulator:
     """A chaos campaign cell's plan: Heron wordcount at source 2,
     sink 1 and the given flatmap/count parallelism."""
     return build_heron(
-        backend,
         {"source": 2, "flatmap": flatmap, "count": count, "sink": 1},
     )
 
 
-def build_heron(backend: str, parallelism: Dict[str, int]) -> Simulator:
+def build_heron(parallelism: Dict[str, int]) -> Simulator:
     """Heron wordcount at ``parallelism``, with the chaos experiment's
     engine configuration."""
     graph = heron_wordcount_graph()
@@ -130,7 +143,6 @@ def build_heron(backend: str, parallelism: Dict[str, int]) -> Simulator:
             track_record_latency=False,
             source_catchup_factor=1.3,
         ),
-        backend=backend,
     )
 
 
@@ -145,9 +157,12 @@ def measure_ticks_per_second(sim: Simulator, seconds: float) -> float:
     return ticks / (time.perf_counter() - start)  # repro: allow[REPRO101]
 
 
-def profile_backend(backend: str, slots: int, virtual: float) -> str:
-    """cProfile hot-function table for ``virtual`` simulated seconds."""
-    sim = build_simulator(backend, slots, HOT_SHARE)
+def profile_layout(name: str, slots: int, virtual: float) -> str:
+    """cProfile hot-function table for ``virtual`` simulated seconds.
+    Only a deployment reads the lane layout, and nothing here
+    redeploys."""
+    with layout(name):
+        sim = build_simulator(slots, HOT_SHARE)
     sim.run_for(5.0)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -169,7 +184,7 @@ def profile_backend(backend: str, slots: int, virtual: float) -> str:
 def scaling_table(seconds: float) -> Tuple[str, float]:
     """Sweep the width grid; returns the formatted table and the
     speedup measured at the asserted benchmark cell."""
-    cells: List[Tuple[str, Callable[[str], Simulator]]] = [
+    cells: List[Tuple[str, Callable[[], Simulator]]] = [
         (f"wordcount p={p}", partial(build_wordcount, parallelism=p))
         for p in WORDCOUNT_SWEEP
     ] + [
@@ -190,24 +205,27 @@ def scaling_table(seconds: float) -> Tuple[str, float]:
     ]
     rows: List[str] = []
     rows.append(
-        f"{'cell':<16} {'widest':>6} {'lanes':>5} {'object t/s':>11} "
-        f"{'vector t/s':>11} {'speedup':>8} {'default':>8}"
+        f"{'cell':<16} {'widest':>6} {'lanes':>5} "
+        f"{'per-instance t/s':>16} {'lanes t/s':>10} {'speedup':>8}"
     )
     bench_speedup = 0.0
     for label, build in cells:
-        tps = {
-            backend: measure_ticks_per_second(build(backend), seconds)
-            for backend in BACKENDS
-        }
-        speedup = tps["vector"] / tps["object"]
+        tps = {}
+        for name in LAYOUTS:
+            with layout(name):
+                sim = build()
+            tps[name] = measure_ticks_per_second(sim, seconds)
+        speedup = tps["lanes"] / tps["per-instance"]
         if label == f"q5 hot slots={BENCH_SLOTS}":
             bench_speedup = speedup
-        plan = build("object").plan
-        lanes = max(lane_width(plan, name) for name in plan.parallelism)
+        plan = sim.plan
+        lanes = max(
+            len(objects.lane_runs(plan, name)) for name in plan.parallelism
+        )
         rows.append(
             f"{label:<16} {max(plan.parallelism.values()):>6} "
-            f"{lanes:>5} {tps['object']:>11.0f} {tps['vector']:>11.0f} "
-            f"{speedup:>7.2f}x {width_backend(plan):>8}"
+            f"{lanes:>5} {tps['per-instance']:>16.0f} "
+            f"{tps['lanes']:>10.0f} {speedup:>7.2f}x"
         )
     return "\n".join(rows), bench_speedup
 
@@ -226,11 +244,11 @@ def main(argv: List[str]) -> int:
     OUTPUT_DIR.mkdir(exist_ok=True)
 
     sections = []
-    for backend in BACKENDS:
-        print(f"profiling {backend} backend ...", flush=True)
-        table = profile_backend(backend, BENCH_SLOTS, virtual)
+    for name in LAYOUTS:
+        print(f"profiling {name} ...", flush=True)
+        table = profile_layout(name, BENCH_SLOTS, virtual)
         sections.append(
-            f"== cProfile: backend={backend} nexmark-q5 "
+            f"== cProfile: layout={name} nexmark-q5 "
             f"slots={BENCH_SLOTS} hot_items skew={HOT_SHARE} "
             f"({virtual:.0f}s virtual) ==\n{table}"
         )
@@ -241,18 +259,17 @@ def main(argv: List[str]) -> int:
     print("measuring scaling table ...", flush=True)
     table, bench_speedup = scaling_table(seconds)
     header = (
-        "Engine backend throughput. wordcount p=N: Heron wordcount, "
-        "every operator\nat parallelism N, tick=1s (the chaos recovery "
-        "replay's shape). chaos F/C:\nthe same at source 2, flatmap F, "
-        "count C, sink 1 (plans the chaos\ncampaign cells deploy). "
-        "q5 slots=N:\nNexmark Q5 on the Flink runtime, "
-        "tick=0.25s, record latency tracking on;\nQ5 gives the N slots "
-        "to the windowed hot_items operator. q5 hot: the same\nwith "
-        f"{HOT_SHARE:g} of hot_items' input on its instance 0. "
-        "widest = the plan's widest\noperator; lanes = the most "
-        "object-engine lanes of an operator (1 when\nit is evenly "
-        "partitioned); default = the backend width_backend picks\nfor "
-        "a deployment of it when nothing is pinned.\n"
+        "Engine throughput with lanes and with one lane per instance. "
+        "wordcount p=N:\nHeron wordcount, every operator at parallelism "
+        "N, tick=1s (the chaos\nrecovery replay's shape). chaos F/C: the "
+        "same at source 2, flatmap F,\ncount C, sink 1 (plans the chaos "
+        "campaign cells deploy). q5 slots=N:\nNexmark Q5 on the Flink "
+        "runtime, tick=0.25s, record latency tracking on;\nQ5 gives the "
+        "N slots to the windowed hot_items operator. q5 hot: the same\n"
+        f"with {HOT_SHARE:g} of hot_items' input on its instance 0. "
+        "widest = the plan's widest\noperator; lanes = the most lanes "
+        "of an operator (1 when it is evenly\npartitioned, 2 with a hot "
+        "key).\n"
     )
     speedup_text = (
         header
@@ -262,7 +279,7 @@ def main(argv: List[str]) -> int:
         + f"benchmark cell: hot slots={BENCH_SLOTS}, "
         f"speedup={bench_speedup:.2f}x (asserted >= 5x by\n"
         "benchmarks/test_engine_performance.py::"
-        "test_vector_backend_speedup_q5)"
+        "test_lane_speedup_q5)"
     )
     (OUTPUT_DIR / "engine_speedup.txt").write_text(speedup_text + "\n")
     print()

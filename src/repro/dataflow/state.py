@@ -56,7 +56,7 @@ class StateModel:
         Bit-identical to calling :meth:`record_processed` once per value
         in order — the same left-to-right ``min(grown, cap)`` sequence —
         with the operator spec looked up once instead of per call. Used
-        by the vectorized engine backend, one call per operator per tick.
+        by the engine, one call per operator per tick.
         """
         spec = self.graph.operator(operator)
         per_record = spec.state_bytes_per_record

@@ -11,15 +11,11 @@ Used in two places:
   backpressure limit.
 """
 
-# Scalar and batch water-fill must agree bit for bit, so reductions here
-# stay sequential; tests/engine/test_allocation.py::TestFairAllocateBatch
-# enforces it.
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence
 
-from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
 from repro.errors import EngineError
 
 
@@ -90,50 +86,4 @@ def fair_allocate(
     return allocation
 
 
-def fair_allocate_batch(total: float, desires: FloatArray) -> FloatArray:
-    """Vectorized :func:`fair_allocate` over a float64 numpy array.
-
-    Bit-identical to the scalar version by construction: every round
-    computes the same per-index ``grant = min(share, want)`` (an exact
-    element-wise operation), applies it in the same index order, and
-    drains ``remaining`` with the same left-to-right sequence of
-    subtractions. The scalar and batch implementations are cross-checked
-    by a hypothesis property in ``tests/engine/test_allocation.py``.
-    """
-    if not HAVE_NUMPY:
-        raise EngineError("fair_allocate_batch requires numpy")
-    if not total >= 0:
-        raise EngineError(f"total must be >= 0, got {total!r}")
-    clamped = np.maximum(0.0, np.asarray(desires, dtype=np.float64))
-    if math.isinf(total):
-        return clamped
-    # Sequential left-to-right sum, matching builtin sum() in the
-    # scalar implementation bit for bit (np.sum pairwise-blocks).
-    total_desire = 0.0
-    for value in clamped.tolist():
-        total_desire += value
-    if total >= total_desire:
-        return clamped
-    allocation = np.zeros_like(clamped)
-    remaining = float(total)
-    active = np.flatnonzero(clamped > 0)
-    while active.size and remaining > 1e-12:
-        share = remaining / active.size
-        want = clamped[active] - allocation[active]
-        grant = np.minimum(share, want)
-        allocation[active] += grant
-        for value in grant.tolist():
-            remaining -= value
-        unsatisfied = grant < want - 1e-15
-        if bool(unsatisfied.all()):
-            # Every active demand took a full share: the remainder is
-            # split evenly and we are done (avoids float residue loops).
-            share = remaining / active.size
-            allocation[active] += share
-            remaining = 0.0
-            break
-        active = active[unsatisfied]
-    return allocation
-
-
-__all__ = ["fair_allocate", "fair_allocate_batch"]
+__all__ = ["fair_allocate"]

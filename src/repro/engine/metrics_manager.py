@@ -26,26 +26,17 @@ columns ``[pulled, pushed, useful, waiting, observed]``. The row order
 is the registration order —
 :meth:`~repro.dataflow.physical.PhysicalPlan.all_instances`, i.e.
 topological operator order with instance indexes ascending — so each
-operator owns one contiguous row block. Each registration picks the
-layout its engine backend writes fastest: an ``(n, 5)`` float64 array
-(``blocks=True``) that the vectorized backend accumulates the whole
-deployment into once per tick with :meth:`record_block`, or a list of
-per-row float lists that the object backend's scalar
-:meth:`record_rows` calls (one per lane of identical instances) update
-without numpy scalar indexing. Both layouts add the same float64 values
-in the same order, so a window collected from either is bit-identical.
+operator owns one contiguous row block, a list of per-row float lists
+that the engine's :meth:`record_rows` calls (one per lane of identical
+instances) update.
 """
 
-# Object and vector accumulation paths must agree bit for bit, so
-# reductions here stay sequential; tests/engine/test_metrics_manager.py::
-# TestLayouts enforces it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.dataflow.physical import InstanceId
-from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
 from repro.errors import MetricsError
 from repro.metrics import InstanceCounters, MetricsWindow, OperatorHealth
 from repro.telemetry.spans import SpanProfiler, active_profiler
@@ -69,22 +60,14 @@ class MetricsManager:
         self._now = start_time
         self._outage_time = 0.0
         # Accumulator: row per instance, columns [pulled, pushed,
-        # useful, waiting, observed]. An (n, 5) float64 ndarray when
-        # registered with blocks=True, else a list of per-row float
-        # lists with the same indexing.
+        # useful, waiting, observed].
         self._ids: Tuple[InstanceId, ...] = ()
         self._index: Dict[InstanceId, int] = {}
-        self._blocks = False
-        self._acc: Any = self._zeros(0)
+        self._acc: List[List[float]] = []
         # Instances whose reports are currently withheld (dropout).
         self._suppressed: Set[InstanceId] = set()
         # Whether in-flight counters were discarded this window.
         self._truncated = False
-
-    def _zeros(self, rows: int) -> Any:
-        if self._blocks:
-            return np.zeros((rows, 5), dtype=np.float64)
-        return [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in range(rows)]
 
     @property
     def window_start(self) -> float:
@@ -113,9 +96,7 @@ class MetricsManager:
                 f"unregistered instance {instance}"
             ) from None
 
-    def register_instances(
-        self, instances: Iterable[InstanceId], blocks: bool = False
-    ) -> None:
+    def register_instances(self, instances: Iterable[InstanceId]) -> None:
         """Replace the reporting instance set (called on deploy and on
         every redeploy — counters restart for the new instances).
 
@@ -123,29 +104,17 @@ class MetricsManager:
         instances' in-flight counters, so the window collected next is
         flagged as truncated — warm-up logic must not mistake it for a
         full observation.
-
-        ``blocks`` selects the numpy array layout that
-        :meth:`record_block` needs (requires numpy); otherwise rows are
-        plain float lists, the faster target for :meth:`record_row`.
         """
-        if blocks and not HAVE_NUMPY:
-            raise MetricsError("the block layout requires numpy")
-        if len(self._ids) and self._any_observed():
+        if any(row[_OBSERVED] > 0 for row in self._acc):
             self._truncated = True
-        self._blocks = blocks
         self._ids = tuple(instances)
         self._index = {iid: row for row, iid in enumerate(self._ids)}
         if len(self._index) != len(self._ids):
             raise MetricsError("duplicate instances in registration")
-        self._acc = self._zeros(len(self._ids))
+        self._acc = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in self._ids]
         # Suppressions name instances of the previous deployment; the
         # injector (or caller) re-applies them against the new set.
         self._suppressed.clear()
-
-    def _any_observed(self) -> bool:
-        if self._blocks:
-            return bool((self._acc[:, _OBSERVED] > 0).any())
-        return any(row[_OBSERVED] > 0 for row in self._acc)
 
     def set_suppressed(self, instances: Iterable[InstanceId]) -> bool:
         """Mark instances whose reports are withheld from collections
@@ -207,39 +176,12 @@ class MetricsManager:
         waiting: float,
     ) -> None:
         """:meth:`record_row` with the same values for every row of
-        ``[start, stop)``: the object engine's lane of identical
-        instances (list layout only)."""
+        ``[start, stop)``: the engine's lane of identical instances."""
         for acc in self._acc[start:stop]:
             acc[_PULLED] += pulled
             acc[_PUSHED] += pushed
             acc[_USEFUL] += useful
             acc[_WAITING] += waiting
-
-    def record_block(
-        self, start: int, stop: int, counters: FloatArray
-    ) -> None:
-        """Accumulate one tick's activity for the contiguous row block
-        ``[start, stop)`` — the batched :meth:`record` used by the
-        vectorized engine backend, one call per tick over every row.
-
-        ``counters`` has shape ``(4, stop - start)``: rows pulled,
-        pushed, useful, and waiting, one column per instance in row
-        order. Because float64 element-wise addition is exact (IEEE),
-        the accumulated totals are bit-identical to ``stop - start``
-        scalar :meth:`record` calls.
-        """
-        if not self._blocks:
-            raise MetricsError(
-                "record_block needs a registration with blocks=True"
-            )
-        if not 0 <= start <= stop <= len(self._ids):
-            raise MetricsError(
-                f"row block [{start}, {stop}) outside the registered "
-                f"set of {len(self._ids)} instances"
-            )
-        if float(counters.min(initial=0.0)) < 0:
-            raise MetricsError("counters must be >= 0")
-        self._acc[start:stop, _PULLED:_OBSERVED] += counters.T
 
     def advance(self, dt: float, outage: bool = False) -> None:
         """Advance observed time by one tick for every instance."""
@@ -248,11 +190,8 @@ class MetricsManager:
         self._now += dt
         if outage:
             self._outage_time += dt
-        if self._blocks:
-            self._acc[:, _OBSERVED] += dt
-        else:
-            for row in self._acc:
-                row[_OBSERVED] += dt
+        for row in self._acc:
+            row[_OBSERVED] += dt
 
     def completeness(self) -> Dict[str, float]:
         """Fraction of registered instances currently reporting, per
@@ -288,8 +227,8 @@ class MetricsManager:
             if iid in self._suppressed:
                 continue
             row = self._acc[row_index]
-            useful += float(row[_USEFUL])
-            observed += float(row[_OBSERVED])
+            useful += row[_USEFUL]
+            observed += row[_OBSERVED]
         if not known:
             raise MetricsError(f"unregistered operator {operator!r}")
         if observed <= 0:
@@ -318,11 +257,9 @@ class MetricsManager:
             for row_index, iid in enumerate(self._ids):
                 if iid in self._suppressed:
                     continue
-                row = self._acc[row_index]
-                if self._blocks:
-                    pulled, pushed, useful, waiting, observed = row.tolist()
-                else:
-                    pulled, pushed, useful, waiting, observed = row
+                pulled, pushed, useful, waiting, observed = self._acc[
+                    row_index
+                ]
                 # Clamp float accumulation drift so that Wu <= W holds.
                 useful = min(useful, observed)
                 instances[iid] = InstanceCounters(

@@ -1,20 +1,18 @@
-"""Per-instance engine backend (the ``object`` engine).
+"""The engine's tick loop (:class:`ObjectEngine`).
 
-Python objects and loops: the reference semantics, cheapest on narrow
-plans, and no numpy needed. :class:`ObjectEngine` answers the same
-methods as its peer :class:`~repro.engine.vectorized.VectorEngine`,
-which replays its float64 operations one for one (see
-``docs/engine.md``).
-
-The engine steps *lanes*. An operator whose input the plan partitions
-evenly runs as one :class:`_Instance` with ``count`` = its parallelism:
-its instances start every deployment equal and get equal budgets, so
-they stay equal tick after tick (``docs/performance.md`` gives the
-argument), and one of them stands for all. Every other operator runs
-one ``_Instance`` per instance (``count`` = 1). Each step whose result
-depends on the order of instances — a water-fill, the pushes into a
-downstream queue, a sum — is replayed ``count`` times in instance
-order, so a lane is bit for bit the instances it stands for.
+Python objects and loops, no third-party dependencies. The engine steps
+*lanes*: a lane is one :class:`_Instance` with ``count`` = the length
+of a maximal run of consecutive instances whose input weights
+(:meth:`~repro.dataflow.physical.PhysicalPlan.input_weights`) are equal
+(:func:`lane_runs`). Instances of a run start every deployment equal,
+receive equal input and get equal budgets, so they stay equal tick
+after tick (``docs/performance.md`` gives the argument), and one of them
+stands for all. An evenly partitioned operator is one lane; a skewed
+one (a hot instance, then instances sharing the rest evenly) is two.
+Each step whose result depends on the order of instances — a
+water-fill, the pushes into a downstream queue, a sum — is replayed
+``count`` times in instance order, so a lane is bit for bit the
+instances it stands for.
 """
 
 from __future__ import annotations
@@ -29,11 +27,32 @@ from repro.dataflow.physical import InstanceId, PhysicalPlan
 from repro.dataflow.windowing import WindowState
 from repro.engine.allocation import fair_allocate
 from repro.engine.buffers import Queue
-from repro.engine.vectorized import Carry, lane_width
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import Simulator
+
+
+#: Carried state of a deployment, per operator: records queued per
+#: input port, window-buffered records, and fire backlog, each summed
+#: over the instances in index order. A redeploy reduces instance state
+#: to exactly these totals and spreads them over the new instances by
+#: the plan's input weights.
+Carry = Dict[str, Tuple[Dict[str, float], float, float]]
+
+
+def lane_runs(plan: PhysicalPlan, name: str) -> List[Tuple[int, int]]:
+    """The lanes of operator ``name`` in ``plan``: each maximal run of
+    consecutive instances with equal input weights, as ``(first,
+    count)`` in instance order."""
+    weights = plan.input_weights(name)
+    runs: List[Tuple[int, int]] = []
+    first = 0
+    for index in range(1, len(weights) + 1):
+        if index == len(weights) or weights[index] != weights[first]:
+            runs.append((first, index - first))
+            first = index
+    return runs
 
 
 @dataclass
@@ -118,13 +137,9 @@ _Routes = List[Tuple[Queue, float, InstanceId]]
 
 
 class ObjectEngine:
-    """The per-instance tick loop behind ``backend="object"``: a
-    friend object of :class:`~repro.engine.simulator.Simulator`, which
-    keeps the state both engines share and drives this one per tick."""
-
-    #: The metrics manager's row layout this engine writes (per-row
-    #: float lists, see :meth:`MetricsManager.register_instances`).
-    metric_blocks = False
+    """The lane tick loop: a friend object of
+    :class:`~repro.engine.simulator.Simulator`, which keeps the state
+    outside the instances and drives this one per tick."""
 
     def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
@@ -152,8 +167,8 @@ class ObjectEngine:
 
     def carry(self) -> Carry:
         """The instance state reduced to carried totals (see
-        :data:`~repro.engine.vectorized.Carry`), summed instance by
-        instance (empty before the first deployment)."""
+        :data:`Carry`), summed instance by instance (empty before the
+        first deployment)."""
         carried: Carry = {}
         for name, lanes in self._lanes.items():
             per_port: Dict[str, float] = {}
@@ -177,13 +192,24 @@ class ObjectEngine:
         """Build the lanes for ``plan`` from the ``carried`` totals of
         the previous deployment (empty on the first)."""
         runtime = self._sim.runtime
-        # A demand-driven runtime may divide shared worker time by the
-        # demands of every operator at once (Timely's per-worker
-        # water-fill): one unevenly partitioned operator then makes
-        # every budget differ by instance, so lanes need an even plan.
-        even = {name: lane_width(plan, name) == 1 for name in self._specs}
-        if runtime.demand_driven and not all(even.values()):
-            even = dict.fromkeys(even, False)
+        runs = {name: lane_runs(plan, name) for name in self._specs}
+        if runtime.demand_driven:
+            # A demand-driven runtime may divide shared worker time by
+            # the demands of every operator at once (Timely's per-worker
+            # water-fill), so worker k's budgets depend on instance k of
+            # every operator. Cutting every operator wherever any
+            # operator's run starts keeps a lane's workers equal across
+            # the whole plan, and so their budgets too.
+            cuts = sorted(
+                {first for spans in runs.values() for first, _ in spans}
+            )
+            for name in runs:
+                width = plan.parallelism_of(name)
+                bounds = [cut for cut in cuts if cut < width] + [width]
+                runs[name] = [
+                    (first, stop - first)
+                    for first, stop in zip(bounds, bounds[1:])
+                ]
         self._lanes = {}
         self._counts = {}
         self._widths = {}
@@ -197,12 +223,11 @@ class ObjectEngine:
             queued_by_port, buffered, backlog = carried.get(
                 name, ({}, 0.0, 0.0)
             )
-            count = parallelism if even[name] else 1
             lanes: List[_Instance] = []
-            for index, iid in enumerate(plan.instances(name)[::count]):
-                weight = weights[index * count]
+            for first, count in runs[name]:
+                weight = weights[first]
                 lane = _Instance(
-                    iid=iid,
+                    iid=InstanceId(name, first),
                     spec=spec,
                     ports={
                         port: Queue(capacity=capacity) for port in ports
@@ -220,25 +245,21 @@ class ObjectEngine:
                 lane.fire_backlog = backlog * weight
                 lanes.append(lane)
             self._lanes[name] = lanes
-            self._counts[name] = [count] * len(lanes)
+            self._counts[name] = [count for _, count in runs[name]]
             self._widths[name] = parallelism
             self._rows[name] = row
             row += parallelism
         # Zero-weight instances receive nothing and bound nothing.
-        self._routes = {
-            name: [
-                (lane.ports[name], weight, lane.iid)
-                for downstream in self._graph.downstream(name)
-                for lane, weight in zip(
-                    self._lanes[downstream],
-                    plan.input_weights(downstream)[
-                        :: self._lanes[downstream][0].count
-                    ],
-                )
-                if weight > 0
-            ]
-            for name in self._specs
-        }
+        self._routes = {}
+        for name in self._specs:
+            routes: _Routes = []
+            for downstream in self._graph.downstream(name):
+                weights = plan.input_weights(downstream)
+                for lane in self._lanes[downstream]:
+                    weight = weights[lane.iid.index]
+                    if weight > 0:
+                        routes.append((lane.ports[name], weight, lane.iid))
+            self._routes[name] = routes
         self._bounded = [
             (name, tuple(q for i in lanes for q in i.ports.values()))
             for name, lanes in self._lanes.items()
@@ -259,13 +280,18 @@ class ObjectEngine:
             if len(lanes) == len(values):
                 granted[name] = values
                 continue
-            value = values[0]
-            if any(other != value for other in values):
-                raise EngineError(
-                    f"unequal budgets across the instances of {name!r}, "
-                    "which run as one lane"
-                )
-            granted[name] = [value]
+            per_lane: List[float] = []
+            for lane in lanes:
+                first = lane.iid.index
+                value = values[first]
+                for other in values[first : first + lane.count]:
+                    if other != value:
+                        raise EngineError(
+                            "unequal budgets across the instances of "
+                            f"{name!r}, which run as one lane"
+                        )
+                per_lane.append(value)
+            granted[name] = per_lane
         return granted
 
     # ------------------------------------------------------------------
@@ -379,9 +405,6 @@ class ObjectEngine:
                 continue
             delays[name] = max(self._work(name, lanes))
         return delays
-
-    def record_metrics(self, dt: float) -> None:
-        """Nothing to do: each lane recorded its rows as it ran."""
 
     # ------------------------------------------------------------------
     # Routing
@@ -641,4 +664,4 @@ class ObjectEngine:
         return consumed_total
 
 
-__all__ = ["ObjectEngine"]
+__all__ = ["Carry", "ObjectEngine", "lane_runs"]

@@ -80,7 +80,6 @@ class Runtime(abc.ABC):
         ``demands`` holds, per operator, the seconds of work each
         instance has available (queued records times per-record cost);
         runtimes with shared workers use it to divide worker time.
-        Plain floats in and out, so the object engine needs no numpy.
         """
 
     @abc.abstractmethod

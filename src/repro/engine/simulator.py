@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.operators import OperatorSpec
@@ -42,25 +42,10 @@ from repro.engine.latency import (
 from repro.engine.metrics_manager import MetricsManager
 from repro.engine.objects import ObjectEngine, _Instance
 from repro.engine.runtimes import Runtime
-from repro.engine.vectorized import (
-    VectorEngine,
-    resolve_backend,
-    width_backend,
-)
 from repro.errors import EngineError, ReconfigurationError
 from repro.metrics import MetricsWindow, OperatorHealth
 from repro.telemetry.spans import SpanProfiler, active_profiler
 from repro.telemetry.tracer import Tracer, active_tracer
-
-#: The engine of a deployment: both answer the same methods, and the
-#: simulator never asks which one it holds.
-_Engine = Union[ObjectEngine, VectorEngine]
-
-#: Engine class per backend name.
-_ENGINES: Dict[str, Callable[[Simulator], _Engine]] = {
-    "object": ObjectEngine,
-    "vector": VectorEngine,
-}
 
 
 @dataclass(frozen=True)
@@ -128,8 +113,18 @@ class EngineConfig:
             )
         if not 0.0 <= self.cost_jitter < 1.0:
             raise EngineError("cost_jitter must be in [0, 1)")
-        if self.trace_tick_every < 1:
-            raise EngineError("trace_tick_every must be >= 1")
+        # An int that is not a bool: the sampling test is
+        # ``tick % trace_tick_every == 0``, which NaN never passes, inf
+        # passes only at tick 0, and 2.5 passes every 5th tick.
+        if (
+            not isinstance(self.trace_tick_every, int)
+            or isinstance(self.trace_tick_every, bool)
+            or self.trace_tick_every < 1
+        ):
+            raise EngineError(
+                "trace_tick_every must be an int >= 1, got "
+                f"{self.trace_tick_every!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -158,22 +153,10 @@ class Simulator:
         runtime: Runtime,
         config: Optional[EngineConfig] = None,
         tracer: Optional[Tracer] = None,
-        backend: Optional[str] = None,
     ) -> None:
         """``tracer`` defaults to the ambient one (see
         :func:`repro.telemetry.tracing`) — a no-op unless a caller
-        activated tracing.
-
-        ``backend`` pins the tick-loop implementation: ``"object"``
-        (per-instance Python objects) or ``"vector"`` (struct-of-arrays
-        numpy hot path); both produce bit-identical results. When
-        omitted, the ``REPRO_ENGINE`` environment variable decides; the
-        pin is resolved here, once, and holds for the whole run.
-        Without one, every deployment (this one and each redeploy)
-        picks its backend from the deployed plan's widest operator in
-        object-engine lanes (see
-        :func:`repro.engine.vectorized.width_backend`). The pin exists
-        for the equivalence tests that compare the two."""
+        activated tracing."""
         self._plan = plan
         self._graph: LogicalGraph = plan.graph
         # Topology lookups the tick makes, resolved once.
@@ -196,19 +179,14 @@ class Simulator:
         self._profiler: SpanProfiler = active_profiler()
         self._metrics = MetricsManager(tracer=self._tracer)
         self._state = StateModel(graph=self._graph)
-        self._pinned = resolve_backend(backend)
-        # The backend of the current deployment and its engine (set by
-        # _deploy; until then an empty engine, which carries nothing).
-        # The engine holds the instance state; everything else below is
-        # shared by both engines.
-        self._backend = "object"
-        self._engine: _Engine = ObjectEngine(self)
+        # The engine holds the instance state (built by _deploy; until
+        # then it carries nothing); everything else lives here.
+        self._engine = ObjectEngine(self)
         # Per-deployment state (see _deploy): per-record costs before
-        # this tick's noise, and demand-independent budgets in the
-        # engine's form.
+        # this tick's noise, and demand-independent budgets per lane.
         self._unit_costs: Dict[str, float] = {}
         self._window_factors: Dict[str, Tuple[float, float, float]] = {}
-        self._static_budgets: Optional[Mapping[str, Any]] = None
+        self._static_budgets: Optional[Dict[str, List[float]]] = None
         self._source_backlog: Dict[str, float] = {
             name: 0.0 for name in self._sources
         }
@@ -323,20 +301,12 @@ class Simulator:
         return self._state
 
     @property
-    def backend(self) -> str:
-        """The tick-loop backend of the current deployment,
-        ``"object"`` or ``"vector"``; it may change at a redeploy."""
-        return self._backend
-
-    @property
     def _instances(self) -> Dict[str, List[_Instance]]:
         """Per-operator instance objects, one per instance.
 
-        A read-only materialization of the engine's state on either
-        backend: per-instance snapshots of the object backend's lanes,
-        or of the vector backend's struct-of-arrays state (mutations
-        do not flow back). Kept for tests and debugging tools that
-        inspect per-port queues.
+        A read-only materialization of the engine's state: per-instance
+        snapshots of its lanes (mutations do not flow back). Kept for
+        tests and debugging tools that inspect per-port queues.
         """
         return self._engine.materialize_instances()
 
@@ -548,21 +518,15 @@ class Simulator:
         records and window buffers from the previous deployment, and
         resolve everything a tick needs that only the plan decides.
 
-        The backend is picked per deployment, so a redeploy may switch
-        it: the old engine's state is reduced to a
-        :data:`~repro.engine.vectorized.Carry`, the one form both
-        engines build from. Everything else (metrics manager, state
-        model, source backlogs, latency trackers, the jitter RNG) lives
-        here and is shared by both."""
+        The old instance state is reduced to a
+        :data:`~repro.engine.objects.Carry` and spread over the new
+        plan's lanes. Everything else (metrics manager, state model,
+        source backlogs, latency trackers, the jitter RNG) lives here."""
         carried = self._engine.carry()
         self._plan = plan
         self._cache_costs(plan)
-        self._backend = self._pinned or width_backend(plan)
-        self._engine = _ENGINES[self._backend](self)
         self._engine.deploy(plan, carried)
-        self._metrics.register_instances(
-            plan.all_instances(), blocks=self._engine.metric_blocks
-        )
+        self._metrics.register_instances(plan.all_instances())
         self._static_budgets = None
         if not self._runtime.demand_driven:
             self._static_budgets = self._engine.grant(
@@ -754,7 +718,6 @@ class Simulator:
                 )
                 if spec.is_sink:
                     sink_consumed[name] = consumed
-        engine.record_metrics(dt)
         self._observe_latency(dt, source_emitted, sink_consumed)
         backpressured = self.backpressured_operators()
         for name in backpressured:

@@ -132,7 +132,6 @@ def run_controlled(
     scalable_operators: Optional[Tuple[str, ...]] = None,
     sample_every: int = 4,
     fault_schedule: Optional[FaultSchedule] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentRun:
     """Run ``controller`` against ``graph`` on ``runtime``.
 
@@ -157,11 +156,6 @@ def run_controlled(
             :class:`~repro.faults.injector.FaultInjector` and the loop
             runs against the shim (the control path is otherwise
             unchanged).
-        backend: Engine backend (``"object"`` or ``"vector"``); None
-            defers to ``$REPRO_ENGINE`` and then to the width of each
-            deployed plan (see
-            :func:`repro.engine.vectorized.width_backend`).
-            Results are bit-identical either way.
     """
     if plan is None:
         plan = PhysicalPlan(
@@ -170,9 +164,7 @@ def run_controlled(
             max_parallelism=max_parallelism,
         )
     config = engine_config or EngineConfig()
-    simulator = Simulator(
-        plan=plan, runtime=runtime, config=config, backend=backend
-    )
+    simulator = Simulator(plan=plan, runtime=runtime, config=config)
     injector: Optional[FaultInjector] = None
     job = simulator
     if fault_schedule is not None:

@@ -211,13 +211,6 @@ def cell_fingerprint(spec: CampaignCellSpec) -> str:
             else None
         ),
     }
-    if spec.engine_backend is not None:
-        # Only when pinned: an absent key keeps every fingerprint
-        # recorded before the backend axis existed byte-identical, so
-        # old journals still resume. (An env-selected backend changes
-        # no results — the backends are bit-identical by construction —
-        # so it rightly stays out of the hash.)
-        doc["engine_backend"] = spec.engine_backend
     return content_hash(doc)
 
 

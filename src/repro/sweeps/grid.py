@@ -172,7 +172,6 @@ def compile_grid(spec: SweepSpec) -> CompiledGrid:
             tail_seconds=SWEEP_TAIL_SECONDS,
             scalable_operators=graph.names if timely else None,
         )
-        backend = None if cell.backend == "default" else cell.backend
         for cell_spec in runner.cell_specs(generator, spec.campaigns):
             k = cell_spec.campaign
             specs.append(
@@ -183,7 +182,6 @@ def compile_grid(spec: SweepSpec) -> CompiledGrid:
                     # controllers so CellKeys stay distinct while
                     # margin pairs share schedules.
                     campaign=cell.scenario * spec.campaigns + k,
-                    engine_backend=backend,
                 )
             )
             owners.append((cell.index, k))

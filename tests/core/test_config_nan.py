@@ -12,7 +12,7 @@ from repro.core.policy import DS2Policy
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.errors import FaultInjectionError, PolicyError
+from repro.errors import EngineError, FaultInjectionError, PolicyError
 from repro.faults.executor import CellRetryPolicy
 
 NAN = float("nan")
@@ -69,3 +69,20 @@ def _loop(graph, policy_interval):
 def test_nan_and_inf_settings_rejected(chain_graph, build, error):
     with pytest.raises(error):
         build(chain_graph)
+
+
+@pytest.mark.parametrize(
+    "every",
+    [NAN, INF, 2.5, 1.0, True, 0, -3, "8"],
+    ids=["nan", "inf", "fraction", "float", "bool", "zero", "negative", "str"],
+)
+def test_trace_tick_every_must_be_a_positive_int(every):
+    """``tick % every == 0`` samples no tick at NaN, only tick 0 at inf
+    and every 5th tick at 2.5, so anything but an int >= 1 is refused."""
+    with pytest.raises(EngineError, match="trace_tick_every"):
+        EngineConfig(trace_tick_every=every)
+
+
+def test_trace_tick_every_accepts_positive_ints():
+    assert EngineConfig(trace_tick_every=1).trace_tick_every == 1
+    assert EngineConfig(trace_tick_every=64).trace_tick_every == 64

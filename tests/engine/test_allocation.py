@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.engine.allocation import fair_allocate, fair_allocate_batch
-from repro.engine.npcompat import HAVE_NUMPY, np
+from repro.engine.allocation import fair_allocate
 from repro.errors import EngineError
 
 try:
@@ -101,11 +100,6 @@ class TestFairAllocate:
     def test_bad_arguments_rejected(self, total, desires, counts):
         with pytest.raises(EngineError):
             fair_allocate(total, desires, counts)
-        if HAVE_NUMPY and counts is None:
-            with pytest.raises(EngineError):
-                fair_allocate_batch(
-                    total, np.asarray(desires, dtype=np.float64)
-                )
 
     if HAVE_HYPOTHESIS:
 
@@ -145,63 +139,3 @@ class TestFairAllocate:
                 for value, count in zip(counted, counts)
                 for _ in range(count)
             ]
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
-class TestFairAllocateBatch:
-    """The vectorized water-fill must be *bit-identical* to the scalar
-    one — it backs the vector engine backend, whose decisions must
-    match the object backend exactly."""
-
-    CASES = [
-        (100.0, [10.0, 20.0, 30.0]),
-        (math.inf, [5.0, 7.0]),
-        (30.0, [100.0, 100.0, 100.0]),
-        (30.0, [5.0, 100.0]),
-        (17.0, [9.0, 9.0, 9.0]),
-        (10.0, [0.0, -5.0, 20.0]),
-        (10.0, []),
-        (0.0, [5.0, 5.0]),
-        (12.0, [2.0, 5.0, 9.0]),
-        # Float-residue shapes: near-equal demands around the share.
-        (1.0, [1 / 3, 1 / 3, 1 / 3]),
-        (0.1 + 0.2, [0.1, 0.2, 0.30000000000000004]),
-    ]
-
-    @pytest.mark.parametrize("total,desires", CASES)
-    def test_matches_scalar_exactly(self, total, desires):
-        batch = fair_allocate_batch(
-            total, np.asarray(desires, dtype=np.float64)
-        )
-        assert batch.tolist() == fair_allocate(total, desires)
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(EngineError):
-            fair_allocate_batch(-1.0, np.asarray([1.0]))
-
-    if HAVE_HYPOTHESIS:
-
-        @given(
-            total=st.one_of(
-                st.floats(
-                    min_value=0.0,
-                    max_value=1e9,
-                    allow_nan=False,
-                ),
-                st.just(math.inf),
-            ),
-            desires=st.lists(
-                st.floats(
-                    min_value=-1e6,
-                    max_value=1e9,
-                    allow_nan=False,
-                ),
-                max_size=40,
-            ),
-        )
-        @settings(max_examples=200, deadline=None)
-        def test_property_bit_identical(self, total, desires):
-            batch = fair_allocate_batch(
-                total, np.asarray(desires, dtype=np.float64)
-            )
-            assert batch.tolist() == fair_allocate(total, desires)

@@ -1,12 +1,9 @@
 """Unit tests for the MetricsManager aggregation (section 4.1)."""
 
-import random
-
 import pytest
 
 from repro.dataflow.physical import InstanceId
 from repro.engine.metrics_manager import MetricsManager
-from repro.engine.npcompat import HAVE_NUMPY, np
 from repro.errors import MetricsError
 
 
@@ -245,66 +242,3 @@ class TestRedeployEdgeCases:
         # The flush is one-shot: the following window is ordinary.
         manager.advance(1.0)
         assert manager.collect().instances[dark].records_pulled == 0.0
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="block layout requires numpy")
-class TestLayouts:
-    """The list-of-rows layout (object backend, ``record_row``) and the
-    array layout (vector backend, ``record_block``) must report
-    bit-identical windows for the same record stream."""
-
-    DEPLOYMENTS = ({"a": 2, "b": 3}, {"a": 1, "b": 5})
-
-    @staticmethod
-    def _ids(deployment):
-        return [
-            InstanceId(name, index)
-            for name, width in deployment.items()
-            for index in range(width)
-        ]
-
-    def _drive(self, blocks):
-        rng = random.Random(7)
-        manager = MetricsManager()
-        out = []
-        for deployment in self.DEPLOYMENTS:
-            manager.register_instances(self._ids(deployment), blocks=blocks)
-            for tick in range(40):
-                row = 0
-                for name, width in deployment.items():
-                    counters = [
-                        [rng.uniform(0.0, 1e4) for _ in range(width)],
-                        [rng.uniform(0.0, 1e4) for _ in range(width)],
-                        [rng.uniform(0.0, 0.1) for _ in range(width)],
-                        [rng.uniform(0.0, 0.1) for _ in range(width)],
-                    ]
-                    if blocks:
-                        manager.record_block(
-                            row, row + width, np.array(counters)
-                        )
-                    else:
-                        for index in range(width):
-                            manager.record_row(
-                                row + index,
-                                *(column[index] for column in counters),
-                            )
-                    row += width
-                manager.advance(0.1, outage=tick % 9 == 0)
-                if tick == 11:
-                    manager.set_suppressed(self._ids(deployment)[:1])
-                if tick == 23:
-                    manager.set_suppressed([])
-                out.append(manager.utilization("b"))
-                if tick % 5 == 4:
-                    out.append(manager.collect())
-            # Leave a window open across the redeploy (truncation).
-            manager.advance(0.1)
-        out.append(manager.collect())
-        return out
-
-    def test_layouts_report_identical_windows(self):
-        assert self._drive(blocks=False) == self._drive(blocks=True)
-
-    def test_record_block_needs_block_layout(self, manager):
-        with pytest.raises(MetricsError):
-            manager.record_block(0, 2, np.zeros((4, 2)))

@@ -1,8 +1,7 @@
 """Sweep execution equivalence gates.
 
 A sweep's output is a pure function of its spec: byte-identical across
-job counts (serial vs a two-worker pool), across engine backends
-(object vs the struct-of-arrays vector backend), and across
+job counts (serial vs a two-worker pool) and across
 fresh-vs-SIGKILL-and-resumed runs. The CLI half of this file mirrors
 the chaos kill-and-resume machinery in
 ``tests/faults/test_checkpoint.py`` — hard-kill ``repro sweep run``
@@ -23,8 +22,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine.npcompat import HAVE_NUMPY
-from repro.engine.vectorized import ENGINE_ENV
 from repro.faults.checkpoint import cell_fingerprint
 from repro.sweeps import (
     SweepSpec,
@@ -73,7 +70,7 @@ def test_smoke_grid_fingerprints_pinned():
 
 
 # ----------------------------------------------------------------------
-# In-process equivalence: jobs, backends
+# In-process equivalence: jobs
 # ----------------------------------------------------------------------
 
 def test_serial_vs_jobs2_byte_identical(tmp_path):
@@ -99,46 +96,6 @@ def test_journal_report_matches_live_run(tmp_path):
     replayed = sweep_result_from_journal(spec, path)
     assert _cards_as_dicts(replayed) == _cards_as_dicts(live)
     assert _report_json(replayed) == _report_json(live)
-
-
-def _two_cell_spec(backend):
-    return SweepSpec.build(
-        "backend-equivalence",
-        axes={
-            "profile": ["smoke"],
-            "rate": [1.0],
-            "controller": ["ds2", "dhalion"],
-            "runtime": ["heron"],
-            "backend": [backend],
-        },
-        tick=2.0,
-    )
-
-
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector backend requires numpy"
-)
-def test_object_vs_vector_backend_identical_scorecards():
-    """Pinning the backend axis to 'object' vs 'vector' changes only
-    the cell labels, never a single scorecard float."""
-    object_run = run_sweep(_two_cell_spec("object"))
-    vector_run = run_sweep(_two_cell_spec("vector"))
-    assert _cards_as_dicts(object_run) == _cards_as_dicts(vector_run)
-
-
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector backend requires numpy"
-)
-def test_default_backend_byte_identical_across_engine_env(monkeypatch):
-    """With the backend axis left at 'default', the REPRO_ENGINE
-    environment picks the engine — and must not change the report by
-    a byte (the same spec fingerprint covers both)."""
-    spec = load_spec(str(SPEC_PATH))
-    monkeypatch.setenv(ENGINE_ENV, "object")
-    object_report = _report_json(run_sweep(spec))
-    monkeypatch.setenv(ENGINE_ENV, "vector")
-    vector_report = _report_json(run_sweep(spec))
-    assert vector_report == object_report
 
 
 # ----------------------------------------------------------------------

@@ -246,6 +246,9 @@ def test_explicit_cell_on_existing_scenario_shares_ordinal():
         ({"backend": ["gpu"]}, "backend"),
         ({"rate": []}, "rate"),
         ({"controller": "ds2"}, "controller"),
+        # The engine has one backend; the axis keeps only "default".
+        ({"backend": ["object"]}, "backend"),
+        ({"backend": ["vector"]}, "backend"),
     ],
 )
 def test_invalid_axes_rejected_with_named_axis(axes, named):

@@ -2,8 +2,8 @@
 
 The determinism contract (ISSUE 9): span *structure* — names, counts,
 nesting — is a pure function of the seeded virtual-time run. Identical
-seeds produce identical trees under the object and vector engine
-backends, and under the serial and process-pool campaign executors.
+seeds produce identical trees under the serial and process-pool
+campaign executors.
 Wall-clock seconds live only in the timed channel and are never part
 of the compared structure.
 """
@@ -12,8 +12,6 @@ import threading
 
 import pytest
 
-from repro.engine.npcompat import HAVE_NUMPY
-from repro.engine.vectorized import ENGINE_ENV
 from repro.errors import TelemetryError
 from repro.faults.campaigns import (
     PROFILES,
@@ -176,15 +174,10 @@ class TestAmbientProfiler:
         assert null.tree().children == {}
 
 
-def _smoke_structure(jobs=None, backend=None, monkeypatch=None):
+def _smoke_structure(jobs=None):
     """Span structure of the 2-campaign smoke chaos batch."""
     from repro.experiments.chaos import resolve_workload
 
-    if monkeypatch is not None:
-        if backend is None:
-            monkeypatch.delenv(ENGINE_ENV, raising=False)
-        else:
-            monkeypatch.setenv(ENGINE_ENV, backend)
     runner = resolve_workload("wordcount").runner(2.0)
     generator = CampaignGenerator(
         PROFILES["smoke"],
@@ -203,47 +196,22 @@ def _smoke_structure(jobs=None, backend=None, monkeypatch=None):
 
 
 class TestSpanDeterminism:
-    def test_identical_seeds_identical_structure(self, monkeypatch):
-        first = _smoke_structure(monkeypatch=monkeypatch)
-        second = _smoke_structure(monkeypatch=monkeypatch)
+    def test_identical_seeds_identical_structure(self):
+        first = _smoke_structure()
+        second = _smoke_structure()
         assert first == second
         names = {c["name"] for c in first["children"]}
         assert "engine.tick" in names
         assert "controller.decide" in names
 
-    def test_serial_matches_jobs_2(self, monkeypatch):
-        serial = _smoke_structure(monkeypatch=monkeypatch)
-        parallel = _smoke_structure(jobs=2, monkeypatch=monkeypatch)
+    def test_serial_matches_jobs_2(self):
+        serial = _smoke_structure()
+        parallel = _smoke_structure(jobs=2)
         assert serial == parallel
 
-    @pytest.mark.skipif(
-        not HAVE_NUMPY, reason="vector backend requires numpy"
-    )
-    def test_object_matches_vector_backend(self, monkeypatch):
-        object_tree = _smoke_structure(
-            backend="object", monkeypatch=monkeypatch
-        )
-        vector_tree = _smoke_structure(
-            backend="vector", monkeypatch=monkeypatch
-        )
-        assert object_tree == vector_tree
-
-    @pytest.mark.skipif(
-        not HAVE_NUMPY, reason="vector backend requires numpy"
-    )
-    def test_vector_serial_matches_vector_jobs_2(self, monkeypatch):
-        serial = _smoke_structure(
-            backend="vector", monkeypatch=monkeypatch
-        )
-        parallel = _smoke_structure(
-            jobs=2, backend="vector", monkeypatch=monkeypatch
-        )
-        assert serial == parallel
-
-    def test_disabled_profiler_records_nothing(self, monkeypatch):
+    def test_disabled_profiler_records_nothing(self):
         from repro.experiments.chaos import resolve_workload
 
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
         runner = resolve_workload("wordcount").runner(2.0)
         generator = CampaignGenerator(
             PROFILES["smoke"],

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -660,3 +663,26 @@ class TestReportCommand:
             "--trace", str(bad),
         ]) == 2
         assert "invalid trace" in capsys.readouterr().err
+
+
+def test_import_loads_no_numpy():
+    """Start-up imports no third-party numerics: the engine is plain
+    Python."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
