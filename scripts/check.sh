@@ -45,7 +45,11 @@
 #                      instance (scripts/per_instance/sitecustomize.py
 #                      on PYTHONPATH, pool workers included): the
 #                      engine's lanes must reproduce its reference
-#                      semantics byte for byte (~15s)
+#                      semantics byte for byte; plus `repro run chaos
+#                      --profile mixed --seeds 4 --fault-seed 1` with
+#                      and without the hook, diffed (the only stage
+#                      run under --fast whose metric dropouts split a
+#                      lane's shared metrics rows) (~20s)
 #  11. golden files without numpy, fixed hash seed
 #                    - stages 4, 7, 8 (golden sweep) and 9 again, with
 #                      numpy made unimportable
@@ -196,6 +200,10 @@ run_stage "table 4 (golden file)" check_golden_table4
 # workers included) whose engine steps one lane per instance. A lane
 # stands for a run of identical instances, so every byte must match.
 check_goldens_per_instance() (
+    chaos="$(mktemp "${TMPDIR:-/tmp}/chaos_lanes.XXXXXX")" || exit 1
+    trap 'rm -f "$chaos"' EXIT
+    python -m repro run chaos --profile mixed --seeds 4 --fault-seed 1 \
+        > "$chaos" || exit 1
     export PYTHONPATH="scripts/per_instance:${PYTHONPATH}"
     python -c 'from repro.engine import objects
 assert objects.lane_runs.__name__ == "_one_lane_per_instance", \
@@ -203,7 +211,9 @@ assert objects.lane_runs.__name__ == "_one_lane_per_instance", \
     python -m pytest -q tests/telemetry/test_trace_io.py || exit 1
     check_golden_report || exit 1
     check_golden_sweep || exit 1
-    check_golden_table4
+    check_golden_table4 || exit 1
+    python -m repro run chaos --profile mixed --seeds 4 --fault-seed 1 \
+        | diff -u "$chaos" -
 )
 run_stage "golden files (one lane per instance)" check_goldens_per_instance
 # Environment-independence gate: the golden-file checks above, re-run

@@ -13,7 +13,7 @@ savepoint model converts total state bytes into an outage duration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping, Sequence
 
 from repro.dataflow.graph import LogicalGraph
 from repro.errors import EngineError
@@ -49,28 +49,39 @@ class StateModel:
         self._bytes[operator] = min(grown, self.max_state_bytes)
 
     def record_processed_block(
-        self, operator: str, records: Iterable[float]
+        self,
+        operator: str,
+        records: Sequence[float],
+        counts: Sequence[int],
     ) -> None:
-        """Accumulate state for a batch of per-instance record counts.
+        """Accumulate state for a batch of per-instance record counts,
+        where ``records[i]`` stands for ``counts[i]`` instances in a
+        row (an engine lane).
 
-        Bit-identical to calling :meth:`record_processed` once per value
-        in order — the same left-to-right ``min(grown, cap)`` sequence —
-        with the operator spec looked up once instead of per call. Used
-        by the engine, one call per operator per tick.
+        Bit-identical to calling :meth:`record_processed` once per
+        instance in order — the same left-to-right ``min(grown, cap)``
+        sequence — with the operator spec looked up and each lane's
+        growth computed once. Used by the engine, one call per operator
+        per tick.
         """
-        spec = self.graph.operator(operator)
-        per_record = spec.state_bytes_per_record
-        if per_record <= 0:
-            for value in records:
-                if value < 0:
-                    raise EngineError("records must be >= 0")
-            return
-        total = self._bytes[operator]
-        cap = self.max_state_bytes
+        if len(records) != len(counts):
+            raise EngineError("records and counts must have equal length")
         for value in records:
             if value < 0:
                 raise EngineError("records must be >= 0")
-            total = min(total + value * per_record, cap)
+        spec = self.graph.operator(operator)
+        per_record = spec.state_bytes_per_record
+        if per_record <= 0:
+            return
+        total = self._bytes[operator]
+        cap = self.max_state_bytes
+        for value, count in zip(records, counts):
+            grow = value * per_record
+            for _ in range(count):
+                # min(total + grow, cap), ties included.
+                total += grow
+                if cap < total:
+                    total = cap
         self._bytes[operator] = total
 
     def state_bytes(self, operator: str) -> float:

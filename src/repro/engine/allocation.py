@@ -14,6 +14,7 @@ Used in two places:
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from typing import List, Optional, Sequence
 
 from repro.errors import EngineError
@@ -47,13 +48,14 @@ def fair_allocate(
     desires = [max(0.0, d) for d in desires]
     if counts is None:
         counts = [1] * len(desires)
-    elif len(counts) != len(desires) or any(c < 1 for c in counts):
+    elif len(counts) != len(desires) or (counts and min(counts) < 1):
         raise EngineError(
             "counts must hold one entry >= 1 per desire, got "
             f"{list(counts)!r} for {len(desires)} desires"
         )
+    # The expanded sum, left to right as the builtin adds, at C speed.
     if math.isinf(total) or total >= sum(
-        d for d, count in zip(desires, counts) for _ in range(count)
+        chain.from_iterable(map(repeat, desires, counts))
     ):
         return list(desires)
     allocation = [0.0] * len(desires)

@@ -73,27 +73,56 @@ class Queue:
             return 0.0
         return min(1.0, self._length / self._capacity)
 
-    def push(self, records: float) -> float:
-        """Push up to ``records``; returns the amount actually accepted
-        (less than requested only for bounded queues)."""
-        if records < 0:
+    def push(self, records: float, count: int = 1) -> float:
+        """Push ``records`` ``count`` times in a row (the pushes of an
+        engine lane's ``count`` instances); returns the smallest amount
+        one push accepted (less than ``records`` only for bounded
+        queues).
+
+        Bit for bit ``count`` single pushes: every push clips to
+        ``max(0.0, capacity - length)`` and adds what it accepted, in
+        order, with the running totals held in locals.
+        """
+        # Written so that NaN fails the check.
+        if not records >= 0:
             raise EngineError("cannot push a negative record count")
-        accepted = min(records, self.free_space)
-        self._length += accepted
-        self._pushed += accepted
-        return accepted
+        if count < 1:
+            raise EngineError(f"push count must be >= 1, got {count!r}")
+        length = self._length
+        pushed = self._pushed
+        capacity = self._capacity
+        if capacity is None:
+            for _ in range(count):
+                length += records
+                pushed += records
+            smallest = records
+        else:
+            smallest = records
+            for _ in range(count):
+                # max(0.0, free) and min(records, free), ties included.
+                free = capacity - length
+                if not free > 0.0:
+                    free = 0.0
+                accepted = free if free < records else records
+                length += accepted
+                pushed += accepted
+                if accepted < smallest:
+                    smallest = accepted
+        self._length = length
+        self._pushed = pushed
+        return smallest
 
     def force_push(self, records: float) -> None:
         """Push ignoring capacity (used when redistributing queue
         contents during a redeploy — state is never dropped)."""
-        if records < 0:
+        if not records >= 0:
             raise EngineError("cannot push a negative record count")
         self._length += records
         self._pushed += records
 
     def pop(self, records: float) -> float:
         """Pop up to ``records``; returns the amount actually removed."""
-        if records < 0:
+        if not records >= 0:
             raise EngineError("cannot pop a negative record count")
         removed = min(records, self._length)
         self._length -= removed

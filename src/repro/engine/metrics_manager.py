@@ -26,13 +26,18 @@ columns ``[pulled, pushed, useful, waiting, observed]``. The row order
 is the registration order —
 :meth:`~repro.dataflow.physical.PhysicalPlan.all_instances`, i.e.
 topological operator order with instance indexes ascending — so each
-operator owns one contiguous row block, a list of per-row float lists
-that the engine's :meth:`record_rows` calls (one per lane of identical
-instances) update.
+operator owns one contiguous row block. The engine shares the rows of
+each lane of identical instances (:meth:`share_rows`): they alias one
+float list, which :meth:`record_rows` and :meth:`advance` update once.
+Rows that are identical at every moment may be one list; a block is
+copied back into separate rows (unshared) before anything could make
+them differ — a suppression that covers part of it, or a per-row
+:meth:`record_row`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -60,10 +65,13 @@ class MetricsManager:
         self._now = start_time
         self._outage_time = 0.0
         # Accumulator: row per instance, columns [pulled, pushed,
-        # useful, waiting, observed].
+        # useful, waiting, observed]. The rows of a shared block
+        # [start, stop) alias one list; _lists holds each list once.
         self._ids: Tuple[InstanceId, ...] = ()
         self._index: Dict[InstanceId, int] = {}
         self._acc: List[List[float]] = []
+        self._lists: List[List[float]] = []
+        self._shared: List[Tuple[int, int]] = []
         # Instances whose reports are currently withheld (dropout).
         self._suppressed: Set[InstanceId] = set()
         # Whether in-flight counters were discarded this window.
@@ -105,13 +113,17 @@ class MetricsManager:
         flagged as truncated — warm-up logic must not mistake it for a
         full observation.
         """
-        if any(row[_OBSERVED] > 0 for row in self._acc):
-            self._truncated = True
-        self._ids = tuple(instances)
-        self._index = {iid: row for row, iid in enumerate(self._ids)}
-        if len(self._index) != len(self._ids):
+        ids = tuple(instances)
+        index = {iid: row for row, iid in enumerate(ids)}
+        if len(index) != len(ids):
             raise MetricsError("duplicate instances in registration")
-        self._acc = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in self._ids]
+        if any(row[_OBSERVED] > 0 for row in self._lists):
+            self._truncated = True
+        self._ids = ids
+        self._index = index
+        self._acc = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in ids]
+        self._lists = list(self._acc)
+        self._shared = []
         # Suppressions name instances of the previous deployment; the
         # injector (or caller) re-applies them against the new set.
         self._suppressed.clear()
@@ -130,7 +142,57 @@ class MetricsManager:
         if suppressed == self._suppressed:
             return False
         self._suppressed = suppressed
+        for start, stop in list(self._shared):
+            dark = [iid in suppressed for iid in self._ids[start:stop]]
+            if any(dark) and not all(dark):
+                self._unshare(start, stop)
         return True
+
+    def share_rows(self, start: int, stop: int) -> None:
+        """Make rows ``[start, stop)`` one accumulator list, updated
+        once per :meth:`record_rows` and :meth:`advance` (the engine's
+        lane of identical instances, shared at deploy). The rows must
+        hold equal values, share no list yet and be suppressed alike."""
+        if not 0 <= start < stop <= len(self._acc):
+            raise MetricsError(
+                f"row block [{start}, {stop}) outside the "
+                f"{len(self._acc)} registered rows"
+            )
+        rows = self._acc[start:stop]
+        first = rows[0]
+        dark = {iid in self._suppressed for iid in self._ids[start:stop]}
+        if (
+            len({id(row) for row in rows}) != len(rows)
+            or any(row != first for row in rows)
+            or len(dark) != 1
+        ):
+            raise MetricsError(
+                f"rows [{start}, {stop}) cannot be shared: they must "
+                "hold equal values, share no list and be suppressed alike"
+            )
+        if len(rows) == 1:
+            return
+        self._acc[start:stop] = [first] * len(rows)
+        self._shared.append((start, stop))
+        self._relist()
+
+    def _unshare(self, start: int, stop: int) -> None:
+        """Give each row of the shared block ``[start, stop)`` its own
+        copy of the block's list."""
+        self._shared.remove((start, stop))
+        self._acc[start:stop] = [
+            list(row) for row in self._acc[start:stop]
+        ]
+        self._relist()
+
+    def _relist(self) -> None:
+        """Rebuild the distinct lists (shared blocks are contiguous)."""
+        acc = self._acc
+        self._lists = [
+            row
+            for index, row in enumerate(acc)
+            if index == 0 or row is not acc[index - 1]
+        ]
 
     def record(
         self,
@@ -157,14 +219,9 @@ class MetricsManager:
         useful: float,
         waiting: float,
     ) -> None:
-        """:meth:`record` by accumulator row (see :meth:`row_of`), for
-        the engine's own counters, which are non-negative by
-        construction: no instance lookup, no validation."""
-        acc = self._acc[row]
-        acc[_PULLED] += pulled
-        acc[_PUSHED] += pushed
-        acc[_USEFUL] += useful
-        acc[_WAITING] += waiting
+        """:meth:`record` by accumulator row (see :meth:`row_of`): no
+        instance lookup, no validation. Unshares the row's block."""
+        self.record_rows(row, row + 1, pulled, pushed, useful, waiting)
 
     def record_rows(
         self,
@@ -176,8 +233,26 @@ class MetricsManager:
         waiting: float,
     ) -> None:
         """:meth:`record_row` with the same values for every row of
-        ``[start, stop)``: the engine's lane of identical instances."""
-        for acc in self._acc[start:stop]:
+        ``[start, stop)``, for the engine's own counters, which are
+        non-negative by construction. A shared block passed whole (the
+        engine's lane of identical instances) is one list updated once;
+        any other range unshares the shared blocks it touches first."""
+        rows = self._acc
+        first = rows[start]
+        if (
+            first is rows[stop - 1]
+            and (start == 0 or rows[start - 1] is not first)
+            and (stop == len(rows) or rows[stop] is not first)
+        ):
+            first[_PULLED] += pulled
+            first[_PUSHED] += pushed
+            first[_USEFUL] += useful
+            first[_WAITING] += waiting
+            return
+        for block in list(self._shared):
+            if block[0] < stop and start < block[1]:
+                self._unshare(*block)
+        for acc in rows[start:stop]:
             acc[_PULLED] += pulled
             acc[_PUSHED] += pushed
             acc[_USEFUL] += useful
@@ -185,12 +260,12 @@ class MetricsManager:
 
     def advance(self, dt: float, outage: bool = False) -> None:
         """Advance observed time by one tick for every instance."""
-        if dt < 0:
-            raise MetricsError("dt must be >= 0")
+        if not 0 <= dt < math.inf:
+            raise MetricsError(f"dt must be finite and >= 0, got {dt!r}")
         self._now += dt
         if outage:
             self._outage_time += dt
-        for row in self._acc:
+        for row in self._lists:
             row[_OBSERVED] += dt
 
     def completeness(self) -> Dict[str, float]:

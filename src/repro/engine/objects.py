@@ -12,7 +12,10 @@ one (a hot instance, then instances sharing the rest evenly) is two.
 Each step whose result depends on the order of instances — a
 water-fill, the pushes into a downstream queue, a sum — is replayed
 ``count`` times in instance order, so a lane is bit for bit the
-instances it stands for.
+instances it stands for. The replay is one call per lane (a counted
+:meth:`~repro.engine.buffers.Queue.push`, ``fair_allocate`` and state
+update), a tight loop over floats rather than a Python call per
+instance, and a lane's metrics rows are one shared list.
 """
 
 from __future__ import annotations
@@ -130,6 +133,19 @@ def _expand(
     ]
 
 
+def _first_short_push(
+    capacity: Optional[float], length: float, amount: float, count: int
+) -> int:
+    """Which of ``count`` pushes of ``amount`` into a queue of
+    ``capacity`` holding ``length`` first comes up short."""
+    probe = Queue(capacity)
+    probe.force_push(length)
+    for index in range(count):
+        if probe.push(amount) < amount - 1e-6:
+            return index
+    return count
+
+
 #: Output targets of one operator: (downstream port queue, input
 #: weight, downstream lane) for every downstream lane that receives
 #: records.
@@ -190,7 +206,9 @@ class ObjectEngine:
 
     def deploy(self, plan: PhysicalPlan, carried: Carry) -> None:
         """Build the lanes for ``plan`` from the ``carried`` totals of
-        the previous deployment (empty on the first)."""
+        the previous deployment (empty on the first), and share each
+        lane's metrics rows, which the metrics manager must already
+        have registered for ``plan``."""
         runtime = self._sim.runtime
         runs = {name: lane_runs(plan, name) for name in self._specs}
         if runtime.demand_driven:
@@ -244,6 +262,7 @@ class ObjectEngine:
                     )
                 lane.fire_backlog = backlog * weight
                 lanes.append(lane)
+                self._metrics.share_rows(row + first, row + first + count)
             self._lanes[name] = lanes
             self._counts[name] = [count for _, count in runs[name]]
             self._widths[name] = parallelism
@@ -422,20 +441,27 @@ class ObjectEngine:
     @staticmethod
     def _emit(routes: _Routes, records: float, count: int) -> None:
         """Distribute ``records`` output records of each of ``count``
-        operator instances across all downstream queues, instance by
-        instance, so each queue sees the per-instance push sequence."""
+        operator instances across all downstream queues, route by route:
+        the queues of the routes are distinct, so each still sees the
+        per-instance push sequence. An overflow names the lane that
+        instance-major pushes would have hit first."""
         if records <= 0:
             return
-        pushes = [
-            (queue, records * weight, iid) for queue, weight, iid in routes
-        ]
-        for _ in range(count):
-            for queue, amount, iid in pushes:
-                if queue.push(amount) < amount - 1e-6:
-                    raise EngineError(
-                        f"emission overflow into {iid}: the "
-                        "downstream limit computation is inconsistent"
-                    )
+        overflow: Optional[Tuple[int, InstanceId]] = None
+        for queue, weight, iid in routes:
+            amount = records * weight
+            length = queue.length
+            if queue.push(amount, count) < amount - 1e-6:
+                index = _first_short_push(
+                    queue.capacity, length, amount, count
+                )
+                if overflow is None or index < overflow[0]:
+                    overflow = (index, iid)
+        if overflow is not None:
+            raise EngineError(
+                f"emission overflow into {overflow[1]}: the "
+                "downstream limit computation is inconsistent"
+            )
 
     # ------------------------------------------------------------------
     # Tick work
@@ -543,7 +569,7 @@ class ObjectEngine:
         record = self._metrics.record_rows
         row = self._rows[name]
         consumed_total = 0.0
-        processed_all = []
+        processed_lanes = []
         for lane, allowed, total in zip(lanes, allocations, totals):
             processed = lane.pop_records(allowed, total)
             emit = processed * selectivity
@@ -561,10 +587,12 @@ class ObjectEngine:
                 useful,
                 max(0.0, dt - useful),
             )
+            processed_lanes.append(processed)
             for _ in range(lane.count):
-                processed_all.append(processed)
                 consumed_total += processed
-        self._state.record_processed_block(name, processed_all)
+        self._state.record_processed_block(
+            name, processed_lanes, self._counts[name]
+        )
         return consumed_total
 
     def _run_window(
@@ -659,7 +687,7 @@ class ObjectEngine:
             for _ in range(lane.count):
                 consumed_total += pulled_acc[index]
         self._state.record_processed_block(
-            name, _expand(pulled_acc, lanes)
+            name, pulled_acc, self._counts[name]
         )
         return consumed_total
 

@@ -525,8 +525,8 @@ class Simulator:
         carried = self._engine.carry()
         self._plan = plan
         self._cache_costs(plan)
-        self._engine.deploy(plan, carried)
         self._metrics.register_instances(plan.all_instances())
+        self._engine.deploy(plan, carried)
         self._static_budgets = None
         if not self._runtime.demand_driven:
             self._static_budgets = self._engine.grant(

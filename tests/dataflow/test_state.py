@@ -52,6 +52,44 @@ class TestStateModel:
         with pytest.raises(EngineError):
             state.record_processed("counter", -1.0)
 
+    @pytest.mark.parametrize("cap", [4e9, 500.0])
+    def test_block_with_counts_equals_expanded_calls(self, cap):
+        """One record_processed_block call over lanes adds what a
+        record_processed call per instance adds, bit for bit, also when
+        the cap is reached partway through a lane."""
+        graph = LogicalGraph(
+            [
+                source("src", rate=RateSchedule.constant(10.0)),
+                map_operator(
+                    "counter",
+                    costs=CostModel(processing_cost=1e-6),
+                    state_bytes_per_record=3.7,
+                ),
+                sink("snk"),
+            ],
+            [Edge("src", "counter"), Edge("counter", "snk")],
+        )
+        records = [0.1, 7.3, 0.0, 1 / 3]
+        counts = [3, 8, 2, 5]
+        block = StateModel(graph=graph, max_state_bytes=cap)
+        expanded = StateModel(graph=graph, max_state_bytes=cap)
+        for _ in range(4):
+            block.record_processed_block("counter", records, counts)
+            for value, count in zip(records, counts):
+                for _ in range(count):
+                    expanded.record_processed("counter", value)
+        assert block.state_bytes("counter").hex() == (
+            expanded.state_bytes("counter").hex()
+        )
+
+    def test_block_rejects_negative_and_mismatched(self, stateful_graph):
+        state = StateModel(graph=stateful_graph)
+        with pytest.raises(EngineError):
+            state.record_processed_block("counter", [1.0, -1.0], [1, 2])
+        with pytest.raises(EngineError):
+            state.record_processed_block("counter", [1.0], [1, 2])
+        assert state.state_bytes("counter") == 0.0
+
     def test_unknown_operator_rejected(self, stateful_graph):
         state = StateModel(graph=stateful_graph)
         with pytest.raises(EngineError):

@@ -7,6 +7,14 @@ import pytest
 from repro.engine.buffers import Queue
 from repro.errors import EngineError
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - optional dev dependency
+    HAVE_HYPOTHESIS = False
+
 
 class TestBoundedQueue:
     def test_push_within_capacity(self):
@@ -81,6 +89,95 @@ class TestConservation:
         with pytest.raises(EngineError):
             queue.pop(-1.0)
 
+    @pytest.mark.parametrize("operation", ["push", "force_push", "pop"])
+    def test_nan_rejected(self, operation):
+        queue = Queue(capacity=10.0)
+        with pytest.raises(EngineError):
+            getattr(queue, operation)(math.nan)
+        assert queue.length == 0.0
+        assert queue.total_pushed == 0.0
+        assert queue.total_popped == 0.0
+
+    def test_push_count_must_be_positive(self):
+        with pytest.raises(EngineError):
+            Queue().push(1.0, 0)
+
     def test_repr(self):
         assert "inf" in repr(Queue())
         assert "10" in repr(Queue(capacity=10.0))
+
+
+def _hex_state(queue, accepted):
+    return (
+        queue.length.hex(),
+        queue.total_pushed.hex(),
+        queue.total_popped.hex(),
+        accepted.hex(),
+    )
+
+
+def _repeated_push(capacity, start, records, count):
+    """``count`` single pushes, the smallest amount accepted."""
+    queue = Queue(capacity)
+    queue.force_push(start)
+    accepted = min(queue.push(records) for _ in range(count))
+    return _hex_state(queue, accepted)
+
+
+def _counted_push(capacity, start, records, count):
+    queue = Queue(capacity)
+    queue.force_push(start)
+    return _hex_state(queue, queue.push(records, count))
+
+
+class TestCountedPush:
+    """``push(records, count)`` is ``count`` single pushes, bit for
+    bit."""
+
+    @pytest.mark.parametrize(
+        "capacity, start, records, count",
+        [
+            (10.0, 0.0, 3.0, 5),  # fills partway: 3, 3, 3, 1, 0
+            (10.0, 0.1, 0.7, 20),  # fills partway, inexact sums
+            (10.0, 10.0, 1.0, 3),  # full from the start
+            (1e6, 0.0, 0.1, 9),  # never fills
+            (None, 0.3, 0.1, 9),  # unbounded
+        ],
+    )
+    def test_matches_single_pushes(self, capacity, start, records, count):
+        assert _counted_push(capacity, start, records, count) == (
+            _repeated_push(capacity, start, records, count)
+        )
+
+    def test_fills_partway(self):
+        queue = Queue(capacity=10.0)
+        assert queue.push(3.0, 5) == 0.0
+        assert queue.length == 10.0
+        assert queue.total_pushed == 10.0
+
+
+if HAVE_HYPOTHESIS:
+
+    _amounts = st.floats(
+        min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False
+    )
+
+    @given(
+        capacity=st.one_of(
+            st.none(),
+            st.floats(min_value=1e-3, max_value=1e4, allow_nan=False),
+        ),
+        start=_amounts,
+        records=_amounts,
+        count=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_counted_push_matches_single_pushes(
+        capacity, start, records, count
+    ):
+        """Bounded queues that fill up partway, before or not at all,
+        and unbounded queues: the same length, totals and return value,
+        compared as float hex."""
+        assert _counted_push(capacity, start, records, count) == (
+            _repeated_push(capacity, start, records, count)
+        )

@@ -1,5 +1,7 @@
 """Unit tests for the MetricsManager aggregation (section 4.1)."""
 
+import math
+
 import pytest
 
 from repro.dataflow.physical import InstanceId
@@ -62,6 +64,104 @@ class TestLaneRows:
         assert windows[0].instances[ids[2]].records_pulled == 0.0
 
 
+def _lane_manager(share):
+    """Eight instances of ``op`` as one lane, its rows shared or not."""
+    manager = MetricsManager()
+    manager.register_instances(
+        [InstanceId("src", 0)] + [InstanceId("op", i) for i in range(8)]
+    )
+    if share:
+        manager.share_rows(1, 9)
+    return manager
+
+
+def _exact(window):
+    """A window's per-instance counters as float hex, plus the rest."""
+    return (
+        window.start,
+        window.end,
+        {
+            str(iid): [
+                value.hex()
+                for value in (
+                    c.records_pulled,
+                    c.records_pushed,
+                    c.useful_time,
+                    c.waiting_time,
+                    c.observed_time,
+                )
+            ]
+            for iid, c in window.instances.items()
+        },
+        window.completeness,
+        window.truncated,
+    )
+
+
+class TestSharedRows:
+    """Rows shared by a lane are one list until they could differ."""
+
+    VALUES = (0.1, 0.2, 0.30000000000000004, 1 / 3)
+
+    def _drive(self, manager, dropouts):
+        windows = []
+        for step in range(12):
+            if step in dropouts:
+                manager.set_suppressed(dropouts[step])
+            manager.record_rows(0, 1, *self.VALUES)
+            manager.record_rows(1, 9, *self.VALUES)
+            manager.advance(0.1)
+            if step % 3 == 2:
+                windows.append(_exact(manager.collect()))
+        return windows
+
+    def test_dropout_of_half_a_lane_matches_unshared_rows(self):
+        """A MetricDropout silences instances 0-3 of the lane for two
+        windows: every window equals that of a manager that never
+        shared the rows."""
+        half = [InstanceId("op", i) for i in range(4)]
+        dropouts = {2: half, 8: []}
+        shared, separate = _lane_manager(True), _lane_manager(False)
+        windows = self._drive(shared, dropouts)
+        assert windows == self._drive(separate, dropouts)
+        silenced = windows[1][2]
+        assert "op[0]" not in silenced and "op[4]" in silenced
+
+    def test_dropout_of_the_whole_lane_keeps_it_shared(self):
+        whole = [InstanceId("op", i) for i in range(8)]
+        dropouts = {2: whole, 8: []}
+        shared = _lane_manager(True)
+        windows = self._drive(shared, dropouts)
+        assert windows == self._drive(_lane_manager(False), dropouts)
+        assert len(shared._lists) == 2
+
+    def test_record_row_unshares_its_block(self):
+        shared, separate = _lane_manager(True), _lane_manager(False)
+        for manager in (shared, separate):
+            manager.record_rows(1, 9, *self.VALUES)
+            manager.record_row(3, *self.VALUES)
+            manager.record_rows(1, 9, *self.VALUES)
+            manager.advance(0.5)
+        assert _exact(shared.collect()) == _exact(separate.collect())
+
+    def test_share_rows_rejects_unequal_or_shared_rows(self):
+        manager = _lane_manager(False)
+        manager.record_row(2, 1.0, 1.0, 0.1, 0.1)
+        with pytest.raises(MetricsError):
+            manager.share_rows(1, 9)
+        manager.share_rows(3, 9)
+        with pytest.raises(MetricsError):
+            manager.share_rows(4, 6)
+        with pytest.raises(MetricsError):
+            manager.share_rows(5, 12)
+
+    def test_share_rows_rejects_mixed_suppression(self):
+        manager = _lane_manager(False)
+        manager.set_suppressed([InstanceId("op", 0)])
+        with pytest.raises(MetricsError):
+            manager.share_rows(1, 9)
+
+
 class TestCollection:
     def test_collect_resets_counters(self, manager):
         iid = InstanceId("op", 0)
@@ -116,6 +216,30 @@ class TestCollection:
     def test_negative_advance_rejected(self, manager):
         with pytest.raises(MetricsError):
             manager.advance(-0.1)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_advance_rejected(self, manager, dt):
+        with pytest.raises(MetricsError):
+            manager.advance(dt)
+        assert manager.now == 0.0
+        manager.advance(1.0)
+        window = manager.collect()
+        assert window.instances[InstanceId("op", 0)].observed_time == 1.0
+
+    def test_duplicate_registration_leaves_previous_set(self, manager):
+        old = manager.registered
+        manager.advance(1.0)
+        with pytest.raises(MetricsError):
+            manager.register_instances(
+                [InstanceId("new", 0), InstanceId("new", 0)]
+            )
+        assert manager.registered == old
+        assert manager.row_of(InstanceId("op", 1)) == 1
+        with pytest.raises(MetricsError):
+            manager.row_of(InstanceId("new", 0))
+        window = manager.collect()
+        assert not window.truncated
+        assert window.instances[old[0]].observed_time == 1.0
 
 
 class TestSuppression:
