@@ -5,10 +5,13 @@ Produces the two committed performance artifacts that back
 ``docs/performance.md``:
 
 * ``benchmarks/output/profile_tick.txt`` — cProfile hot-function
-  tables for the engine with lanes and with one lane per instance on
-  the Nexmark Q5 benchmark cell (a hot key on its windowed operator),
-  so regressions show up as a changed ranking rather than a vague
-  slowdown;
+  tables: first a ``table4-short``-shaped cell (the Table 4 engine
+  configuration on Nexmark Q1 and Q5, evenly partitioned at
+  parallelism 8, where every operator is one lane and the per-operator
+  work of a tick is what is left to rank), then the engine with lanes
+  and with one lane per instance on the Nexmark Q5 benchmark cell (a
+  hot key on its windowed operator), so regressions show up as a
+  changed ranking rather than a vague slowdown;
 * ``benchmarks/output/engine_speedup.txt`` — ticks/second with lanes
   and with one lane per instance across a width sweep, from the narrow
   Heron wordcount deployments of the chaos experiment's recovery
@@ -79,6 +82,12 @@ BENCH_SLOTS = 256
 #: (its reference semantics).
 LAYOUTS = ("lanes", "per-instance")
 
+#: The ``table4-short``-shaped cell: Table 4's queries with the fewest
+#: and the most per-tick work (Q1, a map; Q5, a sliding window) at the
+#: smallest initial configuration, evenly partitioned.
+TABLE4_QUERIES = ("Q1", "Q5")
+TABLE4_SLOTS = 8
+
 
 @contextlib.contextmanager
 def layout(name: str) -> Iterator[None]:
@@ -113,6 +122,24 @@ def build_simulator(slots: int, hot_share: float = 0.0) -> Simulator:
         plan,
         FlinkRuntime(),
         EngineConfig(tick=0.25, track_record_latency=True),
+    )
+
+
+def build_table4_cell(query_name: str) -> Simulator:
+    """A Table 4 cell before its first decision: the Flink runtime at
+    ``initial_parallelism(graph, TABLE4_SLOTS)``, with the engine
+    configuration of ``repro.experiments.convergence`` (tick 0.25 s, no
+    record latency tracking)."""
+    query = get_query(query_name)
+    graph = query.flink_graph()
+    return Simulator(
+        PhysicalPlan(
+            graph,
+            query.initial_parallelism(graph, TABLE4_SLOTS),
+            max_parallelism=36,
+        ),
+        FlinkRuntime(),
+        EngineConfig(tick=0.25, track_record_latency=False),
     )
 
 
@@ -158,15 +185,23 @@ def measure_ticks_per_second(sim: Simulator, seconds: float) -> float:
 
 
 def profile_layout(name: str, slots: int, virtual: float) -> str:
-    """cProfile hot-function table for ``virtual`` simulated seconds.
-    Only a deployment reads the lane layout, and nothing here
-    redeploys."""
+    """cProfile hot-function table of the hot-key Q5 cell for
+    ``virtual`` simulated seconds. Only a deployment reads the lane
+    layout, and nothing here redeploys."""
     with layout(name):
         sim = build_simulator(slots, HOT_SHARE)
-    sim.run_for(5.0)
+    return profile_steps([sim], virtual)
+
+
+def profile_steps(sims: List[Simulator], virtual: float) -> str:
+    """cProfile hot-function table of stepping each of ``sims`` for
+    ``virtual`` simulated seconds, in turn, after a 5 s warm-up."""
+    for sim in sims:
+        sim.run_for(5.0)
     profiler = cProfile.Profile()
     profiler.enable()
-    sim.run_for(virtual)
+    for sim in sims:
+        sim.run_for(virtual)
     profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
@@ -243,7 +278,20 @@ def main(argv: List[str]) -> int:
 
     OUTPUT_DIR.mkdir(exist_ok=True)
 
-    sections = []
+    print("profiling the table4-short cell ...", flush=True)
+    # Ten times the virtual time: a narrow tick is cheap, and the
+    # table ranks a few thousand of them.
+    table4_virtual = 10 * virtual
+    table = profile_steps(
+        [build_table4_cell(query) for query in TABLE4_QUERIES],
+        table4_virtual,
+    )
+    sections = [
+        f"== cProfile: table4-short cell, flink nexmark "
+        f"{'+'.join(TABLE4_QUERIES)} uniform "
+        f"parallelism={TABLE4_SLOTS} ({table4_virtual:.0f}s virtual "
+        f"each) ==\n{table}"
+    ]
     for name in LAYOUTS:
         print(f"profiling {name} ...", flush=True)
         table = profile_layout(name, BENCH_SLOTS, virtual)

@@ -45,14 +45,17 @@ def fair_allocate(
     # every demand without a word.
     if not total >= 0:
         raise EngineError(f"total must be >= 0, got {total!r}")
-    desires = [max(0.0, d) for d in desires]
+    entries = len(desires)
     if counts is None:
-        counts = [1] * len(desires)
-    elif len(counts) != len(desires) or (counts and min(counts) < 1):
+        counts = [1] * entries
+    elif len(counts) != entries or (counts and min(counts) < 1):
         raise EngineError(
             "counts must hold one entry >= 1 per desire, got "
-            f"{list(counts)!r} for {len(desires)} desires"
+            f"{list(counts)!r} for {entries} desires"
         )
+    if entries == 1:
+        return [_fill_one(total, desires[0], counts[0])]
+    desires = [max(0.0, d) for d in desires]
     # The expanded sum, left to right as the builtin adds, at C speed.
     if math.isinf(total) or total >= sum(
         chain.from_iterable(map(repeat, desires, counts))
@@ -85,6 +88,31 @@ def fair_allocate(
             remaining = 0.0
             break
         active = next_active
+    return allocation
+
+
+def _fill_one(total: float, desire: float, count: int) -> float:
+    """:func:`fair_allocate` of one entry standing for ``count`` equal
+    demands (an engine lane of one operator). Its water-fill has at
+    most one round: the one active entry either takes its whole desire
+    or takes a share and then an even split of what is left. Same
+    float operations in the same order as that round."""
+    # max(0.0, desire), NaN included.
+    desire = desire if desire > 0.0 else 0.0
+    if math.isinf(total) or total >= sum(repeat(desire, count)):
+        return desire
+    allocation = 0.0
+    if desire > 0 and total > 1e-12:
+        share = total / count
+        # min(share, want), where want = desire - 0.0 = desire.
+        grant = desire if desire < share else share
+        allocation += grant
+        if grant < desire - 1e-15:
+            # Not progressed: split what is left evenly.
+            remaining = total
+            for _ in range(count):
+                remaining -= grant
+            allocation += remaining / count
     return allocation
 
 

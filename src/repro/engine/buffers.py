@@ -17,6 +17,16 @@ from typing import Optional
 from repro.errors import EngineError
 
 
+def _check_pushable(records: float) -> None:
+    """Reject a push that is negative, NaN or infinite: an infinite
+    push drains to a NaN length (``inf - inf``)."""
+    if not 0.0 <= records < math.inf:
+        raise EngineError(
+            f"cannot push {records!r} records: the count must be "
+            "finite and >= 0"
+        )
+
+
 class Queue:
     """A fluid FIFO queue with optional capacity.
 
@@ -83,9 +93,7 @@ class Queue:
         ``max(0.0, capacity - length)`` and adds what it accepted, in
         order, with the running totals held in locals.
         """
-        # Written so that NaN fails the check.
-        if not records >= 0:
-            raise EngineError("cannot push a negative record count")
+        _check_pushable(records)
         if count < 1:
             raise EngineError(f"push count must be >= 1, got {count!r}")
         length = self._length
@@ -115,8 +123,7 @@ class Queue:
     def force_push(self, records: float) -> None:
         """Push ignoring capacity (used when redistributing queue
         contents during a redeploy — state is never dropped)."""
-        if not records >= 0:
-            raise EngineError("cannot push a negative record count")
+        _check_pushable(records)
         self._length += records
         self._pushed += records
 
@@ -124,16 +131,18 @@ class Queue:
         """Pop up to ``records``; returns the amount actually removed."""
         if not records >= 0:
             raise EngineError("cannot pop a negative record count")
-        removed = min(records, self._length)
-        self._length -= removed
+        length = self._length
+        # min(records, length), ties included.
+        removed = length if length < records else records
+        length -= removed
         self._popped += removed
         # Guard against floating-point drift below zero.
-        if self._length < 0:
-            if self._length < -1e-6:
-                raise EngineError(
-                    f"queue length went negative: {self._length}"
-                )
-            self._length = 0.0
+        if length < 0:
+            if length < -1e-6:
+                self._length = length
+                raise EngineError(f"queue length went negative: {length}")
+            length = 0.0
+        self._length = length
         return removed
 
     def drain(self) -> float:
@@ -144,7 +153,8 @@ class Queue:
         """Raise :class:`EngineError` if pushed - popped != length."""
         drift = abs((self._pushed - self._popped) - self._length)
         scale = max(1.0, self._pushed)
-        if drift > tolerance * scale:
+        # Written so that a NaN drift (a NaN length or total) fails.
+        if not drift <= tolerance * scale:
             raise EngineError(
                 f"queue conservation violated: pushed={self._pushed} "
                 f"popped={self._popped} length={self._length}"

@@ -74,6 +74,7 @@ class MetricsManager:
         self._shared: List[Tuple[int, int]] = []
         # Instances whose reports are currently withheld (dropout).
         self._suppressed: Set[InstanceId] = set()
+        self._registrations = 0
         # Whether in-flight counters were discarded this window.
         self._truncated = False
 
@@ -94,6 +95,12 @@ class MetricsManager:
     def registered(self) -> Tuple[InstanceId, ...]:
         """Registered instances in row (registration) order."""
         return self._ids
+
+    @property
+    def registrations(self) -> int:
+        """How many times an instance set was registered (each one
+        clears the suppressed set)."""
+        return self._registrations
 
     def row_of(self, instance: InstanceId) -> int:
         """Accumulator row index of a registered instance."""
@@ -121,6 +128,7 @@ class MetricsManager:
             self._truncated = True
         self._ids = ids
         self._index = index
+        self._registrations += 1
         self._acc = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in ids]
         self._lists = list(self._acc)
         self._shared = []

@@ -16,6 +16,17 @@ instances it stands for. The replay is one call per lane (a counted
 :meth:`~repro.engine.buffers.Queue.push`, ``fair_allocate`` and state
 update), a tight loop over floats rather than a Python call per
 instance, and a lane's metrics rows are one shared list.
+
+Each deployment also compiles a *tick program* (:meth:`ObjectEngine.deploy`):
+one flat tuple per operator in the order a tick runs them, holding
+everything the plan fixes (kind, lanes, counts, routes, metrics rows,
+port queues, selectivity, state growth), plus flat tuples of every
+queue, every lane and the bounded queues. :meth:`ObjectEngine.run_tick`
+runs a whole tick from it with one lane loop per operator kind, and
+the backpressure scan and the invariant check walk the flat tuples, so
+a tick pays no per-operator dictionary lookups or property calls. The
+float operations and their order are those of the per-operator code
+it replaced.
 """
 
 from __future__ import annotations
@@ -23,7 +34,17 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.dataflow.operators import OperatorSpec
 from repro.dataflow.physical import InstanceId, PhysicalPlan
@@ -104,7 +125,7 @@ class _Instance:
         if amount <= 0 or total <= 0:
             return 0.0
         if amount >= total:
-            return sum(queue.drain() for queue in self.ports.values())
+            return sum(map(Queue.drain, self.ports.values()))
         popped = 0.0
         for queue in self.ports.values():
             share = amount * (queue.length / total)
@@ -151,6 +172,37 @@ def _first_short_push(
 #: records.
 _Routes = List[Tuple[Queue, float, InstanceId]]
 
+#: Operator kinds of a tick program.
+_SOURCE, _REGULAR, _WINDOW = range(3)
+
+#: One lane of a tick-program operator: the lane, its instance count,
+#: its first metrics row and its input port queues in port order.
+_ProgramLane = Tuple[_Instance, int, int, Tuple[Queue, ...]]
+
+#: One operator of a tick program: (kind, name, is sink, lanes, lane
+#: counts, routes, selectivity — the fire selectivity at a window —,
+#: state bytes per processed record, extra), where extra is (rate
+#: schedule, parallelism) at a source, the replication at a window and
+#: None otherwise.
+_Op = Tuple[
+    int,
+    str,
+    bool,
+    Tuple[_ProgramLane, ...],
+    Tuple[int, ...],
+    _Routes,
+    float,
+    float,
+    Any,
+]
+
+_Limit = Callable[[_Routes], float]
+_EmitStep = Callable[[_Routes, float, int], None]
+
+#: A queue's length, read off its slot (the tick reads queue slots
+#: directly, as a friend of :class:`~repro.engine.buffers.Queue`).
+_LENGTH = attrgetter("_length")
+
 
 class ObjectEngine:
     """The lane tick loop: a friend object of
@@ -165,17 +217,16 @@ class ObjectEngine:
         self._metrics = sim.metrics_manager
         self._state = sim.state_model
         self._profiler = sim._profiler
-        self._dt = sim.config.tick
+        self._catchup = sim.config.source_catchup_factor
+        self._blocking = sim.runtime.sources_blocked_by_backpressure
         # Per deployment: each operator's lanes in instance order and
-        # their counts, its parallelism and first metrics row, the
-        # targets of its output, and the input queues of every bounded
-        # operator with ports.
+        # its parallelism, and the tick program (see deploy).
         self._lanes: Dict[str, List[_Instance]] = {}
-        self._counts: Dict[str, List[int]] = {}
         self._widths: Dict[str, int] = {}
-        self._rows: Dict[str, int] = {}
-        self._routes: Dict[str, _Routes] = {}
-        self._bounded: List[Tuple[str, Tuple[Queue, ...]]] = []
+        self._program: Tuple[_Op, ...] = ()
+        self._queues: Tuple[Queue, ...] = ()
+        self._all_lanes: Tuple[_Instance, ...] = ()
+        self._bounded: Tuple[Tuple[str, Tuple[Queue, ...]], ...] = ()
 
     # ------------------------------------------------------------------
     # Deployment
@@ -229,9 +280,8 @@ class ObjectEngine:
                     for first, stop in zip(bounds, bounds[1:])
                 ]
         self._lanes = {}
-        self._counts = {}
         self._widths = {}
-        self._rows = {}
+        rows: Dict[str, int] = {}
         row = 0
         for name, spec in self._specs.items():
             parallelism = plan.parallelism_of(name)
@@ -264,13 +314,23 @@ class ObjectEngine:
                 lanes.append(lane)
                 self._metrics.share_rows(row + first, row + first + count)
             self._lanes[name] = lanes
-            self._counts[name] = [count for _, count in runs[name]]
             self._widths[name] = parallelism
-            self._rows[name] = row
+            rows[name] = row
             row += parallelism
-        # Zero-weight instances receive nothing and bound nothing.
-        self._routes = {}
-        for name in self._specs:
+        self._compile(plan, rows)
+
+    def _compile(self, plan: PhysicalPlan, rows: Dict[str, int]) -> None:
+        """Build the tick program of the lanes just deployed: one
+        :data:`_Op` per operator in reverse topological order (sinks
+        first, the order a tick runs them), and flat tuples of every
+        queue, every lane and each bounded operator's queues for the
+        per-tick scans. ``rows`` holds each operator's first metrics
+        row."""
+        program: List[_Op] = []
+        for name in reversed(list(self._specs)):
+            spec = self._specs[name]
+            lanes = self._lanes[name]
+            # Zero-weight instances receive nothing and bound nothing.
             routes: _Routes = []
             for downstream in self._graph.downstream(name):
                 weights = plan.input_weights(downstream)
@@ -278,13 +338,48 @@ class ObjectEngine:
                     weight = weights[lane.iid.index]
                     if weight > 0:
                         routes.append((lane.ports[name], weight, lane.iid))
-            self._routes[name] = routes
-        self._bounded = [
+            if spec.is_source:
+                kind, ratio = _SOURCE, 0.0
+                extra: Any = (spec.rate, self._widths[name])
+            elif spec.window is not None:
+                kind, ratio = _WINDOW, spec.window.fire_selectivity
+                extra = spec.window.replication
+            else:
+                kind, ratio, extra = _REGULAR, spec.selectivity.ratio, None
+            program.append(
+                (
+                    kind,
+                    name,
+                    spec.is_sink,
+                    tuple(
+                        (
+                            lane,
+                            lane.count,
+                            rows[name] + lane.iid.index,
+                            tuple(lane.ports.values()),
+                        )
+                        for lane in lanes
+                    ),
+                    tuple(lane.count for lane in lanes),
+                    routes,
+                    ratio,
+                    spec.state_bytes_per_record,
+                    extra,
+                )
+            )
+        self._program = tuple(program)
+        self._all_lanes = tuple(
+            lane for lanes in self._lanes.values() for lane in lanes
+        )
+        self._queues = tuple(
+            queue for lane in self._all_lanes for queue in lane.ports.values()
+        )
+        self._bounded = tuple(
             (name, tuple(q for i in lanes for q in i.ports.values()))
             for name, lanes in self._lanes.items()
             if lanes[0].ports
             and next(iter(lanes[0].ports.values())).bounded
-        ]
+        )
 
     def grant(
         self, budgets: Dict[str, List[float]]
@@ -335,15 +430,37 @@ class ObjectEngine:
         """Operators with a bounded port at or above the runtime's
         backpressure threshold, in topological order."""
         threshold = self._sim.runtime.backpressure_threshold
-        return tuple(
-            name
-            for name, queues in self._bounded
-            if any(queue.fill_fraction >= threshold for queue in queues)
-        )
+        hot = []
+        for name, queues in self._bounded:
+            for queue in queues:
+                # min(1.0, fill), NaN included: the fill fraction.
+                fill = queue._length / queue._capacity
+                if not fill < 1.0:
+                    fill = 1.0
+                if fill >= threshold:
+                    hot.append(name)
+                    break
+        return tuple(hot)
 
     def check_invariants(self) -> None:
         """Queue conservation and non-negative fire backlogs (the first
-        violating instance of a lane is its first)."""
+        violating instance of a lane is its first).
+
+        One pass over the flat queue and lane tuples with
+        :meth:`~repro.engine.buffers.Queue.check_conservation`'s test
+        inlined; only a violation walks the lanes again, in operator
+        order, to raise the first one's error."""
+        for queue in self._queues:
+            pushed = queue._pushed
+            drift = abs((pushed - queue._popped) - queue._length)
+            if not drift <= 1e-6 * (pushed if pushed > 1.0 else 1.0):
+                break
+        else:
+            for lane in self._all_lanes:
+                if lane.fire_backlog < -1e-6:
+                    break
+            else:
+                return
         for lanes in self._lanes.values():
             for lane in lanes:
                 for queue in lane.ports.values():
@@ -432,10 +549,17 @@ class ObjectEngine:
     @staticmethod
     def _downstream_limit(routes: _Routes) -> float:
         """Maximum records an operator may emit right now without
-        overflowing any downstream instance queue (inf if unbounded)."""
+        overflowing any downstream instance queue (inf if unbounded):
+        the smallest ``free_space / weight`` over the routes."""
         limit = math.inf
         for queue, weight, _ in routes:
-            limit = min(limit, queue.free_space / weight)
+            capacity = queue._capacity
+            if capacity is None:
+                continue
+            free = capacity - queue._length
+            room = (free if free > 0.0 else 0.0) / weight
+            if room < limit:
+                limit = room
         return limit
 
     @staticmethod
@@ -450,7 +574,7 @@ class ObjectEngine:
         overflow: Optional[Tuple[int, InstanceId]] = None
         for queue, weight, iid in routes:
             amount = records * weight
-            length = queue.length
+            length = queue._length
             if queue.push(amount, count) < amount - 1e-6:
                 index = _first_short_push(
                     queue.capacity, length, amount, count
@@ -467,228 +591,265 @@ class ObjectEngine:
     # Tick work
     # ------------------------------------------------------------------
 
-    def run_source(
+    def run_tick(
         self,
-        name: str,
-        spec: OperatorSpec,
+        budgets: Dict[str, List[float]],
+        dt: float,
+        end_time: float,
+        source_emitted: Dict[str, float],
+        source_desired: Dict[str, float],
+        sink_consumed: Dict[str, float],
+    ) -> None:
+        """Run every operator for one active tick from the tick program,
+        sinks first. Each source's emitted and desired records go into
+        ``source_emitted`` and ``source_desired`` (in program order),
+        each sink's consumed records into ``sink_consumed``.
+
+        :meth:`_downstream_limit` and :meth:`_emit` are looked up once
+        per tick, so a patched one takes effect from the next tick."""
+        limit = self._downstream_limit
+        emit = self._emit
+        for op in self._program:
+            kind, name, sink = op[0], op[1], op[2]
+            if kind == _SOURCE:
+                emitted, desired = self._source_step(
+                    op, budgets[name], dt, limit, emit
+                )
+                source_emitted[name] = emitted
+                source_desired[name] = desired
+                continue
+            if kind == _REGULAR:
+                consumed = self._regular_step(
+                    op, budgets[name], dt, limit, emit
+                )
+            else:
+                profiler = self._profiler
+                profiled = profiler.enabled
+                if profiled:
+                    profiler.enter("engine.window_fire")
+                try:
+                    consumed = self._window_step(
+                        op, budgets[name], dt, end_time, limit, emit
+                    )
+                finally:
+                    if profiled:
+                        profiler.exit("engine.window_fire")
+            if sink:
+                sink_consumed[name] = consumed
+
+    # The steps below spell ``min(a, b)`` as ``b if b < a else a`` and
+    # ``max(a, b)`` as ``b if b > a else a``: the builtins' results,
+    # ties and NaN included, without a call.
+
+    def _source_step(
+        self,
+        op: _Op,
         budgets: Sequence[float],
         dt: float,
+        limit: _Limit,
+        emit: _EmitStep,
     ) -> Tuple[float, float]:
-        """Generate and emit source records; returns (emitted, desired)."""
+        """Generate and emit a source's records; returns (emitted,
+        desired)."""
+        _, name, _, lanes, counts, routes, _, _, extra = op
+        schedule, width = extra
         sim = self._sim
-        schedule = spec.rate
-        assert schedule is not None
-        rate = schedule.rate_at(sim.time)
-        desired = rate * dt
-        available = desired + sim._source_backlog[name]
-        cap = desired * sim.config.source_catchup_factor
-        want = min(available, max(cap, desired))
-        routes = self._routes[name]
-        if sim.runtime.sources_blocked_by_backpressure:
-            space = self._downstream_limit(routes)
-        else:
-            space = math.inf
+        backlogs = sim._source_backlog
+        desired = schedule.rate_at(sim.time) * dt
+        available = desired + backlogs[name]
+        cap = desired * self._catchup
+        # min(available, max(cap, desired))
+        most = desired if desired > cap else cap
+        want = most if most < available else available
+        space = limit(routes) if self._blocking else math.inf
         cost = sim._source_cost(name)
         # Each source instance generates an equal share of the stream;
         # the shared downstream space is divided fairly among them.
-        share = want / self._widths[name]
+        share = want / width
         desires = []
         for budget in budgets:
             by_budget = math.inf if cost <= 0 else budget / cost
-            desires.append(min(share, by_budget))
-        allocations = fair_allocate(space, desires, self._counts[name])
+            desires.append(by_budget if by_budget < share else share)
+        allocations = fair_allocate(space, desires, counts)
         record = self._metrics.record_rows
-        row = self._rows[name]
         emitted_total = 0.0
-        for lane, emit in zip(self._lanes[name], allocations):
-            self._emit(routes, emit, lane.count)
-            useful = min(emit * cost, dt)
-            start = row + lane.iid.index
+        for (_, count, start, _), emitted in zip(lanes, allocations):
+            emit(routes, emitted, count)
+            useful = emitted * cost
+            if dt < useful:
+                useful = dt
+            idle = dt - useful
             record(
                 start,
-                start + lane.count,
-                emit,
-                emit,
+                start + count,
+                emitted,
+                emitted,
                 useful,
-                max(0.0, dt - useful),
+                idle if idle > 0.0 else 0.0,
             )
-            for _ in range(lane.count):
-                emitted_total += emit
-        sim._source_backlog[name] = max(
-            0.0, available - emitted_total
-        )
+            for _ in range(count):
+                emitted_total += emitted
+        left = available - emitted_total
+        backlogs[name] = left if left > 0.0 else 0.0
         return emitted_total, desired
 
-    def run_operator(
+    def _regular_step(
         self,
-        name: str,
-        spec: OperatorSpec,
+        op: _Op,
         budgets: Sequence[float],
-        end_time: float,
+        dt: float,
+        limit: _Limit,
+        emit: _EmitStep,
     ) -> float:
-        """Run one non-source operator for a tick; returns records
-        consumed (meaningful for sinks)."""
-        dt = self._dt
-        lanes = self._lanes[name]
-        routes = self._routes[name]
+        """Run a non-window operator; returns records consumed
+        (meaningful for sinks)."""
+        _, name, sink, lanes, counts, routes, selectivity, growth, _ = op
+        sim = self._sim
         # Shared downstream space for this operator's emissions this
         # tick, in output records; divided fairly among the instances
         # so that a squeezed instance does not distort the
         # backpressure limit seen by upstream operators.
-        if spec.is_sink:
-            space = math.inf
-        else:
-            space = self._downstream_limit(routes)
+        space = math.inf if sink else limit(routes)
+        cost = sim._unit_cost(name)
         # Nothing refills this operator's queues before it runs: its
         # upstream operators come later in the (reverse topological)
         # tick order.
-        totals = [lane.total_queue_length for lane in lanes]
-        if spec.window is not None:
-            profiled = self._profiler.enabled
-            if profiled:
-                self._profiler.enter("engine.window_fire")
-            try:
-                return self._run_window(
-                    name, spec, lanes, totals, budgets, dt,
-                    end_time, space,
-                )
-            finally:
-                if profiled:
-                    self._profiler.exit("engine.window_fire")
-        # Regular (non-window) operator.
-        unit_cost = self._sim._unit_cost(name)
-        selectivity = spec.selectivity.ratio
+        totals = []
         desires = []
-        for total, budget in zip(totals, budgets):
-            by_budget = math.inf if unit_cost <= 0 else budget / unit_cost
-            desires.append(min(total, by_budget))
-        pull_cap = (
-            math.inf if selectivity <= 0 else space / selectivity
-        )
-        allocations = fair_allocate(pull_cap, desires, self._counts[name])
+        for (_, _, _, ports), budget in zip(lanes, budgets):
+            total = sum(map(_LENGTH, ports))
+            totals.append(total)
+            by_budget = math.inf if cost <= 0 else budget / cost
+            desires.append(by_budget if by_budget < total else total)
+        pull_cap = math.inf if selectivity <= 0 else space / selectivity
+        allocations = fair_allocate(pull_cap, desires, counts)
         record = self._metrics.record_rows
-        row = self._rows[name]
         consumed_total = 0.0
         processed_lanes = []
-        for lane, allowed, total in zip(lanes, allocations, totals):
+        for (lane, count, start, _), allowed, total in zip(
+            lanes, allocations, totals
+        ):
             processed = lane.pop_records(allowed, total)
-            emit = processed * selectivity
-            pushed = 0.0
-            if not spec.is_sink and emit > 0:
-                self._emit(routes, emit, lane.count)
-                pushed = emit
-            useful = min(processed * unit_cost, dt)
-            start = row + lane.iid.index
+            pushed = processed * selectivity
+            if sink or not pushed > 0:
+                pushed = 0.0
+            else:
+                emit(routes, pushed, count)
+            useful = processed * cost
+            if dt < useful:
+                useful = dt
+            idle = dt - useful
             record(
                 start,
-                start + lane.count,
+                start + count,
                 processed,
                 pushed,
                 useful,
-                max(0.0, dt - useful),
+                idle if idle > 0.0 else 0.0,
             )
             processed_lanes.append(processed)
-            for _ in range(lane.count):
+            for _ in range(count):
                 consumed_total += processed
-        self._state.record_processed_block(
-            name, processed_lanes, self._counts[name]
-        )
+        if growth > 0:
+            self._state.record_processed_block(
+                name, processed_lanes, counts
+            )
         return consumed_total
 
-    def _run_window(
+    def _window_step(
         self,
-        name: str,
-        spec: OperatorSpec,
-        lanes: List[_Instance],
-        totals: List[float],
+        op: _Op,
         budgets: Sequence[float],
         dt: float,
         end_time: float,
-        space: float,
+        limit: _Limit,
+        emit: _EmitStep,
     ) -> float:
-        window_spec = spec.window
-        assert window_spec is not None
-        width = len(lanes)
-        routes = self._routes[name]
-        assign_cost, fire_cost = self._sim._window_costs(name)
-        fire_sel = window_spec.fire_selectivity
-        budgets_left = list(budgets)
-        useful_acc = [0.0] * width
-        pushed_acc = [0.0] * width
-        pulled_acc = [0.0] * width
+        """Run a window operator: drain fire backlogs, assign arrivals
+        to windows, fire crossed boundaries; returns records consumed
+        (meaningful for sinks)."""
+        _, name, sink, lanes, counts, routes, fire_sel, growth, extra = op
+        replication = extra
+        sim = self._sim
+        space = math.inf if sink else limit(routes)
+        assign_cost, fire_cost = sim._window_costs(name)
         # Fire work and assignment work share each instance's budget
         # proportionally to their demands (the scheduler interleaves
         # them); a fire-first priority would let a large fire backlog
         # starve input reading entirely, collapsing throughput instead
         # of degrading it.
-        fire_budget = [0.0] * width
-        for index, lane in enumerate(lanes):
-            fire_demand = lane.fire_backlog * fire_cost
-            assign_demand = totals[index] * assign_cost
-            total_demand = fire_demand + assign_demand
-            if total_demand <= 0:
-                continue
-            share = min(1.0, fire_demand / total_demand)
-            fire_budget[index] = budgets_left[index] * share
+        totals = []
+        fire_desires = []
+        for (lane, _, _, ports), budget in zip(lanes, budgets):
+            total = sum(map(_LENGTH, ports))
+            totals.append(total)
+            backlog = lane.fire_backlog
+            fire_demand = backlog * fire_cost
+            total_demand = fire_demand + total * assign_cost
+            fire_budget = 0.0
+            if not total_demand <= 0:
+                share = fire_demand / total_demand
+                fire_budget = budget * (share if share < 1.0 else 1.0)
+            by_budget = (
+                math.inf if fire_cost <= 0 else fire_budget / fire_cost
+            )
+            fire_desires.append(
+                by_budget if by_budget < backlog else backlog
+            )
         # Stage 1: drain the fire backlogs (burst work), sharing the
         # downstream space fairly.
-        fire_desires = []
-        for lane, budget in zip(lanes, fire_budget):
-            by_budget = math.inf if fire_cost <= 0 else budget / fire_cost
-            fire_desires.append(min(lane.fire_backlog, by_budget))
         fire_cap = math.inf if fire_sel <= 0 else space / fire_sel
-        fired_alloc = fair_allocate(
-            fire_cap, fire_desires, self._counts[name]
-        )
-        for index, (lane, fired) in enumerate(zip(lanes, fired_alloc)):
-            if fired <= 0:
-                continue
-            lane.fire_backlog -= fired
-            emit = fired * fire_sel
-            self._emit(routes, emit, lane.count)
-            useful_acc[index] += fired * fire_cost
-            pushed_acc[index] += emit
-            budgets_left[index] = max(
-                0.0, budgets_left[index] - fired * fire_cost
-            )
-        # Stage 2: assign newly arrived records to windows (no
-        # emission, so no space constraint). Firing popped nothing, so
-        # the queue totals are unchanged.
-        for index, lane in enumerate(lanes):
+        fired_alloc = fair_allocate(fire_cap, fire_desires, counts)
+        record = self._metrics.record_rows
+        consumed_total = 0.0
+        pulled_lanes = []
+        for (lane, count, start, _), budget, total, fired in zip(
+            lanes, budgets, totals, fired_alloc
+        ):
+            useful = 0.0
+            pushed = 0.0
+            pulled = 0.0
+            if not fired <= 0:
+                lane.fire_backlog -= fired
+                emitted = fired * fire_sel
+                emit(routes, emitted, count)
+                useful += fired * fire_cost
+                pushed += emitted
+                left = budget - fired * fire_cost
+                budget = left if left > 0.0 else 0.0
+            # Stage 2: assign newly arrived records to windows (no
+            # emission, so no space constraint). Firing popped nothing,
+            # so the queue total is unchanged.
             by_budget = (
-                math.inf
-                if assign_cost <= 0
-                else budgets_left[index] / assign_cost
+                math.inf if assign_cost <= 0 else budget / assign_cost
             )
             assigned = lane.pop_records(
-                min(totals[index], by_budget), totals[index]
+                by_budget if by_budget < total else total, total
             )
-            assert lane.window is not None
-            lane.window.buffered += assigned * window_spec.replication
-            useful_acc[index] += assigned * assign_cost
-            pulled_acc[index] += assigned
+            window = lane.window
+            assert window is not None
+            window.buffered += assigned * replication
+            useful += assigned * assign_cost
+            pulled += assigned
             # Stage 3: check window boundaries.
-            released, _fires = lane.window.maybe_fire(end_time)
+            released, _fires = window.maybe_fire(end_time)
             lane.fire_backlog += released
-        record = self._metrics.record_rows
-        row = self._rows[name]
-        consumed_total = 0.0
-        for index, lane in enumerate(lanes):
-            useful = min(useful_acc[index], dt)
-            start = row + lane.iid.index
+            if dt < useful:
+                useful = dt
+            idle = dt - useful
             record(
                 start,
-                start + lane.count,
-                pulled_acc[index],
-                pushed_acc[index],
+                start + count,
+                pulled,
+                pushed,
                 useful,
-                max(0.0, dt - useful),
+                idle if idle > 0.0 else 0.0,
             )
-            for _ in range(lane.count):
-                consumed_total += pulled_acc[index]
-        self._state.record_processed_block(
-            name, pulled_acc, self._counts[name]
-        )
+            pulled_lanes.append(pulled)
+            for _ in range(count):
+                consumed_total += pulled
+        if growth > 0:
+            self._state.record_processed_block(name, pulled_lanes, counts)
         return consumed_total
 
 

@@ -161,7 +161,6 @@ class Simulator:
         self._graph: LogicalGraph = plan.graph
         # Topology lookups the tick makes, resolved once.
         self._order = self._graph.topological_order()
-        self._reverse_order = tuple(reversed(self._order))
         self._specs: Dict[str, OperatorSpec] = {
             name: self._graph.operator(name) for name in self._order
         }
@@ -699,27 +698,19 @@ class Simulator:
                 self._profiler.exit("engine.allocate")
         source_emitted: Dict[str, float] = {}
         source_desired: Dict[str, float] = {}
-        sink_consumed: Dict[str, float] = {
-            name: 0.0 for name in self._sinks
-        }
-        end_time = self._time + dt
-        for name in self._reverse_order:
-            spec = self._specs[name]
-            if spec.is_source:
-                emitted, desired = engine.run_source(
-                    name, spec, budgets[name], dt
-                )
-                source_emitted[name] = emitted
-                source_desired[name] = desired
-                self._window_source_emitted[name] += emitted
-            else:
-                consumed = engine.run_operator(
-                    name, spec, budgets[name], end_time
-                )
-                if spec.is_sink:
-                    sink_consumed[name] = consumed
+        sink_consumed: Dict[str, float] = dict.fromkeys(self._sinks, 0.0)
+        engine.run_tick(
+            budgets,
+            dt,
+            self._time + dt,
+            source_emitted,
+            source_desired,
+            sink_consumed,
+        )
+        for name, emitted in source_emitted.items():
+            self._window_source_emitted[name] += emitted
         self._observe_latency(dt, source_emitted, sink_consumed)
-        backpressured = self.backpressured_operators()
+        backpressured = engine.backpressured()
         for name in backpressured:
             self._window_bp_seconds[name] += dt
         self._metrics.advance(dt)

@@ -37,6 +37,8 @@ Injection points:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -92,6 +94,23 @@ class FaultInjector:
         # the structured view campaign scorers aggregate into
         # per-runtime recovery-time distributions.
         self._crash_outages: List[Tuple[float, float]] = []
+        # Metric dropout: the active dropouts change only where sim
+        # time reaches a dropout's start or end, and a registration
+        # (every redeploy) clears the suppressed set. So the silenced
+        # set is recomputed only when time leaves the span between two
+        # boundaries, [lo, hi), or the registration count moves.
+        self._dropout_bounds = tuple(
+            sorted(
+                {
+                    bound
+                    for event in schedule.events
+                    if isinstance(event, MetricDropout)
+                    for bound in (event.time, event.end)
+                }
+            )
+        )
+        self._dropout_span = (math.inf, -math.inf)  # empty: sync first
+        self._dropout_registration = -1
 
     def __getattr__(self, name: str):
         # Everything not intercepted goes straight to the simulator
@@ -280,7 +299,19 @@ class FaultInjector:
 
     def _sync_suppression(self) -> None:
         manager = self._sim.metrics_manager
-        dropped = self._dropped_instances(self._sim.time)
+        now = self._sim.time
+        lo, hi = self._dropout_span
+        registration = manager.registrations
+        if lo <= now < hi and registration == self._dropout_registration:
+            return
+        bounds = self._dropout_bounds
+        index = bisect_right(bounds, now)
+        self._dropout_span = (
+            bounds[index - 1] if index else -math.inf,
+            bounds[index] if index < len(bounds) else math.inf,
+        )
+        self._dropout_registration = registration
+        dropped = self._dropped_instances(now)
         if manager.set_suppressed(dropped):
             if self._tracer.enabled:
                 self._tracer.emit(

@@ -86,6 +86,10 @@ class TestFairAllocate:
             (1.0, [1.0], [1, 1]),
             (1.0, [1.0, 2.0], [1, 0]),
             (1.0, [1.0], [-3]),
+            (math.nan, [1.0], None),
+            (math.nan, [1.0], [4]),
+            (1.0, [1.0], [0]),
+            (1.0, [1.0], []),
         ],
         ids=[
             "nan-total",
@@ -95,6 +99,10 @@ class TestFairAllocate:
             "counts-too-long",
             "zero-count",
             "negative-count",
+            "nan-total-one-desire",
+            "nan-total-one-lane",
+            "zero-count-one-desire",
+            "no-counts-one-desire",
         ],
     )
     def test_bad_arguments_rejected(self, total, desires, counts):
@@ -103,39 +111,59 @@ class TestFairAllocate:
 
     if HAVE_HYPOTHESIS:
 
+        _LANE = st.tuples(
+            st.one_of(
+                st.floats(min_value=-1e6, max_value=1e9, allow_nan=False),
+                st.just(0.0),
+                st.just(-1.0),
+                st.just(math.nan),
+                st.floats(min_value=0.0, max_value=1e-12),
+            ),
+            st.integers(min_value=1, max_value=40),
+        )
+
         @given(
             total=st.one_of(
                 st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
                 st.just(math.inf),
                 st.just(0.0),
+                st.just(1e-13),
+                # Relative to the expanded sum of the drawn desires.
+                st.sampled_from(["sum", "below-sum", "above-sum"]),
             ),
-            lanes=st.lists(
-                st.tuples(
-                    st.one_of(
-                        st.floats(
-                            min_value=-1e6, max_value=1e9, allow_nan=False
-                        ),
-                        st.just(0.0),
-                        st.floats(min_value=0.0, max_value=1e-12),
-                    ),
-                    st.integers(min_value=1, max_value=40),
-                ),
-                max_size=8,
+            lanes=st.one_of(
+                st.lists(_LANE, max_size=8),
+                # One entry: the water-fill's one-entry shortcut.
+                _LANE.map(lambda lane: [lane]),
             ),
         )
-        @settings(max_examples=300, deadline=None)
+        @settings(max_examples=500, deadline=None)
         def test_property_counts_match_expanded(self, total, lanes):
             """Each lane's value is, bit for bit, what the water-fill
-            over the expanded list gives every demand of the lane."""
+            over the expanded list gives every demand of the lane. The
+            expanded list also runs padded with a zero demand, so that
+            a single demand is checked against the general water-fill
+            rather than against the one-entry shortcut."""
+            expanded_desires = [
+                desire for desire, count in lanes for _ in range(count)
+            ]
+            if isinstance(total, str):
+                edge = sum(max(0.0, desire) for desire in expanded_desires)
+                total = {
+                    "sum": edge,
+                    "below-sum": max(0.0, math.nextafter(edge, -math.inf)),
+                    "above-sum": math.nextafter(edge, math.inf),
+                }[total]
             desires = [desire for desire, _ in lanes]
             counts = [count for _, count in lanes]
-            expanded = fair_allocate(
-                total,
-                [desire for desire, count in lanes for _ in range(count)],
-            )
+            expanded = fair_allocate(total, expanded_desires)
+            padded = fair_allocate(total, expanded_desires + [0.0])
             counted = fair_allocate(total, desires, counts)
-            assert [value.hex() for value in expanded] == [
+            lane_values = [
                 value.hex()
                 for value, count in zip(counted, counts)
                 for _ in range(count)
             ]
+            assert [value.hex() for value in expanded] == lane_values
+            assert [value.hex() for value in padded[:-1]] == lane_values
+            assert padded[-1] == 0.0

@@ -98,6 +98,26 @@ class TestConservation:
         assert queue.total_pushed == 0.0
         assert queue.total_popped == 0.0
 
+    @pytest.mark.parametrize("operation", ["push", "force_push"])
+    def test_infinite_push_rejected(self, operation):
+        """An infinite push would drain to a NaN length (inf - inf)."""
+        queue = Queue()
+        with pytest.raises(EngineError, match="finite"):
+            getattr(queue, operation)(math.inf)
+        assert queue.length == 0.0
+        assert queue.total_pushed == 0.0
+        queue.check_conservation()
+
+    def test_nan_length_fails_conservation(self):
+        """A NaN drift is a violation, not a pass: every comparison
+        with NaN is false, so the check is written ``not drift <=
+        bound``."""
+        queue = Queue()
+        queue.push(5.0)
+        queue._length = math.nan
+        with pytest.raises(EngineError, match="conservation violated"):
+            queue.check_conservation()
+
     def test_push_count_must_be_positive(self):
         with pytest.raises(EngineError):
             Queue().push(1.0, 0)

@@ -7,9 +7,12 @@ by the counted water-fill property in ``test_allocation.py``; these
 tests pin the lane layout itself and the guards around it.
 """
 
+import math
+
 import pytest
 
 from repro.dataflow.physical import Partitioner, PhysicalPlan
+from repro.dataflow.state import SavepointModel
 from repro.engine.objects import lane_runs
 from repro.engine.runtimes import FlinkRuntime, HeronRuntime, TimelyRuntime
 from repro.engine.simulator import EngineConfig, Simulator
@@ -103,6 +106,64 @@ class TestLayout:
         sim.run_until(sim.time + 100.0)
         assert _lane_counts(sim)["count"] == [1]
         assert _lane_counts(sim)["flatmap"] == [2]
+
+
+class TestProgramFollowsRedeploys:
+    """Each deployment compiles its own tick program; the invariant
+    check and the backpressure scan walk its flat tuples. After every
+    kind of redeploy they must see the new lanes' queues, which a
+    program left over from the previous deployment does not hold."""
+
+    KINDS = ["zero-outage-rescale", "outage-end", "zero-cost-crash"]
+
+    def _redeployed(self, kind):
+        outage = 2.0 if kind == "outage-end" else 0.0
+        runtime = FlinkRuntime(
+            savepoint=SavepointModel(
+                base_seconds=outage,
+                snapshot_bandwidth=math.inf,
+                redeploy_seconds=0.0,
+            )
+        )
+        sim = _sim(runtime, WIDE, skew={"count": 0.5})
+        sim.run_for(5.0)
+        lanes = sim._engine._lanes["count"]
+        if kind == "zero-cost-crash":
+            assert sim.fail_instance("count", 1) == 0.0
+        else:
+            assert sim.rescale({"count": 6}) == outage
+            while sim.in_outage:
+                sim.step()
+        assert sim._engine._lanes["count"][1] is not lanes[1]
+        sim._engine.check_invariants()
+        return sim
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_invariant_check_names_corrupted_lane(self, kind):
+        sim = self._redeployed(kind)
+        sim._engine._lanes["count"][1].fire_backlog = -1.0
+        with pytest.raises(
+            EngineError, match=r"negative fire backlog at count\[1\]"
+        ):
+            sim._engine.check_invariants()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_invariant_check_sees_nan_queue(self, kind):
+        sim = self._redeployed(kind)
+        (queue,) = sim._engine._lanes["count"][1].ports.values()
+        queue._length = math.nan
+        with pytest.raises(EngineError, match="length=nan"):
+            sim._engine.check_invariants()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_backpressure_sees_filled_queue(self, kind):
+        sim = self._redeployed(kind)
+        assert "count" not in sim.backpressured_operators()
+        (queue,) = sim._engine._lanes["count"][1].ports.values()
+        threshold = sim.runtime.backpressure_threshold
+        queue.force_push(threshold * queue.capacity - queue.length)
+        assert queue.fill_fraction >= threshold
+        assert "count" in sim.backpressured_operators()
 
 
 class TestMaterialize:

@@ -6,6 +6,8 @@ uninjected schedule leaves behaviour byte-identical and each fault type
 perturbs exactly its own channel.
 """
 
+import math
+
 import pytest
 
 from repro.dataflow.graph import Edge, LogicalGraph
@@ -153,6 +155,97 @@ class TestMetricDropout:
         window = injector.collect_metrics()
         assert window.instances_of("op") == []
         assert window.completeness_of("op") == 0.0
+
+
+class _PerTickSync(FaultInjector):
+    """The reference: recomputes the silenced set on every sync rather
+    than only when a dropout boundary or a redeploy is crossed."""
+
+    def _sync_suppression(self):
+        self._dropout_span = (math.inf, -math.inf)
+        super()._sync_suppression()
+
+
+class TestDropoutSync:
+    """The dropout sync skips recomputing between boundaries; tick by
+    tick it must match recomputing on every call."""
+
+    def _run(self, injector_class, schedule, savepoint, rescale_at):
+        from repro.telemetry import Tracer, tracing
+
+        tracer = Tracer(capacity=None)
+        suppressed = []
+        with tracing(tracer):
+            simulator = make_injector(
+                schedule, savepoint=savepoint
+            ).simulator
+            injector = injector_class(simulator, schedule)
+            while injector.time < 12.0 - 1e-9:
+                now = injector.time
+                if now == rescale_at:
+                    injector.rescale({"op": 5})
+                if now % 2.0 == 0.0:
+                    injector.collect_metrics()
+                injector.step()
+                # What the sync at ``now`` left (a redeploy at the end
+                # of this tick has not been re-synced yet).
+                suppressed.append(
+                    (
+                        now,
+                        sorted(injector.metrics_manager.suppressed),
+                        injector.plan.parallelism["op"],
+                    )
+                )
+        events = [
+            (event.time, event.data)
+            for event in tracer.events("fault.MetricDropout")
+        ]
+        return suppressed, events
+
+    def _assert_matches_per_tick(self, schedule, savepoint, rescale_at):
+        fast = self._run(FaultInjector, schedule, savepoint, rescale_at)
+        reference = self._run(_PerTickSync, schedule, savepoint, rescale_at)
+        assert fast == reference
+        return fast
+
+    def test_boundaries_on_ticks(self):
+        """Start and end at exact tick times (the tick is 0.5 s)."""
+        schedule = FaultSchedule([
+            MetricDropout(
+                time=2.0, duration=3.0, operator="op", fraction=0.5
+            ),
+            MetricDropout(time=5.0, duration=1.5, operator="src"),
+        ])
+        suppressed, events = self._assert_matches_per_tick(
+            schedule, SavepointModel.instant(), rescale_at=None
+        )
+        by_time = {time: dark for time, dark, _ in suppressed}
+        assert by_time[1.5] == []
+        assert by_time[2.0] == [InstanceId("op", 0)]
+        assert by_time[5.0] == [InstanceId("src", 0), InstanceId("src", 1)]
+        assert by_time[6.5] == []
+        assert [time for time, _ in events] == [2.0, 5.0, 6.5]
+
+    @pytest.mark.parametrize(
+        "savepoint",
+        [SavepointModel.instant(), SavepointModel(1.0, 200e6, 0.5)],
+        ids=["zero-outage", "outage"],
+    )
+    def test_dropout_spanning_a_rescale(self, savepoint):
+        """A redeploy clears the suppressed set; the sync re-applies it
+        against the new parallelism (round(0.5 * 5) = 2 of 5)."""
+        schedule = FaultSchedule([
+            MetricDropout(
+                time=1.0, duration=8.0, operator="op", fraction=0.5
+            ),
+        ])
+        suppressed, events = self._assert_matches_per_tick(
+            schedule, savepoint, rescale_at=3.0
+        )
+        assert suppressed[-1][2] == 5
+        during = [dark for time, dark, _ in suppressed if time == 8.5]
+        assert during == [[InstanceId("op", 0), InstanceId("op", 1)]]
+        assert len(events) >= 3
 
 
 class TestMetricCorruption:
