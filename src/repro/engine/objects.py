@@ -20,41 +20,52 @@ instance, and a lane's metrics rows are one shared list.
 Each deployment also compiles a *tick program* (:meth:`ObjectEngine.deploy`):
 one flat tuple per operator in the order a tick runs them, holding
 everything the plan fixes (kind, lanes, counts, routes, metrics rows,
-port queues, selectivity, state growth), plus flat tuples of every
-queue, every lane and the bounded queues. :meth:`ObjectEngine.run_tick`
-runs a whole tick from it with one lane loop per operator kind, and
-the backpressure scan and the invariant check walk the flat tuples, so
-a tick pays no per-operator dictionary lookups or property calls. The
-float operations and their order are those of the per-operator code
-it replaced.
+port queues, selectivity, state growth, per-record costs), plus flat
+tuples of every queue, every lane and the bounded queues.
+:meth:`ObjectEngine.run_tick` runs a whole tick from it with one lane
+loop per operator kind, and the backpressure scan and the invariant
+check walk the flat tuples, so a tick pays no per-operator dictionary
+lookups or property calls. The float operations and their order are
+those of the per-operator code it replaced.
+
+:meth:`ObjectEngine.state` is one read-only, per-instance view of the
+engine's state; a redeploy carries its reduction
+(:meth:`EngineState.carry`) into the new lanes.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, replace
+import random
+from dataclasses import dataclass
 from operator import attrgetter
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     List,
+    Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.dataflow.operators import OperatorSpec
+from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import InstanceId, PhysicalPlan
+from repro.dataflow.state import StateModel
 from repro.dataflow.windowing import WindowState
 from repro.engine.allocation import fair_allocate
 from repro.engine.buffers import Queue
+from repro.engine.metrics_manager import MetricsManager
+from repro.engine.runtimes import Runtime
 from repro.errors import EngineError
+from repro.telemetry.spans import SpanProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.simulator import Simulator
+    from repro.engine.simulator import EngineConfig
 
 
 #: Carried state of a deployment, per operator: records queued per
@@ -63,6 +74,57 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: to exactly these totals and spreads them over the new instances by
 #: the plan's input weights.
 Carry = Dict[str, Tuple[Dict[str, float], float, float]]
+
+
+class PortState(NamedTuple):
+    """An input port's queue: records queued, ever pushed and popped."""
+
+    length: float
+    pushed: float
+    popped: float
+
+
+class WindowBuffer(NamedTuple):
+    """A window's buffered records, next fire and last release check."""
+
+    buffered: float
+    next_fire: float
+    last_check: float
+
+
+class InstanceState(NamedTuple):
+    """An instance's input ports in port order, window (or None) and
+    fire backlog."""
+
+    ports: Mapping[str, PortState]
+    window: Optional[WindowBuffer]
+    fire_backlog: float
+
+
+class EngineState(NamedTuple):
+    """The engine's state, independent of its lanes: each operator's
+    instances (topological, then index order), each source's external
+    backlog and the cost-noise RNG's :meth:`random.Random.getstate`."""
+
+    operators: Mapping[str, Tuple[InstanceState, ...]]
+    source_backlogs: Mapping[str, float]
+    rng: Tuple[Any, ...]
+
+    def carry(self) -> Carry:
+        """The instance state reduced to carried totals (see
+        :data:`Carry`), summed instance by instance."""
+        carried: Carry = {}
+        for name, instances in self.operators.items():
+            per_port: Dict[str, float] = {}
+            buffered = backlog = 0.0
+            for instance in instances:
+                for port, queue in instance.ports.items():
+                    per_port[port] = per_port.get(port, 0.0) + queue.length
+                if instance.window is not None:
+                    buffered += instance.window.buffered
+                backlog += instance.fire_backlog
+            carried[name] = (per_port, buffered, backlog)
+        return carried
 
 
 def lane_runs(plan: PhysicalPlan, name: str) -> List[Tuple[int, int]]:
@@ -92,7 +154,6 @@ class _Instance:
     """
 
     iid: InstanceId
-    spec: OperatorSpec
     ports: Dict[str, Queue]
     window: Optional[WindowState] = None
     fire_backlog: float = 0.0
@@ -102,20 +163,6 @@ class _Instance:
     def total_queue_length(self) -> float:
         """Records queued across all input ports."""
         return sum(queue.length for queue in self.ports.values())
-
-    @property
-    def max_fill_fraction(self) -> float:
-        """Worst port occupancy (0 for unbounded/portless)."""
-        if not self.ports:
-            return 0.0
-        return max(queue.fill_fraction for queue in self.ports.values())
-
-    @property
-    def pending_records(self) -> float:
-        extra = self.fire_backlog
-        if self.window is not None:
-            extra += self.window.buffered
-        return self.total_queue_length + extra
 
     def pop_records(self, amount: float, total: float) -> float:
         """Remove up to ``amount`` records, drawing from each port in
@@ -132,26 +179,44 @@ class _Instance:
             popped += queue.pop(share)
         return popped
 
-    def snapshot(self, iid: InstanceId) -> "_Instance":
-        """A detached copy of this lane's state as instance ``iid``."""
-        return replace(
-            self,
-            iid=iid,
-            ports={port: copy.copy(q) for port, q in self.ports.items()},
-            window=copy.copy(self.window),
-            count=1,
+    def states(self) -> Tuple[InstanceState, ...]:
+        """The state of each instance of this lane."""
+        ports = {
+            port: PortState(q._length, q._pushed, q._popped)
+            for port, q in self.ports.items()
+        }
+        buffer = None
+        if self.window is not None:
+            window = self.window
+            buffer = WindowBuffer(
+                window.buffered, window.next_fire, window._last_check
+            )
+        state = InstanceState(
+            MappingProxyType(ports), buffer, self.fire_backlog
         )
+        return (state,) * self.count
 
 
-def _expand(
-    values: Sequence[float], lanes: Sequence[_Instance]
-) -> List[float]:
-    """One value per lane, repeated per instance: the instance order."""
-    return [
-        value
-        for value, lane in zip(values, lanes)
-        for _ in range(lane.count)
-    ]
+def _pending(lanes: Sequence[_Instance]) -> float:
+    """Records queued, window-buffered and in fire backlogs at the
+    instances of ``lanes``, summed in instance order."""
+    values: List[float] = []
+    for lane in lanes:
+        extra = lane.fire_backlog
+        if lane.window is not None:
+            extra += lane.window.buffered
+        values += [lane.total_queue_length + extra] * lane.count
+    return sum(values)
+
+
+def _window_costs(
+    factors: Tuple[float, float, float], noise: float
+) -> Tuple[float, float]:
+    """A window's (assign cost per input record, fire cost per buffered
+    record) from its cost factors and this tick's cost noise."""
+    scale, assign, fire = factors
+    multiplier = scale * noise
+    return assign * multiplier, fire * multiplier
 
 
 def _first_short_push(
@@ -181,9 +246,12 @@ _ProgramLane = Tuple[_Instance, int, int, Tuple[Queue, ...]]
 
 #: One operator of a tick program: (kind, name, is sink, lanes, lane
 #: counts, routes, selectivity — the fire selectivity at a window —,
-#: state bytes per processed record, extra), where extra is (rate
-#: schedule, parallelism) at a source, the replication at a window and
-#: None otherwise.
+#: state bytes per processed record, cost, extra). The cost is per
+#: record and before this tick's noise: the generation cost at a
+#: source, the processing cost at a regular operator, and at a window
+#: the factors of :func:`_window_costs`. Extra is (rate schedule,
+#: parallelism) at a source, the replication at a window and None
+#: otherwise.
 _Op = Tuple[
     int,
     str,
@@ -194,8 +262,11 @@ _Op = Tuple[
     float,
     float,
     Any,
+    Any,
 ]
 
+#: Records per operator in one tick.
+_Flows = Dict[str, float]
 _Limit = Callable[[_Routes], float]
 _EmitStep = Callable[[_Routes, float, int], None]
 
@@ -205,62 +276,62 @@ _LENGTH = attrgetter("_length")
 
 
 class ObjectEngine:
-    """The lane tick loop: a friend object of
-    :class:`~repro.engine.simulator.Simulator`, which keeps the state
-    outside the instances and drives this one per tick."""
+    """The lane tick loop of one dataflow under one runtime: it holds
+    the lanes, the source backlogs, the tick program with its costs,
+    the cost-noise RNG and the budgets a plan fixes, and records into
+    the metrics manager and state model it is given."""
 
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim = sim
-        self._graph = sim.graph
+    def __init__(
+        self,
+        graph: LogicalGraph,
+        runtime: Runtime,
+        config: "EngineConfig",
+        metrics: MetricsManager,
+        state: StateModel,
+        profiler: SpanProfiler,
+    ) -> None:
+        self._graph = graph
+        self._runtime = runtime
+        self._config = config
+        self._metrics = metrics
+        self._state = state
+        self._profiler = profiler
         # Every operator in topological order.
-        self._specs = sim._specs
-        self._metrics = sim.metrics_manager
-        self._state = sim.state_model
-        self._profiler = sim._profiler
-        self._catchup = sim.config.source_catchup_factor
-        self._blocking = sim.runtime.sources_blocked_by_backpressure
-        # Per deployment: each operator's lanes in instance order and
-        # its parallelism, and the tick program (see deploy).
+        self._specs = {n: graph.operator(n) for n in graph.topological_order()}
+        self._sinks = graph.sinks()
+        self._catchup = config.source_catchup_factor
+        self._blocking = runtime.sources_blocked_by_backpressure
+        # Records each source's external system buffered while the
+        # source was blocked or the job was down.
+        self._backlogs: Dict[str, float] = dict.fromkeys(graph.sources(), 0.0)
+        self._rng = random.Random(config.seed)
+        # Per-operator cost-noise factors for the current tick.
+        self._jitter: Dict[str, float] = dict.fromkeys(graph.names, 1.0)
+        # Per deployment (see deploy): the plan, each operator's lanes
+        # in instance order, the tick program and the budgets when they
+        # do not depend on demand.
+        self._plan: Optional[PhysicalPlan] = None
         self._lanes: Dict[str, List[_Instance]] = {}
-        self._widths: Dict[str, int] = {}
         self._program: Tuple[_Op, ...] = ()
         self._queues: Tuple[Queue, ...] = ()
         self._all_lanes: Tuple[_Instance, ...] = ()
         self._bounded: Tuple[Tuple[str, Tuple[Queue, ...]], ...] = ()
+        self._static_budgets: Optional[Dict[str, List[float]]] = None
 
     # ------------------------------------------------------------------
     # Deployment
     # ------------------------------------------------------------------
 
-    def carry(self) -> Carry:
-        """The instance state reduced to carried totals (see
-        :data:`Carry`), summed instance by instance (empty before the
-        first deployment)."""
-        carried: Carry = {}
-        for name, lanes in self._lanes.items():
-            per_port: Dict[str, float] = {}
-            for lane in lanes:
-                for port, queue in lane.ports.items():
-                    for _ in range(lane.count):
-                        per_port[port] = (
-                            per_port.get(port, 0.0) + queue.length
-                        )
-            buffered = 0.0
-            backlog = 0.0
-            for lane in lanes:
-                for _ in range(lane.count):
-                    if lane.window is not None:
-                        buffered += lane.window.buffered
-                    backlog += lane.fire_backlog
-            carried[name] = (per_port, buffered, backlog)
-        return carried
-
-    def deploy(self, plan: PhysicalPlan, carried: Carry) -> None:
-        """Build the lanes for ``plan`` from the ``carried`` totals of
-        the previous deployment (empty on the first), and share each
-        lane's metrics rows, which the metrics manager must already
-        have registered for ``plan``."""
-        runtime = self._sim.runtime
+    def deploy(self, plan: PhysicalPlan, now: float) -> None:
+        """Deploy ``plan`` at virtual time ``now``: register its
+        instances with the metrics manager, and build its lanes from the
+        carried totals of the previous deployment (:meth:`state`
+        reduced by :meth:`EngineState.carry`; nothing on the first),
+        each lane sharing its metrics rows."""
+        carried = self.state().carry()
+        self._plan = plan
+        self._metrics.register_instances(plan.all_instances())
+        runtime = self._runtime
         runs = {name: lane_runs(plan, name) for name in self._specs}
         if runtime.demand_driven:
             # A demand-driven runtime may divide shared worker time by
@@ -280,7 +351,6 @@ class ObjectEngine:
                     for first, stop in zip(bounds, bounds[1:])
                 ]
         self._lanes = {}
-        self._widths = {}
         rows: Dict[str, int] = {}
         row = 0
         for name, spec in self._specs.items():
@@ -296,7 +366,6 @@ class ObjectEngine:
                 weight = weights[first]
                 lane = _Instance(
                     iid=InstanceId(name, first),
-                    spec=spec,
                     ports={
                         port: Queue(capacity=capacity) for port in ports
                     },
@@ -304,7 +373,7 @@ class ObjectEngine:
                 )
                 if spec.window is not None:
                     lane.window = WindowState(spec=spec.window)
-                    lane.window.reset(self._sim.time)
+                    lane.window.reset(now)
                     lane.window.buffered = buffered * weight
                 for port in ports:
                     lane.ports[port].force_push(
@@ -314,10 +383,14 @@ class ObjectEngine:
                 lanes.append(lane)
                 self._metrics.share_rows(row + first, row + first + count)
             self._lanes[name] = lanes
-            self._widths[name] = parallelism
             rows[name] = row
             row += parallelism
         self._compile(plan, rows)
+        self._static_budgets = None
+        if not runtime.demand_driven:
+            self._static_budgets = self.grant(
+                runtime.budgets(plan, {}, self._config.tick)
+            )
 
     def _compile(self, plan: PhysicalPlan, rows: Dict[str, int]) -> None:
         """Build the tick program of the lanes just deployed: one
@@ -326,10 +399,14 @@ class ObjectEngine:
         queue, every lane and each bounded operator's queues for the
         per-tick scans. ``rows`` holds each operator's first metrics
         row."""
+        multiplier = 1.0
+        if self._config.instrumentation_enabled:
+            multiplier += self._runtime.instrumentation_overhead
         program: List[_Op] = []
         for name in reversed(list(self._specs)):
             spec = self._specs[name]
             lanes = self._lanes[name]
+            parallelism = plan.parallelism_of(name)
             # Zero-weight instances receive nothing and bound nothing.
             routes: _Routes = []
             for downstream in self._graph.downstream(name):
@@ -338,14 +415,30 @@ class ObjectEngine:
                     weight = weights[lane.iid.index]
                     if weight > 0:
                         routes.append((lane.ports[name], weight, lane.iid))
+            cost: Any
             if spec.is_source:
                 kind, ratio = _SOURCE, 0.0
-                extra: Any = (spec.rate, self._widths[name])
+                cost = spec.costs.base_cost * multiplier
+                extra: Any = (spec.rate, parallelism)
             elif spec.window is not None:
-                kind, ratio = _WINDOW, spec.window.fire_selectivity
-                extra = spec.window.replication
+                window = spec.window
+                kind, ratio = _WINDOW, window.fire_selectivity
+                coordination = 1.0 + spec.costs.coordination_alpha * (
+                    parallelism - 1
+                )
+                cost = (
+                    coordination * multiplier,
+                    spec.costs.base_cost
+                    + window.replication * window.assign_cost,
+                    window.fire_cost,
+                )
+                extra = window.replication
             else:
                 kind, ratio, extra = _REGULAR, spec.selectivity.ratio, None
+                cost = spec.costs.effective_cost(parallelism)
+                if spec.rate_limit is not None:
+                    cost = max(cost, 1.0 / spec.rate_limit)
+                cost *= multiplier
             program.append(
                 (
                     kind,
@@ -364,6 +457,7 @@ class ObjectEngine:
                     routes,
                     ratio,
                     spec.state_bytes_per_record,
+                    cost,
                     extra,
                 )
             )
@@ -412,24 +506,46 @@ class ObjectEngine:
     # Observability
     # ------------------------------------------------------------------
 
+    def state(self) -> EngineState:
+        """The engine's state as one read-only view (see
+        :class:`EngineState`): the instances of a lane are equal, so
+        each repeats the lane's state."""
+        operators = {
+            name: tuple(state for lane in lanes for state in lane.states())
+            for name, lanes in self._lanes.items()
+        }
+        return EngineState(
+            MappingProxyType(operators),
+            MappingProxyType(dict(self._backlogs)),
+            self._rng.getstate(),
+        )
+
+    def source_backlog(self, name: str) -> float:
+        """Records buffered externally for source ``name``."""
+        try:
+            return self._backlogs[name]
+        except KeyError:
+            raise EngineError(f"unknown source {name!r}") from None
+
     def queue_length(self, name: str) -> float:
         """Total pending records at an operator (all instances)."""
-        lanes = self._lanes[name]
-        return sum(_expand([lane.pending_records for lane in lanes], lanes))
+        return _pending(self._lanes[name])
 
     def total_queued(self) -> float:
         """Records queued anywhere inside the dataflow."""
-        lanes = [lane for group in self._lanes.values() for lane in group]
-        return sum(_expand([lane.pending_records for lane in lanes], lanes))
+        return _pending(self._all_lanes)
 
     def max_fill(self, name: str) -> float:
-        """Worst port occupancy across the operator's instances."""
-        return max(lane.max_fill_fraction for lane in self._lanes[name])
+        """Worst port occupancy across the operator's instances (0 for
+        unbounded or portless queues)."""
+        lanes = self._lanes[name]
+        fills = [q.fill_fraction for i in lanes for q in i.ports.values()]
+        return max(fills, default=0.0)
 
     def backpressured(self) -> Tuple[str, ...]:
         """Operators with a bounded port at or above the runtime's
         backpressure threshold, in topological order."""
-        threshold = self._sim.runtime.backpressure_threshold
+        threshold = self._runtime.backpressure_threshold
         hot = []
         for name, queues in self._bounded:
             for queue in queues:
@@ -470,76 +586,59 @@ class ObjectEngine:
                         f"negative fire backlog at {lane.iid}"
                     )
 
-    def materialize_instances(self) -> Dict[str, List[_Instance]]:
-        """Per-instance snapshots of the lanes, one per instance in
-        index order. Treat them as read-only: mutations do not flow
-        back into the lanes."""
-        return {
-            name: [
-                lane.snapshot(InstanceId(name, lane.iid.index + offset))
-                for lane in lanes
-                for offset in range(lane.count)
-            ]
-            for name, lanes in self._lanes.items()
-        }
-
     # ------------------------------------------------------------------
     # Demand estimation and latency delays
     # ------------------------------------------------------------------
 
-    def _work(self, name: str, lanes: List[_Instance]) -> List[float]:
+    def _work(self, op: _Op) -> List[float]:
         """Seconds of pending work per lane of a non-source operator:
         queue totals times the per-record cost, plus fire backlog times
         the fire cost at a window operator."""
-        sim = self._sim
-        if self._specs[name].window is not None:
-            assign_cost, fire_cost = sim._window_costs(name)
+        kind, name, _, lanes, _, _, _, _, cost, _ = op
+        noise = self._jitter[name]
+        if kind == _WINDOW:
+            assign_cost, fire_cost = _window_costs(cost, noise)
             return [
                 lane.total_queue_length * assign_cost
                 + lane.fire_backlog * fire_cost
-                for lane in lanes
+                for lane, _, _, _ in lanes
             ]
-        cost = sim._unit_cost(name)
-        return [lane.total_queue_length * cost for lane in lanes]
+        cost *= noise
+        return [lane.total_queue_length * cost for lane, _, _, _ in lanes]
 
-    def estimate_demands(self, dt: float) -> Dict[str, List[float]]:
+    def _estimate_demands(
+        self, now: float, dt: float
+    ) -> Dict[str, List[float]]:
         """Seconds of pending work per instance, one list per operator
         in topological order (for shared-worker budget allocation)."""
-        sim = self._sim
         demands: Dict[str, List[float]] = {}
-        for name, lanes in self._lanes.items():
-            spec = self._specs[name]
-            parallelism = self._widths[name]
-            if spec.is_source:
-                schedule = spec.rate
-                assert schedule is not None
-                rate = schedule.rate_at(sim.time)
+        for op in reversed(self._program):
+            kind, name, _, _, counts, _, _, _, cost, extra = op
+            if kind == _SOURCE:
+                schedule, parallelism = extra
                 per_instance = (
-                    rate * dt + sim._source_backlog[name]
+                    schedule.rate_at(now) * dt + self._backlogs[name]
                 ) / parallelism
-                cost = sim._source_cost(name)
-                demands[name] = [per_instance * max(cost, 1e-9)] * (
-                    parallelism
-                )
+                demands[name] = [per_instance * max(cost, 1e-9)] * parallelism
             else:
-                demands[name] = _expand(self._work(name, lanes), lanes)
+                # One value per lane, repeated per instance.
+                work = zip(self._work(op), counts)
+                demands[name] = [w for w, n in work for _ in range(n)]
         return demands
 
-    def operator_delays(self) -> Dict[str, float]:
-        """Per-operator drain delays for the record-latency tracker."""
-        sim = self._sim
+    def operator_delays(self, now: float) -> Dict[str, float]:
+        """Per-operator drain delays at virtual time ``now``, for the
+        record-latency tracker."""
         delays: Dict[str, float] = {}
-        for name, lanes in self._lanes.items():
-            spec = self._specs[name]
-            if spec.is_source:
+        for op in reversed(self._program):
+            name = op[1]
+            if op[0] == _SOURCE:
                 # Source delay: time to drain external backlog.
-                schedule = spec.rate
-                assert schedule is not None
-                rate = schedule.rate_at(sim.time)
-                backlog = sim._source_backlog[name]
+                rate = op[9][0].rate_at(now)
+                backlog = self._backlogs[name]
                 delays[name] = backlog / rate if rate > 0 else 0.0
                 continue
-            delays[name] = max(self._work(name, lanes))
+            delays[name] = max(self._work(op))
         return delays
 
     # ------------------------------------------------------------------
@@ -591,29 +690,55 @@ class ObjectEngine:
     # Tick work
     # ------------------------------------------------------------------
 
+    def hold_sources(self, records: Mapping[str, float]) -> None:
+        """Add each source's ``records`` to its external backlog: the
+        job is down, so nothing runs."""
+        for name, value in records.items():
+            self._backlogs[name] += value
+
     def run_tick(
-        self,
-        budgets: Dict[str, List[float]],
-        dt: float,
-        end_time: float,
-        source_emitted: Dict[str, float],
-        source_desired: Dict[str, float],
-        sink_consumed: Dict[str, float],
-    ) -> None:
-        """Run every operator for one active tick from the tick program,
-        sinks first. Each source's emitted and desired records go into
-        ``source_emitted`` and ``source_desired`` (in program order),
-        each sink's consumed records into ``sink_consumed``.
+        self, now: float, dt: float
+    ) -> Tuple[_Flows, _Flows, _Flows]:
+        """Run one active tick from virtual time ``now``: draw the
+        tick's cost noise, grant the budgets, then run every operator
+        from the tick program, sinks first. Returns the records each
+        source emitted and desired (in program order) and each sink
+        consumed.
 
         :meth:`_downstream_limit` and :meth:`_emit` are looked up once
         per tick, so a patched one takes effect from the next tick."""
+        amplitude = self._config.cost_jitter
+        if amplitude > 0:
+            uniform = self._rng.uniform
+            for name in self._jitter:
+                self._jitter[name] = 1.0 + uniform(-amplitude, amplitude)
+        profiler = self._profiler
+        profiled = profiler.enabled
+        if profiled:
+            profiler.enter("engine.allocate")
+        try:
+            budgets = self._static_budgets
+            if budgets is None:
+                assert self._plan is not None
+                budgets = self.grant(
+                    self._runtime.budgets(
+                        self._plan, self._estimate_demands(now, dt), dt
+                    )
+                )
+        finally:
+            if profiled:
+                profiler.exit("engine.allocate")
+        source_emitted: _Flows = {}
+        source_desired: _Flows = {}
+        sink_consumed = dict.fromkeys(self._sinks, 0.0)
+        end_time = now + dt
         limit = self._downstream_limit
         emit = self._emit
         for op in self._program:
             kind, name, sink = op[0], op[1], op[2]
             if kind == _SOURCE:
                 emitted, desired = self._source_step(
-                    op, budgets[name], dt, limit, emit
+                    op, budgets[name], now, dt, limit, emit
                 )
                 source_emitted[name] = emitted
                 source_desired[name] = desired
@@ -623,8 +748,6 @@ class ObjectEngine:
                     op, budgets[name], dt, limit, emit
                 )
             else:
-                profiler = self._profiler
-                profiled = profiler.enabled
                 if profiled:
                     profiler.enter("engine.window_fire")
                 try:
@@ -636,6 +759,7 @@ class ObjectEngine:
                         profiler.exit("engine.window_fire")
             if sink:
                 sink_consumed[name] = consumed
+        return source_emitted, source_desired, sink_consumed
 
     # The steps below spell ``min(a, b)`` as ``b if b < a else a`` and
     # ``max(a, b)`` as ``b if b > a else a``: the builtins' results,
@@ -645,24 +769,23 @@ class ObjectEngine:
         self,
         op: _Op,
         budgets: Sequence[float],
+        now: float,
         dt: float,
         limit: _Limit,
         emit: _EmitStep,
     ) -> Tuple[float, float]:
         """Generate and emit a source's records; returns (emitted,
         desired)."""
-        _, name, _, lanes, counts, routes, _, _, extra = op
+        _, name, _, lanes, counts, routes, _, _, cost, extra = op
         schedule, width = extra
-        sim = self._sim
-        backlogs = sim._source_backlog
-        desired = schedule.rate_at(sim.time) * dt
+        backlogs = self._backlogs
+        desired = schedule.rate_at(now) * dt
         available = desired + backlogs[name]
         cap = desired * self._catchup
         # min(available, max(cap, desired))
         most = desired if desired > cap else cap
         want = most if most < available else available
         space = limit(routes) if self._blocking else math.inf
-        cost = sim._source_cost(name)
         # Each source instance generates an equal share of the stream;
         # the shared downstream space is divided fairly among them.
         share = want / width
@@ -703,14 +826,13 @@ class ObjectEngine:
     ) -> float:
         """Run a non-window operator; returns records consumed
         (meaningful for sinks)."""
-        _, name, sink, lanes, counts, routes, selectivity, growth, _ = op
-        sim = self._sim
+        _, name, sink, lanes, counts, routes, selectivity, growth, cost, _ = op
         # Shared downstream space for this operator's emissions this
         # tick, in output records; divided fairly among the instances
         # so that a squeezed instance does not distort the
         # backpressure limit seen by upstream operators.
         space = math.inf if sink else limit(routes)
-        cost = sim._unit_cost(name)
+        cost *= self._jitter[name]
         # Nothing refills this operator's queues before it runs: its
         # upstream operators come later in the (reverse topological)
         # tick order.
@@ -768,11 +890,10 @@ class ObjectEngine:
         """Run a window operator: drain fire backlogs, assign arrivals
         to windows, fire crossed boundaries; returns records consumed
         (meaningful for sinks)."""
-        _, name, sink, lanes, counts, routes, fire_sel, growth, extra = op
-        replication = extra
-        sim = self._sim
+        _, name, sink, lanes, counts, routes, fire_sel, growth = op[:8]
+        cost, replication = op[8:]
         space = math.inf if sink else limit(routes)
-        assign_cost, fire_cost = sim._window_costs(name)
+        assign_cost, fire_cost = _window_costs(cost, self._jitter[name])
         # Fire work and assignment work share each instance's budget
         # proportionally to their demands (the scheduler interleaves
         # them); a fire-first priority would let a large fire backlog
@@ -853,4 +974,12 @@ class ObjectEngine:
         return consumed_total
 
 
-__all__ = ["Carry", "ObjectEngine", "lane_runs"]
+__all__ = [
+    "Carry",
+    "EngineState",
+    "InstanceState",
+    "ObjectEngine",
+    "PortState",
+    "WindowBuffer",
+    "lane_runs",
+]

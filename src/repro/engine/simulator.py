@@ -27,12 +27,10 @@ and are consumed on the next tick (one tick of pipeline delay per hop).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.dataflow.graph import LogicalGraph
-from repro.dataflow.operators import OperatorSpec
 from repro.dataflow.physical import PhysicalPlan
 from repro.dataflow.state import StateModel
 from repro.engine.latency import (
@@ -40,7 +38,7 @@ from repro.engine.latency import (
     RecordLatencyTracker,
 )
 from repro.engine.metrics_manager import MetricsManager
-from repro.engine.objects import ObjectEngine, _Instance
+from repro.engine.objects import ObjectEngine
 from repro.engine.runtimes import Runtime
 from repro.errors import EngineError, ReconfigurationError
 from repro.metrics import MetricsWindow, OperatorHealth
@@ -159,11 +157,7 @@ class Simulator:
         activated tracing."""
         self._plan = plan
         self._graph: LogicalGraph = plan.graph
-        # Topology lookups the tick makes, resolved once.
         self._order = self._graph.topological_order()
-        self._specs: Dict[str, OperatorSpec] = {
-            name: self._graph.operator(name) for name in self._order
-        }
         self._sources = self._graph.sources()
         self._sinks = self._graph.sinks()
         self._runtime = runtime
@@ -178,17 +172,17 @@ class Simulator:
         self._profiler: SpanProfiler = active_profiler()
         self._metrics = MetricsManager(tracer=self._tracer)
         self._state = StateModel(graph=self._graph)
-        # The engine holds the instance state (built by _deploy; until
-        # then it carries nothing); everything else lives here.
-        self._engine = ObjectEngine(self)
-        # Per-deployment state (see _deploy): per-record costs before
-        # this tick's noise, and demand-independent budgets per lane.
-        self._unit_costs: Dict[str, float] = {}
-        self._window_factors: Dict[str, Tuple[float, float, float]] = {}
-        self._static_budgets: Optional[Dict[str, List[float]]] = None
-        self._source_backlog: Dict[str, float] = {
-            name: 0.0 for name in self._sources
-        }
+        # The engine holds the state of a tick (instances, source
+        # backlogs, costs, cost noise); the clock, reconfiguration,
+        # window accumulators and latency trackers live here.
+        self._engine = ObjectEngine(
+            self._graph,
+            runtime,
+            self._config,
+            self._metrics,
+            self._state,
+            self._profiler,
+        )
         self._outage_until: float = 0.0
         self._pending_plan: Optional[PhysicalPlan] = None
         self._rescale_count = 0
@@ -203,11 +197,6 @@ class Simulator:
         }
         self._window_started = 0.0
         self._last_stats: Optional[TickStats] = None
-        self._rng = random.Random(self._config.seed)
-        # Per-operator cost-noise factors for the current tick.
-        self._jitter: Dict[str, float] = {
-            name: 1.0 for name in self._graph.names
-        }
         self._record_latency: Optional[RecordLatencyTracker] = None
         if self._config.track_record_latency:
             self._record_latency = RecordLatencyTracker(
@@ -299,22 +288,12 @@ class Simulator:
     def state_model(self) -> StateModel:
         return self._state
 
-    @property
-    def _instances(self) -> Dict[str, List[_Instance]]:
-        """Per-operator instance objects, one per instance.
-
-        A read-only materialization of the engine's state: per-instance
-        snapshots of its lanes (mutations do not flow back). Kept for
-        tests and debugging tools that inspect per-port queues.
-        """
-        return self._engine.materialize_instances()
-
     def source_target_rates(self) -> Dict[str, float]:
         """Target (schedule) rate of each source at the current time —
         the externally monitored source rates DS2 uses as λ_src."""
         rates: Dict[str, float] = {}
         for name in self._sources:
-            schedule = self._specs[name].rate
+            schedule = self._graph.operator(name).rate
             assert schedule is not None
             rates[name] = schedule.rate_at(self._time)
         return rates
@@ -322,17 +301,14 @@ class Simulator:
     def source_backlog(self, source: str) -> float:
         """Records the external system buffered while the source was
         blocked (or the job was down)."""
-        try:
-            return self._source_backlog[source]
-        except KeyError:
-            raise EngineError(f"unknown source {source!r}") from None
+        return self._engine.source_backlog(source)
 
     def total_queued_records(self) -> float:
         """Records queued anywhere inside the dataflow."""
         return self._engine.total_queued()
 
     def _require_operator(self, operator: str) -> None:
-        if operator not in self._specs:
+        if operator not in self._order:
             raise EngineError(f"unknown operator {operator!r}")
 
     def queue_length(self, operator: str) -> float:
@@ -486,6 +462,11 @@ class Simulator:
         """
         if operator not in self._plan.parallelism:
             raise EngineError(f"unknown operator {operator!r}")
+        # An int that is not a bool: 0.5, True or NaN name no instance.
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise EngineError(
+                f"instance index must be an int, got {index!r}"
+            )
         parallelism = self._plan.parallelism_of(operator)
         if not 0 <= index < parallelism:
             raise EngineError(
@@ -513,88 +494,9 @@ class Simulator:
         return outage
 
     def _deploy(self, plan: PhysicalPlan) -> None:
-        """(Re)build instance state for ``plan``, preserving in-flight
-        records and window buffers from the previous deployment, and
-        resolve everything a tick needs that only the plan decides.
-
-        The old instance state is reduced to a
-        :data:`~repro.engine.objects.Carry` and spread over the new
-        plan's lanes. Everything else (metrics manager, state model,
-        source backlogs, latency trackers, the jitter RNG) lives here."""
-        carried = self._engine.carry()
+        """Deploy ``plan`` now, carrying in-flight records over."""
         self._plan = plan
-        self._cache_costs(plan)
-        self._metrics.register_instances(plan.all_instances())
-        self._engine.deploy(plan, carried)
-        self._static_budgets = None
-        if not self._runtime.demand_driven:
-            self._static_budgets = self._engine.grant(
-                self._runtime.budgets(plan, {}, self._config.tick)
-            )
-
-    # ------------------------------------------------------------------
-    # Cost helpers
-    # ------------------------------------------------------------------
-
-    def _cost_multiplier(self) -> float:
-        if self._config.instrumentation_enabled:
-            return 1.0 + self._runtime.instrumentation_overhead
-        return 1.0
-
-    def _refresh_jitter(self) -> None:
-        """Draw this tick's per-operator cost-noise factors."""
-        amplitude = self._config.cost_jitter
-        if amplitude <= 0:
-            return
-        for name in self._jitter:
-            self._jitter[name] = 1.0 + self._rng.uniform(
-                -amplitude, amplitude
-            )
-
-    def _cache_costs(self, plan: PhysicalPlan) -> None:
-        """Per-record costs of ``plan`` without this tick's noise: the
-        parts of :meth:`_unit_cost`, :meth:`_window_costs` and
-        :meth:`_source_cost` that only change on a redeploy."""
-        multiplier = self._cost_multiplier()
-        self._unit_costs = {}
-        self._window_factors = {}
-        for name, spec in self._specs.items():
-            parallelism = plan.parallelism_of(name)
-            if spec.is_source:
-                self._unit_costs[name] = spec.costs.base_cost * multiplier
-            elif spec.window is not None:
-                window = spec.window
-                coordination = 1.0 + spec.costs.coordination_alpha * (
-                    parallelism - 1
-                )
-                self._window_factors[name] = (
-                    coordination * multiplier,
-                    spec.costs.base_cost
-                    + window.replication * window.assign_cost,
-                    window.fire_cost,
-                )
-            else:
-                cost = spec.costs.effective_cost(parallelism)
-                if spec.rate_limit is not None:
-                    cost = max(cost, 1.0 / spec.rate_limit)
-                self._unit_costs[name] = cost * multiplier
-
-    def _source_cost(self, name: str) -> float:
-        """Per-record cost of generating a source record (no noise)."""
-        return self._unit_costs[name]
-
-    def _unit_cost(self, name: str) -> float:
-        """Per-record useful-time cost for regular (non-window)
-        processing, including coordination overhead, rate limits,
-        instrumentation overhead, and this tick's cost noise."""
-        return self._unit_costs[name] * self._jitter[name]
-
-    def _window_costs(self, name: str) -> Tuple[float, float]:
-        """(assign_cost_per_input_record, fire_cost_per_buffered_record)
-        for a window operator."""
-        scale, assign, fire = self._window_factors[name]
-        multiplier = scale * self._jitter[name]
-        return assign * multiplier, fire * multiplier
+        self._engine.deploy(plan, self._time)
 
     # ------------------------------------------------------------------
     # Simulation
@@ -653,13 +555,11 @@ class Simulator:
     def _outage_tick(self, dt: float) -> TickStats:
         """One tick while the job is down for reconfiguration: nothing
         processes; sources accumulate external backlog."""
-        desired: Dict[str, float] = {}
-        for name in self._sources:
-            schedule = self._specs[name].rate
-            assert schedule is not None
-            rate = schedule.rate_at(self._time)
-            desired[name] = rate * dt
-            self._source_backlog[name] += rate * dt
+        desired = {
+            name: rate * dt
+            for name, rate in self.source_target_rates().items()
+        }
+        self._engine.hold_sources(desired)
         self._metrics.advance(dt, outage=True)
         self._tick_count += 1
         self._time = self._tick_count * dt
@@ -680,36 +580,23 @@ class Simulator:
         )
 
     def _active_tick(self, dt: float) -> TickStats:
-        self._refresh_jitter()
         engine = self._engine
-        profiled = self._profiler.enabled
-        if profiled:
-            self._profiler.enter("engine.allocate")
-        try:
-            budgets = self._static_budgets
-            if budgets is None:
-                budgets = engine.grant(
-                    self._runtime.budgets(
-                        self._plan, engine.estimate_demands(dt), dt
-                    )
-                )
-        finally:
-            if profiled:
-                self._profiler.exit("engine.allocate")
-        source_emitted: Dict[str, float] = {}
-        source_desired: Dict[str, float] = {}
-        sink_consumed: Dict[str, float] = dict.fromkeys(self._sinks, 0.0)
-        engine.run_tick(
-            budgets,
-            dt,
-            self._time + dt,
-            source_emitted,
-            source_desired,
-            sink_consumed,
+        source_emitted, source_desired, sink_consumed = engine.run_tick(
+            self._time, dt
         )
         for name, emitted in source_emitted.items():
             self._window_source_emitted[name] += emitted
-        self._observe_latency(dt, source_emitted, sink_consumed)
+        if self._record_latency is not None:
+            self._record_latency.observe_tick(
+                operator_delays=engine.operator_delays(self._time),
+                sink_consumed=sink_consumed,
+            )
+        if self._epoch_latency is not None:
+            self._epoch_latency.observe_tick(
+                now=self._time + dt,
+                source_emitted=source_emitted,
+                sink_consumed=sink_consumed,
+            )
         backpressured = engine.backpressured()
         for name in backpressured:
             self._window_bp_seconds[name] += dt
@@ -726,28 +613,6 @@ class Simulator:
             backpressured=backpressured,
             in_outage=False,
         )
-
-    # ------------------------------------------------------------------
-    # Latency
-    # ------------------------------------------------------------------
-
-    def _observe_latency(
-        self,
-        dt: float,
-        source_emitted: Mapping[str, float],
-        sink_consumed: Mapping[str, float],
-    ) -> None:
-        if self._record_latency is not None:
-            self._record_latency.observe_tick(
-                operator_delays=self._engine.operator_delays(),
-                sink_consumed=sink_consumed,
-            )
-        if self._epoch_latency is not None:
-            self._epoch_latency.observe_tick(
-                now=self._time + dt,
-                source_emitted=source_emitted,
-                sink_consumed=sink_consumed,
-            )
 
 
 __all__ = ["EngineConfig", "Simulator", "TickStats"]

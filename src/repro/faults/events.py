@@ -71,6 +71,11 @@ class InstanceCrash(FaultEvent):
         super().__post_init__()
         if not self.operator:
             raise FaultInjectionError("InstanceCrash needs an operator")
+        # NaN passes ``< 0``; a float or a bool names no instance.
+        if not isinstance(self.index, int) or isinstance(self.index, bool):
+            raise FaultInjectionError(
+                f"instance index must be an int, got {self.index!r}"
+            )
         if self.index < 0:
             raise FaultInjectionError("instance index must be >= 0")
 

@@ -7,7 +7,10 @@ Its reference semantics is one lane per instance, which the
 deployments made inside its context. Both must give *bit-identical*
 TickStats, MetricsWindows, accessor values, per-instance state and
 errors, through rescales and instance crashes. Equality here is exact
-(``==`` on floats, or their bits), not approximate.
+(``==`` on floats, or their bits), not approximate. The redeploy and
+chain cells compare the engine's whole state view
+(:meth:`~repro.engine.objects.ObjectEngine.state`) at every tick, and
+a mismatch names the first tick and field that differ.
 
 Every cell runs with an even plan and with a hot key: an operator
 whose instance 0 takes a larger share of its input, so it runs as two
@@ -18,6 +21,7 @@ operator the same way.
 import contextlib
 import functools
 import math
+from typing import Any, NamedTuple, Tuple
 
 import pytest
 
@@ -72,8 +76,8 @@ def _one_lane_per_instance(plan, name):
 def _per_instance_runs():
     deploy = ObjectEngine.deploy
 
-    def checked_deploy(engine, plan, carried):
-        deploy(engine, plan, carried)
+    def checked_deploy(engine, plan, now):
+        deploy(engine, plan, now)
         assert all(
             lane.count == 1
             for lanes in engine._lanes.values()
@@ -95,11 +99,74 @@ def per_instance():
 
 def assert_matches_per_instance(per_instance, run):
     """``run()`` builds and drives a simulator and returns its trace;
-    the trace must not depend on the lane layout."""
+    the trace must not depend on the lane layout. The first
+    :class:`TickDigest` that differs fails with its tick and the path of
+    its first differing field."""
     lanes = run()
     with per_instance():
         reference = run()
-    assert lanes == reference
+    for laned, expected in zip(lanes, reference):
+        if isinstance(laned, TickDigest) and laned != expected:
+            assert isinstance(expected, TickDigest)
+            assert laned.tick == expected.tick
+            for (path, value), (other_path, other) in zip(
+                laned.fields, expected.fields
+            ):
+                if (path, value) != (other_path, other):
+                    pytest.fail(
+                        f"state differs at tick {laned.tick}: lanes "
+                        f"{path} = {value}, per instance {other_path} "
+                        f"= {other}"
+                    )
+        assert laned == expected
+    assert len(lanes) == len(reference)
+
+
+class TickDigest(NamedTuple):
+    """The state digest after ``tick`` steps (see
+    :func:`state_digest`)."""
+
+    tick: int
+    fields: Tuple[Tuple[Tuple[Any, ...], Any], ...]
+
+
+def state_digest(sim, tick):
+    """The simulator's state as ``(field path, value)`` pairs, each
+    float as its bits (``float.hex``): the virtual time; every port's
+    length, pushed and popped, every window's buffered, next fire and
+    last check and every fire backlog, operators in topological order
+    and instances by index, from the engine's state view; each source
+    backlog; the cost-noise RNG state; and the StateModel bytes per
+    operator. Equal digests are equal bit for bit."""
+    view = sim._engine.state()
+    fields = [(("time",), sim.time.hex())]
+    for name, instances in view.operators.items():
+        for index, instance in enumerate(instances):
+            for port, queue in instance.ports.items():
+                fields += [
+                    ((name, index, port, field), value.hex())
+                    for field, value in zip(queue._fields, queue)
+                ]
+            if instance.window is not None:
+                fields += [
+                    ((name, index, "window", field), value.hex())
+                    for field, value in zip(
+                        instance.window._fields, instance.window
+                    )
+                ]
+            fields.append(
+                ((name, index, "fire_backlog"), instance.fire_backlog.hex())
+            )
+    fields += [
+        (("source_backlog", name), value.hex())
+        for name, value in view.source_backlogs.items()
+    ]
+    fields.append((("rng",), view.rng))
+    fields += [
+        (("state_bytes", name), sim.state_model.state_bytes(name).hex())
+        for name in view.operators
+    ]
+    return TickDigest(tick, tuple(fields))
 
 
 def lane_counts(sim):
@@ -405,47 +472,13 @@ class TestAccessorEquivalence:
             with pytest.raises(EngineError):
                 sim.max_fill_fraction("nope")
 
-    def test_materialized_instances_match(self, simulators):
-        """``Simulator._instances`` sees the same queues and window
-        state per instance with and without lanes."""
+    def test_state_views_match(self, simulators):
+        """The engine's state view holds the same queues, window state
+        and fire backlogs per instance with and without lanes."""
         lanes, reference = simulators
         for sim in simulators:
             sim.run_for(20.0)
-        for name in lanes.graph.topological_order():
-            laned = lanes._instances[name]
-            expected = reference._instances[name]
-            assert len(laned) == len(expected)
-            for lane, inst in zip(laned, expected):
-                assert lane.iid == inst.iid
-                assert lane.fire_backlog == inst.fire_backlog
-                assert lane.total_queue_length == inst.total_queue_length
-                assert (lane.window is None) == (inst.window is None)
-                if lane.window is not None:
-                    assert lane.window.buffered == inst.window.buffered
-                    assert lane.window.next_fire == inst.window.next_fire
-
-
-def instances_fingerprint(sim):
-    """The ``Simulator._instances`` view in comparable form: every
-    port's length and conservation counters, window state and fire
-    backlog, per instance."""
-    return {
-        name: [
-            (
-                inst.iid,
-                {
-                    port: (queue.length, queue._pushed, queue._popped)
-                    for port, queue in inst.ports.items()
-                },
-                None
-                if inst.window is None
-                else (inst.window.buffered, inst.window.next_fire),
-                inst.fire_backlog,
-            )
-            for inst in instances
-        ]
-        for name, instances in sim._instances.items()
-    }
+        assert state_digest(lanes, 0) == state_digest(reference, 0)
 
 
 def _free_flink():
@@ -566,9 +599,8 @@ class TestRedeploys:
             # so the carry holds window-buffered records.
             for _ in range(61):
                 trace.append(sim.step())
+                trace.append(state_digest(sim, len(trace)))
             trace.append(accessor_fingerprint(sim))
-            trace.append(instances_fingerprint(sim))
-            trace.append(sim.state_model.total_bytes)
             trace.append(window_fingerprint(sim.collect_metrics()))
 
         phase()
@@ -606,32 +638,37 @@ class TestRedeploys:
         schedule = FaultSchedule([InstanceCrash(time=70.0, operator="count")])
         injector = FaultInjector(sim, schedule)
         trace, layouts = [], []
+
+        def step():
+            trace.append(injector.step())
+            trace.append(state_digest(sim, len(trace)))
+
         for until, updates in ((60.0, self.WIDE), (250.0, self.NARROW)):
             while sim.time < until:
-                trace.append(injector.step())
+                step()
             trace.append(window_fingerprint(injector.collect_metrics()))
             outage = injector.rescale(updates)
             assert outage > 0
             trace.append(outage)
             layouts.append(lane_counts(sim)["count"])
             while sim.in_outage:
-                trace.append(injector.step())
+                step()
             layouts.append(lane_counts(sim)["count"])
-            trace.append(instances_fingerprint(sim))
-            trace.append(sim.state_model.total_bytes)
         while sim.time < 400.0:
-            trace.append(injector.step())
+            step()
         trace.append(window_fingerprint(injector.collect_metrics()))
-        return trace, layouts, injector.crash_outages
+        trace.append(injector.crash_outages)
+        return trace, layouts
 
     def test_redeploy_at_outage_end_with_pending_crash(self, per_instance):
-        trace, layouts, crashes = self._outage_run()
+        trace, layouts = self._outage_run()
         # The lanes change when the outage ends, not at the request.
         assert layouts == [[1], [1, 7], [1, 7], [1, 2]]
+        crashes = trace[-1]
         assert len(crashes) == 1 and crashes[0][0] == 70.0
-        with per_instance():
-            reference, _, reference_crashes = self._outage_run()
-        assert (reference, reference_crashes) == (trace, crashes)
+        assert_matches_per_instance(
+            per_instance, lambda: self._outage_run()[0]
+        )
 
     def test_chaos_cell_scorecard_matches_per_instance(
         self, monkeypatch, per_instance
@@ -671,6 +708,109 @@ class TestRedeploys:
         )
         with per_instance():
             assert run_campaign_cell(spec) == laned
+
+
+def state_totals(view):
+    """Per operator of a state view: the records queued per port, the
+    window-buffered records and the fire backlog, each summed over the
+    instances with :func:`math.fsum` (not the engine's carry code)."""
+    totals = {}
+    for name, instances in view.operators.items():
+        ports = {
+            port: math.fsum(i.ports[port].length for i in instances)
+            for port in instances[0].ports
+        }
+        buffered = math.fsum(
+            i.window.buffered for i in instances if i.window is not None
+        )
+        backlog = math.fsum(i.fire_backlog for i in instances)
+        totals[name] = (ports, buffered, backlog)
+    return totals
+
+
+class TestRedeployConservation:
+    """A redeploy keeps every queued, window-buffered and backlogged
+    record and spreads each total over the new instances by their input
+    weights. Lanes and the per-instance reference share the carry code,
+    so the equivalence oracle cannot see a bug common to both; this
+    checks the state view directly, in both layouts."""
+
+    #: Graph and the operator that carries a 20% hot key: even at four
+    #: instances, a hot instance and a run of seven at eight.
+    CELLS = {
+        "wordcount": (flink_wordcount_graph, "count"),
+        "q5-windowed": (lambda: get_query("Q5").flink_graph(), "hot_items"),
+        "q3-join": (
+            lambda: get_query("Q3").flink_graph(),
+            "incremental_join",
+        ),
+    }
+
+    #: Even to skewed, a zero-cost crash of the skewed plan, and back.
+    REDEPLOYS = (
+        lambda sim, name: sim.rescale({name: 8}),
+        lambda sim, name: sim.fail_instance(name, 1),
+        lambda sim, name: sim.rescale({name: 4}),
+    )
+
+    def _check(self, cell):
+        graph_factory, hot = self.CELLS[cell]
+        graph = graph_factory()
+        parallelism = {name: 2 for name in graph.names}
+        parallelism[hot] = 4
+        sim = Simulator(
+            PhysicalPlan(
+                graph,
+                parallelism,
+                max_parallelism=16,
+                partitioner=Partitioner({hot: 0.2}),
+            ),
+            _free_flink(),
+            EngineConfig(tick=0.5, track_record_latency=False),
+        )
+        runs = [lane_runs(sim.plan, hot)]
+        for redeploy in self.REDEPLOYS:
+            sim.run_for(15.25)
+            before = state_totals(sim._engine.state())
+            ports, buffered, backlog = before[hot]
+            assert all(total > 0 for total in ports.values())
+            if cell == "q5-windowed":
+                assert buffered > 0 and backlog > 0
+            assert redeploy(sim, hot) == 0.0
+            view = sim._engine.state()
+            after = state_totals(view)
+            for name, (ports, buffered, backlog) in before.items():
+                assert after[name] == (
+                    pytest.approx(ports, rel=1e-12),
+                    pytest.approx(buffered, rel=1e-12),
+                    pytest.approx(backlog, rel=1e-12),
+                ), name
+                weights = sim.plan.input_weights(name)
+                instances = view.operators[name]
+                assert len(instances) == len(weights)
+                for instance, weight in zip(instances, weights):
+                    for port, queue in instance.ports.items():
+                        assert queue.length == pytest.approx(
+                            ports[port] * weight, rel=1e-12
+                        )
+                    if instance.window is not None:
+                        assert instance.window.buffered == pytest.approx(
+                            buffered * weight, rel=1e-12
+                        )
+                    assert instance.fire_backlog == pytest.approx(
+                        backlog * weight, rel=1e-12
+                    )
+            runs.append(lane_runs(sim.plan, hot))
+        assert runs == [[(0, 4)], [(0, 1), (1, 7)], [(0, 1), (1, 7)], [(0, 4)]]
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_lanes_conserve_records(self, cell):
+        self._check(cell)
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_per_instance_conserves_records(self, cell, per_instance):
+        with per_instance():
+            self._check(cell)
 
 
 def _corrupt(sim, corruption):
@@ -768,42 +908,20 @@ class TestInvariantViolations:
         assert_matches_per_instance(per_instance, run)
 
 
-def state_fingerprint(sim):
-    """Every queue, fire-backlog and window-buffer value per instance
-    (operators in topological order, a queue block port-major,
-    instances by index), plus the StateModel bytes per operator, as
-    float hex strings: equal fingerprints are equal bit for bit."""
-    order = sim.graph.topological_order()
-    cells = [[], [], [], [], []]
-    for name in order:
-        instances = sim._instances[name]
-        for port in sim.graph.upstream(name):
-            queues = [inst.ports[port] for inst in instances]
-            cells[0] += [queue.length for queue in queues]
-            cells[1] += [queue.total_pushed for queue in queues]
-            cells[2] += [queue.total_popped for queue in queues]
-        cells[3] += [inst.fire_backlog for inst in instances]
-        cells[4] += [
-            0.0 if inst.window is None else inst.window.buffered
-            for inst in instances
-        ]
-    cells.append([sim.state_model.state_bytes(name) for name in order])
-    return [[value.hex() for value in values] for values in cells]
-
-
 def bitwise_trace(sim, ticks, actions=None, every=10):
-    """The repr of every TickStats (a repr tells -0.0 from 0.0) and,
-    every ``every`` ticks, the state fingerprint and a collected
-    window. ``actions`` maps a tick number to a callable run on the
-    simulator before that tick; its result goes into the trace."""
+    """The repr of every TickStats (a repr tells -0.0 from 0.0) and the
+    state digest after every tick, and every ``every`` ticks a
+    collected window. ``actions`` maps a tick number to a callable run
+    on the simulator before that tick; its result goes into the
+    trace."""
     actions = actions or {}
     trace = []
     for tick in range(ticks):
         if tick in actions:
             trace.append(repr(actions[tick](sim)))
         trace.append(repr(sim.step()))
+        trace.append(state_digest(sim, tick + 1))
         if tick % every == every - 1:
-            trace.append(state_fingerprint(sim))
             trace.append(repr(window_fingerprint(sim.collect_metrics())))
     return trace
 

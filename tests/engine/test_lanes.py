@@ -8,6 +8,7 @@ tests pin the lane layout itself and the guards around it.
 """
 
 import math
+import random
 
 import pytest
 
@@ -166,41 +167,102 @@ class TestProgramFollowsRedeploys:
         assert "count" in sim.backpressured_operators()
 
 
-class TestMaterialize:
-    def test_one_snapshot_per_instance(self):
+class TestStateView:
+    """``ObjectEngine.state()``: one read-only entry per instance, in
+    topological and index order, whatever the lanes."""
+
+    def test_one_entry_per_instance(self):
         sim = _sim(FlinkRuntime(), WIDE)
         sim.run_for(10.0)
+        view = sim._engine.state()
+        assert tuple(view.operators) == sim.graph.topological_order()
+        assert {
+            name: len(instances)
+            for name, instances in view.operators.items()
+        } == WIDE
         (lane,) = sim._engine._lanes["count"]
-        instances = sim._instances["count"]
-        assert [inst.iid.index for inst in instances] == [0, 1, 2, 3]
-        for inst in instances:
-            assert inst.count == 1
-            assert inst.total_queue_length == lane.total_queue_length
+        instances = view.operators["count"]
+        (queue,) = lane.ports.values()
+        for instance in instances:
+            assert dict(instance.ports) == {
+                "flatmap": (
+                    queue.length,
+                    queue.total_pushed,
+                    queue.total_popped,
+                )
+            }
+            assert instance.window is None
         assert sim.queue_length("count") == sum(
-            inst.pending_records for inst in instances
+            sum(port.length for port in instance.ports.values())
+            + instance.fire_backlog
+            for instance in instances
         )
+        assert all(not i.ports for i in view.operators["source"])
+        assert dict(view.source_backlogs) == {
+            "source": sim.source_backlog("source")
+        }
 
-    def test_snapshots_are_detached(self):
+    def test_view_is_read_only(self):
         sim = _sim(FlinkRuntime(), WIDE)
         sim.run_for(10.0)
-        before = sim.queue_length("count")
-        for inst in sim._instances["count"]:
-            inst.ports["flatmap"].force_push(1000.0)
-        assert sim.queue_length("count") == before
+        view = sim._engine.state()
+        instance = view.operators["count"][0]
+        with pytest.raises(TypeError):
+            view.operators["count"] = ()
+        with pytest.raises(TypeError):
+            instance.ports["flatmap"] = instance.ports["flatmap"]
+        with pytest.raises(TypeError):
+            view.source_backlogs["source"] = 0.0
+        with pytest.raises(AttributeError):
+            instance.fire_backlog = 1.0
+        with pytest.raises(AttributeError):
+            instance.ports["flatmap"].length = 0.0
+        # The engine moves on; a view taken earlier does not.
+        before = instance.ports["flatmap"].pushed
+        sim.run_for(10.0)
+        assert instance.ports["flatmap"].pushed == before
+        assert sim._engine.state().operators["count"][0].ports[
+            "flatmap"
+        ].pushed > before
 
-    def test_window_state_is_copied(self):
+    def test_window_state_is_included(self):
+        """Buffered records and both fire clocks, after a redeploy at
+        1.5 s has reset the clocks."""
         graph = get_query("Q5").flink_graph()
         sim = Simulator(
             PhysicalPlan(graph, {"bids": 1, "hot_items": 4, "sink": 1}),
-            FlinkRuntime(),
+            FlinkRuntime(
+                savepoint=SavepointModel(
+                    base_seconds=0.0,
+                    snapshot_bandwidth=math.inf,
+                    redeploy_seconds=0.0,
+                )
+            ),
             EngineConfig(tick=0.25),
         )
         sim.run_for(1.3)
+        assert sim.rescale({"hot_items": 5}) == 0.0
         (lane,) = sim._engine._lanes["hot_items"]
-        snapshot = sim._instances["hot_items"][2]
-        assert snapshot.window is not lane.window
-        assert snapshot.window.buffered == lane.window.buffered > 0
-        assert snapshot.window.next_fire == lane.window.next_fire
+        window = sim._engine.state().operators["hot_items"][2].window
+        assert window.buffered == lane.window.buffered > 0
+        assert window.next_fire == lane.window.next_fire
+        assert window.last_check == lane.window._last_check == 1.5
+
+    def test_rng_state_follows_the_cost_noise(self):
+        """Each active tick with cost jitter draws from the RNG, whose
+        state the view holds."""
+        graph = heron_wordcount_graph()
+        sim = Simulator(
+            PhysicalPlan(graph, WIDE, max_parallelism=24),
+            FlinkRuntime(),
+            EngineConfig(tick=0.5, cost_jitter=0.1, seed=7),
+        )
+        rng = random.Random(7)
+        assert sim._engine.state().rng == rng.getstate()
+        sim.step()
+        for _ in graph.names:
+            rng.uniform(-0.1, 0.1)
+        assert sim._engine.state().rng == rng.getstate()
 
 
 class _UnevenFlink(FlinkRuntime):

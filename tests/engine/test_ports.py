@@ -35,6 +35,11 @@ def join_graph(fast_rate=50_000.0, slow_rate=500.0, join_cost=1e-5):
     )
 
 
+def instances(sim, name):
+    """The engine's per-instance state of operator ``name``."""
+    return sim._engine.state().operators[name]
+
+
 def simulator(graph, parallelism, **config):
     config.setdefault("tick", 0.1)
     config.setdefault("track_record_latency", False)
@@ -49,13 +54,13 @@ def simulator(graph, parallelism, **config):
 class TestPortStructure:
     def test_join_instances_have_one_queue_per_input(self):
         sim = simulator(join_graph(), {"merge": 2})
-        for inst in sim._instances["merge"]:
-            assert set(inst.ports) == {"fast", "slow"}
+        for inst in instances(sim, "merge"):
+            assert tuple(inst.ports) == ("fast", "slow")
 
     def test_sources_have_no_ports(self):
         sim = simulator(join_graph(), {"merge": 1})
-        for inst in sim._instances["fast"]:
-            assert inst.ports == {}
+        for inst in instances(sim, "fast"):
+            assert not inst.ports
 
     def test_single_input_operator_has_one_port(self, chain_graph):
         sim = Simulator(
@@ -63,8 +68,8 @@ class TestPortStructure:
             FlinkRuntime(),
             EngineConfig(tick=0.1, track_record_latency=False),
         )
-        for inst in sim._instances["worker"]:
-            assert set(inst.ports) == {"src"}
+        for inst in instances(sim, "worker"):
+            assert tuple(inst.ports) == ("src",)
 
 
 class TestPortIsolation:
@@ -88,9 +93,10 @@ class TestPortIsolation:
                            join_cost=1e-4)
         sim = simulator(graph, {"merge": 1})
         sim.run_for(30.0)
-        instances = sim._instances["merge"]
-        fast_fill = max(i.ports["fast"].fill_fraction for i in instances)
-        slow_fill = max(i.ports["slow"].fill_fraction for i in instances)
+        capacity = sim.runtime.queue_capacity(sim.graph.operator("merge"), 1)
+        merge = instances(sim, "merge")
+        fast_fill = max(i.ports["fast"].length for i in merge) / capacity
+        slow_fill = max(i.ports["slow"].length for i in merge) / capacity
         assert fast_fill > 0.9
         assert slow_fill < 0.5
 
@@ -120,17 +126,13 @@ class TestPortRescale:
         )
         sim.run_for(10.0)
         before = {
-            port: sum(
-                i.ports[port].length for i in sim._instances["merge"]
-            )
+            port: sum(i.ports[port].length for i in instances(sim, "merge"))
             for port in ("fast", "slow")
         }
         assert before["fast"] > 0
         sim.rescale({"merge": 4})
         after = {
-            port: sum(
-                i.ports[port].length for i in sim._instances["merge"]
-            )
+            port: sum(i.ports[port].length for i in instances(sim, "merge"))
             for port in ("fast", "slow")
         }
         for port in before:

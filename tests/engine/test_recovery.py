@@ -198,6 +198,17 @@ class TestFailInstanceRouting:
             outages[name] = sim.fail_instance("op", 0)
         assert outages["flink"] > outages["heron"] > outages["timely"]
 
+    @pytest.mark.parametrize("index", [0.5, 1.0, float("nan"), True, False])
+    def test_non_int_index_rejected(self, index):
+        """A float, NaN or bool names no instance: the crash is refused
+        before it charges an outage."""
+        sim = _chain_simulator(FlinkRuntime())
+        sim.run_for(5.0)
+        with pytest.raises(EngineError, match="must be an int"):
+            sim.fail_instance("op", index)
+        assert sim.crash_count == 0
+        assert not sim.in_outage
+
 
 class TestAbstractContract:
     def test_cannot_instantiate_the_base(self):

@@ -311,7 +311,12 @@ class TestSourceCatchup:
         sim = flink(
             PhysicalPlan(graph, {"op": 1}), source_catchup_factor=2.0
         )
-        sim._source_backlog["src"] = 3000.0
+        # A 3 s halt buffers 3000 records (3 s at 1000/s) externally.
+        sim.force_outage(3.0)
+        while sim.in_outage:
+            sim.step()
+        assert sim.source_backlog("src") == pytest.approx(3000.0)
+        sim.collect_metrics()
         sim.run_for(2.0)
         window = sim.collect_metrics()
         # Source emits up to 2x target while backlog remains.
@@ -324,7 +329,10 @@ class TestSourceCatchup:
         sim = flink(
             PhysicalPlan(graph, {"op": 1}), source_catchup_factor=2.0
         )
-        sim._source_backlog["src"] = 500.0
+        sim.force_outage(0.5)
+        while sim.in_outage:
+            sim.step()
+        assert sim.source_backlog("src") == pytest.approx(500.0)
         sim.run_for(5.0)
         assert sim.source_backlog("src") == pytest.approx(0.0, abs=1.0)
 

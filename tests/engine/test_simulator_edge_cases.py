@@ -54,12 +54,14 @@ class TestWindowAcrossRedeploy:
         )
         sim.run_for(0.5)  # buffered records, no fire yet
         buffered_before = sum(
-            inst.window.buffered for inst in sim._instances["win"]
+            inst.window.buffered
+            for inst in sim._engine.state().operators["win"]
         )
         assert buffered_before > 0
         sim.rescale({"win": 3})
         buffered_after = sum(
-            inst.window.buffered for inst in sim._instances["win"]
+            inst.window.buffered
+            for inst in sim._engine.state().operators["win"]
         )
         assert buffered_after == pytest.approx(
             buffered_before, rel=1e-6
@@ -75,7 +77,7 @@ class TestWindowAcrossRedeploy:
         )
         sim.run_for(2.55)
         sim.rescale({"win": 2})
-        for inst in sim._instances["win"]:
+        for inst in sim._engine.state().operators["win"]:
             # Next fire is the next slide boundary after the redeploy.
             assert inst.window.next_fire == pytest.approx(3.0)
 

@@ -43,6 +43,14 @@ class TestInstanceCrash:
         with pytest.raises(FaultInjectionError):
             InstanceCrash(time=10.0, operator="op", index=-1)
 
+    @pytest.mark.parametrize("index", [0.5, 1.0, float("nan"), True, "1"])
+    def test_non_int_index_rejected(self, index):
+        """NaN fails no ``< 0`` test, and a float or a bool names no
+        instance: each is rejected when the event is built, not when
+        the crash fires."""
+        with pytest.raises(FaultInjectionError, match="must be an int"):
+            InstanceCrash(time=10.0, operator="op", index=index)
+
 
 class TestMetricDropout:
     def test_valid_interval(self):
