@@ -252,14 +252,21 @@ class ControlLoop:
             raise PolicyError(
                 f"duration must be finite and >= 0, got {duration!r}"
             )
-        end = self._sim.time + duration
-        while self._sim.time < end - 1e-9:
-            next_decision = min(end, self._sim.time + self._interval)
-            while self._sim.time < next_decision - 1e-9:
-                stats = self._sim.step()
-                if self._tick_observer is not None:
-                    self._tick_observer(stats)
+        sim = self._sim
+        observer = self._tick_observer
+        now = sim.time
+        end = now + duration
+        while now < end - 1e-9:
+            next_decision = min(end, now + self._interval)
+            # A tick's stats carry the time it ended at.
+            step = sim.step
+            while now < next_decision - 1e-9:
+                stats = step()
+                now = stats.time
+                if observer is not None:
+                    observer(stats)
             self._invoke_policy()
+            now = sim.time
         return self.result
 
     def _invoke_policy(self) -> None:

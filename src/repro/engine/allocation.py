@@ -19,6 +19,8 @@ from typing import List, Optional, Sequence
 
 from repro.errors import EngineError
 
+_INF = math.inf
+
 
 def fair_allocate(
     total: float,
@@ -54,7 +56,7 @@ def fair_allocate(
             f"{list(counts)!r} for {entries} desires"
         )
     if entries == 1:
-        return [_fill_one(total, desires[0], counts[0])]
+        return [fill_lane(total, desires[0], counts[0])]
     desires = [max(0.0, d) for d in desires]
     # The expanded sum, left to right as the builtin adds, at C speed.
     if math.isinf(total) or total >= sum(
@@ -91,15 +93,25 @@ def fair_allocate(
     return allocation
 
 
-def _fill_one(total: float, desire: float, count: int) -> float:
-    """:func:`fair_allocate` of one entry standing for ``count`` equal
-    demands (an engine lane of one operator). Its water-fill has at
-    most one round: the one active entry either takes its whole desire
-    or takes a share and then an even split of what is left. Same
-    float operations in the same order as that round."""
+def fill_lane(total: float, desire: float, count: int) -> float:
+    """``fair_allocate(total, [desire], [count])[0]``: the water-fill of
+    one entry standing for ``count`` equal demands (an engine lane that
+    is a whole operator), without building a list. Raises
+    :class:`EngineError` for a NaN or negative ``total``.
+
+    Its water-fill has at most one round: the one active entry either
+    takes its whole desire or takes a share and then an even split of
+    what is left. Same float operations in the same order as that
+    round."""
+    # Written so that NaN fails the check, as in fair_allocate.
+    if not total >= 0:
+        raise EngineError(f"total must be >= 0, got {total!r}")
     # max(0.0, desire), NaN included.
     desire = desire if desire > 0.0 else 0.0
-    if math.isinf(total) or total >= sum(repeat(desire, count)):
+    # The expanded sum, as the builtin adds it (0 + desire for one).
+    if total == _INF or total >= (
+        desire if count == 1 else sum(repeat(desire, count))
+    ):
         return desire
     allocation = 0.0
     if desire > 0 and total > 1e-12:
@@ -116,4 +128,4 @@ def _fill_one(total: float, desire: float, count: int) -> float:
     return allocation
 
 
-__all__ = ["fair_allocate"]
+__all__ = ["fair_allocate", "fill_lane"]

@@ -16,6 +16,8 @@ from typing import Optional
 
 from repro.errors import EngineError
 
+_INF = math.inf
+
 
 def _check_pushable(records: float) -> None:
     """Reject a push that is negative, NaN or infinite: an infinite
@@ -93,7 +95,8 @@ class Queue:
         ``max(0.0, capacity - length)`` and adds what it accepted, in
         order, with the running totals held in locals.
         """
-        _check_pushable(records)
+        if not 0.0 <= records < _INF:
+            _check_pushable(records)
         if count < 1:
             raise EngineError(f"push count must be >= 1, got {count!r}")
         length = self._length

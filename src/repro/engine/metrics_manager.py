@@ -32,7 +32,8 @@ float list, which :meth:`record_rows` and :meth:`advance` update once.
 Rows that are identical at every moment may be one list; a block is
 copied back into separate rows (unshared) before anything could make
 them differ — a suppression that covers part of it, or a per-row
-:meth:`record_row`.
+:meth:`record_row`. The engine adds to a lane's list directly
+(:meth:`block`) and re-resolves it whenever :attr:`layout` moves.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class MetricsManager:
         # Instances whose reports are currently withheld (dropout).
         self._suppressed: Set[InstanceId] = set()
         self._registrations = 0
+        # Bumped whenever the rows' lists change (see layout).
+        self._layout = 0
         # Whether in-flight counters were discarded this window.
         self._truncated = False
 
@@ -101,6 +104,28 @@ class MetricsManager:
         """How many times an instance set was registered (each one
         clears the suppressed set)."""
         return self._registrations
+
+    @property
+    def layout(self) -> int:
+        """A counter that moves whenever the accumulator rows change
+        their lists: on every registration, share and unshare. A list
+        from :meth:`block` stays the rows' own while it holds still."""
+        return self._layout
+
+    def block(self, start: int, stop: int) -> Optional[List[float]]:
+        """The one accumulator list rows ``[start, stop)`` are, when
+        they are exactly one shared block or one unshared row: the list
+        :meth:`record_rows` over them updates once, and a caller may
+        add to directly until :attr:`layout` moves. None otherwise."""
+        rows = self._acc
+        first = rows[start]
+        if (
+            first is rows[stop - 1]
+            and (start == 0 or rows[start - 1] is not first)
+            and (stop == len(rows) or rows[stop] is not first)
+        ):
+            return first
+        return None
 
     def row_of(self, instance: InstanceId) -> int:
         """Accumulator row index of a registered instance."""
@@ -129,6 +154,7 @@ class MetricsManager:
         self._ids = ids
         self._index = index
         self._registrations += 1
+        self._layout += 1
         self._acc = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in ids]
         self._lists = list(self._acc)
         self._shared = []
@@ -183,6 +209,7 @@ class MetricsManager:
         self._acc[start:stop] = [first] * len(rows)
         self._shared.append((start, stop))
         self._relist()
+        self._layout += 1
 
     def _unshare(self, start: int, stop: int) -> None:
         """Give each row of the shared block ``[start, stop)`` its own
@@ -192,6 +219,7 @@ class MetricsManager:
             list(row) for row in self._acc[start:stop]
         ]
         self._relist()
+        self._layout += 1
 
     def _relist(self) -> None:
         """Rebuild the distinct lists (shared blocks are contiguous)."""
@@ -245,18 +273,14 @@ class MetricsManager:
         non-negative by construction. A shared block passed whole (the
         engine's lane of identical instances) is one list updated once;
         any other range unshares the shared blocks it touches first."""
-        rows = self._acc
-        first = rows[start]
-        if (
-            first is rows[stop - 1]
-            and (start == 0 or rows[start - 1] is not first)
-            and (stop == len(rows) or rows[stop] is not first)
-        ):
+        first = self.block(start, stop)
+        if first is not None:
             first[_PULLED] += pulled
             first[_PUSHED] += pushed
             first[_USEFUL] += useful
             first[_WAITING] += waiting
             return
+        rows = self._acc
         for block in list(self._shared):
             if block[0] < stop and start < block[1]:
                 self._unshare(*block)

@@ -21,12 +21,16 @@ Each deployment also compiles a *tick program* (:meth:`ObjectEngine.deploy`):
 one flat tuple per operator in the order a tick runs them, holding
 everything the plan fixes (kind, lanes, counts, routes, metrics rows,
 port queues, selectivity, state growth, per-record costs), plus flat
-tuples of every queue, every lane and the bounded queues.
-:meth:`ObjectEngine.run_tick` runs a whole tick from it with one lane
-loop per operator kind, and the backpressure scan and the invariant
-check walk the flat tuples, so a tick pays no per-operator dictionary
-lookups or property calls. The float operations and their order are
-those of the per-operator code it replaced.
+tuples of every lane and of each operator's queues.
+:meth:`ObjectEngine.run_tick` runs a whole tick from it with one step
+per operator kind, and :meth:`ObjectEngine.post_tick` does the
+bookkeeping after it (the backpressure scan, the invariant check and
+the metrics' observed time) in one walk over the flat tuples, so a
+tick pays no per-operator dictionary lookups or property calls. An
+operator that runs as one lane takes a one-lane path through its step,
+without the per-lane lists and the ``fair_allocate`` call of the
+general one. The float operations and their order are those of the
+per-operator code it replaced.
 
 :meth:`ObjectEngine.state` is one read-only, per-instance view of the
 engine's state; a redeploy carries its reduction
@@ -57,7 +61,7 @@ from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import InstanceId, PhysicalPlan
 from repro.dataflow.state import StateModel
 from repro.dataflow.windowing import WindowState
-from repro.engine.allocation import fair_allocate
+from repro.engine.allocation import fair_allocate, fill_lane
 from repro.engine.buffers import Queue
 from repro.engine.metrics_manager import MetricsManager
 from repro.engine.runtimes import Runtime
@@ -244,14 +248,23 @@ _SOURCE, _REGULAR, _WINDOW = range(3)
 #: its first metrics row and its input port queues in port order.
 _ProgramLane = Tuple[_Instance, int, int, Tuple[Queue, ...]]
 
+#: The one lane of an operator that runs as one lane, for the one-lane
+#: paths of a tick: the lane, its instance count, its first metrics
+#: row, its input port queues and the metrics list its rows are
+#: (:meth:`MetricsManager.block`; None while they are not one list).
+_Solo = Tuple[
+    _Instance, int, int, Tuple[Queue, ...], Optional[List[float]]
+]
+
 #: One operator of a tick program: (kind, name, is sink, lanes, lane
 #: counts, routes, selectivity — the fire selectivity at a window —,
-#: state bytes per processed record, cost, extra). The cost is per
-#: record and before this tick's noise: the generation cost at a
+#: state bytes per processed record, cost, extra, solo). The cost is
+#: per record and before this tick's noise: the generation cost at a
 #: source, the processing cost at a regular operator, and at a window
 #: the factors of :func:`_window_costs`. Extra is (rate schedule,
 #: parallelism) at a source, the replication at a window and None
-#: otherwise.
+#: otherwise. Solo is the :data:`_Solo` of a one-lane operator and
+#: None for more lanes.
 _Op = Tuple[
     int,
     str,
@@ -263,6 +276,7 @@ _Op = Tuple[
     float,
     Any,
     Any,
+    Optional[_Solo],
 ]
 
 #: Records per operator in one tick.
@@ -274,6 +288,7 @@ _EmitStep = Callable[[_Routes, float, int], None]
 #: directly, as a friend of :class:`~repro.engine.buffers.Queue`).
 _LENGTH = attrgetter("_length")
 
+_INF = math.inf
 
 class ObjectEngine:
     """The lane tick loop of one dataflow under one runtime: it holds
@@ -313,9 +328,13 @@ class ObjectEngine:
         self._plan: Optional[PhysicalPlan] = None
         self._lanes: Dict[str, List[_Instance]] = {}
         self._program: Tuple[_Op, ...] = ()
-        self._queues: Tuple[Queue, ...] = ()
         self._all_lanes: Tuple[_Instance, ...] = ()
-        self._bounded: Tuple[Tuple[str, Tuple[Queue, ...]], ...] = ()
+        # Each operator's queues and whether they are bounded, in
+        # topological order: the post-tick pass walks them.
+        self._scan: Tuple[Tuple[str, Tuple[Queue, ...], bool], ...] = ()
+        self._threshold = runtime.backpressure_threshold
+        # The metrics layout the one-lane row lists were resolved at.
+        self._layout = -1
         self._static_budgets: Optional[Dict[str, List[float]]] = None
 
     # ------------------------------------------------------------------
@@ -395,10 +414,10 @@ class ObjectEngine:
     def _compile(self, plan: PhysicalPlan, rows: Dict[str, int]) -> None:
         """Build the tick program of the lanes just deployed: one
         :data:`_Op` per operator in reverse topological order (sinks
-        first, the order a tick runs them), and flat tuples of every
-        queue, every lane and each bounded operator's queues for the
-        per-tick scans. ``rows`` holds each operator's first metrics
-        row."""
+        first, the order a tick runs them), with the metrics row lists
+        of its one-lane operators resolved, and flat tuples of every
+        lane and of each operator's queues for the per-tick scans.
+        ``rows`` holds each operator's first metrics row."""
         multiplier = 1.0
         if self._config.instrumentation_enabled:
             multiplier += self._runtime.instrumentation_overhead
@@ -439,41 +458,61 @@ class ObjectEngine:
                 if spec.rate_limit is not None:
                     cost = max(cost, 1.0 / spec.rate_limit)
                 cost *= multiplier
+            program_lanes = tuple(
+                (
+                    lane,
+                    lane.count,
+                    rows[name] + lane.iid.index,
+                    tuple(lane.ports.values()),
+                )
+                for lane in lanes
+            )
+            solo: Optional[_Solo] = None
+            if len(program_lanes) == 1:
+                solo = program_lanes[0] + (None,)
             program.append(
                 (
                     kind,
                     name,
                     spec.is_sink,
-                    tuple(
-                        (
-                            lane,
-                            lane.count,
-                            rows[name] + lane.iid.index,
-                            tuple(lane.ports.values()),
-                        )
-                        for lane in lanes
-                    ),
+                    program_lanes,
                     tuple(lane.count for lane in lanes),
                     routes,
                     ratio,
                     spec.state_bytes_per_record,
                     cost,
                     extra,
+                    solo,
                 )
             )
         self._program = tuple(program)
+        self._resolve_rows()
         self._all_lanes = tuple(
             lane for lanes in self._lanes.values() for lane in lanes
         )
-        self._queues = tuple(
-            queue for lane in self._all_lanes for queue in lane.ports.values()
+        # A port queue is bounded exactly when its operator's are.
+        self._scan = tuple(
+            (name, queues, bool(queues) and queues[0].bounded)
+            for name, queues in (
+                (name, tuple(q for i in lanes for q in i.ports.values()))
+                for name, lanes in self._lanes.items()
+            )
         )
-        self._bounded = tuple(
-            (name, tuple(q for i in lanes for q in i.ports.values()))
-            for name, lanes in self._lanes.items()
-            if lanes[0].ports
-            and next(iter(lanes[0].ports.values())).bounded
-        )
+
+    def _resolve_rows(self) -> None:
+        """Point each one-lane operator of the tick program at the
+        metrics list its rows are now (:meth:`MetricsManager.block`),
+        at the manager's current :attr:`~MetricsManager.layout`."""
+        block = self._metrics.block
+        program = []
+        for op in self._program:
+            solo = op[10]
+            if solo is not None:
+                start, stop = solo[2], solo[2] + solo[1]
+                op = op[:10] + (solo[:4] + (block(start, stop),),)
+            program.append(op)
+        self._program = tuple(program)
+        self._layout = self._metrics.layout
 
     def grant(
         self, budgets: Dict[str, List[float]]
@@ -545,38 +584,47 @@ class ObjectEngine:
     def backpressured(self) -> Tuple[str, ...]:
         """Operators with a bounded port at or above the runtime's
         backpressure threshold, in topological order."""
-        threshold = self._runtime.backpressure_threshold
+        threshold = self._threshold
         hot = []
-        for name, queues in self._bounded:
-            for queue in queues:
-                # min(1.0, fill), NaN included: the fill fraction.
-                fill = queue._length / queue._capacity
-                if not fill < 1.0:
-                    fill = 1.0
-                if fill >= threshold:
-                    hot.append(name)
-                    break
+        for name, queues, bounded in self._scan:
+            if bounded:
+                for queue in queues:
+                    # min(1.0, fill), NaN included: the fill fraction.
+                    fill = queue._length / queue._capacity
+                    if not fill < 1.0:
+                        fill = 1.0
+                    if fill >= threshold:
+                        hot.append(name)
+                        break
         return tuple(hot)
 
     def check_invariants(self) -> None:
         """Queue conservation and non-negative fire backlogs (the first
         violating instance of a lane is its first).
 
-        One pass over the flat queue and lane tuples with
+        One pass over every operator's queues and the lanes with
         :meth:`~repro.engine.buffers.Queue.check_conservation`'s test
-        inlined; only a violation walks the lanes again, in operator
+        inlined (the walk :meth:`post_tick` fuses with the backpressure
+        scan); only a violation walks the lanes again, in operator
         order, to raise the first one's error."""
-        for queue in self._queues:
-            pushed = queue._pushed
-            drift = abs((pushed - queue._popped) - queue._length)
-            if not drift <= 1e-6 * (pushed if pushed > 1.0 else 1.0):
-                break
-        else:
+        conserved = True
+        for _, queues, _ in self._scan:
+            for queue in queues:
+                pushed = queue._pushed
+                drift = abs((pushed - queue._popped) - queue._length)
+                if not drift <= 1e-6 * (pushed if pushed > 1.0 else 1.0):
+                    conserved = False
+        if conserved:
             for lane in self._all_lanes:
                 if lane.fire_backlog < -1e-6:
+                    conserved = False
                     break
-            else:
-                return
+        if not conserved:
+            self._raise_violation()
+
+    def _raise_violation(self) -> None:
+        """Raise the first invariant violation, walking the lanes in
+        operator order."""
         for lanes in self._lanes.values():
             for lane in lanes:
                 for queue in lane.ports.values():
@@ -586,6 +634,53 @@ class ObjectEngine:
                         f"negative fire backlog at {lane.iid}"
                     )
 
+    def post_tick(
+        self, dt: float, check: bool, backpressure_seconds: Dict[str, float]
+    ) -> Tuple[str, ...]:
+        """The bookkeeping after an active tick of ``dt`` seconds, in
+        one call: returns :meth:`backpressured` and adds ``dt`` to each
+        of those operators' ``backpressure_seconds``, advances the
+        metrics' observed time (:meth:`MetricsManager.advance`), then,
+        when ``check`` is set, raises the first error
+        :meth:`check_invariants` would.
+
+        With ``check`` the backpressure scan and the conservation test
+        are one walk over each operator's queues."""
+        conserved = True
+        if check:
+            threshold = self._threshold
+            hot = []
+            for name, queues, bounded in self._scan:
+                cold = bounded
+                for queue in queues:
+                    length = queue._length
+                    pushed = queue._pushed
+                    drift = abs((pushed - queue._popped) - length)
+                    if not drift <= 1e-6 * (pushed if pushed > 1.0 else 1.0):
+                        conserved = False
+                    if cold:
+                        fill = length / queue._capacity
+                        if not fill < 1.0:
+                            fill = 1.0
+                        if fill >= threshold:
+                            hot.append(name)
+                            cold = False
+            backpressured = tuple(hot)
+        else:
+            backpressured = self.backpressured()
+        for name in backpressured:
+            backpressure_seconds[name] += dt
+        self._metrics.advance(dt)
+        if check:
+            if conserved:
+                for lane in self._all_lanes:
+                    if lane.fire_backlog < -1e-6:
+                        conserved = False
+                        break
+            if not conserved:
+                self._raise_violation()
+        return backpressured
+
     # ------------------------------------------------------------------
     # Demand estimation and latency delays
     # ------------------------------------------------------------------
@@ -594,7 +689,7 @@ class ObjectEngine:
         """Seconds of pending work per lane of a non-source operator:
         queue totals times the per-record cost, plus fire backlog times
         the fire cost at a window operator."""
-        kind, name, _, lanes, _, _, _, _, cost, _ = op
+        kind, name, _, lanes, _, _, _, _, cost = op[:9]
         noise = self._jitter[name]
         if kind == _WINDOW:
             assign_cost, fire_cost = _window_costs(cost, noise)
@@ -613,7 +708,7 @@ class ObjectEngine:
         in topological order (for shared-worker budget allocation)."""
         demands: Dict[str, List[float]] = {}
         for op in reversed(self._program):
-            kind, name, _, _, counts, _, _, _, cost, extra = op
+            kind, name, _, _, counts, _, _, _, cost, extra = op[:10]
             if kind == _SOURCE:
                 schedule, parallelism = extra
                 per_instance = (
@@ -650,7 +745,7 @@ class ObjectEngine:
         """Maximum records an operator may emit right now without
         overflowing any downstream instance queue (inf if unbounded):
         the smallest ``free_space / weight`` over the routes."""
-        limit = math.inf
+        limit = _INF
         for queue, weight, _ in routes:
             capacity = queue._capacity
             if capacity is None:
@@ -705,6 +800,11 @@ class ObjectEngine:
         source emitted and desired (in program order) and each sink
         consumed.
 
+        An operator that runs as one lane takes its one-lane path:
+        :func:`~repro.engine.allocation.fill_lane` for the water-fill
+        and its rows' metrics list updated in place. The float
+        operations and their order are those of the general path.
+
         :meth:`_downstream_limit` and :meth:`_emit` are looked up once
         per tick, so a patched one takes effect from the next tick."""
         amplitude = self._config.cost_jitter
@@ -728,6 +828,9 @@ class ObjectEngine:
         finally:
             if profiled:
                 profiler.exit("engine.allocate")
+        if self._metrics.layout != self._layout:
+            # A dropout split or rejoined a lane's metrics rows.
+            self._resolve_rows()
         source_emitted: _Flows = {}
         source_desired: _Flows = {}
         sink_consumed = dict.fromkeys(self._sinks, 0.0)
@@ -763,7 +866,11 @@ class ObjectEngine:
 
     # The steps below spell ``min(a, b)`` as ``b if b < a else a`` and
     # ``max(a, b)`` as ``b if b > a else a``: the builtins' results,
-    # ties and NaN included, without a call.
+    # ties and NaN included, without a call. A step's one-lane path
+    # (a :data:`_Solo`) does for its one lane what the general path
+    # does lane by lane, with :func:`fill_lane` for the water-fill and,
+    # for a resolved metrics list, :meth:`MetricsManager.record_rows`'s
+    # own update of it.
 
     def _source_step(
         self,
@@ -776,7 +883,7 @@ class ObjectEngine:
     ) -> Tuple[float, float]:
         """Generate and emit a source's records; returns (emitted,
         desired)."""
-        _, name, _, lanes, counts, routes, _, _, cost, extra = op
+        _, name, _, lanes, counts, routes, _, _, cost, extra, solo = op
         schedule, width = extra
         backlogs = self._backlogs
         desired = schedule.rate_at(now) * dt
@@ -785,33 +892,59 @@ class ObjectEngine:
         # min(available, max(cap, desired))
         most = desired if desired > cap else cap
         want = most if most < available else available
-        space = limit(routes) if self._blocking else math.inf
         # Each source instance generates an equal share of the stream;
         # the shared downstream space is divided fairly among them.
         share = want / width
-        desires = []
-        for budget in budgets:
-            by_budget = math.inf if cost <= 0 else budget / cost
-            desires.append(by_budget if by_budget < share else share)
-        allocations = fair_allocate(space, desires, counts)
-        record = self._metrics.record_rows
         emitted_total = 0.0
-        for (_, count, start, _), emitted in zip(lanes, allocations):
+        if solo is not None:
+            _, count, start, _, row = solo
+            space = limit(routes) if self._blocking else _INF
+            by_budget = _INF if cost <= 0 else budgets[0] / cost
+            emitted = fill_lane(
+                space, by_budget if by_budget < share else share, count
+            )
             emit(routes, emitted, count)
             useful = emitted * cost
             if dt < useful:
                 useful = dt
             idle = dt - useful
-            record(
-                start,
-                start + count,
-                emitted,
-                emitted,
-                useful,
-                idle if idle > 0.0 else 0.0,
-            )
+            if not idle > 0.0:
+                idle = 0.0
+            if row is None:
+                self._metrics.record_rows(
+                    start, start + count, emitted, emitted, useful, idle
+                )
+            else:
+                row[0] += emitted
+                row[1] += emitted
+                row[2] += useful
+                row[3] += idle
             for _ in range(count):
                 emitted_total += emitted
+        else:
+            space = limit(routes) if self._blocking else _INF
+            desires = []
+            for budget in budgets:
+                by_budget = _INF if cost <= 0 else budget / cost
+                desires.append(by_budget if by_budget < share else share)
+            allocations = fair_allocate(space, desires, counts)
+            record = self._metrics.record_rows
+            for (_, count, start, _), emitted in zip(lanes, allocations):
+                emit(routes, emitted, count)
+                useful = emitted * cost
+                if dt < useful:
+                    useful = dt
+                idle = dt - useful
+                record(
+                    start,
+                    start + count,
+                    emitted,
+                    emitted,
+                    useful,
+                    idle if idle > 0.0 else 0.0,
+                )
+                for _ in range(count):
+                    emitted_total += emitted
         left = available - emitted_total
         backlogs[name] = left if left > 0.0 else 0.0
         return emitted_total, desired
@@ -826,27 +959,65 @@ class ObjectEngine:
     ) -> float:
         """Run a non-window operator; returns records consumed
         (meaningful for sinks)."""
-        _, name, sink, lanes, counts, routes, selectivity, growth, cost, _ = op
+        _, name, sink, lanes, counts, routes, selectivity, growth = op[:8]
+        cost = op[8] * self._jitter[name]
+        solo = op[10]
+        # Nothing refills this operator's queues before it runs: its
+        # upstream operators come later in the (reverse topological)
+        # tick order.
+        consumed_total = 0.0
+        if solo is not None:
+            lane, count, start, ports, row = solo
+            space = _INF if sink else limit(routes)
+            total = sum(map(_LENGTH, ports))
+            by_budget = _INF if cost <= 0 else budgets[0] / cost
+            pull_cap = _INF if selectivity <= 0 else space / selectivity
+            allowed = fill_lane(
+                pull_cap, by_budget if by_budget < total else total, count
+            )
+            processed = lane.pop_records(allowed, total)
+            pushed = processed * selectivity
+            if sink or not pushed > 0:
+                pushed = 0.0
+            else:
+                emit(routes, pushed, count)
+            useful = processed * cost
+            if dt < useful:
+                useful = dt
+            idle = dt - useful
+            if not idle > 0.0:
+                idle = 0.0
+            if row is None:
+                self._metrics.record_rows(
+                    start, start + count, processed, pushed, useful, idle
+                )
+            else:
+                row[0] += processed
+                row[1] += pushed
+                row[2] += useful
+                row[3] += idle
+            for _ in range(count):
+                consumed_total += processed
+            if growth > 0:
+                self._state.record_processed_block(
+                    name, (processed,), counts
+                )
+            return consumed_total
         # Shared downstream space for this operator's emissions this
         # tick, in output records; divided fairly among the instances
         # so that a squeezed instance does not distort the
         # backpressure limit seen by upstream operators.
-        space = math.inf if sink else limit(routes)
-        cost *= self._jitter[name]
-        # Nothing refills this operator's queues before it runs: its
-        # upstream operators come later in the (reverse topological)
-        # tick order.
+        space = _INF if sink else limit(routes)
         totals = []
         desires = []
         for (_, _, _, ports), budget in zip(lanes, budgets):
             total = sum(map(_LENGTH, ports))
             totals.append(total)
-            by_budget = math.inf if cost <= 0 else budget / cost
+            by_budget = _INF if cost <= 0 else budget / cost
             desires.append(by_budget if by_budget < total else total)
-        pull_cap = math.inf if selectivity <= 0 else space / selectivity
+        pull_cap = _INF if selectivity <= 0 else space / selectivity
         allocations = fair_allocate(pull_cap, desires, counts)
         record = self._metrics.record_rows
-        consumed_total = 0.0
         processed_lanes = []
         for (lane, count, start, _), allowed, total in zip(
             lanes, allocations, totals
@@ -889,16 +1060,78 @@ class ObjectEngine:
     ) -> float:
         """Run a window operator: drain fire backlogs, assign arrivals
         to windows, fire crossed boundaries; returns records consumed
-        (meaningful for sinks)."""
+        (meaningful for sinks).
+
+        Fire work and assignment work share each instance's budget
+        proportionally to their demands (the scheduler interleaves
+        them); a fire-first priority would let a large fire backlog
+        starve input reading entirely, collapsing throughput instead
+        of degrading it."""
         _, name, sink, lanes, counts, routes, fire_sel, growth = op[:8]
-        cost, replication = op[8:]
-        space = math.inf if sink else limit(routes)
+        cost, replication, solo = op[8:]
         assign_cost, fire_cost = _window_costs(cost, self._jitter[name])
-        # Fire work and assignment work share each instance's budget
-        # proportionally to their demands (the scheduler interleaves
-        # them); a fire-first priority would let a large fire backlog
-        # starve input reading entirely, collapsing throughput instead
-        # of degrading it.
+        consumed_total = 0.0
+        if solo is not None:
+            lane, count, start, ports, row = solo
+            space = _INF if sink else limit(routes)
+            budget = budgets[0]
+            total = sum(map(_LENGTH, ports))
+            backlog = lane.fire_backlog
+            fire_demand = backlog * fire_cost
+            total_demand = fire_demand + total * assign_cost
+            fire_budget = 0.0
+            if not total_demand <= 0:
+                share = fire_demand / total_demand
+                fire_budget = budget * (share if share < 1.0 else 1.0)
+            by_budget = _INF if fire_cost <= 0 else fire_budget / fire_cost
+            fire_cap = _INF if fire_sel <= 0 else space / fire_sel
+            fired = fill_lane(
+                fire_cap, by_budget if by_budget < backlog else backlog, count
+            )
+            useful = 0.0
+            pushed = 0.0
+            if not fired <= 0:
+                lane.fire_backlog -= fired
+                emitted = fired * fire_sel
+                emit(routes, emitted, count)
+                useful += fired * fire_cost
+                pushed += emitted
+                left = budget - fired * fire_cost
+                budget = left if left > 0.0 else 0.0
+            by_budget = (
+                _INF if assign_cost <= 0 else budget / assign_cost
+            )
+            assigned = lane.pop_records(
+                by_budget if by_budget < total else total, total
+            )
+            window = lane.window
+            assert window is not None
+            window.buffered += assigned * replication
+            useful += assigned * assign_cost
+            pulled = 0.0
+            pulled += assigned
+            released, _fires = window.maybe_fire(end_time)
+            lane.fire_backlog += released
+            if dt < useful:
+                useful = dt
+            idle = dt - useful
+            if not idle > 0.0:
+                idle = 0.0
+            if row is None:
+                self._metrics.record_rows(
+                    start, start + count, pulled, pushed, useful, idle
+                )
+            else:
+                row[0] += pulled
+                row[1] += pushed
+                row[2] += useful
+                row[3] += idle
+            for _ in range(count):
+                consumed_total += pulled
+            if growth > 0:
+                self._state.record_processed_block(name, (pulled,), counts)
+            return consumed_total
+        space = _INF if sink else limit(routes)
         totals = []
         fire_desires = []
         for (lane, _, _, ports), budget in zip(lanes, budgets):
@@ -912,17 +1145,16 @@ class ObjectEngine:
                 share = fire_demand / total_demand
                 fire_budget = budget * (share if share < 1.0 else 1.0)
             by_budget = (
-                math.inf if fire_cost <= 0 else fire_budget / fire_cost
+                _INF if fire_cost <= 0 else fire_budget / fire_cost
             )
             fire_desires.append(
                 by_budget if by_budget < backlog else backlog
             )
         # Stage 1: drain the fire backlogs (burst work), sharing the
         # downstream space fairly.
-        fire_cap = math.inf if fire_sel <= 0 else space / fire_sel
+        fire_cap = _INF if fire_sel <= 0 else space / fire_sel
         fired_alloc = fair_allocate(fire_cap, fire_desires, counts)
         record = self._metrics.record_rows
-        consumed_total = 0.0
         pulled_lanes = []
         for (lane, count, start, _), budget, total, fired in zip(
             lanes, budgets, totals, fired_alloc
@@ -942,7 +1174,7 @@ class ObjectEngine:
             # emission, so no space constraint). Firing popped nothing,
             # so the queue total is unchanged.
             by_budget = (
-                math.inf if assign_cost <= 0 else budget / assign_cost
+                _INF if assign_cost <= 0 else budget / assign_cost
             )
             assigned = lane.pop_records(
                 by_budget if by_budget < total else total, total

@@ -503,27 +503,67 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def step(self) -> TickStats:
-        """Advance virtual time by one tick."""
-        dt = self._config.tick
-        profiled = self._profiler.enabled
+        """Advance virtual time by one tick and return its
+        :class:`TickStats` (also kept as :attr:`last_stats`).
+
+        An active tick is one engine call for the operators
+        (:meth:`ObjectEngine.run_tick`), the window and latency
+        bookkeeping, and one engine call after it
+        (:meth:`ObjectEngine.post_tick`): the backpressure scan, the
+        window's backpressure seconds, the metrics' observed time and
+        the invariant check."""
+        config = self._config
+        dt = config.tick
+        profiler = self._profiler
+        profiled = profiler.enabled
         if profiled:
-            self._profiler.enter("engine.tick")
+            profiler.enter("engine.tick")
         try:
-            if self.in_outage:
+            now = self._time
+            if now < self._outage_until:
                 stats = self._outage_tick(dt)
             else:
-                stats = self._active_tick(dt)
+                engine = self._engine
+                emitted, desired, consumed = engine.run_tick(now, dt)
+                window = self._window_source_emitted
+                for name, value in emitted.items():
+                    window[name] += value
+                record_latency = self._record_latency
+                if record_latency is not None:
+                    record_latency.observe_tick(
+                        operator_delays=engine.operator_delays(now),
+                        sink_consumed=consumed,
+                    )
+                epoch_latency = self._epoch_latency
+                if epoch_latency is not None:
+                    epoch_latency.observe_tick(
+                        now=now + dt,
+                        source_emitted=emitted,
+                        sink_consumed=consumed,
+                    )
+                tick = self._tick_count + 1
+                self._tick_count = tick
+                self._time = tick * dt
+                backpressured = engine.post_tick(
+                    dt, config.check_invariants, self._window_bp_seconds
+                )
+                stats = TickStats(
+                    self._time,
+                    emitted,
+                    desired,
+                    consumed,
+                    backpressured,
+                    False,
+                )
         finally:
             if profiled:
-                self._profiler.exit("engine.tick")
+                profiler.exit("engine.tick")
         self._last_stats = stats
         tracer = self._tracer
-        if (
-            tracer.enabled
-            and self._tick_count % self._config.trace_tick_every == 0
-        ):
+        if tracer.enabled and self._tick_count % config.trace_tick_every == 0:
+            engine = self._engine
             queued = sum(
-                self.queue_length(name) for name in self._graph.names
+                engine.queue_length(name) for name in self._graph.names
             )
             tracer.emit(
                 "engine.tick",
@@ -577,41 +617,6 @@ class Simulator:
             sink_consumed={name: 0.0 for name in self._sinks},
             backpressured=self.backpressured_operators(),
             in_outage=True,
-        )
-
-    def _active_tick(self, dt: float) -> TickStats:
-        engine = self._engine
-        source_emitted, source_desired, sink_consumed = engine.run_tick(
-            self._time, dt
-        )
-        for name, emitted in source_emitted.items():
-            self._window_source_emitted[name] += emitted
-        if self._record_latency is not None:
-            self._record_latency.observe_tick(
-                operator_delays=engine.operator_delays(self._time),
-                sink_consumed=sink_consumed,
-            )
-        if self._epoch_latency is not None:
-            self._epoch_latency.observe_tick(
-                now=self._time + dt,
-                source_emitted=source_emitted,
-                sink_consumed=sink_consumed,
-            )
-        backpressured = engine.backpressured()
-        for name in backpressured:
-            self._window_bp_seconds[name] += dt
-        self._metrics.advance(dt)
-        self._tick_count += 1
-        self._time = self._tick_count * dt
-        if self._config.check_invariants:
-            engine.check_invariants()
-        return TickStats(
-            time=self._time,
-            source_emitted=source_emitted,
-            source_desired=source_desired,
-            sink_consumed=sink_consumed,
-            backpressured=backpressured,
-            in_outage=False,
         )
 
 

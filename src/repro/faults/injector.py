@@ -4,7 +4,8 @@
 and injects the faults of a :class:`~repro.faults.schedule.FaultSchedule`
 by intercepting exactly four calls — ``step``, ``collect_metrics``,
 ``source_target_rates`` and ``rescale`` — and delegating everything else
-untouched. The simulator is never forked or subclassed: a control loop
+untouched (``run_for`` and ``run_until`` step through the intercepted
+``step``). The simulator is never forked or subclassed: a control loop
 (or experiment harness) that receives an injector instead of a bare
 simulator runs unchanged, which is what keeps the fault-free and
 fault-injected code paths provably identical.
@@ -44,7 +45,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.dataflow.physical import InstanceId
 from repro.engine.simulator import Simulator, TickStats
-from repro.errors import ReconfigurationError
+from repro.errors import EngineError, ReconfigurationError
 from repro.faults.events import (
     HealthCorruption,
     InstanceCrash,
@@ -158,6 +159,26 @@ class FaultInjector:
         self._fire_one_shots()
         self._sync_suppression()
         return self._sim.step()
+
+    def run_for(self, seconds: float) -> None:
+        """:meth:`Simulator.run_for` through :meth:`step`, so that every
+        tick fires its due faults and syncs the dropouts."""
+        if not 0.0 <= seconds < math.inf:
+            raise EngineError(
+                f"seconds must be finite and >= 0, got {seconds!r}"
+            )
+        sim = self._sim
+        target = sim.time + seconds
+        while sim.time < target - 1e-9:
+            self.step()
+
+    def run_until(self, time: float) -> None:
+        """:meth:`Simulator.run_until` through :meth:`step`."""
+        if not math.isfinite(time):
+            raise EngineError(f"time must be finite, got {time!r}")
+        if time < self._sim.time:
+            raise EngineError("cannot run backwards in time")
+        self.run_for(time - self._sim.time)
 
     def collect_metrics(self) -> MetricsWindow:
         self._sync_suppression()

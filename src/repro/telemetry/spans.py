@@ -20,7 +20,10 @@ Two determinism rules keep spans out of the decision path:
   mixed into traces, scorecards, or any golden artifact.
 
 Thread safety: each thread records into its own subtree (registered on
-first use), so ``enter``/``exit`` never contend on a lock.
+first use), so ``enter``/``exit`` never contend on a lock. They read the
+thread's stack straight off a :class:`threading.local` and the clock
+without a wrapper call, which keeps an enabled span pair cheap next to
+an engine tick.
 :meth:`tree` merges the per-thread subtrees on demand. Process-pool
 campaign workers profile into a fresh local profiler and return its
 :meth:`to_dict` payload through the result channel; the parent folds
@@ -30,9 +33,9 @@ the payloads back in canonical cell order with :meth:`merge`.
 from __future__ import annotations
 
 import threading
-import time as _time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from time import perf_counter as _clock
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import TelemetryError
 
@@ -43,24 +46,30 @@ def wall_clock() -> float:
     """Monotonic wall-clock seconds, for span timings and host-side
     bookkeeping (heartbeat durations, pool deadlines) only.
 
-    This is the single place telemetry reads the host clock; trace
-    events and audit records must never call it (they carry virtual
-    time so traces stay deterministic).
+    This module is the one place telemetry reads the host clock (here
+    and in :class:`SpanProfiler`'s ``enter``/``exit``); trace events
+    and audit records must never call it (they carry virtual time so
+    traces stay deterministic).
     """
-    return _time.perf_counter()  # repro: allow[REPRO101]
+    return _clock()  # repro: allow[REPRO101]
 
 
 class SpanNode:
     """One node of the span tree: a named phase with an invocation
-    count, accumulated wall-clock seconds, and child phases."""
+    count, accumulated wall-clock seconds, and child phases.
 
-    __slots__ = ("name", "count", "seconds", "children")
+    ``started`` is when the open invocation began: a node sits in one
+    thread's subtree and under one path, so at most one invocation of
+    it is open at a time."""
+
+    __slots__ = ("name", "count", "seconds", "children", "started")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.seconds = 0.0
         self.children: Dict[str, "SpanNode"] = {}
+        self.started = 0.0
 
     def child(self, name: str) -> "SpanNode":
         node = self.children.get(name)
@@ -117,6 +126,17 @@ class SpanNode:
             self.child(name).merge_node(other.children[name])
 
 
+class _Stacks(threading.local):
+    """Each thread's stack of open span nodes, its subtree's root at
+    the bottom. A thread's first use builds its root and hands it to
+    ``register``."""
+
+    def __init__(self, register: Callable[[SpanNode], None]) -> None:
+        root = SpanNode("root")
+        register(root)
+        self.stack = [root]
+
+
 class SpanProfiler:
     """Collects a hierarchy of timed spans.
 
@@ -143,45 +163,42 @@ class SpanProfiler:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._roots: List[SpanNode] = []
-        self._local = threading.local()
+        self._local = _Stacks(self._register)
 
     # -- recording ----------------------------------------------------
 
-    def _stack(self) -> List[Tuple[SpanNode, float]]:
-        stack: Optional[List[Tuple[SpanNode, float]]] = getattr(
-            self._local, "stack", None
-        )
-        if stack is None:
-            root = SpanNode("root")
-            with self._lock:
-                self._roots.append(root)
-            stack = [(root, 0.0)]
-            self._local.stack = stack
-        return stack
+    def _register(self, root: SpanNode) -> None:
+        with self._lock:
+            self._roots.append(root)
 
     def enter(self, name: str) -> None:
         """Open a span named ``name`` under the current span."""
-        stack = self._stack()
-        node = stack[-1][0].child(name)
+        stack = self._local.stack
+        parent = stack[-1]
+        node = parent.children.get(name)
+        if node is None:
+            node = parent.child(name)
         node.count += 1
-        stack.append((node, wall_clock()))
+        stack.append(node)
+        node.started = _clock()  # repro: allow[REPRO101]
 
     def exit(self, name: str) -> None:
         """Close the current span; ``name`` guards against mismatched
         pairs (a structural bug, so it raises rather than mis-files
         the elapsed time)."""
-        stack = self._stack()
+        now = _clock()  # repro: allow[REPRO101]
+        stack = self._local.stack
         if len(stack) <= 1:
             raise TelemetryError(
                 f"span exit({name!r}) with no span open"
             )
-        node, started = stack.pop()
+        node = stack.pop()
         if node.name != name:
             raise TelemetryError(
                 f"span exit({name!r}) does not match open span "
                 f"{node.name!r}"
             )
-        node.seconds += wall_clock() - started
+        node.seconds += now - node.started
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -220,8 +237,7 @@ class SpanProfiler:
         worker) into this profiler's tree."""
         if payload is None:
             return
-        stack = self._stack()
-        stack[0][0].merge_payload(payload)
+        self._local.stack[0].merge_payload(payload)
 
     def clear(self) -> None:
         """Drop every recorded span (open spans stay open)."""

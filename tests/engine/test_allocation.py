@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.engine.allocation import fair_allocate
+from repro.engine.allocation import fair_allocate, fill_lane
 from repro.errors import EngineError
 
 try:
@@ -167,3 +167,46 @@ class TestFairAllocate:
             assert [value.hex() for value in expanded] == lane_values
             assert [value.hex() for value in padded[:-1]] == lane_values
             assert padded[-1] == 0.0
+
+
+class TestFillLane:
+    """:func:`fill_lane`, the engine's one-lane water-fill, is
+    ``fair_allocate(total, [desire], [count])[0]`` bit for bit, and
+    what the water-fill over ``count`` separate demands gives each."""
+
+    @pytest.mark.parametrize("total", [-1.0, -math.inf, math.nan])
+    def test_nan_or_negative_total_raises(self, total):
+        with pytest.raises(EngineError, match="total must be >= 0"):
+            fill_lane(total, 1.0, 3)
+
+    if HAVE_HYPOTHESIS:
+
+        @given(
+            total=st.one_of(
+                st.floats(min_value=0.0, allow_nan=False),
+                st.sampled_from([0.0, 1e-13, math.inf]),
+                # Relative to the expanded sum of the lane's demands.
+                st.sampled_from(["sum", "below-sum", "above-sum"]),
+            ),
+            desire=st.one_of(
+                st.floats(),
+                st.sampled_from([math.nan, -1.0, 0.0, math.inf]),
+                st.floats(min_value=0.0, max_value=1e-12),
+            ),
+            count=st.integers(min_value=1, max_value=64),
+        )
+        @settings(max_examples=1000, deadline=None)
+        def test_property_equals_fair_allocate(self, total, desire, count):
+            if isinstance(total, str):
+                edge = sum([max(0.0, desire)] * count)
+                total = {
+                    "sum": edge,
+                    "below-sum": max(0.0, math.nextafter(edge, -math.inf)),
+                    "above-sum": math.nextafter(edge, math.inf),
+                }[total]
+            value = fill_lane(total, desire, count).hex()
+            assert value == fair_allocate(total, [desire], [count])[0].hex()
+            # The general water-fill, kept off the one-entry shortcut by
+            # a zero demand.
+            expanded = fair_allocate(total, [desire] * count + [0.0])
+            assert [v.hex() for v in expanded[:-1]] == [value] * count

@@ -47,7 +47,7 @@ from repro.faults.campaigns import (
     CampaignTargets,
     run_campaign_cell,
 )
-from repro.faults.events import InstanceCrash
+from repro.faults.events import InstanceCrash, MetricDropout
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.experiments import harness
@@ -708,6 +708,63 @@ class TestRedeploys:
         )
         with per_instance():
             assert run_campaign_cell(spec) == laned
+
+
+@pytest.mark.parametrize("skew", sorted(SKEWS))
+class TestDropoutRelayout:
+    """A one-lane operator adds to its rows' metrics list directly, and
+    re-resolves that list when the metrics layout moves. A dropout of
+    half a lane splits its rows (and they stay split after it ends),
+    then a rescale and a zero-cost crash each register and share new
+    rows; the lanes must match the per-instance run at every tick and
+    in every collected window."""
+
+    PARALLELISM = {"source": 4, "flatmap": 4, "count": 4, "sink": 1}
+
+    def _run(self, skew):
+        graph = heron_wordcount_graph()
+        sim = Simulator(
+            PhysicalPlan(
+                graph,
+                self.PARALLELISM,
+                max_parallelism=16,
+                partitioner=hot_key(skew, "count"),
+            ),
+            _free_flink(),
+            EngineConfig(tick=0.5, cost_jitter=0.1),
+        )
+        layout = lane_counts(sim)
+        # Both dropouts begin and end between the decisions at 10 and
+        # 20 s.
+        schedule = FaultSchedule(
+            [
+                MetricDropout(
+                    time=12.0, duration=5.0, operator="flatmap", fraction=0.5
+                ),
+                MetricDropout(
+                    time=12.5, duration=4.0, operator="count", fraction=0.5
+                ),
+                InstanceCrash(time=45.0, operator="count", index=1),
+            ]
+        )
+        injector = FaultInjector(sim, schedule)
+        trace = [layout]
+        while sim.time < 60.0:
+            trace.append(repr(injector.step()))
+            trace.append(state_digest(sim, len(trace)))
+            if sim.time % 10.0 == 0.0:
+                trace.append(
+                    repr(window_fingerprint(injector.collect_metrics()))
+                )
+                if sim.time == 30.0:
+                    trace.append(injector.rescale({"flatmap": 6, "count": 6}))
+        assert injector.crash_outages == [(45.0, 0.0)]
+        return trace
+
+    def test_matches_per_instance(self, skew, per_instance):
+        trace = self._run(skew)
+        assert trace[0]["flatmap"] == [4]
+        assert_matches_per_instance(per_instance, lambda: self._run(skew)[1:])
 
 
 def state_totals(view):

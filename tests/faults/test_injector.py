@@ -22,7 +22,7 @@ from repro.dataflow.physical import InstanceId, PhysicalPlan
 from repro.dataflow.state import SavepointModel
 from repro.engine.runtimes import FlinkRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.errors import ReconfigurationError
+from repro.errors import EngineError, ReconfigurationError
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -64,12 +64,6 @@ def make_injector(
     return FaultInjector(simulator, schedule)
 
 
-def run_for(injector, seconds):
-    end = injector.time + seconds
-    while injector.time < end - 1e-9:
-        injector.step()
-
-
 class TestProxying:
     def test_delegates_untouched_surface(self):
         injector = make_injector(FaultSchedule([]))
@@ -89,6 +83,53 @@ class TestProxying:
         )
 
 
+class TestRunFor:
+    """``run_for`` and ``run_until`` step through the injector, so every
+    tick fires its due faults and syncs the dropouts, as the control
+    loop's ticks do."""
+
+    def test_crash_fires_at_its_own_tick(self):
+        schedule = FaultSchedule([
+            InstanceCrash(time=1.0, operator="op", index=1),
+        ])
+        injector = make_injector(schedule)
+        injector.run_for(5.0)
+        assert injector.crash_count == 1
+        assert injector.crash_outages == [(1.0, 0.0)]
+        assert injector.time == 5.0
+
+    def test_run_until_fires_crash(self):
+        schedule = FaultSchedule([InstanceCrash(time=2.0, operator="op")])
+        injector = make_injector(schedule)
+        injector.run_until(3.0)
+        assert [time for time, _ in injector.crash_outages] == [2.0]
+
+    def test_dropout_silences_its_instances(self):
+        schedule = FaultSchedule([
+            MetricDropout(
+                time=1.0, duration=100.0, operator="src", fraction=0.5
+            ),
+        ])
+        injector = make_injector(schedule)
+        injector.run_for(5.0)
+        assert injector.metrics_manager.suppressed == {
+            InstanceId("src", 0)
+        }
+
+    @pytest.mark.parametrize("seconds", [-1.0, math.nan, math.inf])
+    def test_run_for_rejects_bad_seconds(self, seconds):
+        with pytest.raises(EngineError, match="seconds must be finite"):
+            make_injector(FaultSchedule([])).run_for(seconds)
+
+    def test_run_until_rejects_bad_times(self):
+        injector = make_injector(FaultSchedule([]))
+        injector.run_for(1.0)
+        with pytest.raises(EngineError, match="time must be finite"):
+            injector.run_until(math.nan)
+        with pytest.raises(EngineError, match="backwards"):
+            injector.run_until(0.5)
+
+
 class TestMetricDropout:
     def test_suppressed_instances_omitted_and_completeness_reported(self):
         schedule = FaultSchedule([
@@ -97,7 +138,7 @@ class TestMetricDropout:
             ),
         ])
         injector = make_injector(schedule)
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         window = injector.collect_metrics()
         assert window.completeness_of("src") == 0.5
         assert window.completeness_of("op") == 1.0
@@ -117,10 +158,10 @@ class TestMetricDropout:
         assert injector.source_target_rates()["src"] == pytest.approx(
             500.0
         )
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         window = injector.collect_metrics()
         clean = make_injector(FaultSchedule([]))
-        run_for(clean, 10.5)
+        clean.run_for(10.5)
         reference = clean.collect_metrics()
         assert window.source_observed_rates["src"] == pytest.approx(
             reference.source_observed_rates["src"] * 0.5, rel=0.05
@@ -135,10 +176,10 @@ class TestMetricDropout:
             ),
         ])
         injector = make_injector(schedule)
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         during = injector.collect_metrics()
         assert InstanceId("src", 0) not in during.instances
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         after = injector.collect_metrics()
         catchup = after.instances[InstanceId("src", 0)]
         # The silenced reporter catches up: its counters span both
@@ -151,7 +192,7 @@ class TestMetricDropout:
             MetricDropout(time=0.0, duration=100.0, operator="op"),
         ])
         injector = make_injector(schedule)
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         window = injector.collect_metrics()
         assert window.instances_of("op") == []
         assert window.completeness_of("op") == 0.0
@@ -256,13 +297,13 @@ class TestMetricCorruption:
             ),
         ], seed=seed)
         injector = make_injector(schedule)
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         return injector.collect_metrics()
 
     def test_scales_record_counts_not_timings(self):
         corrupted = self._window(seed=1)
         clean_injector = make_injector(FaultSchedule([]))
-        run_for(clean_injector, 10.0)
+        clean_injector.run_for(10.0)
         clean = clean_injector.collect_metrics()
         for iid in clean.instances_of("op"):
             a = corrupted.instances[iid]
@@ -282,17 +323,17 @@ class TestMetricLag:
             MetricLag(time=10.0, duration=25.0),  # active 10..35
         ])
         injector = make_injector(schedule)
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         # Lag starts exactly at this collection; with nothing delivered
         # yet to repeat, the newest window leaks through.
         fresh = injector.collect_metrics()
         assert fresh.end == pytest.approx(10.0)
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         stale = injector.collect_metrics()  # t=20, lag active
         assert stale == fresh  # re-delivered, old timestamps and all
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         assert injector.collect_metrics() == fresh  # t=30, still lagging
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         merged = injector.collect_metrics()  # t=40, lag over
         # The backlog arrives as one catch-up window spanning the lag.
         assert merged.start == pytest.approx(10.0)
@@ -312,7 +353,7 @@ class TestInstanceCrash:
                 redeploy_seconds=0.0,
             ),
         )
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         assert injector.crash_count == 1
         window = injector.collect_metrics()
         assert window.truncated
@@ -325,7 +366,7 @@ class TestInstanceCrash:
             InstanceCrash(time=1.0, operator="op", index=99),
         ])
         injector = make_injector(schedule)
-        run_for(injector, 5.0)
+        injector.run_for(5.0)
         assert injector.crash_count == 1
 
     def test_crash_of_unknown_operator_skipped(self):
@@ -333,7 +374,7 @@ class TestInstanceCrash:
             InstanceCrash(time=1.0, operator="ghost"),
         ])
         injector = make_injector(schedule)
-        run_for(injector, 5.0)
+        injector.run_for(5.0)
         assert injector.crash_count == 0
         assert any(
             "unknown operator" in msg
@@ -347,7 +388,7 @@ class TestRescaleFailure:
             RescaleFailure(time=0.0, mode="abort", count=1),
         ])
         injector = make_injector(schedule)
-        run_for(injector, 2.0)
+        injector.run_for(2.0)
         with pytest.raises(ReconfigurationError):
             injector.rescale({"op": 4})
         assert injector.plan.parallelism["op"] == 2
@@ -368,11 +409,11 @@ class TestRescaleFailure:
                 redeploy_seconds=0.0,
             ),
         )
-        run_for(injector, 2.0)
+        injector.run_for(2.0)
         with pytest.raises(ReconfigurationError):
             injector.rescale({"op": 4})
         assert injector.in_outage
-        run_for(injector, 6.0)
+        injector.run_for(6.0)
         # After the wasted outage the old configuration is running.
         assert not injector.in_outage
         assert injector.plan.parallelism["op"] == 2
@@ -382,7 +423,7 @@ class TestRescaleFailure:
             RescaleFailure(time=0.0, mode="abort", count=2),
         ])
         injector = make_injector(schedule)
-        run_for(injector, 2.0)
+        injector.run_for(2.0)
         assert injector.armed_rescale_failures == 2
         for _ in range(2):
             with pytest.raises(ReconfigurationError):
@@ -412,12 +453,12 @@ class TestHealthCorruption:
             ),
         ], seed=seed)
         injector = self._injector(schedule, rate)
-        run_for(injector, 10.0)
+        injector.run_for(10.0)
         return injector.collect_metrics()
 
     def test_perturbs_health_not_counters(self):
         clean_injector = self._injector(FaultSchedule([]))
-        run_for(clean_injector, 10.0)
+        clean_injector.run_for(10.0)
         clean = clean_injector.collect_metrics()
         corrupted = self._window(seed=1)
         assert (
@@ -441,7 +482,7 @@ class TestHealthCorruption:
         # reported fill below the Flink threshold, masking the real
         # backpressure — the flag follows the corrupted fill.
         clean_injector = self._injector(FaultSchedule([]), rate=12000.0)
-        run_for(clean_injector, 10.0)
+        clean_injector.run_for(10.0)
         clean = clean_injector.collect_metrics()
         assert clean.health["op"].backpressure is True
         corrupted = self._window(seed=2, rate=12000.0)
@@ -464,7 +505,7 @@ class TestHealthCorruption:
         tracer = Tracer(capacity=None)
         with tracing(tracer):
             injector = self._injector(schedule)
-            run_for(injector, 10.0)
+            injector.run_for(10.0)
             injector.collect_metrics()
         events = tracer.events("fault.HealthCorruption")
         assert events
