@@ -57,15 +57,22 @@
 #                      PYTHONPATH, pool workers included) and
 #                      PYTHONHASHSEED=12345: results must not depend
 #                      on numpy's presence or on the hash seed (~15s)
-#  12. paper artifacts (golden files)
+#  12. import budget
+#                    - in fresh interpreters: importing the CLI loads no
+#                      fault, campaign or run-report code, `repro run
+#                      table4` loads no campaign executor, and
+#                      importing any package loads none of its modules
+#                      (tests/test_lazy_exports.py also pins the lazy
+#                      package surface) (~3s)
+#  13. paper artifacts (golden files)
 #                    - `repro run <id>` at scale 1, for every entry of
 #                      the paper-artifact registry
 #                      (repro.experiments.artifacts), must print its
 #                      committed benchmarks/output/<file>.txt
 #                      byte for byte (~35s)
-#  13. paper artifacts with one lane per instance
-#                    - stage 12 under stage 10's hook (~1 min)
-#  14. pytest
+#  14. paper artifacts with one lane per instance
+#                    - stage 13 under stage 10's hook (~1 min)
+#  15. pytest
 #                    - the tier-1 test suite, whose
 #                      tests/engine/test_lane_equivalence.py compares
 #                      lanes with one lane per instance tick by tick
@@ -73,7 +80,7 @@
 # ruff and mypy are optional dev dependencies (`pip install -e .[lint]`).
 # When they are missing the stage is skipped with a notice rather than
 # failing, so the gate is usable in minimal containers; the in-tree
-# stages (3-13) have no third-party dependencies, and stages 3-11 run
+# stages (3-14) have no third-party dependencies, and stages 3-12 run
 # even with --fast.
 
 set -u
@@ -236,6 +243,14 @@ else:
 )
 run_stage "golden files (no numpy, PYTHONHASHSEED=12345)" \
     check_goldens_without_numpy
+# Start-up gate: a command imports only the modules it runs. Package
+# __init__s resolve their exports lazily, so one eager import coming
+# back shows up here as a module that the command does not need.
+check_import_budget() {
+    python -m pytest -q tests/test_cli.py -k "import_" || return 1
+    python -m pytest -q tests/test_lazy_exports.py
+}
+run_stage "import budget" check_import_budget
 # Paper-artifact gate: every registered table and figure, run through
 # `repro run <id>` at scale 1, must print exactly the artifact the
 # benchmark emitters committed under benchmarks/output/.

@@ -26,25 +26,36 @@ This library contains:
 See ``examples/quickstart.py`` for a complete end-to-end run.
 """
 
-from repro.core import (
-    ControlLoop,
-    Controller,
-    DS2Controller,
-    DS2Policy,
-    ExecutionModel,
-    ManagerConfig,
-    compute_optimal_parallelism,
-)
-from repro.dataflow import LogicalGraph, PhysicalPlan
-from repro.engine import (
-    EngineConfig,
-    FlinkRuntime,
-    HeronRuntime,
-    Simulator,
-    TimelyRuntime,
-)
-from repro.faults import FaultInjector, FaultSchedule, parse_faults
-from repro.metrics import InstanceCounters, MetricsWindow
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.controller import ControlLoop, Controller
+    from repro.core.manager import DS2Controller, ManagerConfig
+    from repro.core.model import compute_optimal_parallelism
+    from repro.core.policy import DS2Policy, ExecutionModel
+    from repro.dataflow.graph import LogicalGraph
+    from repro.dataflow.physical import PhysicalPlan
+    from repro.engine.runtimes import FlinkRuntime, HeronRuntime, TimelyRuntime
+    from repro.engine.simulator import EngineConfig, Simulator
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule, parse_faults
+    from repro.metrics import InstanceCounters, MetricsWindow
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.controller": ("ControlLoop", "Controller"),
+    "repro.core.manager": ("DS2Controller", "ManagerConfig"),
+    "repro.core.model": ("compute_optimal_parallelism",),
+    "repro.core.policy": ("DS2Policy", "ExecutionModel"),
+    "repro.dataflow.graph": ("LogicalGraph",),
+    "repro.dataflow.physical": ("PhysicalPlan",),
+    "repro.engine.runtimes": ("FlinkRuntime", "HeronRuntime", "TimelyRuntime"),
+    "repro.engine.simulator": ("EngineConfig", "Simulator"),
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.schedule": ("FaultSchedule", "parse_faults"),
+    "repro.metrics": ("InstanceCounters", "MetricsWindow"),
+})
 
 __version__ = "1.0.0"
 

@@ -22,24 +22,39 @@ crossing a process boundary lives with the executor that needs it
 
 from __future__ import annotations
 
-from repro.analysis.linter import (
-    LINT_RULES,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.report import (
-    Diagnostic,
-    Severity,
-    has_errors,
-    render_json,
-    render_text,
-)
-from repro.analysis.rules import (
-    AnalysisError,
-    Rule,
-    RuleRegistry,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.linter import (
+        LINT_RULES,
+        lint_file,
+        lint_paths,
+        lint_source,
+    )
+    from repro.analysis.report import (
+        Diagnostic,
+        Severity,
+        has_errors,
+        render_json,
+        render_text,
+    )
+    from repro.analysis.rules import (
+        AnalysisError,
+        Rule,
+        RuleRegistry,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.linter": (
+        "LINT_RULES", "lint_file", "lint_paths", "lint_source",
+    ),
+    "repro.analysis.report": (
+        "Diagnostic", "Severity", "has_errors", "render_json", "render_text",
+    ),
+    "repro.analysis.rules": ("AnalysisError", "Rule", "RuleRegistry"),
+})
 
 __all__ = [
     "AnalysisError",

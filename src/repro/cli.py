@@ -44,8 +44,6 @@ import shlex
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.experiments.report import format_table
-
 if TYPE_CHECKING:
     from repro.experiments.artifacts import Artifact
 
@@ -55,6 +53,7 @@ if TYPE_CHECKING:
 # ----------------------------------------------------------------------
 
 def cmd_list_queries(_args: argparse.Namespace) -> int:
+    from repro.experiments.report import format_table
     from repro.workloads.nexmark import ALL_QUERIES
 
     print(format_table(
@@ -70,6 +69,7 @@ def cmd_list_queries(_args: argparse.Namespace) -> int:
 
 def cmd_list_experiments(_args: argparse.Namespace) -> int:
     from repro.experiments.artifacts import ARTIFACTS
+    from repro.experiments.report import format_table
 
     print(format_table(
         ("experiment", "reproduces"),
@@ -95,11 +95,11 @@ def _execute_run(
     """Run one (already validated) artifact and print its text. An
     error of the experiment's own is one stderr line and exit 2."""
     from repro.errors import (
+        CampaignInterrupted,
         CheckpointError,
         FaultInjectionError,
         ReproError,
     )
-    from repro.faults.executor import CampaignInterrupted
 
     try:
         print(entry.render(entry.run(args.scale, **flags)))
@@ -263,6 +263,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         render_text,
     )
     from repro.analysis.rules import AnalysisError
+    from repro.experiments.report import format_table
 
     if args.list_rules:
         print(format_table(
@@ -345,6 +346,7 @@ def _oneshot_wordcount_audit():
 
 
 def cmd_decide(_args: argparse.Namespace) -> int:
+    from repro.experiments.report import format_table
     from repro.telemetry import render_decision_audit
 
     result, audit = _oneshot_wordcount_audit()
@@ -487,11 +489,11 @@ def _write_sweep_report(report: object, fmt: str) -> None:
 
 def cmd_sweep_run(args: argparse.Namespace) -> int:
     from repro.errors import (
+        CampaignInterrupted,
         CheckpointError,
         FaultInjectionError,
         SweepError,
     )
-    from repro.faults.executor import CampaignInterrupted
     from repro.sweeps import build_sweep_report, load_spec, run_sweep
 
     if args.resume and args.checkpoint is None:

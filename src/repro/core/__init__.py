@@ -12,33 +12,57 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.baselines` — Dhalion-style and threshold baselines.
 """
 
-from repro.core.backoff import capped_backoff, invalid_backoff_reason
-from repro.core.controller import (
-    ControlLoop,
-    Controller,
-    FailedRescale,
-    LoopResult,
-    Observation,
-    RetryConfig,
-    ScalingEvent,
-)
-from repro.core.learning import (
-    LearningDS2Controller,
-    ScalingCurve,
-    ScalingCurveLearner,
-)
-from repro.core.manager import DS2Controller, ManagerConfig
-from repro.core.offline import (
-    OperatorProfile,
-    microbenchmark_operator,
-    offline_provisioning,
-)
-from repro.core.model import (
-    ModelEvaluation,
-    OperatorEstimate,
-    compute_optimal_parallelism,
-)
-from repro.core.policy import DS2Policy, ExecutionModel, PolicyDecision
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.backoff import capped_backoff, invalid_backoff_reason
+    from repro.core.controller import (
+        ControlLoop,
+        Controller,
+        FailedRescale,
+        LoopResult,
+        Observation,
+        RetryConfig,
+        ScalingEvent,
+    )
+    from repro.core.learning import (
+        LearningDS2Controller,
+        ScalingCurve,
+        ScalingCurveLearner,
+    )
+    from repro.core.manager import DS2Controller, ManagerConfig
+    from repro.core.offline import (
+        OperatorProfile,
+        microbenchmark_operator,
+        offline_provisioning,
+    )
+    from repro.core.model import (
+        ModelEvaluation,
+        OperatorEstimate,
+        compute_optimal_parallelism,
+    )
+    from repro.core.policy import DS2Policy, ExecutionModel, PolicyDecision
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.backoff": ("capped_backoff", "invalid_backoff_reason"),
+    "repro.core.controller": (
+        "ControlLoop", "Controller", "FailedRescale", "LoopResult",
+        "Observation", "RetryConfig", "ScalingEvent",
+    ),
+    "repro.core.learning": (
+        "LearningDS2Controller", "ScalingCurve", "ScalingCurveLearner",
+    ),
+    "repro.core.manager": ("DS2Controller", "ManagerConfig"),
+    "repro.core.offline": (
+        "OperatorProfile", "microbenchmark_operator", "offline_provisioning",
+    ),
+    "repro.core.model": (
+        "ModelEvaluation", "OperatorEstimate", "compute_optimal_parallelism",
+    ),
+    "repro.core.policy": ("DS2Policy", "ExecutionModel", "PolicyDecision"),
+})
 
 __all__ = [
     "ControlLoop",

@@ -7,33 +7,53 @@ execution plan that maps each operator to a number of parallel instances
 connected by data channels.
 """
 
-from repro.dataflow.graph import Edge, LogicalGraph
-from repro.dataflow.operators import (
-    CostModel,
-    OperatorKind,
-    OperatorSpec,
-    RateSchedule,
-    Selectivity,
-    WindowSpec,
-    filter_operator,
-    flatmap,
-    join,
-    map_operator,
-    session_window,
-    sink,
-    sliding_window,
-    source,
-    tumbling_window,
-)
-from repro.dataflow.physical import (
-    Channel,
-    InstanceId,
-    Partitioner,
-    PhysicalPlan,
-    skewed_weights,
-    uniform_weights,
-)
-from repro.dataflow.state import SavepointModel, StateModel
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dataflow.graph import Edge, LogicalGraph
+    from repro.dataflow.operators import (
+        CostModel,
+        OperatorKind,
+        OperatorSpec,
+        RateSchedule,
+        Selectivity,
+        WindowSpec,
+        filter_operator,
+        flatmap,
+        join,
+        map_operator,
+        session_window,
+        sink,
+        sliding_window,
+        source,
+        tumbling_window,
+    )
+    from repro.dataflow.physical import (
+        Channel,
+        InstanceId,
+        Partitioner,
+        PhysicalPlan,
+        skewed_weights,
+        uniform_weights,
+    )
+    from repro.dataflow.state import SavepointModel, StateModel
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dataflow.graph": ("Edge", "LogicalGraph"),
+    "repro.dataflow.operators": (
+        "CostModel", "OperatorKind", "OperatorSpec", "RateSchedule",
+        "Selectivity", "WindowSpec", "filter_operator", "flatmap", "join",
+        "map_operator", "session_window", "sink", "sliding_window", "source",
+        "tumbling_window",
+    ),
+    "repro.dataflow.physical": (
+        "Channel", "InstanceId", "Partitioner", "PhysicalPlan",
+        "skewed_weights", "uniform_weights",
+    ),
+    "repro.dataflow.state": ("SavepointModel", "StateModel"),
+})
 
 __all__ = [
     "Edge",

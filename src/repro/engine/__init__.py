@@ -6,26 +6,47 @@ Heron-like), produces the instrumentation counters DS2 consumes, and
 implements the savepoint-halt-redeploy rescaling mechanism.
 """
 
-from repro.engine.buffers import Queue
-from repro.engine.latency import (
-    EpochLatencyTracker,
-    LatencyDistribution,
-    RecordLatencyTracker,
-)
-from repro.engine.metrics_manager import MetricsManager
-from repro.engine.recovery import (
-    ContainerRestartRecovery,
-    PeerSyncRecovery,
-    RecoveryModel,
-    SavepointRecovery,
-)
-from repro.engine.runtimes import (
-    FlinkRuntime,
-    HeronRuntime,
-    Runtime,
-    TimelyRuntime,
-)
-from repro.engine.simulator import EngineConfig, Simulator, TickStats
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.engine.buffers import Queue
+    from repro.engine.latency import (
+        EpochLatencyTracker,
+        LatencyDistribution,
+        RecordLatencyTracker,
+    )
+    from repro.engine.metrics_manager import MetricsManager
+    from repro.engine.recovery import (
+        ContainerRestartRecovery,
+        PeerSyncRecovery,
+        RecoveryModel,
+        SavepointRecovery,
+    )
+    from repro.engine.runtimes import (
+        FlinkRuntime,
+        HeronRuntime,
+        Runtime,
+        TimelyRuntime,
+    )
+    from repro.engine.simulator import EngineConfig, Simulator, TickStats
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.buffers": ("Queue",),
+    "repro.engine.latency": (
+        "EpochLatencyTracker", "LatencyDistribution", "RecordLatencyTracker",
+    ),
+    "repro.engine.metrics_manager": ("MetricsManager",),
+    "repro.engine.recovery": (
+        "ContainerRestartRecovery", "PeerSyncRecovery", "RecoveryModel",
+        "SavepointRecovery",
+    ),
+    "repro.engine.runtimes": (
+        "FlinkRuntime", "HeronRuntime", "Runtime", "TimelyRuntime",
+    ),
+    "repro.engine.simulator": ("EngineConfig", "Simulator", "TickStats"),
+})
 
 __all__ = [
     "ContainerRestartRecovery",

@@ -3,10 +3,13 @@
 All library-specific errors derive from :class:`ReproError` so that callers
 can catch a single base class. Subclasses are organized by subsystem:
 graph construction, physical planning, engine execution, and controller
-policy evaluation.
+policy evaluation. :class:`CampaignInterrupted` lives here too, so the
+CLI can catch it without importing the campaign executor.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 
 class ReproError(Exception):
@@ -70,3 +73,26 @@ class TelemetryError(ReproError):
     """Raised for invalid telemetry requests (malformed metric names,
     duplicate registrations with conflicting types, negative counter
     increments, unparseable trace files)."""
+
+
+class CampaignInterrupted(Exception):
+    """A campaign was stopped by SIGINT/SIGTERM.
+
+    Not a :class:`ReproError`: an interrupt is the user stopping a
+    sound run, and the CLI exits 130 for it rather than 2.
+    ``completed``/``cells`` say how far the run got; ``path`` names the
+    journal to resume from (``None`` when the run had no checkpoint).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        completed: int,
+        cells: int,
+        path: Optional[str] = None,
+    ) -> None:
+        super().__init__(message)
+        self.completed = completed
+        self.cells = cells
+        self.path = path

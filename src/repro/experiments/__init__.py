@@ -28,13 +28,26 @@ benchmark suite can run scaled-down versions; the defaults match the
 paper's settings.
 """
 
-from repro.experiments.harness import (
-    ExperimentRun,
-    TimeSeries,
-    run_controlled,
-)
-from repro.experiments.report import format_table
-from repro.experiments.saso import SasoReport, score_operator, score_run
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.harness import (
+        ExperimentRun,
+        TimeSeries,
+        run_controlled,
+    )
+    from repro.experiments.report import format_table
+    from repro.experiments.saso import SasoReport, score_operator, score_run
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.harness": (
+        "ExperimentRun", "TimeSeries", "run_controlled",
+    ),
+    "repro.experiments.report": ("format_table",),
+    "repro.experiments.saso": ("SasoReport", "score_operator", "score_run"),
+})
 
 __all__ = [
     "ExperimentRun",

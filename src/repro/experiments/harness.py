@@ -17,9 +17,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
-from repro.core.baselines import DhalionConfig, DhalionController
 from repro.core.controller import Controller, ControlLoop, LoopResult
 from repro.core.manager import DS2Controller, ManagerConfig
 from repro.core.policy import DS2Policy, ExecutionModel
@@ -34,9 +41,12 @@ from repro.engine.runtimes import (
 )
 from repro.engine.simulator import EngineConfig, Simulator, TickStats
 from repro.errors import ReproError
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultSchedule
 from repro.workloads.wordcount import COUNT, FLATMAP, SINK, SOURCE
+
+if TYPE_CHECKING:
+    from repro.core.baselines.dhalion import DhalionController
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
 
 
 @dataclass
@@ -168,6 +178,8 @@ def run_controlled(
     injector: Optional[FaultInjector] = None
     job = simulator
     if fault_schedule is not None:
+        from repro.faults.injector import FaultInjector
+
         injector = FaultInjector(simulator, fault_schedule)
         job = injector
 
@@ -290,6 +302,8 @@ def ds2_controller(
 
 def dhalion_controller() -> DhalionController:
     """Dhalion, the backpressure-driven baseline, at its defaults."""
+    from repro.core.baselines.dhalion import DhalionConfig, DhalionController
+
     return DhalionController(DhalionConfig())
 
 

@@ -7,10 +7,12 @@ regenerated numbers are easy to eyeball next to the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
-from repro.engine.latency import LatencyDistribution
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.engine.latency import LatencyDistribution
 
 
 def format_table(

@@ -13,53 +13,80 @@ of completed cells, and run on the one campaign executor,
 bounded retry and quarantine when the batch has a journal.
 """
 
-from repro.faults.events import (
-    FaultEvent,
-    HealthCorruption,
-    InstanceCrash,
-    MetricCorruption,
-    MetricDropout,
-    MetricLag,
-    RescaleFailure,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultSchedule, parse_faults
+from typing import TYPE_CHECKING
 
-# Imported last: campaigns lazily reaches into repro.experiments, which
-# itself imports the names above.
-from repro.faults.campaigns import (
-    FAULT_KINDS,
-    JOBS_ENV_VAR,
-    PROFILES,
-    SCORE_WEIGHTS,
-    AggregateScore,
-    CampaignCellSpec,
-    CampaignGenerator,
-    CampaignProfile,
-    CampaignRunner,
-    CampaignTargets,
-    CellKey,
-    SasoScorecard,
-    aggregate_scorecards,
-    resolve_jobs,
-    run_campaign_cell,
-    score_campaign_run,
-)
-from repro.faults.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointJournal,
-    JournalCell,
-    JournalHeader,
-    cell_fingerprint,
-)
-from repro.faults.executor import (
-    CampaignCoverage,
-    CampaignExecutor,
-    CampaignInterrupted,
-    CampaignOutcome,
-    CellRetryPolicy,
-    QuarantinedCell,
-)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.events import (
+        FaultEvent,
+        HealthCorruption,
+        InstanceCrash,
+        MetricCorruption,
+        MetricDropout,
+        MetricLag,
+        RescaleFailure,
+    )
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule, parse_faults
+    from repro.faults.campaigns import (
+        FAULT_KINDS,
+        JOBS_ENV_VAR,
+        PROFILES,
+        SCORE_WEIGHTS,
+        AggregateScore,
+        CampaignCellSpec,
+        CampaignGenerator,
+        CampaignProfile,
+        CampaignRunner,
+        CampaignTargets,
+        CellKey,
+        SasoScorecard,
+        aggregate_scorecards,
+        resolve_jobs,
+        run_campaign_cell,
+        score_campaign_run,
+    )
+    from repro.faults.checkpoint import (
+        CHECKPOINT_VERSION,
+        CheckpointJournal,
+        JournalCell,
+        JournalHeader,
+        cell_fingerprint,
+    )
+    from repro.errors import CampaignInterrupted
+    from repro.faults.executor import (
+        CampaignCoverage,
+        CampaignExecutor,
+        CampaignOutcome,
+        CellRetryPolicy,
+        QuarantinedCell,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.events": (
+        "FaultEvent", "HealthCorruption", "InstanceCrash", "MetricCorruption",
+        "MetricDropout", "MetricLag", "RescaleFailure",
+    ),
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.schedule": ("FaultSchedule", "parse_faults"),
+    "repro.faults.campaigns": (
+        "FAULT_KINDS", "JOBS_ENV_VAR", "PROFILES", "SCORE_WEIGHTS",
+        "AggregateScore", "CampaignCellSpec", "CampaignGenerator",
+        "CampaignProfile", "CampaignRunner", "CampaignTargets", "CellKey",
+        "SasoScorecard", "aggregate_scorecards", "resolve_jobs",
+        "run_campaign_cell", "score_campaign_run",
+    ),
+    "repro.faults.checkpoint": (
+        "CHECKPOINT_VERSION", "CheckpointJournal", "JournalCell",
+        "JournalHeader", "cell_fingerprint",
+    ),
+    "repro.errors": ("CampaignInterrupted",),
+    "repro.faults.executor": (
+        "CampaignCoverage", "CampaignExecutor", "CampaignOutcome",
+        "CellRetryPolicy", "QuarantinedCell",
+    ),
+})
 
 __all__ = [
     "AggregateScore",

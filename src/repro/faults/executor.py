@@ -72,7 +72,7 @@ from typing import (
 )
 
 from repro.core.backoff import capped_backoff, invalid_backoff_reason
-from repro.errors import FaultInjectionError
+from repro.errors import CampaignInterrupted, FaultInjectionError
 from repro.faults.campaigns import CellKey, _cell_label
 from repro.telemetry.progress import (
     NULL_PROGRESS,
@@ -242,27 +242,6 @@ class CampaignOutcome(Generic[CellResult]):
                 f"their retry budget: {labels}"
             )
         return self.scorecards
-
-
-class CampaignInterrupted(Exception):
-    """A campaign was stopped by SIGINT/SIGTERM.
-
-    ``completed``/``cells`` say how far the run got; ``path`` names the
-    journal to resume from (``None`` when the run had no checkpoint).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        completed: int,
-        cells: int,
-        path: Optional[str] = None,
-    ) -> None:
-        super().__init__(message)
-        self.completed = completed
-        self.cells = cells
-        self.path = path
 
 
 # ----------------------------------------------------------------------

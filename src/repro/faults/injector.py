@@ -112,6 +112,11 @@ class FaultInjector:
         )
         self._dropout_span = (math.inf, -math.inf)  # empty: sync first
         self._dropout_registration = -1
+        # A tick has injector work only once sim time reaches the next
+        # one-shot or leaves the dropout span, or a redeploy moved the
+        # registration count; ``step`` skips both checks before that.
+        self._metrics = simulator.metrics_manager
+        self._next_due = -math.inf
 
     def __getattr__(self, name: str):
         # Everything not intercepted goes straight to the simulator
@@ -156,9 +161,22 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def step(self) -> TickStats:
-        self._fire_one_shots()
-        self._sync_suppression()
-        return self._sim.step()
+        sim = self._sim
+        if (
+            sim.time >= self._next_due
+            or self._metrics.registrations != self._dropout_registration
+        ):
+            self._fire_one_shots()
+            self._sync_suppression()
+            # Sim time only moves forward, and the cursor and the span
+            # move only here and in a later sync, so this is never
+            # later than the first tick with work.
+            events, cursor = self._one_shots, self._next_one_shot
+            self._next_due = min(
+                events[cursor].time if cursor < len(events) else math.inf,
+                self._dropout_span[1],
+            )
+        return sim.step()
 
     def run_for(self, seconds: float) -> None:
         """:meth:`Simulator.run_for` through :meth:`step`, so that every
@@ -319,7 +337,7 @@ class FaultInjector:
         return dropped
 
     def _sync_suppression(self) -> None:
-        manager = self._sim.metrics_manager
+        manager = self._metrics
         now = self._sim.time
         lo, hi = self._dropout_span
         registration = manager.registrations

@@ -26,64 +26,99 @@ Activate ambiently around any experiment::
     print(profiler.render())
 """
 
-from repro.telemetry.audit import (
-    AuditSummary,
-    DecisionAudit,
-    OperatorAudit,
-    audit_from_dict,
-    audit_to_dict,
-    build_decision_audit,
-    finalize_audit,
-    operator_audits,
-    render_audit_summary,
-    render_decision_audit,
-    summarize_audits,
-)
-from repro.telemetry.progress import (
-    NULL_PROGRESS,
-    CellEvent,
-    NullProgressListener,
-    PlainProgressRenderer,
-    ProgressListener,
-    TTYProgressRenderer,
-    interrupted_cells,
-    make_progress_renderer,
-)
-from repro.telemetry.reports import (
-    RunReport,
-    build_report,
-    render_report_json,
-    render_report_markdown,
-    render_report_text,
-    report_from_journal,
-)
-from repro.telemetry.spans import (
-    NULL_PROFILER,
-    NullSpanProfiler,
-    SPAN_SCHEMA_VERSION,
-    SpanNode,
-    SpanProfiler,
-    active_profiler,
-    profiling,
-    wall_clock,
-)
-from repro.telemetry.trace_io import (
-    EPOCH_KIND,
-    TraceSummary,
-    read_trace,
-    render_trace_summary,
-    summarize_trace,
-    validate_trace_record,
-)
-from repro.telemetry.tracer import (
-    NULL_TRACER,
-    TRACE_SCHEMA_VERSION,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-    active_tracer,
-    tracing,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.audit import (
+        AuditSummary,
+        DecisionAudit,
+        OperatorAudit,
+        audit_from_dict,
+        audit_to_dict,
+        build_decision_audit,
+        finalize_audit,
+        operator_audits,
+        render_audit_summary,
+        render_decision_audit,
+        summarize_audits,
+    )
+    from repro.telemetry.progress import (
+        NULL_PROGRESS,
+        CellEvent,
+        NullProgressListener,
+        PlainProgressRenderer,
+        ProgressListener,
+        TTYProgressRenderer,
+        interrupted_cells,
+        make_progress_renderer,
+    )
+    from repro.telemetry.reports import (
+        RunReport,
+        build_report,
+        render_report_json,
+        render_report_markdown,
+        render_report_text,
+        report_from_journal,
+    )
+    from repro.telemetry.spans import (
+        NULL_PROFILER,
+        NullSpanProfiler,
+        SPAN_SCHEMA_VERSION,
+        SpanNode,
+        SpanProfiler,
+        active_profiler,
+        profiling,
+        wall_clock,
+    )
+    from repro.telemetry.trace_io import (
+        EPOCH_KIND,
+        TraceSummary,
+        read_trace,
+        render_trace_summary,
+        summarize_trace,
+        validate_trace_record,
+    )
+    from repro.telemetry.tracer import (
+        NULL_TRACER,
+        TRACE_SCHEMA_VERSION,
+        NullTracer,
+        TraceEvent,
+        Tracer,
+        active_tracer,
+        tracing,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.audit": (
+        "AuditSummary", "DecisionAudit", "OperatorAudit", "audit_from_dict",
+        "audit_to_dict", "build_decision_audit", "finalize_audit",
+        "operator_audits", "render_audit_summary", "render_decision_audit",
+        "summarize_audits",
+    ),
+    "repro.telemetry.progress": (
+        "NULL_PROGRESS", "CellEvent", "NullProgressListener",
+        "PlainProgressRenderer", "ProgressListener", "TTYProgressRenderer",
+        "interrupted_cells", "make_progress_renderer",
+    ),
+    "repro.telemetry.reports": (
+        "RunReport", "build_report", "render_report_json",
+        "render_report_markdown", "render_report_text", "report_from_journal",
+    ),
+    "repro.telemetry.spans": (
+        "NULL_PROFILER", "NullSpanProfiler", "SPAN_SCHEMA_VERSION", "SpanNode",
+        "SpanProfiler", "active_profiler", "profiling", "wall_clock",
+    ),
+    "repro.telemetry.trace_io": (
+        "EPOCH_KIND", "TraceSummary", "read_trace", "render_trace_summary",
+        "summarize_trace", "validate_trace_record",
+    ),
+    "repro.telemetry.tracer": (
+        "NULL_TRACER", "TRACE_SCHEMA_VERSION", "NullTracer", "TraceEvent",
+        "Tracer", "active_tracer", "tracing",
+    ),
+})
 
 __all__ = [
     "AuditSummary",

@@ -10,13 +10,25 @@
   imbalance experiment (section 4.2.3).
 """
 
-from repro.workloads.wordcount import (
-    WORDS_PER_SENTENCE,
-    flink_wordcount_graph,
-    heron_wordcount_graph,
-    heron_wordcount_optimum,
-    wordcount_graph,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.wordcount import (
+        WORDS_PER_SENTENCE,
+        flink_wordcount_graph,
+        heron_wordcount_graph,
+        heron_wordcount_optimum,
+        wordcount_graph,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.wordcount": (
+        "WORDS_PER_SENTENCE", "flink_wordcount_graph", "heron_wordcount_graph",
+        "heron_wordcount_optimum", "wordcount_graph",
+    ),
+})
 
 __all__ = [
     "WORDS_PER_SENTENCE",

@@ -17,13 +17,31 @@ windows. This package provides:
   rates.
 """
 
-from repro.workloads.nexmark.generator import GeneratorConfig, NexmarkGenerator
-from repro.workloads.nexmark.model import Auction, Bid, Event, Person
-from repro.workloads.nexmark.queries import (
-    ALL_QUERIES,
-    NexmarkQuery,
-    get_query,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.nexmark.generator import (
+        GeneratorConfig,
+        NexmarkGenerator,
+    )
+    from repro.workloads.nexmark.model import Auction, Bid, Event, Person
+    from repro.workloads.nexmark.queries import (
+        ALL_QUERIES,
+        NexmarkQuery,
+        get_query,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.nexmark.generator": (
+        "GeneratorConfig", "NexmarkGenerator",
+    ),
+    "repro.workloads.nexmark.model": ("Auction", "Bid", "Event", "Person"),
+    "repro.workloads.nexmark.queries": (
+        "ALL_QUERIES", "NexmarkQuery", "get_query",
+    ),
+})
 
 __all__ = [
     "ALL_QUERIES",

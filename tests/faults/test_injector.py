@@ -289,6 +289,75 @@ class TestDropoutSync:
         assert len(events) >= 3
 
 
+class _EveryTick(_PerTickSync):
+    """The reference for the due-time gate: fires one-shots and syncs
+    the dropouts on every tick."""
+
+    def step(self):
+        self._fire_one_shots()
+        self._sync_suppression()
+        return self._sim.step()
+
+
+class TestDueGate:
+    """``step`` skips its fault checks until the next one-shot, the end
+    of the dropout span or a redeploy; tick by tick it must match
+    checking every tick."""
+
+    def _run(self, injector_class, savepoint):
+        from repro.telemetry import Tracer, tracing
+
+        schedule = FaultSchedule([
+            InstanceCrash(time=1.0, operator="op", index=1),
+            RescaleFailure(time=2.0, mode="abort"),
+            MetricDropout(
+                time=3.0, duration=4.0, operator="op", fraction=0.5
+            ),
+            InstanceCrash(time=4.25, operator="src"),
+            MetricDropout(
+                time=6.0, duration=1.25, operator="src", fraction=0.5
+            ),
+        ])
+        # The first request is rejected; the other two redeploy during
+        # a dropout, which must then be re-applied.
+        rescales = {2.5: 4, 5.0: 3, 6.5: 5}
+        tracer = Tracer(capacity=None)
+        trace = []
+        with tracing(tracer):
+            simulator = make_injector(
+                schedule, savepoint=savepoint
+            ).simulator
+            injector = injector_class(simulator, schedule)
+            while injector.time < 12.0 - 1e-9:
+                now = injector.time
+                if now in rescales:
+                    try:
+                        injector.rescale({"op": rescales[now]})
+                    except ReconfigurationError as error:
+                        trace.append(str(error))
+                if now % 2.0 == 0.0:
+                    trace.append(repr(injector.collect_metrics()))
+                trace.append(repr(injector.step()))
+                trace.append(sorted(injector.metrics_manager.suppressed))
+        trace.extend(injector.injection_log)
+        trace.extend(injector.crash_outages)
+        trace.extend(
+            (event.kind, event.time, event.data)
+            for event in tracer.events()
+        )
+        return trace
+
+    @pytest.mark.parametrize(
+        "savepoint",
+        [SavepointModel.instant(), SavepointModel(1.0, 200e6, 0.5)],
+        ids=["zero-outage", "outage"],
+    )
+    def test_matches_checking_every_tick(self, savepoint):
+        fast = self._run(FaultInjector, savepoint)
+        assert fast == self._run(_EveryTick, savepoint)
+        assert "reconfiguration aborted: savepoint refused" in fast
+
+
 class TestMetricCorruption:
     def _window(self, seed):
         schedule = FaultSchedule([

@@ -686,3 +686,68 @@ def test_import_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _modules_loaded_by(code):
+    """The modules that ``code`` adds to ``sys.modules`` when run in a
+    fresh interpreter (whatever the interpreter itself loads at start-up
+    is left out), from the last line of its stdout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _repro_modules(modules):
+    return [name for name in modules if name.split(".")[0] == "repro"]
+
+
+def test_import_budget_cli():
+    """Importing the CLI loads its argument parser, not the code behind
+    its commands: no fault or campaign code, no run reports, and none
+    of the pool and logging machinery they pull in."""
+    loaded = _modules_loaded_by("import repro.cli")
+    unwanted = [
+        name for name in loaded
+        if name.startswith("repro.faults")
+        or name in (
+            "repro.telemetry.reports", "concurrent.futures", "logging"
+        )
+    ]
+    assert unwanted == []
+    assert len(_repro_modules(loaded)) <= 12, _repro_modules(loaded)
+
+
+def test_import_budget_table4():
+    """A fault-free experiment loads none of the campaign executor,
+    campaigns or checkpoint journal."""
+    loaded = _modules_loaded_by(
+        "from repro.cli import main\n"
+        "assert main(['run', 'table4', '--scale', '0.1']) == 0"
+    )
+    unwanted = [
+        name for name in loaded
+        if name in (
+            "repro.faults.executor",
+            "repro.faults.campaigns",
+            "repro.faults.checkpoint",
+        )
+    ]
+    assert unwanted == []
+    assert len(_repro_modules(loaded)) <= 42, _repro_modules(loaded)
