@@ -12,6 +12,10 @@ lane per instance (see ``docs/performance.md`` and the committed
 scaling table in ``benchmarks/output/engine_speedup.txt``). With the
 hot key the windowed operator runs as two lanes, the hot instance and
 the rest.
+
+``test_timely_tick_flat_in_width`` is the gate for Timely's per-lane
+budgets: an evenly partitioned Timely Q5 tick at 128 workers costs at
+most 2x a tick at 2 workers.
 """
 
 import time
@@ -138,6 +142,43 @@ def test_lane_speedup_q5():
         f"lane speedup {speedup:.2f}x below the 5x bar "
         f"(per instance {max(reference_tps):.0f} t/s, "
         f"lanes {max(lanes_tps):.0f} t/s)"
+    )
+
+
+def _timely_q5_simulator(workers: int) -> Simulator:
+    """Q5 on ``workers`` Timely workers, evenly partitioned, the
+    Timely cell of scripts/profile_tick.py's width sweep."""
+    graph = get_query("Q5").timely_graph()
+    plan = PhysicalPlan(graph, {name: workers for name in graph.names})
+    return Simulator(
+        plan,
+        TimelyRuntime(),
+        EngineConfig(tick=0.25, track_record_latency=True),
+    )
+
+
+def test_timely_tick_flat_in_width():
+    """A Timely tick costs about the same at any width: the runtime
+    water-fills once per lane of workers, not once per worker, so an
+    evenly partitioned Q5 tick at 128 workers costs at most 2x one at
+    2 workers.
+
+    The two widths are measured interleaved, best round of each, so a
+    load spike hits both rather than biasing one."""
+    narrow = _timely_q5_simulator(2)
+    wide = _timely_q5_simulator(128)
+    narrow.run_for(5.0)
+    wide.run_for(5.0)
+    narrow_tps = []
+    wide_tps = []
+    for _ in range(3):
+        narrow_tps.append(_ticks_per_second(narrow, 200))
+        wide_tps.append(_ticks_per_second(wide, 200))
+    ratio = max(narrow_tps) / max(wide_tps)
+    assert ratio <= 2.0, (
+        f"a tick at 128 workers costs {ratio:.2f}x one at 2 workers "
+        f"(2 workers {max(narrow_tps):.0f} t/s, 128 workers "
+        f"{max(wide_tps):.0f} t/s)"
     )
 
 

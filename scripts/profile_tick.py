@@ -16,11 +16,13 @@ Produces the two committed performance artifacts that back
   and with one lane per instance across a width sweep, from the narrow
   Heron wordcount deployments of the chaos experiment's recovery
   replay, through the plans DS2 deploys in the chaos campaign cells,
-  to Q5 at 512 slots, evenly partitioned and with a hot key. The
-  engine's Python work scales with its lanes (one per run of
+  to Q5 at 512 slots, evenly partitioned and with a hot key, and Q5 on
+  the Timely runtime from 2 to 128 workers, even and with a hot key.
+  The engine's Python work scales with its lanes (one per run of
   consecutive instances with equal input weights: one for an evenly
-  partitioned operator, two for a hot key), so the table shows what
-  stepping lanes saves at each width.
+  partitioned operator, two for a hot key; on Timely every operator
+  is cut where any is, and the runtime water-fills once per lane), so
+  the table shows what stepping lanes saves at each width.
 
 Usage::
 
@@ -46,7 +48,7 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.dataflow.physical import Partitioner, PhysicalPlan
-from repro.engine.runtimes import FlinkRuntime, HeronRuntime
+from repro.engine.runtimes import FlinkRuntime, HeronRuntime, TimelyRuntime
 from repro.engine import objects
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.workloads.nexmark import get_query
@@ -64,6 +66,10 @@ SWEEP = (8, 16, 32, 64, 128, 256, 512)
 #: takes, and the slots swept with it.
 HOT_SHARE = 0.5
 HOT_SWEEP = (8, 16, 64, 256)
+
+#: Timely part of the sweep: Q5 with every operator at this many
+#: workers, evenly partitioned and with a hot key on hot_items.
+TIMELY_SWEEP = (2, 8, 32, 128)
 
 #: Narrow part of the sweep: Heron wordcount with every operator at
 #: this parallelism, the shape of the chaos recovery replay.
@@ -121,6 +127,23 @@ def build_simulator(slots: int, hot_share: float = 0.0) -> Simulator:
     return Simulator(
         plan,
         FlinkRuntime(),
+        EngineConfig(tick=0.25, track_record_latency=True),
+    )
+
+
+def build_timely(workers: int, hot_share: float = 0.0) -> Simulator:
+    """Q5 on the Timely runtime: every operator at ``workers``, tick
+    0.25 s, record latency tracking on, and ``hot_share`` of
+    hot_items' input on its instance 0 (0 = even)."""
+    graph = get_query("Q5").timely_graph()
+    plan = PhysicalPlan(
+        graph,
+        {name: workers for name in graph.names},
+        partitioner=Partitioner({"hot_items": hot_share}),
+    )
+    return Simulator(
+        plan,
+        TimelyRuntime(),
         EngineConfig(tick=0.25, track_record_latency=True),
     )
 
@@ -237,6 +260,15 @@ def scaling_table(seconds: float) -> Tuple[str, float]:
             partial(build_simulator, slots=slots, hot_share=HOT_SHARE),
         )
         for slots in HOT_SWEEP
+    ] + [
+        (f"timely w={workers}", partial(build_timely, workers=workers))
+        for workers in TIMELY_SWEEP
+    ] + [
+        (
+            f"timely hot w={workers}",
+            partial(build_timely, workers=workers, hot_share=HOT_SHARE),
+        )
+        for workers in TIMELY_SWEEP
     ]
     rows: List[str] = []
     rows.append(
@@ -315,9 +347,11 @@ def main(argv: List[str]) -> int:
         "runtime, tick=0.25s, record latency tracking on;\nQ5 gives the "
         "N slots to the windowed hot_items operator. q5 hot: the same\n"
         f"with {HOT_SHARE:g} of hot_items' input on its instance 0. "
-        "widest = the plan's widest\noperator; lanes = the most lanes "
-        "of an operator (1 when it is evenly\npartitioned, 2 with a hot "
-        "key).\n"
+        "timely w=N: Nexmark Q5\non the Timely runtime, every operator "
+        "at N workers, tick=0.25s, record\nlatency tracking on; timely "
+        "hot: the same with the hot key. widest = the\nplan's widest "
+        "operator; lanes = the most lanes of an operator (1 when it\nis "
+        "evenly partitioned, 2 with a hot key).\n"
     )
     speedup_text = (
         header

@@ -61,8 +61,10 @@ class StateModel:
         Bit-identical to calling :meth:`record_processed` once per
         instance in order — the same left-to-right ``min(grown, cap)``
         sequence — with the operator spec looked up and each lane's
-        growth computed once. Used by the engine, one call per operator
-        per tick.
+        growth computed once. Every growth is >= 0, so the running
+        total never decreases and, once capped, stays capped: the cap
+        is applied once per lane, after its adds. Used by the engine,
+        one call per operator per tick.
         """
         if len(records) != len(counts):
             raise EngineError("records and counts must have equal length")
@@ -78,10 +80,10 @@ class StateModel:
         for value, count in zip(records, counts):
             grow = value * per_record
             for _ in range(count):
-                # min(total + grow, cap), ties included.
                 total += grow
-                if cap < total:
-                    total = cap
+            # min(total, cap), ties included, once per lane that added.
+            if count > 0 and cap < total:
+                total = cap
         self._bytes[operator] = total
 
     def state_bytes(self, operator: str) -> float:

@@ -93,7 +93,9 @@ class Queue:
 
         Bit for bit ``count`` single pushes: every push clips to
         ``max(0.0, capacity - length)`` and adds what it accepted, in
-        order, with the running totals held in locals.
+        order, with the running totals held in locals. When the first
+        and the last push fit whole, every push did (the free space only
+        shrinks as pushes land), so the pushes are plain adds.
         """
         if not 0.0 <= records < _INF:
             _check_pushable(records)
@@ -108,6 +110,18 @@ class Queue:
                 pushed += records
             smallest = records
         else:
+            if count > 1 and records <= capacity - length:
+                # The first push fits whole: add them all, and keep the
+                # result if the last one fit whole too.
+                fit_length = length
+                fit_pushed = pushed
+                for _ in range(count - 1):
+                    fit_length += records
+                    fit_pushed += records
+                if records <= capacity - fit_length:
+                    self._length = fit_length + records
+                    self._pushed = fit_pushed + records
+                    return records
             smallest = records
             for _ in range(count):
                 # max(0.0, free) and min(records, free), ties included.

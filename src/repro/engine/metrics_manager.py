@@ -30,10 +30,13 @@ operator owns one contiguous row block. The engine shares the rows of
 each lane of identical instances (:meth:`share_rows`): they alias one
 float list, which :meth:`record_rows` and :meth:`advance` update once.
 Rows that are identical at every moment may be one list; a block is
-copied back into separate rows (unshared) before anything could make
-them differ — a suppression that covers part of it, or a per-row
-:meth:`record_row`. The engine adds to a lane's list directly
-(:meth:`block`) and re-resolves it whenever :attr:`layout` moves.
+split before anything could make its rows differ — at the boundary of
+a suppression that covers part of it, or around the rows of a
+:meth:`record_rows` range that covers part of it — and each piece of
+two or more rows stays one list. A metric dropout silences the lowest
+indexes of an operator first, so it cuts a lane into at most two
+lists. The engine adds to a lane's list directly (:meth:`block`) and
+re-resolves it whenever :attr:`layout` moves.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class MetricsManager:
     @property
     def layout(self) -> int:
         """A counter that moves whenever the accumulator rows change
-        their lists: on every registration, share and unshare. A list
+        their lists: on every registration, share and split. A list
         from :meth:`block` stays the rows' own while it holds still."""
         return self._layout
 
@@ -176,10 +179,15 @@ class MetricsManager:
         if suppressed == self._suppressed:
             return False
         self._suppressed = suppressed
+        ids = self._ids
         for start, stop in list(self._shared):
-            dark = [iid in suppressed for iid in self._ids[start:stop]]
-            if any(dark) and not all(dark):
-                self._unshare(start, stop)
+            cuts = [
+                row
+                for row in range(start + 1, stop)
+                if (ids[row] in suppressed) != (ids[row - 1] in suppressed)
+            ]
+            if cuts:
+                self._split(start, stop, cuts)
         return True
 
     def share_rows(self, start: int, stop: int) -> None:
@@ -211,13 +219,19 @@ class MetricsManager:
         self._relist()
         self._layout += 1
 
-    def _unshare(self, start: int, stop: int) -> None:
-        """Give each row of the shared block ``[start, stop)`` its own
-        copy of the block's list."""
+    def _split(self, start: int, stop: int, cuts: List[int]) -> None:
+        """Cut the shared block ``[start, stop)`` before each row of
+        ``cuts`` (ascending, inside the block): the first piece keeps
+        the block's list, every other piece gets a copy of it, and each
+        piece of two or more rows stays a shared block."""
         self._shared.remove((start, stop))
-        self._acc[start:stop] = [
-            list(row) for row in self._acc[start:stop]
-        ]
+        acc = self._acc
+        bounds = [start] + cuts + [stop]
+        for first, end in zip(bounds, bounds[1:]):
+            if first != start:
+                acc[first:end] = [list(acc[first])] * (end - first)
+            if end - first > 1:
+                self._shared.append((first, end))
         self._relist()
         self._layout += 1
 
@@ -256,7 +270,8 @@ class MetricsManager:
         waiting: float,
     ) -> None:
         """:meth:`record` by accumulator row (see :meth:`row_of`): no
-        instance lookup, no validation. Unshares the row's block."""
+        instance lookup, no validation. Splits the row out of its
+        block."""
         self.record_rows(row, row + 1, pulled, pushed, useful, waiting)
 
     def record_rows(
@@ -272,7 +287,9 @@ class MetricsManager:
         ``[start, stop)``, for the engine's own counters, which are
         non-negative by construction. A shared block passed whole (the
         engine's lane of identical instances) is one list updated once;
-        any other range unshares the shared blocks it touches first."""
+        a range that covers part of a shared block splits it at the
+        range's ends first, and then each list inside the range is
+        updated once."""
         first = self.block(start, stop)
         if first is not None:
             first[_PULLED] += pulled
@@ -281,14 +298,21 @@ class MetricsManager:
             first[_WAITING] += waiting
             return
         rows = self._acc
-        for block in list(self._shared):
-            if block[0] < stop and start < block[1]:
-                self._unshare(*block)
+        if (start > 0 and rows[start - 1] is rows[start]) or (
+            stop < len(rows) and rows[stop - 1] is rows[stop]
+        ):
+            for low, high in list(self._shared):
+                cuts = [row for row in (start, stop) if low < row < high]
+                if cuts:
+                    self._split(low, high, cuts)
+        previous = None
         for acc in rows[start:stop]:
-            acc[_PULLED] += pulled
-            acc[_PUSHED] += pushed
-            acc[_USEFUL] += useful
-            acc[_WAITING] += waiting
+            if acc is not previous:
+                acc[_PULLED] += pulled
+                acc[_PUSHED] += pushed
+                acc[_USEFUL] += useful
+                acc[_WAITING] += waiting
+                previous = acc
 
     def advance(self, dt: float, outage: bool = False) -> None:
         """Advance observed time by one tick for every instance."""

@@ -323,10 +323,11 @@ class ObjectEngine:
         # Per-operator cost-noise factors for the current tick.
         self._jitter: Dict[str, float] = dict.fromkeys(graph.names, 1.0)
         # Per deployment (see deploy): the plan, each operator's lanes
-        # in instance order, the tick program and the budgets when they
-        # do not depend on demand.
+        # in instance order and their instance counts, the tick program
+        # and the budgets when they do not depend on demand.
         self._plan: Optional[PhysicalPlan] = None
         self._lanes: Dict[str, List[_Instance]] = {}
+        self._counts: Dict[str, Tuple[int, ...]] = {}
         self._program: Tuple[_Op, ...] = ()
         self._all_lanes: Tuple[_Instance, ...] = ()
         # Each operator's queues and whether they are bounded, in
@@ -347,10 +348,11 @@ class ObjectEngine:
         carried totals of the previous deployment (:meth:`state`
         reduced by :meth:`EngineState.carry`; nothing on the first),
         each lane sharing its metrics rows."""
+        runtime = self._runtime
+        runtime.validate_plan(plan)
         carried = self.state().carry()
         self._plan = plan
         self._metrics.register_instances(plan.all_instances())
-        runtime = self._runtime
         runs = {name: lane_runs(plan, name) for name in self._specs}
         if runtime.demand_driven:
             # A demand-driven runtime may divide shared worker time by
@@ -358,7 +360,8 @@ class ObjectEngine:
             # water-fill), so worker k's budgets depend on instance k of
             # every operator. Cutting every operator wherever any
             # operator's run starts keeps a lane's workers equal across
-            # the whole plan, and so their budgets too.
+            # the whole plan, so lane j of every operator covers the
+            # same workers and the runtime grants budgets per lane.
             cuts = sorted(
                 {first for spans in runs.values() for first, _ in spans}
             )
@@ -404,11 +407,15 @@ class ObjectEngine:
             self._lanes[name] = lanes
             rows[name] = row
             row += parallelism
+        self._counts = {
+            name: tuple(lane.count for lane in lanes)
+            for name, lanes in self._lanes.items()
+        }
         self._compile(plan, rows)
         self._static_budgets = None
         if not runtime.demand_driven:
-            self._static_budgets = self.grant(
-                runtime.budgets(plan, {}, self._config.tick)
+            self._static_budgets = runtime.budgets(
+                plan, self._counts, {}, self._config.tick
             )
 
     def _compile(self, plan: PhysicalPlan, rows: Dict[str, int]) -> None:
@@ -513,33 +520,6 @@ class ObjectEngine:
             program.append(op)
         self._program = tuple(program)
         self._layout = self._metrics.layout
-
-    def grant(
-        self, budgets: Dict[str, List[float]]
-    ) -> Dict[str, List[float]]:
-        """The runtime's per-instance budget lists as one budget per
-        lane; raises :class:`EngineError` if the instances of a lane
-        were granted different budgets (a lane could not stand for
-        them)."""
-        granted: Dict[str, List[float]] = {}
-        for name, lanes in self._lanes.items():
-            values = budgets[name]
-            if len(lanes) == len(values):
-                granted[name] = values
-                continue
-            per_lane: List[float] = []
-            for lane in lanes:
-                first = lane.iid.index
-                value = values[first]
-                for other in values[first : first + lane.count]:
-                    if other != value:
-                        raise EngineError(
-                            "unequal budgets across the instances of "
-                            f"{name!r}, which run as one lane"
-                        )
-                per_lane.append(value)
-            granted[name] = per_lane
-        return granted
 
     # ------------------------------------------------------------------
     # Observability
@@ -694,18 +674,19 @@ class ObjectEngine:
         if kind == _WINDOW:
             assign_cost, fire_cost = _window_costs(cost, noise)
             return [
-                lane.total_queue_length * assign_cost
+                sum(map(_LENGTH, ports)) * assign_cost
                 + lane.fire_backlog * fire_cost
-                for lane, _, _, _ in lanes
+                for lane, _, _, ports in lanes
             ]
         cost *= noise
-        return [lane.total_queue_length * cost for lane, _, _, _ in lanes]
+        return [sum(map(_LENGTH, ports)) * cost for _, _, _, ports in lanes]
 
     def _estimate_demands(
         self, now: float, dt: float
     ) -> Dict[str, List[float]]:
-        """Seconds of pending work per instance, one list per operator
-        in topological order (for shared-worker budget allocation)."""
+        """Seconds of pending work per instance of each lane, one list
+        per operator in topological order (for shared-worker budget
+        allocation)."""
         demands: Dict[str, List[float]] = {}
         for op in reversed(self._program):
             kind, name, _, _, counts, _, _, _, cost, extra = op[:10]
@@ -714,11 +695,9 @@ class ObjectEngine:
                 per_instance = (
                     schedule.rate_at(now) * dt + self._backlogs[name]
                 ) / parallelism
-                demands[name] = [per_instance * max(cost, 1e-9)] * parallelism
+                demands[name] = [per_instance * max(cost, 1e-9)] * len(counts)
             else:
-                # One value per lane, repeated per instance.
-                work = zip(self._work(op), counts)
-                demands[name] = [w for w, n in work for _ in range(n)]
+                demands[name] = self._work(op)
         return demands
 
     def operator_delays(self, now: float) -> Dict[str, float]:
@@ -820,10 +799,11 @@ class ObjectEngine:
             budgets = self._static_budgets
             if budgets is None:
                 assert self._plan is not None
-                budgets = self.grant(
-                    self._runtime.budgets(
-                        self._plan, self._estimate_demands(now, dt), dt
-                    )
+                budgets = self._runtime.budgets(
+                    self._plan,
+                    self._counts,
+                    self._estimate_demands(now, dt),
+                    dt,
                 )
         finally:
             if profiled:
@@ -957,8 +937,8 @@ class ObjectEngine:
         limit: _Limit,
         emit: _EmitStep,
     ) -> float:
-        """Run a non-window operator; returns records consumed
-        (meaningful for sinks)."""
+        """Run a non-window operator; returns records consumed at a
+        sink (0.0 at any other operator, whose value the tick drops)."""
         _, name, sink, lanes, counts, routes, selectivity, growth = op[:8]
         cost = op[8] * self._jitter[name]
         solo = op[10]
@@ -996,8 +976,9 @@ class ObjectEngine:
                 row[1] += pushed
                 row[2] += useful
                 row[3] += idle
-            for _ in range(count):
-                consumed_total += processed
+            if sink:
+                for _ in range(count):
+                    consumed_total += processed
             if growth > 0:
                 self._state.record_processed_block(
                     name, (processed,), counts
@@ -1041,8 +1022,9 @@ class ObjectEngine:
                 idle if idle > 0.0 else 0.0,
             )
             processed_lanes.append(processed)
-            for _ in range(count):
-                consumed_total += processed
+            if sink:
+                for _ in range(count):
+                    consumed_total += processed
         if growth > 0:
             self._state.record_processed_block(
                 name, processed_lanes, counts
@@ -1060,7 +1042,7 @@ class ObjectEngine:
     ) -> float:
         """Run a window operator: drain fire backlogs, assign arrivals
         to windows, fire crossed boundaries; returns records consumed
-        (meaningful for sinks).
+        at a sink (0.0 at any other operator).
 
         Fire work and assignment work share each instance's budget
         proportionally to their demands (the scheduler interleaves
@@ -1126,8 +1108,9 @@ class ObjectEngine:
                 row[1] += pushed
                 row[2] += useful
                 row[3] += idle
-            for _ in range(count):
-                consumed_total += pulled
+            if sink:
+                for _ in range(count):
+                    consumed_total += pulled
             if growth > 0:
                 self._state.record_processed_block(name, (pulled,), counts)
             return consumed_total
@@ -1199,8 +1182,9 @@ class ObjectEngine:
                 idle if idle > 0.0 else 0.0,
             )
             pulled_lanes.append(pulled)
-            for _ in range(count):
-                consumed_total += pulled
+            if sink:
+                for _ in range(count):
+                    consumed_total += pulled
         if growth > 0:
             self._state.record_processed_block(name, pulled_lanes, counts)
         return consumed_total

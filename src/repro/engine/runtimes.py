@@ -71,16 +71,31 @@ class Runtime(abc.ABC):
     def budgets(
         self,
         plan: PhysicalPlan,
+        lanes: Mapping[str, Sequence[int]],
         demands: Mapping[str, Sequence[float]],
         dt: float,
     ) -> Dict[str, List[float]]:
-        """Seconds of execution granted to each instance this tick, one
-        list per operator of ``plan`` (index = instance index).
+        """Seconds of execution granted to each instance of each lane
+        this tick, one list per operator of ``plan`` (index = lane
+        index): every instance of a lane gets the lane's budget.
 
-        ``demands`` holds, per operator, the seconds of work each
-        instance has available (queued records times per-record cost);
-        runtimes with shared workers use it to divide worker time.
+        ``lanes`` holds, per operator in topological order, the
+        instance count of each of its lanes in instance order (the
+        runs of consecutive instances the engine steps as one; one
+        instance each when every instance is its own lane). ``demands``
+        holds, per operator, the seconds of work each instance of a
+        lane has available (queued records times per-record cost), one
+        value per lane; it is empty for a runtime that is not
+        :attr:`demand_driven`. For a demand-driven runtime the engine
+        cuts every operator at the same instances, so lane ``j`` of
+        every operator covers the same instance indexes; runtimes with
+        shared workers use that to divide worker time.
         """
+
+    def validate_plan(self, plan: PhysicalPlan) -> None:
+        """Raise :class:`EngineError` if this runtime cannot run
+        ``plan``. Checked once per deployment, and by a rescale before
+        it charges its outage. Every plan is valid by default."""
 
     @abc.abstractmethod
     def savepoint_model(self) -> SavepointModel:
@@ -152,6 +167,7 @@ class FlinkRuntime(Runtime):
     def budgets(
         self,
         plan: PhysicalPlan,
+        lanes: Mapping[str, Sequence[int]],
         demands: Mapping[str, Sequence[float]],
         dt: float,
     ) -> Dict[str, List[float]]:
@@ -160,10 +176,7 @@ class FlinkRuntime(Runtime):
         if self.cores is not None and total > self.cores:
             share = self.cores / total
         value = dt * share
-        return {
-            name: [value] * plan.parallelism_of(name)
-            for name in plan.graph.topological_order()
-        }
+        return {name: [value] * len(counts) for name, counts in lanes.items()}
 
     def savepoint_model(self) -> SavepointModel:
         return self._savepoint
@@ -257,36 +270,36 @@ class TimelyRuntime(Runtime):
     ) -> Optional[float]:
         return None
 
-    def validate_plan(self, plan: PhysicalPlan) -> int:
+    def validate_plan(self, plan: PhysicalPlan) -> None:
         """Check that all operators share one parallelism (the worker
-        count) and return it."""
+        count)."""
         values = set(plan.parallelism.values())
         if len(values) != 1:
             raise EngineError(
                 "Timely plans must use the same (global) parallelism for "
                 f"every operator, got {sorted(values)}"
             )
-        return values.pop()
 
     def budgets(
         self,
         plan: PhysicalPlan,
+        lanes: Mapping[str, Sequence[int]],
         demands: Mapping[str, Sequence[float]],
         dt: float,
     ) -> Dict[str, List[float]]:
-        workers = self.validate_plan(plan)
-        order = plan.graph.topological_order()
-        columns = [demands[name] for name in order]
-        out = {name: [0.0] * workers for name in order}
         # Worker k runs instance k of every operator; it divides its
-        # tick among them in topological operator order.
-        for worker in range(workers):
-            allocation = _waterfill_values(
-                [column[worker] for column in columns], dt
-            )
-            for name, value in zip(order, allocation):
-                out[name][worker] = value
-        return out
+        # tick among them in topological operator order. Lane j of
+        # every operator covers the same workers, whose demand columns
+        # are therefore equal, so one water-fill per lane gives each of
+        # them its allocation bit for bit.
+        order = plan.graph.topological_order()
+        per_lane = [
+            _waterfill_values(column, dt)
+            for column in zip(*[demands[name] for name in order])
+        ]
+        return {
+            name: list(values) for name, values in zip(order, zip(*per_lane))
+        }
 
     def savepoint_model(self) -> SavepointModel:
         return self._savepoint
@@ -296,7 +309,7 @@ class TimelyRuntime(Runtime):
 
 
 def _waterfill_values(
-    demands: List[float], budget: float
+    demands: Sequence[float], budget: float
 ) -> List[float]:
     """Positional water-filling core of :meth:`TimelyRuntime.budgets`.
 
@@ -315,7 +328,8 @@ def _waterfill_values(
         return []
     remaining = budget
     allocation = [0.0] * len(demands)
-    unsatisfied = [max(0.0, demand) for demand in demands]
+    # max(0.0, demand), NaN included.
+    unsatisfied = [demand if demand > 0.0 else 0.0 for demand in demands]
     active = [
         index for index, want in enumerate(unsatisfied) if want > 0
     ]
@@ -325,7 +339,9 @@ def _waterfill_values(
         share = remaining / len(active)
         next_active = []
         for index in active:
-            grant = min(share, unsatisfied[index])
+            # min(share, want), ties included.
+            want = unsatisfied[index]
+            grant = want if want < share else share
             allocation[index] += grant
             unsatisfied[index] -= grant
             remaining -= grant

@@ -399,6 +399,9 @@ class Simulator:
         new_plan = self._plan.clamped(updates)
         if new_plan.parallelism == self._plan.parallelism:
             return 0.0
+        # A plan the runtime cannot run fails here, before the outage
+        # is charged, rather than at the first tick after it.
+        self._runtime.validate_plan(new_plan)
         outage = self._runtime.savepoint_model().outage_seconds(
             self._state.total_bytes
         )

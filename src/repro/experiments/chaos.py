@@ -73,7 +73,6 @@ from repro.faults.campaigns import (
     aggregate_scorecards,
     resolve_jobs,
 )
-from repro.faults.checkpoint import JournalHeader, content_hash
 from repro.faults.executor import (
     CampaignCoverage,
     CampaignExecutor,
@@ -346,13 +345,18 @@ def run_chaos(
         )
     if resume and checkpoint is None:
         raise FaultInjectionError("resume requires a checkpoint path")
-    header = JournalHeader(
-        profile=spec.name,
-        workload=load.name,
-        seed=int(seed),
-        campaigns=int(campaigns),
-        controllers=tuple(sorted(load.controllers_factory())),
-    )
+    header = None
+    if checkpoint is not None:
+        # The journal code loads only for a run that keeps a journal.
+        from repro.faults.checkpoint import JournalHeader
+
+        header = JournalHeader(
+            profile=spec.name,
+            workload=load.name,
+            seed=int(seed),
+            campaigns=int(campaigns),
+            controllers=tuple(sorted(load.controllers_factory())),
+        )
     workers = resolve_jobs(jobs)
     with journaled_executor(
         checkpoint, header, resume=resume, jobs=workers, progress=progress
@@ -421,6 +425,8 @@ class RecoveryCellSpec:
         cell's coordinates and tick, the regenerated crash schedule
         (event for event), the graph, the plan, and the engine
         config."""
+        from repro.faults.checkpoint import content_hash
+
         graph, schedule = _replay_inputs(self)
         return content_hash({
             "seed": self.seed,

@@ -43,7 +43,6 @@ multiprocessing start method.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import inspect
 import os
@@ -88,6 +87,8 @@ from repro.telemetry.spans import (
 )
 
 if TYPE_CHECKING:
+    import concurrent.futures
+
     from repro.faults.checkpoint import (
         CheckpointJournal,
         JournalCell,
@@ -728,6 +729,10 @@ class CampaignExecutor:
         pending: Sequence[int],
         work: Dict[int, CellWork],
     ) -> None:
+        # The pool machinery (and the logging it imports) loads only
+        # for a run on a pool.
+        import concurrent.futures
+
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self._jobs, len(pending)),
             initializer=_exit_with_parent,
@@ -757,6 +762,8 @@ class CampaignExecutor:
         """Settle cells as they finish, waking every
         :data:`POLL_SECONDS` so the progress renderer can refresh and
         report stalls; ``pool_timeout`` bounds the whole wait."""
+        import concurrent.futures
+
         deadline = (
             None
             if self._pool_timeout is None
@@ -793,6 +800,8 @@ class CampaignExecutor:
         """On interrupt: stop feeding the pool, let the cells already
         on a worker finish (bounded), and journal the ones that
         succeeded."""
+        import concurrent.futures
+
         pool.shutdown(wait=False, cancel_futures=True)
         started = [future for future in running if not future.cancelled()]
         grace = 60.0 if self._pool_timeout is None else self._pool_timeout
@@ -806,7 +815,7 @@ class CampaignExecutor:
 @contextmanager
 def journaled_executor(
     checkpoint: Optional[str],
-    header: "JournalHeader",
+    header: Optional["JournalHeader"],
     *,
     resume: bool,
     jobs: int,
@@ -815,7 +824,8 @@ def journaled_executor(
     """The executor for one chaos or sweep batch, valid for the block.
 
     Without ``checkpoint`` the executor fails fast and keeps no
-    journal. With one, it opens the journal (continuing it when
+    journal, and ``header`` may be None. With one, it opens the
+    journal under ``header`` (continuing it when
     ``resume``), retries failing cells then quarantines them
     (:class:`CellRetryPolicy` defaults), and closes the journal on
     exit. Recovery notes (a dropped torn tail) and, on resume, the
@@ -825,6 +835,8 @@ def journaled_executor(
     if checkpoint is None:
         yield CampaignExecutor(jobs=jobs, progress=progress)
         return
+    if header is None:
+        raise FaultInjectionError("a checkpoint journal needs a header")
     from repro.faults.checkpoint import CheckpointJournal
 
     with CheckpointJournal.open(

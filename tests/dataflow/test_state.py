@@ -2,6 +2,14 @@
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - optional dev dependency
+    HAVE_HYPOTHESIS = False
+
 from repro.dataflow.graph import Edge, LogicalGraph
 from repro.dataflow.operators import (
     CostModel,
@@ -81,6 +89,61 @@ class TestStateModel:
         assert block.state_bytes("counter").hex() == (
             expanded.state_bytes("counter").hex()
         )
+
+    if HAVE_HYPOTHESIS:
+
+        @given(
+            lanes=st.lists(
+                st.tuples(
+                    st.floats(
+                        min_value=0.0,
+                        max_value=1e4,
+                        allow_nan=False,
+                        allow_infinity=False,
+                    ),
+                    st.integers(min_value=1, max_value=64),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            start=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            cap=st.floats(min_value=1.0, max_value=1e7, allow_nan=False),
+            per_record=st.sampled_from([0.1, 3.7, 8.0, 1 / 3]),
+        )
+        @settings(max_examples=300, deadline=None)
+        def test_property_block_equals_expanded_calls(
+            self, lanes, start, cap, per_record
+        ):
+            """Random lanes, a starting total (above the cap too, as a
+            restore may leave it) and a cap reached before, inside or
+            after the lanes: the block (which caps once per lane, after
+            its adds) equals a capped record_processed call per
+            instance, as float hex."""
+            graph = LogicalGraph(
+                [
+                    source("src", rate=RateSchedule.constant(10.0)),
+                    map_operator(
+                        "counter",
+                        costs=CostModel(processing_cost=1e-6),
+                        state_bytes_per_record=per_record,
+                    ),
+                    sink("snk"),
+                ],
+                [Edge("src", "counter"), Edge("counter", "snk")],
+            )
+            records = [value for value, _ in lanes]
+            counts = [count for _, count in lanes]
+            block = StateModel(graph=graph, max_state_bytes=cap)
+            expanded = StateModel(graph=graph, max_state_bytes=cap)
+            for model in (block, expanded):
+                model.restore({"counter": start})
+            block.record_processed_block("counter", records, counts)
+            for value, count in lanes:
+                for _ in range(count):
+                    expanded.record_processed("counter", value)
+            assert block.state_bytes("counter").hex() == (
+                expanded.state_bytes("counter").hex()
+            )
 
     def test_block_rejects_negative_and_mismatched(self, stateful_graph):
         state = StateModel(graph=stateful_graph)

@@ -201,3 +201,67 @@ if HAVE_HYPOTHESIS:
         assert _counted_push(capacity, start, records, count) == (
             _repeated_push(capacity, start, records, count)
         )
+
+
+def _lane_fill(start, records, pushes):
+    """The queue length after ``pushes`` whole pushes of ``records``
+    from ``start``, added one at a time as the queue adds them."""
+    length = start
+    for _ in range(pushes):
+        length += records
+    return length
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(
+        start=_amounts,
+        records=st.floats(
+            min_value=1e-3, max_value=1e3, allow_nan=False
+        ),
+        count=st.integers(min_value=1, max_value=64),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_property_counted_push_at_the_fit_boundaries(
+        start, records, count, data
+    ):
+        """Capacities at and around the fill level after ``k`` whole
+        pushes, ``k`` from 0 to ``count``: exact fits of the whole lane,
+        and queues that clip in the middle of it. The counted push
+        (which adds whole pushes when the first and the last fit) must
+        equal ``count`` single pushes, each the clipped loop, as float
+        hex."""
+        fits = data.draw(st.integers(min_value=0, max_value=count))
+        capacity = _lane_fill(start, records, fits)
+        ulps = data.draw(st.integers(min_value=-2, max_value=2))
+        direction = math.inf if ulps > 0 else -math.inf
+        for _ in range(abs(ulps)):
+            capacity = math.nextafter(capacity, direction)
+        if not capacity > 0:
+            capacity = records
+        assert _counted_push(capacity, start, records, count) == (
+            _repeated_push(capacity, start, records, count)
+        )
+
+    @given(
+        capacity=st.one_of(
+            st.none(),
+            st.floats(min_value=1e-3, max_value=1e4, allow_nan=False),
+        ),
+        start=_amounts,
+        records=st.sampled_from([math.nan, math.inf, -math.inf, -1.0]),
+        count=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_counted_push_rejects_nan_and_inf(
+        capacity, start, records, count
+    ):
+        """A NaN, infinite or negative counted push raises and leaves
+        the queue as it was."""
+        queue = Queue(capacity)
+        queue.force_push(start)
+        before = _hex_state(queue, 0.0)
+        with pytest.raises(EngineError, match="finite and >= 0"):
+            queue.push(records, count)
+        assert _hex_state(queue, 0.0) == before

@@ -766,6 +766,54 @@ class TestDropoutRelayout:
         assert trace[0]["flatmap"] == [4]
         assert_matches_per_instance(per_instance, lambda: self._run(skew)[1:])
 
+    def _timely_run(self, skew, lists=None):
+        """Q5 on 6 Timely workers, collected every 5 s, with a dropout
+        of half of hot_items from 6 to 8.5 s: it begins and ends
+        between two collections. The state digest and the accessors
+        (utilization reads the metrics rows) are taken on every tick;
+        ``lists`` receives the number of metrics lists on each tick."""
+        sim = _timely_q5(_free_timely(), SKEWS[skew])
+        schedule = FaultSchedule(
+            [
+                MetricDropout(
+                    time=6.0, duration=2.5, operator="hot_items",
+                    fraction=0.5,
+                ),
+            ]
+        )
+        injector = FaultInjector(sim, schedule)
+        trace = []
+        while sim.time < 15.0 - 1e-9:
+            trace.append(repr(injector.step()))
+            trace.append(state_digest(sim, len(trace)))
+            trace.append(accessor_fingerprint(sim))
+            if lists is not None:
+                lists.append(len(sim.metrics_manager._lists))
+            if round(sim.time, 6) % 5.0 == 0.0:
+                trace.append(
+                    repr(window_fingerprint(injector.collect_metrics()))
+                )
+        return trace
+
+    def test_dropout_ending_between_collections_on_timely(
+        self, skew, per_instance
+    ):
+        """The dropout splits a lane's shared rows at its boundary
+        rather than into one list per row, and the split rows stay
+        exact after it ends."""
+        lists = []
+        self._timely_run(skew, lists)
+        # Before the dropout: one list per lane. During and after it:
+        # at most one more per operator lane the boundary cuts.
+        assert lists[0] == sum(len(v) for v in lane_counts(
+            _timely_q5(_free_timely(), SKEWS[skew])
+        ).values())
+        assert max(lists) <= lists[0] + 1
+        assert max(lists) > lists[0]
+        assert_matches_per_instance(
+            per_instance, lambda: self._timely_run(skew)
+        )
+
 
 def state_totals(view):
     """Per operator of a state view: the records queued per port, the

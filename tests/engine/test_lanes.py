@@ -263,37 +263,3 @@ class TestStateView:
         for _ in graph.names:
             rng.uniform(-0.1, 0.1)
         assert sim._engine.state().rng == rng.getstate()
-
-
-class _UnevenFlink(FlinkRuntime):
-    """Flink that grants instance 0 of every operator half a tick."""
-
-    def budgets(self, plan, demands, dt):
-        budgets = super().budgets(plan, demands, dt)
-        return {
-            name: [dt / 2] + values[1:] for name, values in budgets.items()
-        }
-
-
-def test_unequal_budgets_for_a_lane_rejected():
-    with pytest.raises(EngineError, match="unequal budgets"):
-        _sim(_UnevenFlink(), WIDE)
-
-
-class _UnevenTailFlink(FlinkRuntime):
-    """Flink that grants the last instance of every operator half a
-    tick."""
-
-    def budgets(self, plan, demands, dt):
-        budgets = super().budgets(plan, demands, dt)
-        return {
-            name: values[:-1] + [dt / 2]
-            for name, values in budgets.items()
-        }
-
-
-def test_unequal_budgets_inside_a_later_lane_rejected():
-    """The hot instance is a lane of its own and its budget may differ;
-    the lane of instances 1..3 may not."""
-    with pytest.raises(EngineError, match="'count'"):
-        _sim(_UnevenTailFlink(), {"count": 4}, skew={"count": 0.5})

@@ -20,6 +20,7 @@ from repro.dataflow.state import SavepointModel
 from repro.engine.runtimes import FlinkRuntime, TimelyRuntime
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import EngineError
+from repro.workloads.nexmark import get_query
 
 
 def window_pipeline(rate=10_000.0, kind="sliding"):
@@ -116,11 +117,42 @@ class TestTimelyRescale:
         outage = sim.rescale({name: 4 for name in graph.names})
         sim.run_for(outage + 1.0)
         assert set(sim.plan.parallelism.values()) == {4}
-        # The new deployment still runs (budgets are per worker).
+        # The new deployment still runs (budgets are per lane of
+        # workers).
         sim.collect_metrics()
         sim.run_for(5.0)
         window = sim.collect_metrics()
         assert window.observed_processing_rate("m") > 0
+
+    @staticmethod
+    def _q1_timely(parallelism):
+        graph = get_query("Q1").timely_graph()
+        return Simulator(
+            PhysicalPlan(graph, parallelism), TimelyRuntime()
+        )
+
+    def test_non_uniform_plan_rejected_at_construction(self):
+        with pytest.raises(EngineError, match=r"global.*\[2, 3\]"):
+            self._q1_timely(
+                {"bids": 2, "currency_mapper": 3, "sink": 2}
+            )
+
+    def test_non_uniform_rescale_rejected_before_the_outage(self):
+        """The rescale fails at once, charging no outage and changing
+        nothing, rather than at the first tick after its outage."""
+        sim = self._q1_timely({"bids": 2, "currency_mapper": 2, "sink": 2})
+        sim.run_until(5.0)
+        before = sim._engine.state()
+        with pytest.raises(EngineError, match=r"global.*\[2, 3\]"):
+            sim.rescale({"currency_mapper": 3})
+        assert not sim.in_outage
+        assert sim.rescale_count == 0
+        assert sim.plan.parallelism == {
+            "bids": 2, "currency_mapper": 2, "sink": 2
+        }
+        assert sim._engine.state() == before
+        stats = sim.step()
+        assert not stats.in_outage and sim.time == pytest.approx(5.1)
 
     def test_queued_records_survive_timely_rescale(self):
         graph = LogicalGraph(

@@ -751,3 +751,23 @@ def test_import_budget_table4():
     ]
     assert unwanted == []
     assert len(_repro_modules(loaded)) <= 42, _repro_modules(loaded)
+
+
+def test_import_budget_serial_chaos():
+    """A serial chaos run without a checkpoint loads neither the pool
+    machinery (``concurrent.futures`` and the ``logging`` it imports)
+    nor the checkpoint journal."""
+    loaded = _modules_loaded_by(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['run', 'chaos', '--profile', 'smoke', "
+        "'--seeds', '1', '--scale', '0.2']) == 0"
+    )
+    unwanted = [
+        name for name in loaded
+        if name in (
+            "concurrent.futures", "logging", "repro.faults.checkpoint"
+        )
+    ]
+    assert unwanted == []
