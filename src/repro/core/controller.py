@@ -42,7 +42,7 @@ from repro.telemetry.audit import (
     finalize_audit,
 )
 from repro.telemetry.spans import SpanProfiler, active_profiler
-from repro.telemetry.tracer import Tracer, active_tracer
+from repro.telemetry.tracer import active_tracer
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,6 @@ class ControlLoop:
         scalable_operators: Optional[Tuple[str, ...]] = None,
         tick_observer: Optional[Callable[[TickStats], None]] = None,
         retry: Optional[RetryConfig] = RetryConfig(),
-        tracer: Optional[Tracer] = None,
         audit: bool = True,
     ) -> None:
         """Args:
@@ -201,9 +200,6 @@ class ControlLoop:
                 retries. Either way a rejected rescale leaves the
                 running configuration untouched — the job is never left
                 partially reconfigured.
-            tracer: Trace sink for ``controller.invoke`` /
-                ``controller.audit`` events; defaults to the ambient
-                tracer (a no-op unless telemetry is active).
             audit: Record a :class:`~repro.telemetry.DecisionAudit`
                 per policy invocation into ``result.audits``.
         """
@@ -225,7 +221,7 @@ class ControlLoop:
             raise PolicyError(f"unknown scalable operators {sorted(unknown)}")
         self._tick_observer = tick_observer
         self._retry = retry
-        self._tracer = tracer if tracer is not None else active_tracer()
+        self._tracer = active_tracer()
         self._profiler: SpanProfiler = active_profiler()
         self._audit_enabled = audit
         # (requested, next attempt number, earliest retry time)

@@ -33,14 +33,15 @@ class StateModel:
     _bytes: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.max_state_bytes <= 0:
+        # Written so that NaN fails it, as every check in this module.
+        if not self.max_state_bytes > 0:
             raise EngineError("max_state_bytes must be > 0")
         for name in self.graph.names:
             self._bytes.setdefault(name, 0.0)
 
     def record_processed(self, operator: str, records: float) -> None:
         """Accumulate state for ``records`` processed by ``operator``."""
-        if records < 0:
+        if not records >= 0:
             raise EngineError("records must be >= 0")
         spec = self.graph.operator(operator)
         if spec.state_bytes_per_record <= 0:
@@ -69,7 +70,7 @@ class StateModel:
         if len(records) != len(counts):
             raise EngineError("records and counts must have equal length")
         for value in records:
-            if value < 0:
+            if not value >= 0:
                 raise EngineError("records must be >= 0")
         spec = self.graph.operator(operator)
         per_record = spec.state_bytes_per_record
@@ -108,7 +109,7 @@ class StateModel:
         for name, value in snapshot.items():
             if name not in self._bytes:
                 raise EngineError(f"unknown operator {name!r} in snapshot")
-            if value < 0:
+            if not value >= 0:
                 raise EngineError("state bytes must be >= 0")
             self._bytes[name] = value
 
@@ -137,7 +138,7 @@ class SavepointModel:
 
     def outage_seconds(self, total_state_bytes: float) -> float:
         """Duration of the halt-snapshot-redeploy outage."""
-        if total_state_bytes < 0:
+        if not total_state_bytes >= 0:
             raise EngineError("total_state_bytes must be >= 0")
         return (
             self.base_seconds

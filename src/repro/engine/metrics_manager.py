@@ -28,15 +28,16 @@ is the registration order —
 topological operator order with instance indexes ascending — so each
 operator owns one contiguous row block. The engine shares the rows of
 each lane of identical instances (:meth:`share_rows`): they alias one
-float list, which :meth:`record_rows` and :meth:`advance` update once.
-Rows that are identical at every moment may be one list; a block is
-split before anything could make its rows differ — at the boundary of
-a suppression that covers part of it, or around the rows of a
-:meth:`record_rows` range that covers part of it — and each piece of
-two or more rows stays one list. A metric dropout silences the lowest
-indexes of an operator first, so it cuts a lane into at most two
-lists. The engine adds to a lane's list directly (:meth:`block`) and
-re-resolves it whenever :attr:`layout` moves.
+float list, which :meth:`advance` updates once. Rows that are
+identical at every moment may be one list; a block is split before
+anything could make its rows differ — at the boundary of a suppression
+that covers part of it, or around the rows of a :meth:`lists` range
+that covers part of it — and each piece of two or more rows stays one
+list. A metric dropout silences the lowest indexes of an operator
+first, so it cuts a lane into at most two lists. Which lists a row
+range is, is known here only: :meth:`lists` returns them, and the
+engine adds to a lane's lists in place and asks again whenever
+:attr:`layout` moves.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.dataflow.physical import InstanceId
 from repro.errors import MetricsError
 from repro.metrics import InstanceCounters, MetricsWindow, OperatorHealth
 from repro.telemetry.spans import SpanProfiler, active_profiler
-from repro.telemetry.tracer import Tracer, active_tracer
+from repro.telemetry.tracer import active_tracer
 
 # Accumulator columns.
 _PULLED, _PUSHED, _USEFUL, _WAITING, _OBSERVED = range(5)
@@ -58,12 +59,8 @@ _PULLED, _PUSHED, _USEFUL, _WAITING, _OBSERVED = range(5)
 class MetricsManager:
     """Accumulates per-instance counters between collections."""
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self._tracer = tracer if tracer is not None else active_tracer()
+    def __init__(self, start_time: float = 0.0) -> None:
+        self._tracer = active_tracer()
         self._profiler: SpanProfiler = active_profiler()
         self._window_start = start_time
         self._now = start_time
@@ -112,23 +109,8 @@ class MetricsManager:
     def layout(self) -> int:
         """A counter that moves whenever the accumulator rows change
         their lists: on every registration, share and split. A list
-        from :meth:`block` stays the rows' own while it holds still."""
+        from :meth:`lists` stays the rows' own while it holds still."""
         return self._layout
-
-    def block(self, start: int, stop: int) -> Optional[List[float]]:
-        """The one accumulator list rows ``[start, stop)`` are, when
-        they are exactly one shared block or one unshared row: the list
-        :meth:`record_rows` over them updates once, and a caller may
-        add to directly until :attr:`layout` moves. None otherwise."""
-        rows = self._acc
-        first = rows[start]
-        if (
-            first is rows[stop - 1]
-            and (start == 0 or rows[start - 1] is not first)
-            and (stop == len(rows) or rows[stop] is not first)
-        ):
-            return first
-        return None
 
     def row_of(self, instance: InstanceId) -> int:
         """Accumulator row index of a registered instance."""
@@ -274,6 +256,30 @@ class MetricsManager:
         block."""
         self.record_rows(row, row + 1, pulled, pushed, useful, waiting)
 
+    def lists(self, start: int, stop: int) -> Tuple[List[float], ...]:
+        """The distinct accumulator lists of rows ``[start, stop)``, in
+        row order: one for a shared block passed whole (the engine's
+        lane of identical instances) or one unshared row. A range that
+        covers part of a shared block splits it at the range's ends
+        first, so each list returned belongs to rows inside the range
+        only, and a caller may add to them until :attr:`layout`
+        moves."""
+        rows = self._acc
+        if (start > 0 and rows[start - 1] is rows[start]) or (
+            stop < len(rows) and rows[stop - 1] is rows[stop]
+        ):
+            for low, high in list(self._shared):
+                cuts = [row for row in (start, stop) if low < row < high]
+                if cuts:
+                    self._split(low, high, cuts)
+        found: List[List[float]] = []
+        previous = None
+        for acc in rows[start:stop]:
+            if acc is not previous:
+                found.append(acc)
+                previous = acc
+        return tuple(found)
+
     def record_rows(
         self,
         start: int,
@@ -284,35 +290,13 @@ class MetricsManager:
         waiting: float,
     ) -> None:
         """:meth:`record_row` with the same values for every row of
-        ``[start, stop)``, for the engine's own counters, which are
-        non-negative by construction. A shared block passed whole (the
-        engine's lane of identical instances) is one list updated once;
-        a range that covers part of a shared block splits it at the
-        range's ends first, and then each list inside the range is
-        updated once."""
-        first = self.block(start, stop)
-        if first is not None:
-            first[_PULLED] += pulled
-            first[_PUSHED] += pushed
-            first[_USEFUL] += useful
-            first[_WAITING] += waiting
-            return
-        rows = self._acc
-        if (start > 0 and rows[start - 1] is rows[start]) or (
-            stop < len(rows) and rows[stop - 1] is rows[stop]
-        ):
-            for low, high in list(self._shared):
-                cuts = [row for row in (start, stop) if low < row < high]
-                if cuts:
-                    self._split(low, high, cuts)
-        previous = None
-        for acc in rows[start:stop]:
-            if acc is not previous:
-                acc[_PULLED] += pulled
-                acc[_PUSHED] += pushed
-                acc[_USEFUL] += useful
-                acc[_WAITING] += waiting
-                previous = acc
+        ``[start, stop)`` (no validation): each of the range's
+        :meth:`lists` is updated once."""
+        for acc in self.lists(start, stop):
+            acc[_PULLED] += pulled
+            acc[_PUSHED] += pushed
+            acc[_USEFUL] += useful
+            acc[_WAITING] += waiting
 
     def advance(self, dt: float, outage: bool = False) -> None:
         """Advance observed time by one tick for every instance."""

@@ -15,21 +15,25 @@ water-fill, the pushes into a downstream queue, a sum — is replayed
 instances it stands for. The replay is one call per lane (a counted
 :meth:`~repro.engine.buffers.Queue.push`, ``fair_allocate`` and state
 update), a tight loop over floats rather than a Python call per
-instance, and a lane's metrics rows are one shared list.
+instance, and a lane adds its counters in place to the metrics lists
+its rows are (:meth:`~repro.engine.metrics_manager.MetricsManager.lists`:
+one shared list, two while a dropout silences part of the lane).
 
 Each deployment also compiles a *tick program* (:meth:`ObjectEngine.deploy`):
 one flat tuple per operator in the order a tick runs them, holding
-everything the plan fixes (kind, lanes, counts, routes, metrics rows,
+everything the plan fixes (kind, lanes, counts, routes, metrics lists,
 port queues, selectivity, state growth, per-record costs), plus flat
 tuples of every lane and of each operator's queues.
 :meth:`ObjectEngine.run_tick` runs a whole tick from it with one step
 per operator kind, and :meth:`ObjectEngine.post_tick` does the
 bookkeeping after it (the backpressure scan, the invariant check and
-the metrics' observed time) in one walk over the flat tuples, so a
-tick pays no per-operator dictionary lookups or property calls. An
-operator that runs as one lane takes a one-lane path through its step,
-without the per-lane lists and the ``fair_allocate`` call of the
-general one. The float operations and their order are those of the
+the metrics' observed time), so a tick pays no per-operator dictionary
+lookups or property calls. The scan and the check are one walk over
+the queues, which :meth:`ObjectEngine.backpressured` and
+:meth:`ObjectEngine.check_invariants` share. An operator that runs as
+one lane whose metrics rows are one list takes a one-lane path through
+its step, without the per-lane lists and the ``fair_allocate`` call of
+the general one. The float operations and their order are those of the
 per-operator code it replaced.
 
 :meth:`ObjectEngine.state` is one read-only, per-instance view of the
@@ -245,16 +249,16 @@ _Routes = List[Tuple[Queue, float, InstanceId]]
 _SOURCE, _REGULAR, _WINDOW = range(3)
 
 #: One lane of a tick-program operator: the lane, its instance count,
-#: its first metrics row and its input port queues in port order.
-_ProgramLane = Tuple[_Instance, int, int, Tuple[Queue, ...]]
-
-#: The one lane of an operator that runs as one lane, for the one-lane
-#: paths of a tick: the lane, its instance count, its first metrics
-#: row, its input port queues and the metrics list its rows are
-#: (:meth:`MetricsManager.block`; None while they are not one list).
-_Solo = Tuple[
-    _Instance, int, int, Tuple[Queue, ...], Optional[List[float]]
+#: its first metrics row, its input port queues in port order and the
+#: metrics lists its rows are (:meth:`MetricsManager.lists`).
+_ProgramLane = Tuple[
+    _Instance, int, int, Tuple[Queue, ...], Tuple[List[float], ...]
 ]
+
+#: The one lane of an operator that runs as one lane whose metrics rows
+#: are one list, for the one-lane paths of a tick: the lane, its
+#: instance count, its input port queues and that list.
+_Solo = Tuple[_Instance, int, Tuple[Queue, ...], List[float]]
 
 #: One operator of a tick program: (kind, name, is sink, lanes, lane
 #: counts, routes, selectivity — the fire selectivity at a window —,
@@ -263,8 +267,8 @@ _Solo = Tuple[
 #: source, the processing cost at a regular operator, and at a window
 #: the factors of :func:`_window_costs`. Extra is (rate schedule,
 #: parallelism) at a source, the replication at a window and None
-#: otherwise. Solo is the :data:`_Solo` of a one-lane operator and
-#: None for more lanes.
+#: otherwise. Solo is the :data:`_Solo` of a one-lane operator whose
+#: rows are one list and None otherwise.
 _Op = Tuple[
     int,
     str,
@@ -331,10 +335,10 @@ class ObjectEngine:
         self._program: Tuple[_Op, ...] = ()
         self._all_lanes: Tuple[_Instance, ...] = ()
         # Each operator's queues and whether they are bounded, in
-        # topological order: the post-tick pass walks them.
+        # topological order: the queue walk (_walk) goes over them.
         self._scan: Tuple[Tuple[str, Tuple[Queue, ...], bool], ...] = ()
         self._threshold = runtime.backpressure_threshold
-        # The metrics layout the one-lane row lists were resolved at.
+        # The metrics layout the lanes' row lists were resolved at.
         self._layout = -1
         self._static_budgets: Optional[Dict[str, List[float]]] = None
 
@@ -422,9 +426,9 @@ class ObjectEngine:
         """Build the tick program of the lanes just deployed: one
         :data:`_Op` per operator in reverse topological order (sinks
         first, the order a tick runs them), with the metrics row lists
-        of its one-lane operators resolved, and flat tuples of every
-        lane and of each operator's queues for the per-tick scans.
-        ``rows`` holds each operator's first metrics row."""
+        of its lanes resolved, and flat tuples of every lane and of
+        each operator's queues for the per-tick scans. ``rows`` holds
+        each operator's first metrics row."""
         multiplier = 1.0
         if self._config.instrumentation_enabled:
             multiplier += self._runtime.instrumentation_overhead
@@ -471,12 +475,10 @@ class ObjectEngine:
                     lane.count,
                     rows[name] + lane.iid.index,
                     tuple(lane.ports.values()),
+                    (),
                 )
                 for lane in lanes
             )
-            solo: Optional[_Solo] = None
-            if len(program_lanes) == 1:
-                solo = program_lanes[0] + (None,)
             program.append(
                 (
                     kind,
@@ -489,7 +491,7 @@ class ObjectEngine:
                     spec.state_bytes_per_record,
                     cost,
                     extra,
-                    solo,
+                    None,
                 )
             )
         self._program = tuple(program)
@@ -507,17 +509,22 @@ class ObjectEngine:
         )
 
     def _resolve_rows(self) -> None:
-        """Point each one-lane operator of the tick program at the
-        metrics list its rows are now (:meth:`MetricsManager.block`),
-        at the manager's current :attr:`~MetricsManager.layout`."""
-        block = self._metrics.block
+        """Point every lane of the tick program at the metrics lists its
+        rows are now (:meth:`MetricsManager.lists`), at the manager's
+        current :attr:`~MetricsManager.layout`. An operator takes its
+        one-lane path while it is one lane whose rows are one list."""
+        lists = self._metrics.lists
         program = []
         for op in self._program:
-            solo = op[10]
-            if solo is not None:
-                start, stop = solo[2], solo[2] + solo[1]
-                op = op[:10] + (solo[:4] + (block(start, stop),),)
-            program.append(op)
+            lanes = tuple(
+                (lane, count, start, ports, lists(start, start + count))
+                for lane, count, start, ports, _ in op[3]
+            )
+            solo: Optional[_Solo] = None
+            if len(lanes) == 1 and len(lanes[0][4]) == 1:
+                lane, count, _, ports, (row,) = lanes[0]
+                solo = (lane, count, ports, row)
+            program.append(op[:3] + (lanes,) + op[4:10] + (solo,))
         self._program = tuple(program)
         self._layout = self._metrics.layout
 
@@ -564,43 +571,49 @@ class ObjectEngine:
     def backpressured(self) -> Tuple[str, ...]:
         """Operators with a bounded port at or above the runtime's
         backpressure threshold, in topological order."""
+        return self._walk(False)[0]
+
+    def check_invariants(self) -> None:
+        """Queue conservation and non-negative fire backlogs (the first
+        violating instance of a lane is its first)."""
+        if not self._walk(True)[1]:
+            self._raise_violation()
+
+    def _walk(self, check: bool) -> Tuple[Tuple[str, ...], bool]:
+        """One walk over every operator's queues: the
+        :meth:`backpressured` operators and, with ``check``, whether
+        every queue passes
+        :meth:`~repro.engine.buffers.Queue.check_conservation`'s test
+        (inlined) and every fire backlog is non-negative (always True
+        without ``check``). An operator's fill is tested up to its
+        first hot queue."""
         threshold = self._threshold
         hot = []
+        conserved = True
         for name, queues, bounded in self._scan:
-            if bounded:
-                for queue in queues:
+            cold = bounded
+            for queue in queues:
+                if check:
+                    pushed = queue._pushed
+                    drift = abs((pushed - queue._popped) - queue._length)
+                    if not drift <= 1e-6 * (pushed if pushed > 1.0 else 1.0):
+                        conserved = False
+                elif not cold:
+                    break
+                if cold:
                     # min(1.0, fill), NaN included: the fill fraction.
                     fill = queue._length / queue._capacity
                     if not fill < 1.0:
                         fill = 1.0
                     if fill >= threshold:
                         hot.append(name)
-                        break
-        return tuple(hot)
-
-    def check_invariants(self) -> None:
-        """Queue conservation and non-negative fire backlogs (the first
-        violating instance of a lane is its first).
-
-        One pass over every operator's queues and the lanes with
-        :meth:`~repro.engine.buffers.Queue.check_conservation`'s test
-        inlined (the walk :meth:`post_tick` fuses with the backpressure
-        scan); only a violation walks the lanes again, in operator
-        order, to raise the first one's error."""
-        conserved = True
-        for _, queues, _ in self._scan:
-            for queue in queues:
-                pushed = queue._pushed
-                drift = abs((pushed - queue._popped) - queue._length)
-                if not drift <= 1e-6 * (pushed if pushed > 1.0 else 1.0):
-                    conserved = False
-        if conserved:
+                        cold = False
+        if check and conserved:
             for lane in self._all_lanes:
                 if lane.fire_backlog < -1e-6:
                     conserved = False
                     break
-        if not conserved:
-            self._raise_violation()
+        return tuple(hot), conserved
 
     def _raise_violation(self) -> None:
         """Raise the first invariant violation, walking the lanes in
@@ -622,43 +635,13 @@ class ObjectEngine:
         of those operators' ``backpressure_seconds``, advances the
         metrics' observed time (:meth:`MetricsManager.advance`), then,
         when ``check`` is set, raises the first error
-        :meth:`check_invariants` would.
-
-        With ``check`` the backpressure scan and the conservation test
-        are one walk over each operator's queues."""
-        conserved = True
-        if check:
-            threshold = self._threshold
-            hot = []
-            for name, queues, bounded in self._scan:
-                cold = bounded
-                for queue in queues:
-                    length = queue._length
-                    pushed = queue._pushed
-                    drift = abs((pushed - queue._popped) - length)
-                    if not drift <= 1e-6 * (pushed if pushed > 1.0 else 1.0):
-                        conserved = False
-                    if cold:
-                        fill = length / queue._capacity
-                        if not fill < 1.0:
-                            fill = 1.0
-                        if fill >= threshold:
-                            hot.append(name)
-                            cold = False
-            backpressured = tuple(hot)
-        else:
-            backpressured = self.backpressured()
+        :meth:`check_invariants` would."""
+        backpressured, conserved = self._walk(check)
         for name in backpressured:
             backpressure_seconds[name] += dt
         self._metrics.advance(dt)
-        if check:
-            if conserved:
-                for lane in self._all_lanes:
-                    if lane.fire_backlog < -1e-6:
-                        conserved = False
-                        break
-            if not conserved:
-                self._raise_violation()
+        if not conserved:
+            self._raise_violation()
         return backpressured
 
     # ------------------------------------------------------------------
@@ -676,10 +659,12 @@ class ObjectEngine:
             return [
                 sum(map(_LENGTH, ports)) * assign_cost
                 + lane.fire_backlog * fire_cost
-                for lane, _, _, ports in lanes
+                for lane, _, _, ports, _ in lanes
             ]
         cost *= noise
-        return [sum(map(_LENGTH, ports)) * cost for _, _, _, ports in lanes]
+        return [
+            sum(map(_LENGTH, ports)) * cost for _, _, _, ports, _ in lanes
+        ]
 
     def _estimate_demands(
         self, now: float, dt: float
@@ -779,10 +764,11 @@ class ObjectEngine:
         source emitted and desired (in program order) and each sink
         consumed.
 
-        An operator that runs as one lane takes its one-lane path:
-        :func:`~repro.engine.allocation.fill_lane` for the water-fill
-        and its rows' metrics list updated in place. The float
-        operations and their order are those of the general path.
+        An operator that runs as one lane whose metrics rows are one
+        list takes its one-lane path, with
+        :func:`~repro.engine.allocation.fill_lane` for the water-fill.
+        The float operations and their order are those of the general
+        path.
 
         :meth:`_downstream_limit` and :meth:`_emit` are looked up once
         per tick, so a patched one takes effect from the next tick."""
@@ -846,11 +832,12 @@ class ObjectEngine:
 
     # The steps below spell ``min(a, b)`` as ``b if b < a else a`` and
     # ``max(a, b)`` as ``b if b > a else a``: the builtins' results,
-    # ties and NaN included, without a call. A step's one-lane path
-    # (a :data:`_Solo`) does for its one lane what the general path
-    # does lane by lane, with :func:`fill_lane` for the water-fill and,
-    # for a resolved metrics list, :meth:`MetricsManager.record_rows`'s
-    # own update of it.
+    # ties and NaN included, without a call. Each lane adds its counters
+    # to its metrics lists in place, the four adds of
+    # :meth:`MetricsManager.record_rows` per list. A step's one-lane
+    # path (a :data:`_Solo`) does for its one lane what the general
+    # path does lane by lane, with :func:`fill_lane` for the
+    # water-fill.
 
     def _source_step(
         self,
@@ -877,7 +864,7 @@ class ObjectEngine:
         share = want / width
         emitted_total = 0.0
         if solo is not None:
-            _, count, start, _, row = solo
+            _, count, _, row = solo
             space = limit(routes) if self._blocking else _INF
             by_budget = _INF if cost <= 0 else budgets[0] / cost
             emitted = fill_lane(
@@ -890,15 +877,10 @@ class ObjectEngine:
             idle = dt - useful
             if not idle > 0.0:
                 idle = 0.0
-            if row is None:
-                self._metrics.record_rows(
-                    start, start + count, emitted, emitted, useful, idle
-                )
-            else:
-                row[0] += emitted
-                row[1] += emitted
-                row[2] += useful
-                row[3] += idle
+            row[0] += emitted
+            row[1] += emitted
+            row[2] += useful
+            row[3] += idle
             for _ in range(count):
                 emitted_total += emitted
         else:
@@ -908,21 +890,19 @@ class ObjectEngine:
                 by_budget = _INF if cost <= 0 else budget / cost
                 desires.append(by_budget if by_budget < share else share)
             allocations = fair_allocate(space, desires, counts)
-            record = self._metrics.record_rows
-            for (_, count, start, _), emitted in zip(lanes, allocations):
+            for (_, count, _, _, rows), emitted in zip(lanes, allocations):
                 emit(routes, emitted, count)
                 useful = emitted * cost
                 if dt < useful:
                     useful = dt
                 idle = dt - useful
-                record(
-                    start,
-                    start + count,
-                    emitted,
-                    emitted,
-                    useful,
-                    idle if idle > 0.0 else 0.0,
-                )
+                if not idle > 0.0:
+                    idle = 0.0
+                for row in rows:
+                    row[0] += emitted
+                    row[1] += emitted
+                    row[2] += useful
+                    row[3] += idle
                 for _ in range(count):
                     emitted_total += emitted
         left = available - emitted_total
@@ -947,7 +927,7 @@ class ObjectEngine:
         # tick order.
         consumed_total = 0.0
         if solo is not None:
-            lane, count, start, ports, row = solo
+            lane, count, ports, row = solo
             space = _INF if sink else limit(routes)
             total = sum(map(_LENGTH, ports))
             by_budget = _INF if cost <= 0 else budgets[0] / cost
@@ -967,15 +947,10 @@ class ObjectEngine:
             idle = dt - useful
             if not idle > 0.0:
                 idle = 0.0
-            if row is None:
-                self._metrics.record_rows(
-                    start, start + count, processed, pushed, useful, idle
-                )
-            else:
-                row[0] += processed
-                row[1] += pushed
-                row[2] += useful
-                row[3] += idle
+            row[0] += processed
+            row[1] += pushed
+            row[2] += useful
+            row[3] += idle
             if sink:
                 for _ in range(count):
                     consumed_total += processed
@@ -991,16 +966,15 @@ class ObjectEngine:
         space = _INF if sink else limit(routes)
         totals = []
         desires = []
-        for (_, _, _, ports), budget in zip(lanes, budgets):
+        for (_, _, _, ports, _), budget in zip(lanes, budgets):
             total = sum(map(_LENGTH, ports))
             totals.append(total)
             by_budget = _INF if cost <= 0 else budget / cost
             desires.append(by_budget if by_budget < total else total)
         pull_cap = _INF if selectivity <= 0 else space / selectivity
         allocations = fair_allocate(pull_cap, desires, counts)
-        record = self._metrics.record_rows
         processed_lanes = []
-        for (lane, count, start, _), allowed, total in zip(
+        for (lane, count, _, _, rows), allowed, total in zip(
             lanes, allocations, totals
         ):
             processed = lane.pop_records(allowed, total)
@@ -1013,14 +987,13 @@ class ObjectEngine:
             if dt < useful:
                 useful = dt
             idle = dt - useful
-            record(
-                start,
-                start + count,
-                processed,
-                pushed,
-                useful,
-                idle if idle > 0.0 else 0.0,
-            )
+            if not idle > 0.0:
+                idle = 0.0
+            for row in rows:
+                row[0] += processed
+                row[1] += pushed
+                row[2] += useful
+                row[3] += idle
             processed_lanes.append(processed)
             if sink:
                 for _ in range(count):
@@ -1054,7 +1027,7 @@ class ObjectEngine:
         assign_cost, fire_cost = _window_costs(cost, self._jitter[name])
         consumed_total = 0.0
         if solo is not None:
-            lane, count, start, ports, row = solo
+            lane, count, ports, row = solo
             space = _INF if sink else limit(routes)
             budget = budgets[0]
             total = sum(map(_LENGTH, ports))
@@ -1099,15 +1072,10 @@ class ObjectEngine:
             idle = dt - useful
             if not idle > 0.0:
                 idle = 0.0
-            if row is None:
-                self._metrics.record_rows(
-                    start, start + count, pulled, pushed, useful, idle
-                )
-            else:
-                row[0] += pulled
-                row[1] += pushed
-                row[2] += useful
-                row[3] += idle
+            row[0] += pulled
+            row[1] += pushed
+            row[2] += useful
+            row[3] += idle
             if sink:
                 for _ in range(count):
                     consumed_total += pulled
@@ -1117,7 +1085,7 @@ class ObjectEngine:
         space = _INF if sink else limit(routes)
         totals = []
         fire_desires = []
-        for (lane, _, _, ports), budget in zip(lanes, budgets):
+        for (lane, _, _, ports, _), budget in zip(lanes, budgets):
             total = sum(map(_LENGTH, ports))
             totals.append(total)
             backlog = lane.fire_backlog
@@ -1137,9 +1105,8 @@ class ObjectEngine:
         # downstream space fairly.
         fire_cap = _INF if fire_sel <= 0 else space / fire_sel
         fired_alloc = fair_allocate(fire_cap, fire_desires, counts)
-        record = self._metrics.record_rows
         pulled_lanes = []
-        for (lane, count, start, _), budget, total, fired in zip(
+        for (lane, count, _, _, rows), budget, total, fired in zip(
             lanes, budgets, totals, fired_alloc
         ):
             useful = 0.0
@@ -1173,14 +1140,13 @@ class ObjectEngine:
             if dt < useful:
                 useful = dt
             idle = dt - useful
-            record(
-                start,
-                start + count,
-                pulled,
-                pushed,
-                useful,
-                idle if idle > 0.0 else 0.0,
-            )
+            if not idle > 0.0:
+                idle = 0.0
+            for row in rows:
+                row[0] += pulled
+                row[1] += pushed
+                row[2] += useful
+                row[3] += idle
             pulled_lanes.append(pulled)
             if sink:
                 for _ in range(count):

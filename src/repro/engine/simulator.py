@@ -151,9 +151,8 @@ class Simulator:
         plan: PhysicalPlan,
         runtime: Runtime,
         config: Optional[EngineConfig] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
-        """``tracer`` defaults to the ambient one (see
+        """Events go to the ambient tracer (see
         :func:`repro.telemetry.tracing`) — a no-op unless a caller
         activated tracing."""
         self._plan = plan
@@ -169,9 +168,9 @@ class Simulator:
         # land exactly where the schedule says — accumulated floating
         # point drift would shift them by a tick over long runs.
         self._tick_count = 0
-        self._tracer = tracer if tracer is not None else active_tracer()
+        self._tracer = active_tracer()
         self._profiler: SpanProfiler = active_profiler()
-        self._metrics = MetricsManager(tracer=self._tracer)
+        self._metrics = MetricsManager()
         self._state = StateModel(graph=self._graph)
         # The engine holds the state of a tick (instances, source
         # backlogs, costs, cost noise); the clock, reconfiguration,

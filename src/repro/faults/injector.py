@@ -57,23 +57,18 @@ from repro.faults.events import (
 from repro.faults.schedule import FaultSchedule
 from repro.metrics import InstanceCounters, MetricsWindow, merge_windows
 from repro.telemetry.spans import SpanProfiler, active_profiler
-from repro.telemetry.tracer import Tracer, active_tracer
+from repro.telemetry.tracer import active_tracer
 
 
 class FaultInjector:
     """Transparent fault-injecting proxy around a simulator."""
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        schedule: FaultSchedule,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, simulator: Simulator, schedule: FaultSchedule) -> None:
         self._sim = simulator
         self._schedule = schedule
         # Injections are emitted as trace events whose kinds reuse the
         # repro.faults.events vocabulary ("fault.<EventClassName>").
-        self._tracer = tracer if tracer is not None else active_tracer()
+        self._tracer = active_tracer()
         self._profiler: SpanProfiler = active_profiler()
         # One-shot events in firing order (the schedule is time-sorted)
         # and a cursor at the first one not yet fired.

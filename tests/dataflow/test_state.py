@@ -1,5 +1,7 @@
 """Unit tests for state accumulation and savepoint cost models."""
 
+import math
+
 import pytest
 
 try:
@@ -57,8 +59,15 @@ class TestStateModel:
 
     def test_negative_records_rejected(self, stateful_graph):
         state = StateModel(graph=stateful_graph)
-        with pytest.raises(EngineError):
-            state.record_processed("counter", -1.0)
+        for records in (-1.0, math.nan):
+            with pytest.raises(EngineError):
+                state.record_processed("counter", records)
+        assert state.state_bytes("counter") == 0.0
+
+    def test_invalid_cap_rejected(self, stateful_graph):
+        for cap in (0.0, -1.0, math.nan):
+            with pytest.raises(EngineError):
+                StateModel(graph=stateful_graph, max_state_bytes=cap)
 
     @pytest.mark.parametrize("cap", [4e9, 500.0])
     def test_block_with_counts_equals_expanded_calls(self, cap):
@@ -147,8 +156,11 @@ class TestStateModel:
 
     def test_block_rejects_negative_and_mismatched(self, stateful_graph):
         state = StateModel(graph=stateful_graph)
-        with pytest.raises(EngineError):
-            state.record_processed_block("counter", [1.0, -1.0], [1, 2])
+        for bad in (-1.0, math.nan):
+            with pytest.raises(EngineError):
+                state.record_processed_block("counter", [1.0, bad], [1, 2])
+            with pytest.raises(EngineError):
+                state.record_processed_block("counter", [bad], [1])
         with pytest.raises(EngineError):
             state.record_processed_block("counter", [1.0], [1, 2])
         assert state.state_bytes("counter") == 0.0
@@ -170,8 +182,10 @@ class TestStateModel:
         state = StateModel(graph=stateful_graph)
         with pytest.raises(EngineError):
             state.restore({"ghost": 10.0})
-        with pytest.raises(EngineError):
-            state.restore({"counter": -1.0})
+        for bad in (-1.0, math.nan):
+            with pytest.raises(EngineError):
+                state.restore({"counter": bad})
+        assert state.total_bytes == 0.0
 
 
 class TestSavepointModel:
@@ -195,8 +209,9 @@ class TestSavepointModel:
         assert model.outage_seconds(1e12) == pytest.approx(0.0, abs=1e-5)
 
     def test_negative_state_rejected(self):
-        with pytest.raises(EngineError):
-            SavepointModel().outage_seconds(-1.0)
+        for total in (-1.0, math.nan):
+            with pytest.raises(EngineError):
+                SavepointModel().outage_seconds(total)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(EngineError):

@@ -712,8 +712,8 @@ class TestRedeploys:
 
 @pytest.mark.parametrize("skew", sorted(SKEWS))
 class TestDropoutRelayout:
-    """A one-lane operator adds to its rows' metrics list directly, and
-    re-resolves that list when the metrics layout moves. A dropout of
+    """Every lane adds to its rows' metrics lists directly, and
+    re-resolves them when the metrics layout moves. A dropout of
     half a lane splits its rows (and they stay split after it ends),
     then a rescale and a zero-cost crash each register and share new
     rows; the lanes must match the per-instance run at every tick and
@@ -813,6 +813,79 @@ class TestDropoutRelayout:
         assert_matches_per_instance(
             per_instance, lambda: self._timely_run(skew)
         )
+
+
+@pytest.mark.parametrize("runtime", ["flink", "timely"])
+class TestOneLaneDropout:
+    """A dropout that silences half of a one-lane source and half of a
+    one-lane window operator splits their metrics rows into two lists,
+    so both take the general path of their step until a zero-cost
+    crash redeploys them as one lane whose rows are one list again.
+    The lanes must match the per-instance run at every tick, through
+    both switches."""
+
+    @staticmethod
+    def _sim(runtime):
+        if runtime == "flink":
+            graph = get_query("Q5").flink_graph()
+            parallelism = {"bids": 4, "hot_items": 4, "sink": 1}
+            engine_runtime = _free_flink()
+        else:
+            graph = get_query("Q5").timely_graph()
+            parallelism = {name: 4 for name in graph.names}
+            engine_runtime = _free_timely()
+        return Simulator(
+            PhysicalPlan(graph, parallelism),
+            engine_runtime,
+            EngineConfig(tick=0.25, cost_jitter=0.1),
+        )
+
+    def _run(self, runtime, paths=None):
+        """Q5 with half of bids silenced from 3 to 6 s and half of
+        hot_items from 3.5 to 5.5 s, and a zero-cost crash of hot_items
+        at 8 s; collected every 2 s. ``paths`` receives, on each tick,
+        which operators took their one-lane path."""
+        sim = self._sim(runtime)
+        schedule = FaultSchedule(
+            [
+                MetricDropout(
+                    time=3.0, duration=3.0, operator="bids", fraction=0.5
+                ),
+                MetricDropout(
+                    time=3.5, duration=2.0, operator="hot_items",
+                    fraction=0.5,
+                ),
+                InstanceCrash(time=8.0, operator="hot_items", index=1),
+            ]
+        )
+        injector = FaultInjector(sim, schedule)
+        trace = []
+        while sim.time < 12.0 - 1e-9:
+            trace.append(repr(injector.step()))
+            trace.append(state_digest(sim, len(trace)))
+            if paths is not None:
+                paths.append(
+                    {op[1] for op in sim._engine._program if op[10]}
+                )
+            if round(sim.time, 6) % 2.0 == 0.0:
+                trace.append(
+                    repr(window_fingerprint(injector.collect_metrics()))
+                )
+        assert injector.crash_outages == [(8.0, 0.0)]
+        return trace
+
+    def test_matches_per_instance(self, runtime, per_instance):
+        paths = []
+        self._run(runtime, paths)
+        solo = {"bids", "hot_items"}
+        # paths[k] is the tick from 0.25 * k s: before the dropouts,
+        # inside both, after both ended (the rows stay split) and after
+        # the crash.
+        assert solo <= paths[0]
+        assert solo.isdisjoint(paths[15])
+        assert solo.isdisjoint(paths[31])
+        assert solo <= paths[-1]
+        assert_matches_per_instance(per_instance, lambda: self._run(runtime))
 
 
 def state_totals(view):

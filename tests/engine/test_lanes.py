@@ -263,3 +263,133 @@ class TestStateView:
         for _ in graph.names:
             rng.uniform(-0.1, 0.1)
         assert sim._engine.state().rng == rng.getstate()
+
+
+def _walk_reference(engine):
+    """The backpressured operators and the first invariant error of
+    ``engine``, from the queues' own ``fill_fraction`` and
+    ``check_conservation``, lane by lane in operator order."""
+    threshold = engine._threshold
+    hot = tuple(
+        name
+        for name, lanes in engine._lanes.items()
+        if any(
+            queue.bounded and queue.fill_fraction >= threshold
+            for lane in lanes
+            for queue in lane.ports.values()
+        )
+    )
+    error = None
+    try:
+        for lanes in engine._lanes.values():
+            for lane in lanes:
+                for queue in lane.ports.values():
+                    queue.check_conservation()
+                if lane.fire_backlog < -1e-6:
+                    raise EngineError(f"negative fire backlog at {lane.iid}")
+    except EngineError as raised:
+        error = str(raised)
+    return hot, error
+
+
+def _error_of(call):
+    """``call()``'s result and the message of the EngineError it raised
+    (None for either that did not happen)."""
+    try:
+        return call(), None
+    except EngineError as raised:
+        return None, str(raised)
+
+
+class TestQueueWalk:
+    """``post_tick``, ``backpressured`` and ``check_invariants`` share
+    one walk over the queues; over random queue states they agree with
+    each other and with the queues' own fill and conservation tests,
+    NaN fills, exact threshold ties, conservation drifts and negative
+    fire backlogs included."""
+
+    @staticmethod
+    def _randomize(engine, rng):
+        threshold = engine._threshold
+        for lanes in engine._lanes.values():
+            for lane in lanes:
+                for queue in lane.ports.values():
+                    if queue.bounded:
+                        # A power of two: threshold * 1024 / 1024 is
+                        # the threshold exactly.
+                        queue._capacity = 1024.0
+                    pick = rng.random()
+                    if pick < 0.05:
+                        length = math.nan
+                    elif pick < 0.3:
+                        length = threshold * 1024.0
+                    elif pick < 0.4:
+                        length = 0.0
+                    else:
+                        length = rng.uniform(0.0, 1100.0)
+                    queue._length = length
+                    queue._popped = rng.uniform(0.0, 5000.0)
+                    queue._pushed = queue._popped + length
+                    if rng.random() < 0.04:
+                        queue._pushed += rng.uniform(1.0, 100.0)
+                pick = rng.random()
+                if pick < 0.04:
+                    lane.fire_backlog = -1.0
+                elif pick < 0.08:
+                    lane.fire_backlog = -1e-7
+                else:
+                    lane.fire_backlog = rng.uniform(0.0, 50.0)
+
+    @pytest.mark.parametrize(
+        "runtime_cls", [FlinkRuntime, HeronRuntime, TimelyRuntime]
+    )
+    def test_post_tick_agrees_with_backpressured_and_check(
+        self, runtime_cls
+    ):
+        graph = get_query("Q8").timely_graph()
+        if runtime_cls is not TimelyRuntime:
+            graph = get_query("Q8").flink_graph()
+        sim = Simulator(
+            PhysicalPlan(
+                graph,
+                {name: 4 for name in graph.names},
+                partitioner=Partitioner({"window_join": 0.5}),
+            ),
+            runtime_cls(),
+            EngineConfig(tick=0.25),
+        )
+        engine = sim._engine
+        order = graph.topological_order()
+        rng = random.Random(37)
+        outcomes = set()
+        for _ in range(300):
+            self._randomize(engine, rng)
+            hot, error = _walk_reference(engine)
+            assert engine.backpressured() == hot
+            assert _error_of(engine.check_invariants)[1] == error
+            for check in (True, False):
+                seconds = dict.fromkeys(order, 0.0)
+                returned, raised = _error_of(
+                    lambda: engine.post_tick(0.25, check, seconds)
+                )
+                assert raised == (error if check else None)
+                assert returned in (None, hot)
+                assert tuple(n for n in order if seconds[n]) == hot
+            outcomes.add((bool(hot), error is None))
+        bounded = any(flag for _, _, flag in engine._scan)
+        hot_axis = (True, False) if bounded else (False,)
+        assert outcomes == {
+            (is_hot, ok) for is_hot in hot_axis for ok in (True, False)
+        }
+        if bounded:
+            # An exact tie is hot; one ulp below it is not.
+            for lanes in engine._lanes.values():
+                for lane in lanes:
+                    for queue in lane.ports.values():
+                        queue._length = 0.0
+            queue = engine._lanes["window_join"][1].ports["auctions"]
+            tie = engine._threshold * 1024.0
+            queue._length = tie
+            assert engine.backpressured() == ("window_join",)
+            queue._length = math.nextafter(tie, 0.0)
+            assert engine.backpressured() == ()

@@ -47,21 +47,25 @@ class TestRecording:
 class TestLaneRows:
     def test_record_rows_equals_record_row_per_row(self):
         """One record_rows call over a lane's rows adds what a
-        record_row call per row adds, bit for bit."""
+        record_row call per row adds, bit for bit: over unshared rows,
+        and over part of a shared block, which it splits first."""
         ids = [InstanceId("op", index) for index in range(3)]
-        managers = [MetricsManager(), MetricsManager()]
-        for manager in managers:
-            manager.register_instances(ids)
         values = (0.1, 0.2, 0.30000000000000004, 1 / 3)
-        for _ in range(7):
-            managers[0].record_rows(0, 2, *values)
-            for row in range(2):
-                managers[1].record_row(row, *values)
-        for manager in managers:
-            manager.advance(0.5)
-        windows = [manager.collect() for manager in managers]
-        assert windows[0] == windows[1]
-        assert windows[0].instances[ids[2]].records_pulled == 0.0
+        for shared in (False, True):
+            managers = [MetricsManager(), MetricsManager()]
+            for manager in managers:
+                manager.register_instances(ids)
+                if shared:
+                    manager.share_rows(0, 3)
+            for _ in range(7):
+                managers[0].record_rows(0, 2, *values)
+                for row in range(2):
+                    managers[1].record_row(row, *values)
+            for manager in managers:
+                manager.advance(0.5)
+            windows = [manager.collect() for manager in managers]
+            assert windows[0] == windows[1]
+            assert windows[0].instances[ids[2]].records_pulled == 0.0
 
 
 def _lane_manager(share):
@@ -140,6 +144,43 @@ class TestSharedRows:
         for manager in (shared, separate):
             manager.record_rows(1, 9, *self.VALUES)
             manager.record_row(3, *self.VALUES)
+            manager.record_rows(1, 9, *self.VALUES)
+            manager.advance(0.5)
+        assert _exact(shared.collect()) == _exact(separate.collect())
+
+    def test_lists_of_a_whole_block_is_one_list(self):
+        manager = _lane_manager(True)
+        layout = manager.layout
+        (lane,) = manager.lists(1, 9)
+        assert all(row is lane for row in manager._acc[1:9])
+        assert manager.lists(0, 1) == (manager._acc[0],)
+        assert manager.layout == layout
+
+    def test_lists_under_partial_suppression_are_two_in_row_order(self):
+        manager = _lane_manager(True)
+        manager.set_suppressed([InstanceId("op", i) for i in range(3)])
+        layout = manager.layout
+        first, second = manager.lists(1, 9)
+        assert first is manager._acc[1] and first is manager._acc[3]
+        assert second is manager._acc[4] and second is manager._acc[8]
+        assert first is not second
+        assert manager.layout == layout
+        assert manager.lists(0, 9) == (manager._acc[0], first, second)
+
+    def test_lists_of_part_of_a_block_splits_it_first(self):
+        """A range covering rows 3-5 of the block of rows 1-8 splits it
+        into three blocks; the one list returned is the middle one's,
+        so adding to it leaves the rows outside the range alone."""
+        shared, separate = _lane_manager(True), _lane_manager(False)
+        layout = shared.layout
+        (middle,) = shared.lists(3, 6)
+        assert shared.layout != layout
+        assert len(shared.lists(1, 9)) == 3
+        assert middle is shared._acc[3] and middle is shared._acc[5]
+        assert middle is not shared._acc[2] and middle is not shared._acc[6]
+        for manager in (shared, separate):
+            for acc in manager.lists(3, 6):
+                acc[0] += 1.5
             manager.record_rows(1, 9, *self.VALUES)
             manager.advance(0.5)
         assert _exact(shared.collect()) == _exact(separate.collect())
