@@ -26,15 +26,17 @@
 #   7. run report (golden file)
 #                    - `repro report` over the committed smoke-campaign
 #                      journal must render byte-identical JSON to the
-#                      committed golden report
+#                      committed golden report and leave the journal's
+#                      sha256 unchanged
 #   8. sweep (golden file + kill-and-resume)
 #                    - `repro sweep run` over the committed smoke grid
 #                      (two pool workers, checkpointed) and
 #                      `repro sweep report` from that journal must both
 #                      render byte-identical JSON to the committed
-#                      golden sensitivity artifact; plus the sweep
-#                      SIGKILL-and-resume equivalence tests and the
-#                      pin on the smoke grid's cell fingerprints
+#                      golden sensitivity artifact, and the report must
+#                      leave the journal's sha256 unchanged; plus the
+#                      sweep SIGKILL-and-resume equivalence tests and
+#                      the pin on the smoke grid's cell fingerprints
 #   9. table 4 (golden file)
 #                    - `repro run table4 --scale 0.2` (36 DS2 loops on
 #                      the Nexmark queries) must print byte-identical
@@ -154,23 +156,44 @@ run_stage "parallel chaos equivalence (smoke)" \
 run_stage "kill-and-resume equivalence (smoke)" \
     python -m pytest -q tests/faults/test_checkpoint.py \
     -k "kill_and_resume or older_journal or reruns_no_replay_cell"
+# sha256 of a file, hex. Reports only read their journal, so a digest
+# taken before and after must agree.
+file_sha256() {
+    python -c 'import hashlib, sys
+with open(sys.argv[1], "rb") as handle:
+    print(hashlib.sha256(handle.read()).hexdigest())' "$1"
+}
+# Fail when the journal's digest no longer matches the one given.
+journal_unchanged() {
+    local after
+    after="$(file_sha256 "$2")" || return 1
+    if [ "$1" != "$after" ]; then
+        echo "report rewrote its journal $2" >&2
+        return 1
+    fi
+}
 # Run-report gate: the aggregated report over the committed
 # smoke-campaign journal must stay byte-identical to the committed
-# golden JSON. Cheap (<1s), so it runs even with --fast.
+# golden JSON and leave the journal as it was. Cheap (<1s), so it runs
+# even with --fast.
 check_golden_report() {
+    local journal=tests/reports/smoke_checkpoint.jsonl before
+    before="$(file_sha256 "$journal")" || return 1
     python -m repro report \
-        --checkpoint tests/reports/smoke_checkpoint.jsonl \
+        --checkpoint "$journal" \
         --format json \
-        | diff -u tests/reports/golden_report.json -
+        | diff -u tests/reports/golden_report.json - || return 1
+    journal_unchanged "$before" "$journal"
 }
 run_stage "run report (golden file)" check_golden_report
 # Sweep gate: running the committed smoke grid (two pool workers, with
 # a checkpoint journal) and re-reporting from that journal must both
-# reproduce the committed golden sensitivity artifact byte-for-byte,
-# a sweep hard-killed mid-grid must resume to the same bytes, and the
-# grid's cell fingerprints must not drift (old journals must resume).
+# reproduce the committed golden sensitivity artifact byte-for-byte
+# (the report leaving the journal as it was), a sweep hard-killed
+# mid-grid must resume to the same bytes, and the grid's cell
+# fingerprints must not drift (old journals must resume).
 check_golden_sweep() {
-    local journal status
+    local journal status before
     journal="$(mktemp "${TMPDIR:-/tmp}/sweep_journal.XXXXXX")" \
         || return 1
     rm -f "$journal"
@@ -182,11 +205,19 @@ check_golden_sweep() {
         | diff -u tests/sweeps/golden_sweep.json -
     status=$?
     if [ "$status" -eq 0 ]; then
+        before="$(file_sha256 "$journal")"
+        status=$?
+    fi
+    if [ "$status" -eq 0 ]; then
         python -m repro sweep report \
             --spec tests/sweeps/smoke_grid.toml \
             --checkpoint "$journal" \
             --format json \
             | diff -u tests/sweeps/golden_sweep.json -
+        status=$?
+    fi
+    if [ "$status" -eq 0 ]; then
+        journal_unchanged "$before" "$journal"
         status=$?
     fi
     rm -f "$journal"

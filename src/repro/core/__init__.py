@@ -17,14 +17,12 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.core.backoff import capped_backoff, invalid_backoff_reason
     from repro.core.controller import (
         ControlLoop,
         Controller,
         FailedRescale,
         LoopResult,
         Observation,
-        RetryConfig,
         ScalingEvent,
     )
     from repro.core.learning import (
@@ -46,10 +44,9 @@ if TYPE_CHECKING:
     from repro.core.policy import DS2Policy, ExecutionModel, PolicyDecision
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.core.backoff": ("capped_backoff", "invalid_backoff_reason"),
     "repro.core.controller": (
         "ControlLoop", "Controller", "FailedRescale", "LoopResult",
-        "Observation", "RetryConfig", "ScalingEvent",
+        "Observation", "ScalingEvent",
     ),
     "repro.core.learning": (
         "LearningDS2Controller", "ScalingCurve", "ScalingCurveLearner",
@@ -79,13 +76,10 @@ __all__ = [
     "OperatorEstimate",
     "OperatorProfile",
     "PolicyDecision",
-    "RetryConfig",
     "ScalingCurve",
     "ScalingCurveLearner",
     "ScalingEvent",
-    "capped_backoff",
     "compute_optimal_parallelism",
-    "invalid_backoff_reason",
     "microbenchmark_operator",
     "offline_provisioning",
 ]

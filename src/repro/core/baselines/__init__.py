@@ -14,21 +14,20 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.core.baselines.dhalion import DhalionConfig, DhalionController
+    from repro.core.baselines.dhalion import DhalionController
     from repro.core.baselines.threshold import (
         ThresholdConfig,
         ThresholdController,
     )
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.core.baselines.dhalion": ("DhalionConfig", "DhalionController"),
+    "repro.core.baselines.dhalion": ("DhalionController",),
     "repro.core.baselines.threshold": (
         "ThresholdConfig", "ThresholdController",
     ),
 })
 
 __all__ = [
-    "DhalionConfig",
     "DhalionController",
     "ThresholdConfig",
     "ThresholdController",

@@ -25,76 +25,40 @@ improvement are blacklisted so the controller never retries them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.core.controller import Controller, Observation
-from repro.errors import PolicyError
 
 
-@dataclass(frozen=True)
-class DhalionConfig:
-    """Knobs of the Dhalion-style policy.
-
-    Attributes:
-        cooldown_intervals: Policy intervals to wait after an action
-            before diagnosing again (the system must stabilize and
-            queues must re-fill before the backpressure signal is
-            trustworthy).
-        max_scale_factor: Upper bound on the multiplicative scale-up
-            step. Dhalion's resolver derives the factor from how long
-            the operator was backpressured, ``1/(1 - bp_fraction)``,
-            which is unbounded as the fraction approaches 1, so the
-            implementation caps it; the cap keeps steps speculative and
-            conservative — the root cause of multi-step convergence.
-        min_scale_step: Lower bound on the multiplicative scale-up step.
-        backpressure_clamp: Upper clamp on the backpressure fraction
-            before computing the factor (a fully saturated operator
-            should not produce an infinite step).
-        scale_down_enabled: Whether to scale down underutilized
-            operators (off for the paper's scale-up benchmark).
-        scale_down_utilization: CPU-utilization threshold below which an
-            operator is considered over-provisioned.
-    """
-
-    cooldown_intervals: int = 2
-    max_scale_factor: float = 2.5
-    min_scale_step: float = 1.2
-    backpressure_clamp: float = 0.55
-    scale_down_enabled: bool = False
-    scale_down_utilization: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.cooldown_intervals < 0:
-            raise PolicyError("cooldown_intervals must be >= 0")
-        if self.max_scale_factor <= 1.0:
-            raise PolicyError("max_scale_factor must be > 1")
-        if self.min_scale_step <= 1.0:
-            raise PolicyError("min_scale_step must be > 1")
-        if not 0.0 < self.backpressure_clamp < 1.0:
-            raise PolicyError("backpressure_clamp must be in (0, 1)")
-        if not 0.0 < self.scale_down_utilization < 1.0:
-            raise PolicyError(
-                "scale_down_utilization must be in (0, 1)"
-            )
+#: Policy intervals to wait after an action before diagnosing again
+#: (the system must stabilize and queues must re-fill before the
+#: backpressure signal is trustworthy).
+COOLDOWN_INTERVALS = 2
+#: Upper clamp on the backpressure fraction before computing the
+#: scale-up factor. Dhalion's resolver derives the factor from how long
+#: the operator was backpressured, ``1/(1 - bp_fraction)``, which is
+#: unbounded as the fraction approaches 1; the clamp caps the step at
+#: ``1/(1 - 0.55)``, about 2.22x, keeping steps speculative and
+#: conservative — the root cause of multi-step convergence.
+BACKPRESSURE_CLAMP = 0.55
+#: Lower bound on the multiplicative scale-up step.
+MIN_SCALE_STEP = 1.2
 
 
 class DhalionController(Controller):
-    """Rule-based, backpressure-driven, single-operator controller."""
+    """Rule-based, backpressure-driven, single-operator controller.
+
+    It only scales up, as in the paper's scale-up benchmark: an idle,
+    over-provisioned operator keeps its parallelism."""
 
     name = "dhalion"
 
-    def __init__(self, config: Optional[DhalionConfig] = None) -> None:
-        self._config = config or DhalionConfig()
+    def __init__(self) -> None:
         self._cooldown = 0
         # Highest parallelism already tried per operator that failed to
         # remove backpressure — never propose anything <= this again.
         self._blacklist_floor: Dict[str, int] = {}
         self._last_scaled: Optional[str] = None
-
-    @property
-    def config(self) -> DhalionConfig:
-        return self._config
 
     def reset(self) -> None:
         self._cooldown = 0
@@ -118,11 +82,9 @@ class DhalionController(Controller):
             self._cooldown -= 1
             return None
         bottleneck = self._diagnose(observation)
-        if bottleneck is not None:
-            return self._resolve_scale_up(observation, bottleneck)
-        if self._config.scale_down_enabled:
-            return self._resolve_scale_down(observation)
-        return None
+        if bottleneck is None:
+            return None
+        return self._resolve_scale_up(observation, bottleneck)
 
     def notify_rescaled(
         self,
@@ -130,7 +92,7 @@ class DhalionController(Controller):
         outage_seconds: float,
         new_parallelism: Mapping[str, int],
     ) -> None:
-        self._cooldown = self._config.cooldown_intervals
+        self._cooldown = COOLDOWN_INTERVALS
 
     # ------------------------------------------------------------------
     # Symptom detection & diagnosis
@@ -182,7 +144,7 @@ class DhalionController(Controller):
         self, observation: Observation, bottleneck: str
     ) -> Optional[Dict[str, int]]:
         """Dhalion's resolver: scale the bottleneck up by
-        ``1 / (1 - backpressure_fraction)``, clamped and capped.
+        ``1 / (1 - backpressure_fraction)``, clamped and floored.
 
         The factor is derived purely from the externally observed
         backpressure duration — not from any notion of the operator's
@@ -192,11 +154,8 @@ class DhalionController(Controller):
         window = observation.window
         current = observation.current_parallelism[bottleneck]
         health = window.health[bottleneck]
-        bp = min(health.backpressure_fraction,
-                 self._config.backpressure_clamp)
-        factor = 1.0 / (1.0 - bp)
-        factor = min(factor, self._config.max_scale_factor)
-        factor = max(factor, self._config.min_scale_step)
+        bp = min(health.backpressure_fraction, BACKPRESSURE_CLAMP)
+        factor = max(1.0 / (1.0 - bp), MIN_SCALE_STEP)
         proposed = max(current + 1, math.ceil(current * factor))
         floor = self._blacklist_floor.get(bottleneck, 0)
         if self._last_scaled == bottleneck and current <= floor:
@@ -207,24 +166,5 @@ class DhalionController(Controller):
         self._last_scaled = bottleneck
         return {bottleneck: proposed}
 
-    def _resolve_scale_down(
-        self, observation: Observation
-    ) -> Optional[Dict[str, int]]:
-        """Scale down the most underutilized operator by one instance."""
-        window = observation.window
-        best: Optional[str] = None
-        best_util = self._config.scale_down_utilization
-        for name, current in observation.current_parallelism.items():
-            if current <= 1:
-                continue
-            util = window.cpu_utilization(name)
-            if util < best_util:
-                best = name
-                best_util = util
-        if best is None:
-            return None
-        current = observation.current_parallelism[best]
-        return {best: current - 1}
 
-
-__all__ = ["DhalionConfig", "DhalionController"]
+__all__ = ["DhalionController"]

@@ -29,7 +29,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.backoff import capped_backoff, invalid_backoff_reason
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.simulator import Simulator, TickStats
@@ -107,46 +106,11 @@ class FailedRescale:
     reason: str
 
 
-@dataclass(frozen=True)
-class RetryConfig:
-    """Capped exponential backoff for failed reconfigurations.
-
-    The first retry waits ``initial_backoff_intervals`` policy
-    intervals; each further retry multiplies the wait by
-    ``backoff_base``, capped at ``max_backoff_intervals``. After
-    ``max_attempts`` total attempts the action is abandoned (the
-    controller will re-derive it from fresh metrics if still needed).
-    """
-
-    max_attempts: int = 4
-    backoff_base: float = 2.0
-    initial_backoff_intervals: float = 1.0
-    max_backoff_intervals: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise PolicyError("max_attempts must be >= 1")
-        reason = invalid_backoff_reason(
-            base=self.backoff_base,
-            initial=self.initial_backoff_intervals,
-            cap=self.max_backoff_intervals,
-            base_name="backoff_base",
-            initial_name="initial_backoff_intervals",
-            cap_name="max_backoff_intervals",
-        )
-        if reason is not None:
-            raise PolicyError(reason)
-
-    def backoff_intervals(self, attempt: int) -> float:
-        """Policy intervals to wait after failed attempt ``attempt``."""
-        if attempt < 1:
-            raise PolicyError("attempt must be >= 1")
-        return capped_backoff(
-            attempt,
-            base=self.backoff_base,
-            initial=self.initial_backoff_intervals,
-            cap=self.max_backoff_intervals,
-        )
+#: Policy intervals waited before each retry of a rejected
+#: reconfiguration. When the last retry (attempt 4) fails too, the
+#: action is abandoned; the controller re-derives it from fresh metrics
+#: if it is still needed.
+RESCALE_BACKOFF_INTERVALS = (1.0, 2.0, 4.0)
 
 
 @dataclass
@@ -155,9 +119,6 @@ class LoopResult:
 
     events: List[ScalingEvent] = field(default_factory=list)
     windows: List[MetricsWindow] = field(default_factory=list)
-    decisions: List[Tuple[float, Optional[Dict[str, int]]]] = field(
-        default_factory=list
-    )
     failed_rescales: List[FailedRescale] = field(default_factory=list)
     #: One decision audit per policy invocation (inputs, Eq. 7/8
     #: traversal, and outcome) — what `repro explain` renders.
@@ -179,8 +140,6 @@ class ControlLoop:
         policy_interval: float,
         scalable_operators: Optional[Tuple[str, ...]] = None,
         tick_observer: Optional[Callable[[TickStats], None]] = None,
-        retry: Optional[RetryConfig] = RetryConfig(),
-        audit: bool = True,
     ) -> None:
         """Args:
             simulator: The job under control.
@@ -194,14 +153,14 @@ class ControlLoop:
                 to ignore").
             tick_observer: Optional callback invoked with every
                 :class:`TickStats` (used to build time series).
-            retry: Backoff schedule for reconfigurations the runtime
-                rejects (:class:`~repro.errors.ReconfigurationError`);
-                None propagates the first failure's record and never
-                retries. Either way a rejected rescale leaves the
-                running configuration untouched — the job is never left
-                partially reconfigured.
-            audit: Record a :class:`~repro.telemetry.DecisionAudit`
-                per policy invocation into ``result.audits``.
+
+        Every policy invocation records a
+        :class:`~repro.telemetry.DecisionAudit` into ``result.audits``.
+        A reconfiguration the runtime rejects
+        (:class:`~repro.errors.ReconfigurationError`) leaves the running
+        configuration untouched — the job is never left partially
+        reconfigured — and is retried with exponential backoff
+        (:data:`RESCALE_BACKOFF_INTERVALS`).
         """
         if not 0.0 < policy_interval < math.inf:
             raise PolicyError(
@@ -220,10 +179,8 @@ class ControlLoop:
         if unknown:
             raise PolicyError(f"unknown scalable operators {sorted(unknown)}")
         self._tick_observer = tick_observer
-        self._retry = retry
         self._tracer = active_tracer()
         self._profiler: SpanProfiler = active_profiler()
-        self._audit_enabled = audit
         # (requested, next attempt number, earliest retry time)
         self._pending_retry: Optional[
             Tuple[Dict[str, int], int, float]
@@ -282,18 +239,15 @@ class ControlLoop:
                 graph=self._sim.graph,
             )
             desired = self._controller.on_metrics(observation)
-            self.result.decisions.append((self._sim.time, desired))
-            audit: Optional[DecisionAudit] = None
-            if self._audit_enabled:
-                audit = build_decision_audit(
-                    observation, desired, self._controller
-                )
+            audit = build_decision_audit(
+                observation, desired, self._controller
+            )
             if self._sim.in_outage:
                 self._finish_decision(audit, "skipped", reason="outage")
                 return
             requested, attempt = self._select_request(desired)
             if requested is None:
-                if audit is not None and audit.skip_reason is not None:
+                if audit.skip_reason is not None:
                     self._finish_decision(audit, "skipped")
                 elif self._pending_retry is not None:
                     self._finish_decision(audit, "backoff-wait")
@@ -307,7 +261,7 @@ class ControlLoop:
 
     def _finish_decision(
         self,
-        audit: Optional[DecisionAudit],
+        audit: DecisionAudit,
         outcome: str,
         reason: Optional[str] = None,
         applied: Optional[Dict[str, int]] = None,
@@ -317,37 +271,35 @@ class ControlLoop:
     ) -> None:
         """Close out one policy invocation: finalize its audit record
         and emit the trace events."""
-        if audit is not None:
-            if reason is not None and audit.skip_reason is None:
-                audit = replace(audit, skip_reason=reason)
-            audit = finalize_audit(
-                audit,
-                outcome,
-                applied=applied,
-                outage_seconds=outage_seconds,
-                attempt=attempt,
-                failure_reason=failure_reason,
-            )
-            self.result.audits.append(audit)
+        if reason is not None and audit.skip_reason is None:
+            audit = replace(audit, skip_reason=reason)
+        audit = finalize_audit(
+            audit,
+            outcome,
+            applied=applied,
+            outage_seconds=outage_seconds,
+            attempt=attempt,
+            failure_reason=failure_reason,
+        )
+        self.result.audits.append(audit)
         tracer = self._tracer
         if tracer.enabled:
             data: Dict[str, object] = {
                 "controller": self._controller.name,
                 "outcome": outcome,
             }
-            if audit is not None and audit.skip_reason is not None:
+            if audit.skip_reason is not None:
                 data["skip_reason"] = audit.skip_reason
             if applied is not None:
                 data["applied"] = dict(applied)
             if attempt:
                 data["attempt"] = attempt
             tracer.emit("controller.invoke", self._sim.time, **data)
-            if audit is not None:
-                tracer.emit(
-                    "controller.audit",
-                    self._sim.time,
-                    audit=audit_to_dict(audit),
-                )
+            tracer.emit(
+                "controller.audit",
+                self._sim.time,
+                audit=audit_to_dict(audit),
+            )
 
     def _select_request(
         self, desired: Optional[Dict[str, int]]
@@ -395,7 +347,7 @@ class ControlLoop:
         self,
         requested: Dict[str, int],
         attempt: int,
-        audit: Optional[DecisionAudit] = None,
+        audit: DecisionAudit,
     ) -> None:
         try:
             outage = self._sim.rescale(requested)
@@ -446,10 +398,10 @@ class ControlLoop:
                 reason=str(exc),
             )
         )
-        if self._retry is None or attempt >= self._retry.max_attempts:
+        if attempt > len(RESCALE_BACKOFF_INTERVALS):
             self._pending_retry = None
             return
-        delay = self._retry.backoff_intervals(attempt) * self._interval
+        delay = RESCALE_BACKOFF_INTERVALS[attempt - 1] * self._interval
         self._pending_retry = (
             dict(requested),
             attempt + 1,
@@ -472,6 +424,5 @@ __all__ = [
     "FailedRescale",
     "LoopResult",
     "Observation",
-    "RetryConfig",
     "ScalingEvent",
 ]

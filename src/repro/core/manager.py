@@ -11,7 +11,7 @@ deployment needs:
   redeploy. Windows overlapping a reconfiguration outage are always
   ignored.
 * **Activation time** — the number of consecutive policy decisions
-  aggregated (median or max per operator) before a scaling command is
+  aggregated (median per operator) before a scaling command is
   issued, smoothing out irregular computations such as tumbling windows.
 * **Target rate ratio** — the maximum tolerated shortfall between the
   achieved source rate and the target rate. If the model considers the
@@ -23,6 +23,8 @@ deployment needs:
   an operator by at most N instances (noise guard; off by default).
 * **Rollback** — if performance degraded after a scaling action, revert
   to the previous configuration.
+* **Skew guard** — no target-rate compensation while per-instance
+  metrics show a hot-key signature, which more instances cannot fix.
 * **Decision limit** — bound the number of consecutive scaling actions
   that yield no improvement (e.g. under data skew, which scaling cannot
   fix), guaranteeing convergence.
@@ -61,6 +63,18 @@ from repro.core.policy import DS2Policy, PolicyDecision
 from repro.errors import PolicyError, StaleMetricsError
 from repro.metrics import MetricsWindow
 
+#: A rollback reverts the previous action when the achieved source rate
+#: fell below this fraction of its value before the action (and misses
+#: the target).
+DEGRADATION_FACTOR = 0.8
+#: Upper bound on the target-rate compensation multiplier.
+MAX_RATE_COMPENSATION = 2.0
+#: The skew signature (section 4.2.3): an operator's hottest instance
+#: at least this utilized...
+SKEW_SATURATION_THRESHOLD = 0.9
+#: ...and at least this many times the operator's mean utilization.
+SKEW_IMBALANCE_THRESHOLD = 1.15
+
 
 @dataclass(frozen=True)
 class ManagerConfig:
@@ -68,25 +82,19 @@ class ManagerConfig:
 
     Defaults mirror the paper's Flink experiments (section 5.3):
     30 s warm-up at a 10 s policy interval is ``warmup_intervals=3``.
+    The first three fields are the paper's manager knobs (section
+    4.2); experiments and benchmarks set warm-up, activation,
+    ``suppress_minor_change`` and ``max_useless_decisions`` to several
+    values, and the legacy DS2 contender turns the three hardening
+    fields off. Everything else the manager does is fixed (see the
+    module constants).
     """
 
     warmup_intervals: int = 0
     activation_intervals: int = 1
     target_ratio: float = 1.0
-    activation_aggregate: str = "median"
     suppress_minor_change: int = 0
-    rollback_on_degradation: bool = True
-    degradation_factor: float = 0.8
     max_useless_decisions: Optional[int] = None
-    max_rate_compensation: float = 2.0
-    #: Refuse target-rate compensation when per-instance metrics show a
-    #: data-skew signature — throwing instances at a hot key cannot meet
-    #: the target and would over-provision (section 4.2.3). The skew
-    #: detector compares each operator's hottest instance against the
-    #: mean observed processing rate.
-    skew_detection: bool = True
-    skew_imbalance_threshold: float = 1.15
-    skew_saturation_threshold: float = 0.9
     #: Freeze scaling while any operator's reporting completeness is
     #: below this floor (degraded mode); 0 disables the floor.
     min_completeness: float = 0.5
@@ -107,27 +115,13 @@ class ManagerConfig:
             raise PolicyError("activation_intervals must be >= 1")
         if not 0.0 < self.target_ratio <= 1.0:
             raise PolicyError("target_ratio must be in (0, 1]")
-        if self.activation_aggregate not in ("median", "max"):
-            raise PolicyError(
-                "activation_aggregate must be 'median' or 'max'"
-            )
         if not self.suppress_minor_change >= 0:
             raise PolicyError("suppress_minor_change must be >= 0")
-        if not 0.0 < self.degradation_factor <= 1.0:
-            raise PolicyError("degradation_factor must be in (0, 1]")
         if (
             self.max_useless_decisions is not None
             and not self.max_useless_decisions >= 1
         ):
             raise PolicyError("max_useless_decisions must be >= 1")
-        if not self.max_rate_compensation >= 1.0:
-            raise PolicyError("max_rate_compensation must be >= 1")
-        if not self.skew_imbalance_threshold >= 1.0:
-            raise PolicyError("skew_imbalance_threshold must be >= 1")
-        if not 0.0 < self.skew_saturation_threshold <= 1.0:
-            raise PolicyError(
-                "skew_saturation_threshold must be in (0, 1]"
-            )
         if not 0.0 <= self.min_completeness <= 1.0:
             raise PolicyError("min_completeness must be in [0, 1]")
         if (
@@ -399,18 +393,13 @@ class DS2Controller(Controller):
         return total
 
     def _aggregate_pending(self) -> Dict[str, int]:
-        """Median/max parallelism per operator across the activation
+        """Median parallelism per operator across the activation
         window's decisions."""
         operators = self._pending[-1].keys()
         aggregated: Dict[str, int] = {}
         for name in operators:
             values = [d[name] for d in self._pending if name in d]
-            if self._config.activation_aggregate == "max":
-                aggregated[name] = max(values)
-            else:
-                aggregated[name] = int(
-                    round(statistics.median(values))
-                )
+            aggregated[name] = int(round(statistics.median(values)))
         return aggregated
 
     def _suppress_minor(
@@ -444,8 +433,8 @@ class DS2Controller(Controller):
                 continue
             peak, ratio = window.utilization_imbalance(name)
             if (
-                peak >= self._config.skew_saturation_threshold
-                and ratio >= self._config.skew_imbalance_threshold
+                peak >= SKEW_SATURATION_THRESHOLD
+                and ratio >= SKEW_IMBALANCE_THRESHOLD
             ):
                 skewed.append(name)
         return tuple(sorted(skewed))
@@ -461,9 +450,7 @@ class DS2Controller(Controller):
             return None
         if achieved >= target * self._config.target_ratio - 1e-9:
             return None
-        if self._config.skew_detection and self.detect_skewed_operators(
-            observation
-        ):
+        if self.detect_skewed_operators(observation):
             # The shortfall comes from data imbalance, which additional
             # parallelism cannot fix: do not inflate the target. Count
             # the stalled decision so the limiter eventually freezes
@@ -473,9 +460,7 @@ class DS2Controller(Controller):
             if limit is not None and self._useless_decisions >= limit:
                 self._frozen = True
             return None
-        factor = min(
-            target / achieved, self._config.max_rate_compensation
-        )
+        factor = min(target / achieved, MAX_RATE_COMPENSATION)
         if factor <= self._rate_compensation + 1e-6:
             # Compensation already applied and did not help; count it as
             # a useless decision (possible skew/straggler, which scaling
@@ -506,9 +491,6 @@ class DS2Controller(Controller):
         a lower achieved rate after a scale-down under a lower target
         is the expected outcome, not a regression.
         """
-        if not self._config.rollback_on_degradation:
-            self._achieved_before_action = None
-            return None
         if (
             self._previous_parallelism is None
             or self._achieved_before_action is None
@@ -520,7 +502,7 @@ class DS2Controller(Controller):
         self._previous_parallelism = None
         degraded = (
             before > 0
-            and achieved < before * self._config.degradation_factor
+            and achieved < before * DEGRADATION_FACTOR
             and achieved < target * self._config.target_ratio
         )
         if degraded:

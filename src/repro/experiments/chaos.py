@@ -322,10 +322,10 @@ def run_chaos(
             byte-identical either way.
         checkpoint: Journal path making the run crash-safe: every
             completed cell, replay cells included, is durably
-            recorded, failing cells are retried then quarantined (the
-            default :class:`~repro.faults.executor.CellRetryPolicy`),
-            and the result carries :attr:`ChaosResult.coverage` (of
-            the campaign cells). Without it the first failing cell
+            recorded, failing cells are retried then quarantined
+            (:data:`~repro.faults.executor.CELL_BACKOFF_SECONDS`), and
+            the result carries :attr:`ChaosResult.coverage` (of the
+            campaign cells). Without it the first failing cell
             aborts the batch. A hard-killed run resumes with
             ``resume=True``, runs only the cells its journal lacks,
             and produces byte-identical output.

@@ -49,6 +49,11 @@ if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule
 
 
+#: :func:`run_controlled` captures one time-series sample every this
+#: many engine ticks.
+SAMPLE_EVERY = 4
+
+
 @dataclass
 class TimeSeries:
     """A sampled (time, value) series."""
@@ -140,7 +145,6 @@ def run_controlled(
     plan: Optional[PhysicalPlan] = None,
     max_parallelism: Optional[int] = None,
     scalable_operators: Optional[Tuple[str, ...]] = None,
-    sample_every: int = 4,
     fault_schedule: Optional[FaultSchedule] = None,
 ) -> ExperimentRun:
     """Run ``controller`` against ``graph`` on ``runtime``.
@@ -160,7 +164,6 @@ def run_controlled(
             ``initial_parallelism``.
         scalable_operators: Operators the loop may rescale (defaults to
             the graph's data-parallel non-source/sink operators).
-        sample_every: Capture one time-series sample every N ticks.
         fault_schedule: Optional fault schedule; when given, the
             simulator is wrapped in a
             :class:`~repro.faults.injector.FaultInjector` and the loop
@@ -193,7 +196,7 @@ def run_controlled(
 
     def observer(stats: TickStats) -> None:
         tick_counter[0] += 1
-        if tick_counter[0] % sample_every:
+        if tick_counter[0] % SAMPLE_EVERY:
             return
         for name, emitted in stats.source_emitted.items():
             source_rate[name].append(stats.time, emitted / config.tick)
@@ -302,9 +305,9 @@ def ds2_controller(
 
 def dhalion_controller() -> DhalionController:
     """Dhalion, the backpressure-driven baseline, at its defaults."""
-    from repro.core.baselines.dhalion import DhalionConfig, DhalionController
+    from repro.core.baselines.dhalion import DhalionController
 
-    return DhalionController(DhalionConfig())
+    return DhalionController()
 
 
 def contenders(

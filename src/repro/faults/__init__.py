@@ -59,7 +59,6 @@ if TYPE_CHECKING:
         CampaignCoverage,
         CampaignExecutor,
         CampaignOutcome,
-        CellRetryPolicy,
         QuarantinedCell,
     )
 
@@ -84,7 +83,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.errors": ("CampaignInterrupted",),
     "repro.faults.executor": (
         "CampaignCoverage", "CampaignExecutor", "CampaignOutcome",
-        "CellRetryPolicy", "QuarantinedCell",
+        "QuarantinedCell",
     ),
 })
 
@@ -101,7 +100,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignTargets",
     "CellKey",
-    "CellRetryPolicy",
     "CheckpointJournal",
     "FAULT_KINDS",
     "FaultEvent",

@@ -794,7 +794,6 @@ class CampaignRunner:
         controllers: Mapping[str, Callable[[], object]],
         policy_interval: float,
         engine_config: Optional[EngineConfig] = None,
-        target_rates: Optional[Mapping[str, float]] = None,
         tail_seconds: float = 120.0,
         scalable_operators: Optional[Sequence[str]] = None,
     ) -> None:
@@ -816,15 +815,10 @@ class CampaignRunner:
             if scalable_operators is not None
             else None
         )
-        if target_rates is None:
-            # Offered load at the campaign horizon; exact for the
-            # constant-rate workloads campaigns default to.
-            target_rates = {}
-        self._target_rates = dict(target_rates)
 
     def _targets_for(self, duration: float) -> Mapping[str, float]:
-        if self._target_rates:
-            return self._target_rates
+        """Offered load at the campaign horizon; exact for the
+        constant-rate workloads campaigns default to."""
         rates: Dict[str, float] = {}
         for name in self._graph.sources():
             schedule = self._graph.operator(name).rate
@@ -833,8 +827,8 @@ class CampaignRunner:
                 # and the eventual TypeError deep inside scoring would
                 # not name the offending operator.
                 raise FaultInjectionError(
-                    f"source {name!r} has no rate schedule; pass "
-                    "explicit target_rates to score this graph"
+                    f"source {name!r} has no rate schedule, so a "
+                    "campaign cannot score this graph"
                 )
             rates[name] = schedule.rate_at(duration)
         return rates

@@ -412,10 +412,79 @@ class LoadedJournal:
 
 def load_journal(path: str) -> LoadedJournal:
     """Read a checkpoint journal without opening it for appends —
-    the read-only entry point the run-report builder uses. Applies
-    the same validation as resume (torn tails tolerated with a
-    warning, everything else rejected hard)."""
+    the read-only entry point the report builders use. Applies the
+    same validation as resume (torn tails tolerated with a warning and
+    left on disk, everything else rejected hard)."""
     return CheckpointJournal._load(path)
+
+
+def check_header(
+    stored: JournalHeader, expected: JournalHeader, path: str
+) -> None:
+    """Raise :class:`CheckpointError` unless the journal at ``path``,
+    whose header is ``stored``, was written for ``expected``'s run."""
+    if stored.version != expected.version:
+        raise CheckpointError(
+            f"checkpoint {path!r} has schema version "
+            f"{stored.version}, this build writes version "
+            f"{expected.version}"
+        )
+    for field_name in (
+        "profile", "workload", "seed", "campaigns", "controllers",
+        "sweep", "cells",
+    ):
+        recorded = getattr(stored, field_name)
+        wanted = getattr(expected, field_name)
+        if recorded != wanted:
+            raise CheckpointError(
+                f"checkpoint {path!r} was written for "
+                f"{field_name}={recorded!r}, this run uses "
+                f"{field_name}={wanted!r}"
+            )
+
+
+def match_cells(
+    path: str,
+    cells: Mapping[CellKey, JournalCell],
+    specs: Sequence[CellSpec],
+) -> Dict[int, JournalCell]:
+    """Map spec indices to the journal ``cells`` recorded for them.
+
+    Only records of the batch's own kind (its specs'
+    ``result_field``) are considered, so batches of different kinds
+    can share one journal. Every such record must belong to this
+    batch (same key *and* same fingerprint); a journal holding
+    foreign or stale cells is rejected rather than partially
+    trusted.
+    """
+    by_key: Dict[CellKey, Tuple[int, CellSpec]] = {
+        spec.key: (index, spec)
+        for index, spec in enumerate(specs)
+    }
+    fields = {spec.result_field for spec in specs}
+    matched: Dict[int, JournalCell] = {}
+    for key, cell in cells.items():
+        if cell.field not in fields:
+            continue
+        located = by_key.get(key)
+        if located is None:
+            raise CheckpointError(
+                f"checkpoint {path!r} holds cell "
+                f"{_cell_label(key)} which is not part of this "
+                f"run"
+            )
+        index, spec = located
+        fingerprint = spec.fingerprint()
+        if cell.spec_hash != fingerprint:
+            raise CheckpointError(
+                f"checkpoint cell {_cell_label(key)} was recorded "
+                f"under a different campaign configuration (hash "
+                f"{cell.spec_hash} != {fingerprint}); rerun with "
+                f"the original settings or delete "
+                f"{path!r}"
+            )
+        matched[index] = cell
+    return matched
 
 
 class CheckpointJournal:
@@ -498,7 +567,7 @@ class CheckpointJournal:
                 ],
             )
         loaded = cls._load(path)
-        cls._check_header(loaded.header, header, path)
+        check_header(loaded.header, header, path)
         if loaded.warnings:
             # The torn tail has no trailing newline; appending to it
             # would concatenate records. Rewrite the valid prefix.
@@ -518,29 +587,6 @@ class CheckpointJournal:
             warnings=loaded.warnings,
             _header_on_disk=True,
         )
-
-    @staticmethod
-    def _check_header(
-        stored: JournalHeader, expected: JournalHeader, path: str
-    ) -> None:
-        if stored.version != expected.version:
-            raise CheckpointError(
-                f"checkpoint {path!r} has schema version "
-                f"{stored.version}, this build writes version "
-                f"{expected.version}"
-            )
-        for field_name in (
-            "profile", "workload", "seed", "campaigns", "controllers",
-            "sweep", "cells",
-        ):
-            recorded = getattr(stored, field_name)
-            wanted = getattr(expected, field_name)
-            if recorded != wanted:
-                raise CheckpointError(
-                    f"checkpoint {path!r} was written for "
-                    f"{field_name}={recorded!r}, this run uses "
-                    f"{field_name}={wanted!r}"
-                )
 
     @staticmethod
     def _load(
@@ -773,43 +819,9 @@ class CheckpointJournal:
         })
 
     def match(self, specs: Sequence[CellSpec]) -> Dict[int, JournalCell]:
-        """Map spec indices to their recovered journal cells.
-
-        Only records of the batch's own kind (its specs'
-        ``result_field``) are considered, so batches of different kinds
-        can share one journal. Every such record must belong to this
-        batch (same key *and* same fingerprint); a journal holding
-        foreign or stale cells is rejected rather than partially
-        trusted.
-        """
-        by_key: Dict[CellKey, Tuple[int, CellSpec]] = {
-            spec.key: (index, spec)
-            for index, spec in enumerate(specs)
-        }
-        fields = {spec.result_field for spec in specs}
-        matched: Dict[int, JournalCell] = {}
-        for key, cell in self._cells.items():
-            if cell.field not in fields:
-                continue
-            located = by_key.get(key)
-            if located is None:
-                raise CheckpointError(
-                    f"checkpoint {self._path!r} holds cell "
-                    f"{_cell_label(key)} which is not part of this "
-                    f"run"
-                )
-            index, spec = located
-            fingerprint = spec.fingerprint()
-            if cell.spec_hash != fingerprint:
-                raise CheckpointError(
-                    f"checkpoint cell {_cell_label(key)} was recorded "
-                    f"under a different campaign configuration (hash "
-                    f"{cell.spec_hash} != {fingerprint}); rerun with "
-                    f"the original settings or delete "
-                    f"{self._path!r}"
-                )
-            matched[index] = cell
-        return matched
+        """Map spec indices to their recovered journal cells (see
+        :func:`match_cells`)."""
+        return match_cells(self._path, self._cells, specs)
 
     def close(self) -> None:
         if self._file is not None:
@@ -830,8 +842,10 @@ __all__ = [
     "JournalHeader",
     "LoadedJournal",
     "cell_fingerprint",
+    "check_header",
     "content_hash",
     "load_journal",
+    "match_cells",
     "scorecard_from_payload",
     "scorecard_to_payload",
 ]

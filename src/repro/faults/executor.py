@@ -14,19 +14,18 @@ fingerprint, a body, and a JSON codec for the result.
 * **Where.** ``jobs == 1`` runs cells in-process, one at a time;
   ``jobs > 1`` runs them on a process pool. Every cell builds its own
   simulator, so where it runs changes only the wall clock.
-* **Failure.** Without a retry policy each cell gets one attempt and
-  the first failure aborts the batch with a
+* **Failure.** Without a journal each cell gets one attempt and the
+  first failure aborts the batch with a
   :class:`~repro.errors.FaultInjectionError` that names the cell and
-  carries its traceback. With a :class:`CellRetryPolicy`, failed cells
-  are retried after a capped exponential backoff and quarantined once
-  they exhaust the budget; the batch completes and
+  carries its traceback. With a journal, failed cells are retried
+  after an exponential backoff and quarantined once they exhaust
+  :data:`CELL_BACKOFF_SECONDS`; the batch completes and
   :class:`CampaignCoverage` says what is missing.
 * **Durability.** With a
   :class:`~repro.faults.checkpoint.CheckpointJournal`, every completed
   cell is fsynced the moment it finishes, and cells already in the
   journal are not re-run. Chaos runs and sweeps build their executor
-  with :func:`journaled_executor`: retry-then-quarantine exactly when
-  there is a journal, fail-fast otherwise.
+  with :func:`journaled_executor`.
 * **Interrupts.** SIGINT and SIGTERM stop the batch with
   :class:`CampaignInterrupted`. On a journaled pool run, cells already
   on a worker are drained into the journal first.
@@ -70,7 +69,6 @@ from typing import (
     Union,
 )
 
-from repro.core.backoff import capped_backoff, invalid_backoff_reason
 from repro.errors import CampaignInterrupted, FaultInjectionError
 from repro.faults.campaigns import CellKey, _cell_label
 from repro.telemetry.progress import (
@@ -140,52 +138,14 @@ CellRunner = Callable[[Any], CellResult]
 #: pool deadline when no cell has finished.
 POLL_SECONDS = 0.2
 
+#: Wall seconds waited before each retry round of a journaled batch. A
+#: cell that fails every round (3 attempts) is quarantined.
+CELL_BACKOFF_SECONDS = (0.25, 0.5)
+
 
 # ----------------------------------------------------------------------
-# Policy and results
+# Results
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CellRetryPolicy:
-    """Bounded retry for campaign cells (capped exponential backoff).
-
-    Same curve as the control loop's
-    :class:`~repro.core.controller.RetryConfig`, in wall seconds: the
-    first retry waits ``initial_backoff_seconds``, each further retry
-    multiplies by ``backoff_base``, capped at ``max_backoff_seconds``.
-    After ``max_attempts`` total attempts the cell is quarantined.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 2.0
-    initial_backoff_seconds: float = 0.25
-    max_backoff_seconds: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise FaultInjectionError("max_attempts must be >= 1")
-        reason = invalid_backoff_reason(
-            base=self.backoff_base,
-            initial=self.initial_backoff_seconds,
-            cap=self.max_backoff_seconds,
-            base_name="backoff_base",
-            initial_name="initial_backoff_seconds",
-            cap_name="max_backoff_seconds",
-        )
-        if reason is not None:
-            raise FaultInjectionError(reason)
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """Seconds to wait after failed attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise FaultInjectionError("attempt must be >= 1")
-        return capped_backoff(
-            attempt,
-            base=self.backoff_base,
-            initial=self.initial_backoff_seconds,
-            cap=self.max_backoff_seconds,
-        )
-
 
 @dataclass(frozen=True)
 class QuarantinedCell:
@@ -537,19 +497,18 @@ class CampaignExecutor:
     Contract: given specs in canonical order, every completed cell's
     result equals ``spec.run()``, and results, merged span structure
     and traces are the same for any ``jobs``. ``jobs`` picks
-    in-process (1) or pool execution; ``retry`` turns fail-fast into
-    retry-then-quarantine; ``journal`` makes the batch crash-safe and
-    resumable; ``progress`` receives heartbeats; ``pool_timeout``
-    bounds the wait for pool cells (a deadlock guard). ``runner``
-    replaces the cell body (tests inject controlled failures through
-    it) and ``sleep`` the backoff wait.
+    in-process (1) or pool execution; ``journal`` makes the batch
+    crash-safe and resumable, and turns fail-fast into
+    retry-then-quarantine; ``progress`` receives heartbeats;
+    ``pool_timeout`` bounds the wait for pool cells (a deadlock guard).
+    ``runner`` replaces the cell body (tests inject controlled failures
+    through it) and ``sleep`` the backoff wait.
     """
 
     def __init__(
         self,
         *,
         jobs: int = 1,
-        retry: Optional[CellRetryPolicy] = None,
         journal: Optional["CheckpointJournal"] = None,
         progress: Optional[ProgressListener] = None,
         pool_timeout: Optional[float] = None,
@@ -561,7 +520,6 @@ class CampaignExecutor:
                 f"campaign executor needs jobs >= 1, got {jobs}"
             )
         self._jobs = int(jobs)
-        self._retry = retry
         self._journal = journal
         self._progress = (
             progress if progress is not None else NULL_PROGRESS
@@ -606,14 +564,15 @@ class CampaignExecutor:
             )
             for index in pending
         }
-        attempts = 1 if self._retry is None else self._retry.max_attempts
+        attempts = (
+            1 if self._journal is None else len(CELL_BACKOFF_SECONDS) + 1
+        )
         try:
             with _terminate_as_interrupt():
                 attempt = 0
                 while pending and attempt < attempts:
                     if attempt:
-                        assert self._retry is not None
-                        self._sleep(self._retry.backoff_seconds(attempt))
+                        self._sleep(CELL_BACKOFF_SECONDS[attempt - 1])
                     attempt += 1
                     if self._jobs == 1:
                         self._run_in_process(batch, pending, work)
@@ -661,7 +620,7 @@ class CampaignExecutor:
         if isinstance(outcome, _CellDone):
             batch.complete(outcome)
             return
-        if self._retry is None:
+        if self._journal is None:
             label = _cell_label(batch.specs[outcome.index].key)
             message = f"campaign cell {label} failed: {outcome.error}"
             if outcome.traceback:
@@ -826,11 +785,10 @@ def journaled_executor(
     Without ``checkpoint`` the executor fails fast and keeps no
     journal, and ``header`` may be None. With one, it opens the
     journal under ``header`` (continuing it when
-    ``resume``), retries failing cells then quarantines them
-    (:class:`CellRetryPolicy` defaults), and closes the journal on
-    exit. Recovery notes (a dropped torn tail) and, on resume, the
-    cells the interrupted run was executing are re-emitted as
-    RuntimeWarnings.
+    ``resume``), retries failing cells then quarantines them, and
+    closes the journal on exit. Recovery notes (a dropped torn tail)
+    and, on resume, the cells the interrupted run was executing are
+    re-emitted as RuntimeWarnings.
     """
     if checkpoint is None:
         yield CampaignExecutor(jobs=jobs, progress=progress)
@@ -853,10 +811,7 @@ def journaled_executor(
                     stacklevel=4,
                 )
         yield CampaignExecutor(
-            jobs=jobs,
-            retry=CellRetryPolicy(),
-            journal=journal,
-            progress=progress,
+            jobs=jobs, journal=journal, progress=progress
         )
 
 
@@ -865,7 +820,6 @@ __all__ = [
     "CampaignExecutor",
     "CampaignInterrupted",
     "CampaignOutcome",
-    "CellRetryPolicy",
     "CellRunner",
     "CellWork",
     "QuarantinedCell",

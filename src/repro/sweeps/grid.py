@@ -27,6 +27,7 @@ cleanly across pool workers (checked before the first pool round by
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -53,7 +54,12 @@ from repro.faults.campaigns import (
     SasoScorecard,
     resolve_jobs,
 )
-from repro.faults.checkpoint import CheckpointJournal, JournalHeader
+from repro.faults.checkpoint import (
+    JournalHeader,
+    check_header,
+    load_journal,
+    match_cells,
+)
 from repro.faults.executor import CampaignCoverage, journaled_executor
 from repro.sweeps.spec import (
     SweepCell,
@@ -243,7 +249,7 @@ def run_sweep(
     pool otherwise). Without ``checkpoint`` any cell failure aborts the
     sweep. With ``checkpoint``, completed cells are durably journaled
     the moment they finish, failing cells are retried then quarantined
-    (the default :class:`~repro.faults.executor.CellRetryPolicy`), and a
+    (see :data:`~repro.faults.executor.CELL_BACKOFF_SECONDS`), and a
     hard-killed sweep resumes with ``resume=True`` producing
     byte-identical output. Results are byte-identical across job
     counts, backends, and fresh-vs-resumed runs.
@@ -279,15 +285,17 @@ def sweep_result_from_journal(
     trusted. Cells missing from the journal (killed or quarantined
     runs) are simply absent from the result; the sensitivity report
     flags the gap.
+
+    The journal is only read: a torn final record is reported as a
+    RuntimeWarning and left on disk for ``sweep run --resume`` to
+    recover.
     """
     grid = compile_grid(spec)
-    journal = CheckpointJournal.open(
-        checkpoint, grid.header, resume=True
-    )
-    try:
-        matched = journal.match(grid.specs)
-    finally:
-        journal.close()
+    loaded = load_journal(checkpoint)
+    check_header(loaded.header, grid.header, checkpoint)
+    for note in loaded.warnings:
+        warnings.warn(note, RuntimeWarning, stacklevel=2)
+    matched = match_cells(checkpoint, loaded.cells, grid.specs)
     return SweepResult(
         grid=grid,
         scorecards={

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.baselines import (
-    DhalionConfig,
     DhalionController,
     ThresholdConfig,
     ThresholdController,
@@ -113,9 +112,7 @@ class TestDhalionDiagnosis:
 
 class TestDhalionResolver:
     def test_scale_factor_from_backpressure_fraction(self, chain_graph):
-        ctrl = DhalionController(
-            DhalionConfig(backpressure_clamp=0.5, max_scale_factor=4.0)
-        )
+        ctrl = DhalionController()
         parallelism = {"src": 1, "worker": 10, "snk": 1}
         obs = observation(
             chain_graph,
@@ -127,9 +124,7 @@ class TestDhalionResolver:
         assert decision == {"worker": 20}
 
     def test_scale_factor_capped(self, chain_graph):
-        ctrl = DhalionController(
-            DhalionConfig(max_scale_factor=1.5, backpressure_clamp=0.9)
-        )
+        ctrl = DhalionController()
         parallelism = {"src": 1, "worker": 10, "snk": 1}
         obs = observation(
             chain_graph,
@@ -137,7 +132,8 @@ class TestDhalionResolver:
             parallelism=parallelism,
         )
         decision = ctrl.on_metrics(obs)
-        assert decision == {"worker": 15}
+        # The fraction is clamped to 0.55: factor 1/0.45 -> ceil(22.2).
+        assert decision == {"worker": 23}
 
     def test_minimum_step_of_one(self, chain_graph):
         ctrl = DhalionController()
@@ -148,7 +144,7 @@ class TestDhalionResolver:
         assert decision["worker"] >= 2
 
     def test_cooldown_after_action(self, chain_graph):
-        ctrl = DhalionController(DhalionConfig(cooldown_intervals=2))
+        ctrl = DhalionController()
         obs = observation(chain_graph, health={"worker": bp_health()})
         assert ctrl.on_metrics(obs) is not None
         ctrl.notify_rescaled(10.0, 60.0, {"worker": 3})
@@ -156,19 +152,15 @@ class TestDhalionResolver:
         assert ctrl.on_metrics(obs) is None
         assert ctrl.on_metrics(obs) is not None
 
-    def test_scale_down_when_enabled(self, chain_graph):
-        ctrl = DhalionController(
-            DhalionConfig(scale_down_enabled=True,
-                          scale_down_utilization=0.4)
-        )
+    def test_no_scale_down_when_over_provisioned(self, chain_graph):
+        ctrl = DhalionController()
         obs = observation(
             chain_graph,
             health={"worker": ok_health()},
             parallelism={"src": 1, "worker": 4, "snk": 1},
             worker_useful=1.0,  # 10% utilization
         )
-        decision = ctrl.on_metrics(obs)
-        assert decision == {"worker": 3}
+        assert ctrl.on_metrics(obs) is None
 
     def test_reset_clears_state(self, chain_graph):
         ctrl = DhalionController()
@@ -176,14 +168,6 @@ class TestDhalionResolver:
         ctrl.reset()
         obs = observation(chain_graph, health={"worker": bp_health()})
         assert ctrl.on_metrics(obs) is not None
-
-    def test_config_validation(self):
-        with pytest.raises(PolicyError):
-            DhalionConfig(cooldown_intervals=-1)
-        with pytest.raises(PolicyError):
-            DhalionConfig(max_scale_factor=1.0)
-        with pytest.raises(PolicyError):
-            DhalionConfig(backpressure_clamp=1.0)
 
 
 class TestThresholdController:

@@ -6,14 +6,13 @@ written as ``not x >= c`` (or ``not c < x < inf``) for NaN to fail it.
 
 import pytest
 
-from repro.core.controller import ControlLoop, RetryConfig
+from repro.core.controller import ControlLoop
 from repro.core.manager import DS2Controller, ManagerConfig
 from repro.core.policy import DS2Policy
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.errors import EngineError, FaultInjectionError, PolicyError
-from repro.faults.executor import CellRetryPolicy
+from repro.errors import EngineError, PolicyError
 
 NAN = float("nan")
 INF = float("inf")
@@ -34,34 +33,12 @@ def _loop(graph, policy_interval):
     [
         (lambda g: _loop(g, NAN), PolicyError),
         (lambda g: _loop(g, INF), PolicyError),
-        (lambda g: RetryConfig(backoff_base=NAN), PolicyError),
-        (lambda g: RetryConfig(initial_backoff_intervals=NAN), PolicyError),
-        (lambda g: RetryConfig(max_backoff_intervals=NAN), PolicyError),
-        (lambda g: CellRetryPolicy(backoff_base=NAN), FaultInjectionError),
-        (
-            lambda g: CellRetryPolicy(initial_backoff_seconds=NAN),
-            FaultInjectionError,
-        ),
-        (
-            lambda g: CellRetryPolicy(max_backoff_seconds=NAN),
-            FaultInjectionError,
-        ),
-        (lambda g: ManagerConfig(max_rate_compensation=NAN), PolicyError),
-        (lambda g: ManagerConfig(skew_imbalance_threshold=NAN), PolicyError),
         (lambda g: ManagerConfig(max_window_age_intervals=NAN), PolicyError),
         (lambda g: ManagerConfig(suppress_minor_change=NAN), PolicyError),
     ],
     ids=[
         "loop-interval-nan",
         "loop-interval-inf",
-        "retry-base",
-        "retry-initial",
-        "retry-cap",
-        "cell-retry-base",
-        "cell-retry-initial",
-        "cell-retry-cap",
-        "manager-rate-compensation",
-        "manager-skew-threshold",
         "manager-window-age",
         "manager-minor-change",
     ],

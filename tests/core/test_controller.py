@@ -90,9 +90,9 @@ class TestControlLoop:
         loop = ControlLoop(simulator(chain_graph), ctrl,
                            policy_interval=5.0)
         result = loop.run(10.0)
-        assert len(result.decisions) == 2
-        assert result.decisions[0][1] is None
-        assert result.decisions[1][1] == {"worker": 2}
+        assert [a.time for a in result.audits] == [5.0, 10.0]
+        assert result.audits[0].proposal is None
+        assert result.audits[1].proposal == {"worker": 2}
 
     def test_tick_observer_sees_every_tick(self, chain_graph):
         seen = []

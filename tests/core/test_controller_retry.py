@@ -1,13 +1,7 @@
 """Retry-with-backoff in the control loop, driven end-to-end through a
 real simulator with injected rescale failures."""
 
-import pytest
-
-from repro.core.controller import (
-    ControlLoop,
-    Controller,
-    RetryConfig,
-)
+from repro.core.controller import ControlLoop, Controller
 from repro.dataflow.graph import Edge, LogicalGraph
 from repro.dataflow.operators import (
     CostModel,
@@ -20,7 +14,6 @@ from repro.dataflow.physical import PhysicalPlan
 from repro.dataflow.state import SavepointModel
 from repro.engine.runtimes import FlinkRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.errors import PolicyError
 from repro.faults import FaultInjector, FaultSchedule, RescaleFailure
 
 
@@ -43,7 +36,7 @@ class ScaleTo(Controller):
         return None
 
 
-def make_loop(schedule, controller, retry=RetryConfig(), interval=10.0):
+def make_loop(schedule, controller, interval=10.0):
     graph = LogicalGraph(
         [
             source("src", rate=RateSchedule.constant(1000.0)),
@@ -59,36 +52,7 @@ def make_loop(schedule, controller, retry=RetryConfig(), interval=10.0):
         EngineConfig(tick=0.5, track_record_latency=False),
     )
     job = FaultInjector(simulator, schedule)
-    return ControlLoop(
-        job, controller, policy_interval=interval, retry=retry
-    )
-
-
-class TestRetryConfig:
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"backoff_base": 0.5},
-        {"initial_backoff_intervals": 0.0},
-        {"max_backoff_intervals": 0.5},  # < initial of 1.0
-    ])
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(PolicyError):
-            RetryConfig(**kwargs)
-
-    def test_backoff_doubles_and_caps(self):
-        config = RetryConfig(
-            max_attempts=6,
-            backoff_base=2.0,
-            initial_backoff_intervals=1.0,
-            max_backoff_intervals=8.0,
-        )
-        assert [config.backoff_intervals(a) for a in range(1, 6)] == [
-            1.0, 2.0, 4.0, 8.0, 8.0,
-        ]
-
-    def test_attempt_must_be_positive(self):
-        with pytest.raises(PolicyError):
-            RetryConfig().backoff_intervals(0)
+    return ControlLoop(job, controller, policy_interval=interval)
 
 
 class TestLoopRetry:
@@ -110,42 +74,19 @@ class TestLoopRetry:
         }
 
     def test_abandons_after_max_attempts(self):
+        # Four armed failures: attempts at t=10, 20, 40 and 80 fail and
+        # the action is abandoned, so the fifth, which would succeed,
+        # is never made.
         schedule = FaultSchedule([
-            RescaleFailure(time=0.0, mode="abort", count=3),
+            RescaleFailure(time=0.0, mode="abort", count=4),
         ])
-        loop = make_loop(
-            schedule,
-            ScaleTo({"op": 4}, repeat=False),
-            retry=RetryConfig(max_attempts=2),
-        )
-        result = loop.run(120.0)
-        assert [f.attempt for f in result.failed_rescales] == [1, 2]
+        loop = make_loop(schedule, ScaleTo({"op": 4}, repeat=False))
+        result = loop.run(200.0)
+        assert [
+            (f.time, f.attempt) for f in result.failed_rescales
+        ] == [(10.0, 1), (20.0, 2), (40.0, 3), (80.0, 4)]
         assert result.events == []
         assert loop.simulator.plan.parallelism["op"] == 2
-
-    def test_retry_none_never_retries(self):
-        schedule = FaultSchedule([
-            RescaleFailure(time=0.0, mode="abort", count=1),
-        ])
-        loop = make_loop(
-            schedule, ScaleTo({"op": 4}, repeat=False), retry=None
-        )
-        result = loop.run(60.0)
-        assert len(result.failed_rescales) == 1
-        assert result.events == []
-        assert loop.simulator.plan.parallelism["op"] == 2
-
-    def test_fresh_decisions_reattempt_without_retry(self):
-        # With retry disabled a *fresh* controller decision still gets
-        # its own first attempt — only loop-driven retries are off.
-        schedule = FaultSchedule([
-            RescaleFailure(time=0.0, mode="abort", count=1),
-        ])
-        loop = make_loop(schedule, ScaleTo({"op": 4}), retry=None)
-        result = loop.run(30.0)
-        assert [f.attempt for f in result.failed_rescales] == [1]
-        assert [e.time for e in result.events] == [20.0]
-        assert loop.simulator.plan.parallelism["op"] == 4
 
     def test_no_failures_means_no_retry_state(self):
         loop = make_loop(FaultSchedule([]), ScaleTo({"op": 4}))

@@ -56,13 +56,8 @@ class TestConfigValidation:
         {"activation_intervals": 0},
         {"target_ratio": 0.0},
         {"target_ratio": 1.5},
-        {"activation_aggregate": "mean"},
         {"suppress_minor_change": -1},
-        {"degradation_factor": 0.0},
         {"max_useless_decisions": 0},
-        {"max_rate_compensation": 0.9},
-        {"skew_imbalance_threshold": 0.5},
-        {"skew_saturation_threshold": 0.0},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(PolicyError):
@@ -107,11 +102,7 @@ class TestActivation:
         assert decision == {"worker": 2}
 
     def test_median_aggregation(self, chain_graph):
-        ctrl = controller(
-            chain_graph,
-            activation_intervals=3,
-            activation_aggregate="median",
-        )
+        ctrl = controller(chain_graph, activation_intervals=3)
         # Rates imply parallelism 2, 2, 6 -> median 2.
         ctrl.on_metrics(observation(chain_graph, worker_rate=500.0))
         ctrl.on_metrics(observation(chain_graph, worker_rate=500.0))
@@ -120,18 +111,15 @@ class TestActivation:
         )
         assert decision == {"worker": 2}
 
-    def test_max_aggregation(self, chain_graph):
-        ctrl = controller(
-            chain_graph,
-            activation_intervals=3,
-            activation_aggregate="max",
-        )
-        ctrl.on_metrics(observation(chain_graph, worker_rate=500.0))
-        ctrl.on_metrics(observation(chain_graph, worker_rate=500.0))
-        decision = ctrl.on_metrics(
-            observation(chain_graph, worker_rate=180.0)
-        )
-        assert decision == {"worker": 6}
+    def test_median_of_distinct_decisions(self, chain_graph):
+        ctrl = controller(chain_graph, activation_intervals=3)
+        # Rates imply parallelism 2, 9, 3 -> median 3 (not the first,
+        # the last, the smallest or the largest).
+        for rate in (500.0, 112.0, 340.0):
+            decision = ctrl.on_metrics(
+                observation(chain_graph, worker_rate=rate)
+            )
+        assert decision == {"worker": 3}
 
     def test_pending_cleared_after_rescale(self, chain_graph):
         ctrl = controller(chain_graph, activation_intervals=2)
@@ -192,13 +180,16 @@ class TestTargetRateCompensation:
         assert ctrl.rate_compensation == 1.0
 
     def test_compensation_capped(self, chain_graph):
-        ctrl = controller(chain_graph, max_rate_compensation=1.5)
-        ctrl.on_metrics(observation(chain_graph))
+        ctrl = controller(chain_graph)
+        ctrl.on_metrics(observation(chain_graph, achieved=450.0))
         ctrl.notify_rescaled(0.0, 0.0, {"worker": 2})
-        ctrl.on_metrics(
-            observation(chain_graph, parallelism=2, achieved=100.0)
+        # A 2.5x shortfall (no collapse, so no rollback) compensates by
+        # the 2x cap only.
+        decision = ctrl.on_metrics(
+            observation(chain_graph, parallelism=2, achieved=400.0)
         )
-        assert ctrl.rate_compensation <= 1.5
+        assert ctrl.rate_compensation == 2.0
+        assert decision == {"worker": 4}
 
     def test_repeated_failure_freezes(self, chain_graph):
         ctrl = controller(chain_graph, max_useless_decisions=2)
@@ -262,7 +253,7 @@ class TestSkewDetection:
 
 class TestRollback:
     def test_rolls_back_degrading_action(self, chain_graph):
-        ctrl = controller(chain_graph, degradation_factor=0.8)
+        ctrl = controller(chain_graph)
         decision = ctrl.on_metrics(observation(chain_graph))
         assert decision == {"worker": 2}
         ctrl.notify_rescaled(0.0, 0.0, {"worker": 2})
@@ -292,20 +283,6 @@ class TestRollback:
         )
         # New decision for the lower rate, not a rollback to 4.
         assert follow_up == {"worker": 2}
-
-    def test_rollback_disabled(self, chain_graph):
-        ctrl = controller(
-            chain_graph, rollback_on_degradation=False
-        )
-        ctrl.on_metrics(observation(chain_graph))
-        ctrl.notify_rescaled(0.0, 0.0, {"worker": 2})
-        result = ctrl.on_metrics(
-            observation(chain_graph, parallelism=2, achieved=100.0,
-                        worker_rate=500.0)
-        )
-        # Without rollback the manager just keeps the configuration
-        # (model satisfied) or compensates; never returns to 1.
-        assert result is None or result["worker"] >= 2
 
 
 class TestReset:

@@ -54,7 +54,6 @@ class TestRunControlled:
             engine_config=EngineConfig(
                 tick=0.1, track_record_latency=False
             ),
-            sample_every=2,
         )
         assert run.final_parallelism["worker"] == 2
         assert run.scaling_steps == 1

@@ -490,23 +490,8 @@ class TestRateLessSourceRegression:
             runner._targets_for(240.0)
         message = str(excinfo.value)
         assert SOURCE in message
-        assert "target_rates" in message
+        assert "no rate schedule" in message
         assert not isinstance(excinfo.value, AssertionError)
-
-    def test_explicit_target_rates_bypass_source_rates(self):
-        graph = heron_wordcount_graph()
-        runner = CampaignRunner(
-            graph=graph,
-            runtime=HeronRuntime(),
-            initial_parallelism={
-                SOURCE: 2, FLATMAP: 1, COUNT: 1, SINK: 1,
-            },
-            controllers=chaos_controllers(),
-            policy_interval=HERON_POLICY_INTERVAL,
-            target_rates={SOURCE: 1000.0},
-        )
-        object.__setattr__(graph.operator(SOURCE), "rate", None)
-        assert runner._targets_for(240.0) == {SOURCE: 1000.0}
 
 
 def _module_factory():

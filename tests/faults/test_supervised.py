@@ -3,8 +3,9 @@
 The journal's durability contract lives in test_checkpoint.py; this
 file covers the supervising layer wrapped around it:
 
-* bounded retry with capped exponential backoff (injected fake sleep
-  asserts the exact wait sequence),
+* bounded retry with exponential backoff on journaled runs (injected
+  fake sleep asserts the exact wait sequence), and fail-fast without a
+  journal,
 * quarantine of cells that exhaust the budget — the batch completes
   with coverage annotated instead of aborting, on both the in-process
   and the process-pool paths,
@@ -13,7 +14,7 @@ file covers the supervising layer wrapped around it:
   identical scorecards; Ctrl-C during the chaos recovery replay
   resumes by running only the replay cells the journal lacks, to
   identical stdout,
-* `CampaignRunner.execute` with a retry policy emitting the same trace
+* `CampaignRunner.execute` on a journaled executor emitting the same trace
   and scorecards as the plain `CampaignRunner.run` path,
 * `run_chaos` retrying then quarantining exactly when it has a
   checkpoint journal, and failing fast without one,
@@ -40,11 +41,7 @@ from repro.experiments.harness import RUNTIMES
 from repro.faults import campaigns
 from repro.faults.campaigns import run_campaign_cell
 from repro.faults.checkpoint import CheckpointJournal, load_journal
-from repro.faults.executor import (
-    CampaignExecutor,
-    CampaignInterrupted,
-    CellRetryPolicy,
-)
+from repro.faults.executor import CampaignExecutor, CampaignInterrupted
 from repro.telemetry.tracer import Tracer, tracing
 from tests.faults.test_checkpoint import (
     HEADER,
@@ -133,49 +130,38 @@ class _RecordReplay:
         return run_recovery_cell(spec)
 
 
+def _journal(tmp_path):
+    """A fresh journal: a journaled executor retries, then
+    quarantines."""
+    return CheckpointJournal.open(str(tmp_path / "cells.ckpt"), HEADER)
+
+
 class TestRetryPolicy:
-    def test_backoff_sequence_is_capped_exponential(self):
-        policy = CellRetryPolicy()
-        waits = [policy.backoff_seconds(n) for n in range(1, 7)]
-        assert waits == [0.25, 0.5, 1.0, 2.0, 4.0, 4.0]
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"max_attempts": 0}, "max_attempts"),
-            ({"backoff_base": 0.5}, "backoff_base"),
-            ({"initial_backoff_seconds": 0.0}, "initial_backoff"),
-            (
-                {
-                    "initial_backoff_seconds": 2.0,
-                    "max_backoff_seconds": 1.0,
-                },
-                "max_backoff",
-            ),
-        ],
-    )
-    def test_invalid_policy_rejected(self, kwargs, match):
-        with pytest.raises(FaultInjectionError, match=match):
-            CellRetryPolicy(**kwargs)
-
-    def test_attempt_must_be_positive(self):
-        with pytest.raises(FaultInjectionError, match="attempt"):
-            CellRetryPolicy().backoff_seconds(0)
-
     def test_executor_rejects_bad_limits(self):
         with pytest.raises(FaultInjectionError, match="jobs"):
             CampaignExecutor(jobs=0)
 
+    def test_without_journal_first_failure_aborts(self):
+        specs = _specs(campaigns=1)
+        flaky = _Flaky({specs[0].key: 1})
+        sleeps = []
+        executor = CampaignExecutor(runner=flaky, sleep=sleeps.append)
+        with pytest.raises(FaultInjectionError, match="flaky attempt 1"):
+            executor.execute(specs)
+        assert flaky.attempts == {specs[0].key: 1}
+        assert sleeps == []
+
 
 class TestRetryAndQuarantine:
-    def test_flaky_cell_retried_with_exact_backoff(self):
+    def test_flaky_cell_retried_with_exact_backoff(self, tmp_path):
         specs = _specs(campaigns=1)
         flaky = _Flaky({specs[0].key: 2})
         sleeps = []
-        supervisor = CampaignExecutor(
-            runner=flaky, retry=CellRetryPolicy(), sleep=sleeps.append
-        )
-        outcome = supervisor.execute(specs)
+        with _journal(tmp_path) as journal:
+            supervisor = CampaignExecutor(
+                runner=flaky, journal=journal, sleep=sleeps.append
+            )
+            outcome = supervisor.execute(specs)
         assert outcome.coverage.complete
         assert sleeps == [0.25, 0.5]
         assert flaky.attempts[specs[0].key] == 3
@@ -183,15 +169,14 @@ class TestRetryAndQuarantine:
         # still matches an unsupervised run exactly.
         assert outcome.scorecards == CampaignExecutor().run_cells(specs)
 
-    def test_poison_cell_quarantined_serially(self):
+    def test_poison_cell_quarantined_serially(self, tmp_path):
         specs = _specs(campaigns=1)
         sleeps = []
-        supervisor = CampaignExecutor(
-            runner=_fail_dhalion,
-            retry=CellRetryPolicy(max_attempts=2),
-            sleep=sleeps.append,
-        )
-        outcome = supervisor.execute(specs)
+        with _journal(tmp_path) as journal:
+            supervisor = CampaignExecutor(
+                runner=_fail_dhalion, journal=journal, sleep=sleeps.append
+            )
+            outcome = supervisor.execute(specs)
         cov = outcome.coverage
         assert (cov.cells, cov.completed, cov.quarantined) == (3, 2, 1)
         assert not cov.complete
@@ -199,27 +184,30 @@ class TestRetryAndQuarantine:
         assert cell.key == next(
             s.key for s in specs if s.controller == "dhalion"
         )
-        assert cell.attempts == 2
+        assert cell.attempts == 3
         assert "ValueError: injected poison" in cell.error
         assert "injected poison" in cell.traceback
-        # One backoff between the two rounds, none after the last.
-        assert sleeps == [0.25]
+        # One backoff between rounds, none after the last.
+        assert sleeps == [0.25, 0.5]
         good = [s for s in specs if s.controller != "dhalion"]
         assert outcome.scorecards == CampaignExecutor().run_cells(good)
 
-    def test_run_cells_contract_turns_quarantine_into_error(self):
+    def test_run_cells_contract_turns_quarantine_into_error(
+        self, tmp_path
+    ):
         specs = _specs(campaigns=1)
-        supervisor = CampaignExecutor(
-            runner=_fail_dhalion,
-            retry=CellRetryPolicy(max_attempts=1),
-            sleep=lambda _: None,
-        )
-        with pytest.raises(
-            FaultInjectionError, match="retry budget.*dhalion"
-        ):
-            supervisor.run_cells(specs)
+        with _journal(tmp_path) as journal:
+            supervisor = CampaignExecutor(
+                runner=_fail_dhalion,
+                journal=journal,
+                sleep=lambda _: None,
+            )
+            with pytest.raises(
+                FaultInjectionError, match="retry budget.*dhalion"
+            ):
+                supervisor.run_cells(specs)
 
-    def test_poison_cell_quarantined_on_pool(self, monkeypatch):
+    def test_poison_cell_quarantined_on_pool(self, monkeypatch, tmp_path):
         specs = _specs(campaigns=1)
         guarded = []
         check = CampaignExecutor._ensure_submittable
@@ -233,18 +221,19 @@ class TestRetryAndQuarantine:
             "_ensure_submittable",
             staticmethod(counting_check),
         )
-        supervisor = CampaignExecutor(
-            jobs=2,
-            runner=_fail_dhalion,
-            retry=CellRetryPolicy(max_attempts=2),
-            sleep=lambda _: None,
-            pool_timeout=POOL_TIMEOUT,
-        )
-        outcome = supervisor.execute(specs)
+        with _journal(tmp_path) as journal:
+            supervisor = CampaignExecutor(
+                jobs=2,
+                runner=_fail_dhalion,
+                journal=journal,
+                sleep=lambda _: None,
+                pool_timeout=POOL_TIMEOUT,
+            )
+            outcome = supervisor.execute(specs)
         cov = outcome.coverage
         assert (cov.cells, cov.completed, cov.quarantined) == (3, 2, 1)
         (cell,) = cov.quarantined_cells
-        assert cell.attempts == 2
+        assert cell.attempts == 3
         assert "ValueError: injected poison" in cell.error
         # The pickle guard runs once per batch, not once per round.
         assert guarded == [[0, 1, 2]]
@@ -350,17 +339,17 @@ class TestInterruptAndResume:
 
 
 class TestSupervisedCampaignDriver:
-    def test_matches_plain_campaign_runner_trace(self):
+    def test_matches_plain_campaign_runner_trace(self, tmp_path):
         runner = _runner()
         plain_tracer = Tracer()
         with tracing(plain_tracer):
             plain = runner.run(_generator(), 2)
         supervised_tracer = Tracer()
-        with tracing(supervised_tracer):
+        with tracing(supervised_tracer), _journal(tmp_path) as journal:
             outcome = runner.execute(
                 _generator(),
                 2,
-                executor=CampaignExecutor(retry=CellRetryPolicy()),
+                executor=CampaignExecutor(journal=journal),
             )
         assert outcome.scorecards == plain
         assert outcome.coverage.complete
@@ -368,15 +357,15 @@ class TestSupervisedCampaignDriver:
             supervised_tracer.to_jsonl() == plain_tracer.to_jsonl()
         )
 
-    def test_quarantine_traced_instead_of_aborting(self):
+    def test_quarantine_traced_instead_of_aborting(self, tmp_path):
         tracer = Tracer()
-        with tracing(tracer):
+        with tracing(tracer), _journal(tmp_path) as journal:
             outcome = _runner().execute(
                 _generator(),
                 1,
                 executor=CampaignExecutor(
                     runner=_fail_dhalion,
-                    retry=CellRetryPolicy(max_attempts=1),
+                    journal=journal,
                     sleep=lambda _: None,
                 ),
             )
@@ -414,7 +403,7 @@ class TestRetryIffJournal:
         assert (coverage.completed, coverage.quarantined) == (2, 1)
         (cell,) = coverage.quarantined_cells
         assert cell.key == (1, 0, "dhalion")
-        assert cell.attempts == CellRetryPolicy().max_attempts
+        assert cell.attempts == 3
 
 
 class TestChaosReportCoverage:

@@ -199,3 +199,27 @@ def test_sweep_report_cli_reproduces_run_output(tmp_path):
     )
     assert report.returncode == 0, report.stderr
     assert report.stdout == run.stdout
+
+
+def test_sweep_report_leaves_a_torn_journal_untouched(tmp_path):
+    """`repro sweep report` only reads its journal: a torn final record
+    is reported on stderr and stays on disk (resume recovers it), and
+    the intact cells still render the full report."""
+    checkpoint = tmp_path / "sweep.jsonl"
+    run_sweep(load_spec(str(SPEC_PATH)), checkpoint=str(checkpoint))
+    with open(checkpoint, "a", encoding="utf-8") as handle:
+        handle.write('{"record": "cell", "key": [1, 0')
+    before = checkpoint.read_bytes()
+    report = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "report",
+         "--spec", str(SPEC_PATH), "--checkpoint", str(checkpoint),
+         "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=POOL_TIMEOUT,
+    )
+    assert report.returncode == 0, report.stderr
+    assert checkpoint.read_bytes() == before
+    assert "RuntimeWarning: dropped torn final record" in report.stderr
+    assert report.stdout == GOLDEN_PATH.read_text()

@@ -106,16 +106,6 @@ class TestControlLoopAudits:
         assert rescaled.outage_seconds > 0.0
         assert rescaled.controller == "scripted"
 
-    def test_audit_false_disables_recording(self, chain_graph):
-        loop = ControlLoop(
-            _simulator(chain_graph),
-            Scripted([{"worker": 2}]),
-            policy_interval=5.0,
-            audit=False,
-        )
-        result = loop.run(20.0)
-        assert result.audits == []
-
     def test_ds2_controller_fills_operator_rows(self, chain_graph):
         ctrl = DS2Controller(
             DS2Policy(chain_graph),
