@@ -12,7 +12,7 @@ are suppression-hygiene rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.errors import ReproError
 
@@ -88,9 +88,6 @@ class RuleRegistry:
     @property
     def ids(self) -> Tuple[str, ...]:
         return tuple(self._by_id)
-
-    def as_mapping(self) -> Mapping[str, Rule]:
-        return dict(self._by_id)
 
 
 __all__ = [

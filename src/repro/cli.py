@@ -24,8 +24,8 @@ Commands:
   (scorecards, decision audits, per-cell durations, heartbeats, span
   rollups) into one text/JSON/markdown summary.
 * ``sweep run --spec FILE`` — run a declarative parameter-sweep grid
-  (TOML spec: profile × rate × burstiness × controller × runtime ×
-  backend) on the campaign executor seam and print its sensitivity
+  (TOML spec: profile × rate × burstiness × controller × runtime) on
+  the campaign executor seam and print its sensitivity
   report; ``--jobs``, ``--checkpoint``/``--resume``, and
   ``--progress`` work exactly as for ``run chaos``.
 * ``sweep report --spec FILE --checkpoint FILE`` — rebuild the

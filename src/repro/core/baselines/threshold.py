@@ -10,7 +10,6 @@ which DS2 suffers from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 

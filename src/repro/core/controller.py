@@ -30,7 +30,6 @@ from typing import (
 )
 
 from repro.dataflow.graph import LogicalGraph
-from repro.dataflow.physical import PhysicalPlan
 from repro.engine.simulator import Simulator, TickStats
 from repro.errors import PolicyError, ReconfigurationError
 from repro.metrics import MetricsWindow

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.controller import Observation
 from repro.core.manager import DS2Controller, ManagerConfig

@@ -20,7 +20,7 @@ and the static graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Set, Tuple
 
 from repro.dataflow.graph import LogicalGraph

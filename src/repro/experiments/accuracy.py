@@ -17,10 +17,10 @@ keeps 1 s of data processed in under 1 s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.manager import DS2Controller, ManagerConfig
-from repro.core.policy import DS2Policy, ExecutionModel
+from repro.core.policy import DS2Policy
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.latency import LatencyDistribution
 from repro.engine.runtimes import FlinkRuntime, TimelyRuntime

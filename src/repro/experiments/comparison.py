@@ -17,7 +17,7 @@ started under-provisioned at one instance per operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.engine.runtimes import HeronRuntime
 from repro.experiments.harness import (

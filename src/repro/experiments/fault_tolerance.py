@@ -32,7 +32,7 @@ The default campaign:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.engine.runtimes import HeronRuntime
 from repro.experiments.comparison import HERON_POLICY_INTERVAL

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.controller import LoopResult, ScalingEvent
+from repro.core.controller import LoopResult
 from repro.errors import ReproError
 
 

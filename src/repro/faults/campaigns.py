@@ -549,7 +549,7 @@ def score_campaign_run(
         recovery = sum(
             outage for _, outage in run.injector.crash_outages
         )
-    audits = getattr(run.loop_result, "audits", None)
+    audits = run.loop_result.audits
     audit = summarize_audits(audits) if audits else None
     return SasoScorecard(
         controller=controller,

@@ -222,7 +222,7 @@ def _is_int(value: object) -> bool:
 
 def _header_int(payload: Mapping[str, object], name: str) -> int:
     value = payload[name]
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return value
     raise TypeError(f"{name} is not an integer: {value!r}")
 

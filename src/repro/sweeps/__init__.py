@@ -1,8 +1,8 @@
 """Declarative parameter sweeps over the campaign executor seam.
 
-A sweep names a grid over six axes — chaos profile, source-rate
-multiplier, burstiness, controller, runtime, engine backend — plus
-optional explicit cells, and compiles every grid cell into the same
+A sweep names a grid over five axes — chaos profile, source-rate
+multiplier, burstiness, controller, runtime — plus optional explicit
+cells, and compiles every grid cell into the same
 :class:`~repro.faults.campaigns.CampaignCellSpec` currency chaos
 campaigns run on. Sweeps therefore inherit ``--jobs N`` parallelism,
 retry/quarantine supervision, crash-safe checkpoint journals with

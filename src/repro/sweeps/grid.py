@@ -10,7 +10,7 @@ progress heartbeats, and span profiling.
 
 Scheduling fairness: a cell's fault schedule is sampled from
 ``(profile, burstiness, seed, campaign index)`` only — cells that
-differ in rate, runtime, backend, or controller replay *identical*
+differ in rate, runtime or controller replay *identical*
 storms, so DS2-vs-Dhalion margins and per-axis marginals compare
 controllers under the same faults, not different luck. A pinned
 burstiness gets its own variant profile (distinct PRNG stream), since
@@ -100,7 +100,7 @@ def _variant_profile(
 ) -> CampaignProfile:
     """The cell's sampling profile. A pinned burstiness renames the
     profile (``smoke[b=3]``), giving the variant its own PRNG stream —
-    a burstier storm is a *different* storm, while rate/runtime/backend
+    a burstier storm is a *different* storm, while rate and runtime
     variations keep the base stream so schedules stay shared."""
     base = PROFILES[profile]
     if burstiness is None or burstiness == base.burstiness:
@@ -252,7 +252,7 @@ def run_sweep(
     (see :data:`~repro.faults.executor.CELL_BACKOFF_SECONDS`), and a
     hard-killed sweep resumes with ``resume=True`` producing
     byte-identical output. Results are byte-identical across job
-    counts, backends, and fresh-vs-resumed runs.
+    counts and between fresh and resumed runs.
     """
     grid = compile_grid(spec)
     if resume and checkpoint is None:

@@ -33,7 +33,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.experiments.report import format_table
 from repro.faults.campaigns import SasoScorecard
 from repro.sweeps.grid import SweepResult
-from repro.sweeps.spec import AXIS_ORDER, SweepCell, spec_fingerprint
+from repro.sweeps.spec import (
+    AXES,
+    SCENARIO_AXES,
+    SweepCell,
+    spec_fingerprint,
+)
 
 #: Schema version of the JSON rendering (bump on breaking changes).
 SWEEP_SCHEMA_VERSION = 1
@@ -46,36 +51,8 @@ def _round(value: float) -> float:
     return round(value, 9)
 
 
-def _axis_value(cell: SweepCell, axis: str) -> str:
-    """The cell's value on ``axis``, as a deterministic string."""
-    if axis == "profile":
-        return cell.profile
-    if axis == "rate":
-        return f"{cell.rate:g}"
-    if axis == "burstiness":
-        return (
-            "profile"
-            if cell.burstiness is None
-            else f"{cell.burstiness:g}"
-        )
-    if axis == "controller":
-        return cell.controller
-    if axis == "runtime":
-        return cell.runtime
-    assert axis == "backend", axis
-    return cell.backend
-
-
 def _scenario_label(cell: SweepCell) -> str:
-    burst = (
-        "profile"
-        if cell.burstiness is None
-        else f"{cell.burstiness:g}"
-    )
-    return (
-        f"{cell.profile} rate={cell.rate:g} burst={burst} "
-        f"{cell.runtime}/{cell.backend}"
-    )
+    return " ".join(axis.tag + axis.text(cell) for axis in SCENARIO_AXES)
 
 
 @dataclass(frozen=True)
@@ -201,19 +178,13 @@ def build_sweep_report(result: SweepResult) -> SweepReport:
     scored = [s for s in summaries if s.mean_score is not None]
 
     marginals: List[AxisMarginal] = []
-    for axis in AXIS_ORDER:
-        values = sorted(
-            {_axis_value(s.cell, axis) for s in summaries}
-        )
+    for axis in AXES.values():
+        values = sorted({axis.text(s.cell) for s in summaries})
         if len(values) < 2:
             continue
         effects: List[AxisEffect] = []
         for value in values:
-            members = [
-                s
-                for s in scored
-                if _axis_value(s.cell, axis) == value
-            ]
+            members = [s for s in scored if axis.text(s.cell) == value]
             if not members:
                 continue
             effects.append(
@@ -228,7 +199,7 @@ def build_sweep_report(result: SweepResult) -> SweepReport:
             )
         if len(effects) >= 2:
             marginals.append(
-                AxisMarginal(axis=axis, effects=tuple(effects))
+                AxisMarginal(axis=axis.name, effects=tuple(effects))
             )
 
     margins: List[MarginRow] = []
@@ -308,12 +279,7 @@ def _cell_payload(summary: CellSummary) -> Dict[str, object]:
     return {
         "index": cell.index,
         "scenario": cell.scenario,
-        "profile": cell.profile,
-        "rate": cell.rate,
-        "burstiness": cell.burstiness,
-        "controller": cell.controller,
-        "runtime": cell.runtime,
-        "backend": cell.backend,
+        **{axis.name: getattr(cell, axis.name) for axis in AXES.values()},
         "explicit": cell.explicit,
         "campaigns": summary.campaigns,
         "mean_score": summary.mean_score,
@@ -383,6 +349,27 @@ def _score_text(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.4f}"
 
 
+#: The grid table's columns: the cell, its axes, then its scores.
+_GRID_HEADINGS: Tuple[str, ...] = (
+    "cell",
+    *(axis.heading for axis in AXES.values()),
+    "runs",
+    "score",
+    "settle",
+)
+
+
+def _grid_row(summary: CellSummary) -> Tuple[str, ...]:
+    cell = summary.cell
+    return (
+        str(cell.index),
+        *(axis.text(cell) for axis in AXES.values()),
+        str(summary.campaigns),
+        _score_text(summary.mean_score),
+        _score_text(summary.mean_settling_epochs),
+    )
+
+
 def render_sweep_text(report: SweepReport) -> str:
     """Deterministic plain-text rendering (the CLI default)."""
     sections: List[str] = []
@@ -394,38 +381,10 @@ def render_sweep_text(report: SweepReport) -> str:
             f"{report.executor_cells} executor cells"
         )
     )
-    rows: List[Tuple[object, ...]] = []
-    for summary in report.cells:
-        cell = summary.cell
-        rows.append(
-            (
-                cell.index,
-                cell.profile,
-                f"{cell.rate:g}",
-                _axis_value(cell, "burstiness"),
-                cell.controller,
-                cell.runtime,
-                cell.backend,
-                summary.campaigns,
-                _score_text(summary.mean_score),
-                _score_text(summary.mean_settling_epochs),
-            )
-        )
     sections.append(
         format_table(
-            (
-                "cell",
-                "profile",
-                "rate",
-                "burst",
-                "controller",
-                "runtime",
-                "backend",
-                "runs",
-                "score",
-                "settle",
-            ),
-            rows,
+            _GRID_HEADINGS,
+            [_grid_row(summary) for summary in report.cells],
             title=(
                 f"Sweep '{report.label}' "
                 f"({len(report.cells)} cells x {report.campaigns} "
@@ -525,21 +484,11 @@ def render_sweep_markdown(report: SweepReport) -> str:
         "",
         "## Grid",
         "",
-        "| cell | profile | rate | burst | controller | runtime "
-        "| backend | runs | score | settle |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- | --- "
-        "| --- |",
+        "| " + " | ".join(_GRID_HEADINGS) + " |",
+        "|" + " --- |" * len(_GRID_HEADINGS),
     ]
     for summary in report.cells:
-        cell = summary.cell
-        lines.append(
-            f"| {cell.index} | {cell.profile} | {cell.rate:g} "
-            f"| {_axis_value(cell, 'burstiness')} "
-            f"| {cell.controller} | {cell.runtime} | {cell.backend} "
-            f"| {summary.campaigns} "
-            f"| {_score_text(summary.mean_score)} "
-            f"| {_score_text(summary.mean_settling_epochs)} |"
-        )
+        lines.append("| " + " | ".join(_grid_row(summary)) + " |")
     if report.marginals:
         lines += [
             "",

@@ -1,18 +1,19 @@
 """Declarative sweep grids: axes, expansion, and fingerprints.
 
-A :class:`SweepSpec` names a grid over six axes — chaos profile,
-source-rate multiplier, burstiness, controller, runtime, and engine
-backend — plus optional explicit cells outside the cartesian product
-(e.g. Timely-runtime cells for DS2 only, where Dhalion has no
-global-scaling analogue). Expansion (:func:`expand_cells`) is
-deterministic by construction:
+A :class:`SweepSpec` names a grid over five axes — chaos profile,
+source-rate multiplier, burstiness, controller and runtime — plus
+optional explicit cells outside the cartesian product (e.g.
+Timely-runtime cells for DS2 only, where Dhalion has no global-scaling
+analogue). Each axis is stated once, in :data:`AXES`: its domain
+check, canonical value order, default and display text. Expansion
+(:func:`expand_cells`) is deterministic by construction:
 
 * axis values are canonicalized (deduplicated and sorted) at
   construction, so neither axis declaration order nor value
   declaration order affects the grid;
 * cells are ordered scenario-major (profile, rate, burstiness,
-  runtime, backend in that fixed order), controller-minor, with
-  explicit cells appended after the cartesian block;
+  runtime in that fixed order), controller-minor, with explicit cells
+  sorted the same way and appended after the cartesian block;
 * every coordinate is validated against its axis domain *before* any
   cell runs, with the failing axis named in the error.
 
@@ -29,31 +30,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import product
 from typing import (
+    Any,
+    Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from repro.errors import SweepError
 from repro.faults.campaigns import PROFILES
-
-#: The canonical axis order: scenario axes first (profile-major …
-#: backend-minor), controller last. Expansion always iterates in this
-#: order, so a spec's cell order never depends on how its axes were
-#: declared.
-AXIS_ORDER: Tuple[str, ...] = (
-    "profile",
-    "rate",
-    "burstiness",
-    "controller",
-    "runtime",
-    "backend",
-)
 
 #: Controllers a sweep may pit against each other (the chaos roster).
 SWEEP_CONTROLLERS: Tuple[str, ...] = ("ds2", "ds2-legacy", "dhalion")
@@ -61,26 +54,12 @@ SWEEP_CONTROLLERS: Tuple[str, ...] = ("ds2", "ds2-legacy", "dhalion")
 #: Runtime execution models cells may run on.
 SWEEP_RUNTIMES: Tuple[str, ...] = ("heron", "flink", "timely")
 
-#: Engine backends: only "default" (the one engine) is left. The axis
-#: stays so that specs and reports keep their shape.
-SWEEP_BACKENDS: Tuple[str, ...] = ("default",)
-
-#: Axis values assumed when a spec omits the axis entirely.
-DEFAULT_AXES: Dict[str, Tuple[object, ...]] = {
-    "profile": ("smoke",),
-    "rate": (1.0,),
-    "burstiness": (None,),
-    "controller": ("ds2", "dhalion"),
-    "runtime": ("heron",),
-    "backend": ("default",),
-}
-
 
 def _axis_error(axis: str, message: str) -> SweepError:
     return SweepError(f"sweep axis {axis!r}: {message}")
 
 
-def _check_profile(value: object, axis: str = "profile") -> str:
+def _check_profile(value: object, axis: str) -> str:
     if not isinstance(value, str) or value not in PROFILES:
         raise _axis_error(
             axis,
@@ -90,7 +69,7 @@ def _check_profile(value: object, axis: str = "profile") -> str:
     return value
 
 
-def _check_rate(value: object, axis: str = "rate") -> float:
+def _check_rate(value: object, axis: str) -> float:
     if isinstance(value, bool) or not isinstance(
         value, (int, float)
     ):
@@ -106,9 +85,7 @@ def _check_rate(value: object, axis: str = "rate") -> float:
     return rate
 
 
-def _check_burstiness(
-    value: object, axis: str = "burstiness"
-) -> Optional[float]:
+def _check_burstiness(value: object, axis: str) -> Optional[float]:
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(
@@ -137,26 +114,137 @@ def _check_choice(
     return value
 
 
+def _burst_key(value: Optional[float]) -> Tuple[int, float]:
+    # None (profile default) sorts before any pinned burstiness.
+    return (0, 0.0) if value is None else (1, value)
+
+
+def _show_burstiness(value: Optional[float]) -> str:
+    return "profile" if value is None else f"{value:g}"
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One sweep axis, stated once.
+
+    ``check(value, name)`` validates one value, raising a
+    :class:`~repro.errors.SweepError` that names the axis, and returns
+    it canonicalized; ``rank`` is the sort key of the canonical value
+    order; ``default`` holds the values of a spec that omits the axis;
+    ``show`` is a value's display text in reports, under the grid
+    column ``heading`` and, in scenario labels, after ``tag``.
+    ``field`` names the :class:`SweepSpec` field holding the values.
+    """
+
+    name: str
+    field: str
+    check: Callable[[Any, str], Any]
+    rank: Callable[[Any], Any]
+    default: Tuple[object, ...]
+    show: Callable[[Any], str]
+    heading: str
+    tag: str = ""
+
+    def canonical(self, values: Sequence[object]) -> Tuple[object, ...]:
+        """Check, deduplicate and sort one axis's values."""
+        ordered = sorted(
+            {self.check(value, self.name) for value in values},
+            key=self.rank,
+        )
+        if not ordered:
+            raise _axis_error(self.name, "needs at least one value")
+        return tuple(ordered)
+
+    def text(self, coordinate: CellCoordinate) -> str:
+        """The coordinate's value on this axis, as display text."""
+        return self.show(getattr(coordinate, self.name))
+
+
+#: Every sweep axis, keyed in the canonical axis order. Validation,
+#: canonicalization, expansion, fingerprints and the sensitivity
+#: report all read this table.
+AXES: Dict[str, Axis] = {
+    axis.name: axis
+    for axis in (
+        Axis(
+            name="profile",
+            field="profiles",
+            check=_check_profile,
+            rank=str,
+            default=("smoke",),
+            show=str,
+            heading="profile",
+        ),
+        Axis(
+            name="rate",
+            field="rates",
+            check=_check_rate,
+            rank=float,
+            default=(1.0,),
+            show="{:g}".format,
+            heading="rate",
+            tag="rate=",
+        ),
+        Axis(
+            name="burstiness",
+            field="burstiness",
+            check=_check_burstiness,
+            rank=_burst_key,
+            default=(None,),
+            show=_show_burstiness,
+            heading="burst",
+            tag="burst=",
+        ),
+        Axis(
+            name="controller",
+            field="controllers",
+            check=partial(_check_choice, choices=SWEEP_CONTROLLERS),
+            rank=SWEEP_CONTROLLERS.index,
+            default=("ds2", "dhalion"),
+            show=str,
+            heading="controller",
+        ),
+        Axis(
+            name="runtime",
+            field="runtimes",
+            check=partial(_check_choice, choices=SWEEP_RUNTIMES),
+            rank=SWEEP_RUNTIMES.index,
+            default=("heron",),
+            show=str,
+            heading="runtime",
+        ),
+    )
+}
+
+#: The canonical axis order (the documented contract).
+AXIS_ORDER: Tuple[str, ...] = tuple(AXES)
+
+#: A scenario is every axis but the controller.
+SCENARIO_AXES: Tuple[Axis, ...] = tuple(
+    axis for axis in AXES.values() if axis is not AXES["controller"]
+)
+
+#: Cell order: scenario-major in AXIS_ORDER, controller-minor.
+CELL_ORDER: Tuple[Axis, ...] = SCENARIO_AXES + (AXES["controller"],)
+
+
 @dataclass(frozen=True)
 class CellCoordinate:
-    """One fully specified grid coordinate (an explicit cell)."""
+    """One fully specified grid coordinate (an explicit cell).
+
+    Each value is checked against its axis and stored canonicalized.
+    """
 
     profile: str
     rate: float
     burstiness: Optional[float]
     controller: str
     runtime: str
-    backend: str
 
     def __post_init__(self) -> None:
-        _check_profile(self.profile)
-        _check_rate(self.rate)
-        _check_burstiness(self.burstiness)
-        _check_choice(
-            self.controller, "controller", SWEEP_CONTROLLERS
-        )
-        _check_choice(self.runtime, "runtime", SWEEP_RUNTIMES)
-        _check_choice(self.backend, "backend", SWEEP_BACKENDS)
+        for axis in AXES.values():
+            value = axis.check(getattr(self, axis.name), axis.name)
+            object.__setattr__(self, axis.name, value)
         if self.controller == "dhalion" and self.runtime == "timely":
             raise SweepError(
                 "cell pairs controller 'dhalion' with runtime "
@@ -164,116 +252,31 @@ class CellCoordinate:
                 "global-scaling analogue"
             )
 
-    @property
-    def scenario(self) -> Tuple[object, ...]:
+    def scenario_key(self) -> Tuple[object, ...]:
         """The coordinate minus its controller: cells sharing a
         scenario replay identical fault schedules."""
-        return (
-            self.profile,
-            self.rate,
-            self.burstiness,
-            self.runtime,
-            self.backend,
-        )
+        return tuple(getattr(self, axis.name) for axis in SCENARIO_AXES)
 
     def sort_key(self) -> Tuple[object, ...]:
-        return (
-            self.profile,
-            self.rate,
-            _burst_key(self.burstiness),
-            self.runtime,
-            self.backend,
-            self.controller,
+        """Canonical cell order: scenario-major, controller-minor."""
+        return tuple(
+            axis.rank(getattr(self, axis.name)) for axis in CELL_ORDER
         )
 
 
 @dataclass(frozen=True)
-class SweepCell:
-    """One expanded grid cell, in canonical order.
+class SweepCell(CellCoordinate):
+    """One expanded grid cell: a coordinate at its place in the grid.
 
     ``index`` is the cell's position in the grid; ``scenario`` is the
-    ordinal of its (profile, rate, burstiness, runtime, backend)
-    coordinate — shared by the cells that differ only in controller,
-    and the stream the cell's fault schedules are sampled from.
+    ordinal of its scenario coordinate — shared by the cells that
+    differ only in controller, and the stream the cell's fault
+    schedules are sampled from.
     """
 
     index: int
     scenario: int
-    profile: str
-    rate: float
-    burstiness: Optional[float]
-    controller: str
-    runtime: str
-    backend: str
     explicit: bool = False
-
-    @property
-    def coordinate(self) -> CellCoordinate:
-        return CellCoordinate(
-            profile=self.profile,
-            rate=self.rate,
-            burstiness=self.burstiness,
-            controller=self.controller,
-            runtime=self.runtime,
-            backend=self.backend,
-        )
-
-    def label(self) -> str:
-        burst = (
-            "profile"
-            if self.burstiness is None
-            else f"{self.burstiness:g}"
-        )
-        return (
-            f"{self.profile} rate={self.rate:g} burst={burst} "
-            f"{self.runtime}/{self.backend} {self.controller}"
-        )
-
-
-def _burst_key(value: Optional[float]) -> Tuple[int, float]:
-    # None (profile default) sorts before any pinned burstiness.
-    return (0, 0.0) if value is None else (1, value)
-
-
-def _canonical(
-    values: Sequence[object], axis: str
-) -> Tuple[object, ...]:
-    """Deduplicate and sort one axis's values canonically."""
-    if axis == "profile":
-        checked: List[object] = [
-            _check_profile(v, axis) for v in values
-        ]
-        ordered = sorted(set(checked))  # type: ignore[type-var]
-    elif axis == "rate":
-        ordered = sorted({_check_rate(v, axis) for v in values})
-    elif axis == "burstiness":
-        ordered = sorted(
-            {_check_burstiness(v, axis) for v in values},
-            key=_burst_key,
-        )
-    elif axis == "controller":
-        checked = [
-            _check_choice(v, axis, SWEEP_CONTROLLERS) for v in values
-        ]
-        ordered = [c for c in SWEEP_CONTROLLERS if c in set(checked)]
-    elif axis == "runtime":
-        checked = [
-            _check_choice(v, axis, SWEEP_RUNTIMES) for v in values
-        ]
-        ordered = [r for r in SWEEP_RUNTIMES if r in set(checked)]
-    elif axis == "backend":
-        checked = [
-            _check_choice(v, axis, SWEEP_BACKENDS) for v in values
-        ]
-        ordered = [b for b in SWEEP_BACKENDS if b in set(checked)]
-    else:
-        raise SweepError(
-            f"unknown sweep axis {axis!r} "
-            f"(expected one of {', '.join(AXIS_ORDER)})"
-        )
-    if not ordered:
-        raise _axis_error(axis, "needs at least one value")
-    return tuple(ordered)
 
 
 @dataclass(frozen=True)
@@ -288,12 +291,11 @@ class SweepSpec:
     """
 
     name: str
-    profiles: Tuple[str, ...] = ("smoke",)
-    rates: Tuple[float, ...] = (1.0,)
-    burstiness: Tuple[Optional[float], ...] = (None,)
-    controllers: Tuple[str, ...] = ("ds2", "dhalion")
-    runtimes: Tuple[str, ...] = ("heron",)
-    backends: Tuple[str, ...] = ("default",)
+    profiles: Tuple[str, ...]
+    rates: Tuple[float, ...]
+    burstiness: Tuple[Optional[float], ...]
+    controllers: Tuple[str, ...]
+    runtimes: Tuple[str, ...]
     explicit: Tuple[CellCoordinate, ...] = ()
     campaigns: int = 1
     seed: int = 1
@@ -303,28 +305,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise SweepError("sweep needs a non-empty name")
-        object.__setattr__(
-            self, "profiles", _canonical(self.profiles, "profile")
-        )
-        object.__setattr__(
-            self, "rates", _canonical(self.rates, "rate")
-        )
-        object.__setattr__(
-            self,
-            "burstiness",
-            _canonical(self.burstiness, "burstiness"),
-        )
-        object.__setattr__(
-            self,
-            "controllers",
-            _canonical(self.controllers, "controller"),
-        )
-        object.__setattr__(
-            self, "runtimes", _canonical(self.runtimes, "runtime")
-        )
-        object.__setattr__(
-            self, "backends", _canonical(self.backends, "backend")
-        )
+        for axis in AXES.values():
+            values = axis.canonical(getattr(self, axis.field))
+            object.__setattr__(self, axis.field, values)
         if (
             "dhalion" in self.controllers
             and "timely" in self.runtimes
@@ -365,36 +348,32 @@ class SweepSpec:
     ) -> "SweepSpec":
         """Build a spec from an axis mapping plus explicit cells.
 
-        Unknown axis names, out-of-domain values, and malformed
-        explicit cells raise :class:`~repro.errors.SweepError` naming
-        the offending axis — before any cell runs.
+        An omitted axis takes its default values. Unknown axis names,
+        out-of-domain values, and malformed explicit cells raise
+        :class:`~repro.errors.SweepError` naming the offending axis —
+        before any cell runs.
         """
         axes = dict(axes or {})
-        unknown = set(axes) - set(AXIS_ORDER)
+        unknown = set(axes) - set(AXES)
         if unknown:
             raise SweepError(
                 f"unknown sweep axis "
                 f"{', '.join(repr(a) for a in sorted(unknown))} "
                 f"(expected one of {', '.join(AXIS_ORDER)})"
             )
-        for axis, values in axes.items():
+        for axis_name, values in axes.items():
             if isinstance(values, (str, bytes)) or not isinstance(
                 values, Sequence
             ):
                 raise _axis_error(
-                    axis, f"values must be a list, got {values!r}"
+                    axis_name, f"values must be a list, got {values!r}"
                 )
-        def axis_values(axis: str) -> Tuple[object, ...]:
-            return tuple(axes.get(axis, DEFAULT_AXES[axis]))
-
         return cls(
             name=name,
-            profiles=axis_values("profile"),  # type: ignore[arg-type]
-            rates=axis_values("rate"),  # type: ignore[arg-type]
-            burstiness=axis_values("burstiness"),  # type: ignore[arg-type]
-            controllers=axis_values("controller"),  # type: ignore[arg-type]
-            runtimes=axis_values("runtime"),  # type: ignore[arg-type]
-            backends=axis_values("backend"),  # type: ignore[arg-type]
+            **{  # type: ignore[arg-type]
+                axis.field: tuple(axes.get(axis.name, axis.default))
+                for axis in AXES.values()
+            },
             explicit=tuple(
                 _coordinate_from_mapping(cell, position)
                 for position, cell in enumerate(cells, start=1)
@@ -410,12 +389,7 @@ class SweepSpec:
     def axes(self) -> Dict[str, Tuple[object, ...]]:
         """The canonicalized axis values, keyed in AXIS_ORDER."""
         return {
-            "profile": self.profiles,
-            "rate": self.rates,
-            "burstiness": self.burstiness,
-            "controller": self.controllers,
-            "runtime": self.runtimes,
-            "backend": self.backends,
+            axis.name: getattr(self, axis.field) for axis in AXES.values()
         }
 
 
@@ -427,36 +401,24 @@ def _coordinate_from_mapping(
             f"explicit cell {position} must be a table of axis "
             f"values, got {cell!r}"
         )
-    unknown = set(cell) - set(AXIS_ORDER)
+    unknown = set(cell) - set(AXES)
     if unknown:
         raise SweepError(
             f"explicit cell {position} names unknown axis "
             f"{', '.join(repr(a) for a in sorted(unknown))} "
             f"(expected one of {', '.join(AXIS_ORDER)})"
         )
-    missing = {"profile", "rate", "controller", "runtime"} - set(cell)
+    # An explicit cell may leave out only its burstiness, which then
+    # stays the chaos profile's own.
+    values = {"burstiness": None, **cell}
+    missing = set(AXES) - set(values)
     if missing:
         raise SweepError(
             f"explicit cell {position} is missing axis "
             f"{', '.join(repr(a) for a in sorted(missing))}"
         )
     try:
-        return CellCoordinate(
-            profile=_check_profile(cell["profile"]),
-            rate=_check_rate(cell["rate"]),
-            burstiness=_check_burstiness(cell.get("burstiness")),
-            controller=_check_choice(
-                cell["controller"], "controller", SWEEP_CONTROLLERS
-            ),
-            runtime=_check_choice(
-                cell["runtime"], "runtime", SWEEP_RUNTIMES
-            ),
-            backend=_check_choice(
-                cell.get("backend", "default"),
-                "backend",
-                SWEEP_BACKENDS,
-            ),
-        )
+        return CellCoordinate(**values)  # type: ignore[arg-type]
     except SweepError as error:
         raise SweepError(
             f"explicit cell {position}: {error}"
@@ -471,55 +433,36 @@ def expand_cells(spec: SweepSpec) -> Tuple[SweepCell, ...]:
     """The grid's cells in canonical order.
 
     Cartesian cells first — scenario-major in AXIS_ORDER
-    (profile, rate, burstiness, runtime, backend), controller-minor —
-    then explicit cells in their canonical order, skipping any
-    coordinate already produced. Scenario ordinals are assigned by
-    first appearance and shared with explicit cells that land on an
-    existing scenario (so their fault schedules match).
+    (profile, rate, burstiness, runtime), controller-minor — then
+    explicit cells in the same order, skipping any coordinate already
+    produced. Scenario ordinals are assigned by first appearance and
+    shared with explicit cells that land on an existing scenario (so
+    their fault schedules match).
     """
     cells: List[SweepCell] = []
-    seen: Dict[Tuple[object, ...], int] = {}
+    seen: Set[CellCoordinate] = set()
     scenarios: Dict[Tuple[object, ...], int] = {}
 
     def add(coord: CellCoordinate, explicit: bool) -> None:
-        full = coord.scenario + (coord.controller,)
-        if full in seen:
+        if coord in seen:
             return
-        scenario = scenarios.setdefault(
-            coord.scenario, len(scenarios)
-        )
-        seen[full] = len(cells)
+        seen.add(coord)
         cells.append(
             SweepCell(
                 index=len(cells),
-                scenario=scenario,
-                profile=coord.profile,
-                rate=coord.rate,
-                burstiness=coord.burstiness,
-                controller=coord.controller,
-                runtime=coord.runtime,
-                backend=coord.backend,
+                scenario=scenarios.setdefault(
+                    coord.scenario_key(), len(scenarios)
+                ),
                 explicit=explicit,
+                **asdict(coord),
             )
         )
 
-    for profile in spec.profiles:
-        for rate in spec.rates:
-            for burst in spec.burstiness:
-                for runtime in spec.runtimes:
-                    for backend in spec.backends:
-                        for controller in spec.controllers:
-                            add(
-                                CellCoordinate(
-                                    profile=profile,
-                                    rate=rate,
-                                    burstiness=burst,
-                                    controller=controller,
-                                    runtime=runtime,
-                                    backend=backend,
-                                ),
-                                explicit=False,
-                            )
+    names = [axis.name for axis in CELL_ORDER]
+    for values in product(
+        *(getattr(spec, axis.field) for axis in CELL_ORDER)
+    ):
+        add(CellCoordinate(**dict(zip(names, values))), explicit=False)
     for coord in spec.explicit:
         add(coord, explicit=True)
     return tuple(cells)
@@ -751,10 +694,10 @@ def load_spec(path: str) -> SweepSpec:
 
 
 __all__ = [
+    "AXES",
     "AXIS_ORDER",
+    "Axis",
     "CellCoordinate",
-    "DEFAULT_AXES",
-    "SWEEP_BACKENDS",
     "SWEEP_CONTROLLERS",
     "SWEEP_RUNTIMES",
     "SweepCell",

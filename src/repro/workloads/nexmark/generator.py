@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.errors import ReproError
 from repro.workloads.nexmark.model import (
@@ -89,10 +89,6 @@ class NexmarkGenerator:
     @property
     def config(self) -> GeneratorConfig:
         return self._config
-
-    @property
-    def events_generated(self) -> int:
-        return self._event_index
 
     def _timestamp(self) -> float:
         return self._event_index / self._config.events_per_second

@@ -19,7 +19,7 @@ remains emergent behaviour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.dataflow.graph import Edge, LogicalGraph

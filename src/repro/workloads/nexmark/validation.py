@@ -12,7 +12,7 @@ the bridge between the record-level and fluid layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.workloads.nexmark.generator import (
     GeneratorConfig,
@@ -27,7 +27,6 @@ from repro.workloads.nexmark.queries import (
 from repro.workloads.nexmark.semantics import (
     q1_currency_conversion,
     q2_selection,
-    q3_local_item_suggestion,
 )
 
 

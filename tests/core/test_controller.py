@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.controller import ControlLoop, Controller, Observation
+from repro.core.controller import ControlLoop, Controller
 from repro.core.manager import DS2Controller, ManagerConfig
 from repro.core.policy import DS2Policy
 from repro.dataflow.physical import PhysicalPlan

@@ -28,7 +28,6 @@ from repro.sweeps import (
 )
 from repro.sweeps.spec import (
     AXIS_ORDER,
-    SWEEP_BACKENDS,
     SWEEP_CONTROLLERS,
     SWEEP_RUNTIMES,
     _parse_minimal_toml,
@@ -71,9 +70,6 @@ controller_runtime = st.one_of(
         ),
     ),
 )
-backends = st.lists(
-    st.sampled_from(list(SWEEP_BACKENDS)), min_size=1, max_size=3
-)
 
 
 @st.composite
@@ -85,7 +81,6 @@ def sweep_axes(draw):
         "burstiness": draw(burstiness),
         "controller": ctrl,
         "runtime": runt,
-        "backend": draw(backends),
     }
 
 
@@ -132,18 +127,28 @@ def test_cells_cover_exactly_the_cartesian_product(axes):
     cells = expand_cells(spec)
     expected = (
         len(spec.profiles) * len(spec.rates) * len(spec.burstiness)
-        * len(spec.runtimes) * len(spec.backends)
-        * len(spec.controllers)
+        * len(spec.runtimes) * len(spec.controllers)
     )
     assert len(cells) == expected
     coords = [
-        (c.profile, c.rate, c.burstiness, c.controller, c.runtime,
-         c.backend)
+        (c.profile, c.rate, c.burstiness, c.controller, c.runtime)
         for c in cells
     ]
     assert len(set(coords)) == len(coords)
     assert [c.index for c in cells] == list(range(len(cells)))
-    # Controller is the fastest-varying axis within a scenario.
+    # Scenario-major (profile, rate, burstiness, runtime), with the
+    # controller as the fastest-varying axis.
+    assert [
+        (c.profile, c.rate, c.burstiness, c.runtime, c.controller)
+        for c in cells
+    ] == [
+        (profile, rate, burst, runtime, controller)
+        for profile in spec.profiles
+        for rate in spec.rates
+        for burst in spec.burstiness
+        for runtime in spec.runtimes
+        for controller in spec.controllers
+    ]
     scenarios = [c.scenario for c in cells]
     assert scenarios == sorted(scenarios)
 
@@ -180,7 +185,6 @@ def test_explicit_cells_subset_of_own_cartesian_closure(axes, pick):
                 "burstiness": chosen.burstiness,
                 "controller": chosen.controller,
                 "runtime": chosen.runtime,
-                "backend": chosen.backend,
             }
         ],
     )
@@ -205,6 +209,35 @@ def test_explicit_cell_outside_grid_appends_after_cartesian():
     assert cells[-1].runtime == "timely"
     # The explicit cell is a new scenario (fresh ordinal).
     assert cells[-1].scenario == 1
+
+
+def test_explicit_cells_follow_the_cartesian_order():
+    """Explicit cells are ordered like cartesian cells: scenario-major
+    with each axis in its canonical (roster) order, controller-minor."""
+    spec = SweepSpec.build(
+        "g",
+        axes={"controller": ["ds2"], "runtime": ["heron"]},
+        cells=[
+            {
+                "profile": "mixed",
+                "rate": 1.0,
+                "controller": controller,
+                "runtime": runtime,
+            }
+            for controller in ("dhalion", "ds2")
+            for runtime in ("flink", "heron")
+        ],
+    )
+    assert [
+        (c.runtime, c.controller, c.scenario)
+        for c in expand_cells(spec)
+        if c.explicit
+    ] == [
+        ("heron", "ds2", 1),
+        ("heron", "dhalion", 1),
+        ("flink", "ds2", 2),
+        ("flink", "dhalion", 2),
+    ]
 
 
 def test_explicit_cell_on_existing_scenario_shares_ordinal():
@@ -243,12 +276,10 @@ def test_explicit_cell_on_existing_scenario_shares_ordinal():
         ({"burstiness": [0.5]}, "burstiness"),
         ({"controller": ["pid"]}, "controller"),
         ({"runtime": ["spark"]}, "runtime"),
-        ({"backend": ["gpu"]}, "backend"),
+        # A sweep has no backend axis, not even its old "default".
+        ({"backend": ["default"]}, "backend"),
         ({"rate": []}, "rate"),
         ({"controller": "ds2"}, "controller"),
-        # The engine has one backend; the axis keeps only "default".
-        ({"backend": ["object"]}, "backend"),
-        ({"backend": ["vector"]}, "backend"),
     ],
 )
 def test_invalid_axes_rejected_with_named_axis(axes, named):
@@ -286,6 +317,52 @@ def test_invalid_explicit_cells_rejected(cell, message):
         SweepSpec.build("bad", cells=[cell])
 
 
+BACKEND_AXIS_TOML = """\
+[sweep]
+name = "bad"
+
+[axes]
+backend = ["default"]
+"""
+
+BACKEND_CELL_TOML = """\
+[sweep]
+name = "bad"
+
+[[cells]]
+profile = "smoke"
+rate = 1.0
+controller = "ds2"
+runtime = "heron"
+backend = "default"
+"""
+
+
+def test_backend_is_an_unknown_axis(tmp_path):
+    """The engine has one backend, so a sweep has no backend axis:
+    naming one, as an axis or in an explicit cell, from TOML or from
+    SweepSpec.build, is rejected as an unknown axis."""
+    cell = {
+        "profile": "smoke",
+        "rate": 1.0,
+        "controller": "ds2",
+        "runtime": "heron",
+        "backend": "default",
+    }
+    axis_error = "unknown sweep axis 'backend'"
+    cell_error = "explicit cell 1 names unknown axis 'backend'"
+    with pytest.raises(SweepError, match=cell_error):
+        SweepSpec.build("bad", cells=[cell])
+    for text, message in (
+        (BACKEND_AXIS_TOML, axis_error),
+        (BACKEND_CELL_TOML, cell_error),
+    ):
+        path = tmp_path / "backend.toml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SweepError, match=message):
+            load_spec(str(path))
+
+
 def test_dhalion_timely_rejected_cartesian_and_explicit():
     with pytest.raises(SweepError, match="dhalion"):
         SweepSpec.build(
@@ -302,7 +379,6 @@ def test_dhalion_timely_rejected_cartesian_and_explicit():
             burstiness=None,
             controller="dhalion",
             runtime="timely",
-            backend="default",
         )
 
 
@@ -313,7 +389,6 @@ def test_axis_order_is_the_documented_contract():
         "burstiness",
         "controller",
         "runtime",
-        "backend",
     )
 
 
