@@ -45,7 +45,7 @@ def build_simulator():
 def time_run(telemetry: bool) -> float:
     # The simulator resolves the ambient tracer when it is built, so
     # the tracer must be active before construction to be measured.
-    with tracing(Tracer(capacity=None) if telemetry else NULL_TRACER):
+    with tracing(Tracer() if telemetry else NULL_TRACER):
         sim = build_simulator()
     sim.run_for(5.0)  # warm the queues
     started = time.perf_counter()  # repro: allow[REPRO101] — benchmark measures wall clock
@@ -85,7 +85,7 @@ def test_telemetry_overhead_within_tolerance():
 
 def test_traced_run_is_deterministic():
     def traced_jsonl() -> str:
-        tracer = Tracer(capacity=None)
+        tracer = Tracer()
         with tracing(tracer):
             sim = build_simulator()
             sim.run_for(SIM_SECONDS)

@@ -19,7 +19,7 @@ Commands:
   by default, or any decision recorded in a trace (``--trace FILE
   --index N``).
 * ``trace summarize FILE`` — validate a JSONL trace and print its
-  headline numbers (including ring-buffer drops when truncated).
+  headline numbers (including the events a truncated trace lacks).
 * ``report --checkpoint FILE`` — join a chaos run's durable artifacts
   (scorecards, decision audits, per-cell durations, heartbeats, span
   rollups) into one text/JSON/markdown summary.
@@ -219,11 +219,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             profiler = SpanProfiler()
             stack.enter_context(profiling(profiler))
         if trace_path is not None:
-            # Activate an unbounded tracer (a CLI run is finite;
-            # nothing should be evicted from the flight recorder).
             from repro.telemetry import Tracer, tracing
 
-            tracer = Tracer(capacity=None)
+            tracer = Tracer()
             stack.enter_context(tracing(tracer))
         if progress is not None:
             stack.callback(progress.close)
@@ -369,9 +367,12 @@ def cmd_decide(_args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    from typing import Tuple
+
     from repro.errors import TelemetryError
+    from repro.records import from_json
     from repro.telemetry import (
-        audit_from_dict,
+        DecisionAudit,
         read_trace,
         render_decision_audit,
     )
@@ -381,18 +382,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(render_decision_audit(audit))
         return 0
     try:
-        records = read_trace(args.trace)
-    except TelemetryError as error:
+        payloads = [
+            record["data"]["audit"]
+            for record in read_trace(args.trace)
+            if record["kind"] == "controller.audit"
+            and isinstance(record["data"], dict)
+            and "audit" in record["data"]
+        ]
+        audits = from_json(Tuple[DecisionAudit, ...], payloads, "audits")
+    except (TelemetryError, ValueError) as error:
         print(f"invalid trace: {error}", file=sys.stderr)
         return 2
-    payloads = [
-        record["data"]["audit"]
-        for record in records
-        if record["kind"] == "controller.audit"
-        and isinstance(record["data"], dict)
-        and "audit" in record["data"]
-    ]
-    if not payloads:
+    if not audits:
         print(
             f"no controller.audit events in {args.trace} (was the run "
             "recorded with --trace and an auditing control loop?)",
@@ -401,22 +402,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return 2
     index = args.index
     if index < 0:
-        index += len(payloads)
-    if not 0 <= index < len(payloads):
+        index += len(audits)
+    if not 0 <= index < len(audits):
         print(
             f"--index {args.index} out of range: trace holds "
-            f"{len(payloads)} decision(s)",
+            f"{len(audits)} decision(s)",
             file=sys.stderr,
         )
         return 2
-    try:
-        audit = audit_from_dict(payloads[index])
-    except TelemetryError as error:
-        print(f"invalid trace: {error}", file=sys.stderr)
-        return 2
-    print(f"decision {index + 1} of {len(payloads)} in {args.trace}")
+    print(f"decision {index + 1} of {len(audits)} in {args.trace}")
     print()
-    print(render_decision_audit(audit))
+    print(render_decision_audit(audits[index]))
     return 0
 
 
@@ -445,8 +441,8 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         if summary.dropped > 0:
             print(
-                f"warning: truncated trace — the ring buffer "
-                f"dropped the first {summary.dropped} event(s)",
+                f"warning: truncated trace — the first "
+                f"{summary.dropped} event(s) are missing",
                 file=sys.stderr,
             )
     else:

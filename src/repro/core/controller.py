@@ -33,9 +33,9 @@ from repro.dataflow.graph import LogicalGraph
 from repro.engine.simulator import Simulator, TickStats
 from repro.errors import PolicyError, ReconfigurationError
 from repro.metrics import MetricsWindow
+from repro.records import to_json
 from repro.telemetry.audit import (
     DecisionAudit,
-    audit_to_dict,
     build_decision_audit,
     finalize_audit,
 )
@@ -297,7 +297,7 @@ class ControlLoop:
             tracer.emit(
                 "controller.audit",
                 self._sim.time,
-                audit=audit_to_dict(audit),
+                audit=to_json(audit),
             )
 
     def _select_request(

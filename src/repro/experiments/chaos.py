@@ -48,7 +48,7 @@ from repro.engine.runtimes import (
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.simulator import Simulator
-from repro.errors import CheckpointError, FaultInjectionError
+from repro.errors import FaultInjectionError
 from repro.experiments.comparison import HERON_POLICY_INTERVAL
 from repro.experiments.harness import (
     RUNTIMES,
@@ -452,15 +452,9 @@ class RecoveryCellSpec:
 
     @staticmethod
     def decode_result(payload: object) -> Tuple[float, ...]:
-        if not isinstance(payload, list) or not all(
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            for value in payload
-        ):
-            raise CheckpointError(
-                f"malformed outages payload: {payload!r}"
-            )
-        return tuple(float(value) for value in payload)
+        from repro.faults.checkpoint import decode_record
+
+        return decode_record(Tuple[float, ...], payload, "outages")
 
 
 def _replay_inputs(

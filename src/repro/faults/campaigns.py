@@ -67,6 +67,7 @@ from repro.faults.events import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.metrics import downtime_seconds
+from repro.records import to_json
 from repro.telemetry.audit import AuditSummary, summarize_audits
 from repro.telemetry.tracer import NULL_TRACER, active_tracer, tracing
 
@@ -704,15 +705,17 @@ class CampaignCellSpec:
 
     @staticmethod
     def encode_result(card: SasoScorecard) -> Dict[str, object]:
-        from repro.faults.checkpoint import scorecard_to_payload
-
-        return scorecard_to_payload(card)
+        encoded: Dict[str, object] = to_json(card)
+        return encoded
 
     @staticmethod
     def decode_result(payload: object) -> SasoScorecard:
-        from repro.faults.checkpoint import scorecard_from_payload
+        from repro.faults.checkpoint import decode_record
 
-        return scorecard_from_payload(payload)
+        card: SasoScorecard = decode_record(
+            SasoScorecard, payload, "scorecard"
+        )
+        return card
 
 
 def run_campaign_cell(spec: CampaignCellSpec) -> SasoScorecard:

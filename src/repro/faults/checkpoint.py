@@ -19,9 +19,11 @@ and a result codec (``result_field``, ``encode_result``,
 kind's ``result_field`` — ``"scorecard"`` for campaign cells,
 ``"outages"`` for the chaos experiment's crash-recovery replay — so
 several kinds of batch can share one journal, and :meth:`match` pairs
-each batch with its own kind's records only. Scorecard records are
-also decoded on load, so a corrupt one is reported with its line
-number.
+each batch with its own kind's records only. Records are read by their
+dataclass's field types (:mod:`repro.records`): a float, a bool or a
+numeric string where an integer belongs is corruption, not something
+to round. Scorecards and span trees are checked on load, so a corrupt
+one is reported with its line number.
 
 The journal is handed to :class:`~repro.faults.executor.CampaignExecutor`,
 which records cells as they finish, skips the ones already recorded,
@@ -43,6 +45,7 @@ import math
 import os
 from dataclasses import dataclass
 from typing import (
+    Any,
     Dict,
     List,
     Mapping,
@@ -52,7 +55,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, TelemetryError
 from repro.faults.campaigns import (
     CampaignCellSpec,
     CellKey,
@@ -60,8 +63,8 @@ from repro.faults.campaigns import (
     _cell_label,
 )
 from repro.faults.executor import CellSpec
-from repro.telemetry.audit import AuditSummary
-from repro.telemetry.spans import active_profiler
+from repro.records import from_json
+from repro.telemetry.spans import SpanNode, active_profiler
 
 # perfbench/layers.py wraps SupervisedExecutor.execute by this name.
 from repro.faults.executor import (  # noqa: F401
@@ -73,90 +76,15 @@ from repro.faults.executor import (  # noqa: F401
 #: changes: a new cell kind, with its own result field, is not one.
 CHECKPOINT_VERSION = 1
 
-# ----------------------------------------------------------------------
-# Scorecard (de)serialization — lossless JSON round-trip
-# ----------------------------------------------------------------------
 
-def scorecard_to_payload(card: SasoScorecard) -> Dict[str, object]:
-    """A :class:`SasoScorecard` as a JSON-ready dict.
-
-    Floats survive a JSON round-trip exactly (shortest-repr encoding),
-    so ``scorecard_from_payload(scorecard_to_payload(c)) == c`` holds
-    byte for byte — the property the resume-equivalence gate rests on.
-    """
-    audit: Optional[Dict[str, object]] = None
-    if card.audit is not None:
-        audit = {
-            "invocations": card.audit.invocations,
-            "proposals": card.audit.proposals,
-            "rescales": card.audit.rescales,
-            "failed_rescales": card.audit.failed_rescales,
-            "holds": card.audit.holds,
-            "skips": [list(pair) for pair in card.audit.skips],
-            "degraded_intervals": card.audit.degraded_intervals,
-            "max_rate_compensation": card.audit.max_rate_compensation,
-        }
-    return {
-        "controller": card.controller,
-        "campaign": card.campaign,
-        "schedule_seed": card.schedule_seed,
-        "oscillations": card.oscillations,
-        "steady_state_error": card.steady_state_error,
-        "settling_epochs": card.settling_epochs,
-        "overshoot_ratio": card.overshoot_ratio,
-        "downtime_fraction": card.downtime_fraction,
-        "recovery_seconds": card.recovery_seconds,
-        "scaling_actions": card.scaling_actions,
-        "failed_rescales": card.failed_rescales,
-        "audit": audit,
-    }
-
-
-def scorecard_from_payload(payload: object) -> SasoScorecard:
-    """Rebuild a :class:`SasoScorecard` from its journal payload."""
-    if not isinstance(payload, Mapping):
-        raise CheckpointError(
-            "malformed scorecard payload: not an object"
-        )
+def decode_record(kind: Any, payload: object, name: str) -> Any:
+    """``payload`` read as a ``kind`` record (see
+    :func:`repro.records.from_json`); raises :class:`CheckpointError`
+    naming the malformed field."""
     try:
-        raw_audit = payload.get("audit")
-        audit: Optional[AuditSummary] = None
-        if raw_audit is not None:
-            if not isinstance(raw_audit, Mapping):
-                raise TypeError("audit is not a mapping")
-            audit = AuditSummary(
-                invocations=int(raw_audit["invocations"]),  # type: ignore[call-overload]
-                proposals=int(raw_audit["proposals"]),  # type: ignore[call-overload]
-                rescales=int(raw_audit["rescales"]),  # type: ignore[call-overload]
-                failed_rescales=int(raw_audit["failed_rescales"]),  # type: ignore[call-overload]
-                holds=int(raw_audit["holds"]),  # type: ignore[call-overload]
-                skips=tuple(
-                    (str(reason), int(count))
-                    for reason, count in raw_audit["skips"]  # type: ignore[union-attr]
-                ),
-                degraded_intervals=int(raw_audit["degraded_intervals"]),  # type: ignore[call-overload]
-                max_rate_compensation=float(
-                    raw_audit["max_rate_compensation"]  # type: ignore[arg-type]
-                ),
-            )
-        return SasoScorecard(
-            controller=str(payload["controller"]),
-            campaign=int(payload["campaign"]),  # type: ignore[call-overload]
-            schedule_seed=int(payload["schedule_seed"]),  # type: ignore[call-overload]
-            oscillations=int(payload["oscillations"]),  # type: ignore[call-overload]
-            steady_state_error=float(payload["steady_state_error"]),  # type: ignore[arg-type]
-            settling_epochs=int(payload["settling_epochs"]),  # type: ignore[call-overload]
-            overshoot_ratio=float(payload["overshoot_ratio"]),  # type: ignore[arg-type]
-            downtime_fraction=float(payload["downtime_fraction"]),  # type: ignore[arg-type]
-            recovery_seconds=float(payload["recovery_seconds"]),  # type: ignore[arg-type]
-            scaling_actions=int(payload["scaling_actions"]),  # type: ignore[call-overload]
-            failed_rescales=int(payload["failed_rescales"]),  # type: ignore[call-overload]
-            audit=audit,
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise CheckpointError(
-            f"malformed scorecard payload: {error}"
-        ) from None
+        return from_json(kind, payload, name)
+    except ValueError as error:
+        raise CheckpointError(f"malformed {error}") from None
 
 
 # ----------------------------------------------------------------------
@@ -214,19 +142,6 @@ def cell_fingerprint(spec: CampaignCellSpec) -> str:
     return content_hash(doc)
 
 
-def _is_int(value: object) -> bool:
-    """Whether ``value`` is a JSON integer. ``int()`` would also take a
-    float, a bool or a numeric string and silently coerce it."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _header_int(payload: Mapping[str, object], name: str) -> int:
-    value = payload[name]
-    if _is_int(value):
-        return value
-    raise TypeError(f"{name} is not an integer: {value!r}")
-
-
 @dataclass(frozen=True)
 class JournalHeader:
     """First record of a journal: which run this checkpoint belongs to.
@@ -268,36 +183,6 @@ class JournalHeader:
         if self.cells is not None:
             payload["cells"] = self.cells
         return payload
-
-    @classmethod
-    def from_payload(
-        cls, payload: Mapping[str, object]
-    ) -> "JournalHeader":
-        try:
-            controllers = payload["controllers"]
-            if not isinstance(controllers, list):
-                raise TypeError("controllers is not a list")
-            sweep = payload.get("sweep")
-            if sweep is not None and not isinstance(sweep, str):
-                raise TypeError("sweep is not a string")
-            return cls(
-                profile=str(payload["profile"]),
-                workload=str(payload["workload"]),
-                seed=_header_int(payload, "seed"),
-                campaigns=_header_int(payload, "campaigns"),
-                controllers=tuple(str(c) for c in controllers),
-                version=_header_int(payload, "version"),
-                sweep=sweep,
-                cells=(
-                    None
-                    if payload.get("cells") is None
-                    else _header_int(payload, "cells")
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise CheckpointError(
-                f"malformed checkpoint header: {error}"
-            ) from None
 
 
 # ----------------------------------------------------------------------
@@ -341,16 +226,8 @@ class JournalCell:
         return CampaignCellSpec.decode_result(self.payload)
 
 
-def _parse_cell_key(raw: object) -> CellKey:
-    if isinstance(raw, list) and len(raw) == 3:
-        seed, campaign, name = raw
-        if _is_int(seed) and _is_int(campaign) and isinstance(name, str):
-            return (seed, campaign, name)
-    raise CheckpointError(f"malformed cell key {raw!r}")
-
-
 def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
-    key = _parse_cell_key(payload.get("key"))
+    key: CellKey = decode_record(CellKey, payload.get("key"), "key")
     spec_hash = payload.get("spec_hash")
     if not isinstance(spec_hash, str) or not spec_hash:
         raise CheckpointError(
@@ -372,7 +249,17 @@ def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
         # with its line number, not at resume.
         CampaignCellSpec.decode_result(payload[field])
     spans = payload.get("spans")
-    if not isinstance(spans, dict):
+    if isinstance(spans, dict):
+        # Merged here only to validate: a malformed tree is then
+        # reported with its line number, not by `repro report`.
+        try:
+            SpanNode("root").merge_payload(spans)
+        except TelemetryError as error:
+            raise CheckpointError(
+                f"cell {_cell_label(key)} has a malformed span tree: "
+                f"{error}"
+            ) from None
+    else:
         spans = None
     # A NaN or infinite duration (Python's json reads both) counts as
     # absent: it would make the JSON run report invalid.
@@ -384,7 +271,7 @@ def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
     ):
         duration = None
     worker = payload.get("worker")
-    if not _is_int(worker):
+    if not isinstance(worker, int) or isinstance(worker, bool):
         worker = None
     return JournalCell(
         key=key,
@@ -652,7 +539,11 @@ class CheckpointJournal:
                 f"checkpoint {path!r} has schema version {version!r}, "
                 f"this build writes version {CHECKPOINT_VERSION}"
             )
-        header = JournalHeader.from_payload(first)
+        fields = dict(first)
+        del fields["record"]
+        header: JournalHeader = decode_record(
+            JournalHeader, fields, "header"
+        )
         cells: Dict[CellKey, JournalCell] = {}
         heartbeats: List[Dict[str, object]] = []
         quarantines: List[Dict[str, object]] = []
@@ -671,7 +562,7 @@ class CheckpointJournal:
             elif kind == "quarantine":
                 # Informational: a quarantined cell gets a fresh
                 # retry budget on resume rather than being skipped.
-                _parse_cell_key(payload.get("key"))
+                decode_record(CellKey, payload.get("key"), "key")
                 quarantines.append(dict(payload))
             elif kind == "heartbeat":
                 # Informational liveness records; kept so a resumed
@@ -844,8 +735,7 @@ __all__ = [
     "cell_fingerprint",
     "check_header",
     "content_hash",
+    "decode_record",
     "load_journal",
     "match_cells",
-    "scorecard_from_payload",
-    "scorecard_to_payload",
 ]

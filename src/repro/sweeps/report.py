@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.report import format_table
 from repro.faults.campaigns import SasoScorecard
+from repro.records import to_json
 from repro.sweeps.grid import SweepResult
 from repro.sweeps.spec import (
     AXES,
@@ -305,39 +306,12 @@ def report_payload(report: SweepReport) -> Dict[str, object]:
             {
                 "axis": marginal.axis,
                 "spread": marginal.spread,
-                "effects": [
-                    {
-                        "value": effect.value,
-                        "cells": effect.cells,
-                        "mean_score": effect.mean_score,
-                    }
-                    for effect in marginal.effects
-                ],
+                "effects": to_json(marginal.effects),
             }
             for marginal in report.marginals
         ],
-        "margins": [
-            {
-                "scenario": row.scenario,
-                "label": row.label,
-                "ds2_score": row.ds2_score,
-                "dhalion_score": row.dhalion_score,
-                "margin": row.margin,
-                "collapsed": row.collapsed,
-            }
-            for row in report.margins
-        ],
-        "convergence": [
-            {
-                "controller": stats.controller,
-                "runs": stats.runs,
-                "min_epochs": stats.min_epochs,
-                "mean_epochs": stats.mean_epochs,
-                "max_epochs": stats.max_epochs,
-                "within_three": stats.within_three,
-            }
-            for stats in report.convergence
-        ],
+        "margins": to_json(report.margins),
+        "convergence": to_json(report.convergence),
     }
 
 

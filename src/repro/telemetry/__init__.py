@@ -2,7 +2,7 @@
 
 Cooperating layers, all zero-cost no-ops unless activated:
 
-* :mod:`repro.telemetry.tracer` — a ring-buffer flight recorder with a
+* :mod:`repro.telemetry.tracer` — an in-memory flight recorder with a
   deterministic JSONL export ("what happened, in order").
 * :mod:`repro.telemetry.spans` — a hierarchical span profiler for the
   hot phases of a run ("where did the time go").
@@ -19,7 +19,7 @@ Activate ambiently around any experiment::
 
     from repro.telemetry import SpanProfiler, Tracer, profiling, tracing
 
-    with tracing(Tracer(capacity=None)) as tracer, \\
+    with tracing(Tracer()) as tracer, \\
             profiling(SpanProfiler()) as profiler:
         run_controlled(...)
     tracer.write_jsonl("out.jsonl")
@@ -35,8 +35,6 @@ if TYPE_CHECKING:
         AuditSummary,
         DecisionAudit,
         OperatorAudit,
-        audit_from_dict,
-        audit_to_dict,
         build_decision_audit,
         finalize_audit,
         operator_audits,
@@ -92,10 +90,9 @@ if TYPE_CHECKING:
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.telemetry.audit": (
-        "AuditSummary", "DecisionAudit", "OperatorAudit", "audit_from_dict",
-        "audit_to_dict", "build_decision_audit", "finalize_audit",
-        "operator_audits", "render_audit_summary", "render_decision_audit",
-        "summarize_audits",
+        "AuditSummary", "DecisionAudit", "OperatorAudit",
+        "build_decision_audit", "finalize_audit", "operator_audits",
+        "render_audit_summary", "render_decision_audit", "summarize_audits",
     ),
     "repro.telemetry.progress": (
         "NULL_PROGRESS", "CellEvent", "NullProgressListener",
@@ -145,8 +142,6 @@ __all__ = [
     "Tracer",
     "active_profiler",
     "active_tracer",
-    "audit_from_dict",
-    "audit_to_dict",
     "build_decision_audit",
     "build_report",
     "finalize_audit",

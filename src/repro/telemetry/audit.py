@@ -10,9 +10,9 @@ rejected by the runtime, including the retry attempt number).
 
 The control loop builds one audit per invocation and appends it to
 ``LoopResult.audits``; ``repro explain`` and the chaos scorecards
-render or summarize them. Audits are plain frozen dataclasses with a
-loss-free dict round-trip (:func:`audit_to_dict` /
-:func:`audit_from_dict`) so they travel through JSONL traces.
+render or summarize them. Audits are plain frozen dataclasses; they
+travel through JSONL traces in the JSON form of :mod:`repro.records`
+(``to_json`` / ``from_json``), which round-trips them losslessly.
 
 This module reads controller internals *duck-typed* (``last_decision``,
 ``degraded``, ``rate_compensation``, ``last_skip_reason``) — baseline
@@ -32,8 +32,6 @@ from typing import (
     Optional,
     Tuple,
 )
-
-from repro.errors import TelemetryError
 
 if TYPE_CHECKING:  # no runtime import: avoids a core <-> engine cycle
     from repro.core.controller import Observation
@@ -236,78 +234,6 @@ def summarize_audits(audits: List[DecisionAudit]) -> AuditSummary:
 
 
 # ----------------------------------------------------------------------
-# Dict round-trip (for JSONL traces and `repro explain --trace`)
-# ----------------------------------------------------------------------
-
-
-def audit_to_dict(audit: DecisionAudit) -> Dict[str, object]:
-    """A JSON-ready dict; inverse of :func:`audit_from_dict`."""
-    return {
-        "time": audit.time,
-        "controller": audit.controller,
-        "window_start": audit.window_start,
-        "window_end": audit.window_end,
-        "window_age": audit.window_age,
-        "outage_fraction": audit.outage_fraction,
-        "truncated": audit.truncated,
-        "in_outage": audit.in_outage,
-        "degraded": audit.degraded,
-        "rate_compensation": audit.rate_compensation,
-        "completeness": dict(audit.completeness),
-        "source_target_rates": dict(audit.source_target_rates),
-        "source_observed_rates": dict(audit.source_observed_rates),
-        "current_parallelism": dict(audit.current_parallelism),
-        "operators": [
-            {
-                "operator": row.operator,
-                "current_parallelism": row.current_parallelism,
-                "target_rate": row.target_rate,
-                "true_processing_rate": row.true_processing_rate,
-                "true_output_rate": row.true_output_rate,
-                "selectivity": row.selectivity,
-                "ideal_output_rate": row.ideal_output_rate,
-                "optimal_parallelism_raw": row.optimal_parallelism_raw,
-                "optimal_parallelism": row.optimal_parallelism,
-                "completeness": row.completeness,
-                "unknown": row.unknown,
-            }
-            for row in audit.operators
-        ],
-        "proposal": (
-            None if audit.proposal is None else dict(audit.proposal)
-        ),
-        "skip_reason": audit.skip_reason,
-        "outcome": audit.outcome,
-        "applied": (
-            None if audit.applied is None else dict(audit.applied)
-        ),
-        "outage_seconds": audit.outage_seconds,
-        "attempt": audit.attempt,
-        "failure_reason": audit.failure_reason,
-    }
-
-
-def audit_from_dict(payload: Mapping[str, object]) -> DecisionAudit:
-    """Rebuild a :class:`DecisionAudit` from its dict form."""
-    try:
-        raw_operators = payload.get("operators", [])
-        assert isinstance(raw_operators, list)
-        operators = tuple(
-            OperatorAudit(**row) for row in raw_operators
-        )
-        data = {
-            key: value
-            for key, value in payload.items()
-            if key != "operators"
-        }
-        return DecisionAudit(operators=operators, **data)  # type: ignore[arg-type]
-    except (TypeError, AssertionError) as exc:
-        raise TelemetryError(
-            f"malformed decision-audit payload: {exc}"
-        ) from exc
-
-
-# ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
 
@@ -471,8 +397,6 @@ __all__ = [
     "AuditSummary",
     "DecisionAudit",
     "OperatorAudit",
-    "audit_from_dict",
-    "audit_to_dict",
     "build_decision_audit",
     "finalize_audit",
     "operator_audits",

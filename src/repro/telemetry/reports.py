@@ -17,7 +17,8 @@ validation as resume (:func:`repro.faults.checkpoint.load_journal`)
 and never writes anything back, so running it cannot perturb a
 campaign. Pass a JSONL trace recorded with ``--trace`` to fold the
 flight recorder's headline numbers (fault events, rescales,
-decisions, ring-buffer drops) into the same summary.
+decisions, events missing from a truncated trace) into the same
+summary.
 """
 
 from __future__ import annotations
@@ -488,8 +489,8 @@ def render_report_text(report: RunReport) -> str:
         )
         if trace.dropped > 0:
             lines.append(
-                f"warning: trace truncated — ring buffer dropped "
-                f"the first {trace.dropped} event(s)"
+                f"warning: trace truncated — the first "
+                f"{trace.dropped} event(s) are missing"
             )
     if report.spans is not None:
         lines.append("")

@@ -108,9 +108,20 @@ class SpanNode:
                 f"span payload {payload.get('name')!r}: seconds must "
                 f"be a number, got {seconds!r}"
             )
+        children = payload.get("children", [])
+        if not isinstance(children, list):
+            raise TelemetryError(
+                f"span payload {payload.get('name')!r}: children must "
+                f"be a list, got {children!r}"
+            )
         self.count += count
         self.seconds += float(seconds)
-        for child in payload.get("children", ()):
+        for child in children:
+            if not isinstance(child, dict):
+                raise TelemetryError(
+                    f"span payload {payload.get('name')!r}: child must "
+                    f"be an object, got {child!r}"
+                )
             name = child.get("name")
             if not isinstance(name, str) or not name:
                 raise TelemetryError(

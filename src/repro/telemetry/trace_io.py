@@ -136,9 +136,10 @@ class TraceSummary:
 
     @property
     def dropped(self) -> int:
-        """Events evicted by the ring buffer before export. ``seq`` is
-        gap-free from 0, so a trace starting at seq N lost exactly the
-        N earlier events."""
+        """Events missing from the trace's head. ``seq`` is gap-free
+        from 0, so a trace starting at seq N lacks exactly the N
+        earlier events: it was cut, or written by an older build whose
+        tracer was a bounded ring buffer."""
         return self.first_seq
 
 
@@ -197,11 +198,11 @@ def render_trace_summary(summary: TraceSummary) -> str:
     ]
     if summary.dropped > 0:
         lines.append(
-            f"warning: truncated trace — the ring buffer dropped the "
-            f"first {summary.dropped} event(s) (trace starts at seq "
-            f"{summary.first_seq}); it was recorded by a bounded "
-            "Tracer(capacity=N) — record with Tracer(capacity=None), "
-            "as `repro run --trace` does, for full coverage"
+            f"warning: truncated trace — the first {summary.dropped} "
+            f"event(s) are missing (trace starts at seq "
+            f"{summary.first_seq}); it was cut, or recorded by an "
+            "older build's bounded tracer — record it again with "
+            "`repro run --trace` for full coverage"
         )
     lines.append(
         f"decisions: {summary.decisions}  "

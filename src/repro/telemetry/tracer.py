@@ -1,11 +1,11 @@
-"""Structured tracing: a ring-buffer flight recorder with JSONL export.
+"""Structured tracing: an in-memory flight recorder with JSONL export.
 
 The tracer is the "why did that happen" layer of the reproduction: the
 engine, the control loop, and the fault injector emit small structured
 events (a tick sample, a rescale, a fired fault, a scaling decision)
-into a bounded in-memory ring buffer. Nothing is written anywhere until
-the caller asks for the buffer — either as :class:`TraceEvent` objects
-or serialized to JSON Lines, one event per line:
+into an in-memory list. Nothing is written anywhere until the caller
+asks for the events — either as :class:`TraceEvent` objects or
+serialized to JSON Lines, one event per line:
 
 ``{"data": {...}, "kind": "engine.rescale", "seq": 17, "t": 94.0}``
 
@@ -20,10 +20,9 @@ Design constraints, in order:
   sorts keys and uses ``repr``-exact floats, so a fixed seed produces
   a byte-identical trace. Wall-clock never enters the trace (it lives
   only in the span profiler's timings).
-* **Bounded memory.** The buffer is a ring: when full, the oldest
-  events are dropped (and counted in :attr:`~Tracer.dropped`), which
-  is the flight-recorder behaviour long chaos sweeps need. Exporters
-  that want the full history pass ``capacity=None``.
+* **Complete history.** A tracer keeps every event it is given, so
+  an export is gap-free from ``seq`` 0. A run is finite, and its
+  events are small.
 
 Instrumented components default to the *ambient* tracer (see
 :func:`tracing` / :func:`active_tracer`) so the CLI can trace a whole
@@ -34,18 +33,10 @@ without threading a tracer argument through every constructor.
 from __future__ import annotations
 
 import json
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Deque,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Union,
-)
+from typing import Iterator, List, Mapping, Optional, Union
 
 from repro.errors import TelemetryError
 
@@ -59,9 +50,9 @@ class TraceEvent:
     """One recorded event.
 
     Attributes:
-        seq: Monotonically increasing sequence number (gap-free per
-            tracer, survives ring-buffer eviction — a trace whose first
-            seq is nonzero visibly lost its head).
+        seq: Monotonically increasing sequence number, gap-free
+            from 0 per tracer (a trace file whose first seq is
+            nonzero visibly lost its head).
         time: Virtual time in seconds when the event was emitted.
         kind: Dotted event type, e.g. ``engine.tick``,
             ``controller.audit``, ``fault.InstanceCrash``.
@@ -85,35 +76,14 @@ class TraceEvent:
 
 
 class Tracer:
-    """Flight recorder: an append-only ring buffer of trace events."""
+    """Flight recorder: an append-only list of trace events."""
 
     #: Hot paths guard payload construction on this flag.
     enabled: bool = True
 
-    def __init__(self, capacity: Optional[int] = 65536) -> None:
-        """Args:
-            capacity: Maximum events retained; older events are evicted
-                (and counted) once full. None retains everything —
-                what ``repro run --trace FILE`` uses so the export is
-                the complete history.
-        """
-        if capacity is not None and capacity < 1:
-            raise TelemetryError(
-                f"tracer capacity must be >= 1 or None, got {capacity!r}"
-            )
-        self._capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._events: List[TraceEvent] = []
         self._seq = 0
-        self._dropped = 0
-
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._capacity
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted from the ring so far."""
-        return self._dropped
 
     def __len__(self) -> int:
         return len(self._events)
@@ -122,36 +92,30 @@ class Tracer:
         """Record one event at virtual ``time``."""
         if not kind:
             raise TelemetryError("trace event kind must be non-empty")
-        if (
-            self._capacity is not None
-            and len(self._events) == self._capacity
-        ):
-            self._dropped += 1
         self._events.append(
             TraceEvent(seq=self._seq, time=time, kind=kind, data=data)
         )
         self._seq += 1
 
     def events(self, kind: Optional[str] = None) -> List[TraceEvent]:
-        """Buffered events, oldest first, optionally filtered by kind."""
+        """Recorded events, oldest first, optionally filtered by kind."""
         if kind is None:
             return list(self._events)
         return [event for event in self._events if event.kind == kind]
 
     def clear(self) -> None:
-        """Drop all buffered events and reset counters."""
+        """Drop all recorded events and restart ``seq`` at 0."""
         self._events.clear()
         self._seq = 0
-        self._dropped = 0
 
     def to_jsonl(self) -> str:
-        """The buffer serialized as JSON Lines (trailing newline)."""
+        """The events serialized as JSON Lines (trailing newline)."""
         return "".join(
             event.to_json() + "\n" for event in self._events
         )
 
     def write_jsonl(self, path: Union[str, Path]) -> int:
-        """Write the buffer to ``path`` as JSONL; returns event count."""
+        """Write the events to ``path`` as JSONL; returns their count."""
         text = self.to_jsonl()
         Path(path).write_text(text, encoding="utf-8")
         return len(self._events)
@@ -161,9 +125,6 @@ class NullTracer(Tracer):
     """The disabled tracer: records nothing, costs nothing."""
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
 
     def emit(self, kind: str, time: float, **data: object) -> None:
         return None

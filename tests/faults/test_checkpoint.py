@@ -39,6 +39,7 @@ from repro.experiments.chaos import RecoveryCellSpec, resolve_workload
 from repro.faults import campaigns
 from repro.faults.campaigns import (
     PROFILES,
+    CampaignCellSpec,
     CampaignGenerator,
     CampaignTargets,
 )
@@ -48,10 +49,9 @@ from repro.faults.checkpoint import (
     JournalHeader,
     cell_fingerprint,
     load_journal,
-    scorecard_from_payload,
-    scorecard_to_payload,
 )
 from repro.faults.executor import CampaignExecutor
+from repro.records import to_json
 from repro.telemetry.spans import SpanProfiler, profiling
 from repro.workloads.wordcount import heron_wordcount_graph
 
@@ -99,8 +99,8 @@ class TestScorecardRoundTrip:
 
         for spec in _specs(campaigns=1):
             card = run_campaign_cell(spec)
-            payload = json.loads(json.dumps(scorecard_to_payload(card)))
-            assert scorecard_from_payload(payload) == card
+            payload = json.loads(json.dumps(to_json(card)))
+            assert CampaignCellSpec.decode_result(payload) == card
 
     def test_audit_free_card_round_trips(self):
         from repro.faults.campaigns import SasoScorecard
@@ -112,13 +112,32 @@ class TestScorecardRoundTrip:
             downtime_fraction=0.0, recovery_seconds=0.0,
             scaling_actions=1, failed_rescales=0, audit=None,
         )
-        assert scorecard_from_payload(
-            scorecard_to_payload(card)
-        ) == card
+        assert CampaignCellSpec.decode_result(to_json(card)) == card
 
     def test_malformed_payload_raises(self):
         with pytest.raises(CheckpointError, match="malformed"):
-            scorecard_from_payload({"controller": "x"})
+            CampaignCellSpec.decode_result({"controller": "x"})
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("campaign", 2.7, "scorecard.campaign: expected an integer"),
+            ("oscillations", True, "scorecard.oscillations: expected an"),
+            ("controller", 5, "scorecard.controller: expected a string"),
+            ("steady_state_error", "nan", "scorecard.steady_state_error"),
+            ("fudge", 1, "scorecard: unknown field.s. fudge"),
+        ],
+    )
+    def test_values_are_not_coerced(self, field, value, match):
+        """A journaled scorecard is read by its fields' types: the
+        old reader rounded 2.7, counted true as 1, stringified 5 and
+        parsed "nan"."""
+        lines = SMOKE_JOURNAL.read_text().splitlines()
+        card = json.loads(lines[_first_cell_line(lines)])["scorecard"]
+        assert CampaignCellSpec.decode_result(card)
+        card[field] = value
+        with pytest.raises(CheckpointError, match=match):
+            CampaignCellSpec.decode_result(card)
 
 
 class TestCellFingerprint:
@@ -395,6 +414,46 @@ def test_journal_integers_are_not_coerced(tmp_path, record, field, value):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match="integer|malformed cell key"):
         load_journal(str(path))
+
+
+@pytest.mark.parametrize(
+    "field,value,match",
+    [
+        ("profile", 5, "header.profile: expected a string"),
+        ("controllers", [1], r"header.controllers\[0\]: expected a string"),
+        ("controllers", "ds2", "header.controllers: expected a list"),
+    ],
+)
+def test_journal_header_strings_are_not_coerced(
+    tmp_path, field, value, match
+):
+    lines = SMOKE_JOURNAL.read_text().splitlines()
+    payload = json.loads(lines[0])
+    payload[field] = value
+    lines[0] = json.dumps(payload)
+    path = tmp_path / "j.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=match):
+        load_journal(str(path))
+
+
+def test_malformed_span_tree_refused_on_resume(tmp_path):
+    """A profiled resume merges journaled span trees; one whose
+    children are not objects is corruption at its line, not a crash
+    inside the merge."""
+    lines = SMOKE_JOURNAL.read_text().splitlines()
+    index = _first_cell_line(lines)
+    payload = json.loads(lines[index])
+    payload["spans"]["children"] = [5]
+    lines[index] = json.dumps(payload)
+    path = tmp_path / "j.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    header = load_journal(str(SMOKE_JOURNAL)).header
+    with pytest.raises(
+        CheckpointError,
+        match=f"corrupt at line {index + 1}: cell .* malformed span tree",
+    ):
+        CheckpointJournal.open(str(path), header, resume=True)
 
 
 class TestJournalCorruption:

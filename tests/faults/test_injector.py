@@ -214,7 +214,7 @@ class TestDropoutSync:
     def _run(self, injector_class, schedule, savepoint, rescale_at):
         from repro.telemetry import Tracer, tracing
 
-        tracer = Tracer(capacity=None)
+        tracer = Tracer()
         suppressed = []
         with tracing(tracer):
             simulator = make_injector(
@@ -321,7 +321,7 @@ class TestDueGate:
         # The first request is rejected; the other two redeploy during
         # a dropout, which must then be re-applied.
         rescales = {2.5: 4, 5.0: 3, 6.5: 5}
-        tracer = Tracer(capacity=None)
+        tracer = Tracer()
         trace = []
         with tracing(tracer):
             simulator = make_injector(
@@ -571,7 +571,7 @@ class TestHealthCorruption:
                 time=0.0, duration=100.0, operator="op", amplitude=0.9
             ),
         ], seed=1)
-        tracer = Tracer(capacity=None)
+        tracer = Tracer()
         with tracing(tracer):
             injector = self._injector(schedule)
             injector.run_for(10.0)

@@ -7,11 +7,13 @@ committed journal must stay byte-identical to the committed golden
 report (also gated as a ``scripts/check.sh`` stage).
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.cli import main
 from repro.errors import CheckpointError, TelemetryError
 from repro.experiments.chaos import run_chaos
 from repro.faults.checkpoint import (
@@ -202,6 +204,56 @@ class TestErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError):
             build_report(str(path))
+
+
+def _edit_first_cell(path, edit):
+    """The smoke journal, written to ``path`` with ``edit`` applied to
+    its first cell record; returns that record's line number."""
+    with open(SMOKE_JOURNAL, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    index = next(
+        number
+        for number, line in enumerate(lines)
+        if json.loads(line)["record"] == "cell"
+    )
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return index + 1
+
+
+def _set_campaign(record):
+    record["scorecard"]["campaign"] = 2.7
+
+
+def _bad_span_child(record):
+    record["spans"]["children"] = [5]
+
+
+class TestMalformedRecordsViaCli:
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (_set_campaign, "scorecard.campaign: expected an integer"),
+            (_bad_span_child, "malformed span tree"),
+        ],
+    )
+    def test_report_refuses_the_journal(
+        self, tmp_path, capsys, edit, match
+    ):
+        """``repro report`` names the bad record's line and exits 2,
+        and reading the journal leaves it byte for byte as it was."""
+        path = tmp_path / "bad.jsonl"
+        line = _edit_first_cell(path, edit)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert main(["report", "--checkpoint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unusable checkpoint: ")
+        assert f"corrupt at line {line}: " in captured.err
+        assert match in captured.err
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestFixtureIntegrity:

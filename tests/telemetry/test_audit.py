@@ -10,13 +10,11 @@ from repro.core.policy import DS2Policy
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.errors import TelemetryError
+from repro.records import from_json, to_json
 from repro.telemetry import (
     DecisionAudit,
     OperatorAudit,
     Tracer,
-    audit_from_dict,
-    audit_to_dict,
     finalize_audit,
     render_audit_summary,
     render_decision_audit,
@@ -122,7 +120,7 @@ class TestControlLoopAudits:
         assert row.current_parallelism >= 1
 
     def test_trace_carries_the_audit(self, chain_graph):
-        tracer = Tracer(capacity=None)
+        tracer = Tracer()
         with tracing(tracer):
             loop = ControlLoop(
                 _simulator(chain_graph),
@@ -135,7 +133,7 @@ class TestControlLoopAudits:
         assert len(invokes) == 2
         assert len(audits) == 2
         payload = audits[0].data["audit"]
-        rebuilt = audit_from_dict(payload)
+        rebuilt = from_json(DecisionAudit, payload)
         assert rebuilt.outcome == "rescaled"
         assert rebuilt.applied == {"src": 1, "worker": 2, "snk": 1}
 
@@ -148,7 +146,7 @@ class TestRoundTrip:
             outage_seconds=12.5,
             attempt=1,
         )
-        assert audit_from_dict(audit_to_dict(audit)) == audit
+        assert from_json(DecisionAudit, to_json(audit)) == audit
 
     def test_loop_audits_round_trip(self, chain_graph):
         loop = ControlLoop(
@@ -158,19 +156,41 @@ class TestRoundTrip:
         )
         result = loop.run(15.0)
         for audit in result.audits:
-            assert audit_from_dict(audit_to_dict(audit)) == audit
+            assert from_json(DecisionAudit, to_json(audit)) == audit
 
     def test_malformed_payload_raises(self):
-        with pytest.raises(TelemetryError, match="malformed"):
-            audit_from_dict({"time": 1.0})
-        bad_rows = audit_to_dict(_sample_audit())
+        with pytest.raises(ValueError, match=r"audit\.controller: missing"):
+            from_json(DecisionAudit, {"time": 1.0}, "audit")
+        bad_rows = to_json(_sample_audit())
         bad_rows["operators"] = [{"nope": 1}]
-        with pytest.raises(TelemetryError, match="malformed"):
-            audit_from_dict(bad_rows)
-        not_a_list = audit_to_dict(_sample_audit())
+        with pytest.raises(
+            ValueError, match=r"audit\.operators\[0\]: unknown field"
+        ):
+            from_json(DecisionAudit, bad_rows, "audit")
+        not_a_list = to_json(_sample_audit())
         not_a_list["operators"] = "oops"
-        with pytest.raises(TelemetryError, match="malformed"):
-            audit_from_dict(not_a_list)
+        with pytest.raises(
+            ValueError, match=r"audit\.operators: expected a list"
+        ):
+            from_json(DecisionAudit, not_a_list, "audit")
+
+    def test_values_are_not_coerced(self):
+        """A value of the wrong JSON type is refused, naming its field
+        — not carried into an audit that crashes its renderer."""
+        payload = to_json(_sample_audit())
+        payload["operators"][0]["target_rate"] = "fast"
+        with pytest.raises(
+            ValueError,
+            match=r"audit\.operators\[0\]\.target_rate: expected a "
+            r"number, got 'fast'",
+        ):
+            from_json(DecisionAudit, payload, "audit")
+        payload = to_json(_sample_audit())
+        payload["current_parallelism"]["worker"] = 1.5
+        with pytest.raises(
+            ValueError, match=r"current_parallelism\.worker: expected an"
+        ):
+            from_json(DecisionAudit, payload, "audit")
 
 
 class TestRendering:
@@ -220,9 +240,9 @@ class TestRendering:
         assert "rescale attempt 2 failed: runtime rejected" in text
 
     def test_unknown_operator_rendered_as_question_mark(self):
-        payload = audit_to_dict(_sample_audit())
+        payload = to_json(_sample_audit())
         payload["operators"][0]["unknown"] = True
-        text = render_decision_audit(audit_from_dict(payload))
+        text = render_decision_audit(from_json(DecisionAudit, payload))
         assert "worker" in text
         assert "?" in text
 

@@ -142,12 +142,12 @@ class TestSummarize:
         assert summary.dropped == 10
         text = render_trace_summary(summary)
         assert "seq 10" in text
-        assert "dropped the first 10 event(s)" in text
+        assert "the first 10 event(s) are missing" in text
         assert "truncated" in text
-        # Only a library caller's bounded tracer drops events; the CLI
-        # has no capacity flag to suggest.
-        assert "Tracer(capacity=None)" in text
-        assert "--trace capacity" not in text
+        # No tracer drops events any more: the hint names the command
+        # that records a complete trace, and no capacity knob.
+        assert "`repro run --trace`" in text
+        assert "capacity" not in text
 
     def test_complete_trace_reports_no_drops(self):
         summary = summarize_trace([_record(seq=0, t=3.0)])
@@ -183,7 +183,7 @@ def _scripted_golden_run() -> Tracer:
         edges=[Edge("src", "worker"), Edge("worker", "snk")],
     )
     plan = PhysicalPlan(graph, {"worker": 1})
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     with tracing(tracer):
         sim = Simulator(
             plan,

@@ -1,4 +1,4 @@
-"""Unit tests for the ring-buffer flight recorder."""
+"""Unit tests for the flight recorder."""
 
 import json
 
@@ -44,34 +44,21 @@ class TestEmit:
 
 
 class TestRingBuffer:
-    def test_eviction_counts_and_preserves_seq(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.emit("k", float(i))
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-        # seq survives eviction: a nonzero first seq shows the trace
-        # lost its head.
-        assert [e.seq for e in tracer.events()] == [3, 4]
+    """A tracer keeps every event it is given."""
 
     def test_unbounded_capacity(self):
-        tracer = Tracer(capacity=None)
+        tracer = Tracer()
         for i in range(100):
             tracer.emit("k", float(i))
         assert len(tracer) == 100
-        assert tracer.dropped == 0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(TelemetryError):
-            Tracer(capacity=0)
+        assert [e.seq for e in tracer.events()] == list(range(100))
 
     def test_clear_resets_everything(self):
-        tracer = Tracer(capacity=1)
+        tracer = Tracer()
         tracer.emit("k", 0.0)
         tracer.emit("k", 1.0)
         tracer.clear()
         assert len(tracer) == 0
-        assert tracer.dropped == 0
         tracer.emit("k", 2.0)
         assert tracer.events()[0].seq == 0
 

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments.artifacts import ARTIFACTS
 from repro.faults.executor import CampaignInterrupted
+from repro.records import to_json
 
 FIXTURES = Path(__file__).parent / "analysis" / "fixtures"
 SWEEP_SPEC = Path(__file__).parent / "sweeps" / "smoke_grid.toml"
@@ -526,6 +527,44 @@ class TestTelemetryCommands:
         path.write_text("not json\n")
         assert main(["explain", "--trace", str(path)]) == 2
         assert "invalid trace" in capsys.readouterr().err
+
+    def test_explain_refuses_a_malformed_audit(self, tmp_path, capsys):
+        """An audit value of the wrong type is refused before anything
+        is printed, not carried into the renderer."""
+        from repro.telemetry import DecisionAudit, OperatorAudit
+
+        audit = DecisionAudit(
+            time=5.0, controller="ds2", window_start=0.0,
+            window_end=5.0, window_age=0.0, outage_fraction=0.0,
+            truncated=False, in_outage=False, degraded=False,
+            rate_compensation=1.0, completeness={},
+            source_target_rates={}, source_observed_rates={},
+            current_parallelism={"worker": 1},
+            operators=(
+                OperatorAudit(
+                    operator="worker", current_parallelism=1,
+                    target_rate=1000.0, true_processing_rate=950.0,
+                    true_output_rate=950.0, selectivity=1.0,
+                    ideal_output_rate=1000.0,
+                    optimal_parallelism_raw=1.05, optimal_parallelism=2,
+                ),
+            ),
+        )
+        payload = to_json(audit)
+        payload["operators"][0]["target_rate"] = "fast"
+        record = {
+            "seq": 0, "t": 5.0, "kind": "controller.audit",
+            "data": {"audit": payload},
+        }
+        path = tmp_path / "bad_audit.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["explain", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid trace: audits[0].operators[0].target_rate: "
+            "expected a number, got 'fast'\n"
+        )
 
     def test_trace_without_subcommand(self, capsys):
         assert main(["trace"]) == 2
