@@ -80,6 +80,7 @@ from repro.faults.executor import (
     journaled_executor,
 )
 from repro.faults.schedule import FaultSchedule
+from repro.records import content_hash
 from repro.telemetry.progress import ProgressListener
 from repro.telemetry.tracer import NULL_TRACER, tracing
 from repro.workloads.nexmark import ALL_QUERIES, get_query
@@ -425,8 +426,6 @@ class RecoveryCellSpec:
         cell's coordinates and tick, the regenerated crash schedule
         (event for event), the graph, the plan, and the engine
         config."""
-        from repro.faults.checkpoint import content_hash
-
         graph, schedule = _replay_inputs(self)
         return content_hash({
             "seed": self.seed,
@@ -445,16 +444,6 @@ class RecoveryCellSpec:
     def run(self) -> Tuple[float, ...]:
         # The module global, read at call time (tests patch it).
         return run_recovery_cell(self)
-
-    @staticmethod
-    def encode_result(outages: Tuple[float, ...]) -> List[float]:
-        return list(outages)
-
-    @staticmethod
-    def decode_result(payload: object) -> Tuple[float, ...]:
-        from repro.faults.checkpoint import decode_record
-
-        return decode_record(Tuple[float, ...], payload, "outages")
 
 
 def _replay_inputs(

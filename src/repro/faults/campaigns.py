@@ -67,7 +67,6 @@ from repro.faults.events import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.metrics import downtime_seconds
-from repro.records import to_json
 from repro.telemetry.audit import AuditSummary, summarize_audits
 from repro.telemetry.tracer import NULL_TRACER, active_tracer, tracing
 
@@ -702,20 +701,6 @@ class CampaignCellSpec:
         # The module global, read at call time: wrappers installed on
         # ``campaigns.run_campaign_cell`` see every in-process cell.
         return run_campaign_cell(self)
-
-    @staticmethod
-    def encode_result(card: SasoScorecard) -> Dict[str, object]:
-        encoded: Dict[str, object] = to_json(card)
-        return encoded
-
-    @staticmethod
-    def decode_result(payload: object) -> SasoScorecard:
-        from repro.faults.checkpoint import decode_record
-
-        card: SasoScorecard = decode_record(
-            SasoScorecard, payload, "scorecard"
-        )
-        return card
 
 
 def run_campaign_cell(spec: CampaignCellSpec) -> SasoScorecard:

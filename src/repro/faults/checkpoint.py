@@ -4,26 +4,32 @@ A chaos campaign is hours of seeded simulation reduced to one result
 per cell. :class:`CheckpointJournal` keeps the finished ones across a
 SIGKILL, a worker OOM, or a poison cell: a durable, append-only JSONL
 journal with one fsynced record per completed cell (canonical cell
-key, the encoded result, and a content hash of the cell's
-configuration). Recovery tolerates a torn final record — the classic
-crash-mid-append artifact — by dropping it with a warning and
-truncating the file back to its valid prefix; anything else (mid-file
-corruption, a schema-version mismatch, a header or cell-hash mismatch)
-is rejected hard with :class:`~repro.errors.CheckpointError`, because
-silently resuming the wrong campaign is worse than not resuming at all.
+key, the result, and a content hash of the cell's configuration).
+Recovery tolerates a torn final record — the classic crash-mid-append
+artifact — by dropping it with a warning and truncating the file back
+to its valid prefix; anything else (mid-file corruption, a
+schema-version mismatch, a header or cell-hash mismatch) is rejected
+hard with :class:`~repro.errors.CheckpointError`, because silently
+resuming the wrong campaign is worse than not resuming at all.
 
 The journal knows a cell only through its spec's cell contract (see
-:class:`~repro.faults.executor.CellSpec`): ``key``, ``fingerprint()``,
-and a result codec (``result_field``, ``encode_result``,
-``decode_result``). A cell record stores the encoded result under its
-kind's ``result_field`` — ``"scorecard"`` for campaign cells,
-``"outages"`` for the chaos experiment's crash-recovery replay — so
-several kinds of batch can share one journal, and :meth:`match` pairs
-each batch with its own kind's records only. Records are read by their
-dataclass's field types (:mod:`repro.records`): a float, a bool or a
-numeric string where an integer belongs is corruption, not something
-to round. Scorecards and span trees are checked on load, so a corrupt
-one is reported with its line number.
+:class:`~repro.faults.executor.CellSpec`): ``key``, ``fingerprint()``
+and ``result_field``. A cell record stores the result's JSON form
+(:func:`repro.records.to_json`) under its kind's ``result_field`` —
+``"scorecard"`` for campaign cells, ``"outages"`` for the chaos
+experiment's crash-recovery replay — so several kinds of batch can
+share one journal, and :meth:`match` pairs each batch with its own
+kind's records only. :data:`RESULT_TYPES` says what each result field
+holds.
+
+Every line is decoded once, on load, into its typed record: the
+header into :class:`JournalHeader`, a cell into :class:`JournalCell`
+(its result decoded by :data:`RESULT_TYPES`), a heartbeat into
+:class:`~repro.telemetry.progress.CellEvent` and a quarantine note
+into :class:`QuarantineRecord`. Records are read by their field types
+(:mod:`repro.records`): a float, a bool or a numeric string where an
+integer belongs is corruption, not something to round, and it is
+reported with its line number.
 
 The journal is handed to :class:`~repro.faults.executor.CampaignExecutor`,
 which records cells as they finish, skips the ones already recorded,
@@ -39,7 +45,6 @@ ran live.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -63,7 +68,8 @@ from repro.faults.campaigns import (
     _cell_label,
 )
 from repro.faults.executor import CellSpec
-from repro.records import from_json
+from repro.records import content_hash, from_json, to_json
+from repro.telemetry.progress import CellEvent
 from repro.telemetry.spans import SpanNode, active_profiler
 
 # perfbench/layers.py wraps SupervisedExecutor.execute by this name.
@@ -75,6 +81,14 @@ from repro.faults.executor import (  # noqa: F401
 #: different version. Bump it only when an existing record's layout
 #: changes: a new cell kind, with its own result field, is not one.
 CHECKPOINT_VERSION = 1
+
+#: What each cell kind's result field holds: the type its journaled
+#: JSON is read back as. A cell record whose result field is not here
+#: is corruption.
+RESULT_TYPES: Dict[str, Any] = {
+    "scorecard": SasoScorecard,
+    "outages": Tuple[float, ...],
+}
 
 
 def decode_record(kind: Any, payload: object, name: str) -> Any:
@@ -90,14 +104,6 @@ def decode_record(kind: Any, payload: object, name: str) -> Any:
 # ----------------------------------------------------------------------
 # Fingerprints — what makes a journal record trustworthy
 # ----------------------------------------------------------------------
-
-def content_hash(doc: Mapping[str, object]) -> str:
-    """A cell fingerprint: the first 16 hex digits of the SHA-256 of
-    ``doc`` as key-sorted JSON. ``doc`` names everything that
-    determines the cell's result, floats as ``repr`` strings."""
-    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
-
 
 def cell_fingerprint(spec: CampaignCellSpec) -> str:
     """Content hash of everything that determines a cell's scorecard.
@@ -202,15 +208,16 @@ _CELL_RECORD_KEYS = frozenset((
 class JournalCell:
     """One completed cell as recovered from a journal.
 
-    ``field`` is the cell kind's ``result_field`` and ``payload`` the
-    result as journaled under it (plain JSON); the kind's
-    ``decode_result`` rebuilds the result.
+    ``field`` is the cell kind's ``result_field`` and ``result`` the
+    result journaled under it, decoded as its :data:`RESULT_TYPES`
+    entry (a :class:`~repro.faults.campaigns.SasoScorecard` for
+    ``"scorecard"``).
     """
 
     key: CellKey
     spec_hash: str
     field: str
-    payload: object
+    result: Any
     #: Optional observability extras (absent in journals written by
     #: older builds): the cell's span-tree payload, wall-clock
     #: duration, and executing worker pid. None of them participate
@@ -219,11 +226,16 @@ class JournalCell:
     duration: Optional[float] = None
     worker: Optional[int] = None
 
-    @property
-    def scorecard(self) -> SasoScorecard:
-        """The decoded result of a campaign-cell (``"scorecard"``)
-        record."""
-        return CampaignCellSpec.decode_result(self.payload)
+
+@dataclass(frozen=True)
+class QuarantineRecord:
+    """A journaled quarantine note: the cell, its fingerprint, and the
+    attempts and last error that exhausted its retry budget."""
+
+    key: CellKey
+    spec_hash: str
+    attempts: int
+    error: str
 
 
 def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
@@ -244,10 +256,13 @@ def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
             )
         )
     (field,) = fields
-    if field == CampaignCellSpec.result_field:
-        # Decoded here only to validate: corruption is then reported
-        # with its line number, not at resume.
-        CampaignCellSpec.decode_result(payload[field])
+    kind = RESULT_TYPES.get(field)
+    if kind is None:
+        raise CheckpointError(
+            f"cell {_cell_label(key)} has an unknown result field "
+            f"{field!r}"
+        )
+    result = decode_record(kind, payload[field], field)
     spans = payload.get("spans")
     if isinstance(spans, dict):
         # Merged here only to validate: a malformed tree is then
@@ -277,7 +292,7 @@ def _parse_cell_record(payload: Mapping[str, object]) -> JournalCell:
         key=key,
         spec_hash=spec_hash,
         field=field,
-        payload=payload[field],
+        result=result,
         spans=spans,
         duration=None if duration is None else float(duration),
         worker=worker,
@@ -291,8 +306,8 @@ class LoadedJournal:
 
     header: JournalHeader
     cells: Dict[CellKey, JournalCell]
-    heartbeats: List[Dict[str, object]]
-    quarantines: List[Dict[str, object]]
+    heartbeats: List[CellEvent]
+    quarantines: List[QuarantineRecord]
     valid_lines: List[str]
     warnings: List[str]
 
@@ -393,16 +408,14 @@ class CheckpointJournal:
         header: JournalHeader,
         *,
         cells: Optional[Dict[CellKey, JournalCell]] = None,
-        heartbeats: Optional[List[Dict[str, object]]] = None,
+        heartbeats: Optional[List[CellEvent]] = None,
         warnings: Optional[List[str]] = None,
         _header_on_disk: bool = False,
     ) -> None:
         self._path = path
         self._header = header
         self._cells: Dict[CellKey, JournalCell] = dict(cells or {})
-        self._heartbeats: List[Dict[str, object]] = list(
-            heartbeats or []
-        )
+        self._heartbeats: List[CellEvent] = list(heartbeats or [])
         self._warnings: List[str] = list(warnings or [])
         self._header_on_disk = _header_on_disk
         self._file: Optional[TextIO] = None
@@ -539,48 +552,49 @@ class CheckpointJournal:
                 f"checkpoint {path!r} has schema version {version!r}, "
                 f"this build writes version {CHECKPOINT_VERSION}"
             )
-        fields = dict(first)
-        del fields["record"]
-        header: JournalHeader = decode_record(
-            JournalHeader, fields, "header"
-        )
         cells: Dict[CellKey, JournalCell] = {}
-        heartbeats: List[Dict[str, object]] = []
-        quarantines: List[Dict[str, object]] = []
-        valid_lines = [parsed[0][1]]
-        for number, line, payload in parsed[1:]:
-            kind = payload.get("record")
-            if kind == "cell":
-                try:
+        heartbeats: List[CellEvent] = []
+        quarantines: List[QuarantineRecord] = []
+        for position, (number, _, payload) in enumerate(parsed):
+            kind = payload.pop("record", None)
+            try:
+                if position == 0:
+                    # Checked above to be a header of this version.
+                    header: JournalHeader = decode_record(
+                        JournalHeader, payload, "header"
+                    )
+                elif kind == "cell":
                     cell = _parse_cell_record(payload)
-                except CheckpointError as error:
-                    raise CheckpointError(
-                        f"checkpoint {path!r} is corrupt at line "
-                        f"{number}: {error}"
-                    ) from None
-                cells[cell.key] = cell
-            elif kind == "quarantine":
-                # Informational: a quarantined cell gets a fresh
-                # retry budget on resume rather than being skipped.
-                decode_record(CellKey, payload.get("key"), "key")
-                quarantines.append(dict(payload))
-            elif kind == "heartbeat":
-                # Informational liveness records; kept so a resumed
-                # run (and ``repro report``) can say what the dead
-                # run was doing when it stopped.
-                heartbeats.append(dict(payload))
-            else:
+                    cells[cell.key] = cell
+                elif kind == "quarantine":
+                    # Informational: a quarantined cell gets a fresh
+                    # retry budget on resume rather than being skipped.
+                    quarantines.append(
+                        decode_record(QuarantineRecord, payload, "quarantine")
+                    )
+                elif kind == "heartbeat":
+                    # Informational liveness records; kept so a resumed
+                    # run (and ``repro report``) can say what the dead
+                    # run was doing when it stopped. The journal names
+                    # the event's kind "event".
+                    if "event" in payload:
+                        payload["kind"] = payload.pop("event")
+                    heartbeats.append(
+                        decode_record(CellEvent, payload, "heartbeat")
+                    )
+                else:
+                    raise CheckpointError(f"unknown record kind {kind!r}")
+            except CheckpointError as error:
                 raise CheckpointError(
                     f"checkpoint {path!r} is corrupt at line "
-                    f"{number}: unknown record kind {kind!r}"
-                )
-            valid_lines.append(line)
+                    f"{number}: {error}"
+                ) from None
         return LoadedJournal(
             header=header,
             cells=cells,
             heartbeats=heartbeats,
             quarantines=quarantines,
-            valid_lines=valid_lines,
+            valid_lines=[line for _, line, _ in parsed],
             warnings=warnings,
         )
 
@@ -605,7 +619,7 @@ class CheckpointJournal:
         return list(self._warnings)
 
     @property
-    def heartbeats(self) -> List[Dict[str, object]]:
+    def heartbeats(self) -> List[CellEvent]:
         """Heartbeat records recovered from disk plus those recorded
         this run (liveness only; never merged into results)."""
         return list(self._heartbeats)
@@ -654,20 +668,19 @@ class CheckpointJournal:
         worker: Optional[int] = None,
     ) -> None:
         """Durably append one completed cell (fsynced before return):
-        its key, ``spec.fingerprint()`` and ``spec.encode_result(
-        result)`` under ``spec.result_field``.
+        its key, ``spec.fingerprint()`` and ``result``'s JSON form
+        under ``spec.result_field``.
 
         ``spans``, ``duration`` and ``worker`` are optional
         observability extras; they are journaled next to the result
         but take no part in fingerprinting or resume matching.
         """
         fingerprint = spec.fingerprint()
-        encoded = spec.encode_result(result)
         payload: Dict[str, object] = {
             "record": "cell",
             "key": list(spec.key),
             "spec_hash": fingerprint,
-            spec.result_field: encoded,
+            spec.result_field: to_json(result),
         }
         if duration is not None:
             payload["duration"] = round(duration, 6)
@@ -680,34 +693,34 @@ class CheckpointJournal:
             key=spec.key,
             spec_hash=fingerprint,
             field=spec.result_field,
-            payload=encoded,
+            result=result,
             spans=spans,
             duration=duration,
             worker=worker,
         )
 
-    def record_heartbeat(self, payload: Mapping[str, object]) -> None:
+    def record_heartbeat(self, event: CellEvent) -> None:
         """Durably append one liveness heartbeat (see
         :meth:`repro.telemetry.progress.CellEvent.to_payload`). Purely
         informational: resume matching never reads heartbeats, but
         ``--resume`` and ``repro report`` surface them to say what an
         interrupted run was doing."""
         record: Dict[str, object] = {"record": "heartbeat"}
-        record.update(payload)
+        record.update(event.to_payload())
         self._append(record)
-        self._heartbeats.append(record)
+        self._heartbeats.append(event)
 
     def record_quarantine(
         self, spec: CellSpec, attempts: int, error: str
     ) -> None:
         """Append a quarantine note (informational; not resumed past)."""
-        self._append({
-            "record": "quarantine",
-            "key": list(spec.key),
-            "spec_hash": spec.fingerprint(),
-            "attempts": attempts,
-            "error": error,
-        })
+        note = QuarantineRecord(
+            key=spec.key,
+            spec_hash=spec.fingerprint(),
+            attempts=attempts,
+            error=error,
+        )
+        self._append({"record": "quarantine", **to_json(note)})
 
     def match(self, specs: Sequence[CellSpec]) -> Dict[int, JournalCell]:
         """Map spec indices to their recovered journal cells (see
@@ -732,9 +745,10 @@ __all__ = [
     "JournalCell",
     "JournalHeader",
     "LoadedJournal",
+    "QuarantineRecord",
+    "RESULT_TYPES",
     "cell_fingerprint",
     "check_header",
-    "content_hash",
     "decode_record",
     "load_journal",
     "match_cells",

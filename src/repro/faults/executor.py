@@ -9,7 +9,7 @@ runtime)`` cells (:class:`~repro.experiments.chaos.RecoveryCellSpec`).
 :class:`CampaignExecutor` runs a batch of either kind and returns a
 :class:`CampaignOutcome`. It, and the journal, handle a cell only
 through its spec's cell contract (:class:`CellSpec`): a key, a
-fingerprint, a body, and a JSON codec for the result.
+fingerprint, a body, and the journal field of its result.
 
 * **Where.** ``jobs == 1`` runs cells in-process, one at a time;
   ``jobs > 1`` runs them on a process pool. Every cell builds its own
@@ -100,11 +100,14 @@ class CellSpec(Protocol):
     :class:`~repro.faults.campaigns.SasoScorecard`, journaled under
     ``"scorecard"``) and :class:`~repro.experiments.chaos.RecoveryCellSpec`
     (result: a tuple of outage seconds, under ``"outages"``) implement
-    it; the executor and the journal use nothing else.
+    it; the executor and the journal use nothing else. The journal
+    writes a result as its :func:`~repro.records.to_json` form and
+    reads it back by ``result_field``'s entry in
+    :data:`~repro.faults.checkpoint.RESULT_TYPES`.
     """
 
-    #: Journal field the encoded result is stored under; it also names
-    #: the kind, so batches of different kinds can share a journal.
+    #: Journal field the result is stored under; it also names the
+    #: kind, so batches of different kinds can share a journal.
     result_field: str
 
     @property
@@ -116,13 +119,6 @@ class CellSpec(Protocol):
 
     def run(self) -> Any:
         """The cell body: run the cell and return its result."""
-
-    def encode_result(self, result: Any) -> object:
-        """The result as plain JSON; lossless."""
-
-    def decode_result(self, payload: object) -> Any:
-        """Inverse of :meth:`encode_result`; raises
-        :class:`~repro.errors.CheckpointError` when malformed."""
 
 
 #: What a cell body returns: a
@@ -458,7 +454,7 @@ class _Batch(Generic[CellResult]):
         )
         self.progress.on_event(event)
         if self.journal is not None:
-            self.journal.record_heartbeat(event.to_payload())
+            self.journal.record_heartbeat(event)
 
     def keep(
         self,
@@ -471,8 +467,7 @@ class _Batch(Generic[CellResult]):
             self.spans[index] = spans
 
     def restore(self, index: int, cell: "JournalCell") -> None:
-        result = self.specs[index].decode_result(cell.payload)
-        self.keep(index, result, cell.spans)
+        self.keep(index, cell.result, cell.spans)
         self.heartbeat("resume", index)
 
     def complete(self, done: _CellDone) -> None:

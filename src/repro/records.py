@@ -14,6 +14,10 @@ refusal is a :class:`ValueError` naming the field's path, e.g.
 ``scorecard.audit.skips[0][1]: expected an integer, got 2.5``; callers
 re-raise it as their own error type.
 
+:func:`content_hash` is the one fingerprint hash: what a checkpoint
+journal records to tell one cell's (or one sweep grid's) configuration
+from another's.
+
 Supported field types: ``str``, ``int`` (not ``bool``), ``float`` (any
 JSON number but ``bool``, read as ``float``), ``bool``,
 ``Optional[X]``, ``Tuple[X, ...]``, fixed ``Tuple[X, Y, ...]``,
@@ -27,8 +31,10 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import functools
+import hashlib
+import json
 import typing
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Mapping
 
 #: Decodes one JSON value found at the given path.
 Decoder = Callable[[object, str], Any]
@@ -49,6 +55,14 @@ def to_json(value: Any) -> Any:
     if isinstance(value, collections.abc.Mapping):
         return {key: to_json(item) for key, item in value.items()}
     raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def content_hash(doc: Mapping[str, object]) -> str:
+    """A fingerprint: the first 16 hex digits of the SHA-256 of ``doc``
+    as key-sorted JSON. ``doc`` names everything that determines what
+    is fingerprinted, floats as ``repr`` strings."""
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def from_json(kind: Any, payload: object, name: str = "value") -> Any:
@@ -189,4 +203,4 @@ def _dataclass_decoder(cls: type) -> Decoder:
     return decode
 
 
-__all__ = ["Decoder", "decoder", "from_json", "to_json"]
+__all__ = ["Decoder", "content_hash", "decoder", "from_json", "to_json"]

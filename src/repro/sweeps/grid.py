@@ -299,7 +299,7 @@ def sweep_result_from_journal(
     return SweepResult(
         grid=grid,
         scorecards={
-            index: cell.scorecard for index, cell in matched.items()
+            index: cell.result for index, cell in matched.items()
         },
         coverage=CampaignCoverage(
             cells=len(grid.specs),

@@ -27,8 +27,6 @@ live under ``tests/sweeps/``.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -47,6 +45,7 @@ from typing import (
 
 from repro.errors import SweepError
 from repro.faults.campaigns import PROFILES
+from repro.records import content_hash
 
 #: Controllers a sweep may pit against each other (the chaos roster).
 SWEEP_CONTROLLERS: Tuple[str, ...] = ("ds2", "ds2-legacy", "dhalion")
@@ -494,8 +493,7 @@ def spec_fingerprint(spec: SweepSpec) -> str:
         "tick": repr(spec.tick),
         "margin_threshold": repr(spec.margin_threshold),
     }
-    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return content_hash(doc)
 
 
 def sweep_label(spec: SweepSpec) -> str:

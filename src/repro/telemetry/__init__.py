@@ -80,7 +80,6 @@ if TYPE_CHECKING:
     )
     from repro.telemetry.tracer import (
         NULL_TRACER,
-        TRACE_SCHEMA_VERSION,
         NullTracer,
         TraceEvent,
         Tracer,
@@ -112,8 +111,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "summarize_trace", "validate_trace_record",
     ),
     "repro.telemetry.tracer": (
-        "NULL_TRACER", "TRACE_SCHEMA_VERSION", "NullTracer", "TraceEvent",
-        "Tracer", "active_tracer", "tracing",
+        "NULL_TRACER", "NullTracer", "TraceEvent", "Tracer", "active_tracer",
+        "tracing",
     ),
 })
 
@@ -135,7 +134,6 @@ __all__ = [
     "SPAN_SCHEMA_VERSION",
     "SpanNode",
     "SpanProfiler",
-    "TRACE_SCHEMA_VERSION",
     "TTYProgressRenderer",
     "TraceEvent",
     "TraceSummary",

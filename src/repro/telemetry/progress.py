@@ -21,7 +21,8 @@ without touching any golden output:
 
 Heartbeats are additionally journaled by the campaign executor (see
 :mod:`repro.faults.executor`) so a resumed run can report what the
-dead run was doing when it was killed.
+dead run was doing when it was killed; the journal reads each one back
+as a :class:`CellEvent`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import (
     Dict,
     IO,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -298,26 +298,16 @@ class PlainProgressRenderer(ProgressListener):
         self._stream.flush()
 
 
-def interrupted_cells(
-    heartbeats: Sequence[Mapping[str, Any]]
-) -> List[str]:
+def interrupted_cells(heartbeats: Sequence[CellEvent]) -> List[str]:
     """Labels of the cells an interrupted run was executing when it
     died: every journaled ``start`` heartbeat without a later
     ``done``/``retry``/``resume``/``quarantine`` for the same cell."""
     in_flight: Dict[int, str] = {}
-    for beat in heartbeats:
-        index = beat.get("index")
-        if not isinstance(index, int):
-            continue
-        key = beat.get("key")
-        if isinstance(key, list) and len(key) == 3:
-            label = f"seed={key[0]} {key[1]}/{key[2]}"
+    for event in heartbeats:
+        if event.kind == "start":
+            in_flight[event.index] = event.label
         else:
-            label = f"cell #{index}"
-        if beat.get("event") == "start":
-            in_flight[index] = label
-        else:
-            in_flight.pop(index, None)
+            in_flight.pop(event.index, None)
     return [in_flight[index] for index in sorted(in_flight)]
 
 

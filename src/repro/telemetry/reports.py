@@ -234,7 +234,7 @@ def _audit_totals(cells: List["JournalCell"]) -> Dict[str, int]:
         "audited_cells": 0,
     }
     for cell in cells:
-        audit = cell.scorecard.audit
+        audit = cell.result.audit
         if audit is None:
             continue
         totals["audited_cells"] += 1
@@ -281,7 +281,7 @@ def report_from_journal(
                 seed=seed,
                 campaign=campaign,
                 controller=controller,
-                score=cell.scorecard.score,
+                score=cell.result.score,
                 duration=cell.duration,
                 worker=cell.worker,
             )
@@ -293,21 +293,14 @@ def report_from_journal(
         span_fold.add(cell.spans)
 
     heartbeat_counts: Dict[str, int] = {}
-    for beat in loaded.heartbeats:
-        kind = beat.get("event")
-        if isinstance(kind, str):
-            heartbeat_counts[kind] = heartbeat_counts.get(kind, 0) + 1
-        worker = beat.get("worker")
-        if isinstance(worker, int) and not isinstance(worker, bool):
-            workers.add(worker)
+    for event in loaded.heartbeats:
+        heartbeat_counts[event.kind] = (
+            heartbeat_counts.get(event.kind, 0) + 1
+        )
+        if event.worker is not None:
+            workers.add(event.worker)
 
-    quarantined = []
-    for record in loaded.quarantines:
-        raw_key = record.get("key")
-        if isinstance(raw_key, list) and len(raw_key) == 3:
-            quarantined.append(
-                _cell_name((raw_key[0], raw_key[1], raw_key[2]))
-            )
+    quarantined = [_cell_name(note.key) for note in loaded.quarantines]
 
     duration_stats: Dict[str, float] = {}
     if durations:
@@ -334,9 +327,7 @@ def report_from_journal(
         cells_expected=expected,
         cells_completed=len(cells),
         cells_quarantined=len(quarantined),
-        aggregates=aggregate_scorecards(
-            cell.scorecard for cell in cells
-        ),
+        aggregates=aggregate_scorecards(cell.result for cell in cells),
         cells=rows,
         duration_stats=duration_stats,
         heartbeat_counts=heartbeat_counts,

@@ -32,6 +32,7 @@ the payloads back in canonical cell order with :meth:`merge`.
 
 from __future__ import annotations
 
+import sys
 import threading
 from contextlib import contextmanager
 from time import perf_counter as _clock
@@ -98,15 +99,23 @@ class SpanNode:
         """Fold a :meth:`to_dict` payload into this subtree."""
         count = payload.get("count", 0)
         seconds = payload.get("seconds", 0.0)
-        if not isinstance(count, int) or isinstance(count, bool):
+        if (
+            not isinstance(count, int)
+            or isinstance(count, bool)
+            or count < 0
+        ):
             raise TelemetryError(
                 f"span payload {payload.get('name')!r}: count must be "
-                f"an integer, got {count!r}"
+                f"a non-negative integer, got {count!r}"
             )
-        if not isinstance(seconds, (int, float)):
+        if (
+            not isinstance(seconds, (int, float))
+            or isinstance(seconds, bool)
+            or not 0 <= seconds <= sys.float_info.max
+        ):
             raise TelemetryError(
                 f"span payload {payload.get('name')!r}: seconds must "
-                f"be a number, got {seconds!r}"
+                f"be a finite non-negative number, got {seconds!r}"
             )
         children = payload.get("children", [])
         if not isinstance(children, list):

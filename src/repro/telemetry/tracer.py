@@ -40,10 +40,6 @@ from typing import Iterator, List, Mapping, Optional, Union
 
 from repro.errors import TelemetryError
 
-#: Version stamped into exported traces (``repro trace summarize``
-#: refuses traces from a future schema).
-TRACE_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -162,7 +158,6 @@ def tracing(tracer: Tracer) -> Iterator[Tracer]:
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
-    "TRACE_SCHEMA_VERSION",
     "TraceEvent",
     "Tracer",
     "active_tracer",

@@ -9,8 +9,10 @@ The crash-safety contract has two halves, both tested here:
   with `CheckpointError` rather than half-trusted.
 * The cell contract — campaign cells and the chaos experiment's
   crash-recovery replay cells share one journal, each kind with its
-  own fingerprint and result codec, and each batch trusts only
-  records of its own kind.
+  own fingerprint and result field, and each batch trusts only
+  records of its own kind. The journal decodes every line once, on
+  load, into its typed record; re-encoding those records reproduces
+  the committed smoke journal byte for byte.
 * The resume equivalence gate — a `repro run chaos --checkpoint` run
   hard-killed (SIGKILL) mid-campaign and resumed with `--resume` must
   print stdout byte-identical to an uninterrupted run, serially and on
@@ -39,15 +41,16 @@ from repro.experiments.chaos import RecoveryCellSpec, resolve_workload
 from repro.faults import campaigns
 from repro.faults.campaigns import (
     PROFILES,
-    CampaignCellSpec,
     CampaignGenerator,
     CampaignTargets,
 )
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
+    RESULT_TYPES,
     CheckpointJournal,
     JournalHeader,
     cell_fingerprint,
+    decode_record,
     load_journal,
 )
 from repro.faults.executor import CampaignExecutor
@@ -93,6 +96,11 @@ def _cards_as_dicts(cards):
     return [dataclasses.asdict(card) for card in cards]
 
 
+def _decode(field, payload):
+    """A journaled result read back the way the journal reads it."""
+    return decode_record(RESULT_TYPES[field], payload, field)
+
+
 class TestScorecardRoundTrip:
     def test_real_cells_round_trip_exactly(self):
         from repro.faults.campaigns import run_campaign_cell
@@ -100,7 +108,7 @@ class TestScorecardRoundTrip:
         for spec in _specs(campaigns=1):
             card = run_campaign_cell(spec)
             payload = json.loads(json.dumps(to_json(card)))
-            assert CampaignCellSpec.decode_result(payload) == card
+            assert _decode("scorecard", payload) == card
 
     def test_audit_free_card_round_trips(self):
         from repro.faults.campaigns import SasoScorecard
@@ -112,11 +120,11 @@ class TestScorecardRoundTrip:
             downtime_fraction=0.0, recovery_seconds=0.0,
             scaling_actions=1, failed_rescales=0, audit=None,
         )
-        assert CampaignCellSpec.decode_result(to_json(card)) == card
+        assert _decode("scorecard", to_json(card)) == card
 
     def test_malformed_payload_raises(self):
         with pytest.raises(CheckpointError, match="malformed"):
-            CampaignCellSpec.decode_result({"controller": "x"})
+            _decode("scorecard", {"controller": "x"})
 
     @pytest.mark.parametrize(
         "field,value,match",
@@ -134,10 +142,10 @@ class TestScorecardRoundTrip:
         parsed "nan"."""
         lines = SMOKE_JOURNAL.read_text().splitlines()
         card = json.loads(lines[_first_cell_line(lines)])["scorecard"]
-        assert CampaignCellSpec.decode_result(card)
+        assert _decode("scorecard", card)
         card[field] = value
         with pytest.raises(CheckpointError, match=match):
-            CampaignCellSpec.decode_result(card)
+            _decode("scorecard", card)
 
 
 class TestCellFingerprint:
@@ -184,10 +192,8 @@ class TestReplayCellContract:
         [(), (12.5,), (0.1, 3.0000000000000004, 1e-300, 71.0)],
     )
     def test_outages_codec_round_trips_exactly(self, outages):
-        payload = json.loads(
-            json.dumps(RecoveryCellSpec.encode_result(outages))
-        )
-        decoded = RecoveryCellSpec.decode_result(payload)
+        payload = json.loads(json.dumps(to_json(outages)))
+        decoded = _decode("outages", payload)
         assert decoded == outages
         assert type(decoded) is tuple
         assert [repr(x) for x in decoded] == [repr(x) for x in outages]
@@ -197,7 +203,7 @@ class TestReplayCellContract:
     )
     def test_malformed_outages_rejected(self, payload):
         with pytest.raises(CheckpointError, match="malformed outages"):
-            RecoveryCellSpec.decode_result(payload)
+            _decode("outages", payload)
 
 
 class TestJournalLifecycle:
@@ -222,7 +228,7 @@ class TestJournalLifecycle:
         matched = resumed.match(specs)
         assert sorted(matched) == [0, 1, 2]
         assert _cards_as_dicts(
-            [matched[i].scorecard for i in range(3)]
+            [matched[i].result for i in range(3)]
         ) == _cards_as_dicts(cards)
         assert resumed.warnings == []
         resumed.close()
@@ -242,7 +248,7 @@ class TestJournalLifecycle:
         assert [r["record"] for r in records] == ["header", "cell"]
         assert "telemetry" not in records[1]
         cell = load_journal(path).cells[spec.key]
-        assert cell.scorecard == card
+        assert cell.result == card
         assert cell.spec_hash == cell_fingerprint(spec)
         assert (cell.duration, cell.worker) == (1.5, 7)
 
@@ -278,7 +284,7 @@ class TestJournalLifecycle:
             ).execute(ordered)
         assert outcome.resumed == len(ordered) == 6
         assert [outcome.by_index[i] for i in range(6)] == [
-            loaded.cells[spec.key].scorecard for spec in ordered
+            loaded.cells[spec.key].result for spec in ordered
         ]
         assert Path(path).read_bytes() == SMOKE_JOURNAL.read_bytes()
 
@@ -332,9 +338,9 @@ class TestCellKinds:
             assert sorted(journal.match(specs)) == [0, 1, 2]
             matched = journal.match(replay)
         assert sorted(matched) == [0, 1, 2, 3]
-        assert [
-            replay[i].decode_result(matched[i].payload) for i in range(4)
-        ] == [(0.0, 0.5), (1.0, 0.5), (2.0, 0.5), (3.0, 0.5)]
+        assert [matched[i].result for i in range(4)] == [
+            (0.0, 0.5), (1.0, 0.5), (2.0, 0.5), (3.0, 0.5)
+        ]
 
     def test_stale_replay_record_rejected(self, tmp_path):
         """Replay cells journaled under tick=2.0 must not resume a
@@ -353,14 +359,18 @@ class TestCellKinds:
                 journal.match(replay[:3])
 
     def test_malformed_replay_record_rejected_on_resume(self, tmp_path):
+        """Replay outages are decoded on load, like scorecards: the
+        error names the line, not just the field."""
         path, _, replay = _journal_with_both_kinds(tmp_path)
         text = Path(path).read_text().replace(
             '"outages": [3.0, 0.5]', '"outages": ["3.0", 0.5]'
         )
         Path(path).write_text(text)
-        with CheckpointJournal.open(path, HEADER, resume=True) as journal:
-            with pytest.raises(CheckpointError, match="malformed outages"):
-                CampaignExecutor(journal=journal).execute(replay)
+        with pytest.raises(
+            CheckpointError,
+            match=r"corrupt at line 8: malformed outages\[0\]",
+        ):
+            CheckpointJournal.open(path, HEADER, resume=True)
 
     @pytest.mark.parametrize(
         "extra,match",
@@ -387,6 +397,108 @@ def _first_cell_line(lines):
         for number, line in enumerate(lines)
         if json.loads(line)["record"] == "cell"
     )
+
+
+def _first_heartbeat_line(lines):
+    return next(
+        number
+        for number, line in enumerate(lines)
+        if json.loads(line)["record"] == "heartbeat"
+    )
+
+
+def _set_outages(record):
+    del record["scorecard"]
+    record["outages"] = [1.0, "x"]
+
+
+def _set_result_field(record):
+    record["fudge"] = record.pop("scorecard")
+
+
+def _set_index(record):
+    record["index"] = "x"
+
+
+@pytest.mark.parametrize(
+    "find,edit,match",
+    [
+        (
+            _first_cell_line,
+            _set_outages,
+            r"malformed outages\[1\]: expected a number",
+        ),
+        (
+            _first_cell_line,
+            _set_result_field,
+            "cell .* has an unknown result field 'fudge'",
+        ),
+        (
+            _first_heartbeat_line,
+            _set_index,
+            "malformed heartbeat.index: expected an integer",
+        ),
+    ],
+)
+def test_records_are_decoded_on_load(tmp_path, find, edit, match):
+    """Every line is decoded by its type on load, whatever its kind:
+    a bad replay result or heartbeat is named with its line, not
+    found later (or never) by whatever reads it."""
+    lines = SMOKE_JOURNAL.read_text().splitlines()
+    index = find(lines)
+    payload = json.loads(lines[index])
+    edit(payload)
+    lines[index] = json.dumps(payload)
+    path = tmp_path / "j.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(
+        CheckpointError, match=f"corrupt at line {index + 1}: {match}"
+    ):
+        load_journal(str(path))
+
+
+class _RecordedSpec:
+    """The cell contract of a journaled cell, enough to record it
+    again."""
+
+    def __init__(self, cell):
+        self.key = cell.key
+        self.result_field = cell.field
+        self._hash = cell.spec_hash
+
+    def fingerprint(self):
+        return self._hash
+
+
+def test_smoke_journal_reencodes_byte_for_byte(tmp_path):
+    """Decoding a journal loses nothing a fresh run writes: each line
+    of the committed smoke journal, decoded and recorded again through
+    the journal's own writers, gets its bytes back. Only the metrics
+    snapshot that older builds put in cell records is gone: nothing
+    reads it any more."""
+    loaded = load_journal(str(SMOKE_JOURNAL))
+    cells = iter(loaded.cells.values())
+    heartbeats = iter(loaded.heartbeats)
+    path = str(tmp_path / "again.jsonl")
+    expected = []
+    with CheckpointJournal.open(path, loaded.header) as journal:
+        for line in loaded.valid_lines:
+            record = json.loads(line)
+            record.pop("telemetry", None)
+            expected.append(json.dumps(record))
+            if record["record"] == "cell":
+                cell = next(cells)
+                journal.record_cell(
+                    _RecordedSpec(cell),
+                    cell.result,
+                    spans=cell.spans,
+                    duration=cell.duration,
+                    worker=cell.worker,
+                )
+            elif record["record"] == "heartbeat":
+                journal.record_heartbeat(next(heartbeats))
+    assert len(expected) == 19
+    assert Path(path).read_text().splitlines() == expected
 
 
 @pytest.mark.parametrize(

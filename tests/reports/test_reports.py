@@ -124,7 +124,7 @@ class TestInterruptedRuns:
                 key=(1, 0, "ds2"),
                 completed=0,
                 total=1,
-            ).to_payload()
+            )
         )
         journal.close()
         return path
@@ -231,12 +231,19 @@ def _bad_span_child(record):
     record["spans"]["children"] = [5]
 
 
+def _seconds_true(record):
+    record["spans"] = {
+        "name": "root", "count": 1, "seconds": True, "children": [],
+    }
+
+
 class TestMalformedRecordsViaCli:
     @pytest.mark.parametrize(
         "edit,match",
         [
             (_set_campaign, "scorecard.campaign: expected an integer"),
             (_bad_span_child, "malformed span tree"),
+            (_seconds_true, "malformed span tree"),
         ],
     )
     def test_report_refuses_the_journal(
@@ -254,6 +261,49 @@ class TestMalformedRecordsViaCli:
         assert f"corrupt at line {line}: " in captured.err
         assert match in captured.err
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_report_names_a_bad_quarantine_key_by_line(
+        self, tmp_path, capsys
+    ):
+        """A quarantine note is decoded inside the journal's
+        line-numbered load, like every other record."""
+        path = tmp_path / "bad.jsonl"
+        with open(SMOKE_JOURNAL, encoding="utf-8") as handle:
+            text = handle.read()
+        note = {
+            "record": "quarantine",
+            "key": [1.5, 0, "ds2"],
+            "spec_hash": "92b8172864b33ea2",
+            "attempts": 3,
+            "error": "RuntimeError: boom",
+        }
+        path.write_text(text + json.dumps(note) + "\n")
+        assert main(["report", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unusable checkpoint: ")
+        assert f"checkpoint {str(path)!r} is corrupt at line 20: " in err
+        assert "malformed quarantine.key[0]: expected an integer" in err
+
+
+class TestDecodedOnce:
+    def test_report_decodes_each_scorecard_once(self, monkeypatch):
+        """The journal decodes a scorecard on load; the report reads
+        the decoded record (six cells, six decodes)."""
+        from repro.faults import checkpoint
+        from repro.faults.campaigns import SasoScorecard
+
+        decoded = []
+        original = checkpoint.from_json
+
+        def counting(kind, payload, name="value"):
+            if kind is SasoScorecard:
+                decoded.append(name)
+            return original(kind, payload, name)
+
+        monkeypatch.setattr(checkpoint, "from_json", counting)
+        report = build_report(SMOKE_JOURNAL)
+        assert report.cells_completed == 6
+        assert decoded == ["scorecard"] * 6
 
 
 class TestFixtureIntegrity:

@@ -82,32 +82,34 @@ class TestCellEvent:
 class TestInterruptedCells:
     def test_start_without_done_is_interrupted(self):
         beats = [
-            _event("start", index=0).to_payload(),
-            _event("done", index=0).to_payload(),
-            _event("start", index=1).to_payload(),
+            _event("start", index=0),
+            _event("done", index=0),
+            _event("start", index=1),
         ]
         assert interrupted_cells(beats) == ["seed=1 0/ds2"]
 
     def test_completed_and_resumed_cells_are_not(self):
         beats = [
-            _event("start", index=0).to_payload(),
-            _event("resume", index=0).to_payload(),
-            _event("start", index=1).to_payload(),
-            _event("retry", index=1).to_payload(),
+            _event("start", index=0),
+            _event("resume", index=0),
+            _event("start", index=1),
+            _event("retry", index=1),
         ]
         assert interrupted_cells(beats) == []
 
-    def test_sorted_by_index_and_tolerates_junk(self):
+    def test_sorted_by_index_with_each_cells_label(self):
+        """Heartbeats arrive decoded (the journal refuses malformed
+        ones on load), so every interrupted cell has its own label."""
         beats = [
-            {"event": "start"},  # no index: ignored
-            _event("start", index=2).to_payload(),
-            _event("start", index=1).to_payload(),
-            {"event": "start", "index": 3, "key": "bad"},
+            _event("start", index=2),
+            CellEvent(
+                kind="start", index=1, key=(2, 3, "dhalion"),
+                completed=0, total=6,
+            ),
         ]
         assert interrupted_cells(beats) == [
+            "seed=2 3/dhalion",
             "seed=1 0/ds2",
-            "seed=1 0/ds2",
-            "cell #3",
         ]
 
     def test_empty(self):
@@ -275,15 +277,16 @@ class TestJournaledHeartbeats:
         journal = CheckpointJournal.open(
             path, _header(controllers=("ds2",))
         )
-        journal.record_heartbeat(
-            _event("start", completed=0).to_payload()
-        )
-        journal.record_heartbeat(_event("done").to_payload())
+        started = _event("start", completed=0)
+        done = _event("done", worker=42, duration=1.5)
+        journal.record_heartbeat(started)
+        journal.record_heartbeat(done)
         journal.close()
         loaded = load_journal(path)
-        assert [b["event"] for b in loaded.heartbeats] == [
+        assert [b.kind for b in loaded.heartbeats] == [
             "start", "done",
         ]
+        assert loaded.heartbeats == [started, done]
         assert interrupted_cells(loaded.heartbeats) == []
 
     def test_serial_executor_journals_heartbeats(self, tmp_path):
@@ -295,7 +298,7 @@ class TestJournaledHeartbeats:
         )
         journal.close()
         loaded = load_journal(path)
-        kinds = [b["event"] for b in loaded.heartbeats]
+        kinds = [b.kind for b in loaded.heartbeats]
         assert kinds == ["start", "done"] * len(cards)
 
     def test_no_heartbeats_without_progress(self, tmp_path):

@@ -109,6 +109,25 @@ class TestSpanProfiler:
                 "children": [{"count": 1}],
             })
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seconds", True),
+            ("seconds", float("nan")),
+            ("seconds", float("inf")),
+            ("seconds", -0.5),
+            ("seconds", 10 ** 400),
+            ("count", -1),
+        ],
+    )
+    def test_merge_rejects_bad_numbers(self, field, value):
+        """``true`` is no number of seconds (it used to merge as
+        1.0 s), and no span has a negative or non-finite total."""
+        payload = {"name": "root", "count": 1, "seconds": 0.25}
+        payload[field] = value
+        with pytest.raises(TelemetryError, match=field):
+            SpanProfiler().merge(payload)
+
     def test_threads_record_into_separate_subtrees(self):
         profiler = SpanProfiler()
 

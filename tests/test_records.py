@@ -1,7 +1,8 @@
 """The record codec (:mod:`repro.records`) and the records it serves.
 
 Every record that outlives a run — journal scorecards, headers, cell
-keys and recovery outages, trace audits, the sweep report's rows — is
+keys, recovery outages, heartbeats and quarantine notes, trace audits,
+the sweep report's rows — is
 read back by its dataclass's field types. The guard below builds the
 decoder of each one: a field typed with something the codec cannot
 read (or with a class imported only under ``TYPE_CHECKING``, which
@@ -19,12 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.chaos import RecoveryCellSpec
 from repro.faults.campaigns import CellKey, SasoScorecard
-from repro.faults.checkpoint import JournalHeader
+from repro.faults.checkpoint import (
+    RESULT_TYPES,
+    JournalHeader,
+    QuarantineRecord,
+)
 from repro.records import decoder, from_json, to_json
 from repro.sweeps.report import AxisEffect, ConvergenceStats, MarginRow
 from repro.telemetry.audit import AuditSummary, DecisionAudit, OperatorAudit
+from repro.telemetry.progress import CellEvent
 
 #: Every record type read back through the codec, with the type its
 #: payload decodes to.
@@ -35,9 +40,9 @@ RECORD_TYPES = {
     "OperatorAudit": OperatorAudit,
     "JournalHeader": JournalHeader,
     "CellKey": CellKey,
-    "outages": typing.get_type_hints(RecoveryCellSpec.decode_result)[
-        "return"
-    ],
+    "CellEvent": CellEvent,
+    "QuarantineRecord": QuarantineRecord,
+    "outages": RESULT_TYPES["outages"],
     "MarginRow": MarginRow,
     "AxisEffect": AxisEffect,
     "ConvergenceStats": ConvergenceStats,
